@@ -6,10 +6,12 @@ Run it from the root of a checkout::
     python3 perfbench/run.py --workload {batch,serve,stream} --seed N \\
         --seconds S --trace {0,1}
     python3 perfbench/run.py --smoke
+    python3 perfbench/run.py --record-digests N
 
 ``--trace 0`` reports the end-to-end metrics of BENCHMARK.json with
 tracing off: set-up repeated and its median taken, one discarded
-warm-up pass, then passes of ops until ``--seconds`` have gone by.
+warm-up pass, then passes of ops until ``--seconds`` have gone by, all
+scaled to the reference host speed.
 ``--trace 1`` alternates untraced and traced passes of fixed work for
 ``--seconds`` and reports the per-layer metrics as medians over the
 traced passes; the spans of the last traced pass are written to
@@ -19,7 +21,9 @@ standard output is one JSON object with ``correct``, ``attempted``,
 references outside every timed section; a divergence is a failed op and
 makes the exit code 1.  ``--smoke`` runs every workload in both modes on
 a tiny world and checks the metric contract and the trace accounting.
-perfbench/README.md defines the workloads and metrics.
+``--record-digests N`` writes the expected batch output digests of world
+seeds 0 to N-1 to ``perfbench/digests.json``.  perfbench/README.md
+defines the workloads and metrics.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 SPEC = ROOT / "BENCHMARK.json"
-CACHE = HERE / ".cache"  # generated worlds and batch output digests
+CACHE = HERE / ".cache"  # generated worlds
+DIGESTS = HERE / "digests.json"  # expected batch output digests
 WORK = HERE / ".work"  # stream WAL directories, removed after each run
 OUT = HERE / ".out"  # span dumps of traced runs
 
@@ -58,6 +63,15 @@ WORKLOADS = ("batch", "serve", "stream")
 # fit, and batch throughput then follows the seed rather than the code.
 WORLD = {"events_unit": 60.0, "noise_scale": 0.5, "popularity_sigma": 0.0}
 SMOKE_WORLD = {"events_unit": 8.0, "noise_scale": 0.3, "popularity_sigma": 0.0}
+
+# Even so, the Hawkes work of one world (EM iterations times events)
+# spreads 16% between quartiles over ten seeds, and stream throughput
+# follows when compactions fall, so --seed selects this many worlds:
+# batch and stream run over all of them, serve uses the first.
+WORLDS_PER_SEED = 4
+
+# Op time after which the reference loop is timed again (see Samples).
+REFERENCE_SPAN_S = 0.1
 
 # Seconds the reference loop takes at the reference host speed: its
 # median on the reference host (2 CPUs, Python 3.11, numpy 2.4).
@@ -132,12 +146,49 @@ def make_world(path: Path, seed: int, smoke: bool) -> int:
     return 0
 
 
-def host_fingerprint() -> dict:
+def world_seeds(seed: int) -> range:
+    """The seeds of the ``WORLDS_PER_SEED`` worlds that ``seed`` selects."""
+    return range(WORLDS_PER_SEED * seed, WORLDS_PER_SEED * (seed + 1))
+
+
+def committed_digests(smoke: bool) -> dict[str, str]:
+    """The batch output digests in ``digests.json``, by world seed.
+
+    They hold for the benchmark's world config only; the smoke world has
+    none.
+    """
+    recorded = json.loads(DIGESTS.read_text())
+    return {} if smoke or recorded["world"] != WORLD else recorded["digests"]
+
+
+def record_digests(count: int) -> int:
+    """Write ``digests.json`` for world seeds 0 to ``count - 1``.
+
+    Run it only on code whose outputs are known to be right, and only
+    when a change to the world generator or the pipeline is meant to
+    change them.
+    """
+    from workloads import Batch, output_digest
+
+    digests = {}
+    for seed in range(count):
+        batch = Batch([load_world(seed, False)[0]], SRC, [None])
+        batch.run_pass(_ignore)
+        (result, study), = batch.outputs
+        digests[str(seed)] = output_digest(result, study)
+        print(f"world seed {seed}: {digests[str(seed)]}", flush=True)
+    DIGESTS.write_text(
+        json.dumps({"world": WORLD, "digests": digests}, indent=1) + "\n"
+    )
+    return 0
+
+
+def host_fingerprint(cpus: int) -> dict:
     import numpy
     from repro.utils import compiled
 
     return {
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": cpus,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "compiled_tier": compiled.tier(),
@@ -168,22 +219,48 @@ def _ignore(seconds: float, units: int) -> None:
 
 
 class Samples:
-    """Op latencies, and the work rate of each pass."""
+    """Op latencies and the work rate of each pass, raw and scaled.
+
+    A workload calls it after each op.  The reference loop is timed when
+    a pass starts, again whenever ``REFERENCE_SPAN_S`` of op time has gone
+    by since its last timing, and when the pass ends.  The pass's op
+    times are divided by the host's slowdown over the pass: the median of
+    those reference times over ``REFERENCE_S``.  A single reference time
+    is too noisy to scale by: back to back, it swings by about 8% with a
+    period of about 0.4 s.
+    """
 
     def __init__(self) -> None:
         self.latencies: list[float] = []
         self.rates: list[float] = []
-        self._seconds = 0.0
+        self.raw_latencies: list[float] = []
+        self.raw_rates: list[float] = []
+        self.slowdowns: list[float] = []
+
+    def start_pass(self) -> None:
+        self._references = [reference_seconds()]
+        self._ops: list[float] = []
         self._units = 0
+        self._since = 0.0
 
     def __call__(self, seconds: float, units: int) -> None:
-        self.latencies.append(seconds)
-        self._seconds += seconds
+        self._ops.append(seconds)
         self._units += units
+        self._since += seconds
+        if self._since >= REFERENCE_SPAN_S:
+            self._references.append(reference_seconds())
+            self._since = 0.0
 
     def end_pass(self) -> None:
-        self.rates.append(self._units / self._seconds)
-        self._seconds, self._units = 0.0, 0
+        if self._since > 0.0:
+            self._references.append(reference_seconds())
+        slowdown = statistics.median(self._references) / REFERENCE_S
+        rate = self._units / math.fsum(self._ops)
+        self.raw_latencies += self._ops
+        self.raw_rates.append(rate)
+        self.latencies += [seconds / slowdown for seconds in self._ops]
+        self.rates.append(rate * slowdown)
+        self.slowdowns.append(slowdown)
 
 
 class Run:
@@ -231,41 +308,46 @@ def reference_seconds() -> float:
 def measure(workload, seconds: float, run: Run) -> None:
     """End-to-end metrics, tracing off, at the reference host speed.
 
-    The shared host's speed drifts by tens of percent over minutes.  The
-    reference loop is timed before every pass, and every time is scaled
-    by ``REFERENCE_S`` over the run's median reference time, so a run in
-    a slow spell reads as it would at the reference speed.  The raw
+    The shared host's speed swings by up to 2x within minutes.  The
+    reference loop is timed between set-ups, and every tenth of a second
+    of op time in a pass (see :class:`Samples`); set-up and op times are
+    divided by the host's slowdown over the set-ups or the pass, so an op
+    in a slow spell reads as it would at the reference speed.  The raw
     figures are printed as a readable line.
     """
-    setups = [workload.setup() for _ in range(workload.setup_repeats)]
+    raw_setups, references = [], [reference_seconds()]
+    for _ in range(workload.setup_repeats):
+        gc.collect()
+        raw_setups.append(workload.setup())
+        references.append(reference_seconds())
+    setup_slowdown = statistics.median(references) / REFERENCE_S
     workload.run_pass(_ignore)  # warm-up, discarded
     run.check(workload, counted=False)
     samples = Samples()
-    references = []
     deadline = time.perf_counter() + seconds
     while not samples.rates or time.perf_counter() < deadline:
         gc.collect()
-        references.append(reference_seconds())
+        samples.start_pass()
         workload.run_pass(samples)
         samples.end_pass()
         run.check(workload)
-    raw = {
-        "setup_s": statistics.median(setups),
+    run.metrics = {
+        "setup_s": statistics.median(raw_setups) / setup_slowdown,
         "throughput": statistics.median(samples.rates),
         "latency_p50_ms": 1e3 * statistics.median(samples.latencies),
-    }
-    slowdown = statistics.median(references) / REFERENCE_S
-    run.metrics = {
-        "setup_s": raw["setup_s"] / slowdown,
-        "throughput": raw["throughput"] * slowdown,
-        "latency_p50_ms": raw["latency_p50_ms"] / slowdown,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+    raw = {
+        "setup_s": statistics.median(raw_setups),
+        "throughput": statistics.median(samples.raw_rates),
+        "latency_p50_ms": 1e3 * statistics.median(samples.raw_latencies),
+    }
+    speed = 1.0 / statistics.median(samples.slowdowns + [setup_slowdown])
     run.notes.append(
-        f"raw (host at {1 / slowdown:.4g}x the reference speed): "
+        f"raw (host at {speed:.4g}x the reference speed): "
         + " ".join(f"{name}={value:.6g}" for name, value in raw.items())
     )
-    run.notes.append(tail_note(samples.latencies))
+    run.notes.append(tail_note(samples.raw_latencies))
 
 
 def tail_note(latencies: list[float]) -> str:
@@ -382,18 +464,30 @@ def run_workload(
 ) -> Run:
     from workloads import Batch, Serve, Stream
 
-    world, key = load_world(seed, smoke)
-    print(f"world seed={seed} config={key} posts={len(world.posts)}", flush=True)
+    seeds = world_seeds(seed)[:1] if name == "serve" else world_seeds(seed)
+    worlds = []
+    for world_seed in seeds:
+        world, key = load_world(world_seed, smoke)
+        worlds.append(world)
+        print(f"world seed={world_seed} config={key} posts={len(world.posts)}",
+              flush=True)
+    run = Run()
     work_dir = None
     if name == "batch":
-        workload = Batch(world, SRC, CACHE / f"digest-{key}.txt")
+        digests = committed_digests(smoke)
+        expected = [digests.get(str(world_seed)) for world_seed in seeds]
+        if None in expected:
+            run.notes.append(
+                f"no committed batch digest for some world seeds of seed "
+                f"{seed}: their ops are checked against the run's first op"
+            )
+        workload = Batch(worlds, SRC, expected)
     elif name == "serve":
         workload = Serve(world, seed)
     else:
         WORK.mkdir(parents=True, exist_ok=True)
         work_dir = Path(tempfile.mkdtemp(prefix="stream-", dir=WORK))
-        workload = Stream(world, work_dir)
-    run = Run()
+        workload = Stream(worlds, work_dir)
     try:
         if trace:
             traced(workload, seconds, run, OUT / f"spans-{name}-seed{seed}.json")
@@ -471,12 +565,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny-world self-check of every workload in both modes",
+    )
+    parser.add_argument(
+        "--record-digests",
+        type=int,
+        metavar="N",
+        help="write perfbench/digests.json for world seeds 0 to N-1 and exit",
     )
     parser.add_argument("--make-world", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -491,12 +591,19 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(SRC))
     if args.make_world is not None:
         return make_world(args.make_world, args.seed, args.smoke)
+    if args.record_digests is not None:
+        return record_digests(args.record_digests)
     spec = json.loads(SPEC.read_text())
+    cpus = os.sched_getaffinity(0)
+    # The host's CPUs speed up and slow down each on its own, so the run
+    # and its children stay on one: the reference loop then times the
+    # CPU the ops run on.
+    os.sched_setaffinity(0, {min(cpus)})
     if args.smoke:
         return smoke(spec)
     if args.workload is None:
         parser.error("--workload is required unless --smoke is given")
-    print("host " + json.dumps(host_fingerprint()), flush=True)
+    print("host " + json.dumps(host_fingerprint(len(cpus))), flush=True)
     run = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
     declared = spec["per_layer" if args.trace else "end_to_end"]
     for metric in declared:

@@ -54,21 +54,22 @@ READ = 1024  # events per ingest(): four default-size WAL records per group
 class Batch:
     """The paper's offline job: a cold pipeline run plus the influence study.
 
-    One op, and one pass, is one full job over the world with no cache.
-    The job is ready once a fresh interpreter has imported the layers it
-    runs, so set-up is that import, timed in a child process.  The digest
-    of labels, associations and influence totals must repeat across ops
-    and across runs on the same world.
+    One op is one full job with no cache over one world; one pass runs
+    the job over each of the worlds in turn.  The job is ready
+    once a fresh interpreter has imported the layers it runs, so set-up
+    is that import, timed in a child process.  The digest of each world's
+    labels, associations and influence totals must equal its entry in
+    ``expected``, the digest committed for that world, or where none is
+    committed, the digest of the run's first op.
     """
 
     setup_repeats = 5
     setup_in_pass = False
 
-    def __init__(self, world, src: Path, digest_path: Path) -> None:
-        self.world = world
+    def __init__(self, worlds: list, src: Path, expected: list) -> None:
+        self.worlds = worlds
         self.src = src
-        self.digest_path = digest_path
-        self.digest: str | None = None
+        self.digests = list(expected)
         self.outputs: list = []
         self.stats: dict = {}
 
@@ -85,47 +86,49 @@ class Batch:
         return clock() - start
 
     def run_pass(self, record) -> None:
-        start = clock()
-        result = core.run_pipeline(self.world)
-        study = influence.influence_study(
-            result, self.world.config.horizon_days, min_events=HAWKES_MIN_EVENTS
-        )
-        record(clock() - start, len(self.world.posts))
-        self.outputs.append((result, study))
+        for world in self.worlds:
+            start = clock()
+            result = core.run_pipeline(world)
+            study = influence.influence_study(
+                result, world.config.horizon_days, min_events=HAWKES_MIN_EVENTS
+            )
+            record(clock() - start, len(world.posts))
+            self.outputs.append((result, study))
 
     def check_pass(self):
-        failed, problems = 0, []
-        for result, study in self.outputs:
+        failed, problems, hawkes_failed = 0, [], 0
+        for index, (result, study) in enumerate(self.outputs):
             issues = [
-                f"stage {report.name} {report.status}"
+                f"world {index}: stage {report.name} {report.status}"
                 f" quarantined={report.quarantined}"
                 for report in result.stage_reports
                 if report.status != "completed" or report.quarantined
             ]
-            digest = _digest(result, study)
-            if digest != self._expected_digest(digest):
-                issues.append(f"output digest {digest} != {self.digest}")
+            digest = output_digest(result, study)
+            self.digests[index] = self.digests[index] or digest
+            if digest != self.digests[index]:
+                issues.append(
+                    f"world {index}: output digest {digest} != "
+                    f"{self.digests[index]}"
+                )
             failed += bool(issues)
             problems += issues
-            self.stats = {"hawkes_failed": len(study.failures)}
+            hawkes_failed += len(study.failures)
+        self.stats = {"hawkes_failed": hawkes_failed}
         ops = len(self.outputs)
         self.outputs = []
         return ops, failed, problems
-
-    def _expected_digest(self, digest: str) -> str:
-        if self.digest is None:
-            if self.digest_path.exists():
-                self.digest = self.digest_path.read_text().strip()
-            else:
-                self.digest_path.write_text(digest + "\n")
-                self.digest = digest
-        return self.digest
 
     def close(self) -> None:
         pass
 
 
-def _digest(result, study) -> str:
+def output_digest(result, study) -> str:
+    """Digest of cluster labels, associations and influence totals.
+
+    Influence totals are rounded to 1e-6 first, so that a change which
+    only reorders floating-point sums keeps the digest.
+    """
     digest = hashlib.sha256()
     for community in sorted(result.clusterings):
         digest.update(community.encode())
@@ -133,13 +136,21 @@ def _digest(result, study) -> str:
     digest.update(
         np.asarray(result.occurrences.cluster_indices, dtype=np.int64).tobytes()
     )
-    digest.update(study.total.expected_events.tobytes())
+    # Adding 0.0 turns the -0.0 that rounding can leave into 0.0.
+    digest.update((np.round(study.total.expected_events, 6) + 0.0).tobytes())
     digest.update(np.asarray(study.total.event_counts, dtype=np.int64).tobytes())
     return digest.hexdigest()[:16]
 
 
 def resilient_config() -> ServiceConfig:
-    """The serving posture: bounded queue, breaker, deadlines, retries."""
+    """The serving posture: bounded queue, breaker, deadlines, retries.
+
+    The posture and the request mix in :class:`Serve` are deliberate
+    copies of ``resilient_config`` and ``build_stream`` in
+    ``benchmarks/bench_service.py``, plus ``coalesce_window``: that
+    per-subsystem script is to be folded into this benchmark or deleted,
+    and the benchmark must not break when it goes.
+    """
     return ServiceConfig(
         max_queue_depth=4096,
         default_deadline_s=30.0,
@@ -162,7 +173,7 @@ class Serve:
     must reconcile.
     """
 
-    setup_repeats = 3
+    setup_repeats = 9
     setup_in_pass = True
 
     def __init__(self, world, seed: int) -> None:
@@ -232,85 +243,117 @@ class Serve:
 
 
 class Stream:
-    """Fsynced group-commit catch-up ingest of the whole world timeline.
+    """Fsynced group-commit catch-up ingest of whole world timelines.
 
     One op is one ``ingest()`` of ``READ`` events; one pass streams the
-    timeline into a fresh WAL directory.  Set-up is the construction of
-    an ingester over the directory one whole pass left behind: lock, WAL
-    open and recovery (checkpoint load and WAL suffix replay), the wait
-    before a restarted ingester takes its first op.  After each pass
-    every read must have been admitted, and a forced compaction must
-    leave a state equal to a cold ``run_pipeline`` over the same events.
+    timeline of each world in turn into a fresh WAL directory of its own.
+    Set-up is the construction of an ingester over the directory that
+    the first world's whole timeline left behind, closed by
+    a forced compaction: lock, WAL open and recovery from the checkpoint
+    of the whole timeline, the wait before a restarted ingester takes its
+    first op.  The forced compaction leaves no WAL suffix to replay, so
+    the recovered work is the whole world on every seed rather than
+    whatever followed the pass's last automatic compaction.  After each
+    pass every read must have been admitted, and a forced compaction must
+    leave a state equal to a cold ``run_pipeline`` over the same events,
+    checked for one world per pass in turn.
     """
 
-    setup_repeats = 7
-    setup_in_pass = False  # run_pass opens its own, empty ingester
+    setup_repeats = 25
+    setup_in_pass = True  # so that a traced pass covers recovery
 
-    def __init__(self, world, work_dir: Path) -> None:
-        self.world = world
+    def __init__(self, worlds: list, work_dir: Path) -> None:
+        self.worlds = worlds
         self.work_dir = work_dir
-        posts = world.posts
-        self.reads = [posts[start : start + READ] for start in range(0, len(posts), READ)]
+        self.reads = [
+            [world.posts[start : start + READ]
+             for start in range(0, len(world.posts), READ)]
+            for world in worlds
+        ]
         self.recovery_dir: str | None = None
-        self.ingester = None
-        self.reference = None
+        self.ingesters: list = []
+        self.references: list = [None] * len(worlds)
+        self.passes_checked = 0
         self.outcomes: list = []
         self.stats: dict = {}
 
-    def _open(self, wal_dir: str | None = None) -> StreamIngester:
+    def _open(self, world, wal_dir: str | None = None) -> StreamIngester:
         config = StreamConfig(
             wal_dir=wal_dir or tempfile.mkdtemp(prefix="wal-", dir=self.work_dir),
             fsync=True,
             group_commit=True,
         )
-        return StreamIngester(self.world, stream=config)
+        return StreamIngester(world, stream=config)
 
     def setup(self) -> float:
+        world = self.worlds[0]
         if self.recovery_dir is None:
-            ingester = self._open()
-            for events in self.reads:
+            ingester = self._open(world)
+            for events in self.reads[0]:
                 ingester.ingest(events)
+            ingester.compact(force=True)
             ingester.close()
             self.recovery_dir = str(ingester.wal_dir)
         start = clock()
-        ingester = self._open(self.recovery_dir)
+        ingester = self._open(world, self.recovery_dir)
         elapsed = clock() - start
         ingester.close()
         return elapsed
 
     def run_pass(self, record) -> None:
-        ingester, outcomes = self._open(), []
-        self.ingester = ingester
-        for events in self.reads:
-            start = clock()
-            outcome = ingester.ingest(events)
-            record(clock() - start, len(events))
-            outcomes.append(outcome)
-        self.outcomes = outcomes
+        for world, reads in zip(self.worlds, self.reads):
+            ingester, outcomes = self._open(world), []
+            self.ingesters.append(ingester)
+            for events in reads:
+                start = clock()
+                outcome = ingester.ingest(events)
+                record(clock() - start, len(events))
+                outcomes.append(outcome)
+            self.outcomes.append(outcomes)
 
     def check_pass(self):
-        ingester, ops = self.ingester, len(self.outcomes)
-        failed = sum(
-            outcome["admitted"] != len(events)
-            for outcome, events in zip(self.outcomes, self.reads)
-        )
-        problems = [f"{failed} reads were not fully admitted"] if failed else []
-        ingester.compact(force=True)
-        if self.reference is None:
-            self.reference = core.run_pipeline(self.world)
-        if not state_equals(ingester.result(), self.reference):
-            problems.append("streamed state differs from a cold run_pipeline")
-            failed = ops
-        self.stats = {"buffer_peak": ingester.buffer.peak_depth}
+        """Check every pass's admissions, and one world's state in turn.
+
+        The forced compaction and cold run a state check needs cost about
+        as much as the ingest they check, so the n-th checked pass checks
+        the state of world n modulo the world count only; ingest is
+        deterministic, so a divergence shows on every pass.
+        """
+        ops, failed, problems, buffer_peak = 0, 0, [], 0
+        checked = self.passes_checked % len(self.worlds)
+        self.passes_checked += 1
+        for index, (world, ingester, outcomes, reads) in enumerate(
+            zip(self.worlds, self.ingesters, self.outcomes, self.reads)
+        ):
+            short = sum(
+                outcome["admitted"] != len(events)
+                for outcome, events in zip(outcomes, reads)
+            )
+            if short:
+                problems.append(f"world {index}: {short} reads not fully admitted")
+            if index == checked:
+                ingester.compact(force=True)
+                if self.references[index] is None:
+                    self.references[index] = core.run_pipeline(world)
+                if not state_equals(ingester.result(), self.references[index]):
+                    problems.append(
+                        f"world {index}: streamed state differs from a cold "
+                        "run_pipeline"
+                    )
+                    short = len(outcomes)
+            ops += len(outcomes)
+            failed += short
+            buffer_peak = max(buffer_peak, ingester.buffer.peak_depth)
+        self.stats = {"buffer_peak": buffer_peak}
         self.outcomes = []
         self._discard_pass()
         return ops, failed, problems
 
     def _discard_pass(self) -> None:
-        if self.ingester is not None:
-            self.ingester.close()
-            shutil.rmtree(self.ingester.wal_dir, ignore_errors=True)
-            self.ingester = None
+        for ingester in self.ingesters:
+            ingester.close()
+            shutil.rmtree(ingester.wal_dir, ignore_errors=True)
+        self.ingesters = []
 
     def close(self) -> None:
         self._discard_pass()
