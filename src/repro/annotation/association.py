@@ -3,8 +3,9 @@
 Every image posted on any Web community (Twitter, Reddit, /pol/, Gab) is
 compared against the annotated clusters' medoids; an image belongs to the
 nearest medoid within Hamming distance θ = 8.  This is the step the paper
-benchmarks at 73 images/second on two GPUs (Section 7); here it is served
-by multi-index hashing with memoisation over unique pHashes.
+benchmarks at 73 images/second on two GPUs (Section 7); here it is one
+blocked broadcast popcount per batch of unique pHashes
+(:func:`repro.hashing.pairwise.nearest_medoid`).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 # hashing before matcher: matcher pulls in annotation.kym, whose import
 # must find repro.hashing already initialised (kym -> hashing ->
 # utils -> communities.world -> kym would otherwise cycle).
-from repro.hashing.index import MultiIndexHash  # noqa: F401  (cycle breaker)
-from repro.utils.bitops import popcount
+from repro.hashing.pairwise import nearest_medoid
 from repro.annotation.matcher import DEFAULT_THETA
 from repro.utils.parallel import (
     Executor,
@@ -33,10 +33,6 @@ from repro.utils.shm import resolve_array, shared_inputs
 __all__ = ["AssociationResult", "associate_hashes"]
 
 UNASSIGNED = -1
-
-# Elements per broadcast popcount matrix (unique hashes x medoids);
-# larger blocks verify in slices so peak memory stays bounded.
-_PAIR_BUDGET = 1 << 22
 
 
 def _merge_association_parts(
@@ -86,33 +82,17 @@ def _associate_unique_shard(
     """Nearest-medoid lookups for one shard of unique hashes.
 
     Module-level so process workers can receive pickled shards (or shm
-    descriptors).  The medoid set is tiny — one entry per annotated
-    cluster — so instead of a per-hash ``MultiIndexHash.query`` Python
-    loop, each block of unique hashes is one broadcast popcount against
-    all medoids.  MIH radius queries are exact (pigeonhole), so the
-    dense minimum finds the same medoid, and ``np.argmin`` returns the
-    *first* minimum — the smallest medoid position among tied
-    distances, exactly ``min(pairs, key=lambda p: (p[1], p[0]))``, the
-    tie-break of the per-hash path (``id_array`` ascends with position,
-    so smallest position == smallest cluster id).
+    descriptors).  :func:`~repro.hashing.pairwise.nearest_medoid` breaks
+    ties to the smallest medoid position; ``id_array`` ascends with
+    position, so that is the smallest cluster id.
     """
     unique = resolve_array(unique, np.uint64)
     id_array = resolve_array(id_array, np.int64)
     medoid_array = resolve_array(medoid_array, np.uint64)
+    position, unique_distance = nearest_medoid(unique, medoid_array, theta)
     unique_cluster = np.full(unique.size, UNASSIGNED, dtype=np.int64)
-    unique_distance = np.full(unique.size, -1, dtype=np.int64)
-    if unique.size == 0 or medoid_array.size == 0:
-        return unique_cluster, unique_distance
-    step = max(1, _PAIR_BUDGET // int(medoid_array.size))
-    for lo in range(0, unique.size, step):
-        block = unique[lo : lo + step]
-        distances = popcount(block[:, None] ^ medoid_array[None, :])
-        distances[distances > theta] = 65  # > any 64-bit distance
-        best_local = np.argmin(distances, axis=1)
-        winners = distances[np.arange(block.size), best_local]
-        matched = np.flatnonzero(winners <= theta)
-        unique_cluster[lo + matched] = id_array[best_local[matched]]
-        unique_distance[lo + matched] = winners[matched]
+    matched = np.flatnonzero(position >= 0)
+    unique_cluster[matched] = id_array[position[matched]]
     return unique_cluster, unique_distance
 
 
@@ -157,23 +137,9 @@ def associate_hashes(
     # numpy >= 2.0 shapes return_inverse like the input; flatten so the
     # memoised scatter below works on both 1.26 and 2.x.
     inverse = inverse.reshape(-1)
-    parallel = resolve_parallel(parallel)
-    if parallel.shards is not None:
-        # Medoids partitioned over the replicated index cluster; the
-        # scatter-gather winner is bit-identical to the monolithic
-        # lookup (lazy import keeps the monolith path light).
-        from repro.index_cluster.router import sharded_associate_unique
-
-        with kernel_timer(
-            parallel, "associate_hashes_sharded", int(unique.size)
-        ):
-            unique_cluster, unique_distance = sharded_associate_unique(
-                unique, id_array, medoid_array, theta, parallel=parallel
-            )
-        cluster_ids[:] = unique_cluster[inverse]
-        distances[:] = unique_distance[inverse]
-        return AssociationResult(cluster_ids=cluster_ids, distances=distances)
-    parallel = parallel.dispatched("associate_hashes", int(unique.size))
+    parallel = resolve_parallel(parallel).dispatched(
+        "associate_hashes", int(unique.size)
+    )
     if parallel.is_serial or unique.size < parallel.workers * 2:
         with kernel_timer(
             parallel, "associate_hashes", int(unique.size), backend="serial"

@@ -84,22 +84,14 @@ gaps for shards that exhaust the ladder::
     python -m repro --workers 4 --shard-deadline 30 report
     python -m repro --workers 2 --inject-fault parallel:worker@1@kill report
 
-``--index-shards N`` partitions the hash index over N replicated shards
-(:mod:`repro.index_cluster`) with scatter-gather routing; ``--replication
-R`` sets the copies per shard (default 2), so any single replica can die
-mid-query — including an injected ``index:shard``/``index:replica``
-fault — with zero failed queries and bit-identical output.
-``serve-replay`` gets a sharded serving monitor from the same flags::
-
-    python -m repro --workers 2 --index-shards 4 report
-    python -m repro --index-shards 4 --inject-fault index:shard@1@kill report
-
 Exit status: 0 on a clean run; **3** when the pipeline finished only
 partially — quarantined communities or failed stages — so operators can
 alert on degraded results; 4 when ``serve-replay`` loses a request
 (conservation violation; should never happen).  ``--inject-fault
 SITE[@TIMES][@KIND]`` arms the deterministic fault injector for chaos
-drills, e.g.::
+drills; a SITE outside the namespaces the code fires (``cluster``,
+``annotate``, ``associate``, ``screenshot-filter``, ``checkpoint``,
+``serve``, ``parallel``, ``stream``) is a usage error (exit 2), e.g.::
 
     python -m repro --inject-fault cluster:pol@9@runtime overview
     python -m repro --inject-fault serve:classify@20 serve-replay
@@ -225,23 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "output is bit-identical either way",
     )
     parser.add_argument(
-        "--index-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition the hash index over N replicated shards with "
-        "scatter-gather routing (default: REPRO_INDEX_SHARDS env var, "
-        "else monolithic; output is identical for any shard count)",
-    )
-    parser.add_argument(
-        "--replication",
-        type=int,
-        default=None,
-        metavar="R",
-        help="replicas per index shard for --index-shards (default 2; "
-        "queries fail over to a twin when a replica dies)",
-    )
-    parser.add_argument(
         "--shard-deadline",
         type=float,
         default=None,
@@ -272,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm a deterministic fault for chaos drills; KIND is "
         "transient (default, retryable), runtime (permanent), corrupt "
         "(damages the checkpoint at SITE), or — at the parallel:shard/"
-        "parallel:worker and index:shard/index:replica sites — hang "
-        "(worker stalls past the shard deadline) or kill (worker "
-        "process dies mid-task); repeatable",
+        "parallel:worker sites — hang (worker stalls past the shard "
+        "deadline) or kill (worker process dies mid-task); repeatable",
     )
     serving = parser.add_argument_group(
         "serve-replay options (resilient serving layer)"
@@ -403,13 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_fault(spec: str):
     """``SITE[@TIMES][@KIND]`` → a :class:`repro.core.faults.Fault`."""
-    from repro.core.faults import Fault
+    from repro.core.faults import SITE_NAMESPACES, Fault
     from repro.utils.retry import TransientError
 
     parts = spec.split("@")
     if len(parts) > 3 or not parts[0]:
         raise ValueError(f"malformed fault spec {spec!r}")
     site = parts[0]
+    if site.split(":", 1)[0] not in SITE_NAMESPACES:
+        raise ValueError(
+            f"unknown fault site {site!r}: no code fires it; the site "
+            f"namespace must be one of {', '.join(SITE_NAMESPACES)}"
+        )
     times = int(parts[1]) if len(parts) > 1 and parts[1] else 1
     kind = parts[2] if len(parts) > 2 else "transient"
     if kind == "transient":
@@ -472,36 +451,13 @@ def _cost_model(args) -> CostModel | None:
     return CostModel(path)
 
 
-def _shard_config(args, env_shards):
-    """``--index-shards``/``--replication`` → the effective ShardConfig.
-
-    Explicit ``--index-shards`` wins over the environment (including
-    ``--index-shards 1`` = force monolithic); a lone ``--replication``
-    grafts onto the environment-resolved placement, if any.
-    """
-    from repro.index_cluster import ShardConfig
-
-    if args.index_shards is not None:
-        if args.index_shards <= 1:
-            return None
-        return ShardConfig(
-            n_shards=args.index_shards,
-            replication=(
-                args.replication if args.replication is not None else 2
-            ),
-        )
-    if env_shards is not None and args.replication is not None:
-        return replace(env_shards, replication=args.replication)
-    return env_shards
-
-
 def _parallel_config(args) -> ParallelConfig | None:
     """Explicit flags win; ``None`` defers to the environment/serial.
 
     Supervision flags alone (e.g. ``--shard-deadline`` with workers
     from ``REPRO_WORKERS``) still need a config object to ride on, so
     they graft onto the environment-resolved one; the same goes for
-    ``--cost-dispatch`` and the index-sharding flags.
+    ``--cost-dispatch`` and ``--transport``.
     """
     supervision = _supervision_policy(args)
     cost_model = _cost_model(args)
@@ -510,8 +466,6 @@ def _parallel_config(args) -> ParallelConfig | None:
         and args.parallel_backend is None
         and supervision is None
         and cost_model is None
-        and args.index_shards is None
-        and args.replication is None
         and args.transport is None
     ):
         return None
@@ -521,21 +475,17 @@ def _parallel_config(args) -> ParallelConfig | None:
             base,
             supervision=supervision,
             cost_model=cost_model,
-            shards=_shard_config(args, base.shards),
             transport=args.transport or base.transport,
         )
     workers = args.workers if args.workers is not None else 1
     if workers > 1:
         warn_if_oversubscribed(workers, source="--workers")
-    from repro.index_cluster.placement import shard_config_from_env
-
     env_transport = ParallelConfig.from_env().transport
     return ParallelConfig(
         workers=workers,
         backend=args.parallel_backend or "auto",
         supervision=supervision,
         cost_model=cost_model,
-        shards=_shard_config(args, shard_config_from_env()),
         transport=args.transport or env_transport,
     )
 
@@ -820,7 +770,7 @@ def _resolve_coalesce_window(args) -> int | None:
     return window if window > 0 else None
 
 
-def _serve_replay(world, result, args, faults, parallel=None) -> int:
+def _serve_replay(world, result, args, faults) -> int:
     """Replay a stream through the resilience layer; 0 iff conserved."""
     from repro.service import BreakerConfig, MemeMatchService, ServiceConfig
     from repro.utils.retry import RetryPolicy
@@ -844,15 +794,9 @@ def _serve_replay(world, result, args, faults, parallel=None) -> int:
             jitter="full",
         ),
         breaker=None if args.no_breaker else BreakerConfig(),
-        shards=parallel.shards if parallel is not None else None,
         coalesce_window=coalesce_window,
     )
     service = MemeMatchService(result, config=config, faults=faults)
-    layout = (
-        f"{config.shards.n_shards} shards x{config.shards.replication}"
-        if config.shards is not None
-        else "monolithic"
-    )
     mode = (
         f"coalesce={coalesce_window}"
         if coalesce_window is not None
@@ -860,7 +804,7 @@ def _serve_replay(world, result, args, faults, parallel=None) -> int:
     )
     print(f"Replaying {len(stream):,} requests "
           f"(burst={args.burst}, {mode}, "
-          f"index={service.index_size} clusters, {layout})...\n")
+          f"index={service.index_size} clusters)...\n")
     responses = []
     burst = max(1, args.burst)
     for start in range(0, len(stream), burst):
@@ -900,9 +844,6 @@ def _serve_replay(world, result, args, faults, parallel=None) -> int:
         ["breaker opens", stats.breaker_opens],
         ["probes", stats.probes],
     ]
-    if config.shards is not None:
-        rows.append(["shard failovers", stats.shard_failovers])
-        rows.append(["shard errors", stats.shard_errors])
     print_table(
         rows,
         headers=["Counter", "Value"],
@@ -956,10 +897,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shard-deadline must be positive")
     if args.shard_retries is not None and args.shard_retries < 0:
         parser.error("--shard-retries must be >= 0")
-    if args.index_shards is not None and args.index_shards < 1:
-        parser.error("--index-shards must be >= 1")
-    if args.replication is not None and args.replication < 1:
-        parser.error("--replication must be >= 1")
     if args.compact_threshold is not None and args.compact_threshold <= 0:
         parser.error("--compact-threshold must be positive")
     if args.max_buffer < 1:
@@ -999,7 +936,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("influence", "report"):
         _print_influence(world, result, parallel=parallel)
     if args.command == "serve-replay":
-        exit_code = _serve_replay(world, result, args, faults, parallel=parallel)
+        exit_code = _serve_replay(world, result, args, faults)
     if (
         parallel is not None
         and parallel.cost_model is not None

@@ -43,11 +43,6 @@ The supervised parallel executor (:mod:`repro.utils.parallel`) consults
   ships into the worker — a sleep past the shard deadline, or
   ``os._exit`` mid-task (observed as ``BrokenProcessPool``, exactly
   like an OOM-killed worker).
-* ``"index:shard"`` / ``"index:replica"`` — the same per-attempt
-  contract, consulted by the replicated index cluster
-  (:mod:`repro.index_cluster`) instead of the generic parallel pair,
-  so shard-death drills target the scatter-gather router without
-  touching other fan-outs.
 
 The streaming ingester (:mod:`repro.stream`) consults
 :meth:`FaultInjector.stream_directive` at its own sites:
@@ -79,20 +74,28 @@ from repro.utils.retry import TransientError
 __all__ = [
     "Fault",
     "FaultInjector",
-    "INDEX_SITES",
+    "SITE_NAMESPACES",
     "STREAM_SITES",
     "corrupt_file",
 ]
 
 PARALLEL_SITES = ("parallel:shard", "parallel:worker")
-# Kept in sync with repro.index_cluster.placement.INDEX_CHAOS_SITES
-# (a literal here, not an import: faults must stay import-light and
-# free of cycles with the index-cluster package).
-INDEX_SITES = ("index:shard", "index:replica")
-# Kept in sync with the sites repro.stream.StreamIngester fires (same
-# literal-copy rule as INDEX_SITES: no import cycle with the stream
-# package).
+# Kept in sync with the sites repro.stream.StreamIngester fires (a
+# literal here, not an import: faults must stay import-light and free
+# of cycles with the stream package).
 STREAM_SITES = ("stream:ingest", "stream:wal", "stream:compact")
+# The part before the first ``:`` of every site the code fires (see the
+# module docstring); a site outside these namespaces never fires.
+SITE_NAMESPACES = (
+    "cluster",
+    "annotate",
+    "associate",
+    "screenshot-filter",
+    "checkpoint",
+    "serve",
+    "parallel",
+    "stream",
+)
 
 
 def corrupt_file(path: str | Path, *, mode: str = "flip") -> None:
@@ -233,10 +236,10 @@ class FaultInjector:
         """
         from repro.utils.parallel import ChaosDirective
 
-        if site not in PARALLEL_SITES and site not in INDEX_SITES:
+        if site not in PARALLEL_SITES:
             raise ValueError(
                 f"unknown parallel chaos site {site!r}; "
-                f"expected one of {PARALLEL_SITES + INDEX_SITES}"
+                f"expected one of {PARALLEL_SITES}"
             )
         for fault in self.faults:
             if fault.site != site or not fault.armed:

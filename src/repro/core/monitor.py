@@ -7,9 +7,10 @@ hate... our methodology can help them automatically identify hateful
 variants."
 
 :class:`MemeMonitor` packages a finished pipeline run for that use: it
-indexes the annotated cluster medoids (multi-index hashing, so lookups
-are sub-millisecond) and classifies incoming images — raster or pHash —
-into known memes with their racist/politics flags.
+holds the annotated cluster medoids and classifies incoming images —
+raster or pHash — into known memes with their racist/politics flags,
+through the same nearest-medoid kernel as batch association
+(:func:`repro.hashing.pairwise.nearest_medoid`).
 """
 
 from __future__ import annotations
@@ -20,16 +21,10 @@ import numpy as np
 
 from repro.annotation.matcher import DEFAULT_THETA
 from repro.core.results import ClusterKey, PipelineResult
-from repro.hashing.index import MultiIndexHash
+from repro.hashing.pairwise import nearest_medoid
 from repro.hashing.phash import phash
-from repro.utils.bitops import popcount
 
 __all__ = ["MonitorVerdict", "MemeMonitor"]
-
-# Elements per broadcast popcount matrix (unique hashes x medoids); a
-# batch with more pairs than this classifies its hashes in slices, so
-# peak memory stays bounded without changing results.
-_PAIR_BUDGET = 1 << 22
 
 
 def _validated_hash_array(hashes) -> np.ndarray:
@@ -159,12 +154,10 @@ class MemeMonitor:
         self.theta = theta
         self._keys = list(result.cluster_keys)
         self._annotations = [result.annotations[key] for key in self._keys]
-        medoids = np.array(
+        self._medoids = np.array(
             [annotation.medoid_hash for annotation in self._annotations],
             dtype=np.uint64,
         )
-        self._medoids = medoids
-        self._index = MultiIndexHash(medoids) if medoids.size else None
         self._racist_flags = np.array(
             [annotation.is_racist for annotation in self._annotations],
             dtype=bool,
@@ -181,7 +174,7 @@ class MemeMonitor:
     def close(self) -> None:
         """Release resources held beyond the interpreter heap.
 
-        The base monitor owns only in-process indexes, so this is a
+        The base monitor owns only in-process arrays, so this is a
         no-op — but the serving layer calls it on every monitor it
         displaces (see ``MemeMatchService.reload_index``), so a
         subclass backed by external resources (e.g. published
@@ -212,21 +205,7 @@ class MemeMonitor:
             raise ValueError(
                 f"pHash {value} outside the unsigned 64-bit range [0, 2**64)"
             )
-        if self._index is None:
-            return MonitorVerdict.no_match()
-        pairs = self._index.query(int(value), self.theta)
-        if not pairs:
-            return MonitorVerdict.no_match()
-        position, distance = min(pairs, key=lambda p: (p[1], p[0]))
-        annotation = self._annotations[position]
-        return MonitorVerdict(
-            matched=True,
-            cluster=self._keys[position],
-            entry=annotation.representative,
-            distance=int(distance),
-            is_racist=annotation.is_racist,
-            is_politics=annotation.is_politics,
-        )
+        return self._verdicts(np.array([value], dtype=np.uint64))[0]
 
     def classify_image(self, image: np.ndarray) -> MonitorVerdict:
         """Hash a raster and classify it.
@@ -268,16 +247,19 @@ class MemeMonitor:
         values = _validated_hash_array(hashes)
         if values.size == 0:
             return []
-        if self._index is None:
-            return [MonitorVerdict.no_match()] * values.size
         unique, inverse = np.unique(values, return_inverse=True)
-        position, distance = self._nearest_medoid(unique)
+        unique_verdicts = self._verdicts(unique)
+        return [unique_verdicts[j] for j in inverse]
+
+    def _verdicts(self, unique: np.ndarray) -> list[MonitorVerdict]:
+        """One verdict per hash, from the nearest annotated medoid."""
+        position, distance = nearest_medoid(unique, self._medoids, self.theta)
         no_match = MonitorVerdict.no_match()
         keys = self._keys
         annotations = self._annotations
         racist = self._racist_flags
         politics = self._politics_flags
-        unique_verdicts = [
+        return [
             no_match
             if position[i] < 0
             else MonitorVerdict(
@@ -290,54 +272,6 @@ class MemeMonitor:
             )
             for i in range(unique.size)
         ]
-        return [unique_verdicts[j] for j in inverse]
-
-    def _nearest_medoid(
-        self, unique: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest annotated medoid within θ per unique hash, densely.
-
-        One broadcast popcount per block replaces a per-hash
-        ``MultiIndexHash.query`` loop.  MIH radius queries are exact
-        (pigeonhole), so the dense minimum finds the same winner, and
-        ``np.argmin`` returns the *first* minimum — the smallest medoid
-        position among tied distances, which is exactly
-        ``min(pairs, key=lambda p: (p[1], p[0]))``, the tie-break
-        :meth:`classify_hash` applies.  Returns ``(-1, -1)`` for hashes
-        with no medoid within θ.
-        """
-        medoids = self._medoids
-        best_position = np.full(unique.size, -1, dtype=np.int64)
-        best_distance = np.full(unique.size, -1, dtype=np.int64)
-        step = max(1, _PAIR_BUDGET // max(1, int(medoids.size)))
-        for lo in range(0, unique.size, step):
-            block = unique[lo : lo + step]
-            distances = popcount(block[:, None] ^ medoids[None, :])
-            distances[distances > self.theta] = 65  # > any 64-bit distance
-            best_local = np.argmin(distances, axis=1)
-            winners = distances[np.arange(block.size), best_local]
-            matched = np.flatnonzero(winners <= self.theta)
-            best_position[lo + matched] = best_local[matched]
-            best_distance[lo + matched] = winners[matched]
-        return best_position, best_distance
-
-    def _classify_batch_loop(self, values: np.ndarray) -> list[MonitorVerdict]:
-        """Memoised per-element batch path over validated hashes.
-
-        Subclass hook: :class:`~repro.index_cluster.monitor.ShardedMonitor`
-        routes batches through here so every element still takes its
-        per-request scatter/failover ladder (chaos sites included).
-        """
-        cache: dict[int, MonitorVerdict] = {}
-        verdicts = []
-        for value in values:
-            key = int(value)
-            verdict = cache.get(key)
-            if verdict is None:
-                verdict = self.classify_hash(key)
-                cache[key] = verdict
-            verdicts.append(verdict)
-        return verdicts
 
     def flagged_entries(self) -> dict[str, tuple[bool, bool]]:
         """All known entries with their (racist, politics) flags."""

@@ -706,17 +706,6 @@ class PipelineRunner:
         ``on_poison="fail"``, in which case :class:`PoisonShardError`
         propagates into the stage's own failure handling.
         """
-        if self.parallel.shards is not None:
-            # The replicated index cluster IS the fan-out here: one
-            # global call scatters over medoid shards with replica
-            # failover inside associate_hashes.  Splitting by community
-            # on top would nest a scatter inside every worker.
-            return associate_hashes(
-                all_hashes,
-                medoid_by_global,
-                theta=self.config.theta,
-                parallel=self.parallel,
-            )
         if self.parallel.is_serial:
             return associate_hashes(
                 all_hashes, medoid_by_global, theta=self.config.theta

@@ -7,9 +7,9 @@ Hamming distance) from scratch:
   reference implementation).
 * :mod:`repro.hashing.phash` — the 64-bit DCT perceptual hash, algorithm-
   compatible with the ``imagehash`` library the paper used.
-* :mod:`repro.hashing.pairwise` — chunked all-pairs distances and radius
+* :mod:`repro.hashing.pairwise` — chunked all-pairs distances, radius
   neighbourhoods (the laptop-scale replacement for the paper's TensorFlow
-  multi-GPU engine).
+  multi-GPU engine) and Step 6's nearest-medoid θ-match.
 * :mod:`repro.hashing.index` — BK-tree and multi-index hashing for fast
   radius search, used by clustering and association at scale.
 """
@@ -19,6 +19,7 @@ from repro.hashing.dct import dct2, dct2_reference
 from repro.hashing.index import BKTree, MultiIndexHash
 from repro.hashing.pairwise import (
     PairwiseResult,
+    nearest_medoid,
     pairwise_distances,
     radius_neighbors,
     unique_hashes,
@@ -36,6 +37,7 @@ __all__ = [
     "phash_batch",
     "phash_to_hex",
     "PHASH_BITS",
+    "nearest_medoid",
     "pairwise_distances",
     "radius_neighbors",
     "unique_hashes",

@@ -7,6 +7,9 @@ index-accelerated radius neighbourhoods (the only thing DBSCAN actually
 needs) via :class:`repro.hashing.index.MultiIndexHash`.  Both paths
 shard across workers when a :class:`repro.utils.parallel.ParallelConfig`
 asks for it, with output identical to the serial computation.
+
+:func:`nearest_medoid` is Step 6's θ-match: the one kernel behind
+batch association and the serving monitor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from repro.hashing.index import MultiIndexHash, mih_neighbors_shard
 from repro.utils import compiled
-from repro.utils.bitops import hamming_distance_matrix
+from repro.utils.bitops import hamming_distance_matrix, popcount
 from repro.utils.parallel import (
     Executor,
     ParallelConfig,
@@ -32,6 +35,7 @@ from repro.utils.shm import resolve_array, shared_inputs
 __all__ = [
     "PairwiseResult",
     "merge_radius_neighbors",
+    "nearest_medoid",
     "pairwise_distances",
     "patch_radius_neighbors",
     "radius_neighbors",
@@ -77,6 +81,47 @@ def pairwise_distances(
         n * (n - 1) // 2 if self_comparison else n * int(b_arr.size)
     )
     return PairwiseResult(distances=matrix, n_comparisons=n_comparisons)
+
+
+# Elements per broadcast popcount matrix (queries x medoids); larger
+# inputs are matched in row blocks so peak memory stays bounded.
+_MEDOID_PAIR_BUDGET = 1 << 22
+
+
+def nearest_medoid(
+    queries: np.ndarray, medoids: np.ndarray, theta: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest medoid within Hamming distance ``theta`` of every query.
+
+    Each block of queries is one broadcast popcount against all
+    medoids (the medoid set is small: one entry per annotated cluster).
+    ``np.argmin`` returns the *first* minimum, so ties between
+    equidistant medoids go to the smallest medoid position.
+
+    Returns
+    -------
+    (position, distance):
+        ``int64`` arrays aligned with ``queries``: the winning medoid's
+        position in ``medoids`` and its distance, or ``-1`` in both
+        where no medoid lies within ``theta``.
+    """
+    queries = np.asarray(queries, dtype=np.uint64).reshape(-1)
+    medoids = np.asarray(medoids, dtype=np.uint64).reshape(-1)
+    position = np.full(queries.size, -1, dtype=np.int64)
+    distance = np.full(queries.size, -1, dtype=np.int64)
+    if queries.size == 0 or medoids.size == 0:
+        return position, distance
+    step = max(1, _MEDOID_PAIR_BUDGET // int(medoids.size))
+    for lo in range(0, queries.size, step):
+        block = queries[lo : lo + step]
+        distances = popcount(block[:, None] ^ medoids[None, :])
+        distances[distances > theta] = 65  # > any 64-bit distance
+        best = np.argmin(distances, axis=1)
+        winners = distances[np.arange(block.size), best]
+        matched = np.flatnonzero(winners <= theta)
+        position[lo + matched] = best[matched]
+        distance[lo + matched] = winners[matched]
+    return position, distance
 
 
 def _brute_neighbors_shard(
@@ -142,21 +187,8 @@ def radius_neighbors(
         method = "brute" if hashes.size <= brute_force_limit else "mih"
     if hashes.size == 0:
         return []
-    parallel = resolve_parallel(parallel)
-    if parallel.shards is not None:
-        # Sharded placement is a data-layout directive, not a speed
-        # heuristic: it overrides the method choice (the shard kernel
-        # is exact MIH either way) and skips cost-model dispatch.
-        # Imported lazily so the monolithic path never loads the
-        # cluster package.
-        from repro.index_cluster.router import sharded_radius_neighbors
-
-        with kernel_timer(
-            parallel, "radius_neighbors_sharded", int(hashes.size)
-        ):
-            return sharded_radius_neighbors(hashes, radius, parallel=parallel)
     kernel = compiled.kernel_variant(f"radius_neighbors_{method}")
-    parallel = parallel.dispatched(kernel, int(hashes.size))
+    parallel = resolve_parallel(parallel).dispatched(kernel, int(hashes.size))
     if parallel.is_serial or hashes.size < parallel.workers * 2:
         with kernel_timer(parallel, kernel, int(hashes.size), backend="serial"):
             if method == "brute":

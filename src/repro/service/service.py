@@ -25,11 +25,6 @@ Hot index reload (:meth:`MemeMatchService.reload_index`) swaps in a new
 pipeline run from a checkpoint atomically; the old index serves every
 request until the new one is fully validated, and a corrupt or stale
 checkpoint rolls back to the old index (:mod:`repro.service.reload`).
-With :attr:`ServiceConfig.shards` set the matching engine is a
-replicated :class:`~repro.index_cluster.monitor.ShardedMonitor`
-(bit-identical verdicts, per-shard replica failover); reloads then
-validate every shard before the swap and per-shard health rides along
-in :meth:`MemeMatchService.health`.
 
 Time is injectable everywhere (``clock``/``sleep``), and
 :class:`VirtualClock` provides a deterministic pair for tests, chaos
@@ -51,7 +46,6 @@ import numpy as np
 from repro.core.faults import FaultInjector
 from repro.core.monitor import MemeMonitor, MonitorVerdict
 from repro.core.results import PipelineResult
-from repro.index_cluster.placement import ShardConfig
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.reload import load_index, validate_result
@@ -139,19 +133,13 @@ class DeadLetter:
 
 @dataclass(frozen=True)
 class ReloadReport:
-    """Outcome of one hot index reload attempt.
-
-    ``shards_validated`` is the number of index shards that passed the
-    per-shard validate-then-swap check (0 for a monolithic index or a
-    failed reload).
-    """
+    """Outcome of one hot index reload attempt."""
 
     ok: bool
     error: str | None
     n_clusters_before: int
     n_clusters_after: int
     duration_s: float
-    shards_validated: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,12 +173,6 @@ class ServiceConfig:
     max_dead_letters:
         Bound on the retained dead-letter records (oldest dropped
         first; ``stats.dead_letters_evicted`` counts the drops).
-    shards:
-        Optional :class:`~repro.index_cluster.placement.ShardConfig`;
-        when set, the service builds a
-        :class:`~repro.index_cluster.monitor.ShardedMonitor` (replicated
-        medoid shards with per-shard failover) instead of the monolithic
-        :class:`MemeMonitor` — bit-identical verdicts either way.
     coalesce_window:
         When set (>= 1), :meth:`MemeMatchService.drain` processes up to
         this many queued requests per *drain batch*: one clock read,
@@ -213,7 +195,6 @@ class ServiceConfig:
     breaker: BreakerConfig | None = field(default_factory=BreakerConfig)
     jitter_seed: int = 0
     max_dead_letters: int = 1024
-    shards: ShardConfig | None = None
     coalesce_window: int | None = None
 
     def __post_init__(self) -> None:
@@ -244,8 +225,6 @@ class ServiceStats:
     probes: int = 0
     reloads: int = 0
     reload_failures: int = 0
-    shard_failovers: int = 0
-    shard_errors: int = 0
 
     def terminal_total(self) -> int:
         return self.served + self.shed + self.timed_out + self.dead_lettered
@@ -269,8 +248,6 @@ class ServiceStats:
             "probes": self.probes,
             "reloads": self.reloads,
             "reload_failures": self.reload_failures,
-            "shard_failovers": self.shard_failovers,
-            "shard_errors": self.shard_errors,
         }
 
 
@@ -355,28 +332,7 @@ class MemeMatchService:
     def _build_monitor(self, result: PipelineResult) -> MemeMonitor:
         validate_result(result)
         kwargs = {} if self.config.theta is None else {"theta": self.config.theta}
-        if self.config.shards is not None:
-            from repro.index_cluster.monitor import ShardedMonitor
-
-            return ShardedMonitor(
-                result,
-                shards=self.config.shards,
-                chaos=(
-                    self.faults.parallel_directive
-                    if self.faults is not None
-                    else None
-                ),
-                on_failover=self._on_shard_failover,
-                on_error=self._on_shard_error,
-                **kwargs,
-            )
         return MemeMonitor(result, **kwargs)
-
-    def _on_shard_failover(self, shard: int, replica: int) -> None:
-        self.stats.shard_failovers += 1
-
-    def _on_shard_error(self, shard: int, replica: int, error: BaseException) -> None:
-        self.stats.shard_errors += 1
 
     @property
     def index_size(self) -> int:
@@ -388,13 +344,9 @@ class MemeMatchService:
 
         The old index keeps serving while the checkpoint is read and
         validated; any failure — injected ``serve:reload`` fault, disk
-        corruption, stale fingerprint, unservable payload, a sharded
-        replacement whose replicas or partitions diverge — leaves the
+        corruption, stale fingerprint, unservable payload — leaves the
         old index in place (rollback is "never swapped") and is
-        recorded in ``stats.reload_failures``.  With a sharded index
-        every shard is validated (replica bit-equality, exact partition
-        tiling) before the swap; the count lands in
-        ``ReloadReport.shards_validated``.
+        recorded in ``stats.reload_failures``.
         """
         start = self.clock()
         before = self.index_size
@@ -403,11 +355,6 @@ class MemeMatchService:
             self._fire("serve:reload", path=checkpoint_path)
             monitor = self._build_monitor(
                 load_index(checkpoint_path, cache=self.cache)
-            )
-            shards_validated = (
-                monitor.validate_shards()
-                if hasattr(monitor, "validate_shards")
-                else 0
             )
         except Exception as error:
             self.stats.reload_failures += 1
@@ -433,7 +380,6 @@ class MemeMatchService:
             n_clusters_before=before,
             n_clusters_after=len(monitor),
             duration_s=self.clock() - start,
-            shards_validated=shards_validated,
         )
 
     # ------------------------------------------------------------------
@@ -585,8 +531,7 @@ class MemeMatchService:
         return len(self._queue)
 
     def health(self) -> dict:
-        """Operator snapshot: breaker, queue, index, shards, counters."""
-        monitor = self._monitor
+        """Operator snapshot: breaker, queue, index, counters."""
         return {
             "breaker": self.breaker.state if self.breaker else "disabled",
             "queue_depth": len(self._queue),
@@ -595,11 +540,6 @@ class MemeMatchService:
             "dead_letters": len(self.dead_letters),
             "dead_letters_evicted": self.stats.dead_letters_evicted,
             "conserved": self.stats.reconciles(pending=self.pending),
-            "shards": (
-                monitor.health_snapshot()
-                if hasattr(monitor, "health_snapshot")
-                else None
-            ),
             "stats": self.stats.as_dict(),
         }
 

@@ -57,8 +57,8 @@ def unpack_bits(value: np.uint64 | int) -> np.ndarray:
 def popcount(values: np.ndarray | np.uint64 | int) -> np.ndarray | int:
     """Population count of uint64 value(s), vectorised.
 
-    Returns an ``int`` for scalar input, otherwise an array of the same
-    shape with dtype ``uint8``-summed into ``int64``-safe ``uint64`` view.
+    Returns an ``int`` for scalar input, otherwise an ``int64`` array of
+    the same shape.
     """
     arr = np.asarray(values, dtype=np.uint64)
     scalar = arr.ndim == 0

@@ -44,19 +44,13 @@ supervision ladder, per shard:
 2. **retry** — the failed shard is re-submitted to a *fresh* pool under
    a :class:`repro.utils.retry.RetryPolicy` (worker-death via
    ``BrokenExecutor`` is just another retryable failure);
-3. **replica failover** — when the caller supplies ``alternates``
-   (replacement argument tuples carrying an identical copy of the
-   shard's data — the replicated index cluster's replicas), each
-   alternate walks the retry rung in turn.  A hung or dead replica is
-   thereby *hedged* onto its twin instead of being hammered further;
-   because replicas are bit-identical copies, the result is too;
-4. **bisection re-sharding** — a shard that keeps failing is split via
+3. **bisection re-sharding** — a shard that keeps failing is split via
    the caller's ``split`` function and each half walks the ladder
    independently, so one poison item cannot sink its whole shard and an
    allocation-bound failure gets a smaller working set;
-5. **serial fallback** — the shard runs in the calling process,
+4. **serial fallback** — the shard runs in the calling process,
    sidestepping pool pathologies (pickling, worker death) entirely;
-6. **quarantine** — a shard that fails even serially is *poison*:
+5. **quarantine** — a shard that fails even serially is *poison*:
    depending on ``on_poison`` the run either fails fast
    (:class:`PoisonShardError`, naming the shard) or records the shard
    as a gap (``None`` in the result list) and carries on.
@@ -70,10 +64,8 @@ shard; quarantined shards surface as explicit gaps, never silent
 truncation.
 
 Chaos hooks: the executor consults an optional ``chaos(site)`` callable
-(``"parallel:shard"`` then ``"parallel:worker"`` by default; the
-replicated index cluster passes ``chaos_sites=("index:shard",
-"index:replica")`` so its drills do not collide with generic parallel
-faults) before every shard attempt.  :meth:`repro.core.faults.FaultInjector.parallel_directive`
+(``"parallel:shard"`` then ``"parallel:worker"``) before every shard
+attempt.  :meth:`repro.core.faults.FaultInjector.parallel_directive`
 implements the hook — raise-type faults raise right there in the
 parent, while ``hang``/``kill`` faults return a :class:`ChaosDirective`
 that ships into the worker (sleep past the deadline / ``os._exit``),
@@ -263,14 +255,6 @@ class ParallelConfig:
         model pick serial/thread/process per call and cap workers at
         the core count.  ``None`` (the default, including via
         :meth:`from_env`) keeps the historical unconditional fan-out.
-    shards:
-        Optional :class:`repro.index_cluster.ShardConfig`.  When set,
-        ``radius_neighbors`` / ``associate_hashes`` route through the
-        replicated sharded index cluster instead of the monolithic
-        index — results stay bit-identical, only placement and failure
-        tolerance change.  ``None`` (the default) keeps the monolith.
-        Carried here so sharding travels wherever the parallel config
-        already flows, like :attr:`supervision`.
     """
 
     workers: int = 1
@@ -279,7 +263,6 @@ class ParallelConfig:
     supervision: "SupervisionPolicy | None" = None
     chaos: Callable[[str], "ChaosDirective | None"] | None = None
     cost_model: "CostModel | None" = None
-    shards: object | None = None
     transport: str = "pickle"
 
     def __post_init__(self) -> None:
@@ -372,18 +355,7 @@ class ParallelConfig:
         workers = max(1, workers)
         if workers > 1:
             warn_if_oversubscribed(workers, source=ENV_WORKERS)
-        # Imported lazily: placement is import-light and never imports
-        # this module, so no cycle — but keeping it out of module scope
-        # means plain parallel users never touch the index cluster.
-        from repro.index_cluster.placement import shard_config_from_env
-
-        shards = shard_config_from_env(env)
-        return cls(
-            workers=workers,
-            backend=backend,
-            shards=shards,
-            transport=transport,
-        )
+        return cls(workers=workers, backend=backend, transport=transport)
 
 
 def resolve_parallel(parallel: ParallelConfig | None) -> ParallelConfig:
@@ -909,7 +881,7 @@ class PoisonShardError(RuntimeError):
     ) -> None:
         super().__init__(
             f"shard {shard_index} failed permanently after the supervision "
-            f"ladder (retry, replica failover, bisect, serial fallback): "
+            f"ladder (retry, bisect, serial fallback): "
             f"{type(cause).__name__}: {cause}"
         )
         self.shard_index = shard_index
@@ -975,10 +947,8 @@ class ShardReport:
     """Supervision history of one submitted shard.
 
     ``outcome`` is the final classification: ``"ok"`` (first attempt),
-    ``"retried"`` (fresh-pool retry rung), ``"replica"`` (failed over
-    to an alternate argument set — a replica copy of the shard's
-    data; ``replica`` records which one, 1-based), ``"bisected"``
-    (recovered by re-sharding), ``"serial"`` (serial fallback),
+    ``"retried"`` (fresh-pool retry rung), ``"bisected"`` (recovered
+    by re-sharding), ``"serial"`` (serial fallback),
     ``"quarantined"`` (poison; its result slot is a gap).  ``errors``
     is the chronological trail of everything that went wrong on the
     way.
@@ -989,13 +959,12 @@ class ShardReport:
     attempts: int = 0
     outcome: str = "pending"
     duration_s: float = 0.0
-    replica: int = 0
     errors: list[str] = field(default_factory=list)
 
     @property
     def recovered(self) -> bool:
         """Failed at least once but produced its result anyway."""
-        return self.outcome in ("retried", "replica", "bisected", "serial")
+        return self.outcome in ("retried", "bisected", "serial")
 
 
 @dataclass
@@ -1139,12 +1108,12 @@ def _simulated_death(fn: Callable[..., R], args: tuple) -> R:
 DEFAULT_CHAOS_SITES = ("parallel:shard", "parallel:worker")
 
 
-def _consult_chaos(chaos, sites=DEFAULT_CHAOS_SITES) -> ChaosDirective | None:
+def _consult_chaos(chaos) -> ChaosDirective | None:
     """Fire the chaos sites for one shard attempt; raising faults propagate."""
     if chaos is None:
         return None
     directive = None
-    for site in sites:
+    for site in DEFAULT_CHAOS_SITES:
         directive = chaos(site)
         if directive is not None:
             break
@@ -1223,8 +1192,6 @@ class Executor:
         merge: Callable[[list], R] | None = None,
         chaos: Callable[[str], ChaosDirective | None] | None = None,
         sleep: Callable[[float], None] | None = None,
-        alternates: Sequence[Sequence[tuple]] | None = None,
-        chaos_sites: Sequence[str] = DEFAULT_CHAOS_SITES,
     ) -> SupervisedResult:
         """:meth:`map` under the supervision ladder."""
         return self.supervised_starmap(
@@ -1235,8 +1202,6 @@ class Executor:
             merge=merge,
             chaos=chaos,
             sleep=sleep,
-            alternates=alternates,
-            chaos_sites=chaos_sites,
         )
 
     def supervised_starmap(
@@ -1249,8 +1214,6 @@ class Executor:
         merge: Callable[[list], R] | None = None,
         chaos: Callable[[str], ChaosDirective | None] | None = None,
         sleep: Callable[[float], None] | None = None,
-        alternates: Sequence[Sequence[tuple]] | None = None,
-        chaos_sites: Sequence[str] = DEFAULT_CHAOS_SITES,
     ) -> SupervisedResult:
         """:meth:`starmap` under the supervision ladder.
 
@@ -1270,18 +1233,6 @@ class Executor:
         sleep:
             Injected into :func:`repro.utils.retry.retry_call` so tests
             can skip real backoff sleeps.
-        alternates:
-            Per-call replacement argument tuples for the replica rung:
-            ``alternates[i]`` are argument sets equivalent to
-            ``calls[i]`` (same result, different data copy — the index
-            cluster's replicas).  When call *i* fails its retry rung,
-            each alternate walks the retry rung in turn before
-            bisection is considered; a success is recorded as outcome
-            ``"replica"``.  Must align 1:1 with the submitted calls.
-        chaos_sites:
-            Site names consulted (in order) on every shard attempt;
-            the default is the generic parallel pair, the index
-            cluster passes ``("index:shard", "index:replica")``.
 
         Returns a :class:`SupervisedResult` whose ``results`` align
         1:1 with the submitted calls; quarantined shards hold ``None``.
@@ -1291,11 +1242,6 @@ class Executor:
         if (split is None) != (merge is None):
             raise ValueError("split and merge must be provided together")
         calls = [tuple(args) for args in items]
-        if alternates is not None and len(alternates) != len(calls):
-            raise ValueError(
-                f"alternates must align with calls: got {len(alternates)} "
-                f"alternate sets for {len(calls)} calls"
-            )
         if policy is None:
             policy = self.parallel.supervision or SupervisionPolicy()
         if chaos is None:
@@ -1311,15 +1257,11 @@ class Executor:
 
         results: list = [None] * len(calls)
         failed: dict[int, BaseException] = {}
-        sites = tuple(chaos_sites)
         if backend == "serial" or workers <= 1:
-            self._first_wave_serial(
-                fn, calls, report, chaos, results, failed, sites
-            )
+            self._first_wave_serial(fn, calls, report, chaos, results, failed)
         else:
             self._first_wave_pooled(
-                fn, calls, report, policy, chaos, results, failed, workers,
-                sites,
+                fn, calls, report, policy, chaos, results, failed, workers
             )
 
         for index in sorted(failed):
@@ -1327,10 +1269,7 @@ class Executor:
             try:
                 results[index] = self._rescue(
                     fn, calls[index], shard, policy, split, merge, chaos,
-                    depth=0, sleep=sleep, sites=sites,
-                    alternates=(
-                        tuple(alternates[index]) if alternates else ()
-                    ),
+                    depth=0, sleep=sleep,
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -1342,8 +1281,7 @@ class Executor:
         return SupervisedResult(results=results, report=report)
 
     def _first_wave_serial(
-        self, fn, calls, report, chaos, results, failed,
-        sites=DEFAULT_CHAOS_SITES,
+        self, fn, calls, report, chaos, results, failed
     ) -> None:
         """Serial first wave: plain in-process calls, chaos honoured."""
         for index, args in enumerate(calls):
@@ -1351,7 +1289,7 @@ class Executor:
             started = time.perf_counter()
             try:
                 results[index] = self._attempt_once(
-                    fn, args, shard, None, chaos, sites, use_pool=False
+                    fn, args, shard, None, chaos, use_pool=False
                 )
                 shard.outcome = "ok"
             except (KeyboardInterrupt, SystemExit):
@@ -1363,8 +1301,7 @@ class Executor:
                 shard.duration_s += time.perf_counter() - started
 
     def _first_wave_pooled(
-        self, fn, calls, report, policy, chaos, results, failed, workers,
-        sites=DEFAULT_CHAOS_SITES,
+        self, fn, calls, report, policy, chaos, results, failed, workers
     ) -> None:
         """Pooled first wave: submit everything, collect in submission
         order with per-shard deadlines, survive worker death.
@@ -1395,7 +1332,7 @@ class Executor:
                 shard = report.shards[index]
                 shard.attempts += 1
                 try:
-                    directive = _consult_chaos(chaos, sites)
+                    directive = _consult_chaos(chaos)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as error:
@@ -1470,26 +1407,22 @@ class Executor:
         )
 
     def _rescue(
-        self, fn, args, shard, policy, split, merge, chaos, depth, sleep,
-        sites=DEFAULT_CHAOS_SITES, alternates=(),
+        self, fn, args, shard, policy, split, merge, chaos, depth, sleep
     ):
         """Walk a failed shard down the rescue ladder; return its value.
 
         Raises the final underlying error when every rung fails.
         ``shard.outcome`` is only classified at ``depth == 0`` — the
         recursive bisection halves contribute attempts and errors to
-        the same report but not an outcome of their own.  ``alternates``
-        (replica argument sets) apply only at depth 0: a bisected half
-        is a different call, for which no replica args exist.
+        the same report but not an outcome of their own.
         """
         started = time.perf_counter()
         try:
             # Rung 2: fresh single-worker pool under the retry policy.
-            def attempt(attempt_args=args):
+            def attempt():
                 try:
                     return self._attempt_once(
-                        fn, attempt_args, shard, policy, chaos, sites,
-                        use_pool=True,
+                        fn, args, shard, policy, chaos, use_pool=True
                     )
                 except (KeyboardInterrupt, SystemExit):
                     raise
@@ -1509,27 +1442,7 @@ class Executor:
             except Exception as error:
                 last_error: BaseException = error
 
-            # Rung 3: replica failover — the same query against an
-            # identical copy of the shard's data, so a dead or hung
-            # replica costs one rung, not the result.  Each alternate
-            # gets the full retry policy of rung 2.
-            for offset, alt_args in enumerate(alternates):
-                try:
-                    value = retry_call(
-                        lambda alt=tuple(alt_args): attempt(alt),
-                        policy.retry,
-                        sleep=sleep or time.sleep,
-                    ).value
-                    if depth == 0:
-                        shard.outcome = "replica"
-                        shard.replica = offset + 1
-                    return value
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as error:
-                    last_error = error
-
-            # Rung 4: bisection re-sharding, each half down the ladder.
+            # Rung 3: bisection re-sharding, each half down the ladder.
             if (
                 policy.bisect
                 and split is not None
@@ -1541,7 +1454,7 @@ class Executor:
                         values = [
                             self._rescue(
                                 fn, part, shard, policy, split, merge,
-                                chaos, depth + 1, sleep, sites,
+                                chaos, depth + 1, sleep,
                             )
                             for part in parts
                         ]
@@ -1554,11 +1467,11 @@ class Executor:
                     except Exception as error:
                         last_error = error
 
-            # Rung 5: serial fallback in the calling process.
+            # Rung 4: serial fallback in the calling process.
             if policy.serial_fallback:
                 try:
                     value = self._attempt_once(
-                        fn, args, shard, policy, chaos, sites, use_pool=False
+                        fn, args, shard, policy, chaos, use_pool=False
                     )
                     if depth == 0:
                         shard.outcome = "serial"
@@ -1573,10 +1486,7 @@ class Executor:
         finally:
             shard.duration_s += time.perf_counter() - started
 
-    def _attempt_once(
-        self, fn, args, shard, policy, chaos, sites=DEFAULT_CHAOS_SITES,
-        *, use_pool,
-    ):
+    def _attempt_once(self, fn, args, shard, policy, chaos, *, use_pool):
         """One shard attempt: in-process, or on a fresh one-worker pool.
 
         Chaos is consulted every attempt so bounded faults
@@ -1586,7 +1496,7 @@ class Executor:
         possible without a pool).
         """
         shard.attempts += 1
-        directive = _consult_chaos(chaos, sites)
+        directive = _consult_chaos(chaos)
         backend = self.parallel.resolved_backend()
         deadline = policy.shard_deadline_s if policy is not None else None
         if not use_pool or backend == "serial":

@@ -74,7 +74,7 @@ class TestFaultSpecs:
     def test_malformed_specs_rejected(self):
         from repro.cli import _parse_fault
 
-        for spec in ["", "@2", "site@2@bogus", "a@b@c@d"]:
+        for spec in ["", "@2", "site@2@bogus", "a@b@c@d", "bogus:site@1@kill"]:
             with pytest.raises(ValueError):
                 _parse_fault(spec)
 

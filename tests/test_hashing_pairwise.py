@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hashing.pairwise import (
     merge_radius_neighbors,
+    nearest_medoid,
     pairwise_distances,
     patch_radius_neighbors,
     radius_neighbors,
@@ -255,3 +256,136 @@ class TestIncrementalNeighbors:
             merge_radius_neighbors(
                 prev, rows, np.array([5], dtype=np.uint64), 2
             )
+
+
+def brute_nearest_medoid(queries, medoids, theta):
+    """Reference Step-6 match: ``min`` over ``(distance, position)``."""
+    positions, distances = [], []
+    for query in queries:
+        pairs = [
+            (bin(int(query) ^ int(medoid)).count("1"), position)
+            for position, medoid in enumerate(medoids)
+        ]
+        within = [pair for pair in pairs if pair[0] <= theta]
+        distance, position = min(within) if within else (-1, -1)
+        positions.append(position)
+        distances.append(distance)
+    return positions, distances
+
+
+def _flip_low_bits(value: int, n_bits: int) -> int:
+    return value ^ ((1 << n_bits) - 1)
+
+
+_MEDOID = 0x0123_4567_89AB_CDEF
+_ALL_ONES = 2**64 - 1
+
+# (queries, medoids, theta) — each case aims at one place a fast path
+# could diverge from the reference.
+NEAREST_MEDOID_CASES = {
+    "exactly-theta-and-theta-plus-one": (
+        [_flip_low_bits(_MEDOID, 8), _flip_low_bits(_MEDOID, 9), _MEDOID],
+        [_MEDOID],
+        8,
+    ),
+    "equidistant-smallest-position-wins": (
+        [0, 0b1111, 0b11],
+        [0b1100, 0b0011, 0b1100, 0b110000],
+        8,
+    ),
+    "duplicate-queries": (
+        [_MEDOID, 7, _MEDOID, 7, _flip_low_bits(_MEDOID, 3)] * 3,
+        [_MEDOID, 0],
+        8,
+    ),
+    "extreme-hashes": (
+        [0, _ALL_ONES, _flip_low_bits(_ALL_ONES, 8), 0xFF],
+        [_ALL_ONES, 0],
+        8,
+    ),
+    "empty-queries": ([], [_MEDOID, 0], 8),
+    "empty-medoids": ([_MEDOID, 0, _ALL_ONES], [], 8),
+    "single-medoid": ([_MEDOID, _flip_low_bits(_MEDOID, 5), 0], [_MEDOID], 8),
+    "theta-zero": ([_MEDOID, _MEDOID ^ 1, 0], [_MEDOID ^ 1, _MEDOID], 0),
+    "theta-sixty-four": ([0, _ALL_ONES, _MEDOID], [_ALL_ONES, 0], 64),
+    "clustered": (
+        clustered_hashes(6, 40, seed=5).tolist(),
+        clustered_hashes(6, 1, seed=5).tolist()
+        + clustered_hashes(3, 2, seed=6).tolist(),
+        8,
+    ),
+}
+
+
+def _monitor_over(medoids, theta):
+    from repro.annotation.matcher import ClusterAnnotation
+    from repro.core.monitor import MemeMonitor
+    from repro.core.results import ClusterKey, OccurrenceTable, PipelineResult
+
+    keys = [ClusterKey("pol", position) for position in range(len(medoids))]
+    annotations = {
+        key: ClusterAnnotation(
+            cluster_id=key.cluster_id,
+            medoid_hash=np.uint64(medoid),
+            matches=(),
+            representative=f"meme-{key.cluster_id}",
+            meme_names=frozenset(),
+            people=frozenset(),
+            cultures=frozenset(),
+            is_racist=key.cluster_id % 2 == 0,
+            is_politics=key.cluster_id % 3 == 0,
+        )
+        for key, medoid in zip(keys, medoids)
+    }
+    result = PipelineResult(
+        clusterings={},
+        annotations=annotations,
+        cluster_keys=keys,
+        occurrences=OccurrenceTable(
+            posts=[],
+            cluster_indices=np.empty(0, dtype=np.int64),
+            entry_names=[],
+            is_racist=np.empty(0, dtype=bool),
+            is_politics=np.empty(0, dtype=bool),
+        ),
+    )
+    return MemeMonitor(result, theta=theta), keys
+
+
+class TestNearestMedoid:
+    @pytest.mark.parametrize("case", sorted(NEAREST_MEDOID_CASES))
+    def test_every_path_matches_brute_force(self, case):
+        from repro.annotation.association import associate_hashes
+
+        queries, medoids, theta = NEAREST_MEDOID_CASES[case]
+        expect_position, expect_distance = brute_nearest_medoid(
+            queries, medoids, theta
+        )
+        query_array = np.array(queries, dtype=np.uint64)
+        position, distance = nearest_medoid(
+            query_array, np.array(medoids, dtype=np.uint64), theta
+        )
+        assert position.dtype == distance.dtype == np.int64
+        assert position.tolist() == expect_position
+        assert distance.tolist() == expect_distance
+
+        # Batch association: cluster ids ascend with medoid position.
+        association = associate_hashes(
+            query_array,
+            {10 * p + 3: medoid for p, medoid in enumerate(medoids)},
+            theta=theta,
+        )
+        assert association.cluster_ids.tolist() == [
+            -1 if p < 0 else 10 * p + 3 for p in expect_position
+        ]
+        assert association.distances.tolist() == expect_distance
+
+        # Serving monitor: batch and per-hash verdicts agree with both.
+        monitor, keys = _monitor_over(medoids, theta)
+        batch = monitor.classify_batch(query_array)
+        singles = [monitor.classify_hash(query) for query in queries]
+        assert batch == singles
+        for verdict, p, d in zip(batch, expect_position, expect_distance):
+            assert verdict.matched == (p >= 0)
+            assert verdict.cluster == (keys[p] if p >= 0 else None)
+            assert verdict.distance == d

@@ -245,83 +245,6 @@ class TestChaosRecoveryIdentity:
         )
 
 
-class TestShardedIndexIdentity:
-    """ISSUE-6: the replicated sharded index is bit-identical to the
-    monolithic index for every shard count × worker count, and a replica
-    killed mid-fan-out costs zero queries under R=2."""
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    @pytest.mark.parametrize("n_shards", (1, 2, 4))
-    def test_pipeline_sharded_identical_to_serial(
-        self, world, pipeline_result, n_shards, workers
-    ):
-        from repro.index_cluster import ShardConfig
-
-        sharded = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(
-                parallel=ParallelConfig(
-                    workers=workers,
-                    backend="thread",
-                    shards=ShardConfig(n_shards=n_shards, replication=2),
-                )
-            ),
-        )
-        for community, serial in pipeline_result.clusterings.items():
-            par = sharded.clusterings[community]
-            assert np.array_equal(par.unique_hashes, serial.unique_hashes)
-            assert np.array_equal(par.result.labels, serial.result.labels)
-            assert par.medoids == serial.medoids
-        assert sharded.cluster_keys == pipeline_result.cluster_keys
-        assert sharded.occurrences.posts == pipeline_result.occurrences.posts
-        assert np.array_equal(
-            sharded.occurrences.cluster_indices,
-            pipeline_result.occurrences.cluster_indices,
-        )
-        assert np.array_equal(
-            sharded.occurrences.is_racist,
-            pipeline_result.occurrences.is_racist,
-        )
-
-    def test_replica_kill_mid_fanout_loses_nothing(
-        self, world, pipeline_result
-    ):
-        # Kill one replica of one index shard mid-query (process
-        # backend, so the kill is a real worker death): with R=2 the
-        # fan-out fails over to the twin — zero failed queries, output
-        # bit-identical to the serial run, no degradation on record.
-        from repro.index_cluster import ShardConfig
-
-        faults = FaultInjector(
-            [Fault("index:shard", action="kill", times=1)]
-        )
-        chaotic = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(
-                parallel=ParallelConfig(
-                    workers=2,
-                    backend="process",
-                    shards=ShardConfig(n_shards=4, replication=2),
-                ),
-                faults=faults,
-            ),
-        )
-        assert "index:shard" in faults.fired_sites()
-        assert not chaotic.degraded  # one dead replica, zero losses
-        for community, serial in pipeline_result.clusterings.items():
-            par = chaotic.clusterings[community]
-            assert np.array_equal(par.result.labels, serial.result.labels)
-            assert par.medoids == serial.medoids
-        assert chaotic.cluster_keys == pipeline_result.cluster_keys
-        assert chaotic.occurrences.posts == pipeline_result.occurrences.posts
-        assert np.array_equal(
-            chaotic.occurrences.cluster_indices,
-            pipeline_result.occurrences.cluster_indices,
-        )
-
-
 def _assert_pipeline_identical(result, serial):
     for community, expected in serial.clusterings.items():
         par = result.clusterings[community]
@@ -379,24 +302,6 @@ class TestShmTransportIdentity:
         assert "parallel:worker" in faults.fired_sites()
         assert not chaotic.degraded
         _assert_pipeline_identical(chaotic, pipeline_result)
-        assert _no_shm_segments()
-
-    def test_sharded_index_over_shm_identical(self, world, pipeline_result):
-        from repro.index_cluster import ShardConfig
-
-        result = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(
-                parallel=ParallelConfig(
-                    workers=2,
-                    backend="process",
-                    transport="shm",
-                    shards=ShardConfig(n_shards=2, replication=2),
-                )
-            ),
-        )
-        _assert_pipeline_identical(result, pipeline_result)
         assert _no_shm_segments()
 
     def test_compiled_tier_under_shm_identical(

@@ -537,86 +537,3 @@ class TestDeadLetterEviction:
         service = make_service(config=identity_config(max_dead_letters=8))
         service.serve([-1, -2])
         assert service.stats.dead_letters_evicted == 0
-
-
-class TestShardedService:
-    def shard_config(self, n_shards=2, replication=2):
-        from repro.index_cluster import ShardConfig
-
-        return ShardConfig(n_shards=n_shards, replication=replication)
-
-    def test_sharded_monitor_serves_identical_verdicts(self):
-        mono = make_service(config=identity_config())
-        sharded = make_service(
-            config=identity_config(shards=self.shard_config())
-        )
-        for value in (MEDOID_A, MEDOID_B, MEDOID_A ^ 0x3, 0):
-            [expected] = mono.serve([value])
-            [got] = sharded.serve([value])
-            assert got.status == expected.status == "ok"
-            assert got.verdict == expected.verdict
-
-    def test_health_exposes_shard_snapshot(self):
-        sharded = make_service(
-            config=identity_config(shards=self.shard_config())
-        )
-        shards = sharded.health()["shards"]
-        assert len(shards) == 2
-        assert sum(entry["size"] for entry in shards) == 2  # two medoids
-        assert all(entry["replication"] == 2 for entry in shards)
-        assert make_service().health()["shards"] is None
-
-    def test_replica_death_fails_over_and_counts(self):
-        from repro.core.faults import Fault, FaultInjector
-
-        faults = FaultInjector(
-            [Fault("index:replica", action="kill", times=1)]
-        )
-        service = make_service(
-            config=identity_config(shards=self.shard_config()),
-            faults=faults,
-        )
-        responses = service.serve([MEDOID_A, MEDOID_B, MEDOID_A])
-        assert [r.status for r in responses] == ["ok"] * 3
-        assert service.stats.shard_errors == 1
-        assert service.stats.shard_failovers == 1
-        snapshot = service.health()["shards"]
-        assert sum(entry["failovers"] for entry in snapshot) == 1
-        assert faults.fired_sites() == ["index:replica"]
-
-    def test_both_replicas_dead_dead_letters_not_crashes(self):
-        from repro.core.faults import Fault, FaultInjector
-
-        # Kill budget covers every replica of the first shard touched:
-        # the classify fails, the request dead-letters, and the
-        # accounting still conserves.
-        faults = FaultInjector(
-            [Fault("index:shard", action="kill", times=2)]
-        )
-        service = make_service(
-            config=identity_config(shards=self.shard_config()),
-            faults=faults,
-        )
-        [response] = service.serve([MEDOID_A])
-        assert response.status == "dead-lettered"
-        assert "replicas failed" in response.reason
-        assert service.stats.reconciles(pending=0)
-
-    def test_reload_validates_every_shard(self, tmp_path):
-        path = tmp_path / "index.ckpt"
-        save_index(tiny_result(names=("new-a", "new-b")), path)
-        service = make_service(
-            config=identity_config(shards=self.shard_config())
-        )
-        report = service.reload_index(path)
-        assert report.ok
-        assert report.shards_validated == 2
-        [response] = service.serve([MEDOID_A])
-        assert response.verdict.entry == "new-a"
-
-    def test_monolithic_reload_reports_zero_shards(self, tmp_path):
-        path = tmp_path / "index.ckpt"
-        save_index(tiny_result(), path)
-        report = make_service(config=identity_config()).reload_index(path)
-        assert report.ok
-        assert report.shards_validated == 0

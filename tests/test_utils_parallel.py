@@ -738,71 +738,6 @@ class TestCostModel:
             pass  # must not raise or record anything
 
 
-def _reject_marker(value):
-    """Raise for primary-replica payloads, succeed for alternates.
-
-    Module-level so the process backend could pickle it; the replica
-    rung receives the alternate argument tuples verbatim.
-    """
-    if value == "primary":
-        raise ValueError("primary replica is poisoned")
-    return value
-
-
-class TestReplicaFailoverRung:
-    def test_alternate_args_rescue_a_dead_primary(self):
-        executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(
-            _reject_marker,
-            [("primary",), ("healthy-0",)],
-            alternates=[[("replica-of-0",)], []],
-            sleep=_no_sleep,
-        )
-        assert sup.results == ["replica-of-0", "healthy-0"]
-        assert sup.complete
-        shard = sup.report.shards[0]
-        assert shard.outcome == "replica"
-        assert shard.replica == 1
-        assert shard.recovered
-        # first wave + retry rung (default 2 retries) + replica rung
-        assert shard.attempts == 4
-        assert any("poisoned" in error for error in shard.errors)
-        assert sup.report.shards[1].outcome == "ok"
-
-    def test_second_alternate_when_first_also_fails(self):
-        executor = Executor(ParallelConfig(workers=1, backend="thread"))
-        sup = executor.supervised_starmap(
-            _reject_marker,
-            [("primary",)],
-            alternates=[[("primary",), ("last-copy",)]],
-            sleep=_no_sleep,
-        )
-        assert sup.results == ["last-copy"]
-        assert sup.report.shards[0].outcome == "replica"
-        assert sup.report.shards[0].replica == 2
-
-    def test_alternates_length_must_match_calls(self):
-        executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        with pytest.raises(ValueError, match="alternates"):
-            executor.supervised_starmap(
-                _add, [(1, 2), (3, 4)], alternates=[[(1, 2)]]
-            )
-
-    def test_exhausted_alternates_fall_through_to_ladder(self):
-        # Every replica poisoned: the ladder keeps walking (bisect /
-        # serial fallback) and the shard quarantines with the gap
-        # explicit — alternates must not short-circuit the contract.
-        executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(
-            _reject_marker,
-            [("primary",), ("healthy",)],
-            alternates=[[("primary",)], []],
-            sleep=_no_sleep,
-        )
-        assert sup.results == [None, "healthy"]
-        assert sup.report.quarantined == [0]
-
-
 class TestCostModelSaveAtomicity:
     def test_interleaved_writers_never_tear_the_file(self, tmp_path):
         # Regression: save() used a fixed-name `.tmp` sibling, so two
