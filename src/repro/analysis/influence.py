@@ -30,6 +30,7 @@ from repro.core.results import ClusterKey, PipelineResult
 from repro.hawkes.attribution import (
     InfluenceMatrices,
     attribute_root_causes,
+    root_cause_influence,
 )
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.model import EventSequence
@@ -131,17 +132,7 @@ def fit_cluster_influence(
         roots = attribute_root_causes(fit.model, sequence)
     except Exception as error:
         return ("error", f"{type(error).__name__}: {error}")
-    expected = np.zeros((n_processes, n_processes))
-    for destination in range(n_processes):
-        mask = sequence.processes == destination
-        if np.any(mask):
-            expected[:, destination] = roots[mask].sum(axis=0)
-    return (
-        "ok",
-        InfluenceMatrices(
-            expected_events=expected, event_counts=sequence.counts(n_processes)
-        ),
-    )
+    return ("ok", root_cause_influence(sequence, roots, n_processes))
 
 
 def influence_study(

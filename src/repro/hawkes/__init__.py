@@ -12,6 +12,8 @@ This package implements the full stack from scratch:
 * :mod:`repro.hawkes.model` — the model, intensities, log-likelihood.
 * :mod:`repro.hawkes.simulate` — exact branching simulation (with ground-
   truth parents) and Ogata thinning as a cross-check.
+* :mod:`repro.hawkes.terms` — the weight-free terms of the E-step and
+  log-likelihood, built once per (sequence, kernel).
 * :mod:`repro.hawkes.fit` — MAP-EM over the latent branching structure
   (the deterministic counterpart of the paper's Gibbs sampler: both
   operate on the same parent-attribution augmentation).

@@ -21,10 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hawkes.fit import FitConfig, fit_hawkes_em, parent_responsibilities
+from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.model import EventSequence, HawkesModel
+from repro.hawkes.terms import SequenceTerms
 
-__all__ = ["InfluenceMatrices", "attribute_root_causes", "influence_from_sequences"]
+__all__ = [
+    "InfluenceMatrices",
+    "attribute_root_causes",
+    "influence_from_sequences",
+    "root_cause_influence",
+]
 
 
 @dataclass(frozen=True)
@@ -102,17 +108,36 @@ def attribute_root_causes(
     roots = np.zeros((n, k))
     if n == 0:
         return roots
-    background_prob, parent_indices, parent_probs = parent_responsibilities(
-        model, sequence
+    terms = SequenceTerms(sequence, model.kernel, k)
+    background_prob, bounds, parents, probs = terms.causes(
+        model.background, model.weights
     )
     processes = sequence.processes
     for event in range(n):
         roots[event, processes[event]] += background_prob[event]
-        idx = parent_indices[event]
-        if idx.size:
+        start, end = bounds[event], bounds[event + 1]
+        if end > start:
             # Parents precede the event, so their rows are final.
-            roots[event] += parent_probs[event] @ roots[idx]
+            roots[event] += probs[start:end] @ roots[parents[start:end]]
     return roots
+
+
+def root_cause_influence(
+    sequence: EventSequence, roots: np.ndarray, n_processes: int
+) -> InfluenceMatrices:
+    """Aggregate one sequence's root-cause rows by destination community.
+
+    ``roots`` is :func:`attribute_root_causes`'s output for ``sequence``;
+    column ``dst`` of the result sums the rows of the events on ``dst``.
+    """
+    expected = np.zeros((n_processes, n_processes))
+    for destination in range(n_processes):
+        mask = sequence.processes == destination
+        if np.any(mask):
+            expected[:, destination] = roots[mask].sum(axis=0)
+    return InfluenceMatrices(
+        expected_events=expected, event_counts=sequence.counts(n_processes)
+    )
 
 
 def influence_from_sequences(
@@ -148,13 +173,5 @@ def influence_from_sequences(
         ]
     for model, sequence in zip(models, sequences):
         roots = attribute_root_causes(model, sequence)
-        expected = np.zeros((n_processes, n_processes))
-        for destination in range(n_processes):
-            mask = sequence.processes == destination
-            if np.any(mask):
-                expected[:, destination] = roots[mask].sum(axis=0)
-        totals = totals + InfluenceMatrices(
-            expected_events=expected,
-            event_counts=sequence.counts(n_processes),
-        )
+        totals = totals + root_cause_influence(sequence, roots, n_processes)
     return totals

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
+from repro.hawkes.terms import SequenceTerms
 
 __all__ = ["FitConfig", "FitResult", "fit_hawkes_em", "parent_responsibilities"]
 
@@ -96,46 +97,25 @@ def parent_responsibilities(
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """E-step: per-event probabilities over possible causes.
 
+    A per-event view of :meth:`SequenceTerms.causes`.
+
     Returns
     -------
     (background_prob, parent_indices, parent_probs):
         ``background_prob[n]`` is the probability event ``n`` is an
         immigrant; ``parent_indices[n]`` lists candidate parent events
-        (within ``window``); ``parent_probs[n]`` their probabilities.
-        For each event the probabilities sum to 1.
+        (within ``window``, default ``model.kernel.support_window()``)
+        with a positive probability; ``parent_probs[n]`` their
+        probabilities.  For each event the probabilities sum to 1.
     """
-    times = sequence.times
-    processes = sequence.processes
-    n = len(sequence)
-    window = window or model.kernel.support_window()
-    background_prob = np.ones(n)
-    parent_indices: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    parent_probs: list[np.ndarray] = [np.empty(0)] * n
-    start = 0
-    for event in range(n):
-        t = times[event]
-        while times[start] < t - window:
-            start += 1
-        candidates = np.arange(start, event)
-        if candidates.size:
-            dts = t - times[candidates]
-            positive = dts > 0  # simultaneous events cannot cause each other
-            candidates = candidates[positive]
-        if candidates.size == 0:
-            continue
-        dts = t - times[candidates]
-        rates = model.weights[
-            processes[candidates], processes[event]
-        ] * np.asarray(model.kernel.density(dts))
-        mu = model.background[processes[event]]
-        total = mu + rates.sum()
-        if total <= 0:
-            continue
-        background_prob[event] = mu / total
-        keep = rates > 0
-        parent_indices[event] = candidates[keep]
-        parent_probs[event] = rates[keep] / total
-    return background_prob, parent_indices, parent_probs
+    terms = SequenceTerms(sequence, model.kernel, model.n_processes, window)
+    background_prob, bounds, parents, probs = terms.causes(
+        model.background, model.weights
+    )
+    if not len(sequence):
+        return background_prob, [], []
+    inner = bounds[1:-1]
+    return background_prob, np.split(parents, inner), np.split(probs, inner)
 
 
 def fit_hawkes_em(
@@ -174,19 +154,34 @@ def fit_hawkes_em(
         counts += sequence.counts(n_processes)
 
     if initial_model is not None:
-        model = initial_model
+        background = initial_model.background
+        weights = initial_model.weights
+        kernel = initial_model.kernel
     else:
-        background0 = np.maximum(counts / total_horizon, 1e-6) * 0.5
-        weights0 = np.full((n_processes, n_processes), 0.05)
-        model = HawkesModel(
-            background=background0, weights=weights0, kernel=config.kernel
-        )
+        background = np.maximum(counts / total_horizon, 1e-6) * 0.5
+        weights = np.full((n_processes, n_processes), 0.05)
+        kernel = config.kernel
+
+    # Everything but (mu, W) is fixed for a given kernel, so each
+    # sequence's terms are built once and rebuilt only when learn_beta
+    # moves the kernel.  The E-step of one iteration reuses the terms the
+    # previous iteration's log-likelihood built for the same kernel.
+    cached: tuple[object, list[SequenceTerms]] | None = None
+
+    def terms_for(kernel) -> list[SequenceTerms]:
+        nonlocal cached
+        if cached is None or cached[0] != kernel:
+            window = kernel.support_window(config.window_mass)
+            cached = (
+                kernel,
+                [SequenceTerms(s, kernel, n_processes, window) for s in sequences],
+            )
+        return cached[1]
 
     log_likelihoods: list[float] = []
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iterations + 1):
-        window = model.kernel.support_window(config.window_mass)
         # Sufficient statistics accumulated across sequences.
         background_counts = np.zeros(n_processes)
         edge_counts = np.zeros((n_processes, n_processes))
@@ -195,42 +190,27 @@ def fit_hawkes_em(
         # Expected kernel mass emitted by events of each source process,
         # accounting for right-censoring at the horizon.
         exposure = np.zeros(n_processes)
-        for sequence in sequences:
-            bg_prob, parent_idx, parent_prob = parent_responsibilities(
-                model, sequence, window=window
-            )
-            processes = sequence.processes
-            times = sequence.times
+        for terms in terms_for(kernel):
+            bg_prob, parent_prob = terms.responsibilities(background, weights)
+            processes = terms.sequence.processes
+            # Event-then-parent order, as the pairs are laid out.
             np.add.at(background_counts, processes, bg_prob)
-            for event in range(len(sequence)):
-                idx = parent_idx[event]
-                if idx.size:
-                    np.add.at(
-                        edge_counts,
-                        (processes[idx], np.full(idx.size, processes[event])),
-                        parent_prob[event],
-                    )
-                    triggered_mass += float(parent_prob[event].sum())
-                    triggered_delay += float(
-                        (parent_prob[event] * (times[event] - times[idx])).sum()
-                    )
-            if len(sequence):
-                remaining = np.asarray(
-                    model.kernel.integral(sequence.horizon - sequence.times)
-                )
-                np.add.at(exposure, processes, remaining)
+            np.add.at(edge_counts.reshape(-1), terms.flat, parent_prob)
+            if config.learn_beta:
+                triggered_mass += float(parent_prob.sum())
+                triggered_delay += float((parent_prob * terms.delays).sum())
+            np.add.at(exposure, processes, terms.remaining)
 
-        new_background = (
+        background = (
             background_counts + config.background_prior_shape - 1.0
         ) / (total_horizon + config.background_prior_rate)
-        new_background = np.maximum(new_background, 0.0)
+        background = np.maximum(background, 0.0)
         denominator = exposure + config.weight_prior_rate
-        new_weights = (
+        weights = (
             edge_counts + config.weight_prior_shape - 1.0
         ) / denominator[:, None]
-        new_weights = np.maximum(new_weights, 0.0)
+        weights = np.maximum(weights, 0.0)
 
-        kernel = model.kernel
         if config.learn_beta and triggered_delay > 0 and triggered_mass > 1.0:
             beta = float(
                 np.clip(
@@ -241,11 +221,11 @@ def fit_hawkes_em(
             )
             kernel = ExponentialKernel(beta)
 
-        new_model = HawkesModel(
-            background=new_background, weights=new_weights, kernel=kernel
-        )
         log_likelihood = float(
-            sum(new_model.log_likelihood(s) for s in sequences)
+            sum(
+                terms.log_likelihood(background, weights)
+                for terms in terms_for(kernel)
+            )
         )
         log_likelihoods.append(log_likelihood)
         if (
@@ -253,13 +233,11 @@ def fit_hawkes_em(
             and abs(log_likelihoods[-1] - log_likelihoods[-2])
             <= config.tolerance * max(1.0, abs(log_likelihoods[-2]))
         ):
-            model = new_model
             converged = True
             break
-        model = new_model
 
     return FitResult(
-        model=model,
+        model=HawkesModel(background=background, weights=weights, kernel=kernel),
         n_iterations=iteration,
         converged=converged,
         log_likelihoods=tuple(log_likelihoods),

@@ -35,13 +35,15 @@ class ExponentialKernel:
     def density(self, dt: np.ndarray | float) -> np.ndarray | float:
         """Density at delay ``dt`` (0 for negative delays)."""
         dt = np.asarray(dt, dtype=np.float64)
-        out = np.where(dt >= 0, self.beta * np.exp(-self.beta * dt), 0.0)
+        safe = np.maximum(dt, 0.0)  # exp of a large negative delay overflows
+        out = np.where(dt >= 0, self.beta * np.exp(-self.beta * safe), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def integral(self, dt: np.ndarray | float) -> np.ndarray | float:
         """CDF at ``dt``: mass of the kernel within ``[0, dt]``."""
         dt = np.asarray(dt, dtype=np.float64)
-        out = np.where(dt >= 0, 1.0 - np.exp(-self.beta * dt), 0.0)
+        safe = np.maximum(dt, 0.0)
+        out = np.where(dt >= 0, 1.0 - np.exp(-self.beta * safe), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size: int | None = None):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hawkes.kernels import ExponentialKernel
+from repro.hawkes.terms import SequenceTerms
 
 __all__ = ["EventSequence", "HawkesModel"]
 
@@ -115,52 +116,5 @@ class HawkesModel:
 
     def log_likelihood(self, sequence: EventSequence) -> float:
         """Exact log-likelihood of ``sequence`` under this model."""
-        times = sequence.times
-        processes = sequence.processes
-        horizon = sequence.horizon
-        n = len(sequence)
-        log_term = 0.0
-        if n and not isinstance(self.kernel, ExponentialKernel):
-            # Generic kernels: direct O(n^2) evaluation of the log term.
-            lambdas = np.empty(n)
-            for event in range(n):
-                earlier = times < times[event]
-                lam = self.background[processes[event]]
-                if np.any(earlier):
-                    phi = np.asarray(
-                        self.kernel.density(times[event] - times[earlier])
-                    )
-                    lam += float(
-                        (
-                            self.weights[processes[earlier], processes[event]]
-                            * phi
-                        ).sum()
-                    )
-                lambdas[event] = lam
-            log_term = float(np.log(np.clip(lambdas, 1e-300, None)).sum())
-        elif n:
-            # Exponential-kernel recursion: the excitation vector decays
-            # multiplicatively between events, giving O(n * K) evaluation.
-            beta = self.kernel.beta
-            excitation = np.zeros(self.n_processes)
-            pending = np.zeros(self.n_processes)  # same-timestamp events
-            lambdas = np.empty(n)
-            previous_time = 0.0
-            for event in range(n):
-                dt = times[event] - previous_time
-                if dt > 0:
-                    excitation = (excitation + pending) * np.exp(-beta * dt)
-                    pending = np.zeros(self.n_processes)
-                lambdas[event] = (
-                    self.background[processes[event]] + excitation[processes[event]]
-                )
-                pending = pending + self.weights[processes[event]] * beta
-                previous_time = times[event]
-            log_term = float(np.log(np.clip(lambdas, 1e-300, None)).sum())
-        compensator = float(self.background.sum() * horizon)
-        if n:
-            remaining = np.asarray(self.kernel.integral(horizon - times))
-            compensator += float(
-                (self.weights[processes].sum(axis=1) * remaining).sum()
-            )
-        return log_term - compensator
+        terms = SequenceTerms(sequence, self.kernel, self.n_processes)
+        return terms.log_likelihood(self.background, self.weights)

@@ -72,16 +72,17 @@ class TestInfluenceStudy:
 
     def test_matches_ground_truth_shape(self, world, study):
         """The estimator must recover the planted influence structure:
-        every percent-of-destination cell within a tolerance of truth."""
+        percent-of-destination cells within a mean absolute error of one
+        point of truth, and every cell within three points."""
         truth = ground_truth_influence(world)
         est = study.total.percent_of_destination()
         act = truth.percent_of_destination()
         # Only compare communities with enough events in both views.
-        for src in range(5):
-            for dst in range(5):
-                if truth.event_counts[dst] < 100 or study.total.event_counts[dst] < 100:
-                    continue
-                assert abs(est[src, dst] - act[src, dst]) < 15.0
+        large = (truth.event_counts >= 100) & (study.total.event_counts >= 100)
+        assert large.any()
+        errors = np.abs(est[:, large] - act[:, large])
+        assert errors.mean() <= 1.0
+        assert errors.max() <= 3.0
 
     def test_pol_least_efficient_of_big_communities(self, world, study):
         """Fig. 12's headline: /pol/'s per-event external influence is the

@@ -44,6 +44,12 @@ class TestResponsibilities:
         bg, _, _ = parent_responsibilities(truth, sequence)
         assert bg[0] == pytest.approx(1.0)
 
+    def test_zero_window_means_no_parents(self, truth, simulated):
+        sequence = simulated[0]
+        bg, idx, probs = parent_responsibilities(truth, sequence, window=0.0)
+        assert np.array_equal(bg, np.ones(len(sequence)))
+        assert all(i.size == 0 for i in idx) and all(p.size == 0 for p in probs)
+
     def test_empty_sequence(self, truth):
         empty = EventSequence(np.array([]), np.array([]), horizon=10.0)
         bg, idx, probs = parent_responsibilities(truth, empty)

@@ -18,10 +18,19 @@ class TestExponentialKernel:
         kernel = ExponentialKernel(2.0)
         assert kernel.density(0.0) == pytest.approx(2.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_negative_delay_zero(self):
         kernel = ExponentialKernel(1.0)
         assert kernel.density(-1.0) == 0.0
         assert kernel.integral(-1.0) == 0.0
+        # exp(1000) overflows if evaluated before the mask applies.
+        delays = np.array([-1000.0, -1.0, 0.0, 2.0])
+        assert np.array_equal(
+            kernel.density(delays), [0.0, 0.0, 1.0, np.exp(-2.0)]
+        )
+        assert np.array_equal(
+            kernel.integral(delays), [0.0, 0.0, 0.0, 1.0 - np.exp(-2.0)]
+        )
 
     def test_density_integrates_to_one(self):
         kernel = ExponentialKernel(1.7)
