@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.annotation.kym import KYMSite
-from repro.hashing.index import MultiIndexHash
+from repro.hashing.index import radius_join
+from repro.utils.bitops import popcount
 
 __all__ = ["EntryMatch", "ClusterAnnotation", "annotate_clusters", "DEFAULT_THETA"]
 
@@ -116,18 +117,22 @@ def annotate_clusters(
         return {}
     hash_array = np.array(hashes, dtype=np.uint64)
     entry_array = np.array(entry_of, dtype=np.int64)
-    index = MultiIndexHash(hash_array)
+    medoids = np.array(
+        [int(medoid) for medoid in medoid_hashes.values()], dtype=np.uint64
+    )
+    rows = radius_join(medoids, hash_array, theta)
 
     annotations: dict[int, ClusterAnnotation] = {}
     entries = list(site)
-    for cluster_id, medoid in medoid_hashes.items():
-        pairs = index.query(int(medoid), theta)
-        if not pairs:
+    for (cluster_id, medoid), row in zip(medoid_hashes.items(), rows):
+        if row.size == 0:
             continue
+        distances = popcount(hash_array[row] ^ np.uint64(int(medoid)))
         # Collect (n_matches, total_distance) per entry.
         stats: dict[int, tuple[int, int]] = {}
-        for image_index, distance in pairs:
-            entry_index = int(entry_array[image_index])
+        for entry_index, distance in zip(
+            entry_array[row].tolist(), distances.tolist()
+        ):
             n, total = stats.get(entry_index, (0, 0))
             stats[entry_index] = (n + 1, total + distance)
         matches = tuple(

@@ -1,31 +1,36 @@
-"""Hamming-space indexes: BK-tree and multi-index hashing (MIH).
+"""Hamming-space indexes and the batched radius join (Step 2).
 
 The paper ran all-pairs comparisons on GPUs; at laptop scale the same
-radius queries ("all hashes within Hamming distance r of q") are served by
-sub-linear indexes:
+radius queries ("all hashes within Hamming distance r of q") rest on
+Norouzi et al.'s multi-index hashing (MIH).  The 64-bit code is split
+into ``m`` disjoint chunks; by pigeonhole, any code within distance
+``r`` of the query agrees with it within ``r // m`` bits on at least
+one chunk, so candidates are found by probing near-exact chunk matches
+and verified exactly.
 
+* :func:`radius_join` — the one kernel behind every radius
+  neighbourhood: Step 2's self-join, its incremental patch, stream
+  ingest and Step 5's medoid annotation.  It runs MIH whole-array over
+  a batch of queries and picks ``m`` by exact cost, or falls back to a
+  blocked dense scan where no ``m`` wins.
+* :class:`MultiIndexHash` — the same pigeonhole idea as a persistent
+  per-query index with 8-bit chunks and incremental :meth:`add`.
 * :class:`BKTree` — a metric tree over the Hamming metric.  Simple,
   exact, good for medium collections and as a cross-check.
-* :class:`MultiIndexHash` — Norouzi et al.'s multi-index hashing.  The
-  64-bit code is split into ``m`` disjoint chunks; by pigeonhole, any code
-  within distance ``r`` of the query agrees with it within
-  ``floor(r / m)`` on at least one chunk, so candidates are found by
-  enumerating near-exact matches per chunk and verified exactly.  For the
-  paper's r <= 10 with m=8 byte-chunks this means probing only the 9
-  byte values at distance <= 1 per chunk.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from collections.abc import Iterable
 
 import numpy as np
 
-from repro.utils import compiled
 from repro.utils.bitops import hamming_distance, hamming_to_many, popcount
-from repro.utils.shm import resolve_array
 
-__all__ = ["BKTree", "MultiIndexHash", "mih_neighbors_shard"]
+__all__ = ["BKTree", "MultiIndexHash", "radius_join"]
 
 
 class _BKNode:
@@ -214,76 +219,237 @@ class MultiIndexHash:
 
     def radius_neighbors(self, radius: int) -> list[np.ndarray]:
         """Neighbour lists (sorted, self included) for every indexed hash."""
-        return [
-            self.query_indices(int(self.hashes[i]), radius)
-            for i in range(self.hashes.size)
-        ]
+        return radius_join(self.hashes, self.hashes, radius)
 
 
-def mih_neighbors_shard(
-    hashes: np.ndarray, start: int, stop: int, radius: int
+# Probe entries plus candidate pairs materialised per query block: the
+# join's transient memory stays at a few MB whatever the radius.
+_PAIR_BUDGET = 1 << 18
+
+# Cost model in nanoseconds, fitted by least squares to self-joins of
+# 1k-14k hashes at radius 0-14 (one Intel Xeon core, numpy 2.4): the
+# fixed cost of a probe plan, one probe of a bucket, one candidate
+# verified, one bucket-table key, and one pair of the dense scan.
+_NS_PLAN = 300_000.0
+_NS_PROBE = 20.0
+_NS_CANDIDATE = 15.0
+_NS_BUCKET = 8.0
+_NS_DENSE = 3.1
+
+# Chunk counts that keep every chunk between 4 and 16 bits wide, so a
+# bucket table has at most 2**16 keys and sorts by radix.
+_MIN_CHUNKS, _MAX_CHUNKS = 4, 16
+
+
+def _chunk_layout(n_chunks: int) -> list[tuple[int, int]]:
+    """``(shift, width)`` of each chunk; widths differ by at most one bit."""
+    base, extra = divmod(64, n_chunks)
+    widths = [base + 1] * extra + [base] * (n_chunks - extra)
+    shifts = np.cumsum([0] + widths[:-1]).tolist()
+    return list(zip(shifts, widths))
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_ball(width: int, radius: int) -> np.ndarray:
+    """Every ``width``-bit mask with at most ``radius`` bits set."""
+    masks = [0]
+    for k in range(1, min(radius, width) + 1):
+        masks.extend(
+            sum(1 << bit for bit in bits)
+            for bits in itertools.combinations(range(width), k)
+        )
+    ball = np.array(masks, dtype=np.int64)
+    ball.flags.writeable = False
+    return ball
+
+
+def _chunk_keys(hashes: np.ndarray, shift: int, width: int) -> np.ndarray:
+    mask = np.uint64((1 << width) - 1)
+    return ((hashes >> np.uint64(shift)) & mask).astype(np.int64)
+
+
+def _probe_plan(
+    queries: np.ndarray, corpus: np.ndarray, radius: int, self_join: bool
+):
+    """The cheapest MIH plan, or ``None`` when the dense scan costs less.
+
+    Each per-chunk radius fixes the smallest chunk count ``m`` with
+    ``radius // m`` equal to it; more chunks at the same per-chunk
+    radius only add probes and narrower, fuller buckets.  Each option's
+    probe count is exact from the layout alone; its candidate count is
+    exact from one ``bincount`` per chunk, the corpus bucket sizes
+    summed over each occurring query key's flip ball.  Options are
+    costed cheapest floor first, and the search stops once a floor
+    exceeds the best cost.
+    """
+    n_queries = int(queries.size)
+    options = []
+    for per_chunk in range(radius // _MIN_CHUNKS + 1):
+        n_chunks = max(_MIN_CHUNKS, radius // (per_chunk + 1) + 1)
+        if n_chunks > _MAX_CHUNKS:
+            continue
+        layout = _chunk_layout(n_chunks)
+        per_chunk = radius // n_chunks
+        probes = n_queries * sum(
+            math.comb(width, k)
+            for _, width in layout
+            for k in range(min(per_chunk, width) + 1)
+        )
+        buckets = sum(1 << width for _, width in layout)
+        floor = _NS_PLAN + _NS_PROBE * probes + _NS_BUCKET * buckets
+        options.append((floor, per_chunk, layout))
+    best_cost, best = _NS_DENSE * n_queries * int(corpus.size), None
+    for floor, per_chunk, layout in sorted(options):
+        if floor >= best_cost:
+            break
+        corpus_keys, query_keys, sizes = [], [], []
+        work = np.zeros(n_queries, dtype=np.int64)
+        for shift, width in layout:
+            ck = _chunk_keys(corpus, shift, width)
+            qk = ck if self_join else _chunk_keys(queries, shift, width)
+            size = np.bincount(ck, minlength=1 << width)
+            present = np.flatnonzero(
+                size if self_join else np.bincount(qk, minlength=1 << width)
+            )
+            ball = _flip_ball(width, per_chunk)
+            reach = np.zeros(present.size, dtype=np.int64)
+            step = max(1, _PAIR_BUDGET // max(int(present.size), 1))
+            for lo in range(0, ball.size, step):
+                flips = ball[None, lo : lo + step]
+                reach += size[present[:, None] ^ flips].sum(axis=1)
+            per_key = np.zeros(1 << width, dtype=np.int64)
+            per_key[present] = reach
+            work += per_key[qk]
+            corpus_keys.append(ck)
+            query_keys.append(qk)
+            sizes.append(size)
+        cost = floor + _NS_CANDIDATE * int(work.sum())
+        if cost < best_cost:
+            best_cost = cost
+            best = (per_chunk, layout, corpus_keys, query_keys, sizes, work)
+    return best
+
+
+def _dense_pairs(
+    queries: np.ndarray, corpus: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All ``(query, position)`` pairs within ``radius``, by dense scan."""
+    step = max(1, _PAIR_BUDGET // max(int(corpus.size), 1))
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, int(queries.size), step):
+        distances = popcount(queries[lo : lo + step, None] ^ corpus[None, :])
+        row, col = np.nonzero(distances <= radius)
+        rows.append(row + lo)
+        cols.append(col)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _probe_pairs(
+    queries: np.ndarray, corpus: np.ndarray, radius: int, plan
+) -> tuple[np.ndarray, np.ndarray]:
+    """All ``(query, position)`` pairs within ``radius``, by MIH probes."""
+    per_chunk, layout, corpus_keys, query_keys, sizes, work = plan
+    n_queries, n_corpus = int(queries.size), int(corpus.size)
+    # The chunks' counting-sort bucket tables, concatenated: chunk c's
+    # bucket k is order[start[slot] : start[slot] + size[slot]] at
+    # slot = base[c] + k, and order holds corpus positions, ascending
+    # within a bucket.
+    flips = [_flip_ball(width, per_chunk) for _, width in layout]
+    probe_chunk = np.repeat(np.arange(len(layout)), [f.size for f in flips])
+    probe_flip = np.concatenate(flips)
+    base = np.cumsum([0] + [1 << width for _, width in layout[:-1]])
+    probe_base = base[probe_chunk]
+    n_probes = int(probe_flip.size)
+    order = np.concatenate(
+        [np.argsort(ck.astype(np.uint16), kind="stable") for ck in corpus_keys]
+    )
+    size = np.concatenate(sizes)
+    start = np.concatenate(
+        [c * n_corpus + np.cumsum(sz) - sz for c, sz in enumerate(sizes)]
+    )
+    keys = np.stack(query_keys, axis=1)
+    # Query blocks whose probes plus candidates fit the pair budget.
+    ends = np.cumsum(work + n_probes)
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    lo = 0
+    while lo < n_queries:
+        spent = int(ends[lo - 1]) if lo else 0
+        cut = np.searchsorted(ends, spent + _PAIR_BUDGET, "right")
+        hi = max(lo + 1, int(cut))
+        slot = (keys[lo:hi, probe_chunk] ^ probe_flip) + probe_base
+        slot = slot.reshape(-1)
+        counts = size[slot]
+        hit = np.flatnonzero(counts)
+        counts = counts[hit]
+        stops = np.cumsum(counts)
+        total = int(stops[-1]) if stops.size else 0
+        owner = np.repeat(hit // n_probes, counts)
+        skew = np.repeat(start[slot[hit]] - stops + counts, counts)
+        position = order[np.arange(total) + skew]
+        close = popcount(queries[owner + lo] ^ corpus[position]) <= radius
+        # A pair near on several chunks was found once per chunk: sort
+        # the block's pairs into row order and drop the repeats.
+        pair = np.sort(owner[close] * n_corpus + position[close])
+        if pair.size:
+            pair = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
+        rows.append(pair // n_corpus + lo)
+        cols.append(pair % n_corpus)
+        lo = hi
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _join_pairs(
+    queries: np.ndarray,
+    corpus: np.ndarray,
+    radius: int,
+    self_join: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ``(query, position)`` pairs of :func:`radius_join`."""
+    radius = min(radius, 64)  # every pair is within 64 bits
+    plan = None
+    if queries.size and corpus.size:
+        plan = _probe_plan(queries, corpus, radius, self_join)
+    if plan is None:
+        return _dense_pairs(queries, corpus, radius)
+    return _probe_pairs(queries, corpus, radius, plan)
+
+
+def _split_rows(lengths: np.ndarray, col: np.ndarray) -> list[np.ndarray]:
+    """``col`` cut into consecutive rows of the given ``lengths``."""
+    edges = [0, *np.cumsum(lengths).tolist()]
+    col = col.astype(np.int64, copy=False)
+    return [col[a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+def radius_join(
+    queries: np.ndarray, corpus: np.ndarray, radius: int
 ) -> list[np.ndarray]:
-    """Self-join MIH neighbour lists for the query range ``start:stop``.
+    """Positions in ``corpus`` within Hamming ``radius`` of each query.
 
-    The shard kernel behind the parallel ``radius_neighbors`` path:
-    module-level (process workers receive either the pickled ``uint64``
-    shard array or a zero-copy
-    :class:`repro.utils.shm.ShmArrayRef` descriptor under the shm
-    transport), and output-identical to calling
-    ``MultiIndexHash(hashes).query_indices(...)`` per query — sorted,
-    duplicate-free, self included.
+    ``result[i]`` is the sorted, duplicate-free ``int64`` array of every
+    ``j`` with ``hamming(queries[i], corpus[j]) <= radius``; passing
+    one array as both arguments is the self-join, where every row holds
+    its own index.
 
-    Unlike the per-query path it amortises bucket gathering: per-chunk
-    byte groups are materialised once with a vectorised argsort instead
-    of Python dict buckets, the candidate array for a (chunk, byte
-    value) pair is cached across queries (cluster members share chunk
-    bytes), and verification runs popcount over the concatenated
-    candidates before deduplicating only the survivors.  When the
-    compiled tier is active (``REPRO_COMPILED``) the whole query loop
-    runs natively with bit-identical output.
+    Whole-array MIH: per chunk, a counting-sort bucket table over the
+    corpus keys (``bincount`` plus ``cumsum``); every query's chunk key
+    XOR each flip mask of the ``radius // m`` ball picks a bucket; the
+    bucket ranges expand into candidate pairs, verified by one
+    ``popcount``, and a pair found through several chunks is kept once.
+    ``m`` is chosen from the exact probe and candidate counts of each
+    option (see :func:`_probe_plan`), and where the dense scan costs
+    less it runs instead.  Both paths work in query blocks of about
+    ``2**18`` pairs.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    hashes = resolve_array(hashes, np.uint64)
-    n_chunks = MultiIndexHash.N_CHUNKS
-    fast = compiled.mih_query_batch(
-        hashes,
-        int(start),
-        int(stop),
-        radius,
-        [_bytes_within(value, radius // n_chunks) for value in range(256)],
+    self_join = corpus is queries
+    queries = np.ascontiguousarray(queries, dtype=np.uint64).reshape(-1)
+    corpus = (
+        queries
+        if self_join
+        else np.ascontiguousarray(corpus, dtype=np.uint64).reshape(-1)
     )
-    if fast is not None:
-        return fast
-    per_chunk = radius // n_chunks
-    chunk_values = hashes.view(np.uint8).reshape(-1, n_chunks)
-    all_bytes = np.arange(256)
-    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for c in range(n_chunks):
-        order = np.argsort(chunk_values[:, c], kind="stable").astype(np.int64)
-        sorted_bytes = chunk_values[order, c]
-        left = np.searchsorted(sorted_bytes, all_bytes, side="left")
-        right = np.searchsorted(sorted_bytes, all_bytes, side="right")
-        groups.append((order, left, right))
-    balls = [_bytes_within(value, per_chunk) for value in range(256)]
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    out: list[np.ndarray] = []
-    for i in range(start, stop):
-        index_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        for c in range(n_chunks):
-            key = (c, int(chunk_values[i, c]))
-            entry = cache.get(key)
-            if entry is None:
-                order, left, right = groups[c]
-                candidate = np.concatenate(
-                    [order[left[probe] : right[probe]] for probe in balls[key[1]]]
-                )
-                entry = (candidate, hashes[candidate])
-                cache[key] = entry
-            index_parts.append(entry[0])
-            value_parts.append(entry[1])
-        candidates = np.concatenate(index_parts)
-        distances = popcount(np.concatenate(value_parts) ^ hashes[i])
-        out.append(np.unique(candidates[distances <= radius]))
-    return out
+    row, col = _join_pairs(queries, corpus, int(radius), self_join)
+    return _split_rows(np.bincount(row, minlength=queries.size), col)

@@ -1,12 +1,16 @@
-"""Chunked pairwise Hamming computation and radius neighbourhoods (Step 2).
+"""Dense pairwise Hamming distances and radius neighbourhoods (Step 2).
 
 The paper performed all-pairs comparisons of millions of pHashes on a
 TensorFlow multi-GPU rig.  This module provides the same contract at
-laptop scale: chunked numpy broadcasting for dense matrices and
-index-accelerated radius neighbourhoods (the only thing DBSCAN actually
-needs) via :class:`repro.hashing.index.MultiIndexHash`.  Both paths
-shard across workers when a :class:`repro.utils.parallel.ParallelConfig`
-asks for it, with output identical to the serial computation.
+laptop scale: chunked numpy broadcasting for dense matrices, and radius
+neighbourhoods (the only thing DBSCAN actually needs) from the batched
+join :func:`repro.hashing.index.radius_join`.  The cold self-join
+(:func:`radius_neighbors`, sharded across workers when a
+:class:`repro.utils.parallel.ParallelConfig` asks for it, with output
+identical to the serial computation), the incremental patch
+(:func:`extend_radius_neighbors`, :func:`patch_radius_neighbors`,
+:func:`merge_radius_neighbors`) and stream ingest all run that one
+kernel.
 
 :func:`nearest_medoid` is Step 6's θ-match: the one kernel behind
 batch association and the serving monitor.
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hashing.index import MultiIndexHash, mih_neighbors_shard
-from repro.utils import compiled
+from repro.hashing.index import _dense_pairs, _join_pairs, _split_rows
 from repro.utils.bitops import hamming_distance_matrix, popcount
 from repro.utils.parallel import (
     Executor,
@@ -34,6 +37,7 @@ from repro.utils.shm import resolve_array, shared_inputs
 
 __all__ = [
     "PairwiseResult",
+    "extend_radius_neighbors",
     "merge_radius_neighbors",
     "nearest_medoid",
     "pairwise_distances",
@@ -124,24 +128,36 @@ def nearest_medoid(
     return position, distance
 
 
-def _brute_neighbors_shard(
-    hashes: np.ndarray, start: int, stop: int, radius: int
-) -> list[np.ndarray]:
-    """Brute-force neighbour lists for the query range ``start:stop``.
+def _neighbors_shard(
+    hashes: np.ndarray, start: int, stop: int, radius: int, dense: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour rows of the query range ``start:stop`` against all hashes.
 
     Module-level so process workers can receive pickled shards (or shm
-    descriptors, which resolve to read-only views here).
+    descriptors, which resolve to read-only views here).  Returns the
+    rows flat, as ``(row lengths, concatenated rows)``: two arrays
+    pickle back from a worker far cheaper than one array per row.
+    ``dense`` forces the blocked dense scan (``method="brute"``);
+    otherwise the join picks its plan for the range.
     """
     hashes = resolve_array(hashes, np.uint64)
-    matrix = hamming_distance_matrix(
-        hashes[start:stop], hashes, parallel=ParallelConfig()
+    whole = start == 0 and stop == hashes.size
+    queries = hashes if whole else hashes[start:stop]
+    if dense:
+        row, col = _dense_pairs(queries, hashes, radius)
+    else:
+        row, col = _join_pairs(queries, hashes, radius, self_join=whole)
+    return np.bincount(row, minlength=queries.size), col
+
+
+def _merge_neighbor_parts(
+    parts: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reassemble flat query-range outputs in range order."""
+    return (
+        np.concatenate([lengths for lengths, _ in parts]),
+        np.concatenate([col for _, col in parts]),
     )
-    return [np.flatnonzero(row <= radius) for row in matrix]
-
-
-def _merge_neighbor_lists(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Reassemble bisected query-range outputs: list concatenation."""
-    return [row for part in parts for row in part]
 
 
 def radius_neighbors(
@@ -161,10 +177,11 @@ def radius_neighbors(
     radius:
         Maximum Hamming distance (inclusive).
     method:
-        ``"brute"`` computes the dense matrix; ``"mih"`` uses multi-index
-        hashing; ``"auto"`` picks by collection size.
+        ``"brute"`` scans every pair; ``"mih"`` runs the self-join
+        :func:`repro.hashing.index.radius_join`; ``"auto"`` picks by
+        collection size.
     brute_force_limit:
-        ``auto`` switches to MIH above this many hashes.
+        ``auto`` switches to the join above this many hashes.
     parallel:
         Optional :class:`repro.utils.parallel.ParallelConfig`.  Queries
         are sharded over contiguous ranges and reassembled in range
@@ -187,36 +204,69 @@ def radius_neighbors(
         method = "brute" if hashes.size <= brute_force_limit else "mih"
     if hashes.size == 0:
         return []
-    kernel = compiled.kernel_variant(f"radius_neighbors_{method}")
+    dense = method == "brute"
+    kernel = f"radius_neighbors_{method}"
     parallel = resolve_parallel(parallel).dispatched(kernel, int(hashes.size))
     if parallel.is_serial or hashes.size < parallel.workers * 2:
         with kernel_timer(parallel, kernel, int(hashes.size), backend="serial"):
-            if method == "brute":
-                matrix = hamming_distance_matrix(
-                    hashes, parallel=ParallelConfig()
-                )
-                return [np.flatnonzero(row <= radius) for row in matrix]
-            # The batched shard kernel over the full range: identical
-            # output to per-query MultiIndexHash lookups, several times
-            # faster (amortised byte-group gathering + candidate cache).
-            return mih_neighbors_shard(hashes, 0, int(hashes.size), radius)
-    shard_fn = _brute_neighbors_shard if method == "brute" else mih_neighbors_shard
+            return _split_rows(
+                *_neighbors_shard(hashes, 0, int(hashes.size), radius, dense)
+            )
     with kernel_timer(parallel, kernel, int(hashes.size)):
         # shm transport: the hash corpus is published once and every
         # shard ships a descriptor + query range instead of a pickled
         # copy of the whole array per task.
         with shared_inputs(parallel, hashes) as (hashes_src,):
             sup = Executor(parallel).supervised_starmap(
-                shard_fn,
+                _neighbors_shard,
                 [
-                    (hashes_src, start, stop, radius)
+                    (hashes_src, start, stop, radius, dense)
                     for start, stop in shard_bounds(hashes.size, parallel)
                 ],
                 policy=strict_supervision(parallel),
                 split=range_splitter(1, 2),
-                merge=_merge_neighbor_lists,
+                merge=_merge_neighbor_parts,
             )
-            return [row for shard in sup.results for row in shard]
+            return _split_rows(*_merge_neighbor_parts(sup.results))
+
+
+def extend_radius_neighbors(
+    rows: list[np.ndarray],
+    prev_hashes: np.ndarray,
+    new_hashes: np.ndarray,
+    radius: int,
+) -> None:
+    """Extend ``rows`` over ``prev_hashes`` in place to rows over
+    ``concat(prev_hashes, new_hashes)``.
+
+    The new rows are one :func:`repro.hashing.index.radius_join` of the
+    new hashes against the concatenation; an old row gains the
+    transposed pairs, the new indices within ``radius`` in ascending
+    order past ``len(prev_hashes)``, so rows stay sorted and
+    duplicate-free.  Old rows no new hash reaches are left untouched:
+    work is O(new · lookup + corpus), not a recompute.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    prev = np.ascontiguousarray(prev_hashes, dtype=np.uint64).reshape(-1)
+    new = np.ascontiguousarray(new_hashes, dtype=np.uint64).reshape(-1)
+    if len(rows) != prev.size:
+        raise ValueError(
+            f"got {len(rows)} neighbour rows for {prev.size} hashes"
+        )
+    if new.size == 0:
+        return
+    n_prev = int(prev.size)
+    row, col = _join_pairs(new, np.concatenate([prev, new]), int(radius))
+    old = col < n_prev
+    reached, gained = col[old], row[old] + n_prev
+    order = np.argsort(reached, kind="stable")
+    reached, gained = reached[order], gained[order]
+    touched, first = np.unique(reached, return_index=True)
+    edges = first.tolist() + [int(gained.size)]
+    for i, lo, hi in zip(touched.tolist(), edges[:-1], edges[1:]):
+        rows[i] = np.concatenate([rows[i], gained[lo:hi]])
+    rows.extend(_split_rows(np.bincount(row, minlength=new.size), col))
 
 
 def patch_radius_neighbors(
@@ -229,46 +279,14 @@ def patch_radius_neighbors(
 
     Given the neighbour lists previously computed over ``prev_hashes``,
     produces the lists a cold :func:`radius_neighbors` call over the
-    concatenated array would return — by indexing only the *new* hashes
-    (incremental :meth:`~repro.hashing.index.MultiIndexHash.add`) and
-    patching each affected old list in place of an all-pairs recompute.
-    Work is O(new · lookup) instead of O(total · lookup): the delta
-    path behind incremental clustering.
-
-    Bit-identity: every new hash's row comes from the same MIH query
-    the cold path runs; an old row gains exactly the new indices within
-    ``radius``, appended in ascending order past ``len(prev_hashes)``,
-    so rows stay sorted and duplicate-free.
+    concatenated array would return, joining only the *new* hashes
+    (:func:`extend_radius_neighbors` on an ``int64`` copy of the rows)
+    in place of an all-pairs recompute: the delta path behind
+    incremental clustering.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    prev = np.ascontiguousarray(prev_hashes, dtype=np.uint64).reshape(-1)
-    new = np.ascontiguousarray(new_hashes, dtype=np.uint64).reshape(-1)
-    if len(prev_neighbors) != prev.size:
-        raise ValueError(
-            f"prev_neighbors has {len(prev_neighbors)} rows for "
-            f"{prev.size} hashes"
-        )
-    n_prev = int(prev.size)
-    if new.size == 0:
-        return [np.asarray(row, dtype=np.int64) for row in prev_neighbors]
-    index = MultiIndexHash(prev)
-    index.add(new)
-    additions: dict[int, list[int]] = {}
-    new_rows: list[np.ndarray] = []
-    for j in range(new.size):
-        row = index.query_indices(int(new[j]), radius)
-        new_rows.append(row)
-        for i in row[row < n_prev].tolist():
-            additions.setdefault(i, []).append(n_prev + j)
-    patched: list[np.ndarray] = []
-    for i in range(n_prev):
-        row = np.asarray(prev_neighbors[i], dtype=np.int64)
-        extra = additions.get(i)
-        if extra:
-            row = np.concatenate([row, np.asarray(extra, dtype=np.int64)])
-        patched.append(row)
-    return patched + new_rows
+    rows = [np.asarray(row, dtype=np.int64) for row in prev_neighbors]
+    extend_radius_neighbors(rows, prev_hashes, new_hashes, radius)
+    return rows
 
 
 def merge_radius_neighbors(
@@ -286,28 +304,43 @@ def merge_radius_neighbors(
     output with the overlap removed).  Returns ``(combined, lists)``
     where ``combined`` equals ``np.unique(concat(prev, added))`` and
     ``lists`` is bit-identical to a cold
-    ``radius_neighbors(combined, radius)``.
+    ``radius_neighbors(combined, radius)``: the old pairs, the join of
+    the added hashes and its transpose, ranked into the merged order
+    and sorted once.
     """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     prev = np.ascontiguousarray(prev_unique, dtype=np.uint64).reshape(-1)
     added = np.ascontiguousarray(added_unique, dtype=np.uint64).reshape(-1)
+    if len(prev_neighbors) != prev.size:
+        raise ValueError(
+            f"prev_neighbors has {len(prev_neighbors)} rows for "
+            f"{prev.size} hashes"
+        )
     if prev.size > 1 and not np.all(prev[1:] > prev[:-1]):
         raise ValueError("prev_unique must be strictly increasing")
     if added.size > 1 and not np.all(added[1:] > added[:-1]):
         raise ValueError("added_unique must be strictly increasing")
     if added.size and prev.size and np.any(np.isin(added, prev)):
         raise ValueError("added_unique overlaps prev_unique")
-    appended = patch_radius_neighbors(prev, prev_neighbors, added, radius)
-    combined_append = np.concatenate([prev, added])
-    order = np.argsort(combined_append, kind="stable").astype(np.int64)
+    n_prev = int(prev.size)
+    appended = np.concatenate([prev, added])
+    row, col = _join_pairs(added, appended, int(radius))
+    old = col < n_prev
+    lengths = np.fromiter(
+        (len(r) for r in prev_neighbors), dtype=np.int64, count=n_prev
+    )
+    rows_all = np.concatenate(
+        [np.repeat(np.arange(n_prev), lengths), row + n_prev, col[old]]
+    )
+    cols_all = np.concatenate([*prev_neighbors, col, row[old] + n_prev])
+    order = np.argsort(appended, kind="stable")
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size, dtype=np.int64)
-    combined = combined_append[order]
-    merged: list[np.ndarray] = [
-        np.empty(0, dtype=np.int64) for _ in range(order.size)
-    ]
-    for append_pos, row in enumerate(appended):
-        merged[rank[append_pos]] = np.sort(rank[row])
-    return combined, merged
+    n = int(appended.size)
+    pair = np.sort(rank[rows_all] * n + rank[cols_all])
+    lengths = np.bincount(pair // n, minlength=n)
+    return appended[order], _split_rows(lengths, pair % n)
 
 
 def unique_hashes(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

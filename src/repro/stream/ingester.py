@@ -3,11 +3,10 @@
 :class:`StreamIngester` consumes an unbounded post stream (a
 :class:`repro.stream.EventSource` cursor) and maintains the pipeline's
 index/cluster/association state online, on top of the incremental
-primitives the batch runner already trusts (persistent per-community
-:class:`~repro.hashing.index.MultiIndexHash` neighbourhood maintenance
-— the same delta queries as
-:func:`repro.hashing.pairwise.patch_radius_neighbors`, kept in append
-order so per-batch work is O(new), with the sorted
+primitives the batch runner already trusts (per-community neighbourhood
+rows extended by :func:`repro.hashing.pairwise.extend_radius_neighbors`
+— one batched join of each batch's new hashes, kept in append order so
+rows no new hash reaches are never touched, with the sorted
 :func:`~repro.hashing.pairwise.radius_neighbors` form re-derived by one
 vectorised remap at compaction — suffix-only association, deterministic
 DBSCAN re-derivation).
@@ -70,7 +69,7 @@ from repro.core.results import (
     PipelineResult,
 )
 from repro.core.runner import build_occurrence_table
-from repro.hashing.index import MultiIndexHash
+from repro.hashing.pairwise import extend_radius_neighbors
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.model import EventSequence
 from repro.service.admission import AdmissionQueue
@@ -296,10 +295,10 @@ class StreamIngester:
         self._phash_all = np.empty(0, dtype=np.uint64)
         self._ts_all = np.empty(0, dtype=np.float64)
         # Per-community neighbourhood state in *append* (first-seen)
-        # order: a persistent MultiIndexHash answers delta queries per
-        # batch in O(new), exactly patch_radius_neighbors' contract; the
-        # sorted radius_neighbors form the clustering needs is
-        # re-derived by one vectorised remap in _sorted_view().
+        # order, extended per batch by extend_radius_neighbors (the
+        # patch_radius_neighbors contract, in place); the sorted
+        # radius_neighbors form the clustering needs is re-derived by
+        # one vectorised remap in _sorted_view().
         self._nbr_hashes: dict[str, np.ndarray] = {
             c: np.empty(0, dtype=np.uint64) for c in FRINGE_COMMUNITIES
         }
@@ -308,10 +307,6 @@ class StreamIngester:
         }
         self._nbr_rows: dict[str, list[np.ndarray]] = {
             c: [] for c in FRINGE_COMMUNITIES
-        }
-        self._nbr_index: dict[str, MultiIndexHash] = {
-            c: MultiIndexHash(np.empty(0, dtype=np.uint64))
-            for c in FRINGE_COMMUNITIES
         }
         self._nbr_pos: dict[str, dict[int, int]] = {
             c: {} for c in FRINGE_COMMUNITIES
@@ -435,7 +430,6 @@ class StreamIngester:
                 if lengths.size
                 else []
             )
-            self._nbr_index[community] = MultiIndexHash(hashes)
             self._nbr_pos[community] = {
                 int(value): position
                 for position, value in enumerate(hashes)
@@ -594,12 +588,11 @@ class StreamIngester:
     def _apply_batch(self, batch: list, seq: int) -> None:
         """Apply one durable batch to the online state.
 
-        Per fringe community: index the batch's new unique hashes into
-        the persistent :class:`MultiIndexHash` and extend the
-        append-order neighbourhood rows with the same delta queries as
-        :func:`repro.hashing.pairwise.patch_radius_neighbors` (so the
+        Per fringe community: extend the append-order neighbourhood rows
+        by the batch's new unique hashes with
+        :func:`repro.hashing.pairwise.extend_radius_neighbors` (so the
         pair set stays bit-identical to a cold recompute), then bump
-        multiplicities.  Per-batch work is O(new hashes), not O(corpus).
+        multiplicities.  Only rows a new hash reaches are touched.
         All posts get suffix association against the frozen medoid set
         from the last compaction.
         """
@@ -621,20 +614,13 @@ class StreamIngester:
             )
             added = unique[~known]
             if added.size:
-                index = self._nbr_index[community]
-                rows = self._nbr_rows[community]
                 n_prev = self._nbr_hashes[community].size
-                index.add(added)
-                additions: dict[int, list[int]] = {}
-                for j in range(added.size):
-                    row = index.query_indices(int(added[j]), eps)
-                    rows.append(row)
-                    for i in row[row < n_prev].tolist():
-                        additions.setdefault(i, []).append(n_prev + j)
-                for i, extra in additions.items():
-                    rows[i] = np.concatenate(
-                        [rows[i], np.asarray(extra, dtype=np.int64)]
-                    )
+                extend_radius_neighbors(
+                    self._nbr_rows[community],
+                    self._nbr_hashes[community],
+                    added,
+                    eps,
+                )
                 for j, value in enumerate(added):
                     positions[int(value)] = n_prev + j
                 self._nbr_hashes[community] = np.concatenate(

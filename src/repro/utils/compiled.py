@@ -1,11 +1,8 @@
-"""Optional compiled tier for the popcount-heavy inner loops.
+"""Optional compiled tier for the dense Hamming matrix.
 
-The two hottest kernels — the batched MIH self-join
-(:func:`repro.hashing.index.mih_neighbors_shard`) and the dense Hamming
-matrix (:func:`repro.utils.bitops._matrix_rows`) — spend most of their
-time in per-query Python overhead and broadcast temporaries that a
-30-line native loop eliminates.  This module provides that loop behind
-a strict contract:
+The dense Hamming matrix (:func:`repro.utils.bitops._matrix_rows`)
+spends its time in broadcast temporaries that a short native loop
+eliminates.  This module provides that loop behind a strict contract:
 
 * **Env-gated.**  ``REPRO_COMPILED`` selects the tier: unset/``0``
   keeps the pure-numpy kernels (the default — importing this module
@@ -52,7 +49,6 @@ __all__ = [
     "enabled",
     "hamming_matrix",
     "kernel_variant",
-    "mih_query_batch",
     "refresh",
     "tier",
 ]
@@ -63,9 +59,6 @@ _OFF_VALUES = ("", "0", "off", "false", "no")
 _AUTO_VALUES = ("1", "on", "true", "yes", "auto")
 
 _C_SOURCE = r"""
-#include <stdlib.h>
-#include <string.h>
-
 /* Dense Hamming distances: out[i*nb + j] = popcount(a[i] ^ b[j]). */
 void hamming_matrix(
     const unsigned long long *a, long long na,
@@ -79,110 +72,11 @@ void hamming_matrix(
             row[j] = (long long)__builtin_popcountll(ai ^ b[j]);
     }
 }
-
-static int cmp_ll(const void *pa, const void *pb)
-{
-    const long long a = *(const long long *)pa;
-    const long long b = *(const long long *)pb;
-    return (a > b) - (a < b);
-}
-
-/* Ascending in-place sort; insertion sort for the short rows that
- * dominate (cluster-sized neighbourhoods), qsort past that. */
-static void sort_ll(long long *values, long long count)
-{
-    if (count <= 32) {
-        for (long long i = 1; i < count; i++) {
-            const long long v = values[i];
-            long long j = i - 1;
-            while (j >= 0 && values[j] > v) {
-                values[j + 1] = values[j];
-                j--;
-            }
-            values[j + 1] = v;
-        }
-        return;
-    }
-    qsort(values, (size_t)count, sizeof(long long), cmp_ll);
-}
-
-/* Batched MIH self-join for queries [qstart, qstop): pigeonhole
- * candidate gathering over per-chunk byte groups, popcount
- * verification inline at each visit, then sort + adjacent-unique over
- * the (small) match set — the exact numpy kernel semantics (np.unique
- * of surviving candidates) without the per-query Python loop.
- * Verifying at the visit beats a seen-byte dedup map: candidate
- * visits dominate the run, and the map costs a second random access
- * per visit to save popcounts on the rare revisit (a member is
- * revisited only once per extra chunk its byte falls in the ball of,
- * at most 8 times, and nearly always verifies to a match anyway).
- *
- * orders:  8*n   — per chunk, positions sorted by that chunk's byte
- * lefts:   8*256 — per chunk, group start per byte value
- * rights:  8*256 — per chunk, group stop per byte value
- * ball_bytes/ball_starts — probe ball per byte value (257 offsets)
- * cand:    8*n scratch (a match can be visited once per chunk)
- * out/cap: flat result buffer; counts[q - qstart] = row length
- *
- * Returns the first unprocessed query index (== qstop when done): a
- * query whose row would overflow `out` is left for the caller to
- * retry with a larger buffer.  *out_len is the number of values
- * written. */
-long long mih_query_batch(
-    const unsigned long long *hashes, long long n,
-    const long long *orders,
-    const long long *lefts,
-    const long long *rights,
-    const unsigned char *ball_bytes,
-    const long long *ball_starts,
-    long long qstart, long long qstop,
-    long long radius,
-    long long *cand,
-    long long *out, long long cap,
-    long long *counts,
-    long long *out_len)
-{
-    long long written = 0;
-    for (long long q = qstart; q < qstop; q++) {
-        const unsigned long long hq = hashes[q];
-        long long nmatch = 0;
-        for (int c = 0; c < 8; c++) {
-            const unsigned char byte = (unsigned char)(hq >> (8 * c));
-            const long long *order = orders + (long long)c * n;
-            const long long *left = lefts + c * 256;
-            const long long *right = rights + c * 256;
-            for (long long p = ball_starts[byte];
-                 p < ball_starts[byte + 1]; p++) {
-                const unsigned char probe = ball_bytes[p];
-                for (long long k = left[probe]; k < right[probe]; k++) {
-                    const long long pos = order[k];
-                    if (__builtin_popcountll(hq ^ hashes[pos]) <= radius)
-                        cand[nmatch++] = pos;
-                }
-            }
-        }
-        sort_ll(cand, nmatch);
-        long long count = 0;
-        for (long long j = 0; j < nmatch; j++)
-            if (j == 0 || cand[j] != cand[j - 1])
-                cand[count++] = cand[j];
-        if (written + count > cap) {
-            *out_len = written;
-            return q;
-        }
-        memcpy(out + written, cand, (size_t)count * sizeof(long long));
-        written += count;
-        counts[q - qstart] = count;
-    }
-    *out_len = written;
-    return qstop;
-}
 """
 
 _LL = ctypes.c_longlong
 _LL_P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _U64_P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
-_U8_P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 _lock = threading.Lock()
 _resolved: dict | None = None
@@ -207,7 +101,7 @@ def _find_compiler() -> str | None:
 # -march=native matters here, not just -O3: without it the compiler
 # targets the baseline ISA, where __builtin_popcountll expands to a
 # multi-instruction bit-twiddling sequence instead of the single POPCNT
-# the popcount-per-visit inner loops are designed around.  Hosts whose
+# the popcount inner loop is designed around.  Hosts whose
 # compiler rejects the flag (rare cross toolchains) fall back to plain
 # -O3 — slower, still correct.
 _CC_FLAGS = ("-O3", "-march=native")
@@ -257,27 +151,11 @@ def _load_cc_library() -> ctypes.CDLL | None:
         return None
     lib.hamming_matrix.restype = None
     lib.hamming_matrix.argtypes = [_U64_P, _LL, _U64_P, _LL, _LL_P]
-    lib.mih_query_batch.restype = _LL
-    lib.mih_query_batch.argtypes = [
-        _U64_P, _LL,                      # hashes, n
-        _LL_P, _LL_P, _LL_P,              # orders, lefts, rights
-        _U8_P, _LL_P,                     # ball_bytes, ball_starts
-        _LL, _LL, _LL,                    # qstart, qstop, radius
-        _LL_P,                            # cand scratch
-        _LL_P, _LL,                       # out, cap
-        _LL_P,                            # counts
-        ctypes.POINTER(_LL),              # out_len
-    ]
     return lib
 
 
 def _load_numba_kernels() -> dict | None:  # pragma: no cover - needs numba
-    """JIT the Hamming matrix with numba when it is already installed.
-
-    The MIH batch stays on the ``cc``/numpy path under this tier — its
-    irregular gather/dedup loop gains little from nopython mode and a
-    lot from the C version, so numba covers only the dense kernel.
-    """
+    """JIT the Hamming matrix with numba when it is already installed."""
     try:
         import numba
     except ImportError:
@@ -384,85 +262,3 @@ def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     state["lib"].hamming_matrix(a, a.size, b, b.size, out.reshape(-1))
     return out
 
-
-def mih_query_batch(
-    hashes: np.ndarray,
-    start: int,
-    stop: int,
-    radius: int,
-    balls: list[np.ndarray],
-) -> list[np.ndarray] | None:
-    """Compiled MIH self-join rows, or ``None`` for the numpy path.
-
-    ``balls[v]`` is the probe ball for byte value ``v`` (the
-    ``_bytes_within`` table the numpy kernel already builds — passed in
-    rather than imported to keep this module free of hashing imports).
-    Output is exactly the numpy kernel's: one sorted duplicate-free
-    ``int64`` position array per query in ``range(start, stop)``.
-    """
-    state = _resolve()
-    lib = state["lib"]
-    if lib is None:  # numpy tier, or numba (which has no MIH kernel)
-        return None
-    hashes = np.ascontiguousarray(hashes, dtype=np.uint64).reshape(-1)
-    n = int(hashes.size)
-    start, stop = int(start), int(stop)
-    n_queries = max(0, stop - start)
-    if n_queries == 0:
-        return []
-    # Per-chunk byte groups, identical to the numpy kernel's argsort +
-    # searchsorted tables.  Bytes come from shifts, which equal the
-    # little-endian view the numpy kernel uses on every platform this
-    # library targets (and match the C kernel's shifts on all of them).
-    orders = np.empty((8, n), dtype=np.int64)
-    lefts = np.empty((8, 256), dtype=np.int64)
-    rights = np.empty((8, 256), dtype=np.int64)
-    all_bytes = np.arange(256)
-    for c in range(8):
-        chunk = ((hashes >> np.uint64(8 * c)) & np.uint64(0xFF)).astype(
-            np.uint8
-        )
-        order = np.argsort(chunk, kind="stable").astype(np.int64)
-        orders[c] = order
-        sorted_bytes = chunk[order]
-        lefts[c] = np.searchsorted(sorted_bytes, all_bytes, side="left")
-        rights[c] = np.searchsorted(sorted_bytes, all_bytes, side="right")
-    ball_starts = np.zeros(257, dtype=np.int64)
-    ball_starts[1:] = np.cumsum([len(ball) for ball in balls])
-    ball_bytes = (
-        np.concatenate([np.asarray(ball, dtype=np.uint8) for ball in balls])
-        if int(ball_starts[-1])
-        else np.zeros(1, dtype=np.uint8)
-    )
-    # A position can be visited once per chunk whose byte lands in the
-    # probe ball, so the per-query match scratch needs 8n at worst.
-    cand = np.empty(8 * n, dtype=np.int64)
-    counts = np.empty(n_queries, dtype=np.int64)
-    # cap >= n guarantees progress: one query emits at most n positions.
-    cap = max(8 * n_queries + 1024, n)
-    flat_parts: list[np.ndarray] = []
-    cursor = start
-    while cursor < stop:
-        out = np.empty(cap, dtype=np.int64)
-        out_len = _LL(0)
-        done = int(
-            lib.mih_query_batch(
-                hashes, n,
-                orders.reshape(-1), lefts.reshape(-1), rights.reshape(-1),
-                ball_bytes, ball_starts,
-                cursor, stop, int(radius),
-                cand,
-                out, cap,
-                counts[cursor - start :],
-                ctypes.byref(out_len),
-            )
-        )
-        flat_parts.append(out[: out_len.value])
-        cursor = done
-        cap *= 2
-    flat = (
-        flat_parts[0] if len(flat_parts) == 1 else np.concatenate(flat_parts)
-    )
-    offsets = np.zeros(n_queries + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return [flat[offsets[i] : offsets[i + 1]] for i in range(n_queries)]

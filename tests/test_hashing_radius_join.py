@@ -1,0 +1,244 @@
+"""Differential suite: every radius-neighbour path against one dense reference.
+
+The reference is a pure-Python popcount scan over every pair.  The
+inputs are adversarial for multi-index hashing: pairs at exactly the
+radius and one past it whose flipped bits straddle a chunk boundary of
+every chunk layout the join can choose, the hashes 0 and 2**64 - 1,
+heavy duplicates, empty and singleton sets, and a dense ball where
+every hash is within the radius of every other.  The join's plan is
+steered through its cost constants, so each radius runs the dense scan,
+the probe plan with the fewest probes and the one with the fewest
+candidates, with the pair budget at its default and at one pair (every
+query its own block).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.hashing import index
+from repro.hashing.index import _chunk_layout, radius_join
+from repro.hashing.pairwise import (
+    extend_radius_neighbors,
+    merge_radius_neighbors,
+    patch_radius_neighbors,
+    radius_neighbors,
+)
+
+RADII = [*range(13), 63, 64]
+ALL_ONES = (1 << 64) - 1
+
+
+def reference_rows(queries, corpus, radius):
+    corpus_ints = [int(value) for value in corpus]
+    return [
+        np.array(
+            [
+                j
+                for j, value in enumerate(corpus_ints)
+                if bin(int(query) ^ value).count("1") <= radius
+            ],
+            dtype=np.int64,
+        )
+        for query in queries
+    ]
+
+
+def chunk_cuts():
+    """Bit positions where some chunk layout of the join starts a chunk."""
+    return sorted(
+        {
+            shift
+            for n_chunks in range(index._MIN_CHUNKS, index._MAX_CHUNKS + 1)
+            for shift, _ in _chunk_layout(n_chunks)[1:]
+        }
+    )
+
+
+def boundary_hashes(radius, seed=0):
+    """Bases with partners at exactly ``radius`` and ``radius + 1`` bits.
+
+    Each partner's flipped bits are one contiguous window across a
+    chunk cut: centred on it, and with a single bit past it.
+    """
+    rng = np.random.default_rng(seed + radius)
+    out = []
+    for cut in chunk_cuts():
+        base = int(rng.integers(0, 2**64, dtype=np.uint64))
+        out.append(base)
+        for distance in (radius, radius + 1):
+            if not 0 < distance <= 64:
+                continue
+            for low in (cut - distance // 2, cut - distance + 1):
+                low = max(0, min(64 - distance, low))
+                out.append(base ^ (((1 << distance) - 1) << low))
+    return np.array(out, dtype=np.uint64)
+
+
+def extreme_hashes():
+    values = [
+        0,
+        ALL_ONES,
+        1,
+        1 << 63,
+        ALL_ONES ^ 1,
+        ALL_ONES ^ (1 << 63),
+        0x5555555555555555,
+        0xAAAAAAAAAAAAAAAA,
+        0x00000000FFFFFFFF,
+        0xFFFFFFFF00000000,
+    ]
+    return np.array(values, dtype=np.uint64)
+
+
+def dense_ball(radius, size=40, seed=1):
+    """Hashes within ``radius // 2`` bits of one base, so every pair is
+    within ``radius``."""
+    rng = np.random.default_rng(seed + radius)
+    base = int(rng.integers(0, 2**64, dtype=np.uint64))
+    out = []
+    for _ in range(size):
+        flips = int(rng.integers(0, radius // 2 + 1))
+        bits = rng.choice(64, size=flips, replace=False)
+        out.append(base ^ sum(1 << int(bit) for bit in bits))
+    return np.array(out, dtype=np.uint64)
+
+
+def cases(radius):
+    boundary = boundary_hashes(radius)
+    extremes = extreme_hashes()
+    duplicated = np.concatenate([boundary[:12], boundary[:12], extremes[:3]])
+    return {
+        "boundary": boundary,
+        "extremes": extremes,
+        "duplicates": duplicated,
+        "empty": np.empty(0, dtype=np.uint64),
+        "singleton": np.array([ALL_ONES], dtype=np.uint64),
+        "dense-ball": dense_ball(radius),
+        "mixed": np.concatenate([boundary, extremes, duplicated]),
+    }
+
+
+# Cost-constant overrides that force each plan family.
+MODES = {
+    "auto": {},
+    "dense": {"_NS_PLAN": float("inf")},
+    "fewest-probes": {"_NS_DENSE": float("inf"), "_NS_CANDIDATE": 0.0},
+    "fewest-candidates": {
+        "_NS_DENSE": float("inf"),
+        "_NS_PROBE": 0.0,
+        "_NS_BUCKET": 0.0,
+    },
+    "dense-budget-1": {"_NS_PLAN": float("inf"), "_PAIR_BUDGET": 1},
+    "probes-budget-1": {"_NS_DENSE": float("inf"), "_PAIR_BUDGET": 1},
+}
+
+
+@pytest.fixture(params=sorted(MODES))
+def mode(request, monkeypatch):
+    for name, value in MODES[request.param].items():
+        monkeypatch.setattr(index, name, value)
+    return request.param
+
+
+def assert_rows_equal(got, expected, label):
+    assert len(got) == len(expected), label
+    for i, (row, ref) in enumerate(zip(got, expected)):
+        assert row.dtype == np.int64, f"{label}: row {i} dtype {row.dtype}"
+        assert np.array_equal(row, ref), f"{label}: row {i} {row} != {ref}"
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_self_join_matches_reference(radius, mode):
+    for name, hashes in cases(radius).items():
+        expected = reference_rows(hashes, hashes, radius)
+        assert_rows_equal(
+            radius_join(hashes, hashes, radius), expected, f"{name} join"
+        )
+        assert_rows_equal(
+            radius_neighbors(hashes, radius, method="mih"),
+            expected,
+            f"{name} mih",
+        )
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_cross_join_matches_rectangular_scan(radius, mode):
+    named = cases(radius)
+    pairs = [
+        (named["boundary"][::2], named["mixed"]),
+        (named["extremes"], named["dense-ball"]),
+        (named["duplicates"], named["boundary"][1::2]),
+        (named["empty"], named["mixed"]),
+        (named["mixed"], named["empty"]),
+        (named["singleton"], named["extremes"]),
+    ]
+    for queries, corpus in pairs:
+        label = f"{queries.size}x{corpus.size}"
+        assert_rows_equal(
+            radius_join(queries, corpus, radius),
+            reference_rows(queries, corpus, radius),
+            label,
+        )
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_radius_neighbors_methods_match_reference(radius):
+    hashes = cases(radius)["mixed"]
+    expected = reference_rows(hashes, hashes, radius)
+    for method in ("brute", "mih", "auto"):
+        assert_rows_equal(
+            radius_neighbors(hashes, radius, method=method), expected, method
+        )
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_patch_and_merge_match_cold(radius, mode):
+    hashes = cases(radius)["mixed"]
+    prev, new = hashes[:70], hashes[70:]
+    cold = reference_rows(hashes, hashes, radius)
+    prev_rows = reference_rows(prev, prev, radius)
+    assert_rows_equal(
+        patch_radius_neighbors(prev, prev_rows, new, radius), cold, "patch"
+    )
+    rows = list(prev_rows)
+    extend_radius_neighbors(rows, prev, new, radius)
+    assert_rows_equal(rows, cold, "extend")
+
+    unique = np.unique(hashes)
+    prev_unique = np.unique(hashes[::3])
+    added = np.setdiff1d(unique, prev_unique)
+    combined, merged = merge_radius_neighbors(
+        prev_unique,
+        reference_rows(prev_unique, prev_unique, radius),
+        added,
+        radius,
+    )
+    assert np.array_equal(combined, unique)
+    assert_rows_equal(merged, reference_rows(unique, unique, radius), "merge")
+
+
+def test_untouched_rows_are_not_rebuilt():
+    # extend_radius_neighbors only replaces the rows a new hash reaches.
+    prev = np.array([0, ALL_ONES], dtype=np.uint64)
+    rows = radius_join(prev, prev, 2)
+    far_row = rows[1]
+    extend_radius_neighbors(rows, prev, np.array([3], dtype=np.uint64), 2)
+    assert rows[1] is far_row
+    assert [row.tolist() for row in rows] == [[0, 2], [1], [0, 2]]
+
+
+def test_radius_past_64_joins_every_pair():
+    hashes = cases(0)["mixed"]
+    every = np.arange(hashes.size, dtype=np.int64)
+    for row in radius_join(hashes, hashes, 10**9):
+        assert np.array_equal(row, every)
+
+
+def test_negative_radius_rejected():
+    hashes = np.array([1], dtype=np.uint64)
+    with pytest.raises(ValueError, match="non-negative"):
+        radius_join(hashes, hashes, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        extend_radius_neighbors([np.array([0])], hashes, hashes, -1)

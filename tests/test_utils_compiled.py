@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hashing.index import _bytes_within, mih_neighbors_shard
+from repro.hashing.pairwise import _neighbors_shard
 from repro.utils import compiled
 from repro.utils.bitops import hamming_distance_matrix, popcount
 
@@ -47,9 +47,6 @@ class TestGating:
         assert not compiled.enabled()
         assert compiled.hamming_matrix(
             np.ones(2, dtype=np.uint64), np.ones(2, dtype=np.uint64)
-        ) is None
-        assert compiled.mih_query_batch(
-            np.ones(2, dtype=np.uint64), 0, 2, 2, [np.zeros(0, np.uint8)] * 256
         ) is None
 
     @pytest.mark.parametrize("value", ["0", "off", "false", "no", ""])
@@ -114,41 +111,15 @@ class TestBitIdentity:
         out = compiled.hamming_matrix(empty, self._hashes(10))
         assert out is not None and out.shape == (0, 10)
 
-    def test_mih_query_batch_identical(self, tier_env):
-        hashes = self._hashes()
-        radius = 6
-        tier_env(None)
-        expected = mih_neighbors_shard(hashes, 0, hashes.size, radius)
-        tier_env("cc")
-        balls = [_bytes_within(value, radius // 8) for value in range(256)]
-        rows = compiled.mih_query_batch(hashes, 0, hashes.size, radius, balls)
-        assert rows is not None
-        assert len(rows) == len(expected)
-        for fast, slow in zip(rows, expected):
-            assert fast.dtype == slow.dtype
-            assert np.array_equal(fast, slow)
-
-    def test_mih_query_batch_partial_range(self, tier_env):
-        hashes = self._hashes(600)
-        radius = 4
-        tier_env(None)
-        expected = mih_neighbors_shard(hashes, 50, 220, radius)
-        tier_env("cc")
-        balls = [_bytes_within(value, radius // 8) for value in range(256)]
-        rows = compiled.mih_query_batch(hashes, 50, 220, radius, balls)
-        assert rows is not None
-        assert all(
-            np.array_equal(fast, slow) for fast, slow in zip(rows, expected)
-        )
-
     def test_mih_shard_kernel_routes_through_tier(self, tier_env):
-        # The public kernel itself — not just the private batch entry —
-        # must give the same rows with the tier on and off.
+        # The radius-neighbour shard kernel, on its join path, must give
+        # the same rows with the tier on and off.
         hashes = self._hashes(800)
         tier_env(None)
-        slow = mih_neighbors_shard(hashes, 0, hashes.size, 6)
+        slow = _neighbors_shard(hashes, 0, hashes.size, 6, False)
         tier_env("cc")
-        fast = mih_neighbors_shard(hashes, 0, hashes.size, 6)
+        fast = _neighbors_shard(hashes, 0, hashes.size, 6, False)
+        assert fast[0].size == hashes.size
         assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
 
     def test_hamming_distance_matrix_routes_through_tier(self, tier_env):
@@ -158,14 +129,3 @@ class TestBitIdentity:
         tier_env("cc")
         fast = hamming_distance_matrix(a)
         assert np.array_equal(fast, slow)
-
-    def test_resume_after_buffer_overflow(self, tier_env):
-        # Radius 64 matches everything: n^2 outputs dwarf the initial
-        # buffer, forcing the resumable-return path to take over.
-        tier_env("cc")
-        hashes = self._hashes(96)
-        balls = [_bytes_within(value, 64 // 8) for value in range(256)]
-        rows = compiled.mih_query_batch(hashes, 0, hashes.size, 64, balls)
-        assert rows is not None
-        full = np.arange(hashes.size, dtype=np.int64)
-        assert all(np.array_equal(row, full) for row in rows)
