@@ -11,11 +11,13 @@ plus their border points; everything else is noise, labelled ``-1``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from repro.hashing.index import NeighborGraph
 from repro.hashing.pairwise import radius_neighbors
 from repro.utils.parallel import ParallelConfig
 
@@ -31,8 +33,8 @@ class DBSCANResult:
     Attributes
     ----------
     labels:
-        ``int64`` array; cluster ids are ``0..n_clusters-1`` in discovery
-        order, noise is :data:`NOISE` (-1).
+        ``int64`` array; cluster ids are ``0..n_clusters-1`` in order of
+        each cluster's smallest core index, noise is :data:`NOISE` (-1).
     core_mask:
         Boolean array marking core points.
     """
@@ -54,7 +56,7 @@ class DBSCANResult:
 
 
 def dbscan_from_neighbors(
-    neighbors: list[np.ndarray],
+    neighbors: NeighborGraph | list[np.ndarray],
     min_samples: int = 5,
     *,
     counts: np.ndarray | None = None,
@@ -64,9 +66,12 @@ def dbscan_from_neighbors(
     Parameters
     ----------
     neighbors:
-        ``neighbors[i]`` lists the indices within eps of point ``i``
-        (self included) — e.g. from
-        :func:`repro.hashing.pairwise.radius_neighbors`.
+        Row ``i`` lists the indices within eps of point ``i`` (self
+        included): the :class:`repro.hashing.index.NeighborGraph` of
+        :func:`repro.hashing.pairwise.radius_neighbors`, or a list of
+        index arrays.  A list must be symmetric, as every radius
+        neighbourhood is, or ``ValueError`` is raised; a graph is
+        trusted.
     min_samples:
         Minimum neighbourhood size (self included) for a core point.
     counts:
@@ -74,10 +79,16 @@ def dbscan_from_neighbors(
         not unique hashes; identical images sit at distance 0 and all
         count toward the density threshold.  Clustering unique hashes
         with their image counts is exactly equivalent and much cheaper.
+
+    Clusters are the components of the core–core edges, numbered by
+    their smallest core index; a border point joins the smallest
+    cluster among its core neighbours.  That is what Ester et al.'s
+    expansion from each unassigned core point in index order yields.
     """
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
-    n = len(neighbors)
+    graph = NeighborGraph.from_rows(neighbors)
+    n = len(graph)
     if counts is None:
         counts = np.ones(n, dtype=np.int64)
     else:
@@ -86,43 +97,47 @@ def dbscan_from_neighbors(
             raise ValueError("counts must align with neighbors")
         if np.any(counts < 1):
             raise ValueError("counts must be >= 1")
-    labels = np.full(n, NOISE, dtype=np.int64)
-    # Weighted neighbourhood sizes, vectorised: a per-point
-    # counts[neighbors[i]].sum() loop profiles as a top cost at 50k+
-    # unique hashes.  Prefix sums over the concatenated neighbour lists
-    # give every point's sum in one pass (and handle empty lists).
-    lengths = np.fromiter(
-        (len(row) for row in neighbors), dtype=np.int64, count=n
+    row, col = graph.owners(), graph.indices
+    if graph is not neighbors:
+        _check_symmetric(row, col, n)
+    # Weighted neighbourhood sizes from prefix sums over the flat rows
+    # (exact in int64, and empty rows need no special case).
+    prefix = np.concatenate(([0], np.cumsum(counts[col])))
+    sizes = prefix[graph.indptr[1:]] - prefix[graph.indptr[:-1]]
+    core_mask = sizes >= min_samples
+    # Components over core–core edges.  Filtering keeps the row order,
+    # so the kept edges are still CSR; on a symmetric relation the
+    # strong components are the undirected ones, and scipy finds them
+    # without building the transpose.
+    keep = core_mask[row] & core_mask[col]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row[keep], minlength=n))))
+    edges = (np.ones(int(keep.sum()), dtype=np.int8), col[keep], indptr)
+    _, component = connected_components(
+        csr_matrix(edges, shape=(n, n)), connection="strong"
     )
-    flat = (
-        np.concatenate(
-            [np.asarray(row, dtype=np.int64).reshape(-1) for row in neighbors]
-        )
-        if n
-        else np.empty(0, dtype=np.int64)
-    )
-    prefix = np.concatenate(([0], np.cumsum(counts[flat])))
-    ends = np.cumsum(lengths)
-    core_mask = (prefix[ends] - prefix[ends - lengths]) >= min_samples
-    cluster_id = 0
-    for seed in range(n):
-        if labels[seed] != NOISE or not core_mask[seed]:
-            continue
-        # Breadth-first expansion from this unassigned core point.
-        labels[seed] = cluster_id
-        queue = deque([seed])
-        while queue:
-            point = queue.popleft()
-            if not core_mask[point]:
-                continue
-            for neighbor in neighbors[point]:
-                neighbor = int(neighbor)
-                if labels[neighbor] == NOISE:
-                    labels[neighbor] = cluster_id
-                    if core_mask[neighbor]:
-                        queue.append(neighbor)
-        cluster_id += 1
+    # Number the components by their smallest core index.
+    core = np.flatnonzero(core_mask)
+    found, first = np.unique(component[core], return_index=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[found[np.argsort(first)]] = np.arange(found.size, dtype=np.int64)
+    labels = np.full(n, n, dtype=np.int64)
+    labels[core] = rank[component[core]]
+    # Border points: the smallest label among their core neighbours.
+    border = core_mask[row] & ~core_mask[col]
+    np.minimum.at(labels, col[border], labels[row[border]])
+    labels[labels == n] = NOISE
     return DBSCANResult(labels=labels, core_mask=core_mask)
+
+
+def _check_symmetric(row: np.ndarray, col: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` unless the pairs are in range and symmetric."""
+    if col.size and (col.min() < 0 or col.max() >= n):
+        raise ValueError("neighbour indices must lie in [0, len(neighbors))")
+    keys = np.unique(row * n + col)
+    transposed = (keys % n) * n + keys // n
+    found = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
+    if np.any(keys[found] != transposed):
+        raise ValueError("neighbour lists must be symmetric")
 
 
 def dbscan(
@@ -158,10 +173,6 @@ def dbscan(
     if eps < 0:
         raise ValueError("eps must be non-negative")
     hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-    if hashes.size == 0:
-        return DBSCANResult(
-            labels=np.empty(0, dtype=np.int64), core_mask=np.empty(0, dtype=bool)
-        )
     neighbors = radius_neighbors(hashes, eps, method=method, parallel=parallel)
     return dbscan_from_neighbors(neighbors, min_samples=min_samples, counts=counts)
 
@@ -187,11 +198,6 @@ def dbscan_images(
         input image to its cluster (or noise).
     """
     image_hashes = np.ascontiguousarray(image_hashes, dtype=np.uint64).reshape(-1)
-    if image_hashes.size == 0:
-        empty = DBSCANResult(
-            labels=np.empty(0, dtype=np.int64), core_mask=np.empty(0, dtype=bool)
-        )
-        return empty, image_hashes, np.empty(0, dtype=np.int64)
     unique, inverse, counts = np.unique(
         image_hashes, return_inverse=True, return_counts=True
     )

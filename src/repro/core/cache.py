@@ -53,9 +53,10 @@ __all__ = [
     "fingerprint_array",
 ]
 
-# Bump when a cached computation's semantics change: every key embeds
-# this, so old entries become unreachable instead of silently wrong.
-CODE_VERSION = "repro-cache|v2"
+# Bump when a cached computation's semantics or stored form change:
+# every key embeds this, so old entries become unreachable instead of
+# silently wrong.
+CODE_VERSION = "repro-cache|v3"
 
 _CHECKPOINT_PREFIX = "repro-cache-entry"
 

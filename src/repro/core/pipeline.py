@@ -20,14 +20,21 @@ import numpy as np
 
 from repro.annotation.kym import KYMSite
 from repro.annotation.screenshots import ScreenshotClassifier, build_screenshot_dataset
-from repro.clustering.dbscan import dbscan
+from repro.clustering.dbscan import dbscan_from_neighbors
 from repro.clustering.medoid import medoids_by_cluster
 from repro.communities.models import Post
 from repro.core.config import PipelineConfig
 from repro.core.results import CommunityClustering, PipelineResult
+from repro.hashing.index import NeighborGraph
+from repro.hashing.pairwise import radius_neighbors
 from repro.utils.rng import derive_rng
 
-__all__ = ["run_pipeline", "cluster_community", "filter_kym_screenshots"]
+__all__ = [
+    "run_pipeline",
+    "cluster_community",
+    "clustering_from_neighbors",
+    "filter_kym_screenshots",
+]
 
 
 def cluster_community(
@@ -47,25 +54,30 @@ def cluster_community(
         [post.phash for post in posts if post.community == community],
         dtype=np.uint64,
     )
-    if image_hashes.size == 0:
-        unique = np.empty(0, dtype=np.uint64)
-        counts = np.empty(0, dtype=np.int64)
-        result = dbscan(unique, eps=config.clustering_eps)
-        return CommunityClustering(
-            community=community,
-            unique_hashes=unique,
-            counts=counts,
-            result=result,
-            medoids={},
-        )
     unique, counts = np.unique(image_hashes, return_counts=True)
-    result = dbscan(
+    neighbors = radius_neighbors(
         unique,
-        eps=config.clustering_eps,
-        min_samples=config.clustering_min_samples,
+        config.clustering_eps,
         method=config.neighbor_method,
-        counts=counts,
         parallel=parallel,
+    )
+    return clustering_from_neighbors(community, unique, counts, neighbors, config)
+
+
+def clustering_from_neighbors(
+    community: str,
+    unique: np.ndarray,
+    counts: np.ndarray,
+    neighbors: NeighborGraph,
+    config: PipelineConfig,
+) -> CommunityClustering:
+    """Step 3's DBSCAN and the cluster medoids, from Step 2's graph.
+
+    The one tail of every clustering path (cold, cached and streamed),
+    so a path that reaches the same graph yields the same arrays.
+    """
+    result = dbscan_from_neighbors(
+        neighbors, min_samples=config.clustering_min_samples, counts=counts
     )
     medoid_positions = medoids_by_cluster(unique, result.labels, counts)
     medoids = {

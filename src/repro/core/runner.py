@@ -60,8 +60,7 @@ from repro.annotation.association import (
     associate_hashes,
 )
 from repro.annotation.matcher import annotate_clusters
-from repro.clustering.dbscan import dbscan, dbscan_from_neighbors
-from repro.clustering.medoid import medoids_by_cluster
+from repro.clustering.dbscan import dbscan
 from repro.core.cache import CacheStats, ContentCache, fingerprint
 from repro.core.config import PipelineConfig, RunnerPolicy
 from repro.core.faults import FaultInjector
@@ -399,7 +398,8 @@ class PipelineRunner:
 
         The cache slot is keyed by the computation's identity
         (community + eps + min_samples + method); its value carries the
-        input fingerprint plus the radius neighbourhoods — the expensive
+        input fingerprint plus the radius neighbourhoods (a
+        :class:`repro.hashing.index.NeighborGraph`) — the expensive
         part.  Three outcomes:
 
         * **full hit** — identical unique hashes and counts: reuse the
@@ -415,7 +415,7 @@ class PipelineRunner:
         exact arrays a cold :func:`repro.core.pipeline.cluster_community`
         call would.
         """
-        from repro.core.pipeline import cluster_community
+        from repro.core.pipeline import cluster_community, clustering_from_neighbors
 
         if self.cache is None:
             return cluster_community(
@@ -481,16 +481,6 @@ class PipelineRunner:
                 method=config.neighbor_method,
                 parallel=self.parallel,
             )
-        result = dbscan_from_neighbors(
-            neighbors,
-            min_samples=config.clustering_min_samples,
-            counts=counts,
-        )
-        medoid_positions = medoids_by_cluster(unique, result.labels, counts)
-        medoids = {
-            cluster_id: np.uint64(unique[position])
-            for cluster_id, position in medoid_positions.items()
-        }
         if not hit or stored["input_fp"] != input_fp:
             self.cache.put(
                 slot,
@@ -501,13 +491,7 @@ class PipelineRunner:
                     "neighbors": neighbors,
                 },
             )
-        return CommunityClustering(
-            community=community,
-            unique_hashes=unique,
-            counts=counts,
-            result=result,
-            medoids=medoids,
-        )
+        return clustering_from_neighbors(community, unique, counts, neighbors, config)
 
     def _cluster_stage(self, report: StageReport) -> dict:
         """Steps 2-3 per fringe community, with per-community quarantine."""

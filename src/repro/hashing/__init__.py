@@ -10,13 +10,14 @@ Hamming distance) from scratch:
 * :mod:`repro.hashing.pairwise` — chunked all-pairs distances, radius
   neighbourhoods (the laptop-scale replacement for the paper's TensorFlow
   multi-GPU engine) and Step 6's nearest-medoid θ-match.
-* :mod:`repro.hashing.index` — BK-tree and multi-index hashing for fast
-  radius search, used by clustering and association at scale.
+* :mod:`repro.hashing.index` — the batched radius join and the CSR
+  :class:`NeighborGraph` it returns, plus BK-tree and multi-index
+  hashing for per-query radius search.
 """
 
 from repro.hashing.alternatives import HASHERS, ahash, dhash, whash
 from repro.hashing.dct import dct2, dct2_reference
-from repro.hashing.index import BKTree, MultiIndexHash
+from repro.hashing.index import BKTree, MultiIndexHash, NeighborGraph
 from repro.hashing.pairwise import (
     PairwiseResult,
     nearest_medoid,
@@ -44,4 +45,5 @@ __all__ = [
     "PairwiseResult",
     "BKTree",
     "MultiIndexHash",
+    "NeighborGraph",
 ]

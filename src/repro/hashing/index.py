@@ -9,10 +9,12 @@ one chunk, so candidates are found by probing near-exact chunk matches
 and verified exactly.
 
 * :func:`radius_join` — the one kernel behind every radius
-  neighbourhood: Step 2's self-join, its incremental patch, stream
+  neighbourhood: Step 2's self-join, its incremental merge, stream
   ingest and Step 5's medoid annotation.  It runs MIH whole-array over
   a batch of queries and picks ``m`` by exact cost, or falls back to a
   blocked dense scan where no ``m`` wins.
+* :class:`NeighborGraph` — the CSR form every radius neighbourhood
+  takes, from the join through DBSCAN to the stream checkpoint.
 * :class:`MultiIndexHash` — the same pigeonhole idea as a persistent
   per-query index with 8-bit chunks and incremental :meth:`add`.
 * :class:`BKTree` — a metric tree over the Hamming metric.  Simple,
@@ -24,13 +26,73 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.bitops import hamming_distance, hamming_to_many, popcount
 
-__all__ = ["BKTree", "MultiIndexHash", "radius_join"]
+__all__ = ["BKTree", "MultiIndexHash", "NeighborGraph", "radius_join"]
+
+
+@dataclass(frozen=True, eq=False)
+class NeighborGraph:
+    """Radius neighbourhoods in CSR form.
+
+    Row ``i`` is ``indices[indptr[i] : indptr[i + 1]]``; both arrays
+    are ``int64``.  Rows read like a list of arrays: ``len``,
+    iteration and ``graph[i]`` (a view) all work.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_pairs(
+        cls, row: np.ndarray, col: np.ndarray, n: int, *, presorted: bool = False
+    ) -> "NeighborGraph":
+        """The graph over ``n`` points of the ``(row, col)`` pairs, which
+        one sort puts in row-major order unless they are ``presorted``."""
+        row = np.asarray(row, dtype=np.int64)
+        col = np.asarray(col, dtype=np.int64)
+        if not presorted:
+            key = np.sort(row * n + col)
+            row, col = key // n, key % n
+        return cls.from_lengths(np.bincount(row, minlength=n), col)
+
+    @classmethod
+    def from_lengths(cls, lengths, indices: np.ndarray) -> "NeighborGraph":
+        """The graph whose consecutive rows have the given ``lengths``."""
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        return cls(indptr=indptr, indices=np.asarray(indices, dtype=np.int64))
+
+    @classmethod
+    def from_rows(cls, rows) -> "NeighborGraph":
+        """A graph holding ``rows`` as given (a graph passes through)."""
+        if isinstance(rows, cls):
+            return rows
+        rows = [np.asarray(r, dtype=np.int64).reshape(-1) for r in rows]
+        return cls.from_lengths(
+            [r.size for r in rows], np.concatenate([np.empty(0, np.int64), *rows])
+        )
+
+    def owners(self) -> np.ndarray:
+        """The row of every entry of :attr:`indices`."""
+        n = len(self)
+        return np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+
+    def __len__(self) -> int:
+        return int(self.indptr.size) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        if i < 0:
+            i += len(self)
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        edges = self.indptr.tolist()
+        return (self.indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
 
 
 class _BKNode:
@@ -207,8 +269,8 @@ class MultiIndexHash:
 
         The candidate probes emit indices in arbitrary set order;
         ``np.unique`` pins the documented contract (sorted ascending, no
-        duplicates) so downstream consumers — DBSCAN's breadth-first
-        expansion in particular — see a canonical neighbour order.
+        duplicates) so downstream consumers see a canonical neighbour
+        order.
         """
         pairs = self.query(value, radius)
         if not pairs:
@@ -217,8 +279,8 @@ class MultiIndexHash:
             np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
         )
 
-    def radius_neighbors(self, radius: int) -> list[np.ndarray]:
-        """Neighbour lists (sorted, self included) for every indexed hash."""
+    def radius_neighbors(self, radius: int) -> NeighborGraph:
+        """Neighbour rows (sorted, self included) for every indexed hash."""
         return radius_join(self.hashes, self.hashes, radius)
 
 
@@ -415,22 +477,16 @@ def _join_pairs(
     return _probe_pairs(queries, corpus, radius, plan)
 
 
-def _split_rows(lengths: np.ndarray, col: np.ndarray) -> list[np.ndarray]:
-    """``col`` cut into consecutive rows of the given ``lengths``."""
-    edges = [0, *np.cumsum(lengths).tolist()]
-    col = col.astype(np.int64, copy=False)
-    return [col[a:b] for a, b in zip(edges[:-1], edges[1:])]
-
-
 def radius_join(
     queries: np.ndarray, corpus: np.ndarray, radius: int
-) -> list[np.ndarray]:
+) -> NeighborGraph:
     """Positions in ``corpus`` within Hamming ``radius`` of each query.
 
-    ``result[i]`` is the sorted, duplicate-free ``int64`` array of every
-    ``j`` with ``hamming(queries[i], corpus[j]) <= radius``; passing
-    one array as both arguments is the self-join, where every row holds
-    its own index.
+    Row ``i`` of the returned :class:`NeighborGraph` is the sorted,
+    duplicate-free ``int64`` array of every ``j`` with
+    ``hamming(queries[i], corpus[j]) <= radius``; passing one array as
+    both arguments is the self-join, where every row holds its own
+    index.
 
     Whole-array MIH: per chunk, a counting-sort bucket table over the
     corpus keys (``bincount`` plus ``cumsum``); every query's chunk key
@@ -452,4 +508,4 @@ def radius_join(
         else np.ascontiguousarray(corpus, dtype=np.uint64).reshape(-1)
     )
     row, col = _join_pairs(queries, corpus, int(radius), self_join)
-    return _split_rows(np.bincount(row, minlength=queries.size), col)
+    return NeighborGraph.from_pairs(row, col, int(queries.size), presorted=True)

@@ -7,10 +7,9 @@ neighbourhoods (the only thing DBSCAN actually needs) from the batched
 join :func:`repro.hashing.index.radius_join`.  The cold self-join
 (:func:`radius_neighbors`, sharded across workers when a
 :class:`repro.utils.parallel.ParallelConfig` asks for it, with output
-identical to the serial computation), the incremental patch
-(:func:`extend_radius_neighbors`, :func:`patch_radius_neighbors`,
-:func:`merge_radius_neighbors`) and stream ingest all run that one
-kernel.
+identical to the serial computation), the incremental merge
+(:func:`merge_radius_neighbors`) and stream ingest all run that one
+kernel, and all hand on a :class:`repro.hashing.index.NeighborGraph`.
 
 :func:`nearest_medoid` is Step 6's θ-match: the one kernel behind
 batch association and the serving monitor.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hashing.index import _dense_pairs, _join_pairs, _split_rows
+from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
 from repro.utils.bitops import hamming_distance_matrix, popcount
 from repro.utils.parallel import (
     Executor,
@@ -37,12 +36,12 @@ from repro.utils.shm import resolve_array, shared_inputs
 
 __all__ = [
     "PairwiseResult",
-    "extend_radius_neighbors",
+    "delta_pairs",
     "merge_radius_neighbors",
     "nearest_medoid",
     "pairwise_distances",
-    "patch_radius_neighbors",
     "radius_neighbors",
+    "ranked_graph",
     "unique_hashes",
 ]
 
@@ -167,8 +166,8 @@ def radius_neighbors(
     method: str = "auto",
     brute_force_limit: int = 2000,
     parallel: ParallelConfig | None = None,
-) -> list[np.ndarray]:
-    """Neighbour lists within ``radius`` for every hash (self included).
+) -> NeighborGraph:
+    """Neighbour rows within ``radius`` for every hash (self included).
 
     Parameters
     ----------
@@ -190,10 +189,10 @@ def radius_neighbors(
 
     Returns
     -------
-    list of numpy.ndarray
-        ``result[i]`` holds the sorted, duplicate-free indices ``j``
-        with ``hamming(hashes[i], hashes[j]) <= radius``; always
-        contains ``i``.
+    NeighborGraph
+        Row ``i`` holds the sorted, duplicate-free indices ``j`` with
+        ``hamming(hashes[i], hashes[j]) <= radius``; always contains
+        ``i``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -203,13 +202,13 @@ def radius_neighbors(
     if method == "auto":
         method = "brute" if hashes.size <= brute_force_limit else "mih"
     if hashes.size == 0:
-        return []
+        return NeighborGraph.from_rows([])
     dense = method == "brute"
     kernel = f"radius_neighbors_{method}"
     parallel = resolve_parallel(parallel).dispatched(kernel, int(hashes.size))
     if parallel.is_serial or hashes.size < parallel.workers * 2:
         with kernel_timer(parallel, kernel, int(hashes.size), backend="serial"):
-            return _split_rows(
+            return NeighborGraph.from_lengths(
                 *_neighbors_shard(hashes, 0, int(hashes.size), radius, dense)
             )
     with kernel_timer(parallel, kernel, int(hashes.size)):
@@ -227,94 +226,70 @@ def radius_neighbors(
                 split=range_splitter(1, 2),
                 merge=_merge_neighbor_parts,
             )
-            return _split_rows(*_merge_neighbor_parts(sup.results))
+            return NeighborGraph.from_lengths(*_merge_neighbor_parts(sup.results))
 
 
-def extend_radius_neighbors(
-    rows: list[np.ndarray],
-    prev_hashes: np.ndarray,
-    new_hashes: np.ndarray,
-    radius: int,
-) -> None:
-    """Extend ``rows`` over ``prev_hashes`` in place to rows over
-    ``concat(prev_hashes, new_hashes)``.
+def delta_pairs(
+    prev_hashes: np.ndarray, new_hashes: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(row, col)`` pairs that appending ``new_hashes`` adds.
 
-    The new rows are one :func:`repro.hashing.index.radius_join` of the
-    new hashes against the concatenation; an old row gains the
-    transposed pairs, the new indices within ``radius`` in ascending
-    order past ``len(prev_hashes)``, so rows stay sorted and
-    duplicate-free.  Old rows no new hash reaches are left untouched:
-    work is O(new · lookup + corpus), not a recompute.
+    Positions index ``concat(prev_hashes, new_hashes)``: one join of the
+    new hashes against it, plus the transpose of its pairs that reach an
+    old hash.  With the pairs over ``prev_hashes`` they are exactly the
+    pairs of a cold self-join over the concatenation.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     prev = np.ascontiguousarray(prev_hashes, dtype=np.uint64).reshape(-1)
     new = np.ascontiguousarray(new_hashes, dtype=np.uint64).reshape(-1)
-    if len(rows) != prev.size:
-        raise ValueError(
-            f"got {len(rows)} neighbour rows for {prev.size} hashes"
-        )
-    if new.size == 0:
-        return
     n_prev = int(prev.size)
     row, col = _join_pairs(new, np.concatenate([prev, new]), int(radius))
+    row = row + n_prev
     old = col < n_prev
-    reached, gained = col[old], row[old] + n_prev
-    order = np.argsort(reached, kind="stable")
-    reached, gained = reached[order], gained[order]
-    touched, first = np.unique(reached, return_index=True)
-    edges = first.tolist() + [int(gained.size)]
-    for i, lo, hi in zip(touched.tolist(), edges[:-1], edges[1:]):
-        rows[i] = np.concatenate([rows[i], gained[lo:hi]])
-    rows.extend(_split_rows(np.bincount(row, minlength=new.size), col))
+    return np.concatenate([row, col[old]]), np.concatenate([col, row[old]])
 
 
-def patch_radius_neighbors(
-    prev_hashes: np.ndarray,
-    prev_neighbors: list[np.ndarray],
-    new_hashes: np.ndarray,
-    radius: int,
-) -> list[np.ndarray]:
-    """Extend neighbour lists for ``concat(prev_hashes, new_hashes)``.
+def ranked_graph(
+    hashes: np.ndarray, row: np.ndarray, col: np.ndarray
+) -> tuple[np.ndarray, NeighborGraph]:
+    """``(order, graph)``: ``order`` sorts ``hashes``, and ``graph`` holds
+    the ``(row, col)`` pairs over ``hashes`` re-keyed into that order.
 
-    Given the neighbour lists previously computed over ``prev_hashes``,
-    produces the lists a cold :func:`radius_neighbors` call over the
-    concatenated array would return, joining only the *new* hashes
-    (:func:`extend_radius_neighbors` on an ``int64`` copy of the rows)
-    in place of an all-pairs recompute: the delta path behind
-    incremental clustering.
+    Fed the pairs of a radius self-join over unique hashes, the graph is
+    exactly ``radius_neighbors(hashes[order], radius)``.
     """
-    rows = [np.asarray(row, dtype=np.int64) for row in prev_neighbors]
-    extend_radius_neighbors(rows, prev_hashes, new_hashes, radius)
-    return rows
+    order = np.argsort(hashes, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return order, NeighborGraph.from_pairs(rank[row], rank[col], int(order.size))
 
 
 def merge_radius_neighbors(
     prev_unique: np.ndarray,
-    prev_neighbors: list[np.ndarray],
+    prev_neighbors: NeighborGraph | list[np.ndarray],
     added_unique: np.ndarray,
     radius: int,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Neighbour lists over the *sorted union* of two unique hash sets.
+) -> tuple[np.ndarray, NeighborGraph]:
+    """Neighbour rows over the *sorted union* of two unique hash sets.
 
     The clustering path works over ``np.unique`` output, where new
     hashes interleave with old ones instead of appending — so the old
     neighbour indices must be remapped through the merged order.  Both
     inputs must be strictly increasing and disjoint (``np.unique``
-    output with the overlap removed).  Returns ``(combined, lists)``
+    output with the overlap removed).  Returns ``(combined, graph)``
     where ``combined`` equals ``np.unique(concat(prev, added))`` and
-    ``lists`` is bit-identical to a cold
+    ``graph`` is bit-identical to a cold
     ``radius_neighbors(combined, radius)``: the old pairs, the join of
     the added hashes and its transpose, ranked into the merged order
     and sorted once.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
     prev = np.ascontiguousarray(prev_unique, dtype=np.uint64).reshape(-1)
     added = np.ascontiguousarray(added_unique, dtype=np.uint64).reshape(-1)
-    if len(prev_neighbors) != prev.size:
+    prev_graph = NeighborGraph.from_rows(prev_neighbors)
+    if len(prev_graph) != prev.size:
         raise ValueError(
-            f"prev_neighbors has {len(prev_neighbors)} rows for "
+            f"prev_neighbors has {len(prev_graph)} rows for "
             f"{prev.size} hashes"
         )
     if prev.size > 1 and not np.all(prev[1:] > prev[:-1]):
@@ -323,24 +298,14 @@ def merge_radius_neighbors(
         raise ValueError("added_unique must be strictly increasing")
     if added.size and prev.size and np.any(np.isin(added, prev)):
         raise ValueError("added_unique overlaps prev_unique")
-    n_prev = int(prev.size)
     appended = np.concatenate([prev, added])
-    row, col = _join_pairs(added, appended, int(radius))
-    old = col < n_prev
-    lengths = np.fromiter(
-        (len(r) for r in prev_neighbors), dtype=np.int64, count=n_prev
+    row, col = delta_pairs(prev, added, radius)
+    order, graph = ranked_graph(
+        appended,
+        np.concatenate([prev_graph.owners(), row]),
+        np.concatenate([prev_graph.indices, col]),
     )
-    rows_all = np.concatenate(
-        [np.repeat(np.arange(n_prev), lengths), row + n_prev, col[old]]
-    )
-    cols_all = np.concatenate([*prev_neighbors, col, row[old] + n_prev])
-    order = np.argsort(appended, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size, dtype=np.int64)
-    n = int(appended.size)
-    pair = np.sort(rank[rows_all] * n + rank[cols_all])
-    lengths = np.bincount(pair // n, minlength=n)
-    return appended[order], _split_rows(lengths, pair % n)
+    return appended[order], graph
 
 
 def unique_hashes(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,12 +4,12 @@
 :class:`repro.stream.EventSource` cursor) and maintains the pipeline's
 index/cluster/association state online, on top of the incremental
 primitives the batch runner already trusts (per-community neighbourhood
-rows extended by :func:`repro.hashing.pairwise.extend_radius_neighbors`
-— one batched join of each batch's new hashes, kept in append order so
-rows no new hash reaches are never touched, with the sorted
-:func:`~repro.hashing.pairwise.radius_neighbors` form re-derived by one
-vectorised remap at compaction — suffix-only association, deterministic
-DBSCAN re-derivation).
+pairs in append order, extended by :func:`repro.hashing.pairwise.delta_pairs`
+— one batched join of each batch's new hashes plus its transpose — and
+ranked and sorted into the
+:func:`~repro.hashing.pairwise.radius_neighbors` graph once per
+compaction; suffix-only association; deterministic DBSCAN
+re-derivation).
 
 The durability protocol, in order, for every event batch:
 
@@ -59,17 +59,17 @@ from repro.annotation.association import (
     associate_hashes,
 )
 from repro.annotation.matcher import annotate_clusters
-from repro.clustering.dbscan import dbscan, dbscan_from_neighbors
-from repro.clustering.medoid import medoids_by_cluster
 from repro.communities.models import COMMUNITIES, FRINGE_COMMUNITIES, Post
 from repro.core.config import PipelineConfig
+from repro.core.pipeline import clustering_from_neighbors
 from repro.core.results import (
     ClusterKey,
     CommunityClustering,
     PipelineResult,
 )
 from repro.core.runner import build_occurrence_table
-from repro.hashing.pairwise import extend_radius_neighbors
+from repro.hashing.index import NeighborGraph
+from repro.hashing.pairwise import delta_pairs, ranked_graph
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.model import EventSequence
 from repro.service.admission import AdmissionQueue
@@ -295,18 +295,19 @@ class StreamIngester:
         self._phash_all = np.empty(0, dtype=np.uint64)
         self._ts_all = np.empty(0, dtype=np.float64)
         # Per-community neighbourhood state in *append* (first-seen)
-        # order, extended per batch by extend_radius_neighbors (the
-        # patch_radius_neighbors contract, in place); the sorted
-        # radius_neighbors form the clustering needs is re-derived by
-        # one vectorised remap in _sorted_view().
+        # order: the hashes, their counts, and the (row, col) pairs as
+        # chunks, one per batch's delta_pairs() call; the sorted
+        # radius_neighbors graph the clustering needs is re-derived by
+        # one rank-and-sort in _sorted_view().
         self._nbr_hashes: dict[str, np.ndarray] = {
             c: np.empty(0, dtype=np.uint64) for c in FRINGE_COMMUNITIES
         }
         self._nbr_counts: dict[str, np.ndarray] = {
             c: np.empty(0, dtype=np.int64) for c in FRINGE_COMMUNITIES
         }
-        self._nbr_rows: dict[str, list[np.ndarray]] = {
-            c: [] for c in FRINGE_COMMUNITIES
+        self._nbr_pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
+            c: [(np.empty(0, np.int64), np.empty(0, np.int64))]
+            for c in FRINGE_COMMUNITIES
         }
         self._nbr_pos: dict[str, dict[int, int]] = {
             c: {} for c in FRINGE_COMMUNITIES
@@ -356,7 +357,7 @@ class StreamIngester:
         """
         world_config = getattr(self.world, "config", None)
         return (
-            "stream-v2|"
+            "stream-v3|"
             f"seed={getattr(world_config, 'seed', None)}"
             f",events_unit={getattr(world_config, 'events_unit', None)}"
             f",noise_scale={getattr(world_config, 'noise_scale', None)}"
@@ -419,21 +420,14 @@ class StreamIngester:
         for community in FRINGE_COMMUNITIES:
             state = payload["neighbor_state"][community]
             hashes = np.ascontiguousarray(state["hashes"], dtype=np.uint64)
-            flat = np.ascontiguousarray(state["flat"], dtype=np.int64)
-            lengths = np.ascontiguousarray(state["lengths"], dtype=np.int64)
             self._nbr_hashes[community] = hashes
             self._nbr_counts[community] = np.ascontiguousarray(
                 state["counts"], dtype=np.int64
             )
-            self._nbr_rows[community] = (
-                np.split(flat, np.cumsum(lengths)[:-1])
-                if lengths.size
-                else []
+            self._nbr_pairs[community] = [(state["row"], state["col"])]
+            self._nbr_pos[community] = dict(
+                zip(hashes.tolist(), range(hashes.size))
             )
-            self._nbr_pos[community] = {
-                int(value): position
-                for position, value in enumerate(hashes)
-            }
         self._screenshot = payload["screenshot"]
         self._clusterings = payload["clusterings"]
         self._annotations = payload["annotations"]
@@ -588,11 +582,10 @@ class StreamIngester:
     def _apply_batch(self, batch: list, seq: int) -> None:
         """Apply one durable batch to the online state.
 
-        Per fringe community: extend the append-order neighbourhood rows
-        by the batch's new unique hashes with
-        :func:`repro.hashing.pairwise.extend_radius_neighbors` (so the
-        pair set stays bit-identical to a cold recompute), then bump
-        multiplicities.  Only rows a new hash reaches are touched.
+        Per fringe community: append the pairs the batch's new unique
+        hashes add, from :func:`repro.hashing.pairwise.delta_pairs` (so
+        the pair set stays bit-identical to a cold recompute), then bump
+        multiplicities.  Nothing already stored is touched.
         All posts get suffix association against the frozen medoid set
         from the last compaction.
         """
@@ -607,37 +600,19 @@ class StreamIngester:
                 continue
             unique, multiplicities = np.unique(hashes, return_counts=True)
             positions = self._nbr_pos[community]
-            known = np.fromiter(
-                (int(value) in positions for value in unique),
-                dtype=bool,
-                count=unique.size,
-            )
-            added = unique[~known]
-            if added.size:
-                n_prev = self._nbr_hashes[community].size
-                extend_radius_neighbors(
-                    self._nbr_rows[community],
-                    self._nbr_hashes[community],
-                    added,
-                    eps,
-                )
-                for j, value in enumerate(added):
-                    positions[int(value)] = n_prev + j
-                self._nbr_hashes[community] = np.concatenate(
-                    [self._nbr_hashes[community], added]
-                )
+            values = unique.tolist()
+            added = [value for value in values if value not in positions]
+            if added:
+                prev = self._nbr_hashes[community]
+                new = np.array(added, dtype=np.uint64)
+                self._nbr_pairs[community].append(delta_pairs(prev, new, eps))
+                positions.update(zip(added, range(prev.size, prev.size + new.size)))
+                self._nbr_hashes[community] = np.concatenate([prev, new])
                 self._nbr_counts[community] = np.concatenate(
-                    [
-                        self._nbr_counts[community],
-                        np.zeros(added.size, dtype=np.int64),
-                    ]
+                    [self._nbr_counts[community], np.zeros(new.size, np.int64)]
                 )
-                self._new_unique += int(added.size)
-            bump = np.fromiter(
-                (positions[int(value)] for value in unique),
-                dtype=np.int64,
-                count=unique.size,
-            )
+                self._new_unique += new.size
+            bump = np.array([positions[value] for value in values], dtype=np.int64)
             self._nbr_counts[community][bump] += multiplicities
         batch_hashes = np.array(
             [post.phash for post in batch], dtype=np.uint64
@@ -774,44 +749,28 @@ class StreamIngester:
             ]
         return payload
 
+    def _pairs(self, community: str) -> tuple[np.ndarray, np.ndarray]:
+        """The community's append-order pairs, joined into one chunk."""
+        chunks = self._nbr_pairs[community]
+        if len(chunks) > 1:
+            chunks[:] = [tuple(np.concatenate(part) for part in zip(*chunks))]
+        return chunks[0]
+
     def _sorted_view(
         self, community: str
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, NeighborGraph]:
         """The append-order neighbourhood state in sorted-unique form.
 
-        One vectorised remap — rank the append-order hashes, re-key
-        every (row, member) pair through the rank permutation, one
-        global sort, split back per row — produces exactly what
-        ``radius_neighbors(np.unique(hashes), eps)`` returns: rows
-        sorted ascending, duplicate-free, self included.  The pair set
-        is append-order-invariant, so this is bit-identical however the
-        stream was batched.
+        One rank-and-sort — re-key every append-order pair through the
+        rank permutation of the hashes and sort the keys once — yields
+        exactly the graph ``radius_neighbors(np.unique(hashes), eps)``
+        returns: rows sorted ascending, duplicate-free, self included.
+        The pair set is append-order-invariant, so this is bit-identical
+        however the stream was batched.
         """
         hashes = self._nbr_hashes[community]
-        counts = self._nbr_counts[community]
-        rows = self._nbr_rows[community]
-        n = int(hashes.size)
-        if n == 0:
-            return hashes, counts, []
-        order = np.argsort(hashes).astype(np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n, dtype=np.int64)
-        lengths = np.fromiter(
-            (len(row) for row in rows), dtype=np.int64, count=n
-        )
-        flat = (
-            np.concatenate(rows)
-            if int(lengths.sum())
-            else np.empty(0, dtype=np.int64)
-        )
-        keys = np.repeat(rank, lengths) * n + rank[flat]
-        keys.sort()
-        owners = keys // n
-        members = keys % n
-        starts = np.searchsorted(owners, np.arange(n), side="left")
-        stops = np.searchsorted(owners, np.arange(n), side="right")
-        sorted_rows = [members[starts[i] : stops[i]] for i in range(n)]
-        return hashes[order], counts[order], sorted_rows
+        order, graph = ranked_graph(hashes, *self._pairs(community))
+        return hashes[order], self._nbr_counts[community][order], graph
 
     def _cluster_community(self, community: str) -> CommunityClustering:
         """Steps 2-3 from the maintained neighbourhoods (bit-identical).
@@ -821,31 +780,8 @@ class StreamIngester:
         maintained neighbourhoods is pinned bit-identical to a cold
         ``radius_neighbors`` over the same unique set.
         """
-        unique, counts, neighbors = self._sorted_view(community)
-        if unique.size == 0:
-            return CommunityClustering(
-                community=community,
-                unique_hashes=unique,
-                counts=counts,
-                result=dbscan(unique, eps=self.config.clustering_eps),
-                medoids={},
-            )
-        result = dbscan_from_neighbors(
-            neighbors,
-            min_samples=self.config.clustering_min_samples,
-            counts=counts,
-        )
-        medoid_positions = medoids_by_cluster(unique, result.labels, counts)
-        medoids = {
-            cluster_id: np.uint64(unique[position])
-            for cluster_id, position in medoid_positions.items()
-        }
-        return CommunityClustering(
-            community=community,
-            unique_hashes=unique,
-            counts=counts,
-            result=result,
-            medoids=medoids,
+        return clustering_from_neighbors(
+            community, *self._sorted_view(community), self.config
         )
 
     def _annotate_community(
@@ -938,25 +874,16 @@ class StreamIngester:
 
     def _save_checkpoint(self) -> None:
         # Columnar encodings keep the pickle flat: posts as per-field
-        # columns instead of one dataclass instance each, neighbour
-        # rows as one flat array + row lengths instead of tens of
-        # thousands of small array objects.
+        # columns instead of one dataclass instance each, neighbourhoods
+        # as their append-order pair arrays.
         neighbor_state = {}
         for community in FRINGE_COMMUNITIES:
-            rows = self._nbr_rows[community]
+            row, col = self._pairs(community)
             neighbor_state[community] = {
                 "hashes": self._nbr_hashes[community],
                 "counts": self._nbr_counts[community],
-                "flat": (
-                    np.concatenate(rows)
-                    if rows
-                    else np.empty(0, dtype=np.int64)
-                ),
-                "lengths": np.fromiter(
-                    (len(row) for row in rows),
-                    dtype=np.int64,
-                    count=len(rows),
-                ),
+                "row": row,
+                "col": col,
             }
         payload = {
             "posts": _encode_posts(

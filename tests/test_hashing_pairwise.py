@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hashing.index import NeighborGraph
 from repro.hashing.pairwise import (
+    delta_pairs,
     merge_radius_neighbors,
     nearest_medoid,
     pairwise_distances,
-    patch_radius_neighbors,
     radius_neighbors,
     unique_hashes,
 )
@@ -56,7 +57,9 @@ class TestPairwiseDistances:
 
 class TestRadiusNeighbors:
     def test_empty(self):
-        assert radius_neighbors(np.empty(0, dtype=np.uint64), 8) == []
+        graph = radius_neighbors(np.empty(0, dtype=np.uint64), 8)
+        assert isinstance(graph, NeighborGraph)
+        assert len(graph) == 0 and list(graph) == []
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):
@@ -167,48 +170,56 @@ class TestUniqueHashes:
 
 
 class TestIncrementalNeighbors:
-    """patch/merge must be bit-identical to a cold recompute — they are
-    the delta path behind incremental clustering."""
+    """The delta path behind incremental clustering must be bit-identical
+    to a cold recompute: :func:`delta_pairs` (the append-order patch the
+    stream ingester keeps) and :func:`merge_radius_neighbors` (the
+    sorted-union merge behind the runner's cache)."""
 
     def _cold(self, hashes, radius):
         return radius_neighbors(hashes, radius, method="mih")
+
+    def _patched(self, prev, new, radius):
+        """Graph over ``concat(prev, new)``: prev's pairs plus the delta."""
+        before = self._cold(prev, radius)
+        row, col = delta_pairs(prev, new, radius)
+        return NeighborGraph.from_pairs(
+            np.concatenate([before.owners(), row]),
+            np.concatenate([before.indices, col]),
+            prev.size + new.size,
+        )
 
     def test_patch_matches_cold_concat(self):
         hashes = clustered_hashes(40, 6, seed=3)
         prev, new = hashes[:180], hashes[180:]
         for radius in (0, 2, 8):
-            patched = patch_radius_neighbors(
-                prev, self._cold(prev, radius), new, radius
-            )
+            patched = self._patched(prev, new, radius)
             cold = self._cold(hashes, radius)
-            assert len(patched) == len(cold)
-            for row_patched, row_cold in zip(patched, cold):
-                assert np.array_equal(row_patched, row_cold)
+            assert np.array_equal(patched.indptr, cold.indptr)
+            assert np.array_equal(patched.indices, cold.indices)
 
     def test_patch_with_no_new_hashes(self):
         hashes = clustered_hashes(10, 4, seed=4)
-        rows = self._cold(hashes, 4)
-        patched = patch_radius_neighbors(
-            hashes, rows, np.empty(0, dtype=np.uint64), 4
-        )
-        for row_patched, row_cold in zip(patched, rows):
-            assert np.array_equal(row_patched, row_cold)
+        row, col = delta_pairs(hashes, np.empty(0, dtype=np.uint64), 4)
+        assert row.size == col.size == 0
 
     def test_patch_empty_delta_on_empty_prev(self):
-        patched = patch_radius_neighbors(
-            np.empty(0, dtype=np.uint64), [], np.empty(0, dtype=np.uint64), 4
-        )
-        assert patched == []
+        empty = np.empty(0, dtype=np.uint64)
+        row, col = delta_pairs(empty, empty, 4)
+        assert row.size == col.size == 0
+        combined, merged = merge_radius_neighbors(empty, [], empty, 4)
+        assert combined.size == 0 and len(merged) == 0
 
     def test_patch_empty_delta_canonicalizes_dtype(self):
         hashes = clustered_hashes(6, 3, seed=8)
-        rows = [row.astype(np.int32) for row in self._cold(hashes, 2)]
-        patched = patch_radius_neighbors(
-            hashes, rows, np.empty(0, dtype=np.uint64), 2
+        unique = np.unique(hashes)
+        rows = [row.astype(np.int32) for row in self._cold(unique, 2)]
+        _, merged = merge_radius_neighbors(
+            unique, rows, np.empty(0, dtype=np.uint64), 2
         )
-        assert all(row.dtype == np.int64 for row in patched)
-        for row_patched, row_cold in zip(patched, self._cold(hashes, 2)):
-            assert np.array_equal(row_patched, row_cold)
+        assert merged.indices.dtype == merged.indptr.dtype == np.int64
+        cold = self._cold(unique, 2)
+        assert np.array_equal(merged.indptr, cold.indptr)
+        assert np.array_equal(merged.indices, cold.indices)
 
     def test_patch_with_duplicate_new_hashes(self):
         # The delta repeats prior hashes and has internal duplicates —
@@ -219,18 +230,15 @@ class TestIncrementalNeighbors:
         new = np.concatenate([hashes[30:45], hashes[30:40], prev[:5]])
         combined = np.concatenate([prev, new])
         for radius in (0, 4):
-            patched = patch_radius_neighbors(
-                prev, self._cold(prev, radius), new, radius
-            )
+            patched = self._patched(prev, new, radius)
             cold = self._cold(combined, radius)
-            assert len(patched) == len(cold)
-            for row_patched, row_cold in zip(patched, cold):
-                assert np.array_equal(row_patched, row_cold)
+            assert np.array_equal(patched.indptr, cold.indptr)
+            assert np.array_equal(patched.indices, cold.indices)
 
     def test_patch_validates_row_count(self):
-        hashes = clustered_hashes(4, 2, seed=5)
+        hashes = np.unique(clustered_hashes(4, 2, seed=5))
         with pytest.raises(ValueError, match="rows"):
-            patch_radius_neighbors(hashes, [], hashes, 2)
+            merge_radius_neighbors(hashes, [], hashes[:0], 2)
 
     def test_merge_matches_cold_union(self):
         hashes = clustered_hashes(30, 5, seed=6)
@@ -243,8 +251,8 @@ class TestIncrementalNeighbors:
             )
             assert np.array_equal(combined, all_unique)
             cold = self._cold(all_unique, radius)
-            for row_merged, row_cold in zip(merged, cold):
-                assert np.array_equal(row_merged, row_cold)
+            assert np.array_equal(merged.indptr, cold.indptr)
+            assert np.array_equal(merged.indices, cold.indices)
 
     def test_merge_validates_ordering_and_overlap(self):
         prev = np.array([5, 3], dtype=np.uint64)  # not increasing

@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 
 from repro.hashing import index
-from repro.hashing.index import _chunk_layout, radius_join
+from repro.hashing.index import NeighborGraph, _chunk_layout, radius_join
 from repro.hashing.pairwise import (
-    extend_radius_neighbors,
+    delta_pairs,
     merge_radius_neighbors,
-    patch_radius_neighbors,
     radius_neighbors,
 )
 
@@ -198,13 +197,14 @@ def test_patch_and_merge_match_cold(radius, mode):
     hashes = cases(radius)["mixed"]
     prev, new = hashes[:70], hashes[70:]
     cold = reference_rows(hashes, hashes, radius)
-    prev_rows = reference_rows(prev, prev, radius)
-    assert_rows_equal(
-        patch_radius_neighbors(prev, prev_rows, new, radius), cold, "patch"
+    before = NeighborGraph.from_rows(reference_rows(prev, prev, radius))
+    row, col = delta_pairs(prev, new, radius)
+    patched = NeighborGraph.from_pairs(
+        np.concatenate([before.owners(), row]),
+        np.concatenate([before.indices, col]),
+        hashes.size,
     )
-    rows = list(prev_rows)
-    extend_radius_neighbors(rows, prev, new, radius)
-    assert_rows_equal(rows, cold, "extend")
+    assert_rows_equal(patched, cold, "patch")
 
     unique = np.unique(hashes)
     prev_unique = np.unique(hashes[::3])
@@ -220,13 +220,11 @@ def test_patch_and_merge_match_cold(radius, mode):
 
 
 def test_untouched_rows_are_not_rebuilt():
-    # extend_radius_neighbors only replaces the rows a new hash reaches.
+    # delta_pairs emits only pairs with a new hash in them: the pairs
+    # among old hashes are never recomputed.
     prev = np.array([0, ALL_ONES], dtype=np.uint64)
-    rows = radius_join(prev, prev, 2)
-    far_row = rows[1]
-    extend_radius_neighbors(rows, prev, np.array([3], dtype=np.uint64), 2)
-    assert rows[1] is far_row
-    assert [row.tolist() for row in rows] == [[0, 2], [1], [0, 2]]
+    row, col = delta_pairs(prev, np.array([3], dtype=np.uint64), 2)
+    assert sorted(zip(row.tolist(), col.tolist())) == [(0, 2), (2, 0), (2, 2)]
 
 
 def test_radius_past_64_joins_every_pair():
@@ -241,4 +239,6 @@ def test_negative_radius_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         radius_join(hashes, hashes, -1)
     with pytest.raises(ValueError, match="non-negative"):
-        extend_radius_neighbors([np.array([0])], hashes, hashes, -1)
+        delta_pairs(hashes, hashes, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        merge_radius_neighbors(hashes, [np.array([0])], hashes[:0], -1)

@@ -28,7 +28,12 @@ from repro.stream import (
     state_equals,
     stream_config_from_env,
 )
-from repro.utils.io import CheckpointLockError, StaleCheckpointError
+from repro.utils.io import (
+    CheckpointLockError,
+    StaleCheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.utils.retry import TransientError
 
 
@@ -278,6 +283,37 @@ class TestRecovery:
         # The failed constructor must not leak its lock.
         with StreamIngester(stream_world, stream=config):
             pass
+
+    def test_previous_layout_checkpoint_rejected(
+        self, tmp_path, stream_world, monkeypatch
+    ):
+        # Before neighbourhoods were stored as pair arrays, a checkpoint
+        # held each community's rows as one flat array plus row lengths,
+        # under the "stream-v2" fingerprint.  Such a file must fail the
+        # fingerprint check before any of it is read as state.
+        config = _config(tmp_path)
+        with StreamIngester(stream_world, stream=config) as ingester:
+            _run_to_end(ingester, stream_world.event_source(), limit=100)
+            ingester.compact(force=True)
+            fingerprint = ingester._fingerprint()
+        path = tmp_path / "stream.ckpt"
+        payload = load_checkpoint(path, fingerprint=fingerprint)
+        for state in payload["neighbor_state"].values():
+            n = state["hashes"].size
+            order = np.argsort(state["row"], kind="stable")
+            state["flat"] = state.pop("col")[order]
+            state["lengths"] = np.bincount(state.pop("row"), minlength=n)
+        assert fingerprint.startswith("stream-v3|")
+        save_checkpoint(
+            path, payload, fingerprint="stream-v2|" + fingerprint[len("stream-v3|"):]
+        )
+
+        def misread(self, payload):
+            raise AssertionError("a previous-layout checkpoint was read")
+
+        monkeypatch.setattr(StreamIngester, "_restore", misread)
+        with pytest.raises(StaleCheckpointError, match="stream-v2"):
+            StreamIngester(stream_world, stream=config)
 
     def test_lock_excludes_second_ingester(self, tmp_path, stream_world):
         with StreamIngester(
