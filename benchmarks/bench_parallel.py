@@ -6,13 +6,12 @@ Standalone (not pytest-benchmark): run as
     PYTHONPATH=src python benchmarks/bench_parallel.py [--workers 4]
         [--smoke] [--output BENCH_parallel.json]
 
-Measures the four parallelised hot paths on synthetic workloads sized
+Measures the three parallelised hot paths on synthetic workloads sized
 like the paper's per-community image multisets:
 
 * ``radius_neighbors`` (``method="mih"``) on a clustered 50k-hash
   multiset — the DBSCAN Step-2/3 bottleneck and the headline number:
   the batched join against the per-query reference path;
-* ``hamming_distance_matrix`` row sharding;
 * ``associate_hashes`` (Step 6) sharded over unique hashes;
 * per-cluster Hawkes fits via :func:`fit_cluster_influence`.
 
@@ -22,29 +21,21 @@ serial before reporting a speedup — a fast wrong answer scores zero.
 Note on mechanism: the headline win is algorithmic, not core-count.
 The batched join (:func:`repro.hashing.index.radius_join`) replaced the
 per-query reference path for serial callers too (reported as
-``speedup``), and the ``parallel_vs_serial`` figure measures the full
-fan-out stack — the ``shm`` transport (inputs published once into POSIX
-shared memory, shards shipped as zero-copy descriptors) and the warm
-worker pool (fork paid once, not per fan-out) — against the serial
-baseline.  The join is pure numpy on every tier, so on few-core hosts
-that figure is what the cores give and no more.  ``pickle_parallel_s``
-is the pickle-transport fan-out and ``shm_vs_pickle`` isolates the
-transport.  The ``compiled_vs_numpy`` record isolates the kernel tier
-serially on the one kernel it still serves, the dense Hamming matrix;
-the cost model still dispatches per call — see the ``*_dispatch``
-records.
+``speedup``); ``parallel_vs_serial`` is what the process fan-out adds
+on top (fresh pool per fan-out, shards pickled to the workers), so on
+few-core hosts it is what the cores give and no more.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
 import sys
 import time
 from dataclasses import replace
+from statistics import median
 
 import numpy as np
 
@@ -53,40 +44,8 @@ from repro.annotation.association import associate_hashes
 from repro.hashing.index import MultiIndexHash
 from repro.hashing.pairwise import radius_neighbors
 from repro.hawkes.model import EventSequence
-from repro.utils import compiled
 from repro.utils.bitops import hamming_distance_matrix
-from repro.utils.parallel import (
-    TRANSPORTS,
-    CostModel,
-    Executor,
-    ParallelConfig,
-    effective_workers,
-    get_worker_pool,
-)
-
-
-@contextlib.contextmanager
-def _compiled_tier(value: str | None):
-    """Pin ``REPRO_COMPILED`` for one measurement (``None`` = ambient).
-
-    Workers fork from the parent, so the pinned value propagates into
-    any pool spawned inside the block; the caller discards the warm
-    pool around tier flips so no stale-tier worker survives them.
-    """
-    if value is None:
-        yield
-        return
-    previous = os.environ.get(compiled.ENV_COMPILED)
-    os.environ[compiled.ENV_COMPILED] = value
-    compiled.refresh()
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(compiled.ENV_COMPILED, None)
-        else:
-            os.environ[compiled.ENV_COMPILED] = previous
-        compiled.refresh()
+from repro.utils.parallel import Executor, ParallelConfig, effective_workers
 
 
 def clustered_hashes(n_bases: int, members: int, seed: int = 7) -> np.ndarray:
@@ -113,6 +72,31 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+def _paired_medians(serial_fn, parallel_fn, rounds: int = 3):
+    """Alternate serial/parallel runs; each side's last result and median.
+
+    Alternating which side runs first makes slow host drift hit both
+    sides equally, and the median keeps one scheduler stall from
+    deciding the ratio.
+    """
+    times = {"serial": [], "parallel": []}
+    results = {}
+    for round_index in range(rounds):
+        order = ("serial", "parallel") if round_index % 2 == 0 else (
+            "parallel", "serial"
+        )
+        for side in order:
+            fn = serial_fn if side == "serial" else parallel_fn
+            results[side], elapsed = _timed(fn)
+            times[side].append(elapsed)
+    return (
+        results["serial"],
+        median(times["serial"]),
+        results["parallel"],
+        median(times["parallel"]),
+    )
+
+
 def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
     hashes = clustered_hashes(n_hashes // 10, 10)
     # Per-query reference: one MultiIndexHash lookup per hash.  This was
@@ -125,25 +109,13 @@ def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
         return [index.query_indices(int(value), 8) for value in hashes]
 
     reference, reference_s = _timed(per_query)
-    serial, serial_s = _timed(lambda: radius_neighbors(hashes, 8, method="mih"))
-    pickle_config = replace(parallel, transport="pickle")
-    pickle_par, pickle_s = _timed(
-        lambda: radius_neighbors(hashes, 8, method="mih", parallel=pickle_config)
+    serial, serial_s, par, parallel_s = _paired_medians(
+        lambda: radius_neighbors(hashes, 8, method="mih"),
+        lambda: radius_neighbors(hashes, 8, method="mih", parallel=parallel),
     )
-    # The full stack: shm transport + warm pool.  The warm-up run pays
-    # the one-time fork + segment setup the warm pool then amortises
-    # across every later fan-out.
-    get_worker_pool().discard()
-    shm_config = replace(parallel, transport="shm")
-    radius_neighbors(hashes, 8, method="mih", parallel=shm_config)
-    par, shm_s = _timed(
-        lambda: radius_neighbors(hashes, 8, method="mih", parallel=shm_config)
-    )
-    get_worker_pool().discard()
     identical = (
-        len(serial) == len(par) == len(reference) == len(pickle_par)
+        len(serial) == len(par) == len(reference)
         and all(np.array_equal(a, b) for a, b in zip(serial, par))
-        and all(np.array_equal(a, b) for a, b in zip(serial, pickle_par))
         and all(np.array_equal(a, b) for a, b in zip(serial, reference))
     )
     return {
@@ -152,66 +124,12 @@ def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
         "radius": 8,
         "per_query_s": reference_s,
         "serial_s": serial_s,
-        "pickle_parallel_s": pickle_s,
-        "parallel_s": shm_s,
-        "transport": "shm",
-        "warm_pool": True,
-        "compiled_tier": compiled.tier(),
+        "parallel_s": parallel_s,
         # Batched serial kernel vs the per-query reference.
         "speedup": reference_s / serial_s if serial_s else float("inf"),
-        # Headline: the full shm + warm-pool stack against serial.
-        "parallel_vs_serial": serial_s / shm_s if shm_s else float("inf"),
-        "shm_vs_pickle": pickle_s / shm_s if shm_s else float("inf"),
-        "mechanism": (
-            "shm transport removes per-shard input pickling and the warm "
-            "pool removes the per-fan-out fork; the join is numpy on "
-            "every tier, so the fan-out gains only what the cores give"
-        ),
+        # The process fan-out against serial.
+        "parallel_vs_serial": serial_s / parallel_s if parallel_s else float("inf"),
         "identical": identical,
-    }
-
-
-def bench_compiled_tier(n: int) -> dict:
-    """Serial kernel-tier delta on the dense Hamming matrix.
-
-    The matrix is the one kernel the compiled tier still serves: the
-    numpy radius join matched the deleted C MIH kernel (23-24 ms
-    against 24-26 ms on the four 4.4k-4.6k-hash /pol/ Step-2 inputs of
-    the benchmark's seed-1 worlds, one Intel Xeon core).
-    """
-    hashes = clustered_hashes(n // 10, 10, seed=23)
-    with _compiled_tier("0"):
-        baseline, numpy_s = _timed(lambda: hamming_distance_matrix(hashes))
-    with _compiled_tier("1"):
-        tier = compiled.tier()
-        fast, compiled_s = _timed(lambda: hamming_distance_matrix(hashes))
-    identical = bool(np.array_equal(baseline, fast))
-    return {
-        "name": "compiled_vs_numpy",
-        "n_items": int(hashes.size),
-        "tier": tier,
-        "serial_s": numpy_s,
-        "parallel_s": compiled_s,
-        "speedup": numpy_s / compiled_s if compiled_s else float("inf"),
-        "identical": identical,
-    }
-
-
-def bench_hamming_matrix(n: int, parallel: ParallelConfig) -> dict:
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    b = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    serial, serial_s = _timed(lambda: hamming_distance_matrix(a, b))
-    par, parallel_s = _timed(
-        lambda: hamming_distance_matrix(a, b, parallel=parallel)
-    )
-    return {
-        "name": "hamming_distance_matrix",
-        "n_items": n,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else float("inf"),
-        "identical": bool(np.array_equal(serial, par)),
     }
 
 
@@ -274,91 +192,6 @@ def bench_hawkes_fits(n_clusters: int, parallel: ParallelConfig) -> dict:
         "speedup": serial_s / parallel_s if parallel_s else float("inf"),
         "identical": identical,
     }
-
-
-def _paired_best(serial_fn, dispatched_fn, calibrate, rounds: int = 4):
-    """Alternate serial/dispatched timings; best (min) wall time per side.
-
-    Pairing the rounds makes slow host drift hit both sides equally —
-    which matters because on few-core hosts the two sides execute the
-    *same* code (the dispatcher picks serial), so any reported gap is
-    pure timing noise.  ``calibrate`` receives the first serial timing
-    before the first dispatched call so the model chooses from an
-    observed rate.
-    """
-    serial_result, serial_s = _timed(serial_fn)
-    calibrate(serial_s)
-    dispatch_result, dispatch_s = _timed(dispatched_fn)
-    for _ in range(rounds - 1):
-        _, elapsed = _timed(serial_fn)
-        serial_s = min(serial_s, elapsed)
-        _, elapsed = _timed(dispatched_fn)
-        dispatch_s = min(dispatch_s, elapsed)
-    return serial_result, serial_s, dispatch_result, dispatch_s
-
-
-def bench_cost_dispatch(parallel: ParallelConfig) -> list[dict]:
-    """The calibrated dispatcher must erase the sub-1x regressions.
-
-    BENCH_parallel.json once recorded ``hamming_distance_matrix`` at
-    0.07x and ``associate_hashes`` at 0.94x under an unconditional
-    4-worker process fan-out on a 1-core host.  Here each kernel's
-    serial run calibrates a :class:`CostModel`; the same pool config
-    *with* the model then routes through ``dispatched()``, which picks
-    the cheapest backend per call.  Dispatch must never lose to serial
-    beyond timing noise — on an oversubscribed host it simply chooses
-    serial, elsewhere it keeps the winning fan-out.
-    """
-    model = CostModel()
-    dispatching = replace(parallel, cost_model=model)
-    records = []
-
-    rng = np.random.default_rng(29)
-    n = 2_000
-    a = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    b = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    serial, serial_s, par, dispatch_s = _paired_best(
-        lambda: hamming_distance_matrix(a, b),
-        lambda: hamming_distance_matrix(a, b, parallel=dispatching),
-        lambda s: model.observe("hamming_distance_matrix", "serial", n * n, s),
-    )
-    chosen = model.choose("hamming_distance_matrix", n * n, parallel)
-    records.append({
-        "name": "hamming_distance_matrix_dispatch",
-        "n_items": n,
-        "serial_s": serial_s,
-        "parallel_s": dispatch_s,
-        "speedup": serial_s / dispatch_s if dispatch_s else float("inf"),
-        "dispatch_backend": chosen.resolved_backend(),
-        "dispatch_workers": chosen.workers,
-        "identical": bool(np.array_equal(serial, par)),
-    })
-
-    medoid_values = rng.integers(0, 2**64, size=200, dtype=np.uint64)
-    medoids = {int(i): int(v) for i, v in enumerate(medoid_values)}
-    hashes = clustered_hashes(4_000, 10, seed=31)
-    n_unique = int(np.unique(hashes).size)
-    serial, serial_s, par, dispatch_s = _paired_best(
-        lambda: associate_hashes(hashes, medoids, theta=8),
-        lambda: associate_hashes(hashes, medoids, theta=8, parallel=dispatching),
-        lambda s: model.observe("associate_hashes", "serial", n_unique, s),
-    )
-    chosen = model.choose("associate_hashes", n_unique, parallel)
-    records.append({
-        "name": "associate_hashes_dispatch",
-        "n_items": int(hashes.size),
-        "n_medoids": len(medoids),
-        "serial_s": serial_s,
-        "parallel_s": dispatch_s,
-        "speedup": serial_s / dispatch_s if dispatch_s else float("inf"),
-        "dispatch_backend": chosen.resolved_backend(),
-        "dispatch_workers": chosen.workers,
-        "identical": bool(
-            np.array_equal(serial.cluster_ids, par.cluster_ids)
-            and np.array_equal(serial.distances, par.distances)
-        ),
-    })
-    return records
 
 
 def bench_supervision_overhead(
@@ -458,13 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backend", choices=("thread", "process"), default="process"
     )
     parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="shm",
-        help="shard transport for the non-headline fan-outs (the "
-        "radius_neighbors record always measures both)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny workloads: verify identity and JSON shape, skip the "
@@ -475,53 +301,36 @@ def main(argv: list[str] | None = None) -> int:
         default=os.path.join(os.path.dirname(__file__), "..", "BENCH_parallel.json"),
     )
     args = parser.parse_args(argv)
-    parallel = ParallelConfig(
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-    )
+    parallel = ParallelConfig(workers=args.workers, backend=args.backend)
 
     if args.smoke:
-        sizes = dict(neighbors=2_000, matrix=500, assoc=5_000, medoids=50, hawkes=4)
+        sizes = dict(neighbors=2_000, assoc=5_000, medoids=50, hawkes=4)
     else:
-        sizes = dict(neighbors=50_000, matrix=4_000, assoc=200_000, medoids=1_000, hawkes=20)
+        sizes = dict(neighbors=50_000, assoc=200_000, medoids=1_000, hawkes=20)
 
     records = []
     capped = effective_workers(args.workers)
     print(f"workers={args.workers} (effective={capped}) "
-          f"backend={args.backend} transport={args.transport} "
-          f"cpus={os.cpu_count()} compiled={compiled.tier()} "
+          f"backend={args.backend} cpus={os.cpu_count()} "
           f"smoke={args.smoke}", flush=True)
     for record in (
         bench_radius_neighbors(sizes["neighbors"], parallel),
-        bench_compiled_tier(sizes["matrix"]),
-        bench_hamming_matrix(sizes["matrix"], parallel),
         bench_association(sizes["assoc"], sizes["medoids"], parallel),
         bench_hawkes_fits(sizes["hawkes"], parallel),
-        *bench_cost_dispatch(parallel),
     ):
         records.append(record)
-        dispatch = (
-            f"  -> {record['dispatch_backend']}x{record['dispatch_workers']}"
-            if "dispatch_backend" in record
+        extra = (
+            f"  [per-query={record['per_query_s']:.3f}s, "
+            f"parallel/serial={record['parallel_vs_serial']:.2f}x]"
+            if "per_query_s" in record
             else ""
         )
-        if "per_query_s" in record:
-            dispatch += (
-                f"  [per-query={record['per_query_s']:.3f}s, "
-                f"pickle={record['pickle_parallel_s']:.3f}s, "
-                f"shm/serial={record['parallel_vs_serial']:.2f}x, "
-                f"shm/pickle={record['shm_vs_pickle']:.2f}x, "
-                f"tier={record['compiled_tier']}]"
-            )
-        if record["name"] == "compiled_vs_numpy":
-            dispatch += f"  [tier={record['tier']}]"
         print(
             f"  {record['name']:32s} n={record['n_items']:>7,}  "
             f"serial={record['serial_s']:8.3f}s  "
             f"parallel={record['parallel_s']:8.3f}s  "
             f"speedup={record['speedup']:5.2f}x  "
-            f"identical={record['identical']}{dispatch}",
+            f"identical={record['identical']}{extra}",
             flush=True,
         )
 
@@ -585,24 +394,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not args.smoke and headline["parallel_vs_serial"] < 1.5:
         print(
-            f"FAIL: shm-stack fan-out at "
+            f"FAIL: process fan-out at "
             f"{headline['parallel_vs_serial']:.2f}x < 1.5x vs serial",
             file=sys.stderr,
         )
         return 1
-    if not args.smoke:
-        for record in records:
-            if "dispatch_backend" not in record:
-                continue
-            # 0.9x allows timing noise on identical code paths; a real
-            # regression (the historical 0.07x) is far below it.
-            if record["speedup"] < 0.9:
-                print(
-                    f"FAIL: cost-model dispatch left {record['name']} at "
-                    f"{record['speedup']:.2f}x vs serial",
-                    file=sys.stderr,
-                )
-                return 1
     return 0
 
 

@@ -23,12 +23,10 @@ from repro.utils.parallel import (
     Executor,
     ParallelConfig,
     array_splitter,
-    kernel_timer,
     resolve_parallel,
     shard_bounds,
     strict_supervision,
 )
-from repro.utils.shm import resolve_array, shared_inputs
 
 __all__ = ["AssociationResult", "associate_hashes"]
 
@@ -81,14 +79,11 @@ def _associate_unique_shard(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-medoid lookups for one shard of unique hashes.
 
-    Module-level so process workers can receive pickled shards (or shm
-    descriptors).  :func:`~repro.hashing.pairwise.nearest_medoid` breaks
-    ties to the smallest medoid position; ``id_array`` ascends with
-    position, so that is the smallest cluster id.
+    Module-level so process workers can receive pickled shards.
+    :func:`~repro.hashing.pairwise.nearest_medoid` breaks ties to the
+    smallest medoid position; ``id_array`` ascends with position, so
+    that is the smallest cluster id.
     """
-    unique = resolve_array(unique, np.uint64)
-    id_array = resolve_array(id_array, np.int64)
-    medoid_array = resolve_array(medoid_array, np.uint64)
     position, unique_distance = nearest_medoid(unique, medoid_array, theta)
     unique_cluster = np.full(unique.size, UNASSIGNED, dtype=np.int64)
     matched = np.flatnonzero(position >= 0)
@@ -137,41 +132,23 @@ def associate_hashes(
     # numpy >= 2.0 shapes return_inverse like the input; flatten so the
     # memoised scatter below works on both 1.26 and 2.x.
     inverse = inverse.reshape(-1)
-    parallel = resolve_parallel(parallel).dispatched(
-        "associate_hashes", int(unique.size)
-    )
+    parallel = resolve_parallel(parallel)
     if parallel.is_serial or unique.size < parallel.workers * 2:
-        with kernel_timer(
-            parallel, "associate_hashes", int(unique.size), backend="serial"
-        ):
-            unique_cluster, unique_distance = _associate_unique_shard(
-                unique, id_array, medoid_array, theta
-            )
+        unique_cluster, unique_distance = _associate_unique_shard(
+            unique, id_array, medoid_array, theta
+        )
     else:
-        with kernel_timer(parallel, "associate_hashes", int(unique.size)):
-            # shm transport: queries and the (tiny) medoid tables are
-            # published once; shards ship sliced descriptors.
-            with shared_inputs(parallel, unique, id_array, medoid_array) as (
-                unique_src,
-                ids_src,
-                medoids_src,
-            ):
-                sup = Executor(parallel).supervised_starmap(
-                    _associate_unique_shard,
-                    [
-                        (unique_src[start:stop], ids_src, medoids_src, theta)
-                        for start, stop in shard_bounds(unique.size, parallel)
-                    ],
-                    policy=strict_supervision(parallel),
-                    split=array_splitter(0),
-                    merge=_merge_association_parts,
-                )
-                unique_cluster = np.concatenate(
-                    [part[0] for part in sup.results]
-                )
-                unique_distance = np.concatenate(
-                    [part[1] for part in sup.results]
-                )
+        sup = Executor(parallel).supervised_starmap(
+            _associate_unique_shard,
+            [
+                (unique[start:stop], id_array, medoid_array, theta)
+                for start, stop in shard_bounds(unique.size, parallel)
+            ],
+            policy=strict_supervision(parallel),
+            split=array_splitter(0),
+            merge=_merge_association_parts,
+        )
+        unique_cluster, unique_distance = _merge_association_parts(sup.results)
 
     cluster_ids[:] = unique_cluster[inverse]
     distances[:] = unique_distance[inverse]

@@ -51,23 +51,17 @@ valid checkpoints instead of recomputing completed stages) and
 ``--workers N`` fans the hot paths (clustering neighbourhoods,
 association, per-cluster Hawkes fits) out over N workers;
 ``--parallel-backend`` picks ``thread`` or ``process`` (default
-``auto`` = process for N > 1) and ``--transport shm`` ships process
-shards as zero-copy shared-memory descriptors instead of pickled
-copies.  Output is bit-identical for any worker count, backend, and
-transport::
+``auto`` = process for N > 1; process shards travel as pickled numpy
+arrays).  Output is bit-identical for any worker count and backend::
 
-    python -m repro --workers 4 --transport shm report
+    python -m repro --workers 2 --parallel-backend process report
 
 ``--cache-dir DIR`` turns on content-addressed memoization
 (:mod:`repro.core.cache`): a re-run with unchanged inputs reports
 ``cached`` per stage, and a run whose corpus merely *grew* does delta
 work only (incremental neighbourhood merging, prefix association).
 ``--no-cache`` disables it even when a script always passes
-``--cache-dir``; ``--cost-dispatch`` adds calibrated cost-model
-dispatch (:class:`repro.utils.parallel.CostModel`) so each kernel call
-picks serial vs thread vs process from measured throughput — with
-``--cache-dir`` the calibration persists at
-``<cache-dir>/cost_model.json``::
+``--cache-dir``::
 
     python -m repro --cache-dir cache report      # cold: fills the cache
     python -m repro --cache-dir cache report      # warm: every stage cached
@@ -126,8 +120,6 @@ from repro.core import PipelineConfig, RunnerOptions, RunnerPolicy, run_pipeline
 from repro.utils.io import CheckpointLockError
 from repro.utils.parallel import (
     BACKENDS,
-    TRANSPORTS,
-    CostModel,
     ParallelConfig,
     SupervisionPolicy,
     warn_if_oversubscribed,
@@ -186,13 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the content cache even when --cache-dir is given",
     )
     parser.add_argument(
-        "--cost-dispatch",
-        action="store_true",
-        help="dispatch each parallel kernel call serial/thread/process "
-        "from calibrated throughput instead of the requested backend; "
-        "calibration persists at <cache-dir>/cost_model.json",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -205,16 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="executor backend for --workers (auto = process when "
         "workers > 1)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default=None,
-        help="shard input transport for process workers (default: "
-        "REPRO_TRANSPORT env var, else pickle); shm publishes each "
-        "fan-out's input arrays once into POSIX shared memory and "
-        "ships zero-copy descriptors instead of pickled copies — "
-        "output is bit-identical either way",
     )
     parser.add_argument(
         "--shard-deadline",
@@ -442,51 +417,25 @@ def _cache_dir(args) -> str | None:
     return None if args.no_cache else args.cache_dir
 
 
-def _cost_model(args) -> CostModel | None:
-    """Build the ``--cost-dispatch`` model, persisted inside the cache."""
-    if not args.cost_dispatch:
-        return None
-    cache_dir = _cache_dir(args)
-    path = Path(cache_dir) / "cost_model.json" if cache_dir else None
-    return CostModel(path)
-
-
 def _parallel_config(args) -> ParallelConfig | None:
     """Explicit flags win; ``None`` defers to the environment/serial.
 
     Supervision flags alone (e.g. ``--shard-deadline`` with workers
     from ``REPRO_WORKERS``) still need a config object to ride on, so
-    they graft onto the environment-resolved one; the same goes for
-    ``--cost-dispatch`` and ``--transport``.
+    they graft onto the environment-resolved one.
     """
     supervision = _supervision_policy(args)
-    cost_model = _cost_model(args)
-    if (
-        args.workers is None
-        and args.parallel_backend is None
-        and supervision is None
-        and cost_model is None
-        and args.transport is None
-    ):
-        return None
     if args.workers is None and args.parallel_backend is None:
-        base = ParallelConfig.from_env()
-        return replace(
-            base,
-            supervision=supervision,
-            cost_model=cost_model,
-            transport=args.transport or base.transport,
-        )
+        if supervision is None:
+            return None
+        return replace(ParallelConfig.from_env(), supervision=supervision)
     workers = args.workers if args.workers is not None else 1
     if workers > 1:
         warn_if_oversubscribed(workers, source="--workers")
-    env_transport = ParallelConfig.from_env().transport
     return ParallelConfig(
         workers=workers,
         backend=args.parallel_backend or "auto",
         supervision=supervision,
-        cost_model=cost_model,
-        transport=args.transport or env_transport,
     )
 
 
@@ -731,8 +680,6 @@ def _load_stream(path) -> list:
     behaviour an operator replaying a dirty production log wants to see
     accounted, not crash on.
     """
-    from pathlib import Path
-
     items: list = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -937,14 +884,6 @@ def main(argv: list[str] | None = None) -> int:
         _print_influence(world, result, parallel=parallel)
     if args.command == "serve-replay":
         exit_code = _serve_replay(world, result, args, faults)
-    if (
-        parallel is not None
-        and parallel.cost_model is not None
-        and parallel.cost_model.path is not None
-    ):
-        # Persist what this run observed so the next one dispatches
-        # from calibration instead of defaults.
-        parallel.cost_model.save()
     if _partial_failure(result):
         quarantined = [
             site for report in result.stage_reports for site in report.quarantined

@@ -674,8 +674,13 @@ class PipelineRunner:
         all_hashes: np.ndarray,
         medoid_by_global: dict[int, int],
         report: StageReport | None = None,
+        first_post: int = 0,
     ):
         """Step 6's association, sharded per community when parallel.
+
+        ``all_hashes`` are the hashes of the posts
+        ``world.posts[first_post:]``, in order (a cache delta passes only
+        the appended suffix).
 
         Each post's match depends only on its own hash, so splitting the
         post set by community and stitching the per-community results
@@ -694,8 +699,9 @@ class PipelineRunner:
             return associate_hashes(
                 all_hashes, medoid_by_global, theta=self.config.theta
             )
+        posts = self.world.posts[first_post : first_post + all_hashes.size]
         groups: dict[str, list[int]] = {}
-        for position, post in enumerate(self.world.posts):
+        for position, post in enumerate(posts):
             groups.setdefault(post.community, []).append(position)
         ordered = [np.asarray(idx, dtype=np.int64) for idx in groups.values()]
         sup = Executor(self.parallel).supervised_starmap(
@@ -764,7 +770,7 @@ class PipelineRunner:
             ):
                 stats.hits += 1
                 suffix = self._associate_all(
-                    all_hashes[n_prev:], medoid_by_global, report
+                    all_hashes[n_prev:], medoid_by_global, report, n_prev
                 )
                 association = AssociationResult(
                     cluster_ids=np.concatenate(

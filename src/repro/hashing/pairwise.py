@@ -26,13 +26,11 @@ from repro.utils.bitops import hamming_distance_matrix, popcount
 from repro.utils.parallel import (
     Executor,
     ParallelConfig,
-    kernel_timer,
     range_splitter,
     resolve_parallel,
     shard_bounds,
     strict_supervision,
 )
-from repro.utils.shm import resolve_array, shared_inputs
 
 __all__ = [
     "PairwiseResult",
@@ -70,15 +68,12 @@ def pairwise_distances(
     b: np.ndarray | None = None,
     *,
     chunk_size: int = 4096,
-    parallel: ParallelConfig | None = None,
 ) -> PairwiseResult:
     """Dense all-pairs Hamming distances between hash sets ``a`` and ``b``."""
     a = np.ascontiguousarray(a, dtype=np.uint64)
     self_comparison = b is None
     b_arr = a if self_comparison else np.ascontiguousarray(b, dtype=np.uint64)
-    matrix = hamming_distance_matrix(
-        a, b_arr, chunk_size=chunk_size, parallel=parallel
-    )
+    matrix = hamming_distance_matrix(a, b_arr, chunk_size=chunk_size)
     n = int(a.size)
     n_comparisons = (
         n * (n - 1) // 2 if self_comparison else n * int(b_arr.size)
@@ -132,14 +127,12 @@ def _neighbors_shard(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour rows of the query range ``start:stop`` against all hashes.
 
-    Module-level so process workers can receive pickled shards (or shm
-    descriptors, which resolve to read-only views here).  Returns the
-    rows flat, as ``(row lengths, concatenated rows)``: two arrays
-    pickle back from a worker far cheaper than one array per row.
+    Module-level so process workers can receive pickled shards.
+    Returns the rows flat, as ``(row lengths, concatenated rows)``: two
+    arrays pickle back from a worker far cheaper than one array per row.
     ``dense`` forces the blocked dense scan (``method="brute"``);
     otherwise the join picks its plan for the range.
     """
-    hashes = resolve_array(hashes, np.uint64)
     whole = start == 0 and stop == hashes.size
     queries = hashes if whole else hashes[start:stop]
     if dense:
@@ -204,29 +197,22 @@ def radius_neighbors(
     if hashes.size == 0:
         return NeighborGraph.from_rows([])
     dense = method == "brute"
-    kernel = f"radius_neighbors_{method}"
-    parallel = resolve_parallel(parallel).dispatched(kernel, int(hashes.size))
+    parallel = resolve_parallel(parallel)
     if parallel.is_serial or hashes.size < parallel.workers * 2:
-        with kernel_timer(parallel, kernel, int(hashes.size), backend="serial"):
-            return NeighborGraph.from_lengths(
-                *_neighbors_shard(hashes, 0, int(hashes.size), radius, dense)
-            )
-    with kernel_timer(parallel, kernel, int(hashes.size)):
-        # shm transport: the hash corpus is published once and every
-        # shard ships a descriptor + query range instead of a pickled
-        # copy of the whole array per task.
-        with shared_inputs(parallel, hashes) as (hashes_src,):
-            sup = Executor(parallel).supervised_starmap(
-                _neighbors_shard,
-                [
-                    (hashes_src, start, stop, radius, dense)
-                    for start, stop in shard_bounds(hashes.size, parallel)
-                ],
-                policy=strict_supervision(parallel),
-                split=range_splitter(1, 2),
-                merge=_merge_neighbor_parts,
-            )
-            return NeighborGraph.from_lengths(*_merge_neighbor_parts(sup.results))
+        return NeighborGraph.from_lengths(
+            *_neighbors_shard(hashes, 0, int(hashes.size), radius, dense)
+        )
+    sup = Executor(parallel).supervised_starmap(
+        _neighbors_shard,
+        [
+            (hashes, start, stop, radius, dense)
+            for start, stop in shard_bounds(hashes.size, parallel)
+        ],
+        policy=strict_supervision(parallel),
+        split=range_splitter(1, 2),
+        merge=_merge_neighbor_parts,
+    )
+    return NeighborGraph.from_lengths(*_merge_neighbor_parts(sup.results))
 
 
 def delta_pairs(

@@ -1,7 +1,7 @@
 """Streaming ingestion configuration and environment resolution.
 
 Follows the repo's env-var conventions (``REPRO_WORKERS``,
-``REPRO_TRANSPORT``): a malformed value is
+``REPRO_PARALLEL_BACKEND``): a malformed value is
 *never* fatal — it emits a :class:`RuntimeWarning` naming the bad value
 and falls back to the default, so a typo in a deployment manifest
 degrades loudly instead of crashing the ingester at boot.

@@ -118,25 +118,33 @@ def flip_random_bits(
     return np.uint64(result)
 
 
-def _matrix_rows(
-    a: np.ndarray, b: np.ndarray, chunk_size: int
+def hamming_distance_matrix(
+    a: np.ndarray,
+    b: np.ndarray | None = None,
+    *,
+    chunk_size: int = 4096,
 ) -> np.ndarray:
-    """Dense distance rows for one shard of ``a`` against all of ``b``.
+    """All-pairs Hamming distances between two sets of 64-bit hashes.
 
-    Module-level so process workers can receive pickled shards — or,
-    under the shm transport, zero-copy
-    :class:`repro.utils.shm.ShmArrayRef` descriptors.  The compiled
-    tier (``REPRO_COMPILED``) replaces the broadcast loop with a fused
-    native popcount, bit-identically.
+    This is the reproduction of the paper's Step 2 (the TensorFlow
+    multi-GPU pairwise engine), reduced to chunked numpy broadcasting.
+    Memory stays bounded at ``chunk_size * len(b) * 8`` bytes per chunk.
+
+    Parameters
+    ----------
+    a, b:
+        1-D ``uint64`` arrays.  When ``b`` is omitted the matrix is
+        ``a`` vs itself.
+    chunk_size:
+        Rows of ``a`` processed per broadcast step.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(len(a), len(b))`` matrix of ``int64`` distances.
     """
-    from repro.utils import compiled
-    from repro.utils.shm import resolve_array
-
-    a = resolve_array(a, np.uint64)
-    b = resolve_array(b, np.uint64)
-    fast = compiled.hamming_matrix(a, b)
-    if fast is not None:
-        return fast
+    a = np.ascontiguousarray(a, dtype=np.uint64)
+    b = a if b is None else np.ascontiguousarray(b, dtype=np.uint64)
     out = np.empty((a.size, b.size), dtype=np.int64)
     for start in range(0, a.size, chunk_size):
         stop = min(start + chunk_size, a.size)
@@ -147,80 +155,3 @@ def _matrix_rows(
             bytes_view = xored.view(np.uint8).reshape(stop - start, b.size, 8)
             out[start:stop] = _POPCOUNT8[bytes_view].sum(axis=2, dtype=np.int64)
     return out
-
-
-def _merge_matrix_rows(parts: list[np.ndarray]) -> np.ndarray:
-    """Reassemble bisected row-shard outputs: row concatenation."""
-    return np.concatenate(parts, axis=0)
-
-
-def hamming_distance_matrix(
-    a: np.ndarray,
-    b: np.ndarray | None = None,
-    *,
-    chunk_size: int = 4096,
-    parallel=None,
-) -> np.ndarray:
-    """All-pairs Hamming distances between two sets of 64-bit hashes.
-
-    This is the reproduction of the paper's Step 2 (the TensorFlow
-    multi-GPU pairwise engine), reduced to chunked numpy broadcasting.
-    Memory stays bounded at ``chunk_size * len(b) * 8`` bytes per chunk
-    per worker.
-
-    Parameters
-    ----------
-    a, b:
-        1-D ``uint64`` arrays.  When ``b`` is omitted the matrix is
-        ``a`` vs itself.
-    chunk_size:
-        Rows of ``a`` processed per broadcast step.
-    parallel:
-        Optional :class:`repro.utils.parallel.ParallelConfig`; rows of
-        ``a`` are sharded across workers and reassembled in order, so
-        the result is identical to the serial computation.  A config
-        carrying a :class:`repro.utils.parallel.CostModel` routes
-        through cost-model dispatch first (the model may pick serial
-        for call sizes where fan-out loses, as BENCH_parallel.json
-        measured for process workers shipping dense matrices back).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(len(a), len(b))`` matrix of ``int64`` distances.
-    """
-    from repro.utils import compiled
-    from repro.utils.parallel import (
-        Executor,
-        array_splitter,
-        kernel_timer,
-        resolve_parallel,
-        shard_bounds,
-        strict_supervision,
-    )
-    from repro.utils.shm import shared_inputs
-
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = a if b is None else np.ascontiguousarray(b, dtype=np.uint64)
-    units = int(a.size) * int(b.size)
-    kernel = compiled.kernel_variant("hamming_distance_matrix")
-    parallel = resolve_parallel(parallel).dispatched(kernel, units)
-    if parallel.is_serial or a.size < parallel.workers * 2:
-        with kernel_timer(parallel, kernel, units, backend="serial"):
-            return _matrix_rows(a, b, chunk_size)
-    with kernel_timer(parallel, kernel, units):
-        # Under the shm transport both operands are published once and
-        # shards carry window descriptors; otherwise the arrays pass
-        # through untouched and each task pickles its slice as before.
-        with shared_inputs(parallel, a, b) as (a_src, b_src):
-            sup = Executor(parallel).supervised_starmap(
-                _matrix_rows,
-                [
-                    (a_src[start:stop], b_src, chunk_size)
-                    for start, stop in shard_bounds(a.size, parallel)
-                ],
-                policy=strict_supervision(parallel),
-                split=array_splitter(0),
-                merge=_merge_matrix_rows,
-            )
-            return np.concatenate(sup.results, axis=0)

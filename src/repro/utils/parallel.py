@@ -2,9 +2,9 @@
 
 The paper ran its all-pairs comparisons and per-cluster Hawkes fits on a
 two-GPU TensorFlow rig; the laptop-scale reproduction instead shards its
-embarrassingly-parallel hot paths — radius neighbourhoods, Hamming
-matrix rows, per-community association, per-cluster fits — over a small
-executor abstraction with three interchangeable backends:
+embarrassingly-parallel hot paths — radius neighbourhoods,
+nearest-medoid association, per-cluster fits — over a small executor
+abstraction with three interchangeable backends:
 
 * ``serial`` — a plain loop in the calling thread.  The default, and
   the reference semantics every other backend must reproduce.
@@ -70,40 +70,16 @@ implements the hook — raise-type faults raise right there in the
 parent, while ``hang``/``kill`` faults return a :class:`ChaosDirective`
 that ships into the worker (sleep past the deadline / ``os._exit``),
 so hang detection and worker-death recovery are testable end to end.
-
-**Cost-model dispatch.** ``BENCH_parallel.json`` caught two hot paths
-where unconditional fan-out was *slower* than serial
-(``hamming_distance_matrix`` 0.07x under process workers — pickling a
-dense matrix back dwarfs the compute; ``associate_hashes`` 0.94x) on a
-host whose ``os.cpu_count()`` was below the requested worker count.
-:class:`CostModel` fixes both failure classes: it caps effective
-workers at the host's core count (oversubscribed CPU-bound fan-outs
-cannot win) and keeps a small per-kernel throughput calibration
-(units/second per backend, EWMA over observed runs, JSON-persisted in
-the cache directory) from which it estimates serial vs thread vs
-process wall time per call and dispatches the cheapest.  The model is
-strictly opt-in — ``ParallelConfig.cost_model`` is ``None`` unless a
-caller (the CLI's ``--cost-dispatch``, the benchmarks) attaches one —
-so supervised-execution semantics and chaos drills are untouched by
-default, and dispatch changes only wall time, never results (a
-dispatched-to-serial kernel runs the identical serial code path).
 """
 
 from __future__ import annotations
 
-import atexit
-import json
-import math
 import os
-import platform
-import tempfile
-import threading
 import time
 import warnings
 from concurrent import futures as _futures
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.utils.retry import RetryPolicy, retry_call
@@ -111,10 +87,8 @@ from repro.utils.retry import RetryPolicy, retry_call
 __all__ = [
     "BACKENDS",
     "ENV_BACKEND",
-    "ENV_TRANSPORT",
     "ENV_WORKERS",
     "ChaosDirective",
-    "CostModel",
     "DEFAULT_CHAOS_SITES",
     "ExecutionReport",
     "Executor",
@@ -123,14 +97,9 @@ __all__ = [
     "ShardReport",
     "SupervisedResult",
     "SupervisionPolicy",
-    "TRANSPORTS",
-    "WorkerPool",
     "array_splitter",
     "available_cpus",
     "effective_workers",
-    "get_worker_pool",
-    "host_fingerprint",
-    "kernel_timer",
     "parallel_map",
     "parallel_starmap",
     "range_splitter",
@@ -143,13 +112,10 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-BACKENDS = ("auto", "serial", "thread", "process", "process_shm")
-
-TRANSPORTS = ("pickle", "shm")
+BACKENDS = ("auto", "serial", "thread", "process")
 
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
-ENV_TRANSPORT = "REPRO_TRANSPORT"
 
 
 def _visible_cpus() -> int | None:
@@ -170,10 +136,10 @@ def available_cpus() -> int:
 
     ``os.cpu_count()`` reports the machine's cores and ignores cgroup
     and affinity limits — in a container pinned to 2 of 64 cores it
-    says 64, so worker clamping caps at 64 and dispatch happily picks
-    fan-outs that cannot win.  The scheduler affinity mask is the
-    truth on Linux; platforms without it fall back to the core count,
-    and a host where neither is knowable counts as 1.
+    says 64, so worker clamping would cap at 64 and the
+    oversubscription warning would never fire.  The scheduler affinity
+    mask is the truth on Linux; platforms without it fall back to the
+    core count, and a host where neither is knowable counts as 1.
     """
     return _visible_cpus() or 1
 
@@ -221,18 +187,9 @@ class ParallelConfig:
     workers:
         Worker count; 1 means serial execution (the default).
     backend:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"process_shm"``,
-        or ``"auto"`` (serial when ``workers == 1``, otherwise process
-        — the only backend family that sidesteps the GIL for
-        pure-Python kernels).  ``"process_shm"`` is the process backend
-        on the zero-copy transport: shard inputs travel as
-        shared-memory descriptors through a persistent warm worker
-        pool instead of being pickled to a per-call pool.
-    transport:
-        ``"pickle"`` (the default: arguments pickled per task) or
-        ``"shm"``.  Selecting ``"shm"`` upgrades a resolved ``process``
-        backend to ``process_shm``; serial and thread execution ignore
-        it (they already share the caller's address space).
+        ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
+        (serial when ``workers == 1``, otherwise process — the only
+        backend that sidesteps the GIL for pure-Python kernels).
     chunk_size:
         Items per shard for :func:`shard_bounds`; ``None`` applies the
         heuristic (one large shard per process worker to amortise
@@ -249,12 +206,6 @@ class ParallelConfig:
         consulted before every supervised shard attempt; see
         :meth:`repro.core.faults.FaultInjector.parallel_directive`.
         Test/drill only; never pickled to workers.
-    cost_model:
-        Optional :class:`CostModel`.  When set, kernel call sites route
-        through :meth:`dispatched` before fanning out, letting the
-        model pick serial/thread/process per call and cap workers at
-        the core count.  ``None`` (the default, including via
-        :meth:`from_env`) keeps the historical unconditional fan-out.
     """
 
     workers: int = 1
@@ -262,8 +213,6 @@ class ParallelConfig:
     chunk_size: int | None = None
     supervision: "SupervisionPolicy | None" = None
     chaos: Callable[[str], "ChaosDirective | None"] | None = None
-    cost_model: "CostModel | None" = None
-    transport: str = "pickle"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -274,43 +223,17 @@ class ParallelConfig:
             )
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"expected one of {TRANSPORTS}"
-            )
 
     def resolved_backend(self) -> str:
-        """The concrete backend after ``auto``/transport resolution."""
-        backend = self.backend
-        if backend == "auto":
-            backend = "serial" if self.workers <= 1 else "process"
-        if backend == "process" and self.transport == "shm":
-            return "process_shm"
-        return backend
+        """The concrete backend after ``auto`` resolution."""
+        if self.backend == "auto":
+            return "serial" if self.workers <= 1 else "process"
+        return self.backend
 
     @property
     def is_serial(self) -> bool:
         """True when execution degenerates to a plain loop."""
         return self.workers <= 1 or self.resolved_backend() == "serial"
-
-    @property
-    def uses_shm(self) -> bool:
-        """True when fan-out inputs should travel as shared memory."""
-        return self.resolved_backend() == "process_shm"
-
-    def dispatched(self, kernel: str, units: int) -> "ParallelConfig":
-        """The effective config for one kernel call of ``units`` work.
-
-        With no :attr:`cost_model` (the default) this is the identity —
-        call sites behave exactly as before.  With one, the model picks
-        the cheapest backend for this call size and caps workers at the
-        host's core count; the result is bit-identical either way, only
-        wall time changes.
-        """
-        if self.cost_model is None or self.is_serial:
-            return self
-        return self.cost_model.choose(kernel, int(units), self)
 
     @classmethod
     def from_env(cls, env=None) -> "ParallelConfig":
@@ -318,18 +241,22 @@ class ParallelConfig:
 
         Unset or malformed variables fall back to the serial default, so
         library behaviour never changes unless explicitly requested —
-        but a *malformed* value is an operator error worth surfacing, so
-        it emits a :class:`RuntimeWarning` naming the bad value instead
-        of being silently swallowed.
+        but a *malformed* value (not an integer, or not positive) is an
+        operator error worth surfacing, so it emits a
+        :class:`RuntimeWarning` naming the bad value instead of being
+        silently swallowed.
         """
         env = os.environ if env is None else env
         raw_workers = env.get(ENV_WORKERS, "")
         try:
             workers = int(raw_workers or 1)
+            problem = None if workers >= 1 else "not positive"
         except ValueError:
+            problem = "not an integer"
+        if problem is not None:
             warnings.warn(
                 f"ignoring malformed {ENV_WORKERS}={raw_workers!r} "
-                "(not an integer); falling back to serial (workers=1)",
+                f"({problem}); falling back to serial (workers=1)",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -343,19 +270,9 @@ class ParallelConfig:
                 stacklevel=2,
             )
             backend = "auto"
-        transport = env.get(ENV_TRANSPORT, "") or "pickle"
-        if transport not in TRANSPORTS:
-            warnings.warn(
-                f"ignoring malformed {ENV_TRANSPORT}={transport!r}; "
-                f"expected one of {TRANSPORTS}; falling back to 'pickle'",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            transport = "pickle"
-        workers = max(1, workers)
         if workers > 1:
             warn_if_oversubscribed(workers, source=ENV_WORKERS)
-        return cls(workers=workers, backend=backend, transport=transport)
+        return cls(workers=workers, backend=backend)
 
 
 def resolve_parallel(parallel: ParallelConfig | None) -> ParallelConfig:
@@ -369,11 +286,9 @@ def shard_bounds(
     """Contiguous ``(start, stop)`` shards covering ``range(n_items)``.
 
     Chunk size follows the backend heuristic unless the config pins one:
-    pickle-transport process shards are worker-sized (each task ships a
-    pickled numpy shard, so fewer/larger is cheaper); thread, serial,
-    and ``process_shm`` shards are a quarter of that (finer grain
-    smooths uneven per-item cost, and shared-memory tasks ship only a
-    descriptor, so extra shards cost nothing to transport).
+    process shards are worker-sized (each task ships a pickled numpy
+    shard, so fewer/larger is cheaper); thread and serial shards are a
+    quarter of that (finer grain smooths uneven per-item cost).
     """
     if n_items <= 0:
         return []
@@ -386,462 +301,6 @@ def shard_bounds(
         (start, min(start + size, n_items))
         for start in range(0, n_items, size)
     ]
-
-
-# ----------------------------------------------------------------------
-# Warm worker pool (process_shm backend)
-# ----------------------------------------------------------------------
-
-
-class WorkerPool:
-    """A persistent process pool reused across fan-outs.
-
-    The pickle-transport process backend spawns a fresh
-    :class:`ProcessPoolExecutor` per fan-out — ~0.35 s of fork cost on
-    every call (the ``process`` entry in the cost model's default
-    overheads).  The ``process_shm`` backend instead checks its pool
-    out of this keeper, runs the fan-out, and checks it back in
-    *clean*: the next fan-out reuses the warm workers for near-zero
-    marginal overhead.
-
-    A *dirty* return (a shard hung, a worker died, the pool broke)
-    discards the pool without joining its workers — exactly the
-    shutdown discipline the supervised first wave already applies —
-    and the next checkout spawns a fresh one.  The supervision
-    ladder's retry rungs keep using fresh single-worker pools, so a
-    poisoned pool can never recycle into a rescue attempt.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
-        self._workers = 0
-        self.spawns = 0
-
-    @property
-    def warm(self) -> bool:
-        """True when a checked-in pool is ready for instant reuse."""
-        with self._lock:
-            return self._pool is not None
-
-    def acquire(self, workers: int) -> ProcessPoolExecutor:
-        """Check out a pool with at least ``workers`` workers."""
-        workers = max(1, int(workers))
-        with self._lock:
-            pool, self._pool = self._pool, None
-            if pool is not None and self._workers >= workers:
-                return pool
-        if pool is not None:
-            # Too small for this fan-out: replace rather than resize
-            # (executors cannot grow) — rare, since callers clamp to
-            # the same core count every time.
-            pool.shutdown(wait=False, cancel_futures=True)
-        fresh = ProcessPoolExecutor(max_workers=workers)
-        with self._lock:
-            self._workers = workers
-            self.spawns += 1
-        return fresh
-
-    def release(self, pool: ProcessPoolExecutor, *, dirty: bool) -> None:
-        """Check a pool back in; a dirty pool is discarded unjoined."""
-        if dirty:
-            pool.shutdown(wait=False, cancel_futures=True)
-            return
-        with self._lock:
-            if self._pool is None:
-                self._pool = pool
-                return
-        # Another thread already checked one in; keep theirs.
-        pool.shutdown(wait=True)
-
-    def discard(self) -> None:
-        """Drop any checked-in pool (test isolation, interpreter exit)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
-_WORKER_POOL = WorkerPool()
-
-
-def get_worker_pool() -> WorkerPool:
-    """The process-wide warm pool behind the ``process_shm`` backend."""
-    return _WORKER_POOL
-
-
-@atexit.register
-def _shutdown_worker_pool() -> None:  # pragma: no cover - exit path
-    _WORKER_POOL.discard()
-
-
-# ----------------------------------------------------------------------
-# Cost-model dispatch
-# ----------------------------------------------------------------------
-
-# Fallback pool spawn+roundtrip cost when a backend was never measured
-# on this host.  Process pools fork an interpreter per worker; thread
-# pools are near-free.  Real measurements (calibrate_overhead) replace
-# these.  ``process_shm`` pays the fork exactly once per run — after
-# the warm pool exists its marginal overhead is a task submission.
-_DEFAULT_POOL_OVERHEAD_S = {"thread": 0.005, "process": 0.35, "process_shm": 0.35}
-
-# Marginal process_shm overhead once the warm pool is up: submit +
-# descriptor pickle + attach-cached resolve, no fork, no array copy.
-_WARM_POOL_OVERHEAD_S = 0.002
-
-
-def host_fingerprint() -> dict:
-    """Identity of the hardware/runtime a calibration was measured on.
-
-    Persisted into ``cost_model.json`` and checked on load: throughput
-    and pool-overhead numbers from a different machine (a 1-core CI
-    runner writing into a shared cache dir, say) must never drive
-    dispatch here.
-    """
-    return {
-        "cpu_count": available_cpus(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
-
-
-def _positive_finite(value) -> float | None:
-    """``value`` as a strictly positive finite float, else ``None``.
-
-    The validation gate for every rate/overhead entering the model: a
-    ``0.0`` rate divides by zero in ``estimate()``, a negative one
-    inverts every comparison, and NaN/inf poison ``choose()``'s ``min``
-    silently — so bad values are dropped at the door, whether they come
-    from a corrupt ``cost_model.json`` or a pathological observation.
-    """
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return None
-    if not math.isfinite(value) or value <= 0.0:
-        return None
-    return value
-
-
-def _noop() -> None:
-    """Module-level no-op so process pools can pickle the probe task."""
-
-
-class CostModel:
-    """Per-kernel throughput calibration driving backend dispatch.
-
-    The model keeps, per kernel name, an EWMA of observed throughput
-    (``units``/second — each call site picks its own unit: matrix
-    cells, queries, unique hashes) per backend, plus a measured
-    pool-spawn overhead per backend.  :meth:`choose` estimates the wall
-    time of serial vs thread vs process execution for a concrete call
-    and returns the cheapest as a :class:`ParallelConfig`:
-
-    * workers are always capped at ``cpu_count`` (oversubscribed
-      CPU-bound fan-outs cannot win — see BENCH_parallel.json's 0.07x
-      ``hamming_distance_matrix`` record from a 1-core host);
-    * a backend with an observed rate uses it directly; an unobserved
-      pool backend is modelled optimistically as ideal scaling of the
-      serial rate plus spawn overhead, so dispatch only deviates from
-      the requested config once evidence (or the core-count cap) says
-      it should;
-    * with no serial calibration at all, the requested config is kept
-      (capped) — first calls observe, later calls dispatch.
-
-    State persists as JSON (``path``), conventionally inside the
-    content cache's directory, so calibration survives across runs
-    like every other cached artefact.
-    """
-
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        *,
-        cpu_count: int | None = None,
-        ewma: float = 0.5,
-    ) -> None:
-        if not 0.0 < ewma <= 1.0:
-            raise ValueError("ewma must be in (0, 1]")
-        self.path = Path(path) if path is not None else None
-        self.cpu_count = (
-            int(cpu_count) if cpu_count is not None else available_cpus()
-        )
-        self.ewma = ewma
-        self.host = host_fingerprint()
-        self.rates: dict[str, dict[str, float]] = {}
-        self.overheads: dict[str, float] = {}
-        if self.path is not None and self.path.exists():
-            self.load(self.path)
-
-    # -- calibration ---------------------------------------------------
-
-    def observe(
-        self, kernel: str, backend: str, units: int, seconds: float
-    ) -> None:
-        """Record one observed run of ``kernel`` on ``backend``.
-
-        Observations that would poison the model (non-positive or
-        non-finite inputs, or a blended rate that leaves the positive
-        finite range) are dropped — same gate as :meth:`load`.
-        """
-        if _positive_finite(units) is None or _positive_finite(seconds) is None:
-            return
-        rate = _positive_finite(units / seconds)
-        if rate is None:
-            return
-        slot = self.rates.setdefault(kernel, {})
-        previous = slot.get(backend)
-        blended = (
-            rate
-            if previous is None
-            else (1.0 - self.ewma) * previous + self.ewma * rate
-        )
-        blended = _positive_finite(blended)
-        if blended is None:
-            slot.pop(backend, None)
-            return
-        slot[backend] = blended
-
-    def calibrate(self, kernel: str, fn: Callable[[], object], units: int):
-        """Time one serial run of ``fn`` as the kernel's serial rate."""
-        started = time.perf_counter()
-        value = fn()
-        self.observe(kernel, "serial", units, time.perf_counter() - started)
-        return value
-
-    def calibrate_overhead(self, backend: str, *, workers: int = 2) -> float:
-        """Measure pool spawn + no-op roundtrip cost for ``backend``.
-
-        For ``process_shm`` the measured quantity is the *marginal*
-        cost — a no-op roundtrip through the warm pool (spawning it
-        first if needed, so the fork is paid here rather than billed
-        to every later estimate).
-        """
-        if backend not in ("thread", "process", "process_shm"):
-            raise ValueError(f"no pool overhead for backend {backend!r}")
-        if backend == "process_shm":
-            keeper = get_worker_pool()
-            pool = keeper.acquire(workers)
-            try:
-                pool.submit(_noop).result()  # ensure workers are up
-                started = time.perf_counter()
-                pool.submit(_noop).result()
-                elapsed = time.perf_counter() - started
-            except BaseException:
-                keeper.release(pool, dirty=True)
-                raise
-            keeper.release(pool, dirty=False)
-            self.overheads[backend] = elapsed
-            return elapsed
-        pool_cls = (
-            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        )
-        started = time.perf_counter()
-        with pool_cls(max_workers=workers) as pool:
-            pool.submit(_noop).result()
-        elapsed = time.perf_counter() - started
-        self.overheads[backend] = elapsed
-        return elapsed
-
-    def pool_overhead(self, backend: str) -> float:
-        if backend == "process_shm" and not get_worker_pool().warm:
-            # Cold: the first fan-out pays the fork like plain process.
-            return self.overheads.get(
-                "process", _DEFAULT_POOL_OVERHEAD_S["process_shm"]
-            )
-        return self.overheads.get(
-            backend,
-            _WARM_POOL_OVERHEAD_S
-            if backend == "process_shm"
-            else _DEFAULT_POOL_OVERHEAD_S.get(backend, 0.1),
-        )
-
-    # -- estimation and dispatch ---------------------------------------
-
-    def estimate(
-        self, kernel: str, backend: str, units: int, workers: int
-    ) -> float | None:
-        """Estimated wall seconds, or ``None`` when unestimable."""
-        slot = self.rates.get(kernel, {})
-        if backend == "serial":
-            rate = slot.get("serial")
-            return None if rate is None else units / rate
-        rate = slot.get(backend)
-        if rate is not None:
-            return self.pool_overhead(backend) + units / rate
-        serial_rate = slot.get("serial")
-        if serial_rate is None:
-            return None
-        # Unobserved pool backend: assume ideal scaling of the serial
-        # rate (optimistic — dispatch keeps fan-outs unless overhead or
-        # the core cap clearly dominates; observations then correct it).
-        return self.pool_overhead(backend) + units / (
-            serial_rate * max(1, workers)
-        )
-
-    def choose(
-        self, kernel: str, units: int, parallel: "ParallelConfig"
-    ) -> "ParallelConfig":
-        """The cheapest config for one call of ``units`` work."""
-        workers = max(1, min(parallel.workers, self.cpu_count))
-        serial_config = replace(parallel, workers=1, backend="serial")
-        if workers <= 1:
-            return serial_config
-        estimates: dict[str, float] = {}
-        serial_estimate = self.estimate(kernel, "serial", units, 1)
-        if serial_estimate is None:
-            # Uncalibrated kernel: keep the requested behaviour, capped.
-            if workers == parallel.workers:
-                return parallel
-            return replace(parallel, workers=workers)
-        estimates["serial"] = serial_estimate
-        # The shm transport replaces plain process fan-out rather than
-        # competing with it, and a pickle-transport caller never gets
-        # silently upgraded to shared memory — the candidate set tracks
-        # the operator's transport choice.
-        shm = (
-            parallel.transport == "shm"
-            or parallel.backend == "process_shm"
-        )
-        candidates = ("thread", "process_shm") if shm else ("thread", "process")
-        for backend in candidates:
-            estimate = self.estimate(kernel, backend, units, workers)
-            if estimate is not None:
-                estimates[backend] = estimate
-        # Insertion order breaks ties: serial wins exact ties.
-        best = min(estimates, key=estimates.get)
-        if best == "serial":
-            return serial_config
-        return replace(parallel, workers=workers, backend=best)
-
-    # -- persistence ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "version": 2,
-            "cpu_count": self.cpu_count,
-            "host": dict(self.host),
-            "rates": {k: dict(v) for k, v in self.rates.items()},
-            "overheads": dict(self.overheads),
-        }
-
-    def save(self, path: str | Path | None = None) -> None:
-        """Atomically persist the calibration as JSON.
-
-        Uses the same uniquely-named fsynced temp-file pattern as
-        :func:`repro.utils.io.save_checkpoint`: the cost model lives in
-        the *shared* cache directory, so two concurrent runs saving at
-        once must never trample each other's temp file (a fixed-name
-        ``.tmp`` sibling would let one writer rename the other's
-        half-written file into place) and a crash mid-write must never
-        leave a torn ``cost_model.json``.
-        """
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no path to save the cost model to")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(self.to_json(), indent=2, sort_keys=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, target)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-
-    def load(self, path: str | Path) -> None:
-        """Merge persisted calibration; malformed files are ignored
-        (stale calibration only costs a re-observation, never an error).
-
-        Two gates apply before anything merges:
-
-        * **host check** — a file stamped with a different (or missing)
-          :func:`host_fingerprint` is discarded whole: its numbers were
-          measured on other hardware and would misdirect dispatch here;
-        * **value check** — individual rate/overhead entries that are
-          not strictly positive finite numbers are dropped, so a corrupt
-          or hand-edited file can never feed ``estimate()`` a zero
-          divisor or ``choose()`` a NaN.
-        """
-        try:
-            data = json.loads(Path(path).read_text())
-            if not isinstance(data, dict):
-                return
-            if data.get("host") != self.host:
-                return
-            rates = data.get("rates", {})
-            overheads = data.get("overheads", {})
-            if not isinstance(rates, dict) or not isinstance(overheads, dict):
-                return
-            for kernel, slot in rates.items():
-                if not isinstance(slot, dict):
-                    continue
-                clean = {}
-                for backend, rate in slot.items():
-                    rate = _positive_finite(rate)
-                    if rate is not None:
-                        clean[str(backend)] = rate
-                if clean:
-                    self.rates.setdefault(str(kernel), {}).update(clean)
-            for backend, overhead in overheads.items():
-                overhead = _positive_finite(overhead)
-                if overhead is not None:
-                    self.overheads[str(backend)] = overhead
-        except (OSError, ValueError, TypeError):
-            return
-
-
-class _KernelTimer:
-    """Times a kernel call and feeds the observation into a cost model."""
-
-    def __init__(self, cost_model, kernel: str, backend: str, units: int):
-        self._cost_model = cost_model
-        self._kernel = kernel
-        self._backend = backend
-        self._units = units
-        self._started = 0.0
-
-    def __enter__(self) -> "_KernelTimer":
-        if self._cost_model is not None:
-            self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._cost_model is not None and exc_type is None:
-            self._cost_model.observe(
-                self._kernel,
-                self._backend,
-                self._units,
-                time.perf_counter() - self._started,
-            )
-
-
-def kernel_timer(
-    parallel: "ParallelConfig",
-    kernel: str,
-    units: int,
-    *,
-    backend: str | None = None,
-):
-    """Context manager observing one kernel run into ``parallel``'s cost
-    model; a zero-cost no-op when the config carries none.  ``backend``
-    overrides the observed label for call sites whose small-input guard
-    runs serially under a pool config."""
-    return _KernelTimer(
-        parallel.cost_model,
-        kernel,
-        backend if backend is not None else parallel.resolved_backend(),
-        units,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1124,6 +583,14 @@ def _error_text(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
 
+def _new_pool(backend: str, workers: int) -> _futures.Executor:
+    """A fresh thread or process pool; process workers get pickled tasks."""
+    pool_cls = (
+        ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+    )
+    return pool_cls(max_workers=workers)
+
+
 class Executor:
     """Ordered fan-out over the configured backend.
 
@@ -1159,24 +626,7 @@ class Executor:
         workers = min(self.parallel.workers, len(calls))
         if backend == "serial" or workers <= 1:
             return [fn(*args) for args in calls]
-        if backend == "process_shm":
-            keeper = get_worker_pool()
-            pool = keeper.acquire(workers)
-            clean = False
-            try:
-                futures = [pool.submit(fn, *args) for args in calls]
-                values = [future.result() for future in futures]
-                clean = True
-                return values
-            finally:
-                # Any exception (including a worker's, re-raised here)
-                # may leave queued work behind; discard rather than
-                # recycle a pool with unknown in-flight state.
-                keeper.release(pool, dirty=not clean)
-        pool_cls = (
-            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        )
-        with pool_cls(max_workers=workers) as pool:
+        with _new_pool(backend, workers) as pool:
             futures = [pool.submit(fn, *args) for args in calls]
             return [future.result() for future in futures]
 
@@ -1309,22 +759,10 @@ class Executor:
         The shared pool is shut down without waiting when a shard hung
         or the pool broke (a ``with`` block would join the hung worker
         and stall the parent — the exact pathology supervision exists
-        to prevent).  On the ``process_shm`` backend the pool comes
-        from (and, when clean, returns to) the warm :class:`WorkerPool`
-        keeper instead of being spawned per fan-out; a dirty pool is
-        discarded there under the same no-join discipline.
+        to prevent).
         """
         backend = self.parallel.resolved_backend()
-        keeper = get_worker_pool() if backend == "process_shm" else None
-        if keeper is not None:
-            pool = keeper.acquire(workers)
-        else:
-            pool_cls = (
-                ThreadPoolExecutor
-                if backend == "thread"
-                else ProcessPoolExecutor
-            )
-            pool = pool_cls(max_workers=workers)
+        pool = _new_pool(backend, workers)
         dirty = False  # hung or broken: don't join workers on shutdown
         try:
             futures: list[_futures.Future | None] = [None] * len(calls)
@@ -1388,19 +826,13 @@ class Executor:
                 finally:
                     shard.duration_s += time.perf_counter() - started
         finally:
-            if keeper is not None:
-                keeper.release(pool, dirty=dirty)
-            else:
-                pool.shutdown(wait=not dirty, cancel_futures=True)
+            pool.shutdown(wait=not dirty, cancel_futures=True)
 
     @staticmethod
     def _submit(pool, fn, args, directive, backend) -> _futures.Future:
         if directive is None:
             return pool.submit(fn, *args)
-        if directive.action == "kill" and backend not in (
-            "process",
-            "process_shm",
-        ):
+        if directive.action == "kill" and backend != "process":
             return pool.submit(_simulated_death, fn, args)
         return pool.submit(
             _chaos_call, fn, args, directive.action, directive.delay_s
@@ -1505,10 +937,7 @@ class Executor:
                     return _simulated_death(fn, args)
                 time.sleep(directive.delay_s)
             return fn(*args)
-        pool_cls = (
-            ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-        )
-        pool = pool_cls(max_workers=1)
+        pool = _new_pool(backend, 1)
         dirty = False
         try:
             future = self._submit(pool, fn, args, directive, backend)

@@ -210,12 +210,6 @@ class TestCacheCommand:
         assert "cached" not in capsys.readouterr().out
         assert list(tmp_path.glob("*/*.ckpt")) == []
 
-    def test_cost_dispatch_persists_calibration(self, tmp_path):
-        cache = ["--cache-dir", str(tmp_path), "--cost-dispatch",
-                 "--workers", "2", "--parallel-backend", "thread"]
-        assert main(self.ARGS + cache + ["overview"]) == 0
-        assert (tmp_path / "cost_model.json").exists()
-
 
 class TestWorkerOversubscription:
     def test_workers_flag_warns_when_over_cpu_count(self, monkeypatch):

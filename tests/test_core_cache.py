@@ -21,6 +21,7 @@ from repro.core import (
 from repro.core.cache import CODE_VERSION, CacheStats
 from repro.core.runner import STAGES
 from repro.utils.io import save_checkpoint
+from repro.utils.parallel import ParallelConfig
 
 
 def _fresh_world():
@@ -385,11 +386,26 @@ class TestRunnerDeltaCache:
         """Appending copies of *non-fringe* posts leaves every fringe
         clustering (and hence every medoid) untouched, so the associate
         slot does suffix-only work against the cached prefix."""
+        self._check_associate_prefix_path(tmp_path, parallel=None)
+
+    def test_associate_prefix_path_under_workers(self, tmp_path):
+        """The per-community fan-out of the suffix groups the suffix's
+        own posts (it once grouped every post of the world and indexed
+        past the end of the suffix)."""
+        self._check_associate_prefix_path(
+            tmp_path, parallel=ParallelConfig(workers=2, backend="thread")
+        )
+
+    def _check_associate_prefix_path(self, tmp_path, parallel):
         from repro.communities import FRINGE_COMMUNITIES
 
         config = PipelineConfig()
         base = _fresh_world()
-        run_pipeline(base, config, options=RunnerOptions(cache_dir=tmp_path))
+        run_pipeline(
+            base,
+            config,
+            options=RunnerOptions(cache_dir=tmp_path, parallel=parallel),
+        )
 
         mainstream = [
             post
@@ -400,7 +416,9 @@ class TestRunnerDeltaCache:
         grown = _GrownWorld(_fresh_world(), extra)
         cold = run_pipeline(_GrownWorld(_fresh_world(), extra), config)
         delta = run_pipeline(
-            grown, config, options=RunnerOptions(cache_dir=tmp_path)
+            grown,
+            config,
+            options=RunnerOptions(cache_dir=tmp_path, parallel=parallel),
         )
         _assert_identical(cold, delta)
         associate = delta.stage_report("associate")

@@ -243,88 +243,3 @@ class TestChaosRecoveryIdentity:
             post.community != target_community
             for post in result.occurrences.posts
         )
-
-
-def _assert_pipeline_identical(result, serial):
-    for community, expected in serial.clusterings.items():
-        par = result.clusterings[community]
-        assert np.array_equal(par.unique_hashes, expected.unique_hashes)
-        assert np.array_equal(par.result.labels, expected.result.labels)
-        assert par.medoids == expected.medoids
-    assert result.cluster_keys == serial.cluster_keys
-    assert result.occurrences.posts == serial.occurrences.posts
-    assert np.array_equal(
-        result.occurrences.cluster_indices,
-        serial.occurrences.cluster_indices,
-    )
-
-
-def _no_shm_segments() -> bool:
-    import glob
-
-    return not glob.glob("/dev/shm/repro_shm_*")
-
-
-class TestShmTransportIdentity:
-    """The zero-copy shared-memory transport is bit-identical to the
-    pickle transport (and serial), leaks no segments — not even when a
-    worker dies mid-fan-out — and composes with the sharded index."""
-
-    def test_pipeline_shm_identical_to_serial(self, world, pipeline_result):
-        result = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(
-                parallel=ParallelConfig(
-                    workers=2, backend="process", transport="shm"
-                )
-            ),
-        )
-        _assert_pipeline_identical(result, pipeline_result)
-        assert _no_shm_segments()
-
-    def test_worker_kill_under_shm_identical_and_leakless(
-        self, world, pipeline_result
-    ):
-        faults = FaultInjector(
-            [Fault("parallel:worker", action="kill", times=1)]
-        )
-        chaotic = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(
-                parallel=ParallelConfig(
-                    workers=2, backend="process", transport="shm"
-                ),
-                faults=faults,
-            ),
-        )
-        assert "parallel:worker" in faults.fired_sites()
-        assert not chaotic.degraded
-        _assert_pipeline_identical(chaotic, pipeline_result)
-        assert _no_shm_segments()
-
-    def test_compiled_tier_under_shm_identical(
-        self, world, pipeline_result, monkeypatch
-    ):
-        from repro.utils import compiled
-
-        if compiled._find_compiler() is None:
-            pytest.skip("no C compiler on host")
-        monkeypatch.setenv(compiled.ENV_COMPILED, "cc")
-        compiled.refresh()
-        try:
-            result = run_pipeline(
-                world,
-                PipelineConfig(),
-                options=RunnerOptions(
-                    parallel=ParallelConfig(
-                        workers=2, backend="process", transport="shm"
-                    )
-                ),
-            )
-        finally:
-            monkeypatch.delenv(compiled.ENV_COMPILED)
-            compiled.refresh()
-        _assert_pipeline_identical(result, pipeline_result)
-        assert _no_shm_segments()

@@ -118,21 +118,3 @@ class TestVectorisedKernels:
         full = hamming_distance_matrix(a, b, chunk_size=1000)
         chunked = hamming_distance_matrix(a, b, chunk_size=5)
         assert np.array_equal(full, chunked)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial(self, backend):
-        from repro.utils.parallel import ParallelConfig
-
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, 2**64, size=41, dtype=np.uint64)
-        b = rng.integers(0, 2**64, size=29, dtype=np.uint64)
-        serial = hamming_distance_matrix(a, b)
-        parallel = hamming_distance_matrix(
-            a, b, parallel=ParallelConfig(workers=4, backend=backend)
-        )
-        assert np.array_equal(serial, parallel)
-        self_serial = hamming_distance_matrix(a)
-        self_parallel = hamming_distance_matrix(
-            a, parallel=ParallelConfig(workers=3, backend=backend)
-        )
-        assert np.array_equal(self_serial, self_parallel)

@@ -12,14 +12,12 @@ from repro.utils.parallel import (
     ENV_BACKEND,
     ENV_WORKERS,
     ChaosDirective,
-    CostModel,
     Executor,
     ParallelConfig,
     PoisonShardError,
     SupervisionPolicy,
     array_splitter,
     effective_workers,
-    kernel_timer,
     parallel_map,
     parallel_starmap,
     range_splitter,
@@ -642,409 +640,17 @@ class TestWorkerBudget:
             config = ParallelConfig.from_env({ENV_WORKERS: "lots"})
         assert config.workers == 1
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_from_env_warns_on_non_positive_workers(self, raw):
+        # Regression: max(1, workers) used to clamp these to serial
+        # without a word, unlike every other malformed value.
+        with pytest.warns(
+            RuntimeWarning, match=f"malformed {ENV_WORKERS}='{raw}'"
+        ):
+            config = ParallelConfig.from_env({ENV_WORKERS: raw})
+        assert config.workers == 1 and config.is_serial
+
     def test_from_env_warns_on_malformed_backend(self):
         with pytest.warns(RuntimeWarning, match="malformed"):
             config = ParallelConfig.from_env({ENV_BACKEND: "gpu"})
         assert config.backend == "auto"
-
-
-class TestCostModel:
-    def test_observe_sets_then_smooths_rate(self):
-        model = CostModel(cpu_count=2, ewma=0.5)
-        model.observe("k", "serial", units=100, seconds=1.0)
-        assert model.rates["k"]["serial"] == pytest.approx(100.0)
-        model.observe("k", "serial", units=300, seconds=1.0)
-        assert model.rates["k"]["serial"] == pytest.approx(200.0)  # EWMA
-
-    def test_observe_ignores_degenerate_samples(self):
-        model = CostModel(cpu_count=2)
-        model.observe("k", "serial", units=0, seconds=1.0)
-        model.observe("k", "serial", units=10, seconds=0.0)
-        assert "k" not in model.rates
-
-    def test_single_core_host_always_dispatches_serial(self):
-        model = CostModel(cpu_count=1)
-        requested = ParallelConfig(workers=4, backend="process")
-        chosen = model.choose("k", 10_000, requested)
-        assert chosen.is_serial and chosen.workers == 1
-
-    def test_uncalibrated_kernel_keeps_requested_config_capped(self):
-        model = CostModel(cpu_count=2)
-        requested = ParallelConfig(workers=8, backend="thread")
-        chosen = model.choose("k", 10_000, requested)
-        assert chosen.backend == "thread" and chosen.workers == 2
-
-    def test_small_call_dispatches_serial_despite_pool_request(self):
-        model = CostModel(cpu_count=4)
-        model.observe("k", "serial", units=1_000_000, seconds=1.0)
-        # Pool overhead (defaults) dwarfs the microseconds of real work.
-        chosen = model.choose("k", 100, ParallelConfig(workers=4, backend="process"))
-        assert chosen.is_serial
-
-    def test_large_call_keeps_the_pool_when_observed_faster(self):
-        model = CostModel(cpu_count=4)
-        model.observe("k", "serial", units=1_000, seconds=1.0)  # 1k u/s
-        model.observe("k", "thread", units=100_000, seconds=1.0)  # 100k u/s
-        chosen = model.choose("k", 50_000, ParallelConfig(workers=8, backend="thread"))
-        assert chosen.backend == "thread"
-        assert chosen.workers == 4  # capped at cpu_count
-
-    def test_dispatched_is_identity_without_model_or_when_serial(self):
-        base = ParallelConfig(workers=4, backend="thread")
-        assert base.dispatched("k", 100) is base
-        serial = ParallelConfig(cost_model=CostModel(cpu_count=4))
-        assert serial.dispatched("k", 100) is serial
-
-    def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "cost_model.json"
-        model = CostModel(path, cpu_count=2)
-        model.observe("k", "serial", units=500, seconds=1.0)
-        model.overheads["process"] = 0.25
-        model.save()
-        reloaded = CostModel(path, cpu_count=2)  # auto-loads
-        assert reloaded.rates["k"]["serial"] == pytest.approx(500.0)
-        assert reloaded.pool_overhead("process") == pytest.approx(0.25)
-
-    def test_malformed_persisted_state_is_ignored(self, tmp_path):
-        path = tmp_path / "cost_model.json"
-        path.write_text("not json at all {")
-        model = CostModel(path, cpu_count=2)
-        assert model.rates == {}
-
-    def test_kernel_timer_observes_resolved_backend(self):
-        model = CostModel(cpu_count=4)
-        config = ParallelConfig(workers=2, backend="thread", cost_model=model)
-        with kernel_timer(config, "k", 1_000):
-            time.sleep(0.001)
-        assert "thread" in model.rates["k"]
-
-    def test_kernel_timer_backend_override(self):
-        model = CostModel(cpu_count=4)
-        config = ParallelConfig(workers=2, backend="thread", cost_model=model)
-        with kernel_timer(config, "k", 1_000, backend="serial"):
-            time.sleep(0.001)
-        assert list(model.rates["k"]) == ["serial"]
-
-    def test_kernel_timer_skips_failed_runs(self):
-        model = CostModel(cpu_count=4)
-        config = ParallelConfig(workers=2, backend="thread", cost_model=model)
-        with pytest.raises(RuntimeError):
-            with kernel_timer(config, "k", 1_000):
-                raise RuntimeError("boom")
-        assert "k" not in model.rates
-
-    def test_kernel_timer_noop_without_model(self):
-        with kernel_timer(ParallelConfig(workers=2, backend="thread"), "k", 10):
-            pass  # must not raise or record anything
-
-
-class TestCostModelSaveAtomicity:
-    def test_interleaved_writers_never_tear_the_file(self, tmp_path):
-        # Regression: save() used a fixed-name `.tmp` sibling, so two
-        # concurrent writers (shared cache dir) could rename each
-        # other's half-written temp into place.  With unique fsynced
-        # temps the final file is always one writer's complete state.
-        import json as json_mod
-        import threading
-
-        path = tmp_path / "cost_model.json"
-        models = []
-        for index in range(4):
-            model = CostModel(path, cpu_count=2)
-            model.observe(f"kernel-{index}", "serial", units=100, seconds=1.0)
-            models.append(model)
-        errors = []
-
-        def hammer(model):
-            try:
-                for _ in range(25):
-                    model.save()
-            except Exception as error:  # pragma: no cover - the bug
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=hammer, args=(model,))
-            for model in models
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        # Parseable, and exactly one writer's state — never a mix.
-        state = json_mod.loads(path.read_text())
-        assert set(state["rates"]) in (
-            {f"kernel-{index}"} for index in range(4)
-        )
-        # No orphaned temp files left behind in the shared directory.
-        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
-
-    def test_failed_write_leaves_no_temp_litter(self, tmp_path, monkeypatch):
-        model = CostModel(tmp_path / "cost_model.json", cpu_count=2)
-        monkeypatch.setattr(
-            "repro.utils.parallel.os.replace",
-            lambda *args: (_ for _ in ()).throw(OSError("disk full")),
-        )
-        with pytest.raises(OSError):
-            model.save()
-        assert list(tmp_path.iterdir()) == []
-
-
-class TestCostModelValidation:
-    """Regression: load() accepted any float(rate) — a persisted 0.0,
-    NaN, inf, or negative rate then divided by zero or poisoned
-    choose()'s min silently."""
-
-    def _write(self, path, data):
-        import json as json_mod
-
-        from repro.utils.parallel import host_fingerprint
-
-        payload = {
-            "version": 2,
-            "cpu_count": 2,
-            "host": host_fingerprint(),
-            "rates": {},
-            "overheads": {},
-        }
-        payload.update(data)
-        path.write_text(json_mod.dumps(payload))
-
-    def test_load_drops_degenerate_rates_keeps_good_ones(self, tmp_path):
-        path = tmp_path / "cost_model.json"
-        self._write(
-            path,
-            {
-                "rates": {
-                    "k": {
-                        "serial": 0.0,
-                        "thread": float("nan"),
-                        "process": float("inf"),
-                        "process_shm": -12.5,
-                    },
-                    "good": {"serial": 1234.5, "thread": "oops"},
-                }
-            },
-        )
-        model = CostModel(path, cpu_count=2)
-        assert "k" not in model.rates
-        assert model.rates["good"] == {"serial": pytest.approx(1234.5)}
-
-    def test_load_drops_degenerate_overheads(self, tmp_path):
-        path = tmp_path / "cost_model.json"
-        self._write(
-            path,
-            {"overheads": {"process": 0.0, "thread": 0.004, "shm": None}},
-        )
-        model = CostModel(path, cpu_count=2)
-        assert "process" not in model.overheads
-        assert model.overheads["thread"] == pytest.approx(0.004)
-
-    def test_degenerate_rate_never_reaches_estimate(self, tmp_path):
-        path = tmp_path / "cost_model.json"
-        self._write(path, {"rates": {"k": {"serial": 0.0}}})
-        model = CostModel(path, cpu_count=2)
-        # The old behaviour raised ZeroDivisionError here.
-        assert model.estimate("k", "serial", 1000, 1) is None
-        chosen = model.choose(
-            "k", 1000, ParallelConfig(workers=2, backend="thread")
-        )
-        assert chosen.workers == 2  # uncalibrated path: requested, capped
-
-    def test_observe_rejects_nonfinite_inputs(self):
-        model = CostModel(cpu_count=2)
-        model.observe("k", "serial", units=float("nan"), seconds=1.0)
-        model.observe("k", "serial", units=100, seconds=float("inf"))
-        model.observe("k", "serial", units=-5, seconds=1.0)
-        model.observe("k", "serial", units=100, seconds=-1.0)
-        assert "k" not in model.rates
-
-
-class TestCostModelHostFingerprint:
-    """Regression: persisted calibration was host-blind — numbers from
-    a different machine (shared cache dir, CI artefact) silently drove
-    dispatch on this one."""
-
-    def test_save_stamps_host_fingerprint(self, tmp_path):
-        import json as json_mod
-
-        from repro.utils.parallel import host_fingerprint
-
-        path = tmp_path / "cost_model.json"
-        model = CostModel(path, cpu_count=2)
-        model.observe("k", "serial", units=100, seconds=1.0)
-        model.save()
-        state = json_mod.loads(path.read_text())
-        assert state["host"] == host_fingerprint()
-        assert state["version"] == 2
-
-    def test_foreign_host_calibration_discarded_whole(self, tmp_path):
-        import json as json_mod
-
-        from repro.utils.parallel import host_fingerprint
-
-        path = tmp_path / "cost_model.json"
-        foreign = dict(host_fingerprint())
-        foreign["cpu_count"] = (foreign["cpu_count"] or 1) + 63
-        path.write_text(
-            json_mod.dumps(
-                {
-                    "version": 2,
-                    "host": foreign,
-                    "rates": {"k": {"serial": 999.0}},
-                    "overheads": {"process": 0.5},
-                }
-            )
-        )
-        model = CostModel(path, cpu_count=2)
-        assert model.rates == {}
-        assert model.overheads == {}
-
-    def test_legacy_file_without_host_discarded(self, tmp_path):
-        import json as json_mod
-
-        path = tmp_path / "cost_model.json"
-        path.write_text(
-            json_mod.dumps(
-                {"version": 1, "rates": {"k": {"serial": 999.0}}}
-            )
-        )
-        model = CostModel(path, cpu_count=2)
-        assert model.rates == {}
-
-    def test_same_host_roundtrip_still_merges(self, tmp_path):
-        path = tmp_path / "cost_model.json"
-        model = CostModel(path, cpu_count=2)
-        model.observe("k", "serial", units=100, seconds=1.0)
-        model.save()
-        reloaded = CostModel(path, cpu_count=2)
-        assert reloaded.rates["k"]["serial"] == pytest.approx(100.0)
-
-
-class TestShmTransportConfig:
-    def test_transport_validation(self):
-        with pytest.raises(ValueError, match="transport"):
-            ParallelConfig(transport="carrier-pigeon")
-
-    def test_shm_upgrades_process_backends(self):
-        config = ParallelConfig(workers=2, backend="process", transport="shm")
-        assert config.resolved_backend() == "process_shm"
-        assert config.uses_shm
-        auto = ParallelConfig(workers=2, backend="auto", transport="shm")
-        assert auto.resolved_backend() == "process_shm"
-
-    def test_shm_never_touches_thread_or_serial(self):
-        assert not ParallelConfig(transport="shm").uses_shm  # serial
-        thread = ParallelConfig(workers=2, backend="thread", transport="shm")
-        assert thread.resolved_backend() == "thread"
-        assert not thread.uses_shm
-
-    def test_env_transport_parsed(self, monkeypatch):
-        from repro.utils.parallel import ENV_TRANSPORT
-
-        monkeypatch.setenv(ENV_WORKERS, "2")
-        monkeypatch.setenv(ENV_TRANSPORT, "shm")
-        config = ParallelConfig.from_env()
-        assert config.transport == "shm"
-        assert config.resolved_backend() == "process_shm"
-
-    def test_malformed_env_transport_warns_and_defaults(self, monkeypatch):
-        from repro.utils.parallel import ENV_TRANSPORT
-
-        monkeypatch.setenv(ENV_TRANSPORT, "smoke-signals")
-        with pytest.warns(RuntimeWarning, match=ENV_TRANSPORT):
-            config = ParallelConfig.from_env()
-        assert config.transport == "pickle"
-
-    def test_choose_candidates_track_transport(self):
-        model = CostModel(cpu_count=4)
-        model.observe("k", "serial", units=1_000, seconds=1.0)
-        model.observe("k", "process", units=100_000, seconds=1.0)
-        model.observe("k", "process_shm", units=200_000, seconds=1.0)
-        pickle_choice = model.choose(
-            "k", 50_000, ParallelConfig(workers=4, backend="process")
-        )
-        assert pickle_choice.backend == "process"  # never upgraded
-        shm_choice = model.choose(
-            "k",
-            50_000,
-            ParallelConfig(workers=4, backend="process", transport="shm"),
-        )
-        assert shm_choice.backend == "process_shm"
-
-
-class TestWorkerPool:
-    def test_acquire_release_reuses_the_pool(self):
-        from repro.utils.parallel import WorkerPool
-
-        keeper = WorkerPool()
-        try:
-            pool = keeper.acquire(2)
-            assert pool.submit(_square, 3).result() == 9
-            keeper.release(pool, dirty=False)
-            assert keeper.warm
-            again = keeper.acquire(2)
-            assert again is pool
-            assert keeper.spawns == 1
-            keeper.release(again, dirty=False)
-        finally:
-            keeper.discard()
-
-    def test_dirty_release_discards_the_pool(self):
-        from repro.utils.parallel import WorkerPool
-
-        keeper = WorkerPool()
-        try:
-            pool = keeper.acquire(2)
-            keeper.release(pool, dirty=True)
-            assert not keeper.warm
-            fresh = keeper.acquire(2)
-            assert fresh is not pool
-            assert keeper.spawns == 2
-            keeper.release(fresh, dirty=False)
-        finally:
-            keeper.discard()
-
-    def test_wider_request_respawns(self):
-        from repro.utils.parallel import WorkerPool
-
-        keeper = WorkerPool()
-        try:
-            narrow = keeper.acquire(1)
-            keeper.release(narrow, dirty=False)
-            wide = keeper.acquire(2)
-            assert wide is not narrow
-            keeper.release(wide, dirty=False)
-            # ... and the wide pool then serves narrower requests.
-            assert keeper.acquire(1) is wide
-            keeper.release(wide, dirty=False)
-        finally:
-            keeper.discard()
-
-    def test_warm_pool_overhead_is_marginal(self):
-        from repro.utils.parallel import (
-            _WARM_POOL_OVERHEAD_S,
-            get_worker_pool,
-        )
-
-        model = CostModel(cpu_count=2)
-        keeper = get_worker_pool()
-        keeper.discard()  # earlier tests may have left the keeper warm
-        try:
-            cold = model.pool_overhead("process_shm")
-            assert cold >= _DEFAULT_OVERHEAD_FLOOR
-            measured = model.calibrate_overhead("process_shm")
-            assert keeper.warm
-            assert measured < 0.35
-            assert model.pool_overhead("process_shm") == pytest.approx(
-                measured
-            )
-        finally:
-            keeper.discard()
-        # Cold again: back to billing the full fork.
-        model.overheads.pop("process_shm", None)
-        assert model.pool_overhead("process_shm") >= _DEFAULT_OVERHEAD_FLOOR
-
-
-# The process fork overhead used when the warm pool is down.
-_DEFAULT_OVERHEAD_FLOOR = 0.1
