@@ -6,7 +6,9 @@ Standalone (not pytest-benchmark): run as
     PYTHONPATH=src python benchmarks/bench_service.py [--smoke]
         [--requests N] [--output BENCH_service.json]
 
-Four scenarios over the same replayed request stream:
+Six scenarios over the same replayed request stream.  The three
+per-request scenarios submit one request at a time and drain at the
+default ``coalesce_window=1``, so each request is a window of one:
 
 * ``bare-monitor`` — ``MemeMonitor.classify_batch``, the baseline the
   resilience layer must not meaningfully slow down;
@@ -22,12 +24,12 @@ Four scenarios over the same replayed request stream:
   clock (backoff advances simulated time, not wall time): throughput
   while absorbing faults, with the terminal-state mix reported and the
   conservation invariant asserted;
-* ``service-coalesced`` — the identity configuration with request
-  coalescing (``submit_many`` bursts + batched drains on the
-  vectorised classify path); verdicts are checked bit-identical to the
-  baseline and the overhead gate is asserted;
+* ``service-coalesced`` — the identity configuration at
+  ``coalesce_window=64`` (``submit_many`` bursts + drains of 64-request
+  windows); verdicts are checked bit-identical to the baseline and the
+  overhead gate is asserted;
 * ``service-chaos-coalesced`` — the chaos schedule replayed through
-  the coalesced path: conservation must hold when faults land
+  64-request windows: conservation must hold when faults land
   mid-drain.
 
 Exits non-zero if the coalesced overhead gate fails, so CI can run
@@ -176,6 +178,7 @@ def bench_scenarios(result, world, n_requests: int) -> list[dict]:
             "req_per_s": n_requests / identity_s,
             "overhead_pct_vs_bare": 100.0 * (identity_s - bare_s) / bare_s,
             "identical_to_bare": True,
+            "coalesce_window": 1,
         }
     )
 
@@ -193,6 +196,7 @@ def bench_scenarios(result, world, n_requests: int) -> list[dict]:
             "req_per_s": n_requests / resilient_s,
             "overhead_pct_vs_bare": 100.0 * (resilient_s - bare_s) / bare_s,
             "stats": service.stats.as_dict(),
+            "coalesce_window": 1,
         }
     )
 
@@ -231,6 +235,7 @@ def bench_scenarios(result, world, n_requests: int) -> list[dict]:
             "simulated_s": clock.time(),
             "stats": stats.as_dict(),
             "conserved": stats.reconciles(pending=service.pending),
+            "coalesce_window": 1,
         }
     )
 

@@ -20,6 +20,9 @@ Commands
     world's own posts) through the resilient serving layer
     (:mod:`repro.service`) and print the accounting: served / shed /
     timed-out / dead-lettered always sum to submitted.
+    ``--coalesce-window N`` serves each drain in windows of up to N
+    requests, one ``classify_batch`` call per window (default 1:
+    per-request serving).
 ``cache``
     Inspect (``cache`` / ``cache info``) or wipe (``cache clear``) the
     content-addressed cache at ``--cache-dir``.
@@ -94,9 +97,7 @@ drills; a SITE outside the namespaces the code fires (``cluster``,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -273,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--coalesce-window",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="serve drained requests in coalesced batches of up to N on "
-        "the vectorised classify path; 0 disables (default: the "
-        "REPRO_COALESCE_WINDOW env var, else per-request serving)",
+        help="serve drained requests in windows of up to N through one "
+        "classify_batch call (default 1: per-request serving)",
     )
     streaming = parser.add_argument_group(
         "stream options (durable streaming ingestion)"
@@ -692,31 +692,6 @@ def _load_stream(path) -> list:
     return items
 
 
-ENV_COALESCE_WINDOW = "REPRO_COALESCE_WINDOW"
-
-
-def _resolve_coalesce_window(args) -> int | None:
-    """``--coalesce-window``, else the env var; 0 (or unset) disables."""
-    window = args.coalesce_window
-    if window is None:
-        raw = os.environ.get(ENV_COALESCE_WINDOW)
-        if raw is None:
-            return None
-        try:
-            window = int(raw)
-        except ValueError:
-            window = -1
-        if window < 0:
-            warnings.warn(
-                f"ignoring {ENV_COALESCE_WINDOW}={raw!r} (expected a "
-                "non-negative integer); serving stays per-request",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-    return window if window > 0 else None
-
-
 def _serve_replay(world, result, args, faults) -> int:
     """Replay a stream through the resilience layer; 0 iff conserved."""
     from repro.service import BreakerConfig, MemeMatchService, ServiceConfig
@@ -727,7 +702,6 @@ def _serve_replay(world, result, args, faults) -> int:
         if args.stream
         else [post.phash for post in world.posts]
     )
-    coalesce_window = _resolve_coalesce_window(args)
     config = ServiceConfig(
         default_deadline_s=(
             args.deadline_ms / 1000.0 if args.deadline_ms else None
@@ -741,29 +715,18 @@ def _serve_replay(world, result, args, faults) -> int:
             jitter="full",
         ),
         breaker=None if args.no_breaker else BreakerConfig(),
-        coalesce_window=coalesce_window,
+        coalesce_window=args.coalesce_window,
     )
     service = MemeMatchService(result, config=config, faults=faults)
-    mode = (
-        f"coalesce={coalesce_window}"
-        if coalesce_window is not None
-        else "per-request"
-    )
     print(f"Replaying {len(stream):,} requests "
-          f"(burst={args.burst}, {mode}, "
+          f"(burst={args.burst}, coalesce={args.coalesce_window}, "
           f"index={service.index_size} clusters)...\n")
     responses = []
     burst = max(1, args.burst)
     for start in range(0, len(stream), burst):
-        if coalesce_window is not None:
-            for immediate in service.submit_many(stream[start : start + burst]):
-                if immediate is not None:
-                    responses.append(immediate)
-        else:
-            for payload in stream[start : start + burst]:
-                immediate = service.submit(payload)
-                if immediate is not None:
-                    responses.append(immediate)
+        for immediate in service.submit_many(stream[start : start + burst]):
+            if immediate is not None:
+                responses.append(immediate)
         responses.extend(service.drain())
     responses.extend(service.drain())
 
@@ -852,8 +815,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--stream-batch must be >= 1")
     if args.stream_events is not None and args.stream_events < 0:
         parser.error("--stream-events must be >= 0")
-    if args.coalesce_window is not None and args.coalesce_window < 0:
-        parser.error("--coalesce-window must be >= 0")
+    if args.coalesce_window < 1:
+        parser.error("--coalesce-window must be >= 1")
     if args.command == "cache":
         return _cache_command(args, parser)
     try:

@@ -188,13 +188,19 @@ class MemeMonitor:
         Raises
         ------
         TypeError
-            If ``value`` is not an integer-like scalar.
+            If ``value`` is not an integer-like scalar.  Text and bytes
+            are rejected rather than parsed, as in
+            :meth:`classify_batch`.
         ValueError
             If ``value`` lies outside the unsigned 64-bit range — a
             pHash is exactly 64 bits, so anything else is caller error
             (e.g. a sign-flipped or double-packed hash), not an unmatched
             image.
         """
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError(
+                f"pHash must be an integer-like scalar, got {type(value).__name__}"
+            )
         try:
             value = int(value)
         except (TypeError, ValueError):

@@ -3,12 +3,11 @@
 * :mod:`repro.service.service` — :class:`MemeMatchService`: deadlines,
   admission + load shedding, circuit breaking, poison-input dead
   letters, hot index reload, and a reconciling
-  :class:`ServiceStats` snapshot.
+  :class:`ServiceStats` snapshot.  Every drain serves windows of up
+  to ``ServiceConfig.coalesce_window`` requests through one
+  ``classify_batch`` call; per-request serving is a window of one.
 * :mod:`repro.service.admission` — the bounded admission queue with
   deterministic watermark shedding.
-* :mod:`repro.service.coalescer` — request coalescing: stage single
-  submissions, serve them as batched drains on the vectorised
-  classify path.
 * :mod:`repro.service.breaker` — the closed/open/half-open circuit
   breaker with scheduled probes.
 * :mod:`repro.service.reload` — serving-index checkpoints: save,
@@ -18,7 +17,6 @@
 
 from repro.service.admission import AdmissionDecision, AdmissionQueue
 from repro.service.breaker import BreakerConfig, BreakerOpenError, CircuitBreaker
-from repro.service.coalescer import Coalescer
 from repro.service.reload import (
     INDEX_FINGERPRINT,
     IndexValidationError,
@@ -47,7 +45,6 @@ __all__ = [
     "BreakerConfig",
     "BreakerOpenError",
     "CircuitBreaker",
-    "Coalescer",
     "INDEX_FINGERPRINT",
     "IndexValidationError",
     "load_index",

@@ -24,7 +24,7 @@ __all__ = ["AdmissionDecision", "AdmissionQueue"]
 
 @dataclass(frozen=True)
 class AdmissionDecision:
-    """Outcome of one :meth:`AdmissionQueue.offer`.
+    """Admission outcome of one item in :meth:`AdmissionQueue.offer_many`.
 
     Attributes
     ----------
@@ -79,27 +79,14 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    def offer(self, item) -> AdmissionDecision:
-        """Admit ``item`` or shed it, deterministically by current depth."""
-        depth = len(self._items)
-        if self.max_depth is not None and depth >= self.max_depth:
-            return AdmissionDecision(False, "queue-full", depth)
-        if self.shed_watermark is not None and depth >= self.shed_watermark:
-            return AdmissionDecision(False, "queue-watermark", depth)
-        self._items.append(item)
-        depth += 1
-        self.peak_depth = max(self.peak_depth, depth)
-        return AdmissionDecision(True, None, depth)
-
     def offer_many(self, items) -> list[AdmissionDecision]:
-        """Admit a burst with one bounds computation.
+        """Admit a burst or shed it, deterministically by current depth.
 
-        Decision-for-decision identical to calling :meth:`offer` per
-        item: offers only grow depth, so the burst splits into an
-        admitted prefix (up to the tighter of the two bounds) and a
-        shed suffix whose reason and reported depth are those the
-        sequential loop would produce — rejections do not change depth,
-        so every shed decision in one burst is the same decision.
+        An item is admitted while depth is below both bounds; admission
+        only grows depth, so the burst splits into an admitted prefix
+        and a shed suffix.  Rejections do not change depth, so every
+        shed decision in one burst is the same decision: ``queue-full``
+        at ``max_depth``, else ``queue-watermark``.
         """
         items = list(items)
         depth = len(self._items)

@@ -36,7 +36,7 @@ replays, and benchmarks.  Chaos scheduling itself goes through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from threading import Lock
 from typing import Callable, Iterable
@@ -174,13 +174,13 @@ class ServiceConfig:
         Bound on the retained dead-letter records (oldest dropped
         first; ``stats.dead_letters_evicted`` counts the drops).
     coalesce_window:
-        When set (>= 1), :meth:`MemeMatchService.drain` processes up to
-        this many queued requests per *drain batch*: one clock read,
-        one breaker check, and one vectorised
-        :meth:`~repro.core.monitor.MemeMonitor.classify_batch` fan-in
-        per batch, with per-request outcomes scattered back (a request
-        whose deadline expires mid-batch still individually times out).
-        ``None`` keeps the per-request path.
+        Requests per drain window (>= 1): :meth:`MemeMatchService.drain`
+        serves up to this many queued requests with one clock read, one
+        breaker check and one
+        :meth:`~repro.core.monitor.MemeMonitor.classify_batch` call,
+        with per-request outcomes scattered back (a request whose
+        deadline expires mid-window still times out on its own).  The
+        default window of one is per-request serving.
     """
 
     theta: int | None = None
@@ -195,11 +195,11 @@ class ServiceConfig:
     breaker: BreakerConfig | None = field(default_factory=BreakerConfig)
     jitter_seed: int = 0
     max_dead_letters: int = 1024
-    coalesce_window: int | None = None
+    coalesce_window: int = 1
 
     def __post_init__(self) -> None:
-        if self.coalesce_window is not None and self.coalesce_window < 1:
-            raise ValueError("coalesce_window must be >= 1 (or None)")
+        if self.coalesce_window is None or self.coalesce_window < 1:
+            raise ValueError("coalesce_window must be an integer >= 1")
 
 
 @dataclass
@@ -234,27 +234,19 @@ class ServiceStats:
         return self.submitted == self.terminal_total() + pending
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "served": self.served,
-            "shed": self.shed,
-            "timed_out": self.timed_out,
-            "dead_lettered": self.dead_lettered,
-            "dead_letters_evicted": self.dead_letters_evicted,
-            "retries": self.retries,
-            "breaker_fast_fails": self.breaker_fast_fails,
-            "breaker_opens": self.breaker_opens,
-            "probes": self.probes,
-            "reloads": self.reloads,
-            "reload_failures": self.reload_failures,
-        }
+        return asdict(self)
 
 
 def _validate_payload(payload) -> int:
-    """Scalar poison check, mirroring ``MemeMonitor.classify_hash``."""
-    if isinstance(payload, bool):
-        raise TypeError("pHash must be an integer, got bool")
+    """Scalar poison check, mirroring ``MemeMonitor.classify_hash``.
+
+    Text and bytes are rejected before ``int()`` would parse them:
+    ``"010"`` or ``b"7"`` is a malformed log line, not a pHash.
+    """
+    if isinstance(payload, (bool, str, bytes, bytearray)):
+        raise TypeError(
+            f"pHash must be an integer, got {type(payload).__name__}"
+        )
     if isinstance(payload, float) and not float(payload).is_integer():
         raise TypeError(f"pHash must be integral, got float {payload!r}")
     try:
@@ -387,48 +379,24 @@ class MemeMatchService:
     # ------------------------------------------------------------------
 
     def submit(
-        self,
-        payload,
-        *,
-        deadline_s: float | None = None,
-        request_id: int | None = None,
+        self, payload, *, deadline_s: float | None = None
     ) -> ServiceResponse | None:
-        """Admit one request, or shed it immediately.
+        """Admit one request, or shed it immediately: a burst of one.
 
         Returns the terminal :class:`ServiceResponse` when the request
         was shed at admission (backpressure), else ``None`` — the
         request is queued and will terminate via :meth:`drain`.
         """
-        if request_id is None:
-            request_id = self._next_id
-        self._next_id = max(self._next_id, request_id) + 1
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        request = MatchRequest(
-            request_id=request_id,
-            payload=payload,
-            arrival_time=self.clock(),
-            deadline_s=deadline_s,
-        )
-        self.stats.submitted += 1
-        decision = self._queue.offer(request)
-        if not decision.admitted:
-            self.stats.shed += 1
-            return ServiceResponse(
-                request_id, SHED, reason=decision.reason, latency_s=0.0
-            )
-        self.stats.admitted += 1
-        return None
+        return self.submit_many([payload], deadline_s=deadline_s)[0]
 
     def submit_many(
         self, payloads: Iterable, *, deadline_s: float | None = None
     ) -> list[ServiceResponse | None]:
         """Admit a burst of requests with per-burst fixed costs.
 
-        The amortised twin of :meth:`submit`: one clock read stamps
-        every arrival, ids are assigned in bulk, and admission runs
-        through :meth:`AdmissionQueue.offer_many` (one watermark
-        computation, decision-identical to per-request offers).
+        One clock read stamps every arrival, ids are assigned in bulk,
+        and admission runs through :meth:`AdmissionQueue.offer_many`
+        (one watermark computation for the burst).
         Returns a list aligned with ``payloads``: the terminal SHED
         response where a request was rejected at admission, ``None``
         where it was queued and will terminate via :meth:`drain`.
@@ -476,21 +444,13 @@ class MemeMatchService:
     def drain(self, max_requests: int | None = None) -> list[ServiceResponse]:
         """Process queued requests FIFO; each returns a terminal response.
 
-        With :attr:`ServiceConfig.coalesce_window` set, requests are
-        popped in windows of up to that size and each window is served
-        by one :meth:`_process_batch` fan-in — the amortised fast path.
-        Response order is unchanged (FIFO, one terminal response per
-        request) either way.
+        Requests are popped in windows of up to
+        :attr:`ServiceConfig.coalesce_window` and each window is served
+        by one :meth:`_process_batch` call.  Responses come back FIFO,
+        one terminal response per request, whatever the window.
         """
         responses: list[ServiceResponse] = []
         window = self.config.coalesce_window
-        if window is None:
-            while max_requests is None or len(responses) < max_requests:
-                request = self._queue.pop()
-                if request is None:
-                    break
-                responses.append(self._process(request))
-            return responses
         while max_requests is None or len(responses) < max_requests:
             budget = (
                 window
@@ -580,109 +540,28 @@ class MemeMatchService:
             request, DEAD_LETTERED, start, reason=reason, attempts=attempts
         )
 
-    def _process(self, request: MatchRequest) -> ServiceResponse:
-        start = self.clock()
-        deadline = (
-            request.arrival_time + request.deadline_s
-            if request.deadline_s is not None
-            else None
-        )
-        if deadline is not None and start > deadline:
-            self.stats.timed_out += 1
-            return self._response(
-                request, TIMED_OUT, start, reason="expired-in-queue"
-            )
-
-        try:
-            value = _validate_payload(request.payload)
-        except (TypeError, ValueError) as error:
-            return self._dead_letter(request, f"invalid-input: {error}", start)
-
-        probing = False
-        if self.breaker is not None:
-            if not self.breaker.allow():
-                self.stats.shed += 1
-                self.stats.breaker_fast_fails += 1
-                return self._response(
-                    request, SHED, start, reason="breaker-open"
-                )
-            probing = self.breaker.probing
-            if probing:
-                self.stats.probes += 1
-        site = "serve:probe" if probing else "serve:classify"
-
-        monitor = self._monitor  # one atomic read: reloads never tear a request
-        attempts = 0
-
-        def attempt() -> MonitorVerdict:
-            nonlocal attempts
-            attempts += 1
-            self._fire(site)
-            return monitor.classify_hash(value)
-
-        try:
-            outcome = retry_call(
-                attempt,
-                self.config.retry,
-                sleep=self._sleep,
-                rng=self._rng,
-                clock=self.clock,
-                deadline=deadline,
-            )
-        except DeadlineExceeded as error:
-            # A latency symptom, not proof of backend sickness: the
-            # breaker only counts attempt failures, recorded below.
-            self.stats.retries += max(0, attempts - 1)
-            self.stats.timed_out += 1
-            return self._response(
-                request, TIMED_OUT, start, reason=str(error), attempts=attempts
-            )
-        except (TypeError, ValueError) as error:
-            # The monitor rejected the value: caller error, breaker unharmed.
-            self.stats.retries += max(0, attempts - 1)
-            return self._dead_letter(
-                request, f"rejected: {error}", start, attempts
-            )
-        except Exception as error:
-            self.stats.retries += max(0, attempts - 1)
-            self._record_breaker_failure()
-            return self._dead_letter(
-                request,
-                f"classify-failed: {type(error).__name__}: {error}",
-                start,
-                attempts,
-            )
-        self.stats.retries += max(0, attempts - 1)
-        if self.breaker is not None:
-            self.breaker.record_success()
-        self.stats.served += 1
-        verdict: MonitorVerdict = outcome.value
-        return self._response(request, OK, start, verdict=verdict, attempts=attempts)
-
     def _process_batch(self, requests: list[MatchRequest]) -> list[ServiceResponse]:
-        """Serve one coalesced drain window; terminal response per request.
+        """Serve one drain window; terminal response per request.
 
-        The per-request outcome ladder of :meth:`_process`, with the
-        fixed costs hoisted to per-batch: one clock read stamps the
-        drain, expiry and poison are partitioned up front, the breaker
-        is consulted once, and the survivors share one vectorised
-        ``classify_batch`` under one retry loop whose deadline is the
-        latest per-request deadline.  Outcomes scatter back per
-        request: a request whose deadline passed while the batch was
-        being classified times out individually (``expired-in-batch``)
-        even though its neighbours were served.
+        One clock read stamps the window, expiry and poison are
+        partitioned up front, the breaker is consulted once, and the
+        survivors share one ``classify_batch`` under one retry loop
+        whose deadline is the latest per-request deadline.  Outcomes
+        scatter back per request: a request whose deadline passed
+        while the window was being classified times out on its own
+        (``expired-in-batch``) even though its neighbours were served.
 
-        Divergences from the per-request path, by design: the chaos /
-        failure cadence is per batch attempt, not per request (one
-        ``serve:classify`` fire, one breaker failure record, one
-        retry schedule for the whole window), and a half-open breaker
-        falls back to per-request processing so the probe protocol is
-        unchanged.  Every request still terminates in exactly one
-        accounted state — conservation is batch-size-invariant.
+        The chaos / failure cadence is per window attempt (one
+        ``serve:classify`` fire, one breaker failure record, one retry
+        schedule for the whole window).  A window of one is therefore
+        per-request serving, step for step.  A half-open breaker
+        admits one probe per ``allow()``, so a probing window of more
+        than one request is served as windows of one, in order.  Every
+        request terminates in exactly one accounted state whatever the
+        window size.
         """
         start = self.clock()
-        n = len(requests)
-        responses: list[ServiceResponse | None] = [None] * n
+        responses: list[ServiceResponse | None] = [None] * len(requests)
         deadlines = [
             request.arrival_time + request.deadline_s
             if request.deadline_s is not None
@@ -700,40 +579,25 @@ class MemeMatchService:
                 )
             else:
                 live.append(position)
+
+        # 2. Poison payloads, each with its own dead-letter reason.
+        scalars: list[int] = []
+        kept: list[int] = []
+        for position in live:
+            try:
+                scalars.append(_validate_payload(requests[position].payload))
+                kept.append(position)
+            except (TypeError, ValueError) as error:
+                responses[position] = self._dead_letter(
+                    requests[position], f"invalid-input: {error}", start
+                )
+        live = kept
         if not live:
             return responses
+        values = np.array(scalars, dtype=np.uint64)
 
-        # 2. Poison payloads.  Fast path: one vectorised sweep — its
-        # success implies every payload passes the scalar check with
-        # the same value.  Inputs only the scalar check accepts (e.g.
-        # integral floats) or rejects take the per-request fallback,
-        # which reproduces the scalar reasons exactly.
-        values: np.ndarray | None = None
-        try:
-            values = _validated_hash_array(
-                np.array([requests[i].payload for i in live], dtype=object)
-            )
-        except Exception:
-            values = None
-        if values is None:
-            kept: list[int] = []
-            scalars: list[int] = []
-            for position in live:
-                try:
-                    scalars.append(
-                        _validate_payload(requests[position].payload)
-                    )
-                    kept.append(position)
-                except (TypeError, ValueError) as error:
-                    responses[position] = self._dead_letter(
-                        requests[position], f"invalid-input: {error}", start
-                    )
-            live = kept
-            if not live:
-                return responses
-            values = np.array(scalars, dtype=np.uint64)
-
-        # 3. One breaker read for the whole batch.
+        # 3. One breaker read for the whole window.
+        site = "serve:classify"
         if self.breaker is not None:
             if not self.breaker.allow():
                 self.stats.shed += len(live)
@@ -744,15 +608,19 @@ class MemeMatchService:
                     )
                 return responses
             if self.breaker.probing:
-                # Half-open: probes are a per-request protocol (each
-                # allow() admits one probe); coalescing them would turn
-                # one success into len(live) recoveries.
-                for position in live:
-                    responses[position] = self._process(requests[position])
-                return responses
+                if len(live) > 1:
+                    # Coalescing probes would turn one success into
+                    # len(live) recoveries.
+                    for position in live:
+                        [responses[position]] = self._process_batch(
+                            [requests[position]]
+                        )
+                    return responses
+                self.stats.probes += 1
+                site = "serve:probe"
 
         # 4. One vectorised classify under one retry loop.
-        monitor = self._monitor  # one atomic read: reloads never tear a batch
+        monitor = self._monitor  # one atomic read: reloads never tear a window
         batch_deadline = None
         if all(deadlines[i] is not None for i in live):
             batch_deadline = max(deadlines[i] for i in live)
@@ -761,7 +629,7 @@ class MemeMatchService:
         def attempt() -> list[MonitorVerdict]:
             nonlocal attempts
             attempts += 1
-            self._fire("serve:classify")
+            self._fire(site)
             return monitor.classify_batch(values)
 
         try:

@@ -499,14 +499,9 @@ class StreamIngester:
         at :attr:`n_events` — which is why shedding cannot break the
         streamed-equals-batch invariant.
         """
-        admitted = 0
-        shed = 0
-        for event in events:
-            decision = self.buffer.offer(event)
-            if decision.admitted:
-                admitted += 1
-            else:
-                shed += 1
+        decisions = self.buffer.offer_many(events)
+        admitted = sum(decision.admitted for decision in decisions)
+        shed = len(decisions) - admitted
         self.report.events_shed += shed
         try:
             self._drain()

@@ -121,6 +121,12 @@ class TestCoalesceFlags:
         with pytest.raises(SystemExit):
             main(["--coalesce-window", "-1", "serve-replay"])
 
+    def test_zero_coalesce_window_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--coalesce-window", "0", "serve-replay"])
+        assert exit_info.value.code == 2
+        assert build_parser().parse_args(["serve-replay"]).coalesce_window == 1
+
     def test_parser_accepts_group_commit(self):
         args = build_parser().parse_args(["--group-commit", "stream"])
         assert args.group_commit is True
@@ -143,26 +149,6 @@ class TestCoalesceFlags:
         # identical terminal accounting either way
         tail = per_request[per_request.index("conserved:"):]
         assert tail == coalesced[coalesced.index("conserved:"):]
-
-    def test_env_var_sets_window(self, monkeypatch):
-        from repro.cli import _resolve_coalesce_window
-
-        monkeypatch.setenv("REPRO_COALESCE_WINDOW", "24")
-        args = build_parser().parse_args(["serve-replay"])
-        assert _resolve_coalesce_window(args) == 24
-        # explicit flag wins over the env var; 0 disables
-        args = build_parser().parse_args(
-            ["--coalesce-window", "0", "serve-replay"]
-        )
-        assert _resolve_coalesce_window(args) is None
-
-    def test_malformed_env_var_warns_naming_value(self, monkeypatch):
-        from repro.cli import _resolve_coalesce_window
-
-        monkeypatch.setenv("REPRO_COALESCE_WINDOW", "lots")
-        args = build_parser().parse_args(["serve-replay"])
-        with pytest.warns(RuntimeWarning, match="'lots'"):
-            assert _resolve_coalesce_window(args) is None
 
 
 class TestCacheCommand:

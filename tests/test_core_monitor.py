@@ -172,6 +172,10 @@ class TestInputHardening:
             monitor.classify_hash("deadbeef")
         with pytest.raises(TypeError):
             monitor.classify_hash(None)
+        # Numeric text is rejected, never parsed.
+        for text in ("5", b"5", bytearray(b"5")):
+            with pytest.raises(TypeError):
+                monitor.classify_hash(text)
 
     def test_empty_raster_rejected(self, monitor):
         with pytest.raises(ValueError, match="empty raster"):

@@ -94,33 +94,30 @@ class TestVirtualClock:
 class TestAdmissionQueue:
     def test_unbounded_admits_everything(self):
         queue = AdmissionQueue(max_depth=None)
-        for i in range(1000):
-            assert queue.offer(i).admitted
+        assert all(d.admitted for d in queue.offer_many(range(1000)))
         assert len(queue) == 1000
 
     def test_watermark_sheds_deterministically(self):
         queue = AdmissionQueue(max_depth=10, shed_watermark=3)
-        decisions = [queue.offer(i) for i in range(6)]
+        decisions = queue.offer_many(range(6))
         assert [d.admitted for d in decisions] == [True] * 3 + [False] * 3
         assert decisions[3].reason == "queue-watermark"
         assert len(queue) == 3
 
     def test_full_reason_at_hard_bound(self):
         queue = AdmissionQueue(max_depth=2)
-        queue.offer(1), queue.offer(2)
-        assert queue.offer(3).reason == "queue-full"
+        queue.offer_many([1, 2])
+        assert queue.offer_many([3])[0].reason == "queue-full"
 
     def test_depth_is_backpressure_signal(self):
         queue = AdmissionQueue(max_depth=5)
-        assert queue.offer("a").depth == 1
-        assert queue.offer("b").depth == 2
+        assert [d.depth for d in queue.offer_many("ab")] == [1, 2]
         queue.pop()
-        assert queue.offer("c").depth == 2
+        assert queue.offer_many("c")[0].depth == 2
 
     def test_fifo_pop_and_peak(self):
         queue = AdmissionQueue(max_depth=4)
-        for item in "abc":
-            queue.offer(item)
+        queue.offer_many("abc")
         assert queue.peak_depth == 3
         assert [queue.pop(), queue.pop(), queue.pop(), queue.pop()] == [
             "a", "b", "c", None,
@@ -216,7 +213,11 @@ class TestServeBasics:
 
     @pytest.mark.parametrize(
         "poison",
-        [-1, 2**64, "not-a-hash", 3.5, None, True, [1, 2]],
+        [
+            -1, 2**64, "not-a-hash", 3.5, None, True, [1, 2],
+            # Numeric text is a malformed log line, never parsed.
+            "010", b"7", str(MEDOID_A),
+        ],
     )
     def test_poison_inputs_dead_letter_instead_of_raising(self, poison):
         service = make_service(config=identity_config())

@@ -1,23 +1,25 @@
-"""Coalesced serving: batched drains must match the per-request path.
+"""Window invariance: a drain window of W serves like W windows of one.
 
-The contract under test: with :attr:`ServiceConfig.coalesce_window`
-set, :meth:`MemeMatchService.drain` serves whole windows through one
-vectorised ``classify_batch`` fan-in — and every per-request outcome
-(verdict, status, shed/dead-letter reason) is the one the uncoalesced
-ladder would have produced, with conservation
+Every drain serves windows of up to :attr:`ServiceConfig.coalesce_window`
+requests through one ``classify_batch`` call, and the default window of
+one is per-request serving.  The contract under test: every
+per-request outcome (verdict, status, shed/dead-letter reason) at
+window W is the one window 1 produces, with conservation
 (``submitted == served + shed + timed_out + dead_lettered + pending``)
 holding at every drain boundary, including under mid-drain faults and
 mixed per-request deadlines.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.faults import Fault, FaultInjector
 from repro.service import (
+    AdmissionDecision,
     AdmissionQueue,
     BreakerConfig,
-    Coalescer,
     MemeMatchService,
     ServiceConfig,
     VirtualClock,
@@ -31,18 +33,20 @@ from tests.test_service import (
     tiny_result,
 )
 
+WINDOWS = (2, 3, 8)
+
 
 def coalesced_config(window=8, **overrides):
     return identity_config(coalesce_window=window, **overrides)
 
 
-def make_pair(**overrides):
-    """(uncoalesced, coalesced) services over the same tiny index."""
-    bare = MemeMatchService(tiny_result(), config=identity_config(**overrides))
-    fast = MemeMatchService(
-        tiny_result(), config=coalesced_config(**overrides)
+def make_pair(window, **overrides):
+    """(window of one, window ``window``) services over the same index."""
+    single = MemeMatchService(tiny_result(), config=identity_config(**overrides))
+    windowed = MemeMatchService(
+        tiny_result(), config=coalesced_config(window, **overrides)
     )
-    return bare, fast
+    return single, windowed
 
 
 MIXED_PAYLOADS = [
@@ -63,8 +67,42 @@ def outcome(response):
     )
 
 
+class SequentialOffers:
+    """The per-item admission rule, the oracle for ``offer_many``.
+
+    Admit while depth is below ``max_depth`` and the shed watermark;
+    otherwise shed with the reason of the bound that was hit and the
+    unchanged depth.
+    """
+
+    def __init__(self, max_depth=None, shed_watermark=None):
+        self.max_depth = max_depth
+        self.shed_watermark = (
+            shed_watermark if shed_watermark is not None else max_depth
+        )
+        self.items = []
+        self.peak_depth = 0
+
+    def offer(self, item):
+        depth = len(self.items)
+        if self.max_depth is not None and depth >= self.max_depth:
+            return AdmissionDecision(False, "queue-full", depth)
+        if self.shed_watermark is not None and depth >= self.shed_watermark:
+            return AdmissionDecision(False, "queue-watermark", depth)
+        self.items.append(item)
+        self.peak_depth = max(self.peak_depth, depth + 1)
+        return AdmissionDecision(True, None, depth + 1)
+
+
+def drained(queue):
+    items = []
+    while (item := queue.pop()) is not None:
+        items.append(item)
+    return items
+
+
 class TestOfferMany:
-    """offer_many must be decision-for-decision identical to offers."""
+    """offer_many must be decision-for-decision identical to the oracle."""
 
     @pytest.mark.parametrize(
         "kwargs, n_items, prefill",
@@ -79,23 +117,29 @@ class TestOfferMany:
     )
     def test_matches_sequential_offers(self, kwargs, n_items, prefill):
         bulk = AdmissionQueue(**kwargs)
-        loop = AdmissionQueue(**kwargs)
-        for i in range(prefill):
-            bulk.offer(("pre", i))
-            loop.offer(("pre", i))
+        loop = SequentialOffers(**kwargs)
+        prefix = [("pre", i) for i in range(prefill)]
+        assert bulk.offer_many(prefix) == [loop.offer(item) for item in prefix]
         items = [("item", i) for i in range(n_items)]
         bulk_decisions = bulk.offer_many(items)
         loop_decisions = [loop.offer(item) for item in items]
         assert bulk_decisions == loop_decisions
-        assert len(bulk) == len(loop)
+        assert len(bulk) == len(loop.items)
         assert bulk.peak_depth == loop.peak_depth
-        drained = []
-        while (item := bulk.pop()) is not None:
-            drained.append(item)
-        expected = []
-        while (item := loop.pop()) is not None:
-            expected.append(item)
-        assert drained == expected
+        assert drained(bulk) == loop.items
+
+    def test_bursts_between_pops_match_sequential_offers(self):
+        # The stream ingester's pattern: one burst per ingest call,
+        # then a partial drain before the next burst arrives.
+        bulk = AdmissionQueue(max_depth=7, shed_watermark=5)
+        loop = SequentialOffers(max_depth=7, shed_watermark=5)
+        for burst, pops in [(4, 1), (3, 3), (6, 0), (2, 5)]:
+            items = [(burst, pops, i) for i in range(burst)]
+            assert bulk.offer_many(items) == [loop.offer(i) for i in items]
+            for _ in range(pops):
+                assert bulk.pop() == loop.items.pop(0)
+        assert bulk.peak_depth == loop.peak_depth
+        assert drained(bulk) == loop.items
 
     def test_empty_burst(self):
         queue = AdmissionQueue(max_depth=2)
@@ -128,20 +172,26 @@ class TestSubmitMany:
 
 class TestCoalescedIdentity:
     def test_mixed_batch_outcomes_identical(self):
-        bare, fast = make_pair()
-        expected = bare.serve(MIXED_PAYLOADS)
-        assert all(r is None for r in fast.submit_many(MIXED_PAYLOADS))
-        got = fast.drain()
-        assert [outcome(r) for r in got] == [outcome(r) for r in expected]
-        assert [r.request_id for r in got] == [r.request_id for r in expected]
-        assert fast.stats.served == bare.stats.served
-        assert fast.stats.reconciles(pending=0)
+        for window in WINDOWS:
+            single, windowed = make_pair(window)
+            expected = single.serve(MIXED_PAYLOADS)
+            assert all(
+                r is None for r in windowed.submit_many(MIXED_PAYLOADS)
+            )
+            got = windowed.drain()
+            assert [outcome(r) for r in got] == [
+                outcome(r) for r in expected
+            ], window
+            assert [r.request_id for r in got] == [
+                r.request_id for r in expected
+            ]
+            assert windowed.stats.as_dict() == single.stats.as_dict()
+            assert windowed.stats.reconciles(pending=0)
 
     def test_poison_fallback_reasons_identical(self):
-        # A batch the vectorised validator rejects outright: the
-        # fallback must reproduce the scalar path's per-request
-        # dead-letter reasons, including inputs only the scalar check
-        # accepts (integral floats).
+        # Poison anywhere in a window is dead-lettered with the reason
+        # a window of one gives it, including inputs only the scalar
+        # check accepts (integral floats) and numeric text.
         payloads = [
             MEDOID_A,
             "not-a-hash",
@@ -150,41 +200,58 @@ class TestCoalescedIdentity:
             2**64,  # out of range
             MEDOID_B,
             3.25,  # non-integral float
+            "010",
+            b"7",
         ]
-        bare, fast = make_pair()
-        expected = bare.serve(payloads)
-        fast.submit_many(payloads)
-        got = fast.drain()
-        assert [outcome(r) for r in got] == [outcome(r) for r in expected]
-        assert fast.stats.dead_lettered == bare.stats.dead_lettered
-        assert [d.reason for d in fast.dead_letters] == [
-            d.reason for d in bare.dead_letters
-        ]
-        assert fast.stats.reconciles(pending=0)
+        for window in WINDOWS:
+            single, windowed = make_pair(window)
+            expected = single.serve(payloads)
+            windowed.submit_many(payloads)
+            got = windowed.drain()
+            assert [outcome(r) for r in got] == [
+                outcome(r) for r in expected
+            ], window
+            assert windowed.stats.dead_lettered == single.stats.dead_lettered
+            assert [d.reason for d in windowed.dead_letters] == [
+                d.reason for d in single.dead_letters
+            ]
+            assert windowed.stats.reconciles(pending=0)
 
     def test_windows_partition_the_queue(self):
-        service = MemeMatchService(
-            tiny_result(), config=coalesced_config(window=4)
-        )
-        payloads = [MEDOID_A, MEDOID_B] * 5
-        service.submit_many(payloads)
-        responses = service.drain()
-        assert len(responses) == 10
-        assert all(r.status == "ok" for r in responses)
-        # 10 requests over windows of 4 -> ceil(10/4) = 3 classify calls.
-        assert service.stats.served == 10
+        for window in WINDOWS:
+            service = MemeMatchService(
+                tiny_result(), config=coalesced_config(window)
+            )
+            inner = service._monitor.classify_batch
+            sizes = []
+
+            def counting_classify(values, inner=inner, sizes=sizes):
+                sizes.append(len(values))
+                return inner(values)
+
+            service._monitor.classify_batch = counting_classify
+            payloads = [MEDOID_A, MEDOID_B] * 5
+            service.submit_many(payloads)
+            responses = service.drain()
+            assert len(responses) == 10
+            assert all(r.status == "ok" for r in responses)
+            assert service.stats.served == 10
+            # One classify call per window of at most `window` requests.
+            assert len(sizes) == math.ceil(10 / window)
+            assert sum(sizes) == 10 and max(sizes) <= window
 
     def test_max_requests_respected(self):
-        service = MemeMatchService(
-            tiny_result(), config=coalesced_config(window=4)
-        )
-        service.submit_many([MEDOID_A] * 10)
-        first = service.drain(max_requests=6)
-        assert len(first) == 6
-        assert service.pending == 4
-        assert service.stats.reconciles(pending=4)
-        rest = service.drain()
-        assert len(rest) == 4
+        for window in WINDOWS:
+            service = MemeMatchService(
+                tiny_result(), config=coalesced_config(window)
+            )
+            service.submit_many([MEDOID_A] * 10)
+            first = service.drain(max_requests=6)
+            assert len(first) == 6
+            assert service.pending == 4
+            assert service.stats.reconciles(pending=4)
+            rest = service.drain()
+            assert len(rest) == 4
 
 
 class TestMixedDeadlines:
@@ -203,16 +270,44 @@ class TestMixedDeadlines:
         return service, service.drain()
 
     def test_outcomes_match_per_request_path(self):
-        bare, bare_responses = self.scenario(identity_config())
-        fast, fast_responses = self.scenario(coalesced_config())
-        assert [outcome(r) for r in fast_responses] == [
-            outcome(r) for r in bare_responses
-        ]
-        assert fast_responses[0].status == "timed-out"
-        assert fast_responses[0].reason == "expired-in-queue"
-        assert [r.status for r in fast_responses[1:]] == ["ok", "ok"]
-        assert fast.stats.as_dict() == bare.stats.as_dict()
-        assert fast.stats.reconciles(pending=0)
+        single, single_responses = self.scenario(identity_config())
+        for window in WINDOWS:
+            windowed, windowed_responses = self.scenario(
+                coalesced_config(window)
+            )
+            assert [outcome(r) for r in windowed_responses] == [
+                outcome(r) for r in single_responses
+            ], window
+            assert windowed_responses[0].status == "timed-out"
+            assert windowed_responses[0].reason == "expired-in-queue"
+            assert [r.status for r in windowed_responses[1:]] == ["ok", "ok"]
+            assert windowed.stats.as_dict() == single.stats.as_dict()
+            assert windowed.stats.reconciles(pending=0)
+
+    def test_window_of_one_rechecks_deadline_after_classify(self):
+        # A classify that returns after the request's deadline times the
+        # request out at window one too, as it does at every window.
+        clock = VirtualClock()
+        service = MemeMatchService(
+            tiny_result(),
+            config=identity_config(),
+            clock=clock.time,
+            sleep=clock.sleep,
+        )
+        inner = service._monitor.classify_batch
+
+        def slow_classify(values):
+            clock.advance(1.0)
+            return inner(values)
+
+        service._monitor.classify_batch = slow_classify
+        service.submit(MEDOID_A, deadline_s=0.5)
+        service.submit(MEDOID_B, deadline_s=10.0)
+        responses = service.drain()
+        assert [r.status for r in responses] == ["timed-out", "ok"]
+        assert responses[0].reason == "expired-in-batch"
+        assert responses[0].attempts == 1
+        assert service.stats.reconciles(pending=0)
 
     def test_deadline_expiring_mid_batch_times_out_individually(self):
         clock = VirtualClock()
@@ -334,81 +429,9 @@ class TestFaultsMidDrain:
         assert service.stats.reconciles(pending=0)
 
 
-class TestCoalescer:
-    def test_auto_flush_at_window(self):
-        service = MemeMatchService(
-            tiny_result(), config=coalesced_config(window=3)
-        )
-        coalescer = Coalescer(service, window=3)
-        assert coalescer.submit(MEDOID_A) == []
-        assert coalescer.submit(MEDOID_B) == []
-        responses = coalescer.submit(MEDOID_A ^ 0b1)
-        assert [r.status for r in responses] == ["ok"] * 3
-        assert len(coalescer) == 0
-        assert coalescer.flushes == 1
-        assert service.stats.reconciles(pending=0)
-
-    def test_flush_serves_partial_window_in_order(self):
-        service = MemeMatchService(tiny_result(), config=coalesced_config())
-        coalescer = Coalescer(service, window=10)
-        coalescer.submit(MEDOID_A)
-        coalescer.submit("poison")
-        coalescer.submit(MEDOID_B)
-        assert len(coalescer) == 3
-        responses = coalescer.flush()
-        assert [r.request_id for r in responses] == [0, 1, 2]
-        assert [r.status for r in responses] == [
-            "ok", "dead-lettered", "ok",
-        ]
-        assert coalescer.flush() == []
-
-    def test_per_request_deadlines_preserved(self):
-        # Deadlines are staged per request and applied per burst: the
-        # first two arrive already out of budget, the third has none.
-        clock = VirtualClock()
-        service = MemeMatchService(
-            tiny_result(),
-            config=coalesced_config(),
-            clock=clock.time,
-            sleep=clock.sleep,
-        )
-        coalescer = Coalescer(service, window=10)
-        coalescer.submit(MEDOID_A, deadline_s=-0.5)
-        coalescer.submit(MEDOID_B, deadline_s=-0.5)
-        coalescer.submit(MEDOID_A)
-        responses = coalescer.flush()
-        assert [r.status for r in responses] == [
-            "timed-out", "timed-out", "ok",
-        ]
-        assert [r.reason for r in responses[:2]] == ["expired-in-queue"] * 2
-        assert service.stats.reconciles(pending=0)
-
-    def test_window_validation(self):
-        service = MemeMatchService(tiny_result(), config=coalesced_config())
-        with pytest.raises(ValueError):
-            Coalescer(service, window=0)
-
-    def test_default_window_follows_service_config(self):
-        service = MemeMatchService(
-            tiny_result(), config=coalesced_config(window=5)
-        )
-        assert Coalescer(service).window == 5
-
-    def test_identical_to_direct_serve(self):
-        bare, fast = make_pair()
-        expected = bare.serve(MIXED_PAYLOADS)
-        coalescer = Coalescer(fast, window=4)
-        responses = []
-        for payload in MIXED_PAYLOADS:
-            responses.extend(coalescer.submit(payload))
-        responses.extend(coalescer.flush())
-        assert [outcome(r) for r in responses] == [
-            outcome(r) for r in expected
-        ]
-
-
 class TestConfigValidation:
     def test_coalesce_window_validated(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(coalesce_window=0)
-        assert ServiceConfig(coalesce_window=None).coalesce_window is None
+        for window in (None, 0, -1):
+            with pytest.raises(ValueError):
+                ServiceConfig(coalesce_window=window)
+        assert ServiceConfig().coalesce_window == 1
