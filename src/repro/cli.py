@@ -43,13 +43,8 @@ Commands
     bit-identical.
 
 All commands share ``--seed``, ``--events-unit`` and ``--noise-scale``
-controlling the synthetic world's scale, plus the fault-tolerance flags
-``--checkpoint-dir`` (write per-stage checkpoints), ``--resume`` (reuse
-valid checkpoints instead of recomputing completed stages) and
-``--max-retries`` (transient-failure retries per stage item)::
-
-    python -m repro --checkpoint-dir ckpt report      # killed mid-run?
-    python -m repro --checkpoint-dir ckpt --resume report
+controlling the synthetic world's scale, plus ``--max-retries``
+(transient-failure retries per stage item).
 
 ``--workers N`` fans the hot paths (clustering neighbourhoods,
 association, per-cluster Hawkes fits) out over N workers;
@@ -71,6 +66,14 @@ work only (incremental neighbourhood merging, prefix association).
     python -m repro --cache-dir cache cache       # inspect entries
     python -m repro --cache-dir cache cache clear
 
+The cache is also how a killed run restarts: re-run the same command
+on the same ``--cache-dir`` and every stage that finished before the
+crash reports ``cached``; the rest recompute.  Degraded outcomes are
+never stored, so a re-run after the fault clears recomputes them::
+
+    python -m repro --cache-dir cache --inject-fault associate@1@runtime report
+    python -m repro --cache-dir cache report      # 3 stages cached
+
 Parallel fan-outs run *supervised*: a failing/hung/killed shard walks
 the rescue ladder (fresh-pool retry → bisection → serial fallback)
 before being quarantined.  ``--shard-deadline SECONDS`` arms hang
@@ -87,8 +90,8 @@ alert on degraded results; 4 when ``serve-replay`` loses a request
 (conservation violation; should never happen).  ``--inject-fault
 SITE[@TIMES][@KIND]`` arms the deterministic fault injector for chaos
 drills; a SITE outside the namespaces the code fires (``cluster``,
-``annotate``, ``associate``, ``screenshot-filter``, ``checkpoint``,
-``serve``, ``parallel``, ``stream``) is a usage error (exit 2), e.g.::
+``annotate``, ``associate``, ``screenshot-filter``, ``serve``,
+``parallel``, ``stream``) is a usage error (exit 2), e.g.::
 
     python -m repro --inject-fault cluster:pol@9@runtime overview
     python -m repro --inject-fault serve:classify@20 serve-replay
@@ -150,17 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise-scale", type=float, default=1.0, help="noise volume multiplier"
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory for per-stage checkpoints (enables checkpointing)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume completed stages from --checkpoint-dir instead of "
-        "recomputing them (corrupt/stale checkpoints are recomputed)",
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=2,
@@ -171,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory of the content-addressed cache (enables "
         "memoization: warm re-runs hit per stage, grown inputs do "
-        "delta work only; output is bit-identical either way)",
+        "delta work only, and re-running after a crash reuses every "
+        "finished stage; output is bit-identical either way)",
     )
     parser.add_argument(
         "--no-cache",
@@ -221,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="SITE[@TIMES][@KIND]",
         help="arm a deterministic fault for chaos drills; KIND is "
-        "transient (default, retryable), runtime (permanent), corrupt "
-        "(damages the checkpoint at SITE), or — at the parallel:shard/"
-        "parallel:worker sites — hang (worker stalls past the shard "
-        "deadline) or kill (worker process dies mid-task); repeatable",
+        "transient (default, retryable), runtime (permanent), or — at "
+        "the parallel:shard/parallel:worker sites — hang (worker stalls "
+        "past the shard deadline) or kill (worker process dies "
+        "mid-task); repeatable",
     )
     serving = parser.add_argument_group(
         "serve-replay options (resilient serving layer)"
@@ -370,13 +363,11 @@ def _parse_fault(spec: str):
         return Fault(site, TransientError, times=times)
     if kind == "runtime":
         return Fault(site, RuntimeError, times=times)
-    if kind == "corrupt":
-        return Fault(site, action="corrupt", times=times)
     if kind in ("hang", "kill"):
         return Fault(site, action=kind, times=times)
     raise ValueError(
         f"unknown fault kind {kind!r} "
-        "(expected transient|runtime|corrupt|hang|kill)"
+        "(expected transient|runtime|hang|kill)"
     )
 
 
@@ -450,15 +441,13 @@ def _world_and_pipeline(args, faults=None, parallel=None):
     world = SyntheticWorld.generate(config)
     print(f"  {len(world.posts):,} posts. Running the pipeline...\n")
     options = RunnerOptions(
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         policy=RunnerPolicy(max_retries=args.max_retries),
         parallel=parallel,
         faults=faults,
         cache_dir=_cache_dir(args),
     )
     result = run_pipeline(world, PipelineConfig(), options=options)
-    if args.checkpoint_dir or _cache_dir(args) or result.degraded:
+    if _cache_dir(args) or result.degraded:
         for report in result.stage_reports:
             print(f"  [{report.summary()}]")
         print()
@@ -797,8 +786,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"unknown cache action {args.subcommand!r} (expected info|clear)"
         )
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
     if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
     if args.workers is not None and args.workers < 1:
@@ -831,11 +818,7 @@ def main(argv: list[str] | None = None) -> int:
         except CheckpointLockError as error:
             print(f"ERROR: {error}", file=sys.stderr)
             return 3
-    try:
-        world, result = _world_and_pipeline(args, faults=faults, parallel=parallel)
-    except CheckpointLockError as error:
-        print(f"ERROR: {error}", file=sys.stderr)
-        return 3
+    world, result = _world_and_pipeline(args, faults=faults, parallel=parallel)
     exit_code = 0
     if args.command in ("overview", "report"):
         _print_overview(world, result)

@@ -7,12 +7,13 @@
 * :mod:`repro.core.pipeline` — the Step 1-7 orchestration over a data
   source (the synthetic world, or any object with the same interface).
 * :mod:`repro.core.runner` — the staged, fault-tolerant execution engine
-  behind :func:`~repro.core.pipeline.run_pipeline` (checkpoint/resume,
-  retry with backoff, degradation ladder, quarantine).
+  behind :func:`~repro.core.pipeline.run_pipeline` (retry with
+  backoff, degradation ladder, quarantine, cache-backed restart).
 * :mod:`repro.core.faults` — deterministic fault injection for testing
   the runner's failure handling.
 * :mod:`repro.core.cache` — content-addressed two-tier memoization for
-  warm re-runs and incremental (+N images) delta work.
+  warm re-runs, restarts after a crash, and incremental (+N images)
+  delta work.
 """
 
 from repro.core.cache import CacheStats, ContentCache, fingerprint

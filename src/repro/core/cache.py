@@ -260,7 +260,7 @@ class ContentCache:
                 self.stats.hits += 1
             return True, value
         path = self._entry_path(key)
-        if path is not None and path.exists():
+        if path is not None:
             try:
                 size = path.stat().st_size
                 payload = load_checkpoint(
@@ -268,6 +268,11 @@ class ContentCache:
                 )
                 if not isinstance(payload, dict) or "value" not in payload:
                     raise CheckpointError(f"{path}: cache entry missing value")
+            except FileNotFoundError:
+                # Absent, or removed between stat and read by another
+                # run sharing the directory (a corrupt-entry unlink, or
+                # ``cache clear``): a plain miss.
+                pass
             except CheckpointError as error:
                 # Bad entry: report, delete, recompute.
                 self.stats.errors.append(str(error))

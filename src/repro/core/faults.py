@@ -2,8 +2,8 @@
 
 Testing a fault-tolerant runner needs *reproducible* failures: "the
 screenshot classifier dies on its first two attempts", "community
-``pol``'s clustering raises once", "the checkpoint written after
-clustering is corrupted on disk".  :class:`FaultInjector` scripts those
+``pol``'s clustering raises once", "the index checkpoint a reload
+reads is corrupted on disk".  :class:`FaultInjector` scripts those
 events by *site name* — the runner calls :meth:`FaultInjector.fire` at
 every stage boundary (and per-item boundary) it crosses, and armed
 faults trigger a fixed number of times, then disarm.
@@ -15,10 +15,11 @@ Site naming convention (what the runner fires):
 * ``"cluster:pol"`` — one community's clustering (likewise
   ``"annotate:<community>"``);
 * ``"screenshot-filter:classifier"`` — one rung of the degradation
-  ladder (likewise ``:oracle`` / ``:none``);
-* ``"checkpoint:<stage>"`` — fired just *after* the stage's checkpoint
-  is written; a ``corrupt`` fault overwrites bytes in the file to
-  simulate disk corruption.
+  ladder (likewise ``:oracle`` / ``:none``).
+
+A crash at any of these sites is recovered by re-running on the same
+content cache (:mod:`repro.core.cache`): stages that finished before
+the crash hit, the rest recompute.
 
 The online serving layer (:mod:`repro.service`) fires its own sites, so
 one injector can script a whole chaos schedule across batch and serving
@@ -91,7 +92,6 @@ SITE_NAMESPACES = (
     "annotate",
     "associate",
     "screenshot-filter",
-    "checkpoint",
     "serve",
     "parallel",
     "stream",
@@ -140,7 +140,7 @@ class Fault:
         How many firings before the fault disarms (default 1).
     action:
         ``"raise"`` throws ``error``; ``"corrupt"`` damages the file
-        path the runner passes along (checkpoint sites only);
+        path the site passes along (``serve:reload`` only);
         ``"hang"`` / ``"kill"`` script worker-side chaos at the
         ``parallel:*`` sites (see :meth:`FaultInjector.parallel_directive`).
     corrupt_mode:
@@ -201,7 +201,7 @@ class FaultInjector:
     def fire(self, site: str, *, path: str | Path | None = None) -> None:
         """Trigger any armed fault at ``site``.
 
-        ``path`` carries the checkpoint file for ``corrupt`` faults.
+        ``path`` carries the file a ``corrupt`` fault damages.
         """
         for fault in self.faults:
             if fault.site != site or not fault.armed:

@@ -149,7 +149,8 @@ def run_pipeline(
     Since the staged-runner refactor this is a thin compatibility
     wrapper over :class:`repro.core.runner.PipelineRunner`; pass
     ``options`` (a :class:`repro.core.runner.RunnerOptions`) to turn on
-    checkpointing, resume, retries, or fault injection.
+    the content cache (which is also the restart path after a crash),
+    retries, parallel fan-out, or fault injection.
 
     Parameters
     ----------
@@ -161,7 +162,7 @@ def run_pipeline(
         Pipeline constants; defaults to the paper's values.
     options:
         Runner execution options; defaults to run-everything-in-process
-        with no checkpoints (the historical behaviour).
+        with no cache (the historical behaviour).
     """
     from repro.core.runner import PipelineRunner
 

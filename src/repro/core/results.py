@@ -32,31 +32,27 @@ class StageReport:
         Stage name (``cluster``, ``screenshot-filter``, ``annotate``,
         ``associate``).
     status:
-        ``"completed"`` (ran clean), ``"resumed"`` (loaded from
-        checkpoint), ``"degraded"`` (finished via fallback/quarantine),
-        or ``"failed"``.
+        ``"completed"`` (ran clean), ``"degraded"`` (finished via
+        fallback/quarantine), or ``"failed"``.
     attempts:
-        Work-item executions including retries (0 when resumed).
+        Work-item executions including retries.
     duration_s:
-        Wall time of the stage, checkpoint I/O included.
+        Wall time of the stage, cache I/O included.
     fallbacks:
         Degradation-ladder steps taken, e.g. ``"classifier->oracle"``.
     quarantined:
         Items isolated after permanent failure, e.g. ``"cluster:pol"``.
-    resumed:
-        Whether the output came from a checkpoint.
     error:
         Message of the error that triggered degradation, if any.
     notes:
-        Free-form diagnostics (invalid-checkpoint reasons, retry info).
+        Free-form diagnostics (retry info).
     execution:
         Supervised-executor report for the stage's parallel fan-out
         (per-shard attempts/outcomes), when the stage ran one.
     cached:
         Whether the stage's output came entirely from the content cache
-        (every lookup hit and no delta work ran).  Distinct from
-        ``resumed``: a resume replays a *checkpoint* of this exact run
-        directory, a cache hit reuses *content-addressed* results from
+        (every lookup hit and no delta work ran): a warm re-run, or a
+        re-run after a crash, reuses *content-addressed* results from
         any previous run over the same inputs.
     cache_stats:
         This stage's slice of the content cache's activity
@@ -69,7 +65,6 @@ class StageReport:
     duration_s: float = 0.0
     fallbacks: list[str] = field(default_factory=list)
     quarantined: list[str] = field(default_factory=list)
-    resumed: bool = False
     error: str | None = None
     notes: list[str] = field(default_factory=list)
     execution: ExecutionReport | None = None

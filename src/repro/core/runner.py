@@ -10,11 +10,6 @@ stages with explicit boundaries::
 
 and wraps each boundary with the fault-tolerance machinery:
 
-* **Checkpoint/resume** — each stage's output is written to
-  ``<checkpoint_dir>/<stage>.ckpt`` (integrity-checked, atomic; see
-  :mod:`repro.utils.io`).  With ``resume=True`` a valid checkpoint is
-  loaded instead of recomputed; corrupt or stale checkpoints are
-  detected, noted in the stage report, and recomputed.
 * **Retry** — transient failures (:class:`repro.utils.retry.
   TransientError`, ``OSError``) are retried with exponential backoff.
 * **Graceful degradation** — the screenshot filter walks the ladder
@@ -37,8 +32,12 @@ and wraps each boundary with the fault-tolerance machinery:
   association prefix instead of recomputing the world.  All cached and
   delta outputs are bit-identical to a cold run (pinned in tests);
   per-stage hit/miss/delta statistics land on the stage report.
-  Unlike checkpoints, cache entries are keyed by input *content*, so
-  they survive across runs, directories, and worker counts.
+  Entries are keyed by input *content*, so they survive across runs
+  and worker counts.  The cache is also the restart path: a run that
+  crashed is simply re-run warm on the same ``cache_dir``, and every
+  stage that finished before the crash is a hit.  Degraded outcomes
+  (quarantined items, a lower screenshot rung) are never stored, so a
+  re-run after the fault clears recomputes them.
 
 Fault injection for tests goes through :mod:`repro.core.faults`: the
 runner calls ``faults.fire(site)`` at every boundary it crosses.
@@ -71,12 +70,6 @@ from repro.core.results import (
     OccurrenceTable,
     PipelineResult,
     StageReport,
-)
-from repro.utils.io import (
-    CheckpointError,
-    CheckpointLock,
-    load_checkpoint,
-    save_checkpoint,
 )
 from repro.utils.parallel import (
     Executor,
@@ -178,11 +171,6 @@ class RunnerOptions:
 
     Attributes
     ----------
-    checkpoint_dir:
-        Directory for per-stage checkpoints; ``None`` disables
-        checkpointing entirely.
-    resume:
-        Load valid checkpoints instead of recomputing their stages.
     policy:
         Retry/degradation/quarantine policy.
     faults:
@@ -198,20 +186,19 @@ class RunnerOptions:
         per-community association).  ``None`` falls back to the
         ``REPRO_WORKERS``/``REPRO_PARALLEL_BACKEND`` environment, then
         to serial.  Results are bit-identical for any worker count, so
-        checkpoints written under different worker counts are
-        interchangeable (the fingerprint deliberately excludes this).
+        cache entries written under different worker counts are
+        interchangeable (no cache key includes this).
     cache_dir:
         Directory of the content-addressed cache
         (:class:`repro.core.cache.ContentCache`); ``None`` disables
         memoization unless ``cache`` is given.  Warm re-runs hit per
-        stage; runs over a grown input do delta work only.
+        stage; runs over a grown input do delta work only.  Re-running
+        after a crash on the same directory is the restart path.
     cache:
         An already-constructed cache instance (shared with e.g. the
         serving layer); wins over ``cache_dir``.
     """
 
-    checkpoint_dir: str | Path | None = None
-    resume: bool = False
     policy: RunnerPolicy = field(default_factory=RunnerPolicy)
     faults: FaultInjector | None = None
     sleep: Callable[[float], None] | None = None
@@ -227,7 +214,7 @@ class PipelineRunner:
     Examples
     --------
     >>> # runner = PipelineRunner(world, PipelineConfig(),
-    >>> #                         RunnerOptions(checkpoint_dir="ckpt"))
+    >>> #                         RunnerOptions(cache_dir="cache"))
     >>> # result = runner.run()
     >>> # [r.summary() for r in result.stage_reports]
     """
@@ -264,26 +251,6 @@ class PipelineRunner:
         world_config = getattr(self.world, "config", None)
         return int(getattr(world_config, "seed", 0) or 0)
 
-    def _fingerprint(self, stage: str) -> str:
-        """Bind a checkpoint to (world identity, pipeline config, stage).
-
-        Resuming with a different seed, scale, or config must invalidate
-        old checkpoints rather than silently mixing runs.
-        """
-        world_config = getattr(self.world, "config", None)
-        world_id = (
-            f"seed={getattr(world_config, 'seed', None)}"
-            f",events_unit={getattr(world_config, 'events_unit', None)}"
-            f",noise_scale={getattr(world_config, 'noise_scale', None)}"
-            f",posts={len(self.world.posts)}"
-        )
-        return f"v1|{world_id}|{self.config!r}|{stage}"
-
-    def _checkpoint_path(self, stage: str) -> Path | None:
-        if self.options.checkpoint_dir is None:
-            return None
-        return Path(self.options.checkpoint_dir) / f"{stage}.ckpt"
-
     def _retry_policy(self) -> RetryPolicy:
         policy = self.options.policy
         return RetryPolicy(
@@ -292,46 +259,25 @@ class PipelineRunner:
             backoff=policy.retry_backoff,
         )
 
-    def _fire(self, site: str, *, path: Path | None = None) -> None:
+    def _fire(self, site: str) -> None:
         if self.options.faults is not None:
-            self.options.faults.fire(site, path=path)
+            self.options.faults.fire(site)
 
     # ------------------------------------------------------------------
-    # The checkpoint-or-compute stage wrapper
+    # The stage wrapper
     # ------------------------------------------------------------------
 
     def _run_stage(
-        self,
-        stage: str,
-        compute: Callable[[StageReport], dict],
-        *,
-        restore: Callable[[dict], None] | None = None,
+        self, stage: str, compute: Callable[[StageReport], dict]
     ) -> dict:
-        """Resume ``stage`` from its checkpoint or compute and save it.
+        """Compute ``stage`` and append its report.
 
-        ``compute(report)`` returns the stage payload (a picklable dict)
-        and may mutate ``report`` (attempts, fallbacks, quarantined).
-        ``restore`` reapplies payload side effects after a resume (the
-        classifier rung mutates gallery flags in place).
+        ``compute(report)`` returns the stage payload and may mutate
+        ``report`` (attempts, fallbacks, quarantined).  With a cache,
+        the report also carries the stage's slice of the cache stats.
         """
         report = StageReport(name=stage)
         start = time.perf_counter()
-        path = self._checkpoint_path(stage)
-        if self.options.resume and path is not None and path.exists():
-            try:
-                payload = load_checkpoint(path, fingerprint=self._fingerprint(stage))
-            except CheckpointError as error:
-                report.notes.append(f"checkpoint invalid, recomputing: {error}")
-            else:
-                report.status = "resumed"
-                report.resumed = True
-                report.fallbacks = list(payload.get("fallbacks", []))
-                report.quarantined = list(payload.get("quarantined", []))
-                report.duration_s = time.perf_counter() - start
-                if restore is not None:
-                    restore(payload)
-                self.reports.append(report)
-                return payload
         self._fire(stage)
         cache_base = self.cache.stats.copy() if self.cache is not None else None
         payload = compute(report)
@@ -347,12 +293,6 @@ class PipelineRunner:
                     label.endswith(":added") for label in stage_stats.deltas
                 )
             )
-        payload.setdefault("fallbacks", list(report.fallbacks))
-        payload.setdefault("quarantined", list(report.quarantined))
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(path, payload, fingerprint=self._fingerprint(stage))
-            self._fire(f"checkpoint:{stage}", path=path)
         report.duration_s = time.perf_counter() - start
         self.reports.append(report)
         return payload
@@ -577,7 +517,7 @@ class PipelineRunner:
             }
             if mode == "classifier":
                 # The classifier re-flags gallery images in place; record
-                # the decided flags so a resumed run can replay them.
+                # the decided flags so a cache hit can replay them.
                 payload["gallery_flags"] = [
                     [bool(image.is_screenshot) for image in entry.gallery]
                     for entry in self.world.kym_site
@@ -588,7 +528,7 @@ class PipelineRunner:
         raise StageFailure("screenshot-filter", last_error)  # pragma: no cover
 
     def _restore_screenshot_stage(self, payload: dict) -> None:
-        """Replay checkpointed classifier decisions onto the galleries."""
+        """Replay cached classifier decisions onto the galleries."""
         flags = payload.get("gallery_flags")
         if flags is None:
             return
@@ -843,27 +783,12 @@ class PipelineRunner:
     # ------------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        """Execute (or resume) all stages and assemble the result.
-
-        When checkpointing is on, the checkpoint directory is locked for
-        the whole run (see :class:`repro.utils.io.CheckpointLock`): a
-        second concurrent run against the same directory fails fast with
-        :class:`repro.utils.io.CheckpointLockError` instead of
-        interleaving ``.ckpt`` writes.
-        """
-        if self.options.checkpoint_dir is not None:
-            with CheckpointLock(self.options.checkpoint_dir):
-                return self._run_all_stages()
-        return self._run_all_stages()
-
-    def _run_all_stages(self) -> PipelineResult:
+        """Execute all stages and assemble the result."""
         cluster_payload = self._run_stage("cluster", self._cluster_stage)
         clusterings = cluster_payload["clusterings"]
 
         screenshot_payload = self._run_stage(
-            "screenshot-filter",
-            self._screenshot_stage,
-            restore=self._restore_screenshot_stage,
+            "screenshot-filter", self._screenshot_stage
         )
 
         annotate_payload = self._run_stage(

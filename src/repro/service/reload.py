@@ -4,10 +4,10 @@ A long-lived matching service outlives any single pipeline run: new
 crawls land, the pipeline re-runs, and the service must pick up the new
 annotated clusters *without dropping traffic*.  The exchange format is
 one integrity-checked checkpoint file (the same ``RPC1`` container as
-the batch runner's stage checkpoints — :mod:`repro.utils.io`) holding a
+the content cache's entries — :mod:`repro.utils.io`) holding a
 complete :class:`~repro.core.results.PipelineResult`, bound to the
-service fingerprint below so a stage checkpoint can never be mistaken
-for a serving index.
+service fingerprint below so a cache entry can never be mistaken for
+a serving index.
 
 :func:`load_index` re-validates everything the service will depend on
 — digest, fingerprint, result shape, medoid hash range — so a corrupt,

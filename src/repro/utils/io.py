@@ -1,4 +1,4 @@
-"""Persistence: post streams, occurrence tables, and stage checkpoints.
+"""Persistence: post streams, occurrence tables, and checkpoints.
 
 The paper released its (hashed) datasets alongside the pipeline; this
 module provides the equivalent for the synthetic world — a compact NPZ
@@ -6,23 +6,23 @@ serialisation of post streams (hashes, never raw images, mirroring the
 paper's privacy posture of keeping only URL + pHash) and a CSV export of
 meme occurrences for external analysis.
 
-It also holds the checkpoint format of the staged runner
-(:mod:`repro.core.runner`): one file per stage, an integrity-checked
-pickle so an interrupted multi-hour run can resume from the last
-completed stage.  Layout::
+It also holds the ``RPC1`` checkpoint container: an integrity-checked
+pickle, written atomically.  The content cache
+(:mod:`repro.core.cache`) stores every entry in one, and so do the
+stream ingester's ``stream.ckpt`` and the serving index.  Layout::
 
     b"RPC1"                     magic + format version
     sha256(fingerprint+payload) 32 bytes, detects corruption/truncation
     len(fingerprint)            4 bytes big-endian
     fingerprint                 utf-8; binds the checkpoint to its
-                                (world, config, stage) identity
+                                writer's identity (format, key)
     len(payload)                8 bytes big-endian
-    payload                     pickled stage output
+    payload                     pickled value
 
 A checkpoint whose digest fails raises :class:`CheckpointError`; one
-whose fingerprint differs from the resuming run raises
-:class:`StaleCheckpointError` (the runner recomputes in both cases
-rather than trusting bad state).
+whose fingerprint differs from the reader's raises
+:class:`StaleCheckpointError` (the cache treats both as a miss and
+recomputes rather than trusting bad state).
 """
 
 from __future__ import annotations
@@ -63,19 +63,16 @@ class StaleCheckpointError(CheckpointError):
 
 
 class CheckpointLockError(RuntimeError):
-    """Another live run already holds the checkpoint directory's lock."""
+    """Another live process already holds the directory's lock."""
 
 
 class CheckpointLock:
-    """Exclusive advisory lock on a checkpoint directory.
+    """Exclusive advisory lock on a directory of durable state.
 
-    Two concurrent runs sharing one ``--checkpoint-dir`` would
-    interleave ``.ckpt`` writes — each run's atomic per-file rename is
-    safe, but the *set* of files would mix two runs' stages into one
-    resumable state.  The staged runner therefore takes this lock for
-    the duration of :meth:`repro.core.runner.PipelineRunner.run`; a
-    second run fails fast with :class:`CheckpointLockError` instead of
-    corrupting shared state.
+    The stream ingester (:mod:`repro.stream`) holds it on its WAL
+    directory for its whole life: two ingesters appending to one log
+    and rewriting one ``stream.ckpt`` would interleave their state.  A
+    second owner fails fast with :class:`CheckpointLockError` instead.
 
     The lock is a ``.lock`` file created with ``O_CREAT | O_EXCL``
     (atomic on POSIX and Windows) holding the owner's PID.  A lock
@@ -85,7 +82,7 @@ class CheckpointLock:
 
     Usable as a context manager::
 
-        with CheckpointLock(checkpoint_dir):
+        with CheckpointLock(wal_dir):
             ...
     """
 
@@ -146,12 +143,12 @@ class CheckpointLock:
                     continue
                 owner = self._owner_pid()
                 raise CheckpointLockError(
-                    f"checkpoint directory {self.path.parent} is locked by "
+                    f"directory {self.path.parent} is locked by "
                     f"{'pid ' + str(owner) if owner else 'another run'} "
-                    f"({self.path}); concurrent runs would interleave "
-                    "checkpoint writes — wait for it to finish, point this "
-                    "run at a different --checkpoint-dir, or delete the "
-                    "lock file if you are sure the owner is gone"
+                    f"({self.path}); two owners would interleave their "
+                    "writes — wait for it to finish, use a different "
+                    "directory, or delete the lock file if you are sure "
+                    "the owner is gone"
                 ) from None
             with os.fdopen(fd, "w") as handle:
                 handle.write(str(os.getpid()))
@@ -185,10 +182,10 @@ def save_checkpoint(path: str | Path, payload: object, *, fingerprint: str) -> N
     then renamed into place), so a crash mid-write never leaves a
     half-written file under the checkpoint's name — and two processes
     writing the same entry never trample each other's temp file.  The
-    latter matters for the content-addressed cache, which (unlike the
-    stage-checkpoint directory) is shared between runs without a
-    :class:`CheckpointLock`: concurrent writers of one key race only on
-    the final rename, and both rename a complete, identical blob.
+    latter matters for the content-addressed cache, which is shared
+    between runs without a :class:`CheckpointLock`: concurrent writers
+    of one key race only on the final rename, and both rename a
+    complete, identical blob.
     """
     path = Path(path)
     fingerprint_bytes = fingerprint.encode("utf-8")

@@ -22,6 +22,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dance"])
 
+    @pytest.mark.parametrize(
+        "flags", [["--checkpoint-dir", "x"], ["--resume"]]
+    )
+    def test_checkpoint_flags_are_usage_errors(self, flags, capsys):
+        # The content cache is the only restart path: --cache-dir.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["overview"] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flags[0] in err
+
 
 class TestMain:
     def test_overview_runs(self, capsys):
@@ -68,13 +79,16 @@ class TestFaultSpecs:
 
         fault = _parse_fault("cluster:pol@4@runtime")
         assert fault.times == 4 and fault.error is RuntimeError
-        corrupt = _parse_fault("checkpoint:cluster@1@corrupt")
-        assert corrupt.action == "corrupt"
 
     def test_malformed_specs_rejected(self):
         from repro.cli import _parse_fault
 
-        for spec in ["", "@2", "site@2@bogus", "a@b@c@d", "bogus:site@1@kill"]:
+        for spec in [
+            "", "@2", "site@2@bogus", "a@b@c@d", "bogus:site@1@kill",
+            # No site the CLI reaches passes a file to corrupt, and the
+            # checkpoint namespace is gone.
+            "serve:reload@1@corrupt", "checkpoint:cluster@1",
+        ]:
             with pytest.raises(ValueError):
                 _parse_fault(spec)
 
@@ -188,6 +202,25 @@ class TestCacheCommand:
         assert "removed" in capsys.readouterr().out
         assert main(cache + ["cache"]) == 0
         assert "0 entries" in capsys.readouterr().out
+
+    def test_crash_then_warm_rerun_reports_cached_stages(
+        self, capsys, tmp_path
+    ):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        crash = ["--inject-fault", "associate@1@runtime"]
+        with pytest.raises(RuntimeError, match="injected fault"):
+            main(self.ARGS + cache + crash + ["overview"])
+        capsys.readouterr()
+        assert main(self.ARGS + cache + ["overview"]) == 0
+        stage_lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  [")
+        ]
+        assert len(stage_lines) == 4
+        assert sum("  cached" in line for line in stage_lines) == 3
+        assert "associate" in stage_lines[-1]
+        assert "  cached" not in stage_lines[-1]
 
     def test_no_cache_flag_disables_caching(self, capsys, tmp_path):
         cache = ["--cache-dir", str(tmp_path), "--no-cache"]

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.communities import SyntheticWorld, WorldConfig
+from repro.communities import FRINGE_COMMUNITIES, SyntheticWorld, WorldConfig
 from repro.core import (
     ContentCache,
+    Fault,
+    FaultInjector,
     PipelineConfig,
     RunnerOptions,
     corrupt_file,
@@ -262,6 +264,27 @@ class TestCorruptionAndStaleness:
         assert not hit and len(cache.stats.errors) == 1
 
 
+    def test_entry_deleted_mid_read_is_a_miss(self, tmp_path, monkeypatch):
+        """Runs share a cache directory without a lock, so another run's
+        corrupt-entry unlink (or ``cache clear``) can remove an entry
+        between the lookup and the read: that is a plain miss."""
+        import repro.core.cache as cache_module
+
+        writer = ContentCache(tmp_path)
+        key = writer.key("unit", "payload")
+        writer.put(key, 42)
+        real_load = cache_module.load_checkpoint
+
+        def vanishing_load(path, **kwargs):
+            Path(path).unlink()
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(cache_module, "load_checkpoint", vanishing_load)
+        reader = ContentCache(tmp_path)
+        assert reader.get(key) == (False, None)
+        assert reader.stats.misses == 1 and reader.stats.errors == []
+
+
 class TestCacheStats:
     def test_since_subtracts_counters_and_slices_errors(self):
         stats = CacheStats(hits=3, misses=1, errors=["a"], deltas={"x": 5})
@@ -357,6 +380,140 @@ class TestRunnerWarmCache:
         assert errors, "corruption must be surfaced in the stage reports"
 
 
+    def test_entry_deleted_mid_read_run_continues(self, tmp_path, monkeypatch):
+        import repro.core.cache as cache_module
+
+        config = PipelineConfig()
+        run_pipeline(
+            _fresh_world(), config, options=RunnerOptions(cache_dir=tmp_path)
+        )
+        real_load = cache_module.load_checkpoint
+        vanished = []
+
+        def vanish_first(path, **kwargs):
+            if not vanished:
+                vanished.append(path)
+                Path(path).unlink()
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(cache_module, "load_checkpoint", vanish_first)
+        rerun = run_pipeline(
+            _fresh_world(), config, options=RunnerOptions(cache_dir=tmp_path)
+        )
+        assert vanished
+        # A miss, not an error: no work item needed a retry (an OSError
+        # from the read would be retried, hiding the crash).
+        cluster = rerun.stage_report("cluster")
+        assert cluster.attempts == len(FRINGE_COMMUNITIES), cluster.notes
+        # The first read is a cluster slot: clustering recomputes that
+        # community, and every later stage still hits.
+        assert [r.cached for r in rerun.stage_reports] == [
+            False, True, True, True,
+        ]
+        _assert_identical(run_pipeline(_fresh_world(), config), rerun)
+
+    @pytest.mark.parametrize(
+        "site", ["cluster:pol", "annotate:pol", "screenshot-filter:oracle"]
+    )
+    def test_degraded_outcome_not_persisted(self, tmp_path, site):
+        """A quarantined community or a lower screenshot rung is never
+        stored: once the fault clears, a warm re-run recomputes the
+        stage and equals a clean cold run."""
+        config = PipelineConfig()
+        faults = FaultInjector([Fault(site, RuntimeError, times=9)])
+        degraded = run_pipeline(
+            _fresh_world(),
+            config,
+            options=RunnerOptions(cache_dir=tmp_path, faults=faults),
+        )
+        stage = site.split(":")[0]
+        assert degraded.degraded
+        assert degraded.stage_report(stage).status == "degraded"
+
+        rerun = run_pipeline(
+            _fresh_world(), config, options=RunnerOptions(cache_dir=tmp_path)
+        )
+        assert not rerun.degraded
+        assert not rerun.stage_report(stage).cached
+        _assert_identical(run_pipeline(_fresh_world(), config), rerun)
+
+    def test_classifier_gallery_flags_replayed_on_hit(
+        self, tmp_path, monkeypatch
+    ):
+        """The classifier re-flags gallery images in place; a screenshot
+        cache hit on a fresh world must replay the stored flags."""
+        import repro.core.pipeline as pipeline_module
+
+        def gallery_flags(world):
+            return [
+                image.is_screenshot
+                for image in next(iter(world.kym_site)).gallery
+            ]
+
+        def flipping_filter(site, config, *, seed=0, library=None):
+            entry = next(iter(site))
+            image = entry.gallery[0]
+            entry.gallery[0] = type(image)(
+                phash=image.phash,
+                is_screenshot=not image.is_screenshot,
+                template_name=image.template_name,
+                image=image.image,
+            )
+            return True, None
+
+        def no_filter(site, config, *, seed=0, library=None):
+            raise AssertionError("a cache hit must not run the filter")
+
+        config = PipelineConfig(screenshot_filter="classifier")
+        monkeypatch.setattr(
+            pipeline_module, "filter_kym_screenshots", flipping_filter
+        )
+        first_world = _fresh_world()
+        pristine = gallery_flags(first_world)
+        run_pipeline(
+            first_world, config, options=RunnerOptions(cache_dir=tmp_path)
+        )
+        flipped = gallery_flags(first_world)
+        assert flipped != pristine
+
+        monkeypatch.setattr(pipeline_module, "filter_kym_screenshots", no_filter)
+        second_world = _fresh_world()
+        result = run_pipeline(
+            second_world, config, options=RunnerOptions(cache_dir=tmp_path)
+        )
+        assert result.stage_report("screenshot-filter").cached
+        assert gallery_flags(second_world) == flipped
+
+    def test_runners_sharing_a_cache_dir_finish_identical(self, tmp_path):
+        """Runs share one cache directory with no lock: every entry is
+        written atomically under a content key, so two concurrent runs
+        both finish bit-identical to a cold run, and a third is warm."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        config = PipelineConfig()
+        worlds = [_fresh_world(), _fresh_world()]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(
+                pool.map(
+                    lambda world: run_pipeline(
+                        world,
+                        config,
+                        options=RunnerOptions(cache_dir=tmp_path),
+                    ),
+                    worlds,
+                    timeout=300,
+                )
+            )
+        cold = run_pipeline(_fresh_world(), config)
+        for result in results:
+            _assert_identical(cold, result)
+        warm = run_pipeline(
+            _fresh_world(), config, options=RunnerOptions(cache_dir=tmp_path)
+        )
+        assert all(report.cached for report in warm.stage_reports)
+        _assert_identical(cold, warm)
+
+
 class TestRunnerDeltaCache:
     def test_grown_subset_runs_delta_and_matches_cold(self, tmp_path):
         """Prime with a prefix of the post stream, run the full stream:
@@ -397,8 +554,6 @@ class TestRunnerDeltaCache:
         )
 
     def _check_associate_prefix_path(self, tmp_path, parallel):
-        from repro.communities import FRINGE_COMMUNITIES
-
         config = PipelineConfig()
         base = _fresh_world()
         run_pipeline(

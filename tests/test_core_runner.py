@@ -1,6 +1,5 @@
 """Tests for the staged fault-tolerant runner."""
 
-import numpy as np
 import pytest
 
 from repro.communities import FRINGE_COMMUNITIES, SyntheticWorld, WorldConfig
@@ -8,7 +7,6 @@ from repro.core import (
     Fault,
     FaultInjector,
     PipelineConfig,
-    PipelineRunner,
     RunnerOptions,
     RunnerPolicy,
     StageFailure,
@@ -20,7 +18,7 @@ from repro.utils.retry import TransientError
 
 @pytest.fixture(scope="module")
 def small_world():
-    """A fast world for runner mechanics (fault paths, checkpoints)."""
+    """A fast world for runner mechanics (fault paths)."""
     return SyntheticWorld.generate(
         WorldConfig(seed=7, events_unit=8.0, noise_scale=0.3)
     )
@@ -62,7 +60,6 @@ class TestStageReports:
         for report in result.stage_reports:
             assert report.status == "completed"
             assert report.duration_s >= 0.0
-            assert not report.resumed
         assert not result.degraded
 
     def test_per_community_attempts_counted(self, small_world):
@@ -239,142 +236,6 @@ class TestDegradationLadder:
             )
 
 
-class TestCheckpointResume:
-    def test_checkpoints_written_per_stage(self, small_world, tmp_path):
-        run_pipeline(small_world, options=options(checkpoint_dir=tmp_path))
-        names = sorted(path.name for path in tmp_path.iterdir())
-        assert names == sorted(f"{stage}.ckpt" for stage in STAGES)
-
-    def test_resume_skips_completed_stages(self, small_world, tmp_path):
-        """Acceptance: crash after the clustering checkpoint; resuming
-        reuses the checkpoint instead of re-running clustering."""
-        injector = FaultInjector(
-            [Fault("checkpoint:cluster", RuntimeError("killed"), times=1)]
-        )
-        with pytest.raises(RuntimeError, match="killed"):
-            run_pipeline(
-                small_world,
-                options=options(checkpoint_dir=tmp_path, faults=injector),
-            )
-        assert (tmp_path / "cluster.ckpt").exists()
-
-        # A probe fault armed at every clustering site proves the stage
-        # is not recomputed: resuming must never reach those sites.
-        probe = FaultInjector(
-            [
-                Fault(f"cluster:{community}", RuntimeError("recomputed"), times=1)
-                for community in FRINGE_COMMUNITIES
-            ]
-        )
-        result = run_pipeline(
-            small_world,
-            options=options(checkpoint_dir=tmp_path, resume=True, faults=probe),
-        )
-        assert probe.fired_sites() == []
-        report = result.stage_report("cluster")
-        assert report.status == "resumed"
-        assert report.resumed and report.attempts == 0
-
-    def test_resumed_run_equals_fresh_run(self, small_world, tmp_path):
-        fresh = run_pipeline(small_world, PipelineConfig())
-        run_pipeline(
-            small_world, PipelineConfig(), options=options(checkpoint_dir=tmp_path)
-        )
-        resumed = run_pipeline(
-            small_world,
-            PipelineConfig(),
-            options=options(checkpoint_dir=tmp_path, resume=True),
-        )
-        assert all(report.resumed for report in resumed.stage_reports)
-        assert resumed.cluster_keys == fresh.cluster_keys
-        assert len(resumed.occurrences) == len(fresh.occurrences)
-        np.testing.assert_array_equal(
-            resumed.occurrences.cluster_indices, fresh.occurrences.cluster_indices
-        )
-        for community in FRINGE_COMMUNITIES:
-            np.testing.assert_array_equal(
-                resumed.clusterings[community].result.labels,
-                fresh.clusterings[community].result.labels,
-            )
-
-    def test_stale_checkpoint_recomputed(self, small_world, tmp_path):
-        run_pipeline(
-            small_world,
-            PipelineConfig(theta=8),
-            options=options(checkpoint_dir=tmp_path),
-        )
-        result = run_pipeline(
-            small_world,
-            PipelineConfig(theta=4),  # different config: new fingerprint
-            options=options(checkpoint_dir=tmp_path, resume=True),
-        )
-        report = result.stage_report("cluster")
-        assert report.status == "completed"
-        assert not report.resumed
-        assert any("different run" in note for note in report.notes)
-
-    def test_resume_without_checkpoints_computes(self, small_world, tmp_path):
-        result = run_pipeline(
-            small_world,
-            options=options(checkpoint_dir=tmp_path / "empty", resume=True),
-        )
-        assert all(report.status == "completed" for report in result.stage_reports)
-
-    def test_classifier_gallery_flags_replayed(self, tmp_path, monkeypatch):
-        """Classifier decisions mutate galleries in place; a resumed run
-        on a fresh world must replay the checkpointed flags."""
-        import repro.core.pipeline as pipeline_module
-
-        world_config = WorldConfig(seed=7, events_unit=8.0, noise_scale=0.3)
-        first_world = SyntheticWorld.generate(world_config)
-
-        def flipping_filter(site, config, *, seed=0, library=None):
-            entry = next(iter(site))
-            image = entry.gallery[0]
-            entry.gallery[0] = type(image)(
-                phash=image.phash,
-                is_screenshot=not image.is_screenshot,
-                template_name=image.template_name,
-                image=image.image,
-            )
-            return True, None
-
-        monkeypatch.setattr(
-            pipeline_module, "filter_kym_screenshots", flipping_filter
-        )
-        run_pipeline(
-            first_world,
-            PipelineConfig(screenshot_filter="classifier"),
-            options=options(checkpoint_dir=tmp_path),
-        )
-        flipped = [
-            image.is_screenshot
-            for image in next(iter(first_world.kym_site)).gallery
-        ]
-        monkeypatch.undo()
-
-        second_world = SyntheticWorld.generate(world_config)
-        result = run_pipeline(
-            second_world,
-            PipelineConfig(screenshot_filter="classifier"),
-            options=options(checkpoint_dir=tmp_path, resume=True),
-        )
-        assert result.stage_report("screenshot-filter").resumed
-        replayed = [
-            image.is_screenshot
-            for image in next(iter(second_world.kym_site)).gallery
-        ]
-        assert replayed == flipped
-
-
-class TestFingerprint:
-    def test_differs_per_stage_and_config(self, small_world):
-        runner = PipelineRunner(small_world, PipelineConfig())
-        assert runner._fingerprint("cluster") != runner._fingerprint("annotate")
-        other = PipelineRunner(small_world, PipelineConfig(theta=4))
-        assert runner._fingerprint("cluster") != other._fingerprint("cluster")
-
-
 class TestFaultHarness:
     def test_fault_validation(self):
         with pytest.raises(ValueError):
@@ -399,44 +260,6 @@ class TestFaultHarness:
         injector = FaultInjector([Fault("ckpt", action="corrupt")])
         with pytest.raises(ValueError, match="file path"):
             injector.fire("ckpt")
-
-
-class TestCheckpointDirLocking:
-    def test_concurrent_run_fails_fast(self, small_world, tmp_path):
-        # Simulate a live concurrent run by holding the directory lock.
-        from repro.utils.io import CheckpointLock, CheckpointLockError
-
-        with CheckpointLock(tmp_path):
-            runner = PipelineRunner(
-                small_world,
-                PipelineConfig(),
-                options(checkpoint_dir=tmp_path),
-            )
-            with pytest.raises(CheckpointLockError, match="locked by"):
-                runner.run()
-        # No stage should have produced a checkpoint under the held lock.
-        assert not list(tmp_path.glob("*.ckpt"))
-
-    def test_lock_released_after_run(self, small_world, tmp_path):
-        run_pipeline(
-            small_world,
-            PipelineConfig(),
-            options=options(checkpoint_dir=tmp_path),
-        )
-        assert not (tmp_path / ".lock").exists()
-        # A sequential second run (resume) acquires cleanly.
-        result = run_pipeline(
-            small_world,
-            PipelineConfig(),
-            options=options(checkpoint_dir=tmp_path, resume=True),
-        )
-        assert all(report.resumed for report in result.stage_reports)
-
-    def test_no_checkpoint_dir_never_locks(self, small_world, tmp_path):
-        # Lockless path: running without checkpointing must not create
-        # lock files anywhere.
-        run_pipeline(small_world, PipelineConfig(), options=options())
-        assert not (tmp_path / ".lock").exists()
 
 
 class TestSupervisedExecutionReport:

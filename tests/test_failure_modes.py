@@ -13,6 +13,8 @@ from repro.core import (
     corrupt_file,
     run_pipeline,
 )
+from repro.utils.io import load_checkpoint
+from tests.test_core_cache import _assert_identical
 
 
 @pytest.fixture(scope="module")
@@ -88,87 +90,102 @@ class TestZeroPostWorld:
             assert clustering.n_clusters == 0
             assert clustering.n_images == 0
 
-    def test_empty_stream_checkpoints_roundtrip(self, tiny_world, tmp_path):
+    def test_empty_stream_cache_roundtrip(self, tiny_world, tmp_path):
         world = _ZeroPostWorld(tiny_world)
-        run_pipeline(
-            world, PipelineConfig(), options=RunnerOptions(checkpoint_dir=tmp_path)
+        options = RunnerOptions(cache_dir=tmp_path)
+        run_pipeline(world, PipelineConfig(), options=options)
+        warm = run_pipeline(
+            world, PipelineConfig(), options=RunnerOptions(cache_dir=tmp_path)
         )
-        resumed = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(checkpoint_dir=tmp_path, resume=True),
-        )
-        assert all(report.resumed for report in resumed.stage_reports)
-        assert len(resumed.occurrences) == 0
+        assert [r.status for r in warm.stage_reports] == ["completed"] * 4
+        # Clustering has no hashes to look up; every later stage hits.
+        assert [r.cached for r in warm.stage_reports] == [
+            False, True, True, True,
+        ]
+        assert len(warm.occurrences) == 0
+
+
+def _cache_entry(cache_dir, field):
+    """The first cache entry whose stored value carries ``field``
+    (``"neighbors"``: a cluster slot, ``"cluster_ids"``: the associate
+    slot)."""
+    for path in sorted(cache_dir.glob("*/*.ckpt")):
+        value = load_checkpoint(path)["value"]
+        if isinstance(value, dict) and field in value:
+            return path
+    raise AssertionError(f"no cache entry holds {field!r}")
 
 
 class TestCrashAndResume:
+    """A crashed run restarts by re-running warm on the same cache."""
+
     def test_mid_run_crash_then_resume(self, tiny_world, tmp_path):
-        """Injected crash between annotate and associate; the resumed run
-        reuses every completed stage's checkpoint."""
+        """Injected crash at the associate boundary; the re-run hits
+        every stage that finished before it and equals a cold run."""
         injector = FaultInjector(
-            [Fault("checkpoint:annotate", KeyboardInterrupt(), times=1)]
+            [Fault("associate", KeyboardInterrupt(), times=1)]
         )
         with pytest.raises(KeyboardInterrupt):
             run_pipeline(
                 tiny_world,
                 PipelineConfig(),
-                options=RunnerOptions(checkpoint_dir=tmp_path, faults=injector),
+                options=RunnerOptions(cache_dir=tmp_path, faults=injector),
             )
-        saved = sorted(path.name for path in tmp_path.iterdir())
-        assert saved == ["annotate.ckpt", "cluster.ckpt", "screenshot-filter.ckpt"]
 
         result = run_pipeline(
             tiny_world,
             PipelineConfig(),
-            options=RunnerOptions(checkpoint_dir=tmp_path, resume=True),
+            options=RunnerOptions(cache_dir=tmp_path),
         )
-        statuses = {r.name: r.status for r in result.stage_reports}
-        assert statuses == {
-            "cluster": "resumed",
-            "screenshot-filter": "resumed",
-            "annotate": "resumed",
-            "associate": "completed",
+        cached = {r.name: r.cached for r in result.stage_reports}
+        assert cached == {
+            "cluster": True,
+            "screenshot-filter": True,
+            "annotate": True,
+            "associate": False,
         }
-        fresh = run_pipeline(tiny_world, PipelineConfig())
-        assert result.cluster_keys == fresh.cluster_keys
-        assert len(result.occurrences) == len(fresh.occurrences)
+        assert all(r.status == "completed" for r in result.stage_reports)
+        _assert_identical(result, run_pipeline(tiny_world, PipelineConfig()))
 
     def test_corrupted_checkpoint_detected_and_recomputed(
         self, tiny_world, tmp_path
     ):
+        """A flipped byte in a cluster slot's container is caught by its
+        digest; only clustering recomputes, later stages still hit."""
         run_pipeline(
             tiny_world,
             PipelineConfig(),
-            options=RunnerOptions(checkpoint_dir=tmp_path),
+            options=RunnerOptions(cache_dir=tmp_path),
         )
-        corrupt_file(tmp_path / "cluster.ckpt", mode="flip")
+        corrupt_file(_cache_entry(tmp_path, "neighbors"), mode="flip")
         result = run_pipeline(
             tiny_world,
             PipelineConfig(),
-            options=RunnerOptions(checkpoint_dir=tmp_path, resume=True),
+            options=RunnerOptions(cache_dir=tmp_path),
         )
         report = result.stage_report("cluster")
-        assert report.status == "completed" and not report.resumed
-        assert any("checkpoint invalid" in note for note in report.notes)
-        # Later stages were untouched by the corruption and still resume.
-        assert result.stage_report("annotate").resumed
+        assert report.status == "completed" and not report.cached
+        assert any("digest mismatch" in e for e in report.cache_stats.errors)
+        assert result.stage_report("annotate").cached
+        assert result.stage_report("associate").cached
+        _assert_identical(result, run_pipeline(tiny_world, PipelineConfig()))
 
     def test_truncated_checkpoint_detected(self, tiny_world, tmp_path):
         run_pipeline(
             tiny_world,
             PipelineConfig(),
-            options=RunnerOptions(checkpoint_dir=tmp_path),
+            options=RunnerOptions(cache_dir=tmp_path),
         )
-        corrupt_file(tmp_path / "associate.ckpt", mode="truncate")
+        corrupt_file(_cache_entry(tmp_path, "cluster_ids"), mode="truncate")
         result = run_pipeline(
             tiny_world,
             PipelineConfig(),
-            options=RunnerOptions(checkpoint_dir=tmp_path, resume=True),
+            options=RunnerOptions(cache_dir=tmp_path),
         )
         report = result.stage_report("associate")
-        assert report.status == "completed" and not report.resumed
-        assert any("checkpoint invalid" in note for note in report.notes)
+        assert report.status == "completed" and not report.cached
+        assert any("truncated" in e for e in report.cache_stats.errors)
+        _assert_identical(result, run_pipeline(tiny_world, PipelineConfig()))
 
 
 class TestScreenshotDegradation:

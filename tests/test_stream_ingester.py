@@ -323,6 +323,17 @@ class TestRecovery:
             with pytest.raises(CheckpointLockError):
                 StreamIngester(stream_world, stream=_config(tmp_path))
 
+    def test_second_ingester_lock_error_names_wal_dir(
+        self, tmp_path, stream_world
+    ):
+        config = _config(tmp_path)
+        with StreamIngester(stream_world, stream=config):
+            with pytest.raises(CheckpointLockError) as excinfo:
+                StreamIngester(stream_world, stream=_config(tmp_path))
+        message = str(excinfo.value)
+        assert f"directory {config.wal_dir} is locked" in message
+        assert "--checkpoint-dir" not in message
+
 
 class TestBackpressure:
     def test_shedding_bounds_buffer_and_cursor_recovers(

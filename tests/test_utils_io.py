@@ -223,7 +223,9 @@ class TestCheckpointLock:
             message = str(excinfo.value)
             assert str(tmp_path) in message
             assert f"pid {os.getpid()}" in message
-            assert "--checkpoint-dir" in message  # tells the operator what to do
+            # Names the directory, not a CLI flag: the lock's owner
+            # (the stream ingester's WAL) has its own option.
+            assert "--checkpoint-dir" not in message
 
     def test_stale_dead_pid_lock_is_broken(self, tmp_path):
         # A lock held by a PID that no longer exists is stale and must
