@@ -12,8 +12,12 @@ import time
 import numpy as np
 
 from benchmarks.conftest import once
-from repro.hashing.index import BKTree, MultiIndexHash
-from repro.hashing.pairwise import radius_neighbors
+from repro.hashing.index import (
+    BKTree,
+    MultiIndexHash,
+    NeighborGraph,
+    _dense_pairs,
+)
 from repro.utils.tables import format_table
 
 
@@ -43,7 +47,9 @@ def test_ablation_radius_search(benchmark, bench_world, write_output):
         timings["bk query"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        neighbors = radius_neighbors(hashes, radius, method="brute")
+        neighbors = NeighborGraph.from_pairs(
+            *_dense_pairs(hashes, hashes, radius), hashes.size
+        )
         timings["brute all-pairs"] = time.perf_counter() - start
         return timings, mih_results, bk_results, neighbors
 

@@ -9,9 +9,10 @@ Standalone (not pytest-benchmark): run as
 Measures the three parallelised hot paths on synthetic workloads sized
 like the paper's per-community image multisets:
 
-* ``radius_neighbors`` (``method="mih"``) on a clustered 50k-hash
-  multiset — the DBSCAN Step-2/3 bottleneck and the headline number:
-  the batched join against the per-query reference path;
+* ``radius_neighbors`` (the batched join, which it runs above 2,000
+  hashes) on a clustered 50k-hash multiset — the DBSCAN Step-2/3
+  bottleneck and the headline number: the batched join against the
+  per-query reference path;
 * ``associate_hashes`` (Step 6) sharded over unique hashes;
 * per-cluster Hawkes fits via :func:`fit_cluster_influence`.
 
@@ -110,8 +111,8 @@ def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
 
     reference, reference_s = _timed(per_query)
     serial, serial_s, par, parallel_s = _paired_medians(
-        lambda: radius_neighbors(hashes, 8, method="mih"),
-        lambda: radius_neighbors(hashes, 8, method="mih", parallel=parallel),
+        lambda: radius_neighbors(hashes, 8),
+        lambda: radius_neighbors(hashes, 8, parallel=parallel),
     )
     identical = (
         len(serial) == len(par) == len(reference)
@@ -174,7 +175,9 @@ def bench_hawkes_fits(n_clusters: int, parallel: ParallelConfig) -> dict:
         lambda: [fit_cluster_influence(*item) for item in items]
     )
     par, parallel_s = _timed(
-        lambda: Executor(parallel).starmap(fit_cluster_influence, items)
+        lambda: Executor(parallel)
+        .supervised_starmap(fit_cluster_influence, items)
+        .results
     )
     identical = all(
         s[0] == p[0]
@@ -197,9 +200,9 @@ def bench_hawkes_fits(n_clusters: int, parallel: ParallelConfig) -> dict:
 def bench_supervision_overhead(
     parallel: ParallelConfig, repeats: int = 5
 ) -> dict:
-    """Clean-path cost of the supervision ladder vs. the plain fan-out.
+    """Clean-path cost of the supervision ladder vs. a plain serial loop.
 
-    The supervised path must stay within 5% of plain ``starmap`` when no
+    The supervised path must stay within 5% of the plain loop when no
     shard misbehaves — supervision is bookkeeping, not a slow path.
 
     Measured on the serial execution path regardless of ``--backend``:
@@ -221,10 +224,13 @@ def bench_supervision_overhead(
     items = [(a, b) for _ in range(8)]
     executor = Executor(replace(parallel, workers=1))
 
-    plain = executor.starmap(hamming_distance_matrix, items)  # warm-up
+    def plain_loop():
+        return [hamming_distance_matrix(*item) for item in items]
+
+    plain = plain_loop()  # warm-up
     sup = executor.supervised_starmap(hamming_distance_matrix, items)
     for _ in range(2):  # two more pairs: converge the allocator
-        executor.starmap(hamming_distance_matrix, items)
+        plain_loop()
         executor.supervised_starmap(hamming_distance_matrix, items)
     rounds = []
     for round_index in range(repeats):
@@ -232,9 +238,7 @@ def bench_supervision_overhead(
         # inherits a warm allocator, and a fixed order would bias the
         # informational ratio in its favour.
         if round_index % 2 == 0:
-            _, round_plain_s = _timed(
-                lambda: executor.starmap(hamming_distance_matrix, items)
-            )
+            _, round_plain_s = _timed(plain_loop)
             round_sup, round_supervised_s = _timed(
                 lambda: executor.supervised_starmap(
                     hamming_distance_matrix, items
@@ -246,9 +250,7 @@ def bench_supervision_overhead(
                     hamming_distance_matrix, items
                 )
             )
-            _, round_plain_s = _timed(
-                lambda: executor.starmap(hamming_distance_matrix, items)
-            )
+            _, round_plain_s = _timed(plain_loop)
         in_shard_s = sum(
             shard.duration_s for shard in round_sup.report.shards
         )
@@ -304,7 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     parallel = ParallelConfig(workers=args.workers, backend=args.backend)
 
     if args.smoke:
-        sizes = dict(neighbors=2_000, assoc=5_000, medoids=50, hawkes=4)
+        # 2,500 hashes: past radius_neighbors' dense limit, so the
+        # smoke run exercises the join too.
+        sizes = dict(neighbors=2_500, assoc=5_000, medoids=50, hawkes=4)
     else:
         sizes = dict(neighbors=50_000, assoc=200_000, medoids=1_000, hawkes=20)
 

@@ -30,7 +30,7 @@ Commands
     Feed the world's posts through the durable streaming ingester
     (:mod:`repro.stream`): WAL-backed event batches, online
     index/cluster/association state, drift-triggered compaction.
-    ``--wal-dir`` (or ``REPRO_WAL_DIR``) holds the write-ahead log and
+    ``--wal-dir`` (required) holds the write-ahead log and
     the ``stream.ckpt`` checkpoint, so a killed run — including one
     killed by an injected ``stream:ingest``/``stream:wal``/
     ``stream:compact`` fault — resumes from checkpoint + WAL replay::
@@ -58,8 +58,7 @@ arrays).  Output is bit-identical for any worker count and backend::
 (:mod:`repro.core.cache`): a re-run with unchanged inputs reports
 ``cached`` per stage, and a run whose corpus merely *grew* does delta
 work only (incremental neighbourhood merging, prefix association).
-``--no-cache`` disables it even when a script always passes
-``--cache-dir``::
+Without it nothing is cached::
 
     python -m repro --cache-dir cache report      # cold: fills the cache
     python -m repro --cache-dir cache report      # warm: every stage cached
@@ -100,6 +99,7 @@ drills; a SITE outside the namespaces the code fires (``cluster``,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -120,7 +120,14 @@ from repro.communities import (
     SyntheticWorld,
     WorldConfig,
 )
-from repro.core import PipelineConfig, RunnerOptions, RunnerPolicy, run_pipeline
+from repro.core import PipelineConfig, RunnerOptions, run_pipeline
+from repro.stream import (
+    DEFAULT_COMPACT_THRESHOLD,
+    PrefixWorld,
+    StreamConfig,
+    StreamIngester,
+    state_equals,
+)
 from repro.utils.io import CheckpointLockError
 from repro.utils.parallel import (
     BACKENDS,
@@ -165,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "memoization: warm re-runs hit per stage, grown inputs do "
         "delta work only, and re-running after a crash reuses every "
         "finished stage; output is bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content cache even when --cache-dir is given",
     )
     parser.add_argument(
         "--workers",
@@ -279,15 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir",
         default=None,
         help="directory of the write-ahead log and stream checkpoint "
-        "(default: REPRO_WAL_DIR env var; required for the stream "
-        "command)",
+        "(required for the stream command)",
     )
     streaming.add_argument(
         "--compact-threshold",
         type=float,
-        default=None,
+        default=DEFAULT_COMPACT_THRESHOLD,
         help="unique-hash growth ratio that triggers compaction "
-        "(default: REPRO_COMPACT_THRESHOLD env var, else 0.1)",
+        f"(default {DEFAULT_COMPACT_THRESHOLD})",
     )
     streaming.add_argument(
         "--max-buffer",
@@ -306,10 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     streaming.add_argument(
         "--group-commit",
         action="store_true",
-        default=None,
         help="group-commit the WAL: each ingest drain is appended as one "
-        "buffered write and fsynced once (default: the "
-        "REPRO_GROUP_COMMIT env var, else per-record commits)",
+        "buffered write and fsynced once (default: per-record commits)",
     )
     streaming.add_argument(
         "--stream-events",
@@ -403,11 +402,6 @@ def _supervision_policy(args) -> SupervisionPolicy | None:
     return policy
 
 
-def _cache_dir(args) -> str | None:
-    """The effective cache directory (``--no-cache`` wins)."""
-    return None if args.no_cache else args.cache_dir
-
-
 def _parallel_config(args) -> ParallelConfig | None:
     """Explicit flags win; ``None`` defers to the environment/serial.
 
@@ -441,13 +435,13 @@ def _world_and_pipeline(args, faults=None, parallel=None):
     world = SyntheticWorld.generate(config)
     print(f"  {len(world.posts):,} posts. Running the pipeline...\n")
     options = RunnerOptions(
-        policy=RunnerPolicy(max_retries=args.max_retries),
+        max_retries=args.max_retries,
         parallel=parallel,
         faults=faults,
-        cache_dir=_cache_dir(args),
+        cache_dir=args.cache_dir,
     )
     result = run_pipeline(world, PipelineConfig(), options=options)
-    if _cache_dir(args) or result.degraded:
+    if args.cache_dir or result.degraded:
         for report in result.stage_reports:
             print(f"  [{report.summary()}]")
         print()
@@ -458,17 +452,17 @@ def _cache_command(args, parser) -> int:
     """``cache`` / ``cache info`` / ``cache clear`` on ``--cache-dir``."""
     from repro.core import ContentCache
 
-    if not _cache_dir(args):
+    if not args.cache_dir:
         parser.error("the cache command requires --cache-dir")
     action = args.subcommand or "info"
-    cache = ContentCache(_cache_dir(args))
+    cache = ContentCache(args.cache_dir)
     if action == "clear":
         removed = cache.clear()
-        print(f"removed {removed} cache entries from {_cache_dir(args)}")
+        print(f"removed {removed} cache entries from {args.cache_dir}")
         return 0
     entries = cache.entries()
     print(f"{len(entries)} entries, {cache.total_bytes():,} bytes "
-          f"in {_cache_dir(args)}")
+          f"in {args.cache_dir}")
     for key, size in entries:
         print(f"  {key}  {size:,} B")
     return 0
@@ -482,26 +476,8 @@ def _stream_command(args, parser, faults, parallel) -> int:
     crash or an injected kill) continues exactly where the WAL left
     off — and shed events are simply re-read, never lost.
     """
-    from repro.stream import (
-        DEFAULT_COMPACT_THRESHOLD,
-        PrefixWorld,
-        StreamConfig,
-        StreamIngester,
-        state_equals,
-        stream_config_from_env,
-    )
-
-    env = stream_config_from_env()
-    wal_dir = args.wal_dir or env.get("wal_dir")
-    if not wal_dir:
-        parser.error(
-            "the stream command requires --wal-dir (or REPRO_WAL_DIR)"
-        )
-    threshold = (
-        args.compact_threshold
-        if args.compact_threshold is not None
-        else env.get("compact_threshold", DEFAULT_COMPACT_THRESHOLD)
-    )
+    if not args.wal_dir:
+        parser.error("the stream command requires --wal-dir")
     config = WorldConfig(
         seed=args.seed,
         events_unit=args.events_unit,
@@ -515,18 +491,13 @@ def _stream_command(args, parser, faults, parallel) -> int:
     if args.stream_events is not None:
         limit = min(limit, args.stream_events)
     print(f"  {len(world.posts):,} posts. Streaming {limit:,} events "
-          f"into {wal_dir}...\n")
-    group_commit = (
-        args.group_commit
-        if args.group_commit is not None
-        else env.get("group_commit", False)
-    )
+          f"into {args.wal_dir}...\n")
     stream = StreamConfig(
-        wal_dir=wal_dir,
-        compact_threshold=threshold,
+        wal_dir=args.wal_dir,
+        compact_threshold=args.compact_threshold,
         max_buffer=args.max_buffer,
         batch_size=args.stream_batch,
-        group_commit=group_commit,
+        group_commit=args.group_commit,
     )
     with StreamIngester(
         world, stream=stream, faults=faults, parallel=parallel
@@ -539,7 +510,7 @@ def _stream_command(args, parser, faults, parallel) -> int:
         # Group commit amortises one fsync over a whole drain, so feed
         # it buffer-sized bursts (several WAL records per group);
         # per-record commits keep the one-batch-per-append cadence.
-        read_size = args.max_buffer if group_commit else args.stream_batch
+        read_size = args.max_buffer if args.group_commit else args.stream_batch
         while ingester.n_events < limit:
             chunk = min(
                 read_size,
@@ -794,8 +765,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shard-deadline must be positive")
     if args.shard_retries is not None and args.shard_retries < 0:
         parser.error("--shard-retries must be >= 0")
-    if args.compact_threshold is not None and args.compact_threshold <= 0:
-        parser.error("--compact-threshold must be positive")
+    threshold = args.compact_threshold
+    if not (threshold > 0 and math.isfinite(threshold)):
+        parser.error("--compact-threshold must be a positive finite number")
     if args.max_buffer < 1:
         parser.error("--max-buffer must be >= 1")
     if args.stream_batch < 1:

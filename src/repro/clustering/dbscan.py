@@ -145,7 +145,6 @@ def dbscan(
     *,
     eps: int = 8,
     min_samples: int = 5,
-    method: str = "auto",
     counts: np.ndarray | None = None,
     parallel: ParallelConfig | None = None,
 ) -> DBSCANResult:
@@ -159,9 +158,6 @@ def dbscan(
         Maximum Hamming distance for neighbourhood membership (paper: 8).
     min_samples:
         Core-point threshold, self included (paper: 5).
-    method:
-        Neighbourhood computation strategy, passed through to
-        :func:`repro.hashing.pairwise.radius_neighbors`.
     counts:
         Optional image multiplicity per hash (see
         :func:`dbscan_from_neighbors`).
@@ -173,7 +169,7 @@ def dbscan(
     if eps < 0:
         raise ValueError("eps must be non-negative")
     hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-    neighbors = radius_neighbors(hashes, eps, method=method, parallel=parallel)
+    neighbors = radius_neighbors(hashes, eps, parallel=parallel)
     return dbscan_from_neighbors(neighbors, min_samples=min_samples, counts=counts)
 
 
@@ -182,7 +178,6 @@ def dbscan_images(
     *,
     eps: int = 8,
     min_samples: int = 5,
-    method: str = "auto",
     parallel: ParallelConfig | None = None,
 ) -> tuple[DBSCANResult, np.ndarray, np.ndarray]:
     """Cluster an image multiset the way the paper does (Step 3).
@@ -209,7 +204,6 @@ def dbscan_images(
         unique,
         eps=eps,
         min_samples=min_samples,
-        method=method,
         counts=counts,
         parallel=parallel,
     )

@@ -45,7 +45,6 @@ def sweep_thresholds(
     distances: tuple[int, ...] = (2, 4, 6, 8, 10),
     *,
     min_samples: int = 5,
-    method: str = "auto",
 ) -> list[ThresholdSweepRow]:
     """Run DBSCAN at each distance and collect Table 8 statistics.
 
@@ -55,7 +54,7 @@ def sweep_thresholds(
     rows = []
     for distance in distances:
         result, _, image_labels = dbscan_images(
-            image_hashes, eps=distance, min_samples=min_samples, method=method
+            image_hashes, eps=distance, min_samples=min_samples
         )
         noise = float(np.mean(image_labels == NOISE)) if image_labels.size else 0.0
         rows.append(

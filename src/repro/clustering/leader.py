@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.dbscan import DBSCANResult
-from repro.hashing.index import MultiIndexHash
 from repro.utils.bitops import hamming_to_many
 
 __all__ = ["leader_cluster"]

@@ -17,7 +17,7 @@
 """
 
 from repro.core.cache import CacheStats, ContentCache, fingerprint
-from repro.core.config import MetricWeights, PipelineConfig, RunnerPolicy
+from repro.core.config import MetricWeights, PipelineConfig
 from repro.core.faults import Fault, FaultInjector, corrupt_file
 from repro.core.metric import (
     ClusterFeatures,
@@ -40,7 +40,6 @@ from repro.core.runner import PipelineRunner, RunnerOptions, StageFailure
 __all__ = [
     "PipelineConfig",
     "MetricWeights",
-    "RunnerPolicy",
     "PipelineRunner",
     "RunnerOptions",
     "StageFailure",

@@ -4,46 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MetricWeights", "PipelineConfig", "RunnerPolicy"]
-
-
-@dataclass(frozen=True)
-class RunnerPolicy:
-    """Fault-handling knobs of the staged runner (:mod:`repro.core.runner`).
-
-    Attributes
-    ----------
-    max_retries:
-        Retries per stage item on *transient* failures (exponential
-        backoff); 0 disables retrying.
-    retry_base_delay:
-        Backoff before the first retry, in seconds.
-    retry_backoff:
-        Backoff multiplier between consecutive retries.
-    allow_degraded:
-        Whether the screenshot filter may walk its degradation ladder
-        (``classifier`` → ``oracle`` → ``none``) on permanent failure
-        instead of aborting the run.
-    quarantine_failures:
-        Whether a permanently-failing community (clustering or
-        annotation) is quarantined — recorded in the stage report,
-        excluded from results — while the other communities proceed.
-        When ``False`` the failure aborts the stage.
-    """
-
-    max_retries: int = 2
-    retry_base_delay: float = 0.05
-    retry_backoff: float = 2.0
-    allow_degraded: bool = True
-    quarantine_failures: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_base_delay < 0:
-            raise ValueError("retry_base_delay must be non-negative")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
+__all__ = ["MetricWeights", "PipelineConfig"]
 
 
 @dataclass(frozen=True)
@@ -97,8 +58,6 @@ class PipelineConfig:
         equivalent to a perfect classifier), ``"classifier"`` trains and
         applies the CNN (requires galleries generated with
         ``keep_images=True``), ``"none"`` skips filtering.
-    neighbor_method:
-        Radius-search strategy (``"auto"``/``"brute"``/``"mih"``).
     """
 
     clustering_eps: int = 8
@@ -108,7 +67,6 @@ class PipelineConfig:
     metric_weights: MetricWeights = MetricWeights()
     graph_kappa: float = 0.45
     screenshot_filter: str = "oracle"
-    neighbor_method: str = "auto"
 
     def __post_init__(self) -> None:
         if self.clustering_eps < 0 or self.theta < 0:

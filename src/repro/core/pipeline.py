@@ -16,6 +16,8 @@ The pipeline consumes a :class:`~repro.communities.world.SyntheticWorld`
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.annotation.kym import KYMSite
@@ -34,6 +36,7 @@ __all__ = [
     "cluster_community",
     "clustering_from_neighbors",
     "filter_kym_screenshots",
+    "replay_gallery_flags",
 ]
 
 
@@ -56,10 +59,7 @@ def cluster_community(
     )
     unique, counts = np.unique(image_hashes, return_counts=True)
     neighbors = radius_neighbors(
-        unique,
-        config.clustering_eps,
-        method=config.neighbor_method,
-        parallel=parallel,
+        unique, config.clustering_eps, parallel=parallel
     )
     return clustering_from_neighbors(community, unique, counts, neighbors, config)
 
@@ -123,19 +123,34 @@ def filter_kym_screenshots(
     classifier.fit(x_train, y_train)
     report = classifier.evaluate(x_test, y_test)
     # Re-flag gallery images that kept their rasters.
-    for entry in site:
-        for index, image in enumerate(entry.gallery):
-            if image.image is None:
-                continue
-            decided = classifier.is_screenshot(image.image)
-            if decided != image.is_screenshot:
-                entry.gallery[index] = type(image)(
-                    phash=image.phash,
-                    is_screenshot=decided,
-                    template_name=image.template_name,
-                    image=image.image,
-                )
+    replay_gallery_flags(
+        site,
+        [
+            [
+                image.is_screenshot
+                if image.image is None
+                else classifier.is_screenshot(image.image)
+                for image in entry.gallery
+            ]
+            for entry in site
+        ],
+    )
     return True, report
+
+
+def replay_gallery_flags(site: KYMSite, flags: list[list[bool]]) -> None:
+    """Set every gallery image's screenshot flag to a decided value.
+
+    ``flags`` holds one list per entry, in site and gallery order: the
+    classifier's decisions, applied when it runs and replayed from the
+    record on a cache hit or a stream recovery, so annotation sees the
+    same galleries without retraining the CNN.
+    """
+    for entry, entry_flags in zip(site, flags):
+        for index, decided in enumerate(entry_flags):
+            image = entry.gallery[index]
+            if bool(image.is_screenshot) != decided:
+                entry.gallery[index] = replace(image, is_screenshot=decided)
 
 
 def run_pipeline(

@@ -23,7 +23,7 @@ and wraps each boundary with the fault-tolerance machinery:
   fallbacks, quarantined items) to the returned
   :class:`~repro.core.results.PipelineResult`.
 * **Content-addressed memoization** — with a
-  :class:`~repro.core.cache.ContentCache` (``cache_dir``/``cache`` on
+  :class:`~repro.core.cache.ContentCache` (``cache_dir`` on
   :class:`RunnerOptions`), every stage consults the cache before
   computing: unchanged inputs hit outright, and the clustering and
   association stages run *delta* work when the input grew — reusing
@@ -46,7 +46,7 @@ runner calls ``faults.fire(site)`` at every boundary it crosses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -61,7 +61,7 @@ from repro.annotation.association import (
 from repro.annotation.matcher import annotate_clusters
 from repro.clustering.dbscan import dbscan
 from repro.core.cache import CacheStats, ContentCache, fingerprint
-from repro.core.config import PipelineConfig, RunnerPolicy
+from repro.core.config import PipelineConfig
 from repro.core.faults import FaultInjector
 from repro.hashing.pairwise import merge_radius_neighbors, radius_neighbors
 from repro.core.results import (
@@ -171,8 +171,9 @@ class RunnerOptions:
 
     Attributes
     ----------
-    policy:
-        Retry/degradation/quarantine policy.
+    max_retries:
+        Retries per stage item on *transient* failures (exponential
+        backoff from 50 ms, doubling); 0 disables retrying.
     faults:
         Optional fault-injection plan (tests only).
     sleep:
@@ -191,21 +192,21 @@ class RunnerOptions:
     cache_dir:
         Directory of the content-addressed cache
         (:class:`repro.core.cache.ContentCache`); ``None`` disables
-        memoization unless ``cache`` is given.  Warm re-runs hit per
-        stage; runs over a grown input do delta work only.  Re-running
-        after a crash on the same directory is the restart path.
-    cache:
-        An already-constructed cache instance (shared with e.g. the
-        serving layer); wins over ``cache_dir``.
+        memoization.  Warm re-runs hit per stage; runs over a grown
+        input do delta work only.  Re-running after a crash on the same
+        directory is the restart path.
     """
 
-    policy: RunnerPolicy = field(default_factory=RunnerPolicy)
+    max_retries: int = 2
     faults: FaultInjector | None = None
     sleep: Callable[[float], None] | None = None
     seed: int | None = None
     parallel: ParallelConfig | None = None
     cache_dir: str | Path | None = None
-    cache: ContentCache | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
 
 
 class PipelineRunner:
@@ -236,8 +237,8 @@ class PipelineRunner:
             self.parallel = replace(
                 self.parallel, chaos=self.options.faults.parallel_directive
             )
-        self.cache = self.options.cache
-        if self.cache is None and self.options.cache_dir is not None:
+        self.cache = None
+        if self.options.cache_dir is not None:
             self.cache = ContentCache(self.options.cache_dir)
         self.reports: list[StageReport] = []
 
@@ -250,14 +251,6 @@ class PipelineRunner:
             return int(self.options.seed)
         world_config = getattr(self.world, "config", None)
         return int(getattr(world_config, "seed", 0) or 0)
-
-    def _retry_policy(self) -> RetryPolicy:
-        policy = self.options.policy
-        return RetryPolicy(
-            max_retries=policy.max_retries,
-            base_delay=policy.retry_base_delay,
-            backoff=policy.retry_backoff,
-        )
 
     def _fire(self, site: str) -> None:
         if self.options.faults is not None:
@@ -311,7 +304,9 @@ class PipelineRunner:
             return compute()
 
         outcome = retry_call(
-            attempt, self._retry_policy(), sleep=self.options.sleep
+            attempt,
+            RetryPolicy(max_retries=self.options.max_retries),
+            sleep=self.options.sleep,
         )
         if outcome.errors:
             report.notes.append(
@@ -337,7 +332,7 @@ class PipelineRunner:
         """Steps 2-3 for one community, through the content cache.
 
         The cache slot is keyed by the computation's identity
-        (community + eps + min_samples + method); its value carries the
+        (community + eps + min_samples); its value carries the
         input fingerprint plus the radius neighbourhoods (a
         :class:`repro.hashing.index.NeighborGraph`) — the expensive
         part.  Three outcomes:
@@ -378,7 +373,6 @@ class PipelineRunner:
             community,
             config.clustering_eps,
             config.clustering_min_samples,
-            config.neighbor_method,
         )
         input_fp = fingerprint(unique, counts)
         stats = self.cache.stats
@@ -416,10 +410,7 @@ class PipelineRunner:
             stats.misses += 1
         if neighbors is None:
             neighbors = radius_neighbors(
-                unique,
-                config.clustering_eps,
-                method=config.neighbor_method,
-                parallel=self.parallel,
+                unique, config.clustering_eps, parallel=self.parallel
             )
         if not hit or stored["input_fp"] != input_fp:
             self.cache.put(
@@ -447,8 +438,6 @@ class PipelineRunner:
                     ),
                 )
             except Exception as error:
-                if not self.options.policy.quarantine_failures:
-                    raise StageFailure("cluster", error) from error
                 report.quarantined.append(site)
                 report.status = "degraded"
                 report.error = f"{type(error).__name__}: {error}"
@@ -461,13 +450,17 @@ class PipelineRunner:
         With a cache, the whole stage is memoized on (filter mode, seed,
         gallery content): a hit replays the recorded classifier
         decisions onto the galleries via
-        :meth:`_restore_screenshot_stage` instead of retraining the CNN.
+        :func:`repro.core.pipeline.replay_gallery_flags` instead of
+        retraining the CNN.
         The key is fingerprinted *before* any mutation, so warm runs
         over a regenerated world hit deterministically.  Only clean
         rung-0 outcomes are stored — a degraded ladder walk must not
         mask the original failure on the next run.
         """
-        from repro.core.pipeline import filter_kym_screenshots
+        from repro.core.pipeline import (
+            filter_kym_screenshots,
+            replay_gallery_flags,
+        )
 
         cache_key = None
         if self.cache is not None:
@@ -475,12 +468,15 @@ class PipelineRunner:
                 "screenshot",
                 self.config.screenshot_filter,
                 self._seed(),
-                self.world.kym_site,
+                self.world.kym_site.entries,
                 getattr(self.world, "library", None),
             )
             hit, payload = self.cache.get(cache_key)
             if hit:
-                self._restore_screenshot_stage(payload)
+                if "gallery_flags" in payload:
+                    replay_gallery_flags(
+                        self.world.kym_site, payload["gallery_flags"]
+                    )
                 return dict(payload)
         ladder = self.config.screenshot_ladder()
         last_error: BaseException | None = None
@@ -501,10 +497,7 @@ class PipelineRunner:
             except Exception as error:
                 last_error = error
                 report.error = f"{type(error).__name__}: {error}"
-                if (
-                    rung + 1 >= len(ladder)
-                    or not self.options.policy.allow_degraded
-                ):
+                if rung + 1 >= len(ladder):
                     raise StageFailure("screenshot-filter", error) from error
                 report.fallbacks.append(f"{mode}->{ladder[rung + 1]}")
                 continue
@@ -526,22 +519,6 @@ class PipelineRunner:
                 self.cache.put(cache_key, dict(payload))
             return payload
         raise StageFailure("screenshot-filter", last_error)  # pragma: no cover
-
-    def _restore_screenshot_stage(self, payload: dict) -> None:
-        """Replay cached classifier decisions onto the galleries."""
-        flags = payload.get("gallery_flags")
-        if flags is None:
-            return
-        for entry, entry_flags in zip(self.world.kym_site, flags):
-            for index, decided in enumerate(entry_flags):
-                image = entry.gallery[index]
-                if bool(image.is_screenshot) != decided:
-                    entry.gallery[index] = type(image)(
-                        phash=image.phash,
-                        is_screenshot=decided,
-                        template_name=image.template_name,
-                        image=image.image,
-                    )
 
     def _annotate_stage(
         self,
@@ -573,7 +550,7 @@ class PipelineRunner:
                 self.config.theta,
                 bool(exclude_screenshots),
                 medoid_map,
-                self.world.kym_site,
+                self.world.kym_site.entries,
             )
             hit, payload = self.cache.get(cache_key)
             if hit:
@@ -594,8 +571,6 @@ class PipelineRunner:
                     ),
                 )
             except Exception as error:
-                if not self.options.policy.quarantine_failures:
-                    raise StageFailure("annotate", error) from error
                 report.quarantined.append(site)
                 report.status = "degraded"
                 report.error = f"{type(error).__name__}: {error}"

@@ -122,6 +122,11 @@ def nearest_medoid(
     return position, distance
 
 
+# Collections up to this many hashes take the blocked dense scan;
+# larger ones take the join, which picks its own plan per range.
+_DENSE_LIMIT = 2000
+
+
 def _neighbors_shard(
     hashes: np.ndarray, start: int, stop: int, radius: int, dense: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +135,8 @@ def _neighbors_shard(
     Module-level so process workers can receive pickled shards.
     Returns the rows flat, as ``(row lengths, concatenated rows)``: two
     arrays pickle back from a worker far cheaper than one array per row.
-    ``dense`` forces the blocked dense scan (``method="brute"``);
-    otherwise the join picks its plan for the range.
+    ``dense`` forces the blocked dense scan; otherwise the join picks
+    its plan for the range.
     """
     whole = start == 0 and stop == hashes.size
     queries = hashes if whole else hashes[start:stop]
@@ -156,8 +161,6 @@ def radius_neighbors(
     hashes: np.ndarray,
     radius: int,
     *,
-    method: str = "auto",
-    brute_force_limit: int = 2000,
     parallel: ParallelConfig | None = None,
 ) -> NeighborGraph:
     """Neighbour rows within ``radius`` for every hash (self included).
@@ -168,17 +171,15 @@ def radius_neighbors(
         1-D ``uint64`` array.
     radius:
         Maximum Hamming distance (inclusive).
-    method:
-        ``"brute"`` scans every pair; ``"mih"`` runs the self-join
-        :func:`repro.hashing.index.radius_join`; ``"auto"`` picks by
-        collection size.
-    brute_force_limit:
-        ``auto`` switches to the join above this many hashes.
     parallel:
         Optional :class:`repro.utils.parallel.ParallelConfig`.  Queries
         are sharded over contiguous ranges and reassembled in range
-        order; both methods return results identical to the serial path
-        for any worker count and backend.
+        order, identical to the serial path for any worker count and
+        backend.
+
+    Up to 2,000 hashes every pair is scanned; above that the self-join
+    :func:`repro.hashing.index.radius_join` runs.  Both give the same
+    rows.
 
     Returns
     -------
@@ -190,13 +191,9 @@ def radius_neighbors(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-    if method not in ("auto", "brute", "mih"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "brute" if hashes.size <= brute_force_limit else "mih"
     if hashes.size == 0:
         return NeighborGraph.from_rows([])
-    dense = method == "brute"
+    dense = hashes.size <= _DENSE_LIMIT
     parallel = resolve_parallel(parallel)
     if parallel.is_serial or hashes.size < parallel.workers * 2:
         return NeighborGraph.from_lengths(

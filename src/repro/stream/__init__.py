@@ -8,23 +8,13 @@ compaction point — and after any single crash/recovery — its state is
 bit-identical to a cold batch run over the same event prefix.
 """
 
-from repro.stream.config import (
-    DEFAULT_COMPACT_THRESHOLD,
-    ENV_COMPACT_THRESHOLD,
-    ENV_GROUP_COMMIT,
-    ENV_WAL_DIR,
-    StreamConfig,
-    stream_config_from_env,
-)
+from repro.stream.config import DEFAULT_COMPACT_THRESHOLD, StreamConfig
 from repro.stream.ingester import StreamIngester, StreamReport, state_equals
 from repro.stream.source import EventSource, PrefixWorld
 from repro.stream.wal import WALCorruptError, WALError, WriteAheadLog
 
 __all__ = [
     "DEFAULT_COMPACT_THRESHOLD",
-    "ENV_COMPACT_THRESHOLD",
-    "ENV_GROUP_COMMIT",
-    "ENV_WAL_DIR",
     "EventSource",
     "PrefixWorld",
     "StreamConfig",
@@ -34,5 +24,4 @@ __all__ = [
     "WALError",
     "WriteAheadLog",
     "state_equals",
-    "stream_config_from_env",
 ]

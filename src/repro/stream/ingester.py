@@ -23,8 +23,8 @@ A *compaction* (triggered when the unique-hash growth ratio — a bound
 on medoid drift — exceeds ``compact_threshold``, or forced) promotes
 fresh state: full re-cluster from the incrementally maintained
 neighbourhoods, re-annotation, full re-association against the new
-medoids, a sliding-window Hawkes refit, then a durable checkpoint
-(``stream.ckpt``, the ``RPC1`` container from
+medoids, a Hawkes refit over the compacted prefix, then a durable
+checkpoint (``stream.ckpt``, the ``RPC1`` container from
 :func:`repro.utils.io.save_checkpoint`) followed by WAL truncation.
 
 Recovery is therefore: load the last checkpoint (if any), replay the
@@ -61,7 +61,7 @@ from repro.annotation.association import (
 from repro.annotation.matcher import annotate_clusters
 from repro.communities.models import COMMUNITIES, FRINGE_COMMUNITIES, Post
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import clustering_from_neighbors
+from repro.core.pipeline import clustering_from_neighbors, replay_gallery_flags
 from repro.core.results import (
     ClusterKey,
     CommunityClustering,
@@ -290,7 +290,7 @@ class StreamIngester:
         # --- online state ---
         self.posts: list = []
         # Maintained post columns (phash / timestamp), appended per
-        # batch so compaction and the Hawkes window never rebuild them
+        # batch so compaction and the Hawkes refit never rebuild them
         # with a per-post Python scan.
         self._phash_all = np.empty(0, dtype=np.uint64)
         self._ts_all = np.empty(0, dtype=np.float64)
@@ -445,29 +445,12 @@ class StreamIngester:
             int(annotation.medoid_hash): annotation
             for annotation in self._annotations.values()
         }
-        if self._screenshot is not None:
-            self._replay_gallery_flags(self._screenshot)
-
-    def _replay_gallery_flags(self, payload: dict) -> None:
-        """Replay recorded classifier decisions onto the galleries.
-
-        Mirrors the batch runner's screenshot-stage restore: the
-        classifier mode mutates gallery flags in place, so a recovered
-        session must re-apply the recorded decisions before annotating.
-        """
-        flags = payload.get("gallery_flags")
-        if flags is None:
-            return
-        for entry, entry_flags in zip(self.world.kym_site, flags):
-            for index, decided in enumerate(entry_flags):
-                image = entry.gallery[index]
-                if bool(image.is_screenshot) != decided:
-                    entry.gallery[index] = type(image)(
-                        phash=image.phash,
-                        is_screenshot=decided,
-                        template_name=image.template_name,
-                        image=image.image,
-                    )
+        # The classifier mode re-flags gallery images in place, so a
+        # recovered session re-applies its recorded decisions before
+        # annotating.
+        flags = (self._screenshot or {}).get("gallery_flags")
+        if flags is not None:
+            replay_gallery_flags(self.world.kym_site, flags)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -517,19 +500,33 @@ class StreamIngester:
         return {"admitted": admitted, "shed": shed}
 
     def _drain(self) -> None:
-        if self.stream.group_commit:
-            self._drain_grouped()
-        else:
-            while len(self.buffer):
-                batch = self._pop_batch()
-                if not batch:
-                    break
+        """Pop the buffer in ``batch_size`` chunks and commit them.
+
+        Every chunk is its own WAL record, so replay and apply
+        granularity never change.  With ``group_commit`` all chunks go
+        down as one commit group (a single buffered write and a single
+        fsync); otherwise each chunk is a group of one.  Durability
+        before application: no chunk is applied until its group's fsync
+        returns, so a crash between the two replays it instead of
+        losing it, and a crash mid-group truncates the whole group on
+        recovery, replaying nothing of it (the events were never
+        acknowledged).  The ``stream:ingest`` chaos site fires once per
+        chunk before its group is written.
+        """
+        chunks = []
+        while len(self.buffer):
+            batch = self._pop_batch()
+            if not batch:
+                break
+            chunks.append(batch)
+        size = max(1, len(chunks)) if self.stream.group_commit else 1
+        for start in range(0, len(chunks), size):
+            group = chunks[start : start + size]
+            for _ in group:
                 self._fire("stream:ingest")
-                # Durability before application: the WAL append (fsynced)
-                # must land before any in-memory state changes, so a crash
-                # between the two replays the batch instead of losing it.
-                seq = self.wal.append({"posts": batch})
-                self.report.wal_records += 1
+            seqs = self.wal.append_many([{"posts": batch} for batch in group])
+            self.report.wal_records += len(group)
+            for batch, seq in zip(group, seqs):
                 self._apply_batch(batch, seq)
         self.report.wal_segments = self.wal.n_segments
         self.report.wal_bytes = self.wal.total_bytes
@@ -543,36 +540,6 @@ class StreamIngester:
                 break
             batch.append(item)
         return batch
-
-    def _drain_grouped(self) -> None:
-        """Group-commit drain: the whole buffer, one WAL fsync.
-
-        Every ``batch_size`` chunk still becomes its own WAL record (so
-        replay and apply granularity are unchanged), but the records go
-        down as one commit group — a single buffered write and a single
-        fsync.  *No* batch is applied until the group's fsync returns:
-        the durable prefix still leads the applied prefix, and a crash
-        mid-group truncates the whole group on recovery, replaying
-        nothing of it — the events were never acknowledged.
-
-        The ``stream:ingest`` chaos site fires once per chunk before
-        the group write, preserving the per-batch visit cadence of the
-        ungrouped path.
-        """
-        chunks = []
-        while len(self.buffer):
-            batch = self._pop_batch()
-            if not batch:
-                break
-            chunks.append(batch)
-        if not chunks:
-            return
-        for _ in chunks:
-            self._fire("stream:ingest")
-        seqs = self.wal.append_many([{"posts": batch} for batch in chunks])
-        self.report.wal_records += len(chunks)
-        for batch, seq in zip(chunks, seqs):
-            self._apply_batch(batch, seq)
 
     def _apply_batch(self, batch: list, seq: int) -> None:
         """Apply one durable batch to the online state.
@@ -647,9 +614,9 @@ class StreamIngester:
         checkpoint followed by WAL segment truncation — in that order,
         so a crash anywhere leaves either the old checkpoint + full WAL
         or the new checkpoint (+ possibly untruncated segments, which
-        replay as no-ops past ``applied_seq``).  The sliding-window
-        Hawkes refit is eager on forced compactions and deferred to the
-        first :attr:`hawkes_model` read otherwise (the fit is
+        replay as no-ops past ``applied_seq``).  The Hawkes refit is
+        eager on forced compactions and deferred to the first
+        :attr:`hawkes_model` read otherwise (the fit is
         deterministic over the compacted prefix, so laziness cannot
         change the model).
 
@@ -657,12 +624,8 @@ class StreamIngester:
         """
         if not self.posts:
             return False
-        pending = len(self.posts) - self._compact_base_events
-        if not force:
-            if pending < self.stream.min_compact_events:
-                return False
-            if self.drift() <= self.stream.compact_threshold:
-                return False
+        if not force and self.drift() <= self.stream.compact_threshold:
+            return False
         self._fire("stream:compact")
         started = time.perf_counter()
         if self._screenshot is None:
@@ -819,11 +782,10 @@ class StreamIngester:
         return out
 
     def _refit_hawkes(self) -> None:
-        """Sliding-window Hawkes refit over the compacted prefix.
+        """Hawkes refit over the compacted prefix.
 
-        Pools one :class:`EventSequence` per annotated cluster (events
-        within ``hawkes_window_days`` of the prefix head) and fits one
-        model via :func:`repro.hawkes.fit.fit_hawkes_em` — the online
+        Pools one :class:`EventSequence` per annotated cluster and fits
+        one model via :func:`repro.hawkes.fit.fit_hawkes_em` — the online
         influence model promoted alongside the new medoids.  Reads only
         ``posts[:compact_base_events]`` and the association prefix over
         it, both frozen since the compaction that scheduled this fit,
@@ -835,16 +797,12 @@ class StreamIngester:
         n = self._compact_base_events
         community_index = {name: k for k, name in enumerate(COMMUNITIES)}
         head = float(self._ts_all[:n].max())
-        window = self.stream.hawkes_window_days
-        cutoff = head - window if window is not None else None
         times: dict[int, list[float]] = {}
         procs: dict[int, list[int]] = {}
         for post, cluster_index in zip(
             self.posts[:n], self._assoc_ids[:n]
         ):
             if cluster_index < 0:
-                continue
-            if cutoff is not None and post.timestamp < cutoff:
                 continue
             times.setdefault(int(cluster_index), []).append(post.timestamp)
             procs.setdefault(int(cluster_index), []).append(

@@ -25,8 +25,6 @@ from repro.utils.io import (
 from repro.utils.parallel import (
     Executor,
     ParallelConfig,
-    parallel_map,
-    parallel_starmap,
     resolve_parallel,
     shard_bounds,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "load_checkpoint",
     "Executor",
     "ParallelConfig",
-    "parallel_map",
-    "parallel_starmap",
     "resolve_parallel",
     "shard_bounds",
     "RetryPolicy",

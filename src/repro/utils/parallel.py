@@ -29,13 +29,12 @@ Configuration resolves in three steps: an explicit
 runs the whole tier-1 suite under 2 workers); otherwise everything runs
 serially, bit-identical to the historical single-core behaviour.
 
-**Supervised execution.** Plain :meth:`Executor.starmap` keeps serial
-failure semantics: the first worker exception aborts the whole fan-out.
-At the paper's scale (160M images, 12.6K cluster fits) that is
+**Supervised execution.** At the paper's scale (160M images, 12.6K
+cluster fits) a fan-out that aborts on the first worker exception is
 operationally unacceptable — a hung worker stalls the run forever and a
 single poison shard costs hours of recomputation.
-:meth:`Executor.supervised_starmap` wraps the same fan-out in a
-supervision ladder, per shard:
+:meth:`Executor.supervised_starmap`, the one fan-out entry point, runs
+every shard under a supervision ladder:
 
 1. **deadline** — futures are polled with timeouts, never blocking
    ``result()``; a shard past ``SupervisionPolicy.shard_deadline_s`` is
@@ -100,8 +99,6 @@ __all__ = [
     "array_splitter",
     "available_cpus",
     "effective_workers",
-    "parallel_map",
-    "parallel_starmap",
     "range_splitter",
     "resolve_parallel",
     "shard_bounds",
@@ -109,7 +106,6 @@ __all__ = [
     "warn_if_oversubscribed",
 ]
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 BACKENDS = ("auto", "serial", "thread", "process")
@@ -190,11 +186,6 @@ class ParallelConfig:
         ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
         (serial when ``workers == 1``, otherwise process — the only
         backend that sidesteps the GIL for pure-Python kernels).
-    chunk_size:
-        Items per shard for :func:`shard_bounds`; ``None`` applies the
-        heuristic (one large shard per process worker to amortise
-        pickling, four smaller shards per thread worker for load
-        balancing).
     supervision:
         Optional :class:`SupervisionPolicy` the hot paths apply to
         their supervised fan-outs.  ``None`` means each call site's
@@ -210,7 +201,6 @@ class ParallelConfig:
 
     workers: int = 1
     backend: str = "auto"
-    chunk_size: int | None = None
     supervision: "SupervisionPolicy | None" = None
     chaos: Callable[[str], "ChaosDirective | None"] | None = None
 
@@ -221,8 +211,6 @@ class ParallelConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
 
     def resolved_backend(self) -> str:
         """The concrete backend after ``auto`` resolution."""
@@ -285,18 +273,14 @@ def shard_bounds(
 ) -> list[tuple[int, int]]:
     """Contiguous ``(start, stop)`` shards covering ``range(n_items)``.
 
-    Chunk size follows the backend heuristic unless the config pins one:
-    process shards are worker-sized (each task ships a pickled numpy
+    Process shards are worker-sized (each task ships a pickled numpy
     shard, so fewer/larger is cheaper); thread and serial shards are a
     quarter of that (finer grain smooths uneven per-item cost).
     """
     if n_items <= 0:
         return []
-    if parallel.chunk_size is not None:
-        size = parallel.chunk_size
-    else:
-        oversubscribe = 1 if parallel.resolved_backend() == "process" else 4
-        size = max(1, -(-n_items // (parallel.workers * oversubscribe)))
+    oversubscribe = 1 if parallel.resolved_backend() == "process" else 4
+    size = max(1, -(-n_items // (parallel.workers * oversubscribe)))
     return [
         (start, min(start + size, n_items))
         for start in range(0, n_items, size)
@@ -592,67 +576,17 @@ def _new_pool(backend: str, workers: int) -> _futures.Executor:
 
 
 class Executor:
-    """Ordered fan-out over the configured backend.
+    """Ordered, supervised fan-out over the configured backend.
 
-    ``map``/``starmap`` submit every item up front and collect results
-    in submission order, so output ordering is deterministic no matter
-    which worker finishes first.  A worker exception propagates to the
-    caller (the first one in submission order), matching serial
-    semantics.
-
-    ``supervised_map``/``supervised_starmap`` run the same fan-out under
-    the supervision ladder (deadline → retry → bisect → serial fallback
-    → quarantine; see the module docstring) and return a
-    :class:`SupervisedResult` instead of a bare list.
+    :meth:`supervised_starmap` submits every item up front and collects
+    results in submission order, so output ordering is deterministic no
+    matter which worker finishes first.  Failing shards walk the
+    supervision ladder (deadline → retry → bisect → serial fallback →
+    quarantine; see the module docstring).
     """
 
     def __init__(self, parallel: ParallelConfig | None = None) -> None:
         self.parallel = resolve_parallel(parallel)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """``[fn(x) for x in items]`` with backend fan-out."""
-        return self._run(fn, [(item,) for item in items])
-
-    def starmap(
-        self, fn: Callable[..., R], items: Iterable[Sequence]
-    ) -> list[R]:
-        """``[fn(*args) for args in items]`` with backend fan-out."""
-        return self._run(fn, [tuple(args) for args in items])
-
-    def _run(self, fn: Callable[..., R], calls: list[tuple]) -> list[R]:
-        if not calls:
-            return []
-        backend = self.parallel.resolved_backend()
-        workers = min(self.parallel.workers, len(calls))
-        if backend == "serial" or workers <= 1:
-            return [fn(*args) for args in calls]
-        with _new_pool(backend, workers) as pool:
-            futures = [pool.submit(fn, *args) for args in calls]
-            return [future.result() for future in futures]
-
-    # -- supervised execution ------------------------------------------
-
-    def supervised_map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        policy: SupervisionPolicy | None = None,
-        split: Callable[[tuple], list[tuple] | None] | None = None,
-        merge: Callable[[list], R] | None = None,
-        chaos: Callable[[str], ChaosDirective | None] | None = None,
-        sleep: Callable[[float], None] | None = None,
-    ) -> SupervisedResult:
-        """:meth:`map` under the supervision ladder."""
-        return self.supervised_starmap(
-            fn,
-            [(item,) for item in items],
-            policy=policy,
-            split=split,
-            merge=merge,
-            chaos=chaos,
-            sleep=sleep,
-        )
 
     def supervised_starmap(
         self,
@@ -665,7 +599,7 @@ class Executor:
         chaos: Callable[[str], ChaosDirective | None] | None = None,
         sleep: Callable[[float], None] | None = None,
     ) -> SupervisedResult:
-        """:meth:`starmap` under the supervision ladder.
+        """``[fn(*args) for args in items]`` under the supervision ladder.
 
         Parameters
         ----------
@@ -955,20 +889,3 @@ class Executor:
         finally:
             pool.shutdown(wait=not dirty, cancel_futures=True)
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    parallel: ParallelConfig | None = None,
-) -> list[R]:
-    """One-shot :meth:`Executor.map` convenience wrapper."""
-    return Executor(parallel).map(fn, items)
-
-
-def parallel_starmap(
-    fn: Callable[..., R],
-    items: Iterable[Sequence],
-    parallel: ParallelConfig | None = None,
-) -> list[R]:
-    """One-shot :meth:`Executor.starmap` convenience wrapper."""
-    return Executor(parallel).starmap(fn, items)

@@ -144,8 +144,7 @@ class TestCoalesceFlags:
     def test_parser_accepts_group_commit(self):
         args = build_parser().parse_args(["--group-commit", "stream"])
         assert args.group_commit is True
-        # tri-state default so the env var can fill in when absent
-        assert build_parser().parse_args(["stream"]).group_commit is None
+        assert build_parser().parse_args(["stream"]).group_commit is False
 
     def test_coalesced_replay_matches_per_request_accounting(
         self, capsys, tmp_path
@@ -222,12 +221,36 @@ class TestCacheCommand:
         assert "associate" in stage_lines[-1]
         assert "  cached" not in stage_lines[-1]
 
-    def test_no_cache_flag_disables_caching(self, capsys, tmp_path):
-        cache = ["--cache-dir", str(tmp_path), "--no-cache"]
-        assert main(self.ARGS + cache + ["overview"]) == 0
-        assert main(self.ARGS + cache + ["overview"]) == 0
-        assert "cached" not in capsys.readouterr().out
-        assert list(tmp_path.glob("*/*.ckpt")) == []
+    def test_no_cache_flag_is_a_usage_error(self, capsys, tmp_path):
+        # Leaving out --cache-dir is the one way to run uncached.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache-dir", str(tmp_path), "--no-cache", "overview"])
+        assert excinfo.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamFlags:
+    def test_wal_dir_is_required_even_with_env(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The flag is the only way to name the WAL directory.
+        monkeypatch.setenv("REPRO_WAL_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream"])
+        assert excinfo.value.code == 2
+        assert "requires --wal-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", ["banana", "-1", "0", "inf", "nan"])
+    def test_malformed_compact_threshold_is_a_usage_error(
+        self, raw, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--wal-dir", str(tmp_path), "--compact-threshold", raw,
+                  "stream"])
+        assert excinfo.value.code == 2
+        assert "--compact-threshold" in capsys.readouterr().err
 
 
 class TestWorkerOversubscription:

@@ -346,19 +346,6 @@ class TestRunnerWarmCache:
                 continue
             assert not report.cached, report.summary()
 
-    def test_shared_cache_instance_reuses_memory_tier(self):
-        cache = ContentCache()  # memory-only: no directory at all
-        config = PipelineConfig()
-        first = run_pipeline(
-            _fresh_world(), config, options=RunnerOptions(cache=cache)
-        )
-        warm = run_pipeline(
-            _fresh_world(), config, options=RunnerOptions(cache=cache)
-        )
-        _assert_identical(first, warm)
-        for report in warm.stage_reports:
-            assert report.cached, report.summary()
-
     def test_corrupt_entry_recomputed_and_reported(self, tmp_path):
         config = PipelineConfig()
         cold = run_pipeline(_fresh_world(), config)

@@ -8,7 +8,6 @@ from repro.core import (
     FaultInjector,
     PipelineConfig,
     RunnerOptions,
-    RunnerPolicy,
     StageFailure,
     run_pipeline,
 )
@@ -31,12 +30,9 @@ def options(**kwargs):
 
 class TestRunnerPolicy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RunnerPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RunnerPolicy(retry_base_delay=-1.0)
-        with pytest.raises(ValueError):
-            RunnerPolicy(retry_backoff=0.9)
+        with pytest.raises(ValueError, match="max_retries"):
+            RunnerOptions(max_retries=-1)
+        assert RunnerOptions(max_retries=0).max_retries == 0
 
     def test_screenshot_ladder(self):
         assert PipelineConfig(screenshot_filter="classifier").screenshot_ladder() == (
@@ -128,10 +124,7 @@ class TestRetry:
         injector = FaultInjector([Fault("cluster:pol", TransientError, times=1)])
         result = run_pipeline(
             small_world,
-            options=options(
-                faults=injector,
-                policy=RunnerPolicy(max_retries=0),
-            ),
+            options=options(faults=injector, max_retries=0),
         )
         # One transient failure, no retries allowed: pol is quarantined.
         assert "cluster:pol" in result.stage_report("cluster").quarantined
@@ -153,17 +146,6 @@ class TestQuarantine:
                 continue
             assert result.clusterings[community].n_clusters >= 1
             assert result.n_annotated(community) >= 1
-
-    def test_quarantine_disabled_aborts(self, small_world):
-        injector = FaultInjector([Fault("cluster:pol", ValueError("bad"), times=1)])
-        with pytest.raises(StageFailure):
-            run_pipeline(
-                small_world,
-                options=options(
-                    faults=injector,
-                    policy=RunnerPolicy(quarantine_failures=False),
-                ),
-            )
 
     def test_annotate_quarantine(self, small_world):
         injector = FaultInjector(
@@ -219,20 +201,6 @@ class TestDegradationLadder:
                 small_world,
                 PipelineConfig(screenshot_filter="none"),
                 options=options(faults=injector),
-            )
-
-    def test_degradation_disabled_aborts(self, small_world):
-        injector = FaultInjector(
-            [Fault("screenshot-filter:classifier", ValueError("cnn"), times=1)]
-        )
-        with pytest.raises(StageFailure):
-            run_pipeline(
-                small_world,
-                PipelineConfig(screenshot_filter="classifier"),
-                options=options(
-                    faults=injector,
-                    policy=RunnerPolicy(allow_degraded=False),
-                ),
             )
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.index import NeighborGraph
+from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
 from repro.hashing.pairwise import (
+    _DENSE_LIMIT,
     delta_pairs,
     merge_radius_neighbors,
     nearest_medoid,
@@ -16,6 +17,26 @@ from repro.hashing.pairwise import (
 )
 from repro.utils.bitops import hamming_distance
 from repro.utils.parallel import ParallelConfig
+from tests.clustering_reference import adjacency
+
+
+def reference_rows(hashes, radius):
+    """Rows of the dense reference matrix, as sorted index arrays."""
+    return [np.flatnonzero(row) for row in adjacency(hashes, radius)]
+
+
+def dense_graph(hashes, radius):
+    """The graph of a forced blocked dense scan, at any collection size."""
+    return NeighborGraph.from_pairs(
+        *_dense_pairs(hashes, hashes, radius), hashes.size
+    )
+
+
+def join_graph(hashes, radius):
+    """The graph of a forced self-join, at any collection size."""
+    return NeighborGraph.from_pairs(
+        *_join_pairs(hashes, hashes, radius, self_join=True), hashes.size
+    )
 
 
 def clustered_hashes(n_bases: int, members: int, seed: int = 0) -> np.ndarray:
@@ -65,14 +86,10 @@ class TestRadiusNeighbors:
         with pytest.raises(ValueError):
             radius_neighbors(np.array([1], dtype=np.uint64), -1)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            radius_neighbors(np.array([1], dtype=np.uint64), 8, method="gpu")
-
     def test_self_always_included(self):
         hashes = np.array([5, 1000, 2**60], dtype=np.uint64)
-        for method in ("brute", "mih"):
-            neighbors = radius_neighbors(hashes, 0, method=method)
+        for build in (radius_neighbors, dense_graph, join_graph):
+            neighbors = build(hashes, 0)
             for i, row in enumerate(neighbors):
                 assert list(row) == [i]
 
@@ -83,15 +100,17 @@ class TestRadiusNeighbors:
     )
     def test_brute_and_mih_agree(self, values, radius):
         hashes = np.array(values, dtype=np.uint64)
-        brute = radius_neighbors(hashes, radius, method="brute")
-        mih = radius_neighbors(hashes, radius, method="mih")
-        for row_b, row_m in zip(brute, mih):
-            assert set(row_b.tolist()) == set(row_m.tolist())
+        expected = reference_rows(hashes, radius)
+        for build in (radius_neighbors, dense_graph, join_graph):
+            graph = build(hashes, radius)
+            assert len(graph) == len(expected)
+            for row, ref in zip(graph, expected):
+                assert set(row.tolist()) == set(ref.tolist())
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         hashes = rng.integers(0, 2**64, size=60, dtype=np.uint64)
-        neighbors = radius_neighbors(hashes, 20, method="brute")
+        neighbors = radius_neighbors(hashes, 20)
         for i, row in enumerate(neighbors):
             for j in row:
                 assert i in set(neighbors[int(j)].tolist())
@@ -99,7 +118,7 @@ class TestRadiusNeighbors:
     def test_matches_scalar_definition(self):
         rng = np.random.default_rng(1)
         hashes = rng.integers(0, 2**64, size=25, dtype=np.uint64)
-        neighbors = radius_neighbors(hashes, 30, method="brute")
+        neighbors = radius_neighbors(hashes, 30)
         for i in range(len(hashes)):
             expected = {
                 j
@@ -119,35 +138,37 @@ class TestRadiusNeighbors:
         # brute force — sorted, duplicate-free, self included — so the
         # rows must match element for element, not just as sets.
         hashes = np.array(values, dtype=np.uint64)
-        brute = radius_neighbors(hashes, radius, method="brute")
-        mih = radius_neighbors(hashes, radius, method="mih")
-        for i, (row_b, row_m) in enumerate(zip(brute, mih)):
-            assert np.array_equal(row_b, row_m)
-            assert np.array_equal(row_m, np.unique(row_m))  # sorted, no dups
-            assert i in row_m  # self included
+        expected = reference_rows(hashes, radius)
+        for build in (radius_neighbors, dense_graph, join_graph):
+            graph = build(hashes, radius)
+            for i, (row, ref) in enumerate(zip(graph, expected)):
+                assert np.array_equal(row, ref)
+                assert np.array_equal(row, np.unique(row))  # sorted, no dups
+                assert i in row  # self included
 
+    # "brute" sizes the input for the dense scan, "mih" for the join.
     @pytest.mark.parametrize("method", ["brute", "mih"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_matches_serial(self, method, backend):
-        hashes = clustered_hashes(40, 5, seed=3)
-        serial = radius_neighbors(hashes, 8, method=method)
+        n_bases = {"brute": 40, "mih": _DENSE_LIMIT // 5 + 20}[method]
+        hashes = clustered_hashes(n_bases, 5, seed=3)
+        serial = radius_neighbors(hashes, 8)
         parallel = radius_neighbors(
-            hashes,
-            8,
-            method=method,
-            parallel=ParallelConfig(workers=4, backend=backend),
+            hashes, 8, parallel=ParallelConfig(workers=4, backend=backend)
         )
         assert len(serial) == len(parallel)
         for row_s, row_p in zip(serial, parallel):
             assert np.array_equal(row_s, row_p)
 
     def test_auto_switches_to_mih(self):
-        rng = np.random.default_rng(2)
-        hashes = rng.integers(0, 2**64, size=50, dtype=np.uint64)
-        auto = radius_neighbors(hashes, 8, brute_force_limit=10)
-        brute = radius_neighbors(hashes, 8, method="brute")
-        for row_a, row_b in zip(auto, brute):
-            assert set(row_a.tolist()) == set(row_b.tolist())
+        # Past the dense limit radius_neighbors runs the join; its rows
+        # must equal a forced dense scan's.
+        hashes = clustered_hashes(_DENSE_LIMIT // 5 + 100, 5, seed=2)
+        assert hashes.size > _DENSE_LIMIT
+        auto = radius_neighbors(hashes, 8)
+        dense = dense_graph(hashes, 8)
+        assert np.array_equal(auto.indptr, dense.indptr)
+        assert np.array_equal(auto.indices, dense.indices)
 
 
 class TestUniqueHashes:
@@ -176,7 +197,7 @@ class TestIncrementalNeighbors:
     sorted-union merge behind the runner's cache)."""
 
     def _cold(self, hashes, radius):
-        return radius_neighbors(hashes, radius, method="mih")
+        return radius_neighbors(hashes, radius)
 
     def _patched(self, prev, new, radius):
         """Graph over ``concat(prev, new)``: prev's pairs plus the delta."""

@@ -18,12 +18,19 @@ import numpy as np
 import pytest
 
 from repro.hashing import index
-from repro.hashing.index import NeighborGraph, _chunk_layout, radius_join
+from repro.hashing.index import (
+    NeighborGraph,
+    _chunk_layout,
+    _dense_pairs,
+    _join_pairs,
+    radius_join,
+)
 from repro.hashing.pairwise import (
     delta_pairs,
     merge_radius_neighbors,
     radius_neighbors,
 )
+from tests.clustering_reference import adjacency
 
 RADII = [*range(13), 63, 64]
 ALL_ONES = (1 << 64) - 1
@@ -156,9 +163,7 @@ def test_self_join_matches_reference(radius, mode):
             radius_join(hashes, hashes, radius), expected, f"{name} join"
         )
         assert_rows_equal(
-            radius_neighbors(hashes, radius, method="mih"),
-            expected,
-            f"{name} mih",
+            radius_neighbors(hashes, radius), expected, f"{name} neighbors"
         )
 
 
@@ -185,11 +190,18 @@ def test_cross_join_matches_rectangular_scan(radius, mode):
 @pytest.mark.parametrize("radius", RADII)
 def test_radius_neighbors_methods_match_reference(radius):
     hashes = cases(radius)["mixed"]
-    expected = reference_rows(hashes, hashes, radius)
-    for method in ("brute", "mih", "auto"):
-        assert_rows_equal(
-            radius_neighbors(hashes, radius, method=method), expected, method
-        )
+    expected = [np.flatnonzero(row) for row in adjacency(hashes, radius)]
+    graphs = {
+        "dense": NeighborGraph.from_pairs(
+            *_dense_pairs(hashes, hashes, radius), hashes.size
+        ),
+        "join": NeighborGraph.from_pairs(
+            *_join_pairs(hashes, hashes, radius, self_join=True), hashes.size
+        ),
+        "radius_neighbors": radius_neighbors(hashes, radius),
+    }
+    for label, graph in graphs.items():
+        assert_rows_equal(graph, expected, label)
 
 
 @pytest.mark.parametrize("radius", RADII)

@@ -4,7 +4,7 @@ The pinned contract: at every compaction point — and after any single
 crash/recovery — the ingester's state is bit-identical to a cold batch
 :func:`repro.core.run_pipeline` over the same event prefix.  Plus the
 supporting machinery: backpressure shedding with cursor re-read,
-fault-site plumbing, env-var validation, lock exclusion, and the
+fault-site plumbing, config validation, lock exclusion, and the
 :class:`StreamReport` observability surface.
 """
 
@@ -18,15 +18,11 @@ from repro.core import run_pipeline
 from repro.core.config import PipelineConfig
 from repro.core.faults import STREAM_SITES, Fault, FaultInjector
 from repro.stream import (
-    ENV_COMPACT_THRESHOLD,
-    ENV_GROUP_COMMIT,
-    ENV_WAL_DIR,
     EventSource,
     PrefixWorld,
     StreamConfig,
     StreamIngester,
     state_equals,
-    stream_config_from_env,
 )
 from repro.utils.io import (
     CheckpointLockError,
@@ -416,55 +412,12 @@ class TestFaultSites:
 
 
 class TestEnvValidation:
-    def test_valid_env_resolves(self, tmp_path):
-        env = {
-            ENV_WAL_DIR: str(tmp_path),
-            ENV_COMPACT_THRESHOLD: "0.25",
-        }
-        resolved = stream_config_from_env(env)
-        assert resolved == {
-            "wal_dir": str(tmp_path),
-            "compact_threshold": 0.25,
-        }
-
-    def test_unset_env_resolves_nothing(self):
-        assert stream_config_from_env({}) == {}
-
-    @pytest.mark.parametrize("raw", ["", "   "])
-    def test_empty_wal_dir_warns_naming_value(self, raw):
-        with pytest.warns(RuntimeWarning, match="REPRO_WAL_DIR"):
-            resolved = stream_config_from_env({ENV_WAL_DIR: raw})
-        assert resolved == {}
-
-    def test_file_wal_dir_warns(self, tmp_path):
-        target = tmp_path / "not-a-dir"
-        target.write_text("occupied")
-        with pytest.warns(RuntimeWarning, match="not a directory"):
-            resolved = stream_config_from_env({ENV_WAL_DIR: str(target)})
-        assert resolved == {}
-
-    @pytest.mark.parametrize("raw", ["banana", "0", "-1", "nan", "inf"])
-    def test_malformed_threshold_warns_naming_value(self, raw):
-        with pytest.warns(RuntimeWarning, match=raw):
-            resolved = stream_config_from_env({ENV_COMPACT_THRESHOLD: raw})
-        assert resolved == {}
-
-    @pytest.mark.parametrize(
-        "raw, expected",
-        [("1", True), ("true", True), ("YES", True), ("0", False), ("off", False)],
-    )
-    def test_group_commit_env_resolves(self, raw, expected):
-        resolved = stream_config_from_env({ENV_GROUP_COMMIT: raw})
-        assert resolved == {"group_commit": expected}
-
-    def test_malformed_group_commit_warns_naming_value(self):
-        with pytest.warns(RuntimeWarning, match="maybe"):
-            resolved = stream_config_from_env({ENV_GROUP_COMMIT: "maybe"})
-        assert resolved == {}
+    """The stream is configured by StreamConfig alone (no env vars)."""
 
     def test_stream_config_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="compact_threshold"):
-            StreamConfig(wal_dir=tmp_path, compact_threshold=0)
+        for bad in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="compact_threshold"):
+                StreamConfig(wal_dir=tmp_path, compact_threshold=bad)
         with pytest.raises(ValueError, match="max_buffer"):
             StreamConfig(wal_dir=tmp_path, max_buffer=0)
         with pytest.raises(ValueError, match="shed_watermark"):

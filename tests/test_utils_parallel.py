@@ -18,8 +18,6 @@ from repro.utils.parallel import (
     SupervisionPolicy,
     array_splitter,
     effective_workers,
-    parallel_map,
-    parallel_starmap,
     range_splitter,
     resolve_parallel,
     shard_bounds,
@@ -77,10 +75,6 @@ class TestParallelConfig:
     def test_invalid_backend(self):
         with pytest.raises(ValueError):
             ParallelConfig(backend="gpu")
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
 
     def test_backends_constant_covers_all(self):
         assert set(ALL_BACKENDS) <= set(BACKENDS)
@@ -153,10 +147,6 @@ class TestShardBounds:
                 flat = [i for s, e in bounds for i in range(s, e)]
                 assert flat == list(range(n))
 
-    def test_explicit_chunk_size(self):
-        bounds = shard_bounds(10, ParallelConfig(workers=2, chunk_size=4))
-        assert bounds == [(0, 4), (4, 8), (8, 10)]
-
     def test_process_shards_are_worker_sized(self):
         bounds = shard_bounds(
             100, ParallelConfig(workers=4, backend="process")
@@ -171,44 +161,56 @@ class TestShardBounds:
         assert len(bounds) == 15
 
 
-class TestExecutor:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_map_matches_serial(self, backend):
-        config = ParallelConfig(workers=2, backend=backend)
-        assert parallel_map(_square, range(20), config) == [
-            x * x for x in range(20)
-        ]
+def _args(values):
+    """One single-argument call per value."""
+    return [(value,) for value in values]
 
+
+def _fan_out(fn, items, config, **kwargs):
+    """Results of one supervised fan-out, the executor's one entry point."""
+    return Executor(config).supervised_starmap(fn, items, **kwargs).results
+
+
+class TestExecutor:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_empty_input(self, backend):
         config = ParallelConfig(workers=2, backend=backend)
-        assert parallel_map(_square, [], config) == []
-        assert parallel_starmap(_add, [], config) == []
+        assert _fan_out(_add, [], config) == []
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_starmap(self, backend):
         config = ParallelConfig(workers=2, backend=backend)
         items = [(i, 10 * i) for i in range(8)]
-        assert parallel_starmap(_add, items, config) == [11 * i for i in range(8)]
+        assert _fan_out(_add, items, config) == [11 * i for i in range(8)]
 
     def test_ordering_despite_completion_order(self):
         # Thread backend with inverted completion order: results must
         # still follow submission order.
         config = ParallelConfig(workers=4, backend="thread")
-        assert parallel_map(_slow_identity, range(8), config) == list(range(8))
+        results = _fan_out(_slow_identity, _args(range(8)), config)
+        assert results == list(range(8))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_worker_exception_propagates(self, backend):
+        # Under a fail-fast policy a raising kernel surfaces, chained
+        # under the error that names its shard.
         config = ParallelConfig(workers=2, backend=backend)
-        with pytest.raises(ValueError, match="worker failed"):
-            parallel_map(_boom, range(4), config)
+        policy = SupervisionPolicy(
+            retry=RetryPolicy(max_retries=0, retryable=(Exception,)),
+            on_poison="fail",
+        )
+        with pytest.raises(PoisonShardError) as excinfo:
+            _fan_out(_boom, _args(range(4)), config, policy=policy)
+        assert excinfo.value.shard_index == 0
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert "worker failed on 0" in str(excinfo.value.__cause__)
 
     def test_numpy_shards_cross_process_boundary(self):
         # The process backend moves pickled numpy shards; values and
         # dtype must survive the round trip.
         config = ParallelConfig(workers=2, backend="process")
         shards = [np.arange(5, dtype=np.uint64) + i for i in range(4)]
-        results = parallel_map(_square, shards, config)
+        results = _fan_out(_square, _args(shards), config)
         for shard, result in zip(shards, results):
             assert result.dtype == np.uint64
             assert np.array_equal(result, shard * shard)
@@ -315,7 +317,7 @@ class TestSupervisedCleanPath:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_matches_plain_map(self, backend):
         executor = Executor(ParallelConfig(workers=2, backend=backend))
-        sup = executor.supervised_map(_square, range(10))
+        sup = executor.supervised_starmap(_square, _args(range(10)))
         assert sup.results == [x * x for x in range(10)]
         assert sup.complete
         assert sup.report.backend == executor.parallel.resolved_backend()
@@ -323,15 +325,16 @@ class TestSupervisedCleanPath:
         assert all(s.attempts == 1 for s in sup.report.shards)
 
     def test_empty_input(self):
-        sup = Executor(ParallelConfig(workers=2, backend="thread")).supervised_map(
-            _square, []
-        )
+        executor = Executor(ParallelConfig(workers=2, backend="thread"))
+        sup = executor.supervised_starmap(_square, [])
         assert sup.results == [] and sup.report.n_shards == 0
 
     def test_split_without_merge_rejected(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         with pytest.raises(ValueError, match="together"):
-            executor.supervised_map(_square, range(4), split=range_splitter(0, 1))
+            executor.supervised_starmap(
+                _square, _args(range(4)), split=range_splitter(0, 1)
+            )
 
     def test_policy_from_parallel_config(self):
         # SupervisionPolicy carried on the config is honoured without an
@@ -343,16 +346,16 @@ class TestSupervisedCleanPath:
                                           serial_fallback=False),
         )
         with pytest.raises(PoisonShardError):
-            Executor(config).supervised_map(
-                _poison_on_three, range(5), sleep=_no_sleep
+            Executor(config).supervised_starmap(
+                _poison_on_three, _args(range(5)), sleep=_no_sleep
             )
 
 
 class TestSupervisedLadder:
     def test_transient_failure_recovers_via_retry(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_map(
-            _square, range(4), chaos=_RaiseTimes(2), sleep=_no_sleep
+        sup = executor.supervised_starmap(
+            _square, _args(range(4)), chaos=_RaiseTimes(2), sleep=_no_sleep
         )
         assert sup.results == [0, 1, 4, 9]
         assert sup.complete
@@ -364,8 +367,8 @@ class TestSupervisedLadder:
 
     def test_poison_shard_quarantines_with_gap(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_map(
-            _poison_on_three, range(5), sleep=_no_sleep
+        sup = executor.supervised_starmap(
+            _poison_on_three, _args(range(5)), sleep=_no_sleep
         )
         assert sup.results == [0, 1, 4, None, 16]
         assert not sup.complete
@@ -379,9 +382,9 @@ class TestSupervisedLadder:
     def test_poison_shard_fails_fast_when_asked(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         with pytest.raises(PoisonShardError) as excinfo:
-            executor.supervised_map(
+            executor.supervised_starmap(
                 _poison_on_three,
-                range(5),
+                _args(range(5)),
                 policy=SupervisionPolicy(on_poison="fail"),
                 sleep=_no_sleep,
             )
@@ -444,9 +447,9 @@ class TestSupervisedLadder:
                               retryable=(Exception,)),
             bisect=False,
         )
-        sup = executor.supervised_map(
+        sup = executor.supervised_starmap(
             _square,
-            range(2),
+            _args(range(2)),
             policy=policy,
             chaos=_DirectiveTimes(2, "kill"),
             sleep=_no_sleep,
@@ -456,9 +459,9 @@ class TestSupervisedLadder:
 
     def test_hang_detection_thread_backend(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_map(
+        sup = executor.supervised_starmap(
             _square,
-            range(3),
+            _args(range(3)),
             policy=SupervisionPolicy(shard_deadline_s=0.1),
             chaos=_DirectiveTimes(1, "hang", delay_s=2.0),
             sleep=_no_sleep,
@@ -471,8 +474,8 @@ class TestSupervisedLadder:
 
     def test_serial_backend_walks_ladder_in_process(self):
         executor = Executor(ParallelConfig(workers=1))
-        sup = executor.supervised_map(
-            _poison_on_three, range(5), sleep=_no_sleep
+        sup = executor.supervised_starmap(
+            _poison_on_three, _args(range(5)), sleep=_no_sleep
         )
         assert sup.results == [0, 1, 4, None, 16]
         assert sup.report.quarantined == [3]
@@ -482,8 +485,8 @@ class TestSupervisedLadder:
         # The hook raising in the parent at submission time must count
         # against that shard only, not abort the fan-out.
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_map(
-            _square, range(6), chaos=_RaiseTimes(1), sleep=_no_sleep
+        sup = executor.supervised_starmap(
+            _square, _args(range(6)), chaos=_RaiseTimes(1), sleep=_no_sleep
         )
         assert sup.results == [x * x for x in range(6)]
         assert len(sup.report.retried) == 1
@@ -501,8 +504,8 @@ class TestSupervisedProcessBackend:
             bisect=False,
             serial_fallback=False,
         )
-        sup = executor.supervised_map(
-            _poison_on_three, range(5), policy=policy, sleep=_no_sleep
+        sup = executor.supervised_starmap(
+            _poison_on_three, _args(range(5)), policy=policy, sleep=_no_sleep
         )
         assert sup.results == [0, 1, 4, None, 16]
         assert sup.report.quarantined == [3]
@@ -521,8 +524,11 @@ class TestSupervisedProcessBackend:
             on_poison="fail",
         )
         with pytest.raises(PoisonShardError) as excinfo:
-            executor.supervised_map(
-                _poison_on_three, range(5), policy=policy, sleep=_no_sleep
+            executor.supervised_starmap(
+                _poison_on_three,
+                _args(range(5)),
+                policy=policy,
+                sleep=_no_sleep,
             )
         assert excinfo.value.shard_index == 3
         assert "poison item 3" in str(excinfo.value)
@@ -534,8 +540,8 @@ class TestSupervisedProcessBackend:
         # A killed process worker breaks the whole pool; every in-flight
         # shard must be rescued on fresh pools with nothing lost.
         executor = Executor(ParallelConfig(workers=2, backend="process"))
-        sup = executor.supervised_map(
-            _square, range(6), chaos=_DirectiveTimes(1, "kill"),
+        sup = executor.supervised_starmap(
+            _square, _args(range(6)), chaos=_DirectiveTimes(1, "kill"),
             sleep=_no_sleep,
         )
         assert sup.results == [x * x for x in range(6)]
@@ -549,9 +555,9 @@ class TestSupervisedProcessBackend:
 
     def test_hang_detection_process_backend(self):
         executor = Executor(ParallelConfig(workers=2, backend="process"))
-        sup = executor.supervised_map(
+        sup = executor.supervised_starmap(
             _square,
-            range(3),
+            _args(range(3)),
             policy=SupervisionPolicy(shard_deadline_s=0.15),
             chaos=_DirectiveTimes(1, "hang", delay_s=5.0),
             sleep=_no_sleep,
