@@ -21,8 +21,8 @@ from repro.utils.tables import format_table
 
 
 def test_ablation_clustering_algorithms(benchmark, bench_world, write_output):
-    posts = [p for p in bench_world.posts if p.community == "pol"]
-    image_hashes = np.array([p.phash for p in posts], dtype=np.uint64)
+    posts = bench_world.posts_of("pol")
+    image_hashes = posts.phash
     unique, counts = np.unique(image_hashes, return_counts=True)
     sources_by_hash = {}
     for post in posts:

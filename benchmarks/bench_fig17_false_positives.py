@@ -19,8 +19,8 @@ from repro.utils.tables import format_table
 
 
 def test_fig17_false_positive_cdf(benchmark, bench_world, write_output):
-    posts = [p for p in bench_world.posts if p.community == "pol"]
-    image_hashes = np.array([p.phash for p in posts], dtype=np.uint64)
+    posts = bench_world.posts_of("pol")
+    image_hashes = posts.phash
     # Ground-truth source per unique hash.  Junk-series variants share a
     # series identity (strip the /v<k> suffix); one-off noise images are
     # their own source, which can only hurt purity.

@@ -6,8 +6,6 @@ measures the multi-index-hashing association path on commodity CPU and
 reports the equivalent figure.
 """
 
-import numpy as np
-
 from repro.annotation.association import associate_hashes
 from repro.utils.tables import format_table
 
@@ -20,7 +18,7 @@ def test_perf_association_throughput(
         for index, key in enumerate(bench_pipeline.cluster_keys)
         for annotation in [bench_pipeline.annotations[key]]
     }
-    hashes = np.array([post.phash for post in bench_world.posts], dtype=np.uint64)
+    hashes = bench_world.posts.phash
 
     result = benchmark(lambda: associate_hashes(hashes, medoids, theta=8))
     stats = benchmark.stats.stats

@@ -63,10 +63,7 @@ from repro.utils.retry import RetryPolicy, TransientError
 def build_stream(result, world, n_requests: int, seed: int = 11) -> np.ndarray:
     """Replay stream: real post hashes cycled, salted with random misses."""
     rng = np.random.default_rng(seed)
-    post_hashes = np.array(
-        [post.phash for post in world.posts], dtype=np.uint64
-    )
-    cycled = np.resize(post_hashes, n_requests)
+    cycled = np.resize(world.posts.phash, n_requests)
     misses = rng.integers(0, 2**64, size=n_requests, dtype=np.uint64)
     take_miss = rng.random(n_requests) < 0.3
     return np.where(take_miss, misses, cycled)

@@ -13,18 +13,13 @@ Shape: noise decreases monotonically with distance; the cluster count
 *peaks near distance 8* and drops at 10 (nearby clusters merge).
 """
 
-import numpy as np
-
 from benchmarks.conftest import once
 from repro.clustering.evaluation import sweep_thresholds
 from repro.utils.tables import format_table
 
 
 def test_table8_threshold_sweep(benchmark, bench_world, write_output):
-    image_hashes = np.array(
-        [post.phash for post in bench_world.posts if post.community == "pol"],
-        dtype=np.uint64,
-    )
+    image_hashes = bench_world.posts_of("pol").phash
     rows = once(
         benchmark,
         lambda: sweep_thresholds(image_hashes, distances=(2, 4, 6, 8, 10)),

@@ -26,11 +26,6 @@ from repro.analysis.influence import (
     influence_study,
     ks_significance_matrix,
 )
-from repro.analysis.lifecycle import (
-    MemeLifecycle,
-    meme_lifecycles,
-    spread_latency_summary,
-)
 from repro.analysis.origins import (
     ClusterOrigin,
     first_seen_origins,
@@ -72,9 +67,6 @@ __all__ = [
     "first_seen_origins",
     "origin_summary",
     "score_origin_methods",
-    "MemeLifecycle",
-    "meme_lifecycles",
-    "spread_latency_summary",
     "cluster_event_sequences",
     "influence_study",
     "fit_cluster_influence",

@@ -33,7 +33,7 @@ from repro.hawkes.attribution import (
     root_cause_influence,
 )
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
-from repro.hawkes.model import EventSequence
+from repro.hawkes.model import EventSequence, rows_by_group
 from repro.utils.parallel import (
     ExecutionReport,
     Executor,
@@ -50,9 +50,6 @@ __all__ = [
     "ks_significance_matrix",
 ]
 
-_COMMUNITY_INDEX = {name: k for k, name in enumerate(COMMUNITIES)}
-
-
 def cluster_event_sequences(
     result: PipelineResult,
     horizon: float,
@@ -65,24 +62,16 @@ def cluster_event_sequences(
     clusters with fewer than ``min_events`` are skipped (too little
     signal for a stable fit).
     """
-    times: dict[int, list[float]] = {}
-    procs: dict[int, list[int]] = {}
-    for post, cluster_index in zip(
-        result.occurrences.posts, result.occurrences.cluster_indices
-    ):
-        times.setdefault(int(cluster_index), []).append(post.timestamp)
-        procs.setdefault(int(cluster_index), []).append(
-            _COMMUNITY_INDEX[post.community]
+    posts = result.occurrences.posts
+    return {
+        result.cluster_keys[index]: EventSequence(
+            posts.timestamp[rows], posts.community[rows], horizon
         )
-    sequences: dict[ClusterKey, EventSequence] = {}
-    for cluster_index, t in times.items():
-        if len(t) < min_events:
-            continue
-        key = result.cluster_keys[cluster_index]
-        sequences[key] = EventSequence.from_unsorted(
-            np.array(t), np.array(procs[cluster_index]), horizon
-        )
-    return sequences
+        for index, rows in rows_by_group(
+            result.occurrences.cluster_indices, posts.timestamp
+        ).items()
+        if rows.size >= min_events
+    }
 
 
 @dataclass(frozen=True)
@@ -217,20 +206,27 @@ def ground_truth_influence(world, *, group: str | None = None) -> InfluenceMatri
         wanted = group.removeprefix("non_")
         if wanted not in ("racist", "politics"):
             raise ValueError(f"unknown group {group!r}")
+    posts = world.posts
+    keep = posts.root_community >= 0
+    if wanted is not None:
+        names, inverse = np.unique(
+            posts.template_name[keep].astype(str), return_inverse=True
+        )
+        entries = [world.catalog_entry(name) for name in names.tolist()]
+        in_group = np.array(
+            [
+                entry.is_racist if wanted == "racist" else entry.is_politics
+                for entry in entries
+            ],
+            dtype=bool,
+        )
+        keep[keep] = in_group[inverse] != complement
     k = len(COMMUNITIES)
+    sources = posts.root_community[keep].astype(np.intp)
+    destinations = posts.community[keep].astype(np.intp)
     expected = np.zeros((k, k))
-    counts = np.zeros(k, dtype=np.int64)
-    for post in world.posts:
-        if post.root_community is None:
-            continue
-        if wanted is not None:
-            entry = world.catalog_entry(post.template_name)
-            in_group = entry.is_racist if wanted == "racist" else entry.is_politics
-            if in_group == complement:
-                continue
-        destination = _COMMUNITY_INDEX[post.community]
-        counts[destination] += 1
-        expected[_COMMUNITY_INDEX[post.root_community], destination] += 1.0
+    np.add.at(expected, (sources, destinations), 1.0)
+    counts = np.bincount(destinations, minlength=k).astype(np.int64)
     return InfluenceMatrices(expected_events=expected, event_counts=counts)
 
 

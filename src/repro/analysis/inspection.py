@@ -72,16 +72,10 @@ def inspect_cluster(result: PipelineResult, key: ClusterKey) -> ClusterReport:
     n_images = int(clustering.counts[member_mask].sum())
 
     cluster_index = result.cluster_keys.index(key)
-    by_community: Counter[str] = Counter()
-    examples: list[str] = []
-    for post, index in zip(
-        result.occurrences.posts, result.occurrences.cluster_indices
-    ):
-        if int(index) != cluster_index:
-            continue
-        by_community[post.community] += 1
-        if len(examples) < 10 and post.image_id not in examples:
-            examples.append(post.image_id)
+    occurrences = result.occurrences
+    posts = occurrences.posts.take(occurrences.cluster_indices == cluster_index)
+    by_community = Counter(posts.community_names().tolist())
+    examples = list(dict.fromkeys(posts.image_id.tolist()))[:10]
 
     return ClusterReport(
         key=key,

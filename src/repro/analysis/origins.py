@@ -22,11 +22,9 @@ import numpy as np
 
 from repro.communities.models import COMMUNITIES
 from repro.core.results import ClusterKey, PipelineResult
+from repro.hawkes.model import rows_by_group
 
 __all__ = ["ClusterOrigin", "first_seen_origins", "origin_summary", "score_origin_methods"]
-
-_COMMUNITY_INDEX = {name: k for k, name in enumerate(COMMUNITIES)}
-
 
 @dataclass(frozen=True)
 class ClusterOrigin:
@@ -45,24 +43,18 @@ def first_seen_origins(result: PipelineResult) -> dict[ClusterKey, ClusterOrigin
     the first *observed* post need not be the cascade's root (crawling
     gaps, deletion, and cross-posting all reorder the record).
     """
-    earliest: dict[int, tuple[float, str]] = {}
-    counts: Counter[int] = Counter()
-    for post, index in zip(
-        result.occurrences.posts, result.occurrences.cluster_indices
-    ):
-        index = int(index)
-        counts[index] += 1
-        current = earliest.get(index)
-        if current is None or post.timestamp < current[0]:
-            earliest[index] = (post.timestamp, post.community)
+    occurrences = result.occurrences
     origins: dict[ClusterKey, ClusterOrigin] = {}
-    for index, (timestamp, community) in earliest.items():
+    # Each cluster's occurrence rows in time order: the first is earliest.
+    rows_of = rows_by_group(occurrences.cluster_indices, occurrences.posts.timestamp)
+    for index, rows in rows_of.items():
+        first = occurrences.posts[rows[0]]
         key = result.cluster_keys[index]
         origins[key] = ClusterOrigin(
             key=key,
-            community=community,
-            timestamp=timestamp,
-            n_posts=counts[index],
+            community=first.community,
+            timestamp=first.timestamp,
+            n_posts=int(rows.size),
         )
     return origins
 
@@ -96,46 +88,32 @@ def score_origin_methods(world, result: PipelineResult) -> dict[str, float]:
     from repro.hawkes.attribution import attribute_root_causes
     from repro.hawkes.fit import fit_hawkes_em
 
-    naive = first_seen_origins(result)
-    naive_hits = 0
-    naive_total = 0
-    for post, index in zip(
-        result.occurrences.posts, result.occurrences.cluster_indices
-    ):
-        if post.root_community is None:
-            continue
-        key = result.cluster_keys[int(index)]
-        naive_total += 1
-        if naive[key].community == post.root_community:
-            naive_hits += 1
+    posts = result.occurrences.posts
+    indices = result.occurrences.cluster_indices
+    rows_of = rows_by_group(indices, posts.timestamp)
+    # The first-seen community of every cluster, as a community code.
+    naive_code = np.full(len(result.cluster_keys), -1, dtype=np.int8)
+    for index, rows in rows_of.items():
+        naive_code[index] = posts.community[rows[0]]
+    rooted = posts.root_community >= 0
+    naive_total = int(rooted.sum())
+    naive_hits = int((naive_code[indices[rooted]] == posts.root_community[rooted]).sum())
 
     # Attribution mass on true roots, per event, over fitted clusters.
     sequences = cluster_event_sequences(
         result, world.config.horizon_days, min_events=10
     )
+    key_index = {key: index for index, key in enumerate(result.cluster_keys)}
     mass_total = 0.0
     mass_count = 0
     for key, sequence in sequences.items():
         fit = fit_hawkes_em([sequence], len(COMMUNITIES))
         roots = attribute_root_causes(fit.model, sequence)
-        # Align events back to posts of this cluster in time order.
-        cluster_posts = sorted(
-            (
-                post
-                for post, idx in zip(
-                    result.occurrences.posts, result.occurrences.cluster_indices
-                )
-                if result.cluster_keys[int(idx)] == key
-            ),
-            key=lambda p: p.timestamp,
-        )
-        for event, post in enumerate(cluster_posts):
-            if post.root_community is None:
-                continue
-            mass_total += float(
-                roots[event, _COMMUNITY_INDEX[post.root_community]]
-            )
-            mass_count += 1
+        # Events are the cluster's posts in time order: align them back.
+        true_roots = posts.root_community[rows_of[key_index[key]]]
+        events = np.flatnonzero(true_roots >= 0)
+        mass_total += float(roots[events, true_roots[events]].sum())
+        mass_count += int(events.size)
     return {
         "naive_accuracy": naive_hits / naive_total if naive_total else float("nan"),
         "attributed_mass": mass_total / mass_count if mass_count else float("nan"),

@@ -49,9 +49,7 @@ class TopEntryRow:
 def _occurrence_communities(
     result: PipelineResult, *, merge_the_donald: bool
 ) -> np.ndarray:
-    communities = np.array(
-        [post.community for post in result.occurrences.posts], dtype=object
-    )
+    communities = result.occurrences.posts.community_names()
     if merge_the_donald:
         communities = np.where(communities == "the_donald", "reddit", communities)
     return communities

@@ -59,20 +59,15 @@ def scores_by_group(
         member = result.occurrences.is_politics
     else:
         raise ValueError(f"unknown group {group!r}")
-    wanted = {community}
-    if merge_the_donald and community == "reddit":
-        wanted.add("the_donald")
-    in_scores: list[int] = []
-    out_scores: list[int] = []
-    for post, hit in zip(result.occurrences.posts, member):
-        if post.community not in wanted or post.score is None:
-            continue
-        (in_scores if hit else out_scores).append(post.score)
+    posts = result.occurrences.posts
+    scored = posts.in_community(
+        community, merge_the_donald=merge_the_donald
+    ) & posts.has_score()
     return ScoreSplit(
         community=community,
         group=group,
-        in_group=np.array(in_scores, dtype=np.float64),
-        out_group=np.array(out_scores, dtype=np.float64),
+        in_group=posts.score[scored & member].astype(np.float64),
+        out_group=posts.score[scored & ~member].astype(np.float64),
     )
 
 

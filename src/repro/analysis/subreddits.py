@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.results import PipelineResult
 
 __all__ = ["SubredditRow", "top_subreddits"]
@@ -48,17 +50,12 @@ def top_subreddits(
     elif group == "politics":
         member = result.occurrences.is_politics
     elif group == "all":
-        member = [True] * len(result.occurrences)
+        member = np.ones(len(result.occurrences), dtype=bool)
     else:
         raise ValueError(f"unknown group {group!r}")
-    total_in_group = 0
-    counter: Counter[str] = Counter()
-    for post, hit in zip(result.occurrences.posts, member):
-        if post.subreddit is None or not hit:
-            continue
-        total_in_group += 1
-        counter[post.subreddit] += 1
-    total = max(total_in_group, 1)
+    subreddits = result.occurrences.posts.subreddit
+    counter = Counter(subreddits[member & np.not_equal(subreddits, None)].tolist())
+    total = max(counter.total(), 1)
     return [
         SubredditRow(subreddit=name, posts=count, percent=100.0 * count / total)
         for name, count in counter.most_common(n)

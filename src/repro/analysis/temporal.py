@@ -78,14 +78,11 @@ def daily_meme_share(
         multiplier = 1.0 + world.profiles[community].text_post_multiplier
         totals[community] = max(image_posts * multiplier / n_days, 1e-9)
 
-    percent = {
-        community: np.zeros(n_days) for community in communities
-    }
-    for post, hit in zip(result.occurrences.posts, keep):
-        if not hit or post.community not in percent:
-            continue
-        day = min(int(post.timestamp), n_days - 1)
-        percent[post.community][day] += 1.0
+    posts = result.occurrences.posts
+    days_of = np.minimum(posts.timestamp.astype(np.int64), n_days - 1)
+    percent = {}
     for community in communities:
-        percent[community] = 100.0 * percent[community] / totals[community]
+        hits = days_of[keep & posts.in_community(community)]
+        counts = np.bincount(hits, minlength=n_days).astype(np.float64)
+        percent[community] = 100.0 * counts / totals[community]
     return DailySeries(days=days, percent_by_community=percent)

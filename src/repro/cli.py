@@ -660,7 +660,7 @@ def _serve_replay(world, result, args, faults) -> int:
     stream = (
         _load_stream(args.stream)
         if args.stream
-        else [post.phash for post in world.posts]
+        else list(world.posts.phash)
     )
     config = ServiceConfig(
         default_deadline_s=(

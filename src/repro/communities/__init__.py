@@ -14,6 +14,7 @@ from repro.communities.models import (
     FRINGE_COMMUNITIES,
     CommunityStats,
     Post,
+    PostTable,
 )
 from repro.communities.profiles import (
     CommunityProfile,
@@ -24,6 +25,7 @@ from repro.communities.world import SyntheticWorld, WorldConfig
 
 __all__ = [
     "Post",
+    "PostTable",
     "CommunityStats",
     "COMMUNITIES",
     "FRINGE_COMMUNITIES",

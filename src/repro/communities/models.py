@@ -1,30 +1,32 @@
 """Post and community data models.
 
-A :class:`Post` is one image-bearing submission on a community.  Ground
-truth fields (``template_name``, ``root_community``) record what the
-generator knows and the pipeline must rediscover; they are used only for
-evaluation.
+Posts live in a :class:`PostTable`: one numpy column per field, which is
+the shape the pipeline and the analysis layer consume (the paper's
+(timestamp, community, pHash, score, subreddit) tuples).  A
+:class:`Post` is the row view that indexing and iteration return, for
+callers that handle one post at a time.  Ground truth fields
+(``template_name``, ``root_community``) record what the generator knows
+and the pipeline must rediscover; they are used only for evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "COMMUNITIES",
     "FRINGE_COMMUNITIES",
-    "MAINSTREAM_COMMUNITIES",
     "DISPLAY_NAMES",
     "Post",
+    "PostTable",
     "CommunityStats",
 ]
 
 # Process ordering is fixed repo-wide; influence matrices follow it.
 COMMUNITIES: tuple[str, ...] = ("pol", "reddit", "twitter", "gab", "the_donald")
 FRINGE_COMMUNITIES: tuple[str, ...] = ("pol", "the_donald", "gab")
-MAINSTREAM_COMMUNITIES: tuple[str, ...] = ("reddit", "twitter")
 
 DISPLAY_NAMES: dict[str, str] = {
     "pol": "/pol/",
@@ -34,10 +36,16 @@ DISPLAY_NAMES: dict[str, str] = {
     "the_donald": "The_Donald",
 }
 
+# Column codes: communities are int8 positions in COMMUNITIES (-1 for a
+# missing root community); a missing score is the int64 minimum.
+_CODE = {None: -1, **{name: code for code, name in enumerate(COMMUNITIES)}}
+_NAMES = np.array(COMMUNITIES + (None,), dtype=object)  # _NAMES[-1] is None
+_NO_SCORE = np.iinfo(np.int64).min
+
 
 @dataclass(frozen=True)
 class Post:
-    """One image post.
+    """One image post: the row view of a :class:`PostTable`.
 
     Attributes
     ----------
@@ -77,6 +85,200 @@ class Post:
     def is_meme(self) -> bool:
         """Ground truth: whether the image derives from a meme template."""
         return self.template_name is not None
+
+
+_COLUMN_DTYPES: dict[str, type] = {
+    "phash": np.uint64,
+    "timestamp": np.float64,
+    "community": np.int8,
+    "root_community": np.int8,
+    "score": np.int64,
+    "image_id": object,
+    "subreddit": object,
+    "template_name": object,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class PostTable:
+    """Posts as aligned columns (struct of arrays).
+
+    Columns: ``phash`` (uint64), ``timestamp`` (float64), ``community``
+    and ``root_community`` (int8 codes into :data:`COMMUNITIES`, -1 for
+    ``None``), ``score`` (int64, the int64 minimum for ``None``), and
+    ``image_id``, ``subreddit`` and ``template_name`` (object arrays,
+    ``None`` where absent).  Slicing returns a table of column views;
+    ``table[i]`` and iteration return :class:`Post` rows.  Equality is
+    column-wise.  :meth:`to_columns`/:meth:`from_columns` are the one
+    serialised form (NPZ files, the stream checkpoint, WAL records).
+    """
+
+    phash: np.ndarray
+    timestamp: np.ndarray
+    community: np.ndarray
+    root_community: np.ndarray
+    score: np.ndarray
+    image_id: np.ndarray
+    subreddit: np.ndarray
+    template_name: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.phash.shape[0]
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = getattr(self, name)
+            if column.dtype != dtype or column.shape != (n,):
+                raise ValueError(
+                    f"post column {name!r} must be a 1-D {np.dtype(dtype)} "
+                    f"array of length {n}, got {column.dtype} {column.shape}"
+                )
+
+    # -- construction ---------------------------------------------------
+
+    @classmethod
+    def from_columns(cls, columns: dict) -> "PostTable":
+        """The table of a :meth:`to_columns` dict (columns are not copied
+        when their dtype already matches)."""
+        missing = set(_COLUMN_DTYPES) - set(columns)
+        if missing:
+            raise ValueError(f"post columns missing: {sorted(missing)}")
+        return cls(
+            **{
+                name: np.asarray(columns[name], dtype=dtype)
+                for name, dtype in _COLUMN_DTYPES.items()
+            }
+        )
+
+    @classmethod
+    def from_rows(cls, posts) -> "PostTable":
+        """Convert a sequence of :class:`Post` rows (world generation)."""
+        posts = list(posts)
+        by_name = {
+            f.name: [getattr(row, f.name) for row in posts] for f in fields(Post)
+        }
+        columns = {
+            "phash": np.array(by_name["phash"], dtype=np.uint64),
+            "timestamp": np.array(by_name["timestamp"], dtype=np.float64),
+            "community": np.array(
+                [_CODE[name] for name in by_name["community"]], dtype=np.int8
+            ),
+            "root_community": np.array(
+                [_CODE[name] for name in by_name["root_community"]], dtype=np.int8
+            ),
+            "score": np.array(
+                [_NO_SCORE if s is None else s for s in by_name["score"]],
+                dtype=np.int64,
+            ),
+        }
+        for name in ("image_id", "subreddit", "template_name"):
+            column = np.empty(len(posts), dtype=object)
+            column[:] = by_name[name]
+            columns[name] = column
+        return cls(**columns)
+
+    @classmethod
+    def empty(cls) -> "PostTable":
+        return cls(
+            **{name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
+        )
+
+    @classmethod
+    def concat(cls, tables) -> "PostTable":
+        """Rows of ``tables`` in order, as one table."""
+        tables = [table for table in tables if len(table)]
+        if len(tables) == 1:
+            return tables[0]
+        if not tables:
+            return cls.empty()
+        return cls(
+            **{
+                name: np.concatenate([getattr(table, name) for table in tables])
+                for name in _COLUMN_DTYPES
+            }
+        )
+
+    def to_columns(self) -> dict[str, np.ndarray]:
+        """The columns by name: the one serialised form of posts."""
+        return {name: getattr(self, name) for name in _COLUMN_DTYPES}
+
+    # -- rows and row sets ------------------------------------------------
+
+    def __len__(self) -> int:
+        return int(self.phash.shape[0])
+
+    def __getitem__(self, index):
+        """A :class:`Post` for an integer, else :meth:`take` (slices are views)."""
+        if not isinstance(index, (int, np.integer)):
+            return self.take(index)
+        score = self.score[index]
+        return Post(
+            community=COMMUNITIES[self.community[index]],
+            timestamp=float(self.timestamp[index]),
+            phash=self.phash[index],
+            image_id=self.image_id[index],
+            score=None if score == _NO_SCORE else int(score),
+            subreddit=self.subreddit[index],
+            template_name=self.template_name[index],
+            root_community=_NAMES[self.root_community[index]],
+        )
+
+    def __iter__(self):
+        return (self[index] for index in range(len(self)))
+
+    def take(self, indices) -> "PostTable":
+        """The rows at ``indices``: positions, a boolean mask or a slice."""
+        return PostTable(
+            **{name: column[indices] for name, column in self.to_columns().items()}
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PostTable):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMN_DTYPES
+        )
+
+    # -- column views -----------------------------------------------------
+
+    def in_community(
+        self, community: str, *, merge_the_donald: bool = False
+    ) -> np.ndarray:
+        """Row mask of one community's posts.
+
+        With ``merge_the_donald=True``, ``"reddit"`` includes The_Donald
+        (dataset-level Reddit, as in Tables 1/4/6).
+        """
+        mask = self.community == _CODE[community]
+        if merge_the_donald and community == "reddit":
+            mask |= self.community == _CODE["the_donald"]
+        return mask
+
+    def community_names(self) -> np.ndarray:
+        """The ``community`` column as names (an object array)."""
+        return _NAMES[self.community]
+
+    def has_score(self) -> np.ndarray:
+        return self.score != _NO_SCORE
+
+    def is_meme(self) -> np.ndarray:
+        """Ground truth per row: the image derives from a meme template."""
+        return np.not_equal(self.template_name, None)
+
+    def group_by_community(self) -> dict[str, np.ndarray]:
+        """Row positions per community, ascending within each community.
+
+        One stable sort of the ``community`` codes; every community of
+        :data:`COMMUNITIES` is a key, with an empty array when it has no
+        rows.
+        """
+        order = np.argsort(self.community, kind="stable")
+        bounds = np.searchsorted(
+            self.community[order], np.arange(len(COMMUNITIES) + 1)
+        )
+        return {
+            name: order[bounds[code] : bounds[code + 1]]
+            for code, name in enumerate(COMMUNITIES)
+        }
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ Generation recipe (per DESIGN.md):
 3. Simulate each entry's cascade exactly (branching sampler), modulated
    by real-world-event windows (the 2016 election, the presidential
    debate) and per-community activity ramps (Gab's growth).
-4. Materialise each event as a :class:`Post` with an image drawn from the
-   entry's :class:`VariantPool` (Zipf-reused, so pHashes repeat), a vote
-   score where the platform has one, and a subreddit on Reddit.
+4. Materialise each event as a :class:`Post` row with an image drawn
+   from the entry's :class:`VariantPool` (Zipf-reused, so pHashes
+   repeat), a vote score where the platform has one, and a subreddit on
+   Reddit.  The sorted rows become the world's :class:`PostTable` once.
 5. Add one-off noise images per community so that the unique-hash noise
    ratio lands in the paper's DBSCAN-noise band (Table 2).
 
@@ -34,7 +35,12 @@ from repro.annotation.kym import (
     library_for_catalog,
     random_one_off_image,
 )
-from repro.communities.models import COMMUNITIES, CommunityStats, Post
+from repro.communities.models import (
+    COMMUNITIES,
+    CommunityStats,
+    Post,
+    PostTable,
+)
 from repro.communities.profiles import (
     LONG_TAIL_SUBREDDIT,
     CommunityProfile,
@@ -121,7 +127,7 @@ class SyntheticWorld:
         catalog: tuple[CatalogEntry, ...],
         library: TemplateLibrary,
         kym_site: KYMSite,
-        posts: list[Post],
+        posts: PostTable,
         entry_simulations: dict[str, SimulationResult],
         entry_models: dict[str, HawkesModel],
         profiles: dict[str, CommunityProfile],
@@ -144,7 +150,9 @@ class SyntheticWorld:
         """Look up a catalog entry by name."""
         return self._catalog_by_name[name]
 
-    def posts_of(self, community: str, *, merge_the_donald: bool = False) -> list[Post]:
+    def posts_of(
+        self, community: str, *, merge_the_donald: bool = False
+    ) -> PostTable:
         """Posts of one community.
 
         With ``merge_the_donald=True`` and ``community="reddit"``,
@@ -153,18 +161,13 @@ class SyntheticWorld:
         """
         if community not in COMMUNITIES:
             raise ValueError(f"unknown community {community!r}")
-        wanted = {community}
-        if merge_the_donald and community == "reddit":
-            wanted.add("the_donald")
-        return [post for post in self.posts if post.community in wanted]
+        return self.posts.take(
+            self.posts.in_community(community, merge_the_donald=merge_the_donald)
+        )
 
     def unique_hashes_of(self, community: str) -> np.ndarray:
         """Unique image pHashes posted on a community (clustering input)."""
-        hashes = np.array(
-            [post.phash for post in self.posts if post.community == community],
-            dtype=np.uint64,
-        )
-        return np.unique(hashes) if hashes.size else hashes
+        return np.unique(self.posts_of(community).phash)
 
     def community_stats(self) -> list[CommunityStats]:
         """Table 1 volumetrics (The_Donald folded into Reddit, as in the paper)."""
@@ -173,8 +176,8 @@ class SyntheticWorld:
             posts = self.posts_of(community, merge_the_donald=True)
             profile = self.profiles[community]
             n_with_images = len(posts)
-            n_images = len({post.image_id for post in posts})
-            n_unique = len({int(post.phash) for post in posts})
+            n_images = len(set(posts.image_id.tolist()))
+            n_unique = int(np.unique(posts.phash).size)
             n_posts = int(round(n_with_images * (1.0 + profile.text_post_multiplier)))
             rows.append(
                 CommunityStats(
@@ -204,11 +207,8 @@ class SyntheticWorld:
 
     def ground_truth_sources(self) -> dict[int, str]:
         """Map ``hash -> template name`` for every meme image (evaluation)."""
-        sources: dict[int, str] = {}
-        for post in self.posts:
-            if post.template_name is not None:
-                sources[int(post.phash)] = post.template_name
-        return sources
+        memes = self.posts.take(self.posts.is_meme())
+        return dict(zip(memes.phash.tolist(), memes.template_name.tolist()))
 
     # ------------------------------------------------------------------
     # Generation
@@ -288,7 +288,7 @@ class SyntheticWorld:
             catalog=catalog,
             library=library,
             kym_site=kym_site,
-            posts=posts,
+            posts=PostTable.from_rows(posts),
             entry_simulations=entry_simulations,
             entry_models=entry_models,
             profiles=profiles,

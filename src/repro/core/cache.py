@@ -50,13 +50,14 @@ __all__ = [
     "CacheStats",
     "ContentCache",
     "fingerprint",
-    "fingerprint_array",
+    "kym_fingerprint",
+    "library_fingerprint",
 ]
 
 # Bump when a cached computation's semantics or stored form change:
 # every key embeds this, so old entries become unreachable instead of
 # silently wrong.
-CODE_VERSION = "repro-cache|v3"
+CODE_VERSION = "repro-cache|v4"
 
 _CHECKPOINT_PREFIX = "repro-cache-entry"
 
@@ -106,15 +107,9 @@ def _update_hasher(hasher, value) -> None:
         for f in fields(value):
             _update_hasher(hasher, f.name)
             _update_hasher(hasher, getattr(value, f.name))
-    elif isinstance(getattr(value, "__dict__", None), dict):
-        # Plain objects: hash their attribute dict (sorted), same
-        # hash-randomization rationale as the dataclass branch.
-        hasher.update(b"\x00O" + type(value).__qualname__.encode())
-        _update_hasher(hasher, vars(value))
     else:
-        # Remaining picklable objects (slotted classes without state
-        # dicts, builtins).  Pickle bytes are deterministic for a fixed
-        # object graph within one interpreter generation; a
+        # Remaining picklable objects.  Pickle bytes are deterministic
+        # for a fixed object graph within one interpreter generation; a
         # representation change across versions can only cause a miss,
         # never a wrong hit.
         hasher.update(b"\x00P" + pickle.dumps(value, protocol=5))
@@ -128,9 +123,55 @@ def fingerprint(*parts) -> str:
     return hasher.hexdigest()
 
 
-def fingerprint_array(array: np.ndarray) -> str:
-    """sha256 hex digest of one array's dtype, shape, and contents."""
-    return fingerprint(np.asarray(array))
+def kym_fingerprint(entries) -> str:
+    """sha256 hex digest of KYM entries, one hasher update per column.
+
+    Covers all the screenshot filter and the annotator read: gallery
+    ``phash`` and ``is_screenshot`` columns, per-entry gallery lengths,
+    kept rasters and the entry metadata, whose sets are sorted so that
+    ``PYTHONHASHSEED`` cannot change the digest.
+    """
+    entries = list(entries)
+    images = [image for entry in entries for image in entry.gallery]
+    metadata = [
+        (
+            entry.name,
+            entry.category,
+            sorted(entry.tags),
+            sorted(entry.people),
+            sorted(entry.cultures),
+            entry.origin,
+            entry.year,
+            entry.template_names,
+        )
+        for entry in entries
+    ]
+    hasher = hashlib.sha256(b"kym-entries")
+    hasher.update(
+        np.array([len(entry.gallery) for entry in entries], dtype=np.int64)
+    )
+    hasher.update(np.array([image.phash for image in images], dtype=np.uint64))
+    hasher.update(
+        np.array([image.is_screenshot for image in images], dtype=np.bool_)
+    )
+    hasher.update(
+        repr((metadata, [image.template_name for image in images])).encode()
+    )
+    for position, image in enumerate(images):
+        if image.image is not None:
+            _update_hasher(hasher, position)
+            _update_hasher(hasher, image.image)
+    return hasher.hexdigest()
+
+
+def library_fingerprint(library) -> str:
+    """sha256 hex digest of the templates (names, families, scene ops)
+    that the screenshot classifier renders, in one update."""
+    templates = [
+        (t.name, t.family, [(op.kind, op.params) for op in t.ops])
+        for t in library or ()
+    ]
+    return hashlib.sha256(b"template-library" + repr(templates).encode()).hexdigest()
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.annotation.kym import KYMSite
 from repro.annotation.screenshots import ScreenshotClassifier, build_screenshot_dataset
 from repro.clustering.dbscan import dbscan_from_neighbors
 from repro.clustering.medoid import medoids_by_cluster
-from repro.communities.models import Post
+from repro.communities.models import PostTable
 from repro.core.config import PipelineConfig
 from repro.core.results import CommunityClustering, PipelineResult
 from repro.hashing.index import NeighborGraph
@@ -42,7 +42,7 @@ __all__ = [
 
 def cluster_community(
     community: str,
-    posts: list[Post],
+    posts: PostTable,
     config: PipelineConfig,
     *,
     parallel=None,
@@ -53,10 +53,7 @@ def cluster_community(
     the radius-neighbourhood computation; labels are identical for any
     worker count.
     """
-    image_hashes = np.array(
-        [post.phash for post in posts if post.community == community],
-        dtype=np.uint64,
-    )
+    image_hashes = posts.phash[posts.in_community(community)]
     unique, counts = np.unique(image_hashes, return_counts=True)
     neighbors = radius_neighbors(
         unique, config.clustering_eps, parallel=parallel

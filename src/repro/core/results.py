@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.annotation.matcher import ClusterAnnotation
 from repro.clustering.dbscan import NOISE, DBSCANResult
-from repro.communities.models import Post
+from repro.communities.models import PostTable
 from repro.core.cache import CacheStats
 from repro.utils.parallel import ExecutionReport
 
@@ -152,12 +152,12 @@ class CommunityClustering:
 class OccurrenceTable:
     """Flat table of meme occurrences (Step 6 output), column-oriented.
 
-    One row per post whose image matched an annotated cluster.  Columns
-    are aligned numpy arrays / lists for cheap group-bys in the analysis
-    layer.
+    One row per post whose image matched an annotated cluster: the
+    matched rows of the post table, plus aligned per-occurrence columns
+    for cheap group-bys in the analysis layer.
     """
 
-    posts: list[Post]
+    posts: PostTable
     cluster_indices: np.ndarray  # index into PipelineResult.cluster_keys
     entry_names: list[str]  # representative KYM entry per occurrence
     is_racist: np.ndarray
@@ -176,12 +176,6 @@ class OccurrenceTable:
 
     def __len__(self) -> int:
         return len(self.posts)
-
-    def communities(self) -> np.ndarray:
-        return np.array([post.community for post in self.posts], dtype=object)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([post.timestamp for post in self.posts])
 
 
 @dataclass(frozen=True)

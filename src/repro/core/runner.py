@@ -60,7 +60,14 @@ from repro.annotation.association import (
 )
 from repro.annotation.matcher import annotate_clusters
 from repro.clustering.dbscan import dbscan
-from repro.core.cache import CacheStats, ContentCache, fingerprint
+from repro.communities.models import PostTable
+from repro.core.cache import (
+    CacheStats,
+    ContentCache,
+    fingerprint,
+    kym_fingerprint,
+    library_fingerprint,
+)
 from repro.core.config import PipelineConfig
 from repro.core.faults import FaultInjector
 from repro.hashing.pairwise import merge_radius_neighbors, radius_neighbors
@@ -91,7 +98,7 @@ STAGES = ("cluster", "screenshot-filter", "annotate", "associate")
 
 
 def build_occurrence_table(
-    posts: list,
+    posts: PostTable,
     annotations: dict[ClusterKey, object],
     cluster_keys: list[ClusterKey],
     association: AssociationResult,
@@ -106,32 +113,21 @@ def build_occurrence_table(
     being equal.
     """
     matched = association.cluster_ids >= 0
-    matched_posts = [post for post, hit in zip(posts, matched) if hit]
-    cluster_indices = association.cluster_ids[matched]
-    entry_names = [
-        annotations[cluster_keys[index]].representative
-        for index in cluster_indices
-    ]
-    is_racist = np.array(
-        [
-            annotations[cluster_keys[index]].is_racist
-            for index in cluster_indices
-        ],
-        dtype=bool,
-    )
-    is_politics = np.array(
-        [
-            annotations[cluster_keys[index]].is_politics
-            for index in cluster_indices
-        ],
-        dtype=bool,
+    cluster_indices = np.asarray(association.cluster_ids[matched], dtype=np.int64)
+    catalogue = [annotations[key] for key in cluster_keys]
+    representatives = np.array(
+        [annotation.representative for annotation in catalogue], dtype=object
     )
     return OccurrenceTable(
-        posts=matched_posts,
-        cluster_indices=np.asarray(cluster_indices, dtype=np.int64),
-        entry_names=entry_names,
-        is_racist=is_racist,
-        is_politics=is_politics,
+        posts=posts.take(matched),
+        cluster_indices=cluster_indices,
+        entry_names=representatives[cluster_indices].tolist(),
+        is_racist=np.array(
+            [annotation.is_racist for annotation in catalogue], dtype=bool
+        )[cluster_indices],
+        is_politics=np.array(
+            [annotation.is_politics for annotation in catalogue], dtype=bool
+        )[cluster_indices],
     )
 
 
@@ -227,6 +223,10 @@ class PipelineRunner:
         options: RunnerOptions | None = None,
     ) -> None:
         self.world = world
+        # Worlds built outside the generator may hold Post rows.
+        self.posts = world.posts
+        if not isinstance(self.posts, PostTable):
+            self.posts = PostTable.from_rows(self.posts)
         self.config = config or PipelineConfig()
         self.options = options or RunnerOptions()
         self.parallel = resolve_parallel(self.options.parallel)
@@ -333,11 +333,13 @@ class PipelineRunner:
 
         The cache slot is keyed by the computation's identity
         (community + eps + min_samples); its value carries the
-        input fingerprint plus the radius neighbourhoods (a
+        input fingerprint, the radius neighbourhoods (a
         :class:`repro.hashing.index.NeighborGraph`) — the expensive
-        part.  Three outcomes:
+        part — and the clustering derived from them.  Four outcomes:
 
-        * **full hit** — identical unique hashes and counts: reuse the
+        * **full hit** — identical unique hashes and counts: return the
+          stored clustering;
+        * **counts changed** — identical unique hashes: reuse the
           stored neighbourhoods outright;
         * **delta** — the previous unique hashes are a subset of
           today's: index only the added hashes and merge
@@ -345,25 +347,18 @@ class PipelineRunner:
           identical to a cold recompute);
         * **miss** — compute cold and store.
 
-        DBSCAN labels and medoids are always re-derived from the
-        neighbourhoods (cheap, deterministic), so every path yields the
-        exact arrays a cold :func:`repro.core.pipeline.cluster_community`
-        call would.
+        Outside a full hit, DBSCAN labels and medoids are re-derived
+        from the neighbourhoods (deterministic), so every path yields
+        the exact arrays a cold
+        :func:`repro.core.pipeline.cluster_community` call would.
         """
         from repro.core.pipeline import cluster_community, clustering_from_neighbors
 
         if self.cache is None:
             return cluster_community(
-                community, self.world.posts, self.config, parallel=self.parallel
+                community, self.posts, self.config, parallel=self.parallel
             )
-        image_hashes = np.array(
-            [
-                post.phash
-                for post in self.world.posts
-                if post.community == community
-            ],
-            dtype=np.uint64,
-        )
+        image_hashes = self.posts.phash[self.posts.in_community(community)]
         if image_hashes.size == 0:
             return self._empty_clustering(community)
         unique, counts = np.unique(image_hashes, return_counts=True)
@@ -377,12 +372,14 @@ class PipelineRunner:
         input_fp = fingerprint(unique, counts)
         stats = self.cache.stats
         hit, stored = self.cache.get(slot, count=False)
+        if hit and stored["input_fp"] == input_fp:
+            stats.hits += 1
+            stats.note_delta(f"cluster:{community}:reused", int(unique.size))
+            return stored["clustering"]
         neighbors = None
         if hit:
-            prev_unique = stored["unique"]
-            if stored["input_fp"] == input_fp or np.array_equal(
-                prev_unique, unique
-            ):
+            prev_unique = stored["clustering"].unique_hashes
+            if np.array_equal(prev_unique, unique):
                 # Neighbourhoods depend only on the unique hashes, so a
                 # counts-only change still reuses them fully.
                 neighbors = stored["neighbors"]
@@ -412,17 +409,14 @@ class PipelineRunner:
             neighbors = radius_neighbors(
                 unique, config.clustering_eps, parallel=self.parallel
             )
-        if not hit or stored["input_fp"] != input_fp:
-            self.cache.put(
-                slot,
-                {
-                    "input_fp": input_fp,
-                    "unique": unique,
-                    "counts": counts,
-                    "neighbors": neighbors,
-                },
-            )
-        return clustering_from_neighbors(community, unique, counts, neighbors, config)
+        clustering = clustering_from_neighbors(
+            community, unique, counts, neighbors, config
+        )
+        self.cache.put(
+            slot,
+            {"input_fp": input_fp, "neighbors": neighbors, "clustering": clustering},
+        )
+        return clustering
 
     def _cluster_stage(self, report: StageReport) -> dict:
         """Steps 2-3 per fringe community, with per-community quarantine."""
@@ -468,8 +462,8 @@ class PipelineRunner:
                 "screenshot",
                 self.config.screenshot_filter,
                 self._seed(),
-                self.world.kym_site.entries,
-                getattr(self.world, "library", None),
+                kym_fingerprint(self.world.kym_site),
+                library_fingerprint(getattr(self.world, "library", None)),
             )
             hit, payload = self.cache.get(cache_key)
             if hit:
@@ -550,7 +544,7 @@ class PipelineRunner:
                 self.config.theta,
                 bool(exclude_screenshots),
                 medoid_map,
-                self.world.kym_site.entries,
+                kym_fingerprint(self.world.kym_site),
             )
             hit, payload = self.cache.get(cache_key)
             if hit:
@@ -594,7 +588,7 @@ class PipelineRunner:
         """Step 6's association, sharded per community when parallel.
 
         ``all_hashes`` are the hashes of the posts
-        ``world.posts[first_post:]``, in order (a cache delta passes only
+        ``posts[first_post:]``, in order (a cache delta passes only
         the appended suffix).
 
         Each post's match depends only on its own hash, so splitting the
@@ -614,11 +608,13 @@ class PipelineRunner:
             return associate_hashes(
                 all_hashes, medoid_by_global, theta=self.config.theta
             )
-        posts = self.world.posts[first_post : first_post + all_hashes.size]
-        groups: dict[str, list[int]] = {}
-        for position, post in enumerate(posts):
-            groups.setdefault(post.community, []).append(position)
-        ordered = [np.asarray(idx, dtype=np.int64) for idx in groups.values()]
+        posts = self.posts[first_post : first_post + all_hashes.size]
+        groups = {
+            community: rows
+            for community, rows in posts.group_by_community().items()
+            if rows.size
+        }
+        ordered = list(groups.values())
         sup = Executor(self.parallel).supervised_starmap(
             _associate_community_shard,
             [
@@ -737,14 +733,11 @@ class PipelineRunner:
                 index: int(annotations[key].medoid_hash)
                 for index, key in enumerate(cluster_keys)
             }
-            all_hashes = np.array(
-                [post.phash for post in self.world.posts], dtype=np.uint64
-            )
             association = self._associate_cached(
-                all_hashes, medoid_by_global, report
+                self.posts.phash, medoid_by_global, report
             )
             return build_occurrence_table(
-                self.world.posts, annotations, cluster_keys, association
+                self.posts, annotations, cluster_keys, association
             )
 
         try:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.terms import SequenceTerms
 
-__all__ = ["EventSequence", "HawkesModel"]
+__all__ = ["EventSequence", "HawkesModel", "rows_by_group"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,25 @@ class EventSequence:
         processes = np.asarray(processes, dtype=np.int64)
         order = np.argsort(times, kind="stable")
         return cls(times=times[order], processes=processes[order], horizon=horizon)
+
+
+def rows_by_group(groups: np.ndarray, times: np.ndarray) -> dict[int, np.ndarray]:
+    """Row positions per group id, each in time order (ties in row order).
+
+    One stable sort over (group, time); groups are keyed in order of
+    their first row.  ``times[rows]`` is then what
+    :meth:`EventSequence.from_unsorted` would sort each group's times to.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    order = np.lexsort((times, groups))
+    ids, starts, sizes = np.unique(
+        groups[order], return_index=True, return_counts=True
+    )
+    _, first = np.unique(groups, return_index=True)
+    return {
+        int(ids[k]): order[starts[k] : starts[k] + sizes[k]]
+        for k in np.argsort(first, kind="stable")
+    }
 
 
 @dataclass(frozen=True)

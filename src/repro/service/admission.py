@@ -79,29 +79,29 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return len(self._items)
 
+    def admissible(self, n: int) -> int:
+        """How many of ``n`` arrivals the watermark rule admits now.
+
+        An arrival is admitted while depth is below both bounds;
+        admission only grows depth, so a burst splits into an admitted
+        prefix of this length and a shed suffix.
+        """
+        bounds = [b for b in (self.max_depth, self.shed_watermark) if b is not None]
+        if not bounds:
+            return n
+        return max(0, min(n, min(bounds) - len(self)))
+
     def offer_many(self, items) -> list[AdmissionDecision]:
         """Admit a burst or shed it, deterministically by current depth.
 
-        An item is admitted while depth is below both bounds; admission
-        only grows depth, so the burst splits into an admitted prefix
-        and a shed suffix.  Rejections do not change depth, so every
-        shed decision in one burst is the same decision: ``queue-full``
-        at ``max_depth``, else ``queue-watermark``.
+        The burst's :meth:`admissible` prefix is enqueued.  Rejections do
+        not change depth, so every shed decision in one burst is the
+        same decision: ``queue-full`` at ``max_depth``, else
+        ``queue-watermark``.
         """
         items = list(items)
+        capacity = self.admissible(len(items))
         depth = len(self._items)
-        limit = None
-        if self.max_depth is not None:
-            limit = self.max_depth
-        if self.shed_watermark is not None:
-            limit = (
-                self.shed_watermark
-                if limit is None
-                else min(limit, self.shed_watermark)
-            )
-        capacity = (
-            len(items) if limit is None else max(0, min(len(items), limit - depth))
-        )
         decisions: list[AdmissionDecision] = []
         for position in range(capacity):
             self._items.append(items[position])

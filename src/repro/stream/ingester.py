@@ -37,11 +37,17 @@ state at any compaction point equals a cold batch
 ``stream-chaos-smoke`` CI job, through SIGKILLs at every injected
 site).
 
-Overload safety comes from a bounded admission buffer reusing the
-:class:`repro.service.admission.AdmissionQueue` watermark-shedding
-pattern: shed events are *not* lost — the cursor re-reads them — they
-are just deferred, which is what bounds memory under a producer that
-outruns the ingester.
+Overload safety comes from a bounded admission buffer under the
+:class:`repro.service.admission.AdmissionQueue` watermark rule: shed
+events are *not* lost — the cursor re-reads them — they are just
+deferred, which is what bounds memory under a producer that outruns the
+ingester.
+
+Events travel as :class:`~repro.communities.models.PostTable` slices
+end to end: a WAL record is one batch's :meth:`PostTable.to_columns`,
+and the applied posts and their association live in column buffers
+whose capacity doubles, so a long stream copies each event a bounded
+number of times.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from repro.annotation.association import (
     associate_hashes,
 )
 from repro.annotation.matcher import annotate_clusters
-from repro.communities.models import COMMUNITIES, FRINGE_COMMUNITIES, Post
+from repro.communities.models import COMMUNITIES, FRINGE_COMMUNITIES, PostTable
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import clustering_from_neighbors, replay_gallery_flags
 from repro.core.results import (
@@ -71,10 +77,10 @@ from repro.core.runner import build_occurrence_table
 from repro.hashing.index import NeighborGraph
 from repro.hashing.pairwise import delta_pairs, ranked_graph
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
-from repro.hawkes.model import EventSequence
+from repro.hawkes.model import EventSequence, rows_by_group
 from repro.service.admission import AdmissionQueue
 from repro.stream.config import StreamConfig
-from repro.stream.wal import WriteAheadLog
+from repro.stream.wal import WALError, WriteAheadLog
 from repro.utils.io import (
     CheckpointLock,
     load_checkpoint,
@@ -182,60 +188,86 @@ def state_equals(a: PipelineResult, b: PipelineResult) -> bool:
     )
 
 
-def _encode_posts(
-    posts: list, phash: np.ndarray, timestamp: np.ndarray
-) -> dict:
-    """Columnar checkpoint form of the post list.
+class _EventBuffer(AdmissionQueue):
+    """The ingester's admission buffer: pending events as one post table.
 
-    One list/array per field pickles orders of magnitude flatter than
-    one frozen dataclass instance per post; the maintained phash /
-    timestamp columns ride along as-is.
+    Depth counts events, and a burst is admitted by the queue's
+    watermark rule (:meth:`AdmissionQueue.admissible`), so admission
+    never builds a row per event.
     """
-    return {
-        "phash": phash,
-        "timestamp": timestamp,
-        "community": [post.community for post in posts],
-        "image_id": [post.image_id for post in posts],
-        "score": [post.score for post in posts],
-        "subreddit": [post.subreddit for post in posts],
-        "template_name": [post.template_name for post in posts],
-        "root_community": [post.root_community for post in posts],
-    }
+
+    def __init__(self, **bounds) -> None:
+        super().__init__(**bounds)
+        self._items = PostTable.empty()
+
+    def offer(self, events: PostTable) -> int:
+        """Enqueue the admissible prefix of ``events``; returns its length."""
+        admitted = self.admissible(len(events))
+        self._items = PostTable.concat([self._items, events[:admitted]])
+        self.peak_depth = max(self.peak_depth, len(self._items))
+        return admitted
+
+    def pop_batch(self, size: int) -> PostTable:
+        """Dequeue up to ``size`` of the oldest events."""
+        batch, self._items = self._items[:size], self._items[size:]
+        return batch
+
+    def clear(self) -> None:
+        self._items = PostTable.empty()
 
 
-def _decode_posts(columns: dict) -> list:
-    """Inverse of :func:`_encode_posts` — rebuilds the ``Post`` list."""
-    return [
-        Post(
-            community=community,
-            timestamp=float(timestamp),
-            phash=np.uint64(phash),
-            image_id=image_id,
-            score=score,
-            subreddit=subreddit,
-            template_name=template_name,
-            root_community=root_community,
+class _ColumnBuffer:
+    """Aligned 1-D columns that grow by appending, capacity doubling.
+
+    ``buffer[name]`` is a view of the filled prefix.  An append copies
+    only its own rows unless the capacity runs out, and then every
+    column is copied once into twice the space, so ``k`` appends
+    reallocate O(log k) times (counted in :attr:`reallocations`).
+    Views taken earlier stay valid: rows past their end are the only
+    ones an append writes.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        self._data = {name: np.asarray(values) for name, values in columns.items()}
+        self.size = len(next(iter(self._data.values())))
+        self.reallocations = 0
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._data[name][: self.size]
+
+    def view(self) -> dict[str, np.ndarray]:
+        return {name: data[: self.size] for name, data in self._data.items()}
+
+    def __setitem__(self, name: str, values: np.ndarray) -> None:
+        """Overwrite a column's filled prefix."""
+        self._data[name][: self.size] = values
+
+    def append(self, columns: dict[str, np.ndarray]) -> None:
+        end = self.size + len(next(iter(columns.values())))
+        capacity = len(next(iter(self._data.values())))
+        if end > capacity:
+            capacity = max(end, 2 * capacity)
+            for name, data in self._data.items():
+                grown = np.empty(capacity, dtype=data.dtype)
+                grown[: self.size] = data[: self.size]
+                self._data[name] = grown
+            self.reallocations += 1
+        for name, values in columns.items():
+            self._data[name][self.size : end] = values
+        self.size = end
+
+
+def _batch_of(record) -> PostTable:
+    """The posts of one WAL record, or a :class:`WALError` for a record
+    written in the format before post tables."""
+    columns = record.get("posts") if isinstance(record, dict) else None
+    if not isinstance(columns, dict):
+        raise WALError(
+            "WAL record holds a list of Post rows: the pre-columnar format "
+            "written before post tables. Replay reads PostTable column "
+            "records only; re-ingest into an empty WAL directory."
         )
-        for (
-            community,
-            timestamp,
-            phash,
-            image_id,
-            score,
-            subreddit,
-            template_name,
-            root_community,
-        ) in zip(
-            columns["community"],
-            columns["timestamp"],
-            columns["phash"],
-            columns["image_id"],
-            columns["score"],
-            columns["subreddit"],
-            columns["template_name"],
-            columns["root_community"],
-        )
-    ]
+    return PostTable.from_columns(columns)
 
 
 class StreamIngester:
@@ -284,16 +316,19 @@ class StreamIngester:
         self.parallel = parallel
         self.report = StreamReport()
         self.wal_dir = Path(stream.wal_dir)
-        self.buffer = AdmissionQueue(
+        self.buffer = _EventBuffer(
             max_depth=stream.max_buffer, shed_watermark=stream.shed_watermark
         )
         # --- online state ---
-        self.posts: list = []
-        # Maintained post columns (phash / timestamp), appended per
-        # batch so compaction and the Hawkes refit never rebuild them
-        # with a per-post Python scan.
-        self._phash_all = np.empty(0, dtype=np.uint64)
-        self._ts_all = np.empty(0, dtype=np.float64)
+        # The applied posts' columns plus their association (cluster
+        # index and distance per post), grown per batch.
+        self._columns = _ColumnBuffer(
+            {
+                **PostTable.empty().to_columns(),
+                "assoc_ids": np.empty(0, dtype=np.int64),
+                "assoc_dists": np.empty(0, dtype=np.int64),
+            }
+        )
         # Per-community neighbourhood state in *append* (first-seen)
         # order: the hashes, their counts, and the (row, col) pairs as
         # chunks, one per batch's delta_pairs() call; the sorted
@@ -318,8 +353,6 @@ class StreamIngester:
         self._annotations: dict[ClusterKey, object] = {}
         self._cluster_keys: list[ClusterKey] = []
         self._medoid_by_global: dict[int, int] = {}
-        self._assoc_ids = np.empty(0, dtype=np.int64)
-        self._assoc_dists = np.empty(0, dtype=np.int64)
         self._hawkes = None
         # Lazy Hawkes: automatic compactions only mark the fit stale
         # (the model is not part of the streamed-equals-batch invariant
@@ -357,7 +390,7 @@ class StreamIngester:
         """
         world_config = getattr(self.world, "config", None)
         return (
-            "stream-v3|"
+            "stream-v4|"
             f"seed={getattr(world_config, 'seed', None)}"
             f",events_unit={getattr(world_config, 'events_unit', None)}"
             f",noise_scale={getattr(world_config, 'noise_scale', None)}"
@@ -401,8 +434,9 @@ class StreamIngester:
             )
         replayed = 0
         for seq, record in self.wal.replay(after_seq=self._applied_seq):
-            self._apply_batch(record["posts"], seq)
-            replayed += len(record["posts"])
+            batch = _batch_of(record)
+            self._apply_batch(batch, seq)
+            replayed += len(batch)
         self.report.replayed_events = replayed
         self.report.wal_segments = self.wal.n_segments
         self.report.wal_bytes = self.wal.total_bytes
@@ -410,12 +444,12 @@ class StreamIngester:
             self.report.recoveries = 1
 
     def _restore(self, payload: dict) -> None:
-        self.posts = _decode_posts(payload["posts"])
-        self._phash_all = np.ascontiguousarray(
-            payload["posts"]["phash"], dtype=np.uint64
-        )
-        self._ts_all = np.ascontiguousarray(
-            payload["posts"]["timestamp"], dtype=np.float64
+        self._columns = _ColumnBuffer(
+            {
+                **PostTable.from_columns(payload["posts"]).to_columns(),
+                "assoc_ids": payload["assoc_ids"],
+                "assoc_dists": payload["assoc_dists"],
+            }
         )
         for community in FRINGE_COMMUNITIES:
             state = payload["neighbor_state"][community]
@@ -433,8 +467,6 @@ class StreamIngester:
         self._annotations = payload["annotations"]
         self._cluster_keys = payload["cluster_keys"]
         self._medoid_by_global = payload["medoid_by_global"]
-        self._assoc_ids = payload["assoc_ids"]
-        self._assoc_dists = payload["assoc_dists"]
         self._hawkes = payload["hawkes"]
         self._hawkes_fitted = bool(payload["hawkes_fitted"])
         self._applied_seq = int(payload["applied_seq"])
@@ -459,7 +491,12 @@ class StreamIngester:
     @property
     def n_events(self) -> int:
         """Durably applied event count — the :class:`EventSource` cursor."""
-        return len(self.posts)
+        return self._columns.size
+
+    @property
+    def posts(self) -> PostTable:
+        """The applied posts (column views; later appends leave them be)."""
+        return PostTable.from_columns(self._columns.view())
 
     def drift(self) -> float:
         """Unique-hash growth since the last compaction (medoid-drift bound).
@@ -471,20 +508,20 @@ class StreamIngester:
         compaction (any state is fresher than none).
         """
         if self._compact_base_events == 0:
-            return float("inf") if self.posts else 0.0
+            return float("inf") if self.n_events else 0.0
         return self._new_unique / max(1, self._compact_base_unique)
 
-    def ingest(self, events) -> dict:
-        """Offer events to the bounded buffer, drain, maybe compact.
+    def ingest(self, events: PostTable) -> dict:
+        """Offer a table of events to the bounded buffer, drain, maybe compact.
 
-        Returns ``{"admitted": int, "shed": int}``.  Shed events are
-        *deferred, not lost*: the caller re-reads them from the source
-        at :attr:`n_events` — which is why shedding cannot break the
-        streamed-equals-batch invariant.
+        The buffer admits the longest prefix of ``events`` it has room
+        for.  Returns ``{"admitted": int, "shed": int}``.  Shed events
+        are *deferred, not lost*: the caller re-reads them from the
+        source at :attr:`n_events` — which is why shedding cannot break
+        the streamed-equals-batch invariant.
         """
-        decisions = self.buffer.offer_many(events)
-        admitted = sum(decision.admitted for decision in decisions)
-        shed = len(decisions) - admitted
+        admitted = self.buffer.offer(events)
+        shed = len(events) - admitted
         self.report.events_shed += shed
         try:
             self._drain()
@@ -493,8 +530,7 @@ class StreamIngester:
             # recovers by re-reading the cursor, and anything left here
             # would then be applied twice.  Dropping them is safe — they
             # were never WAL-appended, so the cursor still covers them.
-            while self.buffer.pop() is not None:
-                pass
+            self.buffer.clear()
             raise
         self.compact()
         return {"admitted": admitted, "shed": shed}
@@ -515,33 +551,23 @@ class StreamIngester:
         """
         chunks = []
         while len(self.buffer):
-            batch = self._pop_batch()
-            if not batch:
-                break
-            chunks.append(batch)
+            chunks.append(self.buffer.pop_batch(self.stream.batch_size))
         size = max(1, len(chunks)) if self.stream.group_commit else 1
         for start in range(0, len(chunks), size):
             group = chunks[start : start + size]
             for _ in group:
                 self._fire("stream:ingest")
-            seqs = self.wal.append_many([{"posts": batch} for batch in group])
+            seqs = self.wal.append_many(
+                [{"posts": batch.to_columns()} for batch in group]
+            )
             self.report.wal_records += len(group)
             for batch, seq in zip(group, seqs):
                 self._apply_batch(batch, seq)
         self.report.wal_segments = self.wal.n_segments
         self.report.wal_bytes = self.wal.total_bytes
-        self.report.drift = min(self.drift(), float(len(self.posts)))
+        self.report.drift = min(self.drift(), float(self.n_events))
 
-    def _pop_batch(self) -> list:
-        batch = []
-        while len(batch) < self.stream.batch_size:
-            item = self.buffer.pop()
-            if item is None:
-                break
-            batch.append(item)
-        return batch
-
-    def _apply_batch(self, batch: list, seq: int) -> None:
+    def _apply_batch(self, batch: PostTable, seq: int) -> None:
         """Apply one durable batch to the online state.
 
         Per fringe community: append the pairs the batch's new unique
@@ -551,13 +577,10 @@ class StreamIngester:
         All posts get suffix association against the frozen medoid set
         from the last compaction.
         """
-        self.posts.extend(batch)
         eps = self.config.clustering_eps
+        rows = batch.group_by_community()
         for community in FRINGE_COMMUNITIES:
-            hashes = np.array(
-                [post.phash for post in batch if post.community == community],
-                dtype=np.uint64,
-            )
+            hashes = batch.phash[rows[community]]
             if hashes.size == 0:
                 continue
             unique, multiplicities = np.unique(hashes, return_counts=True)
@@ -576,26 +599,17 @@ class StreamIngester:
                 self._new_unique += new.size
             bump = np.array([positions[value] for value in values], dtype=np.int64)
             self._nbr_counts[community][bump] += multiplicities
-        batch_hashes = np.array(
-            [post.phash for post in batch], dtype=np.uint64
-        )
         if self._medoid_by_global:
             suffix = associate_hashes(
-                batch_hashes, self._medoid_by_global, theta=self.config.theta
+                batch.phash, self._medoid_by_global, theta=self.config.theta
             )
             ids, dists = suffix.cluster_ids, suffix.distances
         else:
-            ids = np.full(batch_hashes.size, UNASSIGNED, dtype=np.int64)
-            dists = np.full(batch_hashes.size, -1, dtype=np.int64)
-        self._phash_all = np.concatenate([self._phash_all, batch_hashes])
-        self._ts_all = np.concatenate(
-            [
-                self._ts_all,
-                np.array([post.timestamp for post in batch], dtype=np.float64),
-            ]
+            ids = np.full(len(batch), UNASSIGNED, dtype=np.int64)
+            dists = np.full(len(batch), -1, dtype=np.int64)
+        self._columns.append(
+            {**batch.to_columns(), "assoc_ids": ids, "assoc_dists": dists}
         )
-        self._assoc_ids = np.concatenate([self._assoc_ids, ids])
-        self._assoc_dists = np.concatenate([self._assoc_dists, dists])
         self._applied_seq = seq
         self.report.events_ingested += len(batch)
         self.report.batches += 1
@@ -622,7 +636,7 @@ class StreamIngester:
 
         Returns ``True`` when a compaction ran.
         """
-        if not self.posts:
+        if not self.n_events:
             return False
         if not force and self.drift() <= self.stream.compact_threshold:
             return False
@@ -650,7 +664,7 @@ class StreamIngester:
             for index, key in enumerate(cluster_keys)
         }
         association = associate_hashes(
-            self._phash_all,
+            self._columns["phash"],
             medoid_by_global,
             theta=self.config.theta,
             parallel=self.parallel,
@@ -659,9 +673,9 @@ class StreamIngester:
         self._annotations = annotations
         self._cluster_keys = cluster_keys
         self._medoid_by_global = medoid_by_global
-        self._assoc_ids = association.cluster_ids
-        self._assoc_dists = association.distances
-        self._compact_base_events = len(self.posts)
+        self._columns["assoc_ids"] = association.cluster_ids
+        self._columns["assoc_dists"] = association.distances
+        self._compact_base_events = self.n_events
         self._compact_base_unique = int(
             sum(hashes.size for hashes in self._nbr_hashes.values())
         )
@@ -795,27 +809,20 @@ class StreamIngester:
             self._hawkes = None
             return
         n = self._compact_base_events
-        community_index = {name: k for k, name in enumerate(COMMUNITIES)}
-        head = float(self._ts_all[:n].max())
-        times: dict[int, list[float]] = {}
-        procs: dict[int, list[int]] = {}
-        for post, cluster_index in zip(
-            self.posts[:n], self._assoc_ids[:n]
-        ):
-            if cluster_index < 0:
-                continue
-            times.setdefault(int(cluster_index), []).append(post.timestamp)
-            procs.setdefault(int(cluster_index), []).append(
-                community_index[post.community]
-            )
+        posts = self.posts[:n]
+        cluster_ids = self._columns["assoc_ids"][:n]
+        matched = cluster_ids >= 0
         world_config = getattr(self.world, "config", None)
-        horizon = max(head, float(getattr(world_config, "horizon_days", 0.0)))
+        horizon = max(
+            float(posts.timestamp.max()),
+            float(getattr(world_config, "horizon_days", 0.0)),
+        )
+        times, processes = posts.timestamp[matched], posts.community[matched]
+        groups = rows_by_group(cluster_ids[matched], times)
         sequences = [
-            EventSequence.from_unsorted(
-                np.array(t), np.array(procs[index]), horizon
-            )
-            for index, t in sorted(times.items())
-            if len(t) >= self.stream.hawkes_min_events
+            EventSequence(times[rows], processes[rows], horizon)
+            for _, rows in sorted(groups.items())
+            if rows.size >= self.stream.hawkes_min_events
         ]
         if not sequences:
             self._hawkes = None
@@ -826,9 +833,9 @@ class StreamIngester:
         self.report.hawkes_refits += 1
 
     def _save_checkpoint(self) -> None:
-        # Columnar encodings keep the pickle flat: posts as per-field
-        # columns instead of one dataclass instance each, neighbourhoods
-        # as their append-order pair arrays.
+        # Columnar encodings keep the pickle flat: posts as their
+        # PostTable columns, neighbourhoods as their append-order pair
+        # arrays.
         neighbor_state = {}
         for community in FRINGE_COMMUNITIES:
             row, col = self._pairs(community)
@@ -839,17 +846,15 @@ class StreamIngester:
                 "col": col,
             }
         payload = {
-            "posts": _encode_posts(
-                self.posts, self._phash_all, self._ts_all
-            ),
+            "posts": self.posts.to_columns(),
             "neighbor_state": neighbor_state,
             "screenshot": self._screenshot,
             "clusterings": self._clusterings,
             "annotations": self._annotations,
             "cluster_keys": self._cluster_keys,
             "medoid_by_global": self._medoid_by_global,
-            "assoc_ids": self._assoc_ids,
-            "assoc_dists": self._assoc_dists,
+            "assoc_ids": self._columns["assoc_ids"],
+            "assoc_dists": self._columns["assoc_dists"],
             "hawkes": self._hawkes,
             "hawkes_fitted": self._hawkes_fitted,
             "applied_seq": self._applied_seq,
@@ -898,7 +903,8 @@ class StreamIngester:
                 for community in FRINGE_COMMUNITIES
             }
         association = AssociationResult(
-            cluster_ids=self._assoc_ids, distances=self._assoc_dists
+            cluster_ids=self._columns["assoc_ids"],
+            distances=self._columns["assoc_dists"],
         )
         occurrences = build_occurrence_table(
             self.posts, self._annotations, self._cluster_keys, association

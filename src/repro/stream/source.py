@@ -17,7 +17,9 @@ streamed state must equal bit-for-bit.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
+
+from repro.communities.models import PostTable
 
 __all__ = ["EventSource", "PrefixWorld"]
 
@@ -26,14 +28,15 @@ class EventSource:
     """Cursor-based reader over an ordered post timeline.
 
     Reads are stateless (the caller owns the cursor): ``read(cursor,
-    k)`` returns up to ``k`` posts starting at event ``cursor``.  A
+    k)`` returns up to ``k`` posts starting at event ``cursor``, as a
+    :class:`~repro.communities.models.PostTable` slice.  A
     recovered ingester passes its durable event count as the cursor and
     the stream continues with no gaps or duplicates — the replay
     contract that makes at-least-once delivery from the source
     exactly-once in the durable state.
     """
 
-    def __init__(self, posts: Sequence) -> None:
+    def __init__(self, posts: PostTable) -> None:
         self._posts = posts
 
     @property
@@ -41,15 +44,15 @@ class EventSource:
         """Total events currently materialised in the timeline."""
         return len(self._posts)
 
-    def read(self, cursor: int, max_events: int) -> list:
+    def read(self, cursor: int, max_events: int) -> PostTable:
         """Up to ``max_events`` posts starting at event index ``cursor``."""
         if cursor < 0:
             raise ValueError("cursor must be non-negative")
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
-        return list(self._posts[cursor : cursor + max_events])
+        return self._posts[cursor : cursor + max_events]
 
-    def batches(self, cursor: int, batch_size: int) -> Iterator[list]:
+    def batches(self, cursor: int, batch_size: int) -> Iterator[PostTable]:
         """Iterate the remaining stream in ``batch_size`` chunks."""
         while cursor < self.n_events:
             batch = self.read(cursor, batch_size)
@@ -72,7 +75,7 @@ class PrefixWorld:
                 f"n_events must be in [0, {len(world.posts)}], got {n_events}"
             )
         self._world = world
-        self.posts = list(world.posts[:n_events])
+        self.posts = world.posts[:n_events]
 
     def __getattr__(self, name: str):
         return getattr(self._world, name)

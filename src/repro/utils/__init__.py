@@ -16,7 +16,6 @@ from repro.utils.bitops import (
 from repro.utils.io import (
     CheckpointError,
     StaleCheckpointError,
-    export_occurrences_csv,
     load_checkpoint,
     load_posts,
     save_checkpoint,
@@ -47,7 +46,6 @@ __all__ = [
     "flip_random_bits",
     "save_posts",
     "load_posts",
-    "export_occurrences_csv",
     "CheckpointError",
     "StaleCheckpointError",
     "save_checkpoint",

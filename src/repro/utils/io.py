@@ -2,9 +2,8 @@
 
 The paper released its (hashed) datasets alongside the pipeline; this
 module provides the equivalent for the synthetic world — a compact NPZ
-serialisation of post streams (hashes, never raw images, mirroring the
-paper's privacy posture of keeping only URL + pHash) and a CSV export of
-meme occurrences for external analysis.
+serialisation of post tables (hashes, never raw images, mirroring the
+paper's privacy posture of keeping only URL + pHash).
 
 It also holds the ``RPC1`` checkpoint container: an integrity-checked
 pickle, written atomically.  The content cache
@@ -27,7 +26,6 @@ recomputes rather than trusting bad state).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import pickle
@@ -37,12 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.communities.models import Post
+from repro.communities.models import PostTable
 
 __all__ = [
     "save_posts",
     "load_posts",
-    "export_occurrences_csv",
     "CheckpointError",
     "CheckpointLock",
     "CheckpointLockError",
@@ -257,101 +254,19 @@ def load_checkpoint(path: str | Path, *, fingerprint: str | None = None) -> obje
     except Exception as error:  # digest passed but unpicklable payload
         raise CheckpointError(f"{path}: undecodable checkpoint payload: {error}")
 
-_NONE_SCORE = np.iinfo(np.int64).min
+def save_posts(posts: PostTable, path: str | Path) -> None:
+    """Serialise a post table to a compressed NPZ file.
 
-
-def save_posts(posts: list[Post], path: str | Path) -> None:
-    """Serialise posts to a compressed NPZ file.
-
-    Only metadata is stored (community, timestamp, pHash, image id,
-    score, subreddit, ground-truth template/root); images were already
-    discarded at hashing time, as in the paper's Step 1.
+    One array per :meth:`PostTable.to_columns` column.  Only metadata is
+    stored (community, timestamp, pHash, image id, score, subreddit,
+    ground-truth template/root); images were already discarded at
+    hashing time, as in the paper's Step 1.  The text columns are object
+    arrays, which NPZ pickles: load only files you wrote.
     """
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        community=np.array([p.community for p in posts], dtype=np.str_),
-        timestamp=np.array([p.timestamp for p in posts], dtype=np.float64),
-        phash=np.array([p.phash for p in posts], dtype=np.uint64),
-        image_id=np.array([p.image_id for p in posts], dtype=np.str_),
-        score=np.array(
-            [_NONE_SCORE if p.score is None else p.score for p in posts],
-            dtype=np.int64,
-        ),
-        subreddit=np.array(
-            ["" if p.subreddit is None else p.subreddit for p in posts],
-            dtype=np.str_,
-        ),
-        template_name=np.array(
-            ["" if p.template_name is None else p.template_name for p in posts],
-            dtype=np.str_,
-        ),
-        root_community=np.array(
-            ["" if p.root_community is None else p.root_community for p in posts],
-            dtype=np.str_,
-        ),
-    )
+    np.savez_compressed(Path(path), **posts.to_columns())
 
 
-def load_posts(path: str | Path) -> list[Post]:
+def load_posts(path: str | Path) -> PostTable:
     """Inverse of :func:`save_posts`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        n = data["timestamp"].size
-        return [
-            Post(
-                community=str(data["community"][i]),
-                timestamp=float(data["timestamp"][i]),
-                phash=np.uint64(data["phash"][i]),
-                image_id=str(data["image_id"][i]),
-                score=(
-                    None
-                    if int(data["score"][i]) == _NONE_SCORE
-                    else int(data["score"][i])
-                ),
-                subreddit=str(data["subreddit"][i]) or None,
-                template_name=str(data["template_name"][i]) or None,
-                root_community=str(data["root_community"][i]) or None,
-            )
-            for i in range(n)
-        ]
-
-
-def export_occurrences_csv(result, path: str | Path) -> int:
-    """Write the Step 6 occurrence table as CSV; returns rows written.
-
-    Columns: community, timestamp, phash (hex), cluster (community:id),
-    entry, racist, politics, score, subreddit.
-    """
-    path = Path(path)
-    occurrences = result.occurrences
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "community",
-                "timestamp",
-                "phash",
-                "cluster",
-                "entry",
-                "racist",
-                "politics",
-                "score",
-                "subreddit",
-            ]
-        )
-        for row, post in enumerate(occurrences.posts):
-            key = result.cluster_keys[occurrences.cluster_indices[row]]
-            writer.writerow(
-                [
-                    post.community,
-                    f"{post.timestamp:.6f}",
-                    format(int(post.phash), "016x"),
-                    str(key),
-                    occurrences.entry_names[row],
-                    int(occurrences.is_racist[row]),
-                    int(occurrences.is_politics[row]),
-                    "" if post.score is None else post.score,
-                    post.subreddit or "",
-                ]
-            )
-    return len(occurrences.posts)
+    with np.load(Path(path), allow_pickle=True) as data:
+        return PostTable.from_columns(dict(data))

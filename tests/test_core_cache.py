@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,8 @@ from repro.core import (
     fingerprint,
     run_pipeline,
 )
-from repro.core.cache import CODE_VERSION, CacheStats
+from repro.annotation.kym import GalleryImage, KYMEntry
+from repro.core.cache import CODE_VERSION, CacheStats, kym_fingerprint
 from repro.core.runner import STAGES
 from repro.utils.io import save_checkpoint
 from repro.utils.parallel import ParallelConfig
@@ -135,11 +136,16 @@ class TestFingerprint:
             "    tags: frozenset\n"
             "e = Entry('pepe', frozenset({'racism', 'frog', 'wojak'}))\n"
             "print(fingerprint(e, {'k': {'x', 'y'}}))\n"
+            "import tests.test_core_cache as t\n"
+            "from repro.core.cache import kym_fingerprint\n"
+            "print(kym_fingerprint(t._kym_entries()))\n"
         )
         digests = set()
         for hash_seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = src_dir
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src_dir, str(Path(__file__).resolve().parents[1])]
+            )
             proc = subprocess.run(
                 [sys.executable, "-c", snippet],
                 capture_output=True,
@@ -149,6 +155,46 @@ class TestFingerprint:
             assert proc.returncode == 0, proc.stderr
             digests.add(proc.stdout.strip())
         assert len(digests) == 1
+
+    def test_kym_key_sees_every_gallery_flag(self):
+        entries = _kym_entries()
+        before = kym_fingerprint(entries)
+        image = entries[1].gallery[2]
+        entries[1].gallery[2] = replace(image, is_screenshot=not image.is_screenshot)
+        assert kym_fingerprint(entries) != before
+
+    def test_kym_key_sees_every_tag(self):
+        entries = _kym_entries()
+        before = kym_fingerprint(entries)
+        entries[0] = replace(entries[0], tags=entries[0].tags | {"politics"})
+        assert kym_fingerprint(entries) != before
+        assert kym_fingerprint(_kym_entries()) == before
+
+    def test_kym_key_sees_gallery_boundaries(self):
+        entries = _kym_entries()
+        before = kym_fingerprint(entries)
+        entries[1].gallery.insert(0, entries[0].gallery.pop())
+        assert kym_fingerprint(entries) != before
+
+
+def _kym_entries():
+    """Two small KYM entries with set-valued metadata."""
+    return [
+        KYMEntry(
+            name=f"entry-{index}",
+            category="memes",
+            tags=frozenset({"frog", "racism", "wojak"}),
+            people=frozenset({"a", "b", "c"}),
+            cultures=frozenset({"4chan", "reddit"}),
+            origin="4chan",
+            year=2010 + index,
+            gallery=[
+                GalleryImage(np.uint64(index * 10 + k), is_screenshot=k == 0)
+                for k in range(4)
+            ],
+        )
+        for index in range(2)
+    ]
 
 
 class TestContentCache:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.communities.models import PostTable
 from repro.core.monitor import MemeMonitor, MonitorVerdict
 from repro.core.results import (
     ClusterKey,
@@ -13,7 +14,7 @@ from repro.core.results import (
 
 def empty_occurrences():
     return OccurrenceTable(
-        posts=[],
+        posts=PostTable.empty(),
         cluster_indices=np.empty(0, dtype=np.int64),
         entry_names=[],
         is_racist=np.empty(0, dtype=bool),

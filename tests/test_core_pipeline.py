@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.communities.models import FRINGE_COMMUNITIES
+from repro.communities.models import FRINGE_COMMUNITIES, PostTable
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import cluster_community, run_pipeline
 from repro.core.results import ClusterKey
@@ -29,7 +29,7 @@ class TestPipelineConfig:
 
 class TestClusterCommunity:
     def test_empty_community(self):
-        clustering = cluster_community("gab", [], PipelineConfig())
+        clustering = cluster_community("gab", PostTable.empty(), PipelineConfig())
         assert clustering.n_clusters == 0
         assert clustering.n_images == 0
         assert clustering.image_noise_fraction == 0.0

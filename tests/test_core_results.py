@@ -5,7 +5,7 @@ import pytest
 
 from repro.annotation.matcher import ClusterAnnotation, EntryMatch
 from repro.clustering.dbscan import dbscan
-from repro.communities.models import Post
+from repro.communities.models import Post, PostTable
 from repro.core.results import (
     ClusterKey,
     CommunityClustering,
@@ -83,7 +83,7 @@ class TestOccurrenceTable:
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
             OccurrenceTable(
-                posts=[make_post()],
+                posts=PostTable.from_rows([make_post()]),
                 cluster_indices=np.array([0, 1]),
                 entry_names=["pepe"],
                 is_racist=np.array([False]),
@@ -92,15 +92,15 @@ class TestOccurrenceTable:
 
     def test_column_accessors(self):
         table = OccurrenceTable(
-            posts=[make_post("pol"), make_post("gab")],
+            posts=PostTable.from_rows([make_post("pol"), make_post("gab")]),
             cluster_indices=np.array([0, 0]),
             entry_names=["pepe", "pepe"],
             is_racist=np.array([False, True]),
             is_politics=np.array([True, False]),
         )
         assert len(table) == 2
-        assert list(table.communities()) == ["pol", "gab"]
-        assert list(table.timestamps()) == [1.0, 1.0]
+        assert list(table.posts.community_names()) == ["pol", "gab"]
+        assert list(table.posts.timestamp) == [1.0, 1.0]
 
 
 class TestPipelineResult:
@@ -110,7 +110,7 @@ class TestPipelineResult:
             key: make_annotation(key.cluster_id) for key in keys
         }
         empty_occurrences = OccurrenceTable(
-            posts=[],
+            posts=PostTable.empty(),
             cluster_indices=np.empty(0, dtype=np.int64),
             entry_names=[],
             is_racist=np.empty(0, dtype=bool),

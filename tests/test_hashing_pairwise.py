@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.communities.models import PostTable
 from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
 from repro.hashing.pairwise import (
     _DENSE_LIMIT,
@@ -371,7 +372,7 @@ def _monitor_over(medoids, theta):
         annotations=annotations,
         cluster_keys=keys,
         occurrences=OccurrenceTable(
-            posts=[],
+            posts=PostTable.empty(),
             cluster_indices=np.empty(0, dtype=np.int64),
             entry_names=[],
             is_racist=np.empty(0, dtype=bool),

@@ -233,7 +233,7 @@ class TestChaosRecoveryIdentity:
             for row, post in enumerate(serial.posts)
             if post.community != target_community
         ]
-        assert result.occurrences.posts == [serial.posts[row] for row in keep]
+        assert result.occurrences.posts == serial.posts.take(keep)
         assert np.array_equal(
             result.occurrences.cluster_indices,
             serial.cluster_indices[keep],

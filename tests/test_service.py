@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.annotation.matcher import ClusterAnnotation
+from repro.communities.models import PostTable
 from repro.core.faults import Fault, FaultInjector
 from repro.core.monitor import MemeMonitor
 from repro.core.results import ClusterKey, OccurrenceTable, PipelineResult
@@ -38,7 +39,7 @@ def make_annotation(cluster_id, medoid, name, racist=False, politics=False):
 
 def empty_occurrences():
     return OccurrenceTable(
-        posts=[],
+        posts=PostTable.empty(),
         cluster_indices=np.empty(0, dtype=np.int64),
         entry_names=[],
         is_racist=np.empty(0, dtype=bool),

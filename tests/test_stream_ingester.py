@@ -8,6 +8,7 @@ fault-site plumbing, config validation, lock exclusion, and the
 :class:`StreamReport` observability surface.
 """
 
+import math
 import os
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.stream import (
     PrefixWorld,
     StreamConfig,
     StreamIngester,
+    WALError,
+    WriteAheadLog,
     state_equals,
 )
 from repro.utils.io import (
@@ -72,8 +75,9 @@ class TestEventSource:
         source = stream_world.event_source()
         assert isinstance(source, EventSource)
         first = source.read(0, 10)
-        assert first == list(stream_world.posts[:10])
-        assert source.read(source.n_events, 10) == []
+        assert first == stream_world.posts[:10]
+        assert list(first) == [stream_world.posts[i] for i in range(10)]
+        assert len(source.read(source.n_events, 10)) == 0
 
     def test_read_validation(self, stream_world):
         source = stream_world.event_source()
@@ -299,9 +303,9 @@ class TestRecovery:
             order = np.argsort(state["row"], kind="stable")
             state["flat"] = state.pop("col")[order]
             state["lengths"] = np.bincount(state.pop("row"), minlength=n)
-        assert fingerprint.startswith("stream-v3|")
+        assert fingerprint.startswith("stream-v4|")
         save_checkpoint(
-            path, payload, fingerprint="stream-v2|" + fingerprint[len("stream-v3|"):]
+            path, payload, fingerprint="stream-v2|" + fingerprint[len("stream-v4|"):]
         )
 
         def misread(self, payload):
@@ -310,6 +314,18 @@ class TestRecovery:
         monkeypatch.setattr(StreamIngester, "_restore", misread)
         with pytest.raises(StaleCheckpointError, match="stream-v2"):
             StreamIngester(stream_world, stream=config)
+
+    def test_pre_columnar_wal_record_fails_loudly(self, tmp_path, stream_world):
+        # Before post tables, a WAL record pickled a list of Post rows.
+        # Replaying one must name the old format, not fail partway with
+        # a TypeError, and must leave the log as it was.
+        with WriteAheadLog(tmp_path, fsync=False) as wal:
+            wal.append({"posts": list(stream_world.posts[:5])})
+        segments = {path: path.read_bytes() for path in tmp_path.glob("wal-*.seg")}
+        with pytest.raises(WALError, match="pre-columnar"):
+            StreamIngester(stream_world, stream=_config(tmp_path))
+        assert {path: path.read_bytes() for path in segments} == segments
+        assert not (tmp_path / ".lock").exists()
 
     def test_lock_excludes_second_ingester(self, tmp_path, stream_world):
         with StreamIngester(
@@ -329,6 +345,23 @@ class TestRecovery:
         message = str(excinfo.value)
         assert f"directory {config.wal_dir} is locked" in message
         assert "--checkpoint-dir" not in message
+
+
+class TestColumnBuffers:
+    def test_appends_reallocate_logarithmically(self, tmp_path, stream_world):
+        batches = 40
+        config = _config(tmp_path, batch_size=25, compact_threshold=100.0)
+        with StreamIngester(stream_world, stream=config) as ingester:
+            _run_to_end(
+                ingester, stream_world.event_source(), chunk=25, limit=25 * batches
+            )
+            assert ingester.report.batches == batches
+            assert ingester._columns.reallocations <= math.ceil(math.log2(batches)) + 1
+            ingester.compact(force=True)
+            result = ingester.result()
+        assert state_equals(
+            result, run_pipeline(PrefixWorld(stream_world, 25 * batches))
+        )
 
 
 class TestBackpressure:

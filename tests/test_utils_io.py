@@ -1,17 +1,14 @@
-"""Tests for post serialisation, occurrence export, and checkpoints."""
-
-import csv
+"""Tests for post serialisation and checkpoints."""
 
 import numpy as np
 import pytest
 
-from repro.communities.models import Post
+from repro.communities.models import Post, PostTable
 from repro.utils.io import (
     CheckpointError,
     CheckpointLock,
     CheckpointLockError,
     StaleCheckpointError,
-    export_occurrences_csv,
     load_checkpoint,
     load_posts,
     save_checkpoint,
@@ -20,7 +17,7 @@ from repro.utils.io import (
 
 
 def sample_posts():
-    return [
+    return PostTable.from_rows([
         Post(
             community="pol",
             timestamp=1.5,
@@ -51,7 +48,7 @@ def sample_posts():
             template_name=None,
             root_community=None,
         ),
-    ]
+    ])
 
 
 class TestSaveLoadPosts:
@@ -78,26 +75,14 @@ class TestSaveLoadPosts:
 
     def test_empty_list(self, tmp_path):
         path = tmp_path / "empty.npz"
-        save_posts([], path)
-        assert load_posts(path) == []
+        save_posts(PostTable.empty(), path)
+        assert load_posts(path) == PostTable.empty()
 
     def test_world_roundtrip(self, world, tmp_path):
         path = tmp_path / "world.npz"
         save_posts(world.posts[:500], path)
         loaded = load_posts(path)
         assert loaded == world.posts[:500]
-
-
-class TestExportOccurrences:
-    def test_csv_structure(self, pipeline_result, tmp_path):
-        path = tmp_path / "occurrences.csv"
-        n = export_occurrences_csv(pipeline_result, path)
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0][0] == "community"
-        assert len(rows) == n + 1
-        # pHash column is 16 hex digits.
-        assert all(len(row[2]) == 16 for row in rows[1:10])
 
 
 class TestCheckpoints:
