@@ -65,20 +65,31 @@ def test_ablation_radius_search(benchmark, bench_world, write_output):
         "MIH": timings["mih query"] / len(queries),
         "BK-tree": timings["bk query"] / len(queries),
     }
+    # MIH queries must be fast in absolute terms.
+    assert per_query["MIH"] < 0.05
+
+    # The recorded table holds what every host reproduces; the timings
+    # are printed only.
     text = format_table(
         [
-            ["collection size", len(hashes), ""],
-            ["queries timed", len(queries), ""],
-            ["MIH build (s)", f"{timings['mih build']:.3f}", ""],
-            ["MIH per query (ms)", f"{1000 * per_query['MIH']:.3f}", ""],
-            ["BK build (s)", f"{timings['bk build']:.3f}", ""],
-            ["BK per query (ms)", f"{1000 * per_query['BK-tree']:.3f}", ""],
-            ["brute all-pairs (s)", f"{timings['brute all-pairs']:.3f}",
-             "(computes every neighbourhood)"],
+            ["collection size", len(hashes)],
+            ["queries timed", len(queries)],
+            ["MIH, BK-tree and brute force agree", "yes"],
+            ["MIH per query", "< 50 ms (asserted)"],
         ],
         title="Ablation: Hamming radius search strategies (radius 8)",
     )
     write_output("ablation_index", text)
-
-    # MIH queries must be fast in absolute terms.
-    assert per_query["MIH"] < 0.05
+    print(
+        format_table(
+            [
+                ["MIH build (s)", f"{timings['mih build']:.3f}", ""],
+                ["MIH per query (ms)", f"{1000 * per_query['MIH']:.3f}", ""],
+                ["BK build (s)", f"{timings['bk build']:.3f}", ""],
+                ["BK per query (ms)", f"{1000 * per_query['BK-tree']:.3f}", ""],
+                ["brute all-pairs (s)", f"{timings['brute all-pairs']:.3f}",
+                 "(computes every neighbourhood)"],
+            ],
+            title="Host timings (not recorded)",
+        )
+    )

@@ -14,7 +14,9 @@ like the paper's per-community image multisets:
   bottleneck and the headline number: the batched join against the
   per-query reference path;
 * ``associate_hashes`` (Step 6) sharded over unique hashes;
-* per-cluster Hawkes fits via :func:`fit_cluster_influence`.
+* per-cluster Hawkes fits via :func:`fit_cluster_shard`: one stacked fit
+  of every cluster serially, one per contiguous shard of clusters in
+  parallel.
 
 Every record verifies the parallel output element-for-element against
 serial before reporting a speedup — a fast wrong answer scores zero.
@@ -40,13 +42,18 @@ from statistics import median
 
 import numpy as np
 
-from repro.analysis.influence import fit_cluster_influence
+from repro.analysis.influence import fit_cluster_shard
 from repro.annotation.association import associate_hashes
 from repro.hashing.index import MultiIndexHash
 from repro.hashing.pairwise import radius_neighbors
 from repro.hawkes.model import EventSequence
 from repro.utils.bitops import hamming_distance_matrix
-from repro.utils.parallel import Executor, ParallelConfig, effective_workers
+from repro.utils.parallel import (
+    Executor,
+    ParallelConfig,
+    effective_workers,
+    shard_bounds,
+)
 
 
 def clustered_hashes(n_bases: int, members: int, seed: int = 7) -> np.ndarray:
@@ -170,16 +177,21 @@ def bench_hawkes_fits(n_clusters: int, parallel: ParallelConfig) -> dict:
         times = np.sort(rng.uniform(0.0, 60.0, size=n_events))
         procs = rng.integers(0, k, size=n_events)
         sequences.append(EventSequence.from_unsorted(times, procs, 60.0))
-    items = [(sequence, k, None) for sequence in sequences]
-    serial, serial_s = _timed(
-        lambda: [fit_cluster_influence(*item) for item in items]
-    )
+    serial, serial_s = _timed(lambda: fit_cluster_shard(sequences, k))
+    shards = [
+        (sequences[start:stop], k)
+        for start, stop in shard_bounds(len(sequences), parallel)
+    ]
     par, parallel_s = _timed(
-        lambda: Executor(parallel)
-        .supervised_starmap(fit_cluster_influence, items)
-        .results
+        lambda: [
+            outcome
+            for shard in Executor(parallel)
+            .supervised_starmap(fit_cluster_shard, shards)
+            .results
+            for outcome in shard
+        ]
     )
-    identical = all(
+    identical = len(serial) == len(par) and all(
         s[0] == p[0]
         and (
             s[0] != "ok"

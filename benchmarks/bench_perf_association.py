@@ -23,18 +23,28 @@ def test_perf_association_throughput(
     result = benchmark(lambda: associate_hashes(hashes, medoids, theta=8))
     stats = benchmark.stats.stats
     throughput = hashes.size / stats.mean
+    # The index must beat the paper's brute-force GPU number by orders
+    # of magnitude at this scale.
+    assert throughput > 1000
+
+    # The recorded table holds what every host reproduces; the timings
+    # are printed only.
     text = format_table(
         [
             ["images", hashes.size],
             ["annotated medoids", len(medoids)],
-            ["mean wall time (s)", f"{stats.mean:.3f}"],
-            ["throughput (images/s)", f"{throughput:,.0f}"],
+            ["throughput (images/s)", "> 1,000 (asserted)"],
             ["paper (2x Titan Xp, brute force)", "73 images/s"],
         ],
         title="Performance: Step 6 association throughput (MIH, CPU)",
     )
     write_output("perf_association", text)
-
-    # The index must beat the paper's brute-force GPU number by orders
-    # of magnitude at this scale.
-    assert throughput > 1000
+    print(
+        format_table(
+            [
+                ["mean wall time (s)", f"{stats.mean:.3f}"],
+                ["throughput (images/s)", f"{throughput:,.0f}"],
+            ],
+            title="Host timings (not recorded)",
+        )
+    )

@@ -6,6 +6,9 @@ Standalone (not pytest-benchmark): run as
     PYTHONPATH=src python benchmarks/bench_service.py [--smoke]
         [--requests N] [--output BENCH_service.json]
 
+A smoke run writes its record to the system temporary directory unless
+given ``--output``.
+
 Six scenarios over the same replayed request stream.  The three
 per-request scenarios submit one request at a time and drain at the
 default ``coalesce_window=1``, so each request is a window of one:
@@ -43,6 +46,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -320,8 +324,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--events-unit", type=float, default=None,
                         help="world scale (default 60, smoke 18)")
-    parser.add_argument("--output", default="BENCH_service.json")
+    parser.add_argument(
+        "--output",
+        default=None,
+        help="record path (default BENCH_service.json; with --smoke, a "
+        "file in the system temporary directory, so a smoke run never "
+        "rewrites the committed record)",
+    )
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = (
+            os.path.join(tempfile.gettempdir(), "BENCH_service.smoke.json")
+            if args.smoke
+            else "BENCH_service.json"
+        )
 
     n_requests = args.requests or (4_000 if args.smoke else 50_000)
     events_unit = args.events_unit or (18.0 if args.smoke else 60.0)

@@ -21,7 +21,7 @@ from repro.analysis.inspection import (
 from repro.analysis.influence import (
     InfluenceStudy,
     cluster_event_sequences,
-    fit_cluster_influence,
+    fit_cluster_shard,
     ground_truth_influence,
     influence_study,
     ks_significance_matrix,
@@ -69,7 +69,7 @@ __all__ = [
     "score_origin_methods",
     "cluster_event_sequences",
     "influence_study",
-    "fit_cluster_influence",
+    "fit_cluster_shard",
     "ground_truth_influence",
     "InfluenceStudy",
     "ks_significance_matrix",

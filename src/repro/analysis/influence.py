@@ -39,12 +39,13 @@ from repro.utils.parallel import (
     Executor,
     ParallelConfig,
     resolve_parallel,
+    shard_bounds,
 )
 
 __all__ = [
     "InfluenceStudy",
     "cluster_event_sequences",
-    "fit_cluster_influence",
+    "fit_cluster_shard",
     "influence_study",
     "ground_truth_influence",
     "ks_significance_matrix",
@@ -101,27 +102,41 @@ class InfluenceStudy:
         return self.total.event_counts
 
 
-def fit_cluster_influence(
-    sequence: EventSequence,
+def fit_cluster_shard(
+    sequences: list[EventSequence],
     n_processes: int,
     fit_config: FitConfig | None = None,
-) -> tuple[str, InfluenceMatrices | str]:
-    """Fit one cluster's Hawkes model and attribute its root causes.
-
-    The per-cluster work item of :func:`influence_study`, extracted to
+) -> list[tuple[str, InfluenceMatrices | str]]:
+    """Fit a shard of clusters in one stacked Hawkes EM and attribute
+    their root causes: the work item of :func:`influence_study`, at
     module level so process workers can run it on pickled sequences.
+
     One pathological cluster (degenerate timestamps, singular EM update)
-    must not sink the whole study, so failure is part of the return
-    value rather than an exception: ``("ok", matrices)`` on success,
-    ``("error", message)`` on failure — mirroring the staged runner's
-    quarantine semantics.
+    must not sink the study, so failure is part of the return value:
+    per cluster, ``("ok", matrices)`` or ``("error", message)``.  A stack
+    whose fit or attribution raises is bisected until the failing
+    clusters are alone, and a cluster whose fit leaves a non-finite
+    ``mu`` or ``W`` fails on its own.  A cluster's results do not depend
+    on the rest of its stack, so the others are unchanged.
     """
     try:
-        fit = fit_hawkes_em([sequence], n_processes, fit_config)
-        roots = attribute_root_causes(fit.model, sequence)
+        fits = fit_hawkes_em(sequences, n_processes, fit_config, pooled=False)
+        roots = attribute_root_causes([fit.model for fit in fits], sequences)
+        matrices = root_cause_influence(sequences, roots, n_processes)
     except Exception as error:
-        return ("error", f"{type(error).__name__}: {error}")
-    return ("ok", root_cause_influence(sequence, roots, n_processes))
+        if len(sequences) == 1:
+            return [("error", f"{type(error).__name__}: {error}")]
+        half = len(sequences) // 2
+        return fit_cluster_shard(
+            sequences[:half], n_processes, fit_config
+        ) + fit_cluster_shard(sequences[half:], n_processes, fit_config)
+    return [
+        ("ok", cluster)
+        if np.isfinite(fit.model.background).all()
+        and np.isfinite(fit.model.weights).all()
+        else ("error", "FloatingPointError: non-finite Hawkes parameters")
+        for fit, cluster in zip(fits, matrices)
+    ]
 
 
 def influence_study(
@@ -134,35 +149,37 @@ def influence_study(
 ) -> InfluenceStudy:
     """Fit per-cluster Hawkes models and aggregate root-cause influence.
 
-    ``parallel`` fans the independent per-cluster fits out across
-    workers; the aggregation below always runs in the parent in the
-    deterministic cluster order, so totals and group sums are
-    bit-identical for any worker count.
+    Serially, every cluster is fitted in one stacked EM.  ``parallel``
+    fans contiguous shards of clusters out across workers, one stacked
+    fit each; a cluster's results do not depend on its stack, and the
+    aggregation below always runs in the parent in the deterministic
+    cluster order, so totals and group sums are bit-identical for any
+    worker count.
     """
     sequences = cluster_event_sequences(result, horizon, min_events=min_events)
     k = len(COMMUNITIES)
     parallel = resolve_parallel(parallel)
     keys = list(sequences)
+    stack = list(sequences.values())
     execution: ExecutionReport | None = None
-    if parallel.is_serial:
-        outcomes = [
-            fit_cluster_influence(sequences[key], k, fit_config) for key in keys
-        ]
+    if not stack:
+        outcomes = []
+    elif parallel.is_serial:
+        outcomes = fit_cluster_shard(stack, k, fit_config)
     else:
-        # Per-cluster fits are atomic (nothing to bisect); a fit that
-        # fails the whole rescue ladder quarantines into ``failures``
-        # alongside the in-band ("error", message) outcomes.
+        # Fit failures come back in band; a shard that fails the whole
+        # rescue ladder quarantines every cluster in it.
+        bounds = shard_bounds(len(stack), parallel)
         sup = Executor(parallel).supervised_starmap(
-            fit_cluster_influence,
-            [(sequences[key], k, fit_config) for key in keys],
+            fit_cluster_shard,
+            [(stack[start:stop], k, fit_config) for start, stop in bounds],
         )
         execution = sup.report
-        outcomes = [
-            outcome
-            if outcome is not None
-            else ("error", "quarantined: shard failed the supervision ladder")
-            for outcome in sup.results
-        ]
+        outcomes = []
+        for (start, stop), shard in zip(bounds, sup.results):
+            outcomes += shard or [
+                ("error", "quarantined: shard failed the supervision ladder")
+            ] * (stop - start)
     per_cluster: dict[ClusterKey, InfluenceMatrices] = {}
     total = InfluenceMatrices.zeros(k)
     groups = {
@@ -174,14 +191,11 @@ def influence_study(
         if status == "error":
             failures[key] = value
             continue
-        matrices = value
-        per_cluster[key] = matrices
-        total = total + matrices
+        per_cluster[key] = value
+        total = total + value
         annotation = result.annotations[key]
-        groups["racist" if annotation.is_racist else "non_racist"] += matrices
-        groups[
-            "politics" if annotation.is_politics else "non_politics"
-        ] += matrices
+        groups["racist" if annotation.is_racist else "non_racist"] += value
+        groups["politics" if annotation.is_politics else "non_politics"] += value
     return InfluenceStudy(
         total=total,
         per_cluster=per_cluster,
@@ -244,20 +258,13 @@ def ks_significance_matrix(
     values among ``group`` clusters is compared with the complement.
     Cells without enough data are ``NaN``.
     """
-    if group == "racist":
-        in_group = {
-            key
-            for key in study.per_cluster
-            if result.annotations[key].is_racist
-        }
-    elif group == "politics":
-        in_group = {
-            key
-            for key in study.per_cluster
-            if result.annotations[key].is_politics
-        }
-    else:
+    if group not in ("racist", "politics"):
         raise ValueError(f"unknown group {group!r}")
+    in_group = {
+        key
+        for key in study.per_cluster
+        if getattr(result.annotations[key], f"is_{group}")
+    }
     k = len(COMMUNITIES)
     p_values = np.full((k, k), np.nan)
     values_in = {cell: [] for cell in np.ndindex(k, k)}

@@ -99,21 +99,23 @@ def score_origin_methods(world, result: PipelineResult) -> dict[str, float]:
     naive_total = int(rooted.sum())
     naive_hits = int((naive_code[indices[rooted]] == posts.root_community[rooted]).sum())
 
-    # Attribution mass on true roots, per event, over fitted clusters.
+    # Attribution mass on true roots, per event, over fitted clusters: one
+    # stacked fit and one attribution, whose rows are the clusters' posts
+    # in time order, cluster after cluster.
     sequences = cluster_event_sequences(
         result, world.config.horizon_days, min_events=10
     )
-    key_index = {key: index for index, key in enumerate(result.cluster_keys)}
-    mass_total = 0.0
-    mass_count = 0
-    for key, sequence in sequences.items():
-        fit = fit_hawkes_em([sequence], len(COMMUNITIES))
-        roots = attribute_root_causes(fit.model, sequence)
-        # Events are the cluster's posts in time order: align them back.
-        true_roots = posts.root_community[rows_of[key_index[key]]]
+    mass_total, mass_count = 0.0, 0
+    if sequences:
+        stack = list(sequences.values())
+        fits = fit_hawkes_em(stack, len(COMMUNITIES), pooled=False)
+        roots = attribute_root_causes([fit.model for fit in fits], stack)
+        key_index = {key: index for index, key in enumerate(result.cluster_keys)}
+        rows = np.concatenate([rows_of[key_index[key]] for key in sequences])
+        true_roots = posts.root_community[rows]
         events = np.flatnonzero(true_roots >= 0)
-        mass_total += float(roots[events, true_roots[events]].sum())
-        mass_count += int(events.size)
+        mass_total = float(roots[events, true_roots[events]].sum())
+        mass_count = int(events.size)
     return {
         "naive_accuracy": naive_hits / naive_total if naive_total else float("nan"),
         "attributed_mass": mass_total / mass_count if mass_count else float("nan"),

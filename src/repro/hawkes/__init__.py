@@ -11,9 +11,9 @@ This package implements the full stack from scratch:
 * :mod:`repro.hawkes.kernels` — excitation kernels (exponential).
 * :mod:`repro.hawkes.model` — the model, intensities, log-likelihood.
 * :mod:`repro.hawkes.simulate` — exact branching simulation (with ground-
-  truth parents) and Ogata thinning as a cross-check.
+  truth parents).
 * :mod:`repro.hawkes.terms` — the weight-free terms of the E-step and
-  log-likelihood, built once per (sequence, kernel).
+  log-likelihood, built once over a stack of sequences.
 * :mod:`repro.hawkes.fit` — MAP-EM over the latent branching structure
   (the deterministic counterpart of the paper's Gibbs sampler: both
   operate on the same parent-attribution augmentation).
@@ -21,16 +21,12 @@ This package implements the full stack from scratch:
   influence estimator.
 """
 
-from repro.hawkes.attribution import (
-    InfluenceMatrices,
-    attribute_root_causes,
-    influence_from_sequences,
-)
+from repro.hawkes.attribution import InfluenceMatrices, attribute_root_causes
 from repro.hawkes.fit import FitConfig, FitResult, fit_hawkes_em
 from repro.hawkes.gibbs import GibbsResult, gibbs_sample_hawkes
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
-from repro.hawkes.simulate import SimulationResult, simulate_branching, simulate_thinning
+from repro.hawkes.simulate import SimulationResult, simulate_branching
 
 __all__ = [
     "ExponentialKernel",
@@ -38,13 +34,11 @@ __all__ = [
     "EventSequence",
     "SimulationResult",
     "simulate_branching",
-    "simulate_thinning",
     "FitConfig",
     "FitResult",
     "fit_hawkes_em",
     "GibbsResult",
     "gibbs_sample_hawkes",
     "attribute_root_causes",
-    "influence_from_sequences",
     "InfluenceMatrices",
 ]

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hawkes.fit import FitConfig, fit_hawkes_em
+from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 from repro.hawkes.terms import SequenceTerms
 
 __all__ = [
     "InfluenceMatrices",
     "attribute_root_causes",
-    "influence_from_sequences",
     "root_cause_influence",
 ]
 
@@ -92,86 +91,67 @@ class InfluenceMatrices:
 
 
 def attribute_root_causes(
-    model: HawkesModel,
-    sequence: EventSequence,
+    models: HawkesModel | list[HawkesModel],
+    sequences: EventSequence | list[EventSequence],
 ) -> np.ndarray:
-    """Per-event root-cause distributions under ``model``.
+    """Per-event root-cause distributions, over a stack of sequences.
+
+    ``models`` is one model for every sequence, or one model per
+    sequence; ``sequences`` is one sequence or a list of them.
 
     Returns
     -------
     numpy.ndarray
-        ``(n_events, K)`` matrix; row ``n`` is the probability that event
-        ``n``'s cascade originated on each community.  Rows sum to 1.
+        ``(n_events, K)`` matrix over the sequences' events in order; row
+        ``n`` is the probability that event ``n``'s cascade originated on
+        each community.  Rows sum to 1.
     """
-    k = model.n_processes
-    n = len(sequence)
-    roots = np.zeros((n, k))
-    if n == 0:
-        return roots
-    terms = SequenceTerms(sequence, model.kernel, k)
-    background_prob, bounds, parents, probs = terms.causes(
-        model.background, model.weights
+    if isinstance(sequences, EventSequence):
+        sequences = [sequences]
+    if isinstance(models, HawkesModel):
+        models, group_models = [models], np.zeros(len(sequences), dtype=np.int64)
+    else:
+        group_models = None
+    kernel = models[0].kernel
+    if any(model.kernel != kernel for model in models):
+        # Models differ only in a learned exponential decay rate.
+        kernel = ExponentialKernel(np.array([model.kernel.beta for model in models]))
+    terms = SequenceTerms(
+        sequences, kernel, models[0].n_processes, models=group_models
     )
-    processes = sequence.processes
-    for event in range(n):
-        roots[event, processes[event]] += background_prob[event]
-        start, end = bounds[event], bounds[event + 1]
-        if end > start:
-            # Parents precede the event, so their rows are final.
-            roots[event] += probs[start:end] @ roots[parents[start:end]]
-    return roots
+    background_prob, parent_prob = terms.responsibilities(
+        np.stack([model.background for model in models]),
+        np.stack([model.weights for model in models]),
+    )
+    keep = parent_prob > 0
+    return terms.propagate(
+        background_prob, terms.child[keep], terms.parent[keep], parent_prob[keep]
+    )
 
 
 def root_cause_influence(
-    sequence: EventSequence, roots: np.ndarray, n_processes: int
-) -> InfluenceMatrices:
-    """Aggregate one sequence's root-cause rows by destination community.
+    sequences: list[EventSequence], roots: np.ndarray, n_processes: int
+) -> list[InfluenceMatrices]:
+    """Aggregate each sequence's root-cause rows by destination community.
 
-    ``roots`` is :func:`attribute_root_causes`'s output for ``sequence``;
-    column ``dst`` of the result sums the rows of the events on ``dst``.
+    ``roots`` is :func:`attribute_root_causes`'s output for ``sequences``;
+    column ``dst`` of a sequence's matrix sums the rows of its events on
+    ``dst``.  One ``bincount`` over (sequence, destination, source).
     """
-    expected = np.zeros((n_processes, n_processes))
-    for destination in range(n_processes):
-        mask = sequence.processes == destination
-        if np.any(mask):
-            expected[:, destination] = roots[mask].sum(axis=0)
-    return InfluenceMatrices(
-        expected_events=expected, event_counts=sequence.counts(n_processes)
-    )
-
-
-def influence_from_sequences(
-    sequences: list[EventSequence],
-    n_processes: int,
-    *,
-    config: FitConfig | None = None,
-    pooled: bool = False,
-) -> InfluenceMatrices:
-    """Fit Hawkes models and aggregate root-cause influence.
-
-    Parameters
-    ----------
-    sequences:
-        One event sequence per meme cluster (the paper fits a separate
-        model per cluster and sums the attributed causes).
-    n_processes:
-        Number of communities.
-    pooled:
-        Fit a single model over all sequences instead of one per cluster
-        (cheaper; used for quick looks and tests).
-    """
-    if not sequences:
-        return InfluenceMatrices.zeros(n_processes)
-    totals = InfluenceMatrices.zeros(n_processes)
-    if pooled:
-        result = fit_hawkes_em(sequences, n_processes, config)
-        models = [result.model] * len(sequences)
-    else:
-        models = [
-            fit_hawkes_em([sequence], n_processes, config).model
-            for sequence in sequences
-        ]
-    for model, sequence in zip(models, sequences):
-        roots = attribute_root_causes(model, sequence)
-        totals = totals + root_cause_influence(sequence, roots, n_processes)
-    return totals
+    k = n_processes
+    sizes = [len(sequence) for sequence in sequences]
+    cells = np.repeat(np.arange(len(sequences)) * k, sizes)
+    if sequences:
+        cells += np.concatenate([sequence.processes for sequence in sequences])
+    expected = np.bincount(
+        (cells[:, None] * k + np.arange(k)).ravel(),
+        roots.ravel(),
+        minlength=len(sequences) * k * k,
+    ).reshape(-1, k, k)
+    counts = np.bincount(cells, minlength=len(sequences) * k).reshape(-1, k)
+    return [
+        InfluenceMatrices(
+            expected_events=np.ascontiguousarray(matrix.T), event_counts=count
+        )
+        for matrix, count in zip(expected, counts)
+    ]

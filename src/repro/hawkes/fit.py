@@ -11,7 +11,8 @@ matrix from the expected counts, with conjugate Gamma priors giving MAP
 estimates that stay finite on the short per-cluster sequences.
 
 Multiple sequences (one per meme cluster, as in the paper) are pooled by
-summing sufficient statistics, or fitted independently — both supported.
+summing sufficient statistics, or fitted independently — both in one EM
+loop over the stacked terms of :mod:`repro.hawkes.terms`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 from repro.hawkes.terms import SequenceTerms
 
-__all__ = ["FitConfig", "FitResult", "fit_hawkes_em", "parent_responsibilities"]
+__all__ = ["FitConfig", "FitResult", "fit_hawkes_em"]
 
 
 @dataclass(frozen=True)
@@ -89,56 +90,28 @@ class FitResult:
     log_likelihoods: tuple[float, ...]
 
 
-def parent_responsibilities(
-    model: HawkesModel,
-    sequence: EventSequence,
-    *,
-    window: float | None = None,
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """E-step: per-event probabilities over possible causes.
-
-    A per-event view of :meth:`SequenceTerms.causes`.
-
-    Returns
-    -------
-    (background_prob, parent_indices, parent_probs):
-        ``background_prob[n]`` is the probability event ``n`` is an
-        immigrant; ``parent_indices[n]`` lists candidate parent events
-        (within ``window``, default ``model.kernel.support_window()``)
-        with a positive probability; ``parent_probs[n]`` their
-        probabilities.  For each event the probabilities sum to 1.
-    """
-    terms = SequenceTerms(sequence, model.kernel, model.n_processes, window)
-    background_prob, bounds, parents, probs = terms.causes(
-        model.background, model.weights
-    )
-    if not len(sequence):
-        return background_prob, [], []
-    inner = bounds[1:-1]
-    return background_prob, np.split(parents, inner), np.split(probs, inner)
-
-
 def fit_hawkes_em(
     sequences: list[EventSequence],
     n_processes: int,
     config: FitConfig | None = None,
     *,
     initial_model: HawkesModel | None = None,
-) -> FitResult:
-    """Fit one Hawkes model to one or more event sequences.
+    pooled: bool = True,
+) -> FitResult | list[FitResult]:
+    """Fit Hawkes models to event sequences in one stacked EM.
 
-    Parameters
-    ----------
-    sequences:
-        Realisations assumed i.i.d. under the model (e.g. one per meme
-        cluster when pooling, or a singleton list for per-cluster fits).
-    n_processes:
-        Number of processes ``K`` (communities).
-    config:
-        EM hyper-parameters.
-    initial_model:
-        Optional warm start; default initialisation uses empirical event
-        rates and a small uniform weight matrix.
+    ``pooled=True`` fits one model to all ``sequences``, assumed i.i.d.
+    under it, and returns its :class:`FitResult`.  ``pooled=False`` fits
+    one model per sequence (the paper's per-cluster fits) and returns
+    their results in order, each the same bits as the sequence's fit
+    alone.  ``initial_model`` warm-starts every model; by default they
+    start from the empirical event rates and a small uniform weight
+    matrix.
+
+    Either way one EM loop runs over stacked terms: ``mu`` is ``(M, K)``
+    and ``W`` is ``(M, K, K)``, an iteration is a handful of ``bincount``
+    reductions over the model cells, and a per-model active mask freezes
+    each model at the iteration where its own fit stops.
     """
     if n_processes < 1:
         raise ValueError("n_processes must be >= 1")
@@ -148,97 +121,139 @@ def fit_hawkes_em(
         if len(sequence) and int(sequence.processes.max()) >= n_processes:
             raise ValueError("sequence references a process >= n_processes")
     config = config or FitConfig()
-    total_horizon = float(sum(s.horizon for s in sequences))
-    counts = np.zeros(n_processes, dtype=np.float64)
-    for sequence in sequences:
-        counts += sequence.counts(n_processes)
+    k = n_processes
+    n_models = 1 if pooled else len(sequences)
+    group_models = np.zeros(len(sequences), np.int64) if pooled else np.arange(n_models)
+    kernel = config.kernel if initial_model is None else initial_model.kernel
+    if config.learn_beta:
+        if not isinstance(kernel, ExponentialKernel):
+            raise ValueError("learn_beta needs an exponential kernel")
+        kernel = ExponentialKernel(np.full(n_models, float(kernel.beta)))
 
-    if initial_model is not None:
-        background = initial_model.background
-        weights = initial_model.weights
-        kernel = initial_model.kernel
-    else:
-        background = np.maximum(counts / total_horizon, 1e-6) * 0.5
-        weights = np.full((n_processes, n_processes), 0.05)
-        kernel = config.kernel
-
-    # Everything but (mu, W) is fixed for a given kernel, so each
-    # sequence's terms are built once and rebuilt only when learn_beta
-    # moves the kernel.  The E-step of one iteration reuses the terms the
-    # previous iteration's log-likelihood built for the same kernel.
-    cached: tuple[object, list[SequenceTerms]] | None = None
-
-    def terms_for(kernel) -> list[SequenceTerms]:
-        nonlocal cached
-        if cached is None or cached[0] != kernel:
-            window = kernel.support_window(config.window_mass)
-            cached = (
-                kernel,
-                [SequenceTerms(s, kernel, n_processes, window) for s in sequences],
-            )
-        return cached[1]
-
-    log_likelihoods: list[float] = []
-    converged = False
-    iteration = 0
-    for iteration in range(1, config.max_iterations + 1):
-        # Sufficient statistics accumulated across sequences.
-        background_counts = np.zeros(n_processes)
-        edge_counts = np.zeros((n_processes, n_processes))
-        triggered_mass = 0.0  # sum of parent responsibilities
-        triggered_delay = 0.0  # sum of responsibility-weighted delays
-        # Expected kernel mass emitted by events of each source process,
-        # accounting for right-censoring at the horizon.
-        exposure = np.zeros(n_processes)
-        for terms in terms_for(kernel):
-            bg_prob, parent_prob = terms.responsibilities(background, weights)
-            processes = terms.sequence.processes
-            # Event-then-parent order, as the pairs are laid out.
-            np.add.at(background_counts, processes, bg_prob)
-            np.add.at(edge_counts.reshape(-1), terms.flat, parent_prob)
-            if config.learn_beta:
-                triggered_mass += float(parent_prob.sum())
-                triggered_delay += float((parent_prob * terms.delays).sum())
-            np.add.at(exposure, processes, terms.remaining)
-
-        background = (
-            background_counts + config.background_prior_shape - 1.0
-        ) / (total_horizon + config.background_prior_rate)
-        background = np.maximum(background, 0.0)
-        denominator = exposure + config.weight_prior_rate
-        weights = (
-            edge_counts + config.weight_prior_shape - 1.0
-        ) / denominator[:, None]
-        weights = np.maximum(weights, 0.0)
-
-        if config.learn_beta and triggered_delay > 0 and triggered_mass > 1.0:
-            beta = float(
-                np.clip(
-                    triggered_mass / triggered_delay,
-                    config.beta_bounds[0],
-                    config.beta_bounds[1],
-                )
-            )
-            kernel = ExponentialKernel(beta)
-
-        log_likelihood = float(
-            sum(
-                terms.log_likelihood(background, weights)
-                for terms in terms_for(kernel)
-            )
+    def build(groups: np.ndarray) -> SequenceTerms:
+        return SequenceTerms(
+            [sequences[g] for g in groups],
+            kernel,
+            k,
+            kernel.support_window(config.window_mass),
+            models=group_models[groups],
         )
-        log_likelihoods.append(log_likelihood)
-        if (
-            len(log_likelihoods) >= 2
-            and abs(log_likelihoods[-1] - log_likelihoods[-2])
-            <= config.tolerance * max(1.0, abs(log_likelihoods[-2]))
-        ):
-            converged = True
+
+    terms = build(np.arange(len(sequences)))
+    horizon = np.bincount(terms.models, terms.horizons, minlength=n_models)
+    if initial_model is not None:
+        background = np.tile(initial_model.background, (n_models, 1))
+        weights = np.tile(initial_model.weights, (n_models, 1, 1))
+    else:
+        counts = np.bincount(terms.event_cell, minlength=n_models * k)
+        background = np.maximum(counts.reshape(-1, k) / horizon[:, None], 1e-6) * 0.5
+        weights = np.full((n_models, k, k), 0.05)
+
+    # Everything but (mu, W) is fixed for a given kernel, so the terms are
+    # built once.  With learn_beta, the groups of the models whose kernel
+    # moved get new terms; each model takes its statistics from the one
+    # set of terms that owns it (None: every model).
+    pieces: list[tuple[SequenceTerms, np.ndarray | None]] = [(terms, None)]
+    active = np.ones(n_models, dtype=bool)
+    converged = np.zeros(n_models, dtype=bool)
+    n_iterations = np.zeros(n_models, dtype=np.int64)
+    history = np.empty((config.max_iterations, n_models))
+
+    def per_model(compute) -> np.ndarray:
+        # compute(terms) over the pieces, each model's row from its owner.
+        out = None
+        for terms, owned in pieces:
+            values = compute(terms)
+            if owned is None:
+                return values
+            out = np.zeros_like(values) if out is None else out
+            out[owned] = values[owned]
+        return out
+
+    def expected(terms: SequenceTerms) -> np.ndarray:
+        # One row per model: background counts (K), edge counts (K * K),
+        # the kernel mass each source process emits before the horizon
+        # (K), and with learn_beta the summed parent responsibilities and
+        # responsibility-weighted delays.
+        bg_prob, parent_prob = terms.responsibilities(background, weights)
+        stats = [
+            (terms.event_cell, bg_prob, k),
+            (terms.pair_cell, parent_prob, k * k),
+            (terms.event_cell, terms.remaining, k),
+        ]
+        if config.learn_beta:
+            stats += [
+                (terms.pair_model, parent_prob, 1),
+                (terms.pair_model, parent_prob * terms.delays, 1),
+            ]
+        columns = [
+            np.bincount(index, values, minlength=n_models * width)
+            for index, values, width in stats
+        ]
+        return np.hstack([column.reshape(n_models, -1) for column in columns])
+
+    for iteration in range(1, config.max_iterations + 1):
+        stats = per_model(expected)
+        background_counts, edge_counts, exposure = np.split(
+            stats[:, : 2 * k + k * k], [k, k + k * k], axis=1
+        )
+        new_background = (
+            background_counts + config.background_prior_shape - 1.0
+        ) / (horizon + config.background_prior_rate)[:, None]
+        new_weights = (
+            edge_counts.reshape(-1, k, k) + config.weight_prior_shape - 1.0
+        ) / (exposure + config.weight_prior_rate)[:, :, None]
+        # Frozen models keep their parameters.
+        new_background = np.maximum(new_background, 0.0)
+        background = np.where(active[:, None], new_background, background)
+        weights = np.where(active[:, None, None], np.maximum(new_weights, 0.0), weights)
+
+        if config.learn_beta:
+            triggered_mass, triggered_delay = stats[:, -2], stats[:, -1]
+            moves = active & (triggered_delay > 0) & (triggered_mass > 1.0)
+            beta = kernel.beta.copy()
+            beta[moves] = np.clip(
+                triggered_mass[moves] / triggered_delay[moves], *config.beta_bounds
+            )
+            moved = beta != kernel.beta
+            if moved.any():
+                kernel = ExponentialKernel(beta)
+                pieces = [
+                    (terms, ~moved if owned is None else owned & ~moved)
+                    for terms, owned in pieces
+                ]
+                pieces = [piece for piece in pieces if (piece[1] & active).any()]
+                pieces.append((build(np.flatnonzero(moved[group_models])), moved))
+
+        log_likelihood = per_model(
+            lambda terms: terms.log_likelihood(background, weights)
+        )
+        history[iteration - 1] = log_likelihood
+        n_iterations[active] = iteration
+        if iteration >= 2:
+            previous = history[iteration - 2]
+            done = active & (
+                np.abs(log_likelihood - previous)
+                <= config.tolerance * np.maximum(1.0, np.abs(previous))
+            )
+            converged |= done
+            active &= ~done
+        if not active.any():
             break
 
-    return FitResult(
-        model=HawkesModel(background=background, weights=weights, kernel=kernel),
-        n_iterations=iteration,
-        converged=converged,
-        log_likelihoods=tuple(log_likelihoods),
-    )
+    results = [
+        FitResult(
+            model=HawkesModel(
+                background=background[m],
+                weights=weights[m],
+                kernel=ExponentialKernel(float(kernel.beta[m]))
+                if config.learn_beta
+                else kernel,
+            ),
+            n_iterations=int(n_iterations[m]),
+            converged=bool(converged[m]),
+            log_likelihoods=tuple(history[: n_iterations[m], m].tolist()),
+        )
+        for m in range(n_models)
+    ]
+    return results[0] if pooled else results

@@ -27,6 +27,7 @@ import numpy as np
 from repro.hawkes.fit import FitConfig
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
+from repro.hawkes.terms import SequenceTerms
 
 __all__ = ["GibbsResult", "gibbs_sample_hawkes"]
 
@@ -53,53 +54,30 @@ class GibbsResult:
     root_distribution: np.ndarray
 
 
-def _sample_parents(
-    model: HawkesModel,
-    sequence: EventSequence,
-    rng: np.random.Generator,
-    window: float,
+def _draw_parents(
+    terms: SequenceTerms,
+    background: np.ndarray,
+    weights: np.ndarray,
+    uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Draw one parent assignment per event (-1 = background)."""
-    times = sequence.times
-    processes = sequence.processes
-    n = len(sequence)
-    parents = np.full(n, -1, dtype=np.int64)
-    start = 0
-    for event in range(n):
-        t = times[event]
-        while times[start] < t - window:
-            start += 1
-        candidates = np.arange(start, event)
-        if candidates.size:
-            dts = t - times[candidates]
-            keep = dts > 0
-            candidates = candidates[keep]
-        if candidates.size == 0:
-            continue
-        dts = t - times[candidates]
-        rates = model.weights[
-            processes[candidates], processes[event]
-        ] * np.asarray(model.kernel.density(dts))
-        mu = model.background[processes[event]]
-        total = mu + rates.sum()
-        if total <= 0:
-            continue
-        u = rng.uniform(0.0, total)
-        if u < mu:
-            continue  # background
-        cumulative = mu + np.cumsum(rates)
-        parents[event] = candidates[int(np.searchsorted(cumulative, u))]
+    """One parent per event (-1 = background) from one uniform each: a
+    categorical draw over the flat candidate pairs, whose probabilities
+    are the stacked responsibilities."""
+    background_prob, parent_prob = terms.responsibilities(
+        background[None], weights[None]
+    )
+    child = terms.child
+    counts = np.bincount(child, minlength=uniforms.size)
+    starts = np.cumsum(counts) - counts
+    cumulative = np.cumsum(parent_prob)
+    before = np.concatenate(([0.0], cumulative))[starts]
+    running = background_prob[child] + (cumulative - before[child])
+    below = np.bincount(child, running < uniforms[child], minlength=uniforms.size)
+    parents = np.full(uniforms.size, -1, dtype=np.int64)
+    drawn = np.flatnonzero(uniforms >= background_prob)
+    position = np.minimum(below[drawn].astype(np.int64), counts[drawn] - 1)
+    parents[drawn] = terms.parent[starts[drawn] + position]
     return parents
-
-
-def _roots_from_parents(parents: np.ndarray, processes: np.ndarray) -> np.ndarray:
-    """Root community per event under one hard parent assignment."""
-    n = parents.size
-    roots = np.empty(n, dtype=np.int64)
-    for event in range(n):
-        parent = parents[event]
-        roots[event] = processes[event] if parent == -1 else roots[parent]
-    return roots
 
 
 def gibbs_sample_hawkes(
@@ -142,28 +120,22 @@ def gibbs_sample_hawkes(
     # Initialise rates from the empirical event rates.
     background = np.maximum(counts / horizon, 1e-6) * 0.5
     weights = np.full((k, k), 0.01)
-    model = HawkesModel(background=background, weights=weights, kernel=kernel)
 
-    exposure = np.zeros(k)
-    if n:
-        remaining = np.asarray(kernel.integral(horizon - sequence.times))
-        np.add.at(exposure, processes, remaining)
+    terms = SequenceTerms([sequence], kernel, k, window)
+    exposure = np.bincount(processes, terms.remaining, minlength=k)
 
     kept_background = []
     kept_weights = []
-    root_counts = np.zeros((n, k))
+    kept_parents = []
     total_iterations = burn_in + n_samples * thin
     for iteration in range(total_iterations):
-        parents = _sample_parents(model, sequence, rng, window)
+        parents = _draw_parents(terms, background, weights, rng.random(n))
         # Conjugate rate updates given the hard parent assignment.
-        background_events = np.zeros(k)
-        edge_events = np.zeros((k, k))
-        for event in range(n):
-            parent = parents[event]
-            if parent == -1:
-                background_events[processes[event]] += 1
-            else:
-                edge_events[processes[parent], processes[event]] += 1
+        caused = parents >= 0
+        background_events = np.bincount(processes[~caused], minlength=k)
+        edge_events = np.bincount(
+            processes[parents[caused]] * k + processes[caused], minlength=k * k
+        ).reshape(k, k)
         background = rng.gamma(
             config.background_prior_shape + background_events,
             1.0 / (config.background_prior_rate + horizon),
@@ -172,19 +144,27 @@ def gibbs_sample_hawkes(
             config.weight_prior_shape + edge_events,
             1.0 / (config.weight_prior_rate + exposure)[:, None],
         )
-        model = HawkesModel(background=background, weights=weights, kernel=kernel)
         if iteration >= burn_in and (iteration - burn_in) % thin == 0:
             kept_background.append(background.copy())
             kept_weights.append(weights.copy())
-            roots = _roots_from_parents(parents, processes)
-            root_counts[np.arange(n), roots] += 1.0
+            kept_parents.append(parents)
 
     background_samples = np.array(kept_background)
     weight_samples = np.array(kept_weights)
     n_kept = len(kept_background)
-    root_distribution = (
-        root_counts / n_kept if n else np.zeros((0, k))
+    # Hard roots of every kept sample in one rank sweep, over a stack of
+    # the sequence with one group per sample.
+    samples = SequenceTerms([sequence] * n_kept, kernel, k)
+    drawn = np.concatenate(kept_parents)
+    caused = np.flatnonzero(drawn >= 0)
+    offsets = np.repeat(np.arange(n_kept) * n, n)
+    roots = samples.propagate(
+        (drawn < 0).astype(np.float64),
+        caused,
+        drawn[caused] + offsets[caused],
+        np.ones(caused.size),
     )
+    root_distribution = roots.reshape(n_kept, n, k).sum(axis=0) / n_kept
     posterior_mean = HawkesModel(
         background=background_samples.mean(axis=0),
         weights=weight_samples.mean(axis=0),

@@ -23,13 +23,15 @@ class ExponentialKernel:
     ----------
     beta:
         Decay rate; ``1 / beta`` is the mean reaction delay, in the same
-        time unit as event timestamps (days throughout this repo).
+        time unit as event timestamps (days throughout this repo).  An
+        array holds one rate per item, evaluated elementwise against the
+        delays: the stacked terms give each model its own rate that way.
     """
 
-    beta: float = 1.0
+    beta: float | np.ndarray = 1.0
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
+        if np.any(np.asarray(self.beta) <= 0):
             raise ValueError("beta must be positive")
 
     def density(self, dt: np.ndarray | float) -> np.ndarray | float:
@@ -57,7 +59,8 @@ class ExponentialKernel:
         """
         if not 0 < mass < 1:
             raise ValueError("mass must be in (0, 1)")
-        return float(-np.log(1.0 - mass) / self.beta)
+        out = -np.log(1.0 - mass) / np.asarray(self.beta, dtype=np.float64)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -135,5 +135,7 @@ class HawkesModel:
 
     def log_likelihood(self, sequence: EventSequence) -> float:
         """Exact log-likelihood of ``sequence`` under this model."""
-        terms = SequenceTerms(sequence, self.kernel, self.n_processes)
-        return terms.log_likelihood(self.background, self.weights)
+        terms = SequenceTerms([sequence], self.kernel, self.n_processes)
+        return float(
+            terms.log_likelihood(self.background[None], self.weights[None])[0]
+        )

@@ -1,4 +1,4 @@
-"""Hawkes simulation: exact branching sampler and Ogata thinning.
+"""Hawkes simulation: the exact branching sampler.
 
 The branching (cluster) representation of a Hawkes process is exact:
 immigrants arrive as a Poisson process at the background rates; each event
@@ -8,7 +8,8 @@ returns *ground-truth parents and root communities* — exactly the latent
 structure the paper's influence estimation infers — which lets the test
 suite validate fitting and attribution against truth.
 
-Ogata's thinning algorithm is implemented as an independent cross-check.
+Ogata's thinning algorithm, an independent cross-check of the sampler's
+marginal law, lives with the test oracles in ``tests/hawkes_reference.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 
-__all__ = ["SimulationResult", "simulate_branching", "simulate_thinning"]
+__all__ = ["SimulationResult", "simulate_branching"]
 
 
 @dataclass(frozen=True)
@@ -161,60 +161,4 @@ def simulate_branching(
         sequence=sequence,
         parents=sorted_parents,
         roots=np.array(root_of, dtype=np.int64)[order],
-    )
-
-
-def simulate_thinning(
-    model: HawkesModel,
-    horizon: float,
-    rng: np.random.Generator,
-    *,
-    max_events: int = 1_000_000,
-) -> EventSequence:
-    """Ogata's modified thinning algorithm (no latent structure).
-
-    Kept as an independent implementation to cross-validate the branching
-    sampler's marginal law in tests.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if model.spectral_radius() >= 1.0:
-        raise ValueError("model is super-critical (spectral radius >= 1)")
-    if not isinstance(model.kernel, ExponentialKernel):
-        raise TypeError(
-            "thinning relies on the exponential kernel's decay recursion; "
-            "use simulate_branching for other kernels"
-        )
-    k = model.n_processes
-    beta = model.kernel.beta
-    # Recursive excitation state: excitation[j] is the summed kernel
-    # contribution to process j at the current time.
-    excitation = np.zeros(k)
-    t = 0.0
-    times: list[float] = []
-    processes: list[int] = []
-    while True:
-        upper = float(model.background.sum() + excitation.sum())
-        if upper <= 0:
-            break
-        wait = rng.exponential(1.0 / upper)
-        t_new = t + wait
-        if t_new > horizon:
-            break
-        # Exponential kernel decays multiplicatively between events.
-        excitation = excitation * np.exp(-beta * wait)
-        t = t_new
-        lambdas = model.background + excitation
-        total = float(lambdas.sum())
-        if rng.uniform(0.0, upper) <= total:
-            target = int(rng.choice(k, p=lambdas / total))
-            times.append(t)
-            processes.append(target)
-            excitation = excitation + model.weights[target] * beta
-            if len(times) > max_events:
-                raise ValueError(f"simulation exceeded max_events={max_events}")
-    return EventSequence(
-        times=np.array(times),
-        processes=np.array(processes, dtype=np.int64),
-        horizon=horizon,
     )

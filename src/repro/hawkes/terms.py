@@ -1,19 +1,21 @@
-"""Weight-free terms of the Hawkes E-step and log-likelihood.
+"""Weight-free terms of the Hawkes E-step and log-likelihood, stacked.
 
-For a fixed sequence and kernel, everything the EM fit needs except the
-background rates ``mu`` and the weight matrix ``W`` stays fixed:
+For fixed sequences and kernels, everything the EM fit needs except the
+background rates ``mu`` and the weights ``W`` stays fixed: the candidate
+parent pairs (every earlier event of the same sequence within the
+support window) with the kernel density at each pair's delay, each
+event's censored kernel mass ``integral(T - t)``, and the excitation
+``X[i, n]`` that event ``n`` receives from all strictly earlier events
+of its sequence on process ``i``.
 
-* the candidate parent pairs — every earlier event within the support
-  window of each event — with the kernel density at each pair's delay;
-* each event's censored kernel mass ``integral(T - t)``;
-* the excitation ``X[n, i]`` that event ``n`` receives from all strictly
-  earlier events on process ``i``, summed over the kernel.
-
-:class:`SequenceTerms` builds them once per (sequence, kernel), and its
-:meth:`~SequenceTerms.responsibilities` and
-:meth:`~SequenceTerms.log_likelihood` then evaluate the E-step and the
-exact log-likelihood for any ``(mu, W)`` as whole-array numpy, in
-O(pairs + n * K) per call.
+:class:`SequenceTerms` builds them once over a stack of sequences (one
+group per sequence; a single sequence is a stack of one), with a group
+index on every event and pair and a model index per group.  The E-step,
+the log-likelihood and root-cause propagation then run for every model
+at once as whole-array numpy.  Every reduction is a ``bincount`` or an
+unbuffered ``add.at`` over an index that never mixes groups, and the
+recursions sweep within-group rank, so a group's values are the same
+bits whatever else is in the stack.
 """
 
 from __future__ import annotations
@@ -30,58 +32,85 @@ if TYPE_CHECKING:
 
 __all__ = ["SequenceTerms"]
 
-# Entries of the pairwise delay block built per pass of the generic
-# (non-exponential) excitation sum.
-_DENSE_BLOCK = 1 << 20
-
 
 class SequenceTerms:
-    """The parts of one sequence's E-step and likelihood that do not
-    depend on ``mu`` or ``W``.
+    """The ``mu``- and ``W``-free parts of a stack of sequences' E-steps
+    and likelihoods, each built on first use.
 
-    Parameters
-    ----------
-    sequence:
-        The event sequence.
-    kernel:
-        Excitation kernel (anything with ``density``, ``integral`` and
-        ``support_window``).
-    n_processes:
-        Number of processes ``K``.
-    window:
-        Largest parent-to-child delay considered by the E-step; defaults
-        to ``kernel.support_window()``.  The log-likelihood is exact and
-        ignores it.
-
-    Each term is built on first use, so a likelihood-only caller never
-    builds the candidate pairs.
+    ``kernel`` (anything with ``density``, ``integral`` and
+    ``support_window``) is shared by every model; an
+    :class:`ExponentialKernel` whose ``beta`` is an array holds one decay
+    rate per model.  ``window`` is the E-step's largest parent-to-child
+    delay, one value or one per model (default
+    ``kernel.support_window()``); the log-likelihood is exact and
+    ignores it.  ``models`` is each group's model index (default: one
+    model per group; pooled sequences share one).  Stacked parameters
+    are ``background`` ``(M, K)`` and ``weights`` ``(M, K, K)``.
     """
 
     def __init__(
         self,
-        sequence: EventSequence,
+        sequences: list[EventSequence],
         kernel,
         n_processes: int,
-        window: float | None = None,
+        window: float | np.ndarray | None = None,
+        *,
+        models: np.ndarray | None = None,
     ) -> None:
-        self.sequence = sequence
+        self.sequences = list(sequences)
         self.kernel = kernel
         self.n_processes = n_processes
         self.window = kernel.support_window() if window is None else window
+        sizes = [len(s) for s in self.sequences]
+        self.models = (
+            np.arange(len(sizes))
+            if models is None
+            else np.asarray(models, dtype=np.int64)
+        )
+        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.group = np.repeat(np.arange(len(sizes)), sizes)
+        self.times = np.concatenate([np.empty(0)] + [s.times for s in self.sequences])
+        self.processes = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [s.processes for s in self.sequences]
+        )
+        self.horizons = np.array([s.horizon for s in self.sequences], dtype=float)
+        # Model of each event, and its (model, process) cell.
+        self.event_model = self.models[self.group]
+        self.event_cell = self.event_model * n_processes + self.processes
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    def _kernel_of(self, model: np.ndarray):
+        # The shared kernel, or an exponential with each item's own rate.
+        if np.ndim(getattr(self.kernel, "beta", None)):
+            return ExponentialKernel(self.kernel.beta[model])
+        return self.kernel
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        # (group, time) as complex numbers, which numpy orders
+        # lexicographically: one searchsorted stays inside each group.
+        return self.group + 1j * self.times
+
+    @cached_property
+    def _first_tie(self) -> np.ndarray:
+        # Per event, the first event of its group at the same time: the
+        # events before it are the strictly earlier ones.
+        return np.searchsorted(self._keys, self._keys, "left")
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        # Candidates of event n: indices [lo, hi), those at most `window`
-        # earlier (the window edge included) and strictly earlier in time
+        # Candidates of event n: the events of its group at most the
+        # window earlier (the edge included) and strictly earlier in time
         # (simultaneous events cannot cause each other).
-        times = self.sequence.times
-        lo = np.searchsorted(times, times - self.window, "left")
-        hi = np.searchsorted(times, times, "left")
-        counts = np.maximum(hi - lo, 0)
-        child = np.repeat(np.arange(times.size), counts)
-        offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        parent = np.arange(child.size) + offsets
-        return child, parent
+        window = np.asarray(self.window, dtype=np.float64)
+        if window.ndim:
+            window = window[self.event_model]
+        lo = np.searchsorted(
+            self._keys, self.group + 1j * (self.times - window), "left"
+        )
+        return _ranges(lo, self._first_tie)
 
     @property
     def child(self) -> np.ndarray:
@@ -96,51 +125,115 @@ class SequenceTerms:
     @cached_property
     def delays(self) -> np.ndarray:
         """Parent-to-child delay of each pair."""
-        times = self.sequence.times
-        return times[self.child] - times[self.parent]
+        return self.times[self.child] - self.times[self.parent]
+
+    @cached_property
+    def pair_model(self) -> np.ndarray:
+        """Model index of each pair."""
+        return self.event_model[self.child]
 
     @cached_property
     def density(self) -> np.ndarray:
         """Kernel density at each pair's delay."""
-        return np.asarray(self.kernel.density(self.delays))
+        kernel = self._kernel_of(self.pair_model)
+        return np.asarray(kernel.density(self.delays))
 
     @cached_property
-    def flat(self) -> np.ndarray:
-        """Flat index of each pair's ``(parent process, child process)`` cell."""
-        processes = self.sequence.processes
-        return processes[self.parent] * self.n_processes + processes[self.child]
+    def pair_cell(self) -> np.ndarray:
+        """Flat index of each pair's (model, parent process, child
+        process) cell of the stacked weights."""
+        k, processes = self.n_processes, self.processes
+        parent_cell = self.pair_model * k + processes[self.parent]
+        return parent_cell * k + processes[self.child]
 
     @cached_property
     def remaining(self) -> np.ndarray:
-        """Kernel mass each event emits before the horizon."""
-        sequence = self.sequence
-        return np.asarray(self.kernel.integral(sequence.horizon - sequence.times))
+        """Kernel mass each event emits before its sequence's horizon."""
+        kernel = self._kernel_of(self.event_model)
+        return np.asarray(
+            kernel.integral(self.horizons[self.group] - self.times)
+        )
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Position of each event within its sequence."""
+        return np.arange(len(self)) - self.offsets[self.group]
 
     @cached_property
     def excitation(self) -> np.ndarray:
-        """``X[n, i]``: summed kernel density at event ``n`` of every
-        strictly earlier event on process ``i``, over the whole past."""
-        times = self.sequence.times
-        processes = self.sequence.processes
+        """``X[i, n]``, shape ``(K, n)``: summed kernel density at event
+        ``n`` of every strictly earlier event of its sequence on process
+        ``i``, over the whole past."""
         if isinstance(self.kernel, ExponentialKernel):
-            return _exponential_excitation(
-                times, processes, self.kernel.beta, self.n_processes
-            )
-        return _dense_excitation(times, processes, self.kernel, self.n_processes)
+            return self._exponential_excitation()
+        # Generic kernels have no recursion: sum the density over every
+        # strictly earlier event of the group.
+        n = len(self)
+        child, parent = _ranges(self.offsets[self.group], self._first_tie)
+        kernel = self._kernel_of(self.event_model[child])
+        density = np.asarray(kernel.density(self.times[child] - self.times[parent]))
+        cells = self.processes[parent] * n + child
+        return np.bincount(cells, density, minlength=self.n_processes * n).reshape(
+            -1, n
+        )
+
+    def _exponential_excitation(self) -> np.ndarray:
+        # The excitation decays multiplicatively between distinct
+        # timestamps, and events sharing a timestamp join it only once
+        # time moves on: state = (state + pending) * decay, pending = 0 on
+        # a step in time; both unchanged on a tie (exactly: the decay is
+        # exp(0) = 1 and the pending added is 0).  One sweep over
+        # within-group rank: step r advances the r-th event of every group
+        # longer than r, the groups longest first so that they are a
+        # prefix of the state rows.
+        k, times = self.n_processes, self.times
+        sizes = np.diff(self.offsets)
+        slot = np.empty(sizes.size, dtype=np.int64)
+        slot[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
+        order = np.lexsort((slot[self.group], self.rank))
+        ends = np.cumsum(np.bincount(self.rank)).tolist()
+        beta = np.asarray(self.kernel.beta, dtype=np.float64)
+        if beta.ndim:
+            beta = beta[self.event_model]
+        gaps = times - np.where(self.rank > 0, np.roll(times, 1), 0.0)
+        decays = np.exp(-beta * gaps)[order, None]
+        joins = (gaps > 0)[order, None].astype(np.float64)
+        stays = 1.0 - joins
+        processes = self.processes[order]
+        added = np.broadcast_to(beta, times.shape)[order]
+        out = np.empty((len(self), k))
+        state = np.zeros((np.count_nonzero(sizes), k))
+        pending = np.zeros_like(state)
+        lanes = np.arange(len(state))
+        for start, stop in zip([0] + ends[:-1], ends):
+            live, queued = state[: stop - start], pending[: stop - start]
+            live += queued * joins[start:stop]
+            live *= decays[start:stop]
+            queued *= stays[start:stop]
+            out[start:stop] = live
+            queued[lanes[: stop - start], processes[start:stop]] += added[start:stop]
+        excitation = np.empty((k, len(self)))
+        excitation[:, order] = out.T
+        return excitation
+
+    @cached_property
+    def _source_cells(self) -> np.ndarray:
+        # Flat index of W[model, i, k_n] for every source process i and
+        # event n, shape (K, n).
+        k = self.n_processes
+        base = self.event_model * (k * k) + self.processes
+        return base + (np.arange(k) * k)[:, None]
 
     def responsibilities(
         self, background: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """E-step under ``(background, weights)``.
-
-        Returns ``(background_prob, parent_prob)``: per event, the
-        probability that it is an immigrant, and per candidate pair the
-        probability that the parent caused the child.  An event with no
-        candidate, or whose total rate is not positive, is an immigrant
-        with probability 1 and gives its candidates probability 0.
-        """
-        rates = weights.ravel()[self.flat] * self.density
-        mu = background[self.sequence.processes]
+        """E-step: ``(background_prob, parent_prob)``, per event the
+        probability that it is an immigrant and per candidate pair that
+        the parent caused the child.  An event with no candidate, or whose
+        total rate is not positive, is an immigrant with probability 1 and
+        gives its candidates probability 0."""
+        rates = weights.reshape(-1)[self.pair_cell] * self.density
+        mu = background.reshape(-1)[self.event_cell]
         total = mu + np.bincount(self.child, rates, minlength=mu.size)
         # An event without candidates has total == mu, so mu / total is
         # exactly 1 unless mu is 0.
@@ -151,79 +244,55 @@ class SequenceTerms:
         np.divide(rates, total[self.child], out=parent_prob, where=valid[self.child])
         return background_prob, parent_prob
 
-    def causes(
+    def propagate(
+        self,
+        background_prob: np.ndarray,
+        child: np.ndarray,
+        parent: np.ndarray,
+        probs: np.ndarray,
+    ) -> np.ndarray:
+        """Root-cause rows ``R[n] = background_prob[n] * onehot(k_n) +
+        sum probs * R[parent]`` over the pairs ``(child, parent, probs)``
+        of ``n``, given in ascending child order.  Step ``r`` of one rank
+        sweep finishes the ``r``-th event of every group at once: its
+        parents rank lower, so their rows are final."""
+        roots = np.zeros((len(self), self.n_processes))
+        roots[np.arange(len(self)), self.processes] = background_prob
+        rank = self.rank[child]
+        order = np.argsort(rank, kind="stable")
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        child, parent, probs = child[order], parent[order], probs[order, None]
+        for start, stop in zip([0] + ends[:-1], ends):
+            rows = probs[start:stop] * roots[parent[start:stop]]
+            np.add.at(roots, child[start:stop], rows)
+        return roots
+
+    def log_likelihood(
         self, background: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The E-step as per-event parent lists, in flat form.
-
-        Returns ``(background_prob, bounds, parents, probs)``: event
-        ``n``'s parents with a positive probability are
-        ``parents[bounds[n]:bounds[n + 1]]``, with probabilities
-        ``probs[bounds[n]:bounds[n + 1]]``.
-        """
-        background_prob, parent_prob = self.responsibilities(background, weights)
-        keep = parent_prob > 0
-        bounds = np.zeros(background_prob.size + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.child[keep], minlength=background_prob.size),
-            out=bounds[1:],
+    ) -> np.ndarray:
+        """Exact log-likelihood per model (length ``M``), summed over its
+        groups, each ``sum_n log(mu[k_n] + sum_i X[i, n] W[i, k_n])`` minus
+        ``T * sum(mu) + sum_n W[k_n, :].sum() * integral(T - t_n)``."""
+        n_groups = len(self.sequences)
+        lambdas = background.reshape(-1)[self.event_cell]
+        for term in self.excitation * weights.reshape(-1)[self._source_cells]:
+            lambdas = lambdas + term
+        log_term = np.bincount(
+            self.group, np.log(np.maximum(lambdas, 1e-300)), minlength=n_groups
         )
-        return background_prob, bounds, self.parent[keep], parent_prob[keep]
-
-    def log_likelihood(self, background: np.ndarray, weights: np.ndarray) -> float:
-        """Exact log-likelihood of the sequence under ``(background, weights)``.
-
-        ``sum_n log(mu[k_n] + sum_i X[n, i] W[i, k_n])`` minus the
-        compensator ``T * sum(mu) + sum_n W[k_n, :].sum() * integral(T - t_n)``.
-        """
-        sequence = self.sequence
-        processes = sequence.processes
-        log_term = 0.0
-        compensator = float(background.sum() * sequence.horizon)
-        if len(sequence):
-            lambdas = background[processes] + (
-                self.excitation * weights.T[processes]
-            ).sum(axis=1)
-            log_term = float(np.log(np.maximum(lambdas, 1e-300)).sum())
-            compensator += float(
-                (weights.sum(axis=1)[processes] * self.remaining).sum()
-            )
-        return log_term - compensator
+        emitted = weights.sum(axis=2).reshape(-1)[self.event_cell]
+        compensator = background.sum(axis=1)[self.models] * self.horizons
+        compensator += np.bincount(
+            self.group, emitted * self.remaining, minlength=n_groups
+        )
+        return np.bincount(
+            self.models, log_term - compensator, minlength=background.shape[0]
+        )
 
 
-def _exponential_excitation(
-    times: np.ndarray, processes: np.ndarray, beta: float, n_processes: int
-) -> np.ndarray:
-    # The excitation decays multiplicatively between distinct timestamps;
-    # events sharing a timestamp join it only once time moves on.  One
-    # O(n * K) pass, run once per (sequence, kernel).
-    gaps = np.diff(times, prepend=0.0)
-    decays = np.exp(-beta * gaps).tolist()
-    advances = (gaps > 0).tolist()
-    out = np.empty((times.size, n_processes))
-    state = np.zeros(n_processes)
-    pending = np.zeros(n_processes)
-    for event, process in enumerate(processes.tolist()):
-        if advances[event]:
-            state = (state + pending) * decays[event]
-            pending = np.zeros(n_processes)
-        out[event] = state
-        pending[process] += beta
-    return out
-
-
-def _dense_excitation(
-    times: np.ndarray, processes: np.ndarray, kernel, n_processes: int
-) -> np.ndarray:
-    # Generic kernels have no recursion: sum the density over every
-    # strictly earlier event, a block of rows of the delay matrix at a time.
-    n = times.size
-    onehot = np.zeros((n, n_processes))
-    onehot[np.arange(n), processes] = 1.0
-    out = np.empty((n, n_processes))
-    rows = max(1, _DENSE_BLOCK // max(n, 1))
-    for start in range(0, n, rows):
-        delays = times[start:start + rows, None] - times[None, :]
-        phi = np.where(delays > 0, kernel.density(delays), 0.0)
-        out[start:start + rows] = phi @ onehot
-    return out
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (child, parent) for every parent in [lo[child], hi[child]).
+    counts = np.maximum(hi - lo, 0)
+    child = np.repeat(np.arange(lo.size), counts)
+    offsets = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return child, np.arange(child.size) + offsets

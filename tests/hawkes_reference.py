@@ -1,9 +1,11 @@
 """Brute-force reference for the Hawkes EM: one Python pass per event.
 
-These are the per-event E-step, M-step accumulation and log-likelihood
-loops that the vectorised :mod:`repro.hawkes.terms` replaced.  They are
-slow and obviously correct, and serve as the oracle of
-``tests/test_hawkes_differential.py``.
+These are the per-event E-step, M-step accumulation, log-likelihood and
+Gibbs parent-draw and root loops that the vectorised
+:mod:`repro.hawkes.terms` replaced.  They are slow and obviously
+correct, and serve as the oracle of ``tests/test_hawkes_differential.py``.
+Ogata's thinning simulator is the same kind of oracle for
+:func:`repro.hawkes.simulate.simulate_branching`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,36 @@ import numpy as np
 from repro.hawkes.fit import FitConfig, FitResult
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
+from repro.hawkes.terms import SequenceTerms
+
+
+def parent_responsibilities(
+    model: HawkesModel,
+    sequence: EventSequence,
+    *,
+    window: float | None = None,
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The vectorised E-step as per-event lists: a view of
+    :meth:`SequenceTerms.responsibilities` on a stack of one.
+
+    ``background_prob[n]`` is the probability event ``n`` is an
+    immigrant; ``parent_indices[n]`` lists its candidate parents (within
+    ``window``, default ``model.kernel.support_window()``) with a
+    positive probability, and ``parent_probs[n]`` their probabilities.
+    """
+    terms = SequenceTerms([sequence], model.kernel, model.n_processes, window)
+    background_prob, parent_prob = terms.responsibilities(
+        model.background[None], model.weights[None]
+    )
+    if not len(sequence):
+        return background_prob, [], []
+    keep = parent_prob > 0
+    inner = np.cumsum(np.bincount(terms.child[keep], minlength=len(sequence)))[:-1]
+    return (
+        background_prob,
+        np.split(terms.parent[keep], inner),
+        np.split(parent_prob[keep], inner),
+    )
 
 
 def reference_responsibilities(
@@ -194,4 +226,112 @@ def reference_fit(
         n_iterations=iteration,
         converged=converged,
         log_likelihoods=tuple(log_likelihoods),
+    )
+
+
+def sample_parents(
+    model: HawkesModel,
+    sequence: EventSequence,
+    uniforms: np.ndarray,
+    window: float,
+) -> np.ndarray:
+    """Per-event Gibbs parent draw (-1 = background), one uniform each.
+
+    ``uniforms[n]`` in ``[0, 1)`` scaled by event ``n``'s total rate picks
+    the background below ``mu``, else the first candidate whose
+    cumulative rate reaches it.
+    """
+    times = sequence.times
+    processes = sequence.processes
+    n = len(sequence)
+    parents = np.full(n, -1, dtype=np.int64)
+    start = 0
+    for event in range(n):
+        t = times[event]
+        while times[start] < t - window:
+            start += 1
+        candidates = np.arange(start, event)
+        if candidates.size:
+            dts = t - times[candidates]
+            keep = dts > 0
+            candidates = candidates[keep]
+        if candidates.size == 0:
+            continue
+        dts = t - times[candidates]
+        rates = model.weights[
+            processes[candidates], processes[event]
+        ] * np.asarray(model.kernel.density(dts))
+        mu = model.background[processes[event]]
+        total = mu + rates.sum()
+        if total <= 0:
+            continue
+        u = uniforms[event] * total
+        if u < mu:
+            continue  # background
+        cumulative = mu + np.cumsum(rates)
+        parents[event] = candidates[int(np.searchsorted(cumulative, u))]
+    return parents
+
+
+def roots_from_parents(parents: np.ndarray, processes: np.ndarray) -> np.ndarray:
+    """Root community per event under one hard parent assignment."""
+    n = parents.size
+    roots = np.empty(n, dtype=np.int64)
+    for event in range(n):
+        parent = parents[event]
+        roots[event] = processes[event] if parent == -1 else roots[parent]
+    return roots
+
+
+def simulate_thinning(
+    model: HawkesModel,
+    horizon: float,
+    rng: np.random.Generator,
+    *,
+    max_events: int = 1_000_000,
+) -> EventSequence:
+    """Ogata's modified thinning algorithm (no latent structure): an
+    independent simulator that cross-validates the branching sampler's
+    marginal law."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if model.spectral_radius() >= 1.0:
+        raise ValueError("model is super-critical (spectral radius >= 1)")
+    if not isinstance(model.kernel, ExponentialKernel):
+        raise TypeError(
+            "thinning relies on the exponential kernel's decay recursion; "
+            "use simulate_branching for other kernels"
+        )
+    k = model.n_processes
+    beta = model.kernel.beta
+    # Recursive excitation state: excitation[j] is the summed kernel
+    # contribution to process j at the current time.
+    excitation = np.zeros(k)
+    t = 0.0
+    times: list[float] = []
+    processes: list[int] = []
+    while True:
+        upper = float(model.background.sum() + excitation.sum())
+        if upper <= 0:
+            break
+        wait = rng.exponential(1.0 / upper)
+        t_new = t + wait
+        if t_new > horizon:
+            break
+        # Exponential kernel decays multiplicatively between events.
+        excitation = excitation * np.exp(-beta * wait)
+        t = t_new
+        lambdas = model.background + excitation
+        total = float(lambdas.sum())
+        if rng.uniform(0.0, upper) <= total:
+            target = int(rng.choice(k, p=lambdas / total))
+            times.append(t)
+            processes.append(target)
+            excitation = excitation + model.weights[target] * beta
+            if len(times) > max_events:
+                raise ValueError(f"simulation exceeded max_events={max_events}")
+    return EventSequence(
+        times=np.array(times),
+        processes=np.array(processes, dtype=np.int64),
+        horizon=horizon,
     )

@@ -128,27 +128,47 @@ class TestFitFailureIsolation:
     def test_no_failures_on_healthy_world(self, study):
         assert study.failures == {}
 
-    def test_one_bad_cluster_is_isolated(self, world, pipeline_result, monkeypatch):
-        """A single pathological Hawkes fit must be reported, not sink
-        the whole study."""
+    def test_one_bad_cluster_is_isolated(
+        self, world, pipeline_result, study, monkeypatch
+    ):
+        """A single pathological cluster must be reported, not sink the
+        whole study: the stacked fit raises whenever that cluster is in
+        the stack, and bisection isolates it.  Every other cluster's
+        matrices are the same bits as in the unpoisoned study."""
         import repro.analysis.influence as influence_module
 
-        real_fit = influence_module.fit_hawkes_em
-        calls = {"n": 0}
-
-        def flaky_fit(sequences, k, fit_config):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise np.linalg.LinAlgError("singular EM update")
-            return real_fit(sequences, k, fit_config)
-
-        monkeypatch.setattr(influence_module, "fit_hawkes_em", flaky_fit)
-        study = influence_study(
+        sequences = cluster_event_sequences(
             pipeline_result, world.config.horizon_days, min_events=8
         )
-        assert len(study.failures) == 1
-        failed_key, message = next(iter(study.failures.items()))
-        assert "LinAlgError" in message
-        assert failed_key not in study.per_cluster
-        assert np.all(np.isfinite(study.total.expected_events))
-        assert len(study.per_cluster) >= 1
+        poisoned_key = list(sequences)[len(sequences) // 3]
+        poisoned = sequences[poisoned_key]
+        real_fit = influence_module.fit_hawkes_em
+
+        def is_poisoned(sequence):
+            return np.array_equal(sequence.times, poisoned.times) and (
+                np.array_equal(sequence.processes, poisoned.processes)
+            )
+
+        def flaky_fit(stack, k, fit_config, **options):
+            if any(is_poisoned(sequence) for sequence in stack):
+                raise np.linalg.LinAlgError("singular EM update")
+            return real_fit(stack, k, fit_config, **options)
+
+        monkeypatch.setattr(influence_module, "fit_hawkes_em", flaky_fit)
+        poisoned_study = influence_study(
+            pipeline_result, world.config.horizon_days, min_events=8
+        )
+        assert list(poisoned_study.failures) == [poisoned_key]
+        assert "LinAlgError: singular EM update" in (
+            poisoned_study.failures[poisoned_key]
+        )
+        assert set(poisoned_study.per_cluster) == set(study.per_cluster) - {
+            poisoned_key
+        }
+        for key, matrices in poisoned_study.per_cluster.items():
+            assert np.array_equal(
+                matrices.expected_events, study.per_cluster[key].expected_events
+            )
+            assert np.array_equal(
+                matrices.event_counts, study.per_cluster[key].event_counts
+            )

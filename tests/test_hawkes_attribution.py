@@ -6,9 +6,9 @@ import pytest
 from repro.hawkes.attribution import (
     InfluenceMatrices,
     attribute_root_causes,
-    influence_from_sequences,
+    root_cause_influence,
 )
-from repro.hawkes.fit import FitConfig
+from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 from repro.hawkes.simulate import simulate_branching
@@ -104,18 +104,23 @@ class TestInfluenceMatrices:
         assert m.total_external_normalized()[0] == pytest.approx(30.0)
 
 
-class TestInfluenceFromSequences:
-    def test_empty(self):
-        result = influence_from_sequences([], 3)
-        assert result.n_processes == 3
+class TestRootCauseInfluence:
+    def test_no_sequences(self):
+        assert root_cause_influence([], np.zeros((0, 3)), 3) == []
 
-    def test_total_attribution_conserved(self, simulations):
+    def test_pooled_attribution_conserved(self, simulations):
         sequences = [s.sequence for s in simulations[:3]]
-        result = influence_from_sequences(
-            sequences, 3, config=FitConfig(kernel=ExponentialKernel(2.0)),
-            pooled=True,
+        fit = fit_hawkes_em(
+            sequences, 3, FitConfig(kernel=ExponentialKernel(2.0)), pooled=True
         )
+        roots = attribute_root_causes(fit.model, sequences)
+        assert roots.shape == (sum(len(s) for s in sequences), 3)
+        per_sequence = root_cause_influence(sequences, roots, 3)
+        assert len(per_sequence) == 3
+        result = sum(per_sequence, InfluenceMatrices.zeros(3))
         # Every event's root mass lands somewhere: column sums == counts.
         assert np.allclose(
             result.expected_events.sum(axis=0), result.event_counts
         )
+        for sequence, matrices in zip(sequences, per_sequence):
+            assert np.array_equal(matrices.event_counts, sequence.counts(3))

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.hawkes.fit import FitConfig, fit_hawkes_em, parent_responsibilities
+from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 from repro.hawkes.simulate import simulate_branching
+from tests.hawkes_reference import parent_responsibilities
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,10 @@ from repro.hawkes import (
     HawkesModel,
     fit_hawkes_em,
     simulate_branching,
-    simulate_thinning,
 )
 from repro.hawkes.fit import FitConfig
 from repro.hawkes.kernels import PowerLawKernel
+from tests.hawkes_reference import simulate_thinning
 
 
 class TestPowerLawKernel:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import HawkesModel
-from repro.hawkes.simulate import simulate_branching, simulate_thinning
+from repro.hawkes.simulate import simulate_branching
+from tests.hawkes_reference import simulate_thinning
 
 
 @pytest.fixture()
