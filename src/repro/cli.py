@@ -102,6 +102,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -657,11 +658,7 @@ def _serve_replay(world, result, args, faults) -> int:
     from repro.service import BreakerConfig, MemeMatchService, ServiceConfig
     from repro.utils.retry import RetryPolicy
 
-    stream = (
-        _load_stream(args.stream)
-        if args.stream
-        else list(world.posts.phash)
-    )
+    stream = _load_stream(args.stream) if args.stream else world.posts.phash
     config = ServiceConfig(
         default_deadline_s=(
             args.deadline_ms / 1000.0 if args.deadline_ms else None
@@ -684,23 +681,15 @@ def _serve_replay(world, result, args, faults) -> int:
     responses = []
     burst = max(1, args.burst)
     for start in range(0, len(stream), burst):
-        for immediate in service.submit_many(stream[start : start + burst]):
-            if immediate is not None:
-                responses.append(immediate)
+        shed = service.submit_many(stream[start : start + burst])
+        responses += [response for response in shed if response is not None]
         responses.extend(service.drain())
     responses.extend(service.drain())
 
     stats = service.stats
-    matched = sum(
-        1 for r in responses if r.status == "ok" and r.verdict.matched
-    )
-    flagged = sum(
-        1
-        for r in responses
-        if r.status == "ok"
-        and r.verdict.matched
-        and (r.verdict.is_racist or r.verdict.is_politics)
-    )
+    served = [r.verdict for r in responses if r.status == "ok"]
+    matched = sum(v.matched for v in served)
+    flagged = sum(v.matched and (v.is_racist or v.is_politics) for v in served)
     rows = [
         ["submitted", stats.submitted],
         ["served", stats.served],
@@ -722,7 +711,7 @@ def _serve_replay(world, result, args, faults) -> int:
     health = service.health()
     print(f"breaker={health['breaker']}  queue_peak={health['queue_peak']}  "
           f"dead_letters={health['dead_letters']}")
-    for letter in service.dead_letters[:5]:
+    for letter in islice(service.dead_letters, 5):
         print(f"  dead-letter #{letter.request_id}: {letter.reason}")
     if not health["conserved"]:
         print("ERROR: conservation violated — a request was lost")
@@ -776,6 +765,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--stream-events must be >= 0")
     if args.coalesce_window < 1:
         parser.error("--coalesce-window must be >= 1")
+    if args.deadline_ms is not None and not args.deadline_ms >= 0:
+        parser.error("--deadline-ms must be a non-negative number")
     if args.command == "cache":
         return _cache_command(args, parser)
     try:

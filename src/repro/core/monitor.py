@@ -26,6 +26,12 @@ from repro.hashing.phash import phash
 
 __all__ = ["MonitorVerdict", "MemeMonitor"]
 
+# Smaller batches skip np.unique.  On perfbench's serve stream (0.2-5%
+# repeats at 64-4096 hashes) classify took 0.7-0.85x as long without it
+# at 64-2048 hashes, about as long at 4096, and 0.5-0.9x as long with
+# it at 8192-32768.
+_UNIQUE_MIN = 4096
+
 
 def _validated_hash_array(hashes) -> np.ndarray:
     """Coerce a batch of pHashes to contiguous uint64, rejecting garbage.
@@ -158,14 +164,13 @@ class MemeMonitor:
             [annotation.medoid_hash for annotation in self._annotations],
             dtype=np.uint64,
         )
-        self._racist_flags = np.array(
-            [annotation.is_racist for annotation in self._annotations],
-            dtype=bool,
-        )
-        self._politics_flags = np.array(
-            [annotation.is_politics for annotation in self._annotations],
-            dtype=bool,
-        )
+        # Verdicts memoised per (cluster, distance) on first use; no
+        # match, (-1, -1), indexes the extra last row and column.
+        shape = (len(self._keys) + 1, min(theta, 64) + 2)
+        self._memo = np.empty(shape, dtype=object)
+        self._memo[-1, -1] = MonitorVerdict.no_match()
+        self._memoised = np.zeros(shape, dtype=bool)
+        self._memoised[-1, -1] = True
 
     def __len__(self) -> int:
         """Number of known meme clusters."""
@@ -251,33 +256,31 @@ class MemeMonitor:
             here with their index instead.
         """
         values = _validated_hash_array(hashes)
-        if values.size == 0:
-            return []
+        if values.size < _UNIQUE_MIN:
+            return self._verdicts(values)
         unique, inverse = np.unique(values, return_inverse=True)
-        unique_verdicts = self._verdicts(unique)
-        return [unique_verdicts[j] for j in inverse]
+        return self._verdicts(unique, inverse)
 
-    def _verdicts(self, unique: np.ndarray) -> list[MonitorVerdict]:
-        """One verdict per hash, from the nearest annotated medoid."""
-        position, distance = nearest_medoid(unique, self._medoids, self.theta)
-        no_match = MonitorVerdict.no_match()
-        keys = self._keys
-        annotations = self._annotations
-        racist = self._racist_flags
-        politics = self._politics_flags
-        return [
-            no_match
-            if position[i] < 0
-            else MonitorVerdict(
-                matched=True,
-                cluster=keys[position[i]],
-                entry=annotations[position[i]].representative,
-                distance=int(distance[i]),
-                is_racist=bool(racist[position[i]]),
-                is_politics=bool(politics[position[i]]),
-            )
-            for i in range(unique.size)
-        ]
+    def _verdicts(self, values: np.ndarray, inverse=None) -> list[MonitorVerdict]:
+        """Verdicts of ``values`` (of ``values[inverse]`` if given)."""
+        position, distance = nearest_medoid(values, self._medoids, self.theta)
+        missing = ~self._memoised[position, distance]
+        if missing.any():
+            for cluster, dist in set(
+                zip(position[missing].tolist(), distance[missing].tolist())
+            ):
+                annotation = self._annotations[cluster]
+                self._memo[cluster, dist] = MonitorVerdict(
+                    matched=True,
+                    cluster=self._keys[cluster],
+                    entry=annotation.representative,
+                    distance=dist,
+                    is_racist=bool(annotation.is_racist),
+                    is_politics=bool(annotation.is_politics),
+                )
+                self._memoised[cluster, dist] = True
+        verdicts = self._memo[position, distance]
+        return (verdicts if inverse is None else verdicts[inverse]).tolist()
 
     def flagged_entries(self) -> dict[str, tuple[bool, bool]]:
         """All known entries with their (racist, politics) flags."""

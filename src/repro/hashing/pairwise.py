@@ -111,14 +111,12 @@ def nearest_medoid(
         return position, distance
     step = max(1, _MEDOID_PAIR_BUDGET // int(medoids.size))
     for lo in range(0, queries.size, step):
-        block = queries[lo : lo + step]
-        distances = popcount(block[:, None] ^ medoids[None, :])
-        distances[distances > theta] = 65  # > any 64-bit distance
-        best = np.argmin(distances, axis=1)
-        winners = distances[np.arange(block.size), best]
-        matched = np.flatnonzero(winners <= theta)
-        position[lo + matched] = best[matched]
-        distance[lo + matched] = winners[matched]
+        counts = popcount(queries[lo : lo + step, None] ^ medoids)
+        best = counts.argmin(axis=1)
+        nearest = counts.min(axis=1)
+        matched = nearest <= theta
+        position[lo : lo + step][matched] = best[matched]
+        distance[lo : lo + step][matched] = nearest[matched]
     return position, distance
 
 

@@ -15,7 +15,7 @@
   snapshots with rollback on corruption.
 """
 
-from repro.service.admission import AdmissionDecision, AdmissionQueue
+from repro.service.admission import AdmissionQueue
 from repro.service.breaker import BreakerConfig, BreakerOpenError, CircuitBreaker
 from repro.service.reload import (
     INDEX_FINGERPRINT,
@@ -30,7 +30,6 @@ from repro.service.service import (
     SHED,
     TIMED_OUT,
     DeadLetter,
-    MatchRequest,
     MemeMatchService,
     ReloadReport,
     ServiceConfig,
@@ -40,7 +39,6 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "AdmissionDecision",
     "AdmissionQueue",
     "BreakerConfig",
     "BreakerOpenError",
@@ -51,7 +49,6 @@ __all__ = [
     "save_index",
     "validate_result",
     "DeadLetter",
-    "MatchRequest",
     "MemeMatchService",
     "ReloadReport",
     "ServiceConfig",

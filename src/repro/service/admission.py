@@ -8,42 +8,24 @@ shed watermark — deterministically (a depth comparison, never a coin
 flip), so the same arrival sequence always sheds the same requests and
 chaos tests can assert exact counts.
 
-The shed decision and its reason travel back to the caller in an
-:class:`AdmissionDecision`, which doubles as the backpressure signal:
-callers see the queue depth on every offer and can slow down before the
-watermark is hit.
+Items arrive in bursts and stay in them: the queue holds the admitted
+prefix of each burst as one slice and pops FIFO slices, so admission and
+dequeueing cost per burst, not per item.  ``len(queue)`` is the
+backpressure signal.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-__all__ = ["AdmissionDecision", "AdmissionQueue"]
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """Admission outcome of one item in :meth:`AdmissionQueue.offer_many`.
-
-    Attributes
-    ----------
-    admitted:
-        Whether the item was enqueued.
-    reason:
-        Shed reason (``"queue-watermark"`` or ``"queue-full"``) when
-        rejected, else ``None``.
-    depth:
-        Queue depth *after* the decision — the backpressure signal.
-    """
-
-    admitted: bool
-    reason: str | None
-    depth: int
+__all__ = ["AdmissionQueue"]
 
 
 class AdmissionQueue:
     """FIFO queue bounded by ``max_depth``, shedding at ``shed_watermark``.
+
+    A burst is anything with ``len`` and slicing (a list, a range, a
+    :class:`~repro.communities.PostTable`); depth counts its items.
 
     Parameters
     ----------
@@ -74,10 +56,11 @@ class AdmissionQueue:
             shed_watermark if shed_watermark is not None else max_depth
         )
         self.peak_depth = 0
-        self._items: deque = deque()
+        self._depth = 0
+        self._bursts: deque = deque()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._depth
 
     def admissible(self, n: int) -> int:
         """How many of ``n`` arrivals the watermark rule admits now.
@@ -91,34 +74,43 @@ class AdmissionQueue:
             return n
         return max(0, min(n, min(bounds) - len(self)))
 
-    def offer_many(self, items) -> list[AdmissionDecision]:
-        """Admit a burst or shed it, deterministically by current depth.
+    def offer_many(self, items) -> tuple[int, str | None]:
+        """Enqueue a burst's :meth:`admissible` prefix and shed the rest.
 
-        The burst's :meth:`admissible` prefix is enqueued.  Rejections do
-        not change depth, so every shed decision in one burst is the
-        same decision: ``queue-full`` at ``max_depth``, else
+        Returns ``(admitted, reason)``: the prefix length and the one
+        reason for the shed rest (``None`` if nothing was shed).
+        Rejections do not change depth, so every shed decision in one
+        burst is the same: ``queue-full`` at ``max_depth``, else
         ``queue-watermark``.
         """
-        items = list(items)
-        capacity = self.admissible(len(items))
-        depth = len(self._items)
-        decisions: list[AdmissionDecision] = []
-        for position in range(capacity):
-            self._items.append(items[position])
-            depth += 1
-            decisions.append(AdmissionDecision(True, None, depth))
-        self.peak_depth = max(self.peak_depth, depth)
-        if capacity < len(items):
-            if self.max_depth is not None and depth >= self.max_depth:
-                reason = "queue-full"
-            else:
-                reason = "queue-watermark"
-            shed = AdmissionDecision(False, reason, depth)
-            decisions.extend([shed] * (len(items) - capacity))
-        return decisions
+        admitted = self.admissible(len(items))
+        if admitted:
+            self._bursts.append(
+                items if admitted == len(items) else items[:admitted]
+            )
+            self._depth += admitted
+            self.peak_depth = max(self.peak_depth, self._depth)
+        if admitted == len(items):
+            return admitted, None
+        if self.max_depth is not None and self._depth >= self.max_depth:
+            return admitted, "queue-full"
+        return admitted, "queue-watermark"
 
-    def pop(self):
-        """Dequeue the oldest item, or ``None`` when empty."""
-        if not self._items:
-            return None
-        return self._items.popleft()
+    def pop(self, limit: int) -> list:
+        """Dequeue up to ``limit`` of the oldest items.
+
+        Returns them FIFO as slices of the bursts that brought them.
+        """
+        parts = []
+        while limit > 0 and self._bursts:
+            head = self._bursts[0]
+            size = len(head)
+            if size > limit:
+                self._bursts[0] = head[limit:]
+                head, size = head[:limit], limit
+            else:
+                self._bursts.popleft()
+            parts.append(head)
+            limit -= size
+            self._depth -= size
+        return parts

@@ -35,11 +35,14 @@ replays, and benchmarks.  Chaos scheduling itself goes through
 
 from __future__ import annotations
 
+import math
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from threading import Lock
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +55,6 @@ from repro.service.reload import load_index, validate_result
 from repro.utils.retry import DeadlineExceeded, RetryPolicy, retry_call
 
 __all__ = [
-    "MatchRequest",
     "ServiceResponse",
     "DeadLetter",
     "ReloadReport",
@@ -94,24 +96,13 @@ class VirtualClock:
     advance = sleep
 
 
-@dataclass(frozen=True)
-class MatchRequest:
-    """One unit of admitted work: a hash-like payload plus its budget.
+class ServiceResponse(NamedTuple):
+    """Terminal record for one request: exactly one of the four states.
 
-    ``deadline_s`` is the *resolved* per-request budget (submit applies
-    the config default), measured from ``arrival_time`` — queue wait
-    counts against it, exactly as a caller-side timeout would.
+    ``latency_s`` is stamped once per drain window — the time the
+    window took to serve, shared by every request it terminated — and
+    is 0.0 for a request shed at admission.
     """
-
-    request_id: int
-    payload: object
-    arrival_time: float
-    deadline_s: float | None = None
-
-
-@dataclass(frozen=True)
-class ServiceResponse:
-    """Terminal record for one request: exactly one of the four states."""
 
     request_id: int
     status: str  # OK | SHED | TIMED_OUT | DEAD_LETTERED
@@ -158,7 +149,7 @@ class ServiceConfig:
         keeps the monitor's default (the paper's θ = 8).
     default_deadline_s:
         Per-request latency budget applied when ``submit`` is not given
-        one; ``None`` disables deadlines.
+        one; ``None`` disables deadlines (NaN or negative: rejected).
     max_queue_depth / shed_watermark:
         Admission bounds (see :class:`AdmissionQueue`); ``None``
         depth = unbounded.
@@ -174,13 +165,10 @@ class ServiceConfig:
         Bound on the retained dead-letter records (oldest dropped
         first; ``stats.dead_letters_evicted`` counts the drops).
     coalesce_window:
-        Requests per drain window (>= 1): :meth:`MemeMatchService.drain`
-        serves up to this many queued requests with one clock read, one
-        breaker check and one
-        :meth:`~repro.core.monitor.MemeMonitor.classify_batch` call,
-        with per-request outcomes scattered back (a request whose
-        deadline expires mid-window still times out on its own).  The
-        default window of one is per-request serving.
+        Requests per drain window (>= 1), each served with one breaker
+        check and one ``classify_batch`` call; a request whose deadline
+        expires mid-window still times out on its own.  The default
+        window of one is per-request serving.
     """
 
     theta: int | None = None
@@ -200,6 +188,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.coalesce_window is None or self.coalesce_window < 1:
             raise ValueError("coalesce_window must be an integer >= 1")
+        if self.max_dead_letters < 0:
+            raise ValueError("max_dead_letters must be >= 0")
+        _check_deadline(self.default_deadline_s)
 
 
 @dataclass
@@ -260,6 +251,104 @@ def _validate_payload(payload) -> int:
     return value
 
 
+def _check_deadline(deadline_s: float | None) -> None:
+    """Reject NaN and negative budgets: a NaN deadline would never expire."""
+    if deadline_s is not None and not deadline_s >= 0:
+        raise ValueError(
+            f"deadline_s must be a non-negative number or None, got {deadline_s!r}"
+        )
+
+
+def _hash_column(payloads) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
+    """A burst's pHashes as uint64, and ``(reason, repr)`` by position of poison.
+
+    Only an unsigned array or a burst of non-negative plain ``int``
+    converts in one call: numpy would parse ``"010"``, turn ``True`` into
+    1, carry ``[2**63, 1]`` through float64 and, before numpy 2, wrap
+    ``-1`` to ``2**64 - 1``.  Any other burst, or one with an int too
+    large, is checked item by item with :func:`_validate_payload`.
+    """
+    unsigned = isinstance(payloads, np.ndarray) and payloads.dtype.kind == "u"
+    if unsigned and payloads.ndim == 1:
+        return payloads.astype(np.uint64), {}
+    if not isinstance(payloads, list):
+        payloads = list(payloads)
+    if set(map(type, payloads)) <= {int} and min(payloads, default=0) >= 0:
+        try:
+            return np.array(payloads, dtype=np.uint64), {}
+        except OverflowError:
+            pass
+    values, poison = [], {}
+    for position, payload in enumerate(payloads):
+        try:
+            values.append(_validate_payload(payload))
+        except (TypeError, ValueError) as error:
+            values.append(0)  # never classified
+            poison[position] = (f"invalid-input: {error}", repr(payload))
+    return np.array(values, dtype=np.uint64), poison
+
+
+def _fill(column: list, rows, value, *, each: bool = False) -> None:
+    """``column[rows] = value``: ``rows`` None for all, ``each`` for one per row."""
+    if rows is None:
+        column[:] = value if each else [value] * len(column)
+    else:
+        for row, item in zip(rows.tolist(), value if each else repeat(value)):
+            column[row] = item
+
+
+class _Requests:
+    """Queued requests as columns: a burst, a slice of one, or a window.
+
+    ``ids`` is a range (a list in a window of several bursts), ``values``
+    the validated uint64 hashes (0 for poison), and ``deadline`` the
+    absolute expiry time of every row (``inf`` for none), or an array of
+    them in a window of several bursts; ``earliest`` and ``latest``
+    bound it.  ``letters`` maps each poison row to its
+    ``(reason, repr(payload))``.
+    """
+
+    __slots__ = ("ids", "values", "deadline", "letters", "earliest", "latest")
+
+    def __init__(self, ids, values, deadline, letters) -> None:
+        self.ids, self.values, self.deadline = ids, values, deadline
+        self.letters = letters
+        many = isinstance(deadline, np.ndarray)
+        self.earliest = float(deadline.min()) if many else deadline
+        self.latest = float(deadline.max()) if many else deadline
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def deadlines(self) -> np.ndarray:
+        """The deadline of every row."""
+        return np.broadcast_to(self.deadline, len(self.ids))
+
+    def __getitem__(self, index: slice) -> "_Requests":
+        deadline = self.deadline
+        if isinstance(deadline, np.ndarray):
+            deadline = deadline[index]
+        start, stop, _ = index.indices(len(self))
+        letters = {r - start: v for r, v in self.letters.items() if start <= r < stop}
+        return _Requests(self.ids[index], self.values[index], deadline, letters)
+
+    @classmethod
+    def concat(cls, parts: list["_Requests"]) -> "_Requests":
+        """The rows of ``parts`` in order, as one window."""
+        if len(parts) == 1:
+            return parts[0]
+        letters, offset = {}, 0
+        for part in parts:
+            letters.update((offset + r, v) for r, v in part.letters.items())
+            offset += len(part)
+        return cls(
+            list(chain.from_iterable(part.ids for part in parts)),
+            np.concatenate([part.values for part in parts]),
+            np.concatenate([part.deadlines() for part in parts]),
+            letters,
+        )
+
+
 class MemeMatchService:
     """Serve meme-match verdicts with deadlines, shedding, and a breaker.
 
@@ -302,7 +391,7 @@ class MemeMatchService:
         self.clock = time.monotonic if clock is None else clock
         self._sleep = time.sleep if sleep is None else sleep
         self.stats = ServiceStats()
-        self.dead_letters: list[DeadLetter] = []
+        self.dead_letters = deque(maxlen=self.config.max_dead_letters)
         self.breaker = (
             CircuitBreaker(self.config.breaker, clock=self.clock)
             if self.config.breaker is not None
@@ -392,62 +481,38 @@ class MemeMatchService:
     def submit_many(
         self, payloads: Iterable, *, deadline_s: float | None = None
     ) -> list[ServiceResponse | None]:
-        """Admit a burst of requests with per-burst fixed costs.
+        """Admit a burst as one chunk of columns, with one clock read.
 
-        One clock read stamps every arrival, ids are assigned in bulk,
-        and admission runs through :meth:`AdmissionQueue.offer_many`
-        (one watermark computation for the burst).
         Returns a list aligned with ``payloads``: the terminal SHED
         response where a request was rejected at admission, ``None``
-        where it was queued and will terminate via :meth:`drain`.
-
-        Conservation holds at the call boundary: ``submitted`` grows by
-        ``len(payloads)``, split exactly between ``shed`` and the
-        requests now pending in the queue.
+        where it was queued (poison too) to terminate via :meth:`drain`.
+        ``submitted`` grows by ``len(payloads)``, split exactly between
+        ``shed`` and the requests now pending.
         """
-        payloads = list(payloads)
+        _check_deadline(deadline_s)
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
+        values, letters = _hash_column(payloads)
+        n = values.size
         arrival = self.clock()
         base = self._next_id
-        requests = [
-            MatchRequest(
-                request_id=base + position,
-                payload=payload,
-                arrival_time=arrival,
-                deadline_s=deadline_s,
-            )
-            for position, payload in enumerate(payloads)
-        ]
-        self._next_id = base + len(requests)
-        self.stats.submitted += len(requests)
-        decisions = self._queue.offer_many(requests)
-        out: list[ServiceResponse | None] = []
-        admitted = 0
-        for request, decision in zip(requests, decisions):
-            if decision.admitted:
-                admitted += 1
-                out.append(None)
-            else:
-                out.append(
-                    ServiceResponse(
-                        request.request_id,
-                        SHED,
-                        reason=decision.reason,
-                        latency_s=0.0,
-                    )
-                )
+        self._next_id = base + n
+        self.stats.submitted += n
+        deadline = math.inf if deadline_s is None else arrival + deadline_s
+        admitted, reason = self._queue.offer_many(
+            _Requests(range(base, base + n), values, deadline, letters)
+        )
         self.stats.admitted += admitted
-        self.stats.shed += len(requests) - admitted
-        return out
+        self.stats.shed += n - admitted
+        ids = range(base + admitted, base + n)
+        return [None] * admitted + [ServiceResponse(i, SHED, None, reason) for i in ids]
 
     def drain(self, max_requests: int | None = None) -> list[ServiceResponse]:
-        """Process queued requests FIFO; each returns a terminal response.
+        """One terminal response per queued request, FIFO.
 
-        Requests are popped in windows of up to
-        :attr:`ServiceConfig.coalesce_window` and each window is served
-        by one :meth:`_process_batch` call.  Responses come back FIFO,
-        one terminal response per request, whatever the window.
+        Requests are popped as column slices in windows of up to
+        :attr:`ServiceConfig.coalesce_window`, one :meth:`_process_batch`
+        call each.
         """
         responses: list[ServiceResponse] = []
         window = self.config.coalesce_window
@@ -457,15 +522,10 @@ class MemeMatchService:
                 if max_requests is None
                 else min(window, max_requests - len(responses))
             )
-            batch: list[MatchRequest] = []
-            while len(batch) < budget:
-                request = self._queue.pop()
-                if request is None:
-                    break
-                batch.append(request)
-            if not batch:
+            parts = self._queue.pop(budget)
+            if not parts:
                 break
-            responses.extend(self._process_batch(batch))
+            responses += self._process_batch(_Requests.concat(parts))
         return responses
 
     def serve(
@@ -511,124 +571,102 @@ class MemeMatchService:
         if self.faults is not None:
             self.faults.fire(site, path=path)
 
-    def _response(
-        self, request: MatchRequest, status: str, start: float, **kwargs
-    ) -> ServiceResponse:
-        return ServiceResponse(
-            request_id=request.request_id,
-            status=status,
-            latency_s=self.clock() - start,
-            **kwargs,
+    def _dead_letter(self, window: _Requests, rows, reasons, reprs, when) -> None:
+        """Quarantine ``window``'s ``rows``; the deque drops the oldest."""
+        rows = rows.tolist()
+        self.stats.dead_lettered += len(rows)
+        self.stats.dead_letters_evicted += max(
+            0, len(self.dead_letters) + len(rows) - self.config.max_dead_letters
+        )
+        self.dead_letters.extend(
+            DeadLetter(window.ids[row], payload, why, when)
+            for row, why, payload in zip(rows, reasons, reprs)
         )
 
-    def _dead_letter(
-        self, request: MatchRequest, reason: str, start: float, attempts: int = 0
-    ) -> ServiceResponse:
-        self.stats.dead_lettered += 1
-        self.dead_letters.append(
-            DeadLetter(
-                request_id=request.request_id,
-                payload=repr(request.payload),
-                reason=reason,
-                time=self.clock(),
-            )
-        )
-        if len(self.dead_letters) > self.config.max_dead_letters:
-            del self.dead_letters[0]
-            self.stats.dead_letters_evicted += 1
-        return self._response(
-            request, DEAD_LETTERED, start, reason=reason, attempts=attempts
-        )
-
-    def _process_batch(self, requests: list[MatchRequest]) -> list[ServiceResponse]:
+    def _process_batch(self, window: _Requests) -> list[ServiceResponse]:
         """Serve one drain window; terminal response per request.
 
-        One clock read stamps the window, expiry and poison are
-        partitioned up front, the breaker is consulted once, and the
-        survivors share one ``classify_batch`` under one retry loop
-        whose deadline is the latest per-request deadline.  Outcomes
-        scatter back per request: a request whose deadline passed
-        while the window was being classified times out on its own
-        (``expired-in-batch``) even though its neighbours were served.
+        The window is partitioned with array operations, in order: rows
+        that expired in the queue, poison payloads, one breaker read for
+        the rest, then one ``classify_batch`` of them under one retry
+        loop whose deadline is the latest of theirs, and last the rows
+        whose deadline passed meanwhile (``expired-in-batch``).  Outcomes
+        go to status, verdict, reason and attempts columns, stats move
+        by counts, and the window's responses share one latency stamp.
 
-        The chaos / failure cadence is per window attempt (one
-        ``serve:classify`` fire, one breaker failure record, one retry
-        schedule for the whole window).  A window of one is therefore
-        per-request serving, step for step.  A half-open breaker
-        admits one probe per ``allow()``, so a probing window of more
-        than one request is served as windows of one, in order.  Every
-        request terminates in exactly one accounted state whatever the
-        window size.
+        Faults, breaker failures and retries count per window attempt,
+        so a window of one is per-request serving, step for step.  A
+        half-open breaker admits one probe per ``allow()``, so a probing
+        window of several requests is served as windows of one.
         """
         start = self.clock()
-        responses: list[ServiceResponse | None] = [None] * len(requests)
-        deadlines = [
-            request.arrival_time + request.deadline_s
-            if request.deadline_s is not None
-            else None
-            for request in requests
-        ]
+        n = len(window)
+        # Outcome columns, in ServiceResponse field order after the id.
+        status, verdict, reason, attempts = [OK] * n, [None] * n, [None] * n, [0] * n
 
-        # 1. Requests that expired while queued.
-        live: list[int] = []
-        for position, deadline in enumerate(deadlines):
-            if deadline is not None and start > deadline:
-                self.stats.timed_out += 1
-                responses[position] = self._response(
-                    requests[position], TIMED_OUT, start, reason="expired-in-queue"
-                )
-            else:
-                live.append(position)
+        def end(rows, state: str, why, *, each: bool = False) -> None:
+            _fill(status, rows, state)
+            _fill(reason, rows, why, each=each)
+
+        def responses(latency: float) -> list[ServiceResponse]:
+            # tuple.__new__ builds each response from its row, in field order.
+            rows = zip(window.ids, status, verdict, reason, attempts, repeat(latency))
+            return list(map(tuple.__new__, repeat(ServiceResponse), rows))
+
+        # 1. Requests that expired while queued.  ``live`` masks the rows
+        # still served; None while that is every row, so the common
+        # window writes whole columns (faster than an index array of
+        # live rows from the start; DESIGN.md §7 has the measurement).
+        live = None
+        if start > window.earliest:
+            live = start <= window.deadlines()
+            rows = np.flatnonzero(~live)
+            end(rows, TIMED_OUT, "expired-in-queue")
+            self.stats.timed_out += rows.size
 
         # 2. Poison payloads, each with its own dead-letter reason.
-        scalars: list[int] = []
-        kept: list[int] = []
-        for position in live:
-            try:
-                scalars.append(_validate_payload(requests[position].payload))
-                kept.append(position)
-            except (TypeError, ValueError) as error:
-                responses[position] = self._dead_letter(
-                    requests[position], f"invalid-input: {error}", start
-                )
-        live = kept
-        if not live:
-            return responses
-        values = np.array(scalars, dtype=np.uint64)
+        if window.letters:
+            bad = np.zeros(n, dtype=bool)
+            bad[list(window.letters)] = True
+            rows = np.flatnonzero(bad if live is None else bad & live)
+            if rows.size:
+                reasons, reprs = zip(*map(window.letters.get, rows.tolist()))
+                end(rows, DEAD_LETTERED, reasons, each=True)
+                self._dead_letter(window, rows, reasons, reprs, start)
+                live = ~bad if live is None else live & ~bad
+        rows = None if live is None else np.flatnonzero(live)
+        count = n if rows is None else rows.size
+        if not count:
+            return responses(self.clock() - start)
+        values = window.values if rows is None else window.values[rows]
 
         # 3. One breaker read for the whole window.
         site = "serve:classify"
         if self.breaker is not None:
             if not self.breaker.allow():
-                self.stats.shed += len(live)
-                self.stats.breaker_fast_fails += len(live)
-                for position in live:
-                    responses[position] = self._response(
-                        requests[position], SHED, start, reason="breaker-open"
-                    )
-                return responses
+                self.stats.shed += count
+                self.stats.breaker_fast_fails += count
+                end(rows, SHED, "breaker-open")
+                return responses(self.clock() - start)
             if self.breaker.probing:
-                if len(live) > 1:
+                if count > 1:
                     # Coalescing probes would turn one success into
-                    # len(live) recoveries.
-                    for position in live:
-                        [responses[position]] = self._process_batch(
-                            [requests[position]]
-                        )
-                    return responses
+                    # `count` recoveries.
+                    out = responses(self.clock() - start)
+                    for row in range(n) if rows is None else rows.tolist():
+                        [out[row]] = self._process_batch(window[row : row + 1])
+                    return out
                 self.stats.probes += 1
                 site = "serve:probe"
 
         # 4. One vectorised classify under one retry loop.
         monitor = self._monitor  # one atomic read: reloads never tear a window
-        batch_deadline = None
-        if all(deadlines[i] is not None for i in live):
-            batch_deadline = max(deadlines[i] for i in live)
-        attempts = 0
+        latest = window.latest if rows is None else window.deadlines()[rows].max()
+        tries = 0
 
         def attempt() -> list[MonitorVerdict]:
-            nonlocal attempts
-            attempts += 1
+            nonlocal tries
+            tries += 1
             self._fire(site)
             return monitor.classify_batch(values)
 
@@ -639,68 +677,46 @@ class MemeMatchService:
                 sleep=self._sleep,
                 rng=self._rng,
                 clock=self.clock,
-                deadline=batch_deadline,
+                deadline=None if latest == math.inf else float(latest),
             )
-        except DeadlineExceeded as error:
-            # batch_deadline is the max per-request deadline, so its
-            # expiry implies every live request's deadline passed too.
-            self.stats.retries += max(0, attempts - 1)
-            self.stats.timed_out += len(live)
-            for position in live:
-                responses[position] = self._response(
-                    requests[position],
-                    TIMED_OUT,
-                    start,
-                    reason=str(error),
-                    attempts=attempts,
-                )
-            return responses
-        except (TypeError, ValueError) as error:
-            self.stats.retries += max(0, attempts - 1)
-            for position in live:
-                responses[position] = self._dead_letter(
-                    requests[position], f"rejected: {error}", start, attempts
-                )
-            return responses
         except Exception as error:
-            self.stats.retries += max(0, attempts - 1)
-            self._record_breaker_failure()
-            reason = f"classify-failed: {type(error).__name__}: {error}"
-            for position in live:
-                responses[position] = self._dead_letter(
-                    requests[position], reason, start, attempts
-                )
-            return responses
-        self.stats.retries += max(0, attempts - 1)
+            now = self.clock()
+            self.stats.retries += max(0, tries - 1)
+            _fill(attempts, rows, tries)
+            if isinstance(error, DeadlineExceeded):
+                # The retry deadline is the latest live deadline, so its
+                # expiry implies every live request's deadline passed too.
+                self.stats.timed_out += count
+                end(rows, TIMED_OUT, str(error))
+                return responses(now - start)
+            if isinstance(error, (TypeError, ValueError)):
+                why = f"rejected: {error}"
+            else:
+                self._record_breaker_failure()
+                why = f"classify-failed: {type(error).__name__}: {error}"
+            end(rows, DEAD_LETTERED, why)
+            reprs = map(repr, values.tolist())
+            live_rows = np.arange(n) if rows is None else rows
+            self._dead_letter(window, live_rows, repeat(why), reprs, now)
+            return responses(now - start)
+        self.stats.retries += max(0, tries - 1)
         if self.breaker is not None:
             self.breaker.record_success()
 
-        # 5. Scatter verdicts back, re-checking each deadline once.
-        verdicts: list[MonitorVerdict] = outcome.value
+        # 5. Scatter verdicts back, re-checking the deadlines once.
         now = self.clock()
-        served = 0
-        for position, verdict in zip(live, verdicts):
-            deadline = deadlines[position]
-            if deadline is not None and now > deadline:
-                self.stats.timed_out += 1
-                responses[position] = self._response(
-                    requests[position],
-                    TIMED_OUT,
-                    start,
-                    reason="expired-in-batch",
-                    attempts=attempts,
-                )
-            else:
-                served += 1
-                responses[position] = self._response(
-                    requests[position],
-                    OK,
-                    start,
-                    verdict=verdict,
-                    attempts=attempts,
-                )
-        self.stats.served += served
-        return responses
+        _fill(attempts, rows, tries)
+        _fill(verdict, rows, outcome.value, each=True)
+        late = 0
+        if now > window.earliest:
+            expired = now > window.deadlines()
+            late_rows = np.flatnonzero(expired if live is None else expired & live)
+            end(late_rows, TIMED_OUT, "expired-in-batch")
+            _fill(verdict, late_rows, None)
+            late = late_rows.size
+            self.stats.timed_out += late
+        self.stats.served += count - late
+        return responses(now - start)
 
     def _record_breaker_failure(self) -> None:
         if self.breaker is not None:

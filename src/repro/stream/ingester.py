@@ -200,6 +200,9 @@ class _EventBuffer(AdmissionQueue):
         super().__init__(**bounds)
         self._items = PostTable.empty()
 
+    def __len__(self) -> int:
+        return len(self._items)
+
     def offer(self, events: PostTable) -> int:
         """Enqueue the admissible prefix of ``events``; returns its length."""
         admitted = self.admissible(len(events))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.communities.models import PostTable
+from repro.core import monitor as monitor_module
 from repro.core.monitor import MemeMonitor, MonitorVerdict
 from repro.core.results import (
     ClusterKey,
@@ -123,6 +124,45 @@ class TestMonitorOnSessionWorld:
         batch = monitor.classify_batch(corpus)
         singles = [monitor.classify_hash(value) for value in corpus]
         assert batch == singles
+
+    @pytest.mark.parametrize(
+        "size", [1, 17, monitor_module._UNIQUE_MIN - 1, monitor_module._UNIQUE_MIN]
+    )
+    def test_memoised_verdicts_equal_fresh_ones(self, pipeline_result, size):
+        # Below and above the size where np.unique starts, each verdict
+        # equals one built from its nearest medoid, and equal (cluster,
+        # distance) pairs share one verdict object across calls.
+        from repro.hashing import nearest_medoid
+
+        monitor = MemeMonitor(pipeline_result)
+        keys = pipeline_result.cluster_keys
+        medoids = np.array(
+            [pipeline_result.annotations[key].medoid_hash for key in keys],
+            dtype=np.uint64,
+        )
+        rng = np.random.default_rng(size)
+        near = medoids[rng.integers(0, medoids.size, size)] ^ (
+            np.uint64(1) << rng.integers(0, 64, size).astype(np.uint64)
+        )
+        far = rng.integers(0, 2**64, size, dtype=np.uint64)
+        hashes = np.where(rng.random(size) < 0.6, near, far)
+        verdicts = monitor.classify_batch(hashes)
+        position, distance = nearest_medoid(hashes, medoids, monitor.theta)
+        for verdict, p, d in zip(verdicts, position.tolist(), distance.tolist()):
+            if p < 0:
+                assert verdict == MonitorVerdict.no_match()
+                continue
+            annotation = pipeline_result.annotations[keys[p]]
+            assert verdict == MonitorVerdict(
+                True,
+                keys[p],
+                annotation.representative,
+                d,
+                annotation.is_racist,
+                annotation.is_politics,
+            )
+        again = monitor.classify_batch(hashes[::-1])
+        assert all(a is b for a, b in zip(verdicts, again[::-1]))
 
 
 class TestEmptyMonitor:

@@ -95,33 +95,33 @@ class TestVirtualClock:
 class TestAdmissionQueue:
     def test_unbounded_admits_everything(self):
         queue = AdmissionQueue(max_depth=None)
-        assert all(d.admitted for d in queue.offer_many(range(1000)))
+        assert queue.offer_many(range(1000)) == (1000, None)
         assert len(queue) == 1000
 
     def test_watermark_sheds_deterministically(self):
         queue = AdmissionQueue(max_depth=10, shed_watermark=3)
-        decisions = queue.offer_many(range(6))
-        assert [d.admitted for d in decisions] == [True] * 3 + [False] * 3
-        assert decisions[3].reason == "queue-watermark"
+        assert queue.offer_many(range(6)) == (3, "queue-watermark")
         assert len(queue) == 3
 
     def test_full_reason_at_hard_bound(self):
         queue = AdmissionQueue(max_depth=2)
         queue.offer_many([1, 2])
-        assert queue.offer_many([3])[0].reason == "queue-full"
+        assert queue.offer_many([3]) == (0, "queue-full")
 
     def test_depth_is_backpressure_signal(self):
         queue = AdmissionQueue(max_depth=5)
-        assert [d.depth for d in queue.offer_many("ab")] == [1, 2]
-        queue.pop()
-        assert queue.offer_many("c")[0].depth == 2
+        queue.offer_many("ab")
+        assert len(queue) == 2
+        queue.pop(1)
+        queue.offer_many("c")
+        assert len(queue) == 2
 
     def test_fifo_pop_and_peak(self):
         queue = AdmissionQueue(max_depth=4)
         queue.offer_many("abc")
         assert queue.peak_depth == 3
-        assert [queue.pop(), queue.pop(), queue.pop(), queue.pop()] == [
-            "a", "b", "c", None,
+        assert [queue.pop(1), queue.pop(1), queue.pop(1), queue.pop(1)] == [
+            ["a"], ["b"], ["c"], [],
         ]
 
     def test_validation(self):
@@ -237,6 +237,29 @@ class TestServeBasics:
             "ok", "dead-lettered", "ok",
         ]
         assert responses[2].verdict.entry == "pepe"
+
+    def test_negative_int_in_an_int_burst_dead_letters(self, monkeypatch):
+        # Before numpy 2, np.array([-1], dtype=np.uint64) wrapped to
+        # 2**64 - 1 instead of raising; emulate that, so the burst's
+        # one-call conversion cannot be what rejects the negative.
+        real_array = np.array
+
+        def wrapping_array(obj, *args, **kwargs):
+            ints = isinstance(obj, list) and all(type(v) is int for v in obj)
+            if kwargs.get("dtype") is np.uint64 and ints:
+                obj = [v % 2**64 for v in obj]
+            return real_array(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array", wrapping_array)
+        service = make_service(config=identity_config(coalesce_window=4))
+        assert service.submit_many([MEDOID_A, -1, MEDOID_B]) == [None] * 3
+        responses = service.drain()
+        assert [r.status for r in responses] == ["ok", "dead-lettered", "ok"]
+        assert responses[1].reason == (
+            "invalid-input: pHash -1 outside the unsigned 64-bit range"
+        )
+        [letter] = service.dead_letters
+        assert letter.payload == "-1"
 
     def test_dead_letter_retention_is_bounded(self):
         service = make_service(
@@ -539,3 +562,54 @@ class TestDeadLetterEviction:
         service = make_service(config=identity_config(max_dead_letters=8))
         service.serve([-1, -2])
         assert service.stats.dead_letters_evicted == 0
+
+    def test_window_of_poison_evicts_exactly(self):
+        service = make_service(
+            config=identity_config(max_dead_letters=3, coalesce_window=8)
+        )
+        service.submit_many([-i for i in range(1, 8)])
+        service.drain()
+        assert service.stats.dead_letters_evicted == 4
+        assert [d.request_id for d in service.dead_letters] == [4, 5, 6]
+
+    def test_zero_retention_keeps_nothing_and_counts_every_drop(self):
+        service = make_service(config=identity_config(max_dead_letters=0))
+        service.serve([-1, "010", MEDOID_A])
+        assert len(service.dead_letters) == 0
+        assert service.stats.dead_lettered == 2
+        assert service.stats.dead_letters_evicted == 2
+
+    def test_negative_retention_rejected(self):
+        with pytest.raises(ValueError, match="max_dead_letters"):
+            ServiceConfig(max_dead_letters=-1)
+
+
+class TestDeadlineValidation:
+    BAD = [float("nan"), -0.5, float("-inf")]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_config_rejects_nan_and_negative_default(self, bad):
+        with pytest.raises(ValueError, match="deadline_s"):
+            ServiceConfig(default_deadline_s=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_submit_rejects_nan_and_negative_deadline(self, bad):
+        service = make_service(config=identity_config())
+        with pytest.raises(ValueError, match="deadline_s"):
+            service.submit(MEDOID_A, deadline_s=bad)
+        with pytest.raises(ValueError, match="deadline_s"):
+            service.submit_many([MEDOID_A, MEDOID_B], deadline_s=bad)
+        # A rejected call admits nothing and leaves the books balanced.
+        assert service.stats.submitted == 0 and service.pending == 0
+
+    def test_zero_and_infinite_deadlines_accepted(self):
+        clock = VirtualClock()
+        service = make_service(
+            config=identity_config(default_deadline_s=float("inf")),
+            clock=clock.time,
+            sleep=clock.sleep,
+        )
+        service.submit(MEDOID_A)
+        service.submit(MEDOID_B, deadline_s=0.0)
+        clock.advance(1e9)
+        assert [r.status for r in service.drain()] == ["ok", "timed-out"]

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.faults import Fault, FaultInjector
 from repro.service import (
-    AdmissionDecision,
     AdmissionQueue,
     BreakerConfig,
     MemeMatchService,
@@ -71,8 +70,7 @@ class SequentialOffers:
     """The per-item admission rule, the oracle for ``offer_many``.
 
     Admit while depth is below ``max_depth`` and the shed watermark;
-    otherwise shed with the reason of the bound that was hit and the
-    unchanged depth.
+    otherwise shed with the reason of the bound that was hit.
     """
 
     def __init__(self, max_depth=None, shed_watermark=None):
@@ -84,25 +82,36 @@ class SequentialOffers:
         self.peak_depth = 0
 
     def offer(self, item):
+        """``None`` when ``item`` is admitted, else its shed reason."""
         depth = len(self.items)
         if self.max_depth is not None and depth >= self.max_depth:
-            return AdmissionDecision(False, "queue-full", depth)
+            return "queue-full"
         if self.shed_watermark is not None and depth >= self.shed_watermark:
-            return AdmissionDecision(False, "queue-watermark", depth)
+            return "queue-watermark"
         self.items.append(item)
         self.peak_depth = max(self.peak_depth, depth + 1)
-        return AdmissionDecision(True, None, depth + 1)
+        return None
+
+    def offer_each(self, items):
+        """Offer ``items`` one by one; the result in ``offer_many``'s shape.
+
+        Asserts on the way what lets a burst collapse to that shape:
+        the admitted items form a prefix and the shed ones share one
+        reason.
+        """
+        reasons = [self.offer(item) for item in items]
+        admitted = reasons.count(None)
+        assert reasons[:admitted] == [None] * admitted
+        assert len(set(reasons[admitted:])) <= 1
+        return admitted, (reasons[admitted] if reasons[admitted:] else None)
 
 
 def drained(queue):
-    items = []
-    while (item := queue.pop()) is not None:
-        items.append(item)
-    return items
+    return [item for part in queue.pop(len(queue)) for item in part]
 
 
 class TestOfferMany:
-    """offer_many must be decision-for-decision identical to the oracle."""
+    """offer_many must admit and shed exactly as per-item offers do."""
 
     @pytest.mark.parametrize(
         "kwargs, n_items, prefill",
@@ -119,11 +128,9 @@ class TestOfferMany:
         bulk = AdmissionQueue(**kwargs)
         loop = SequentialOffers(**kwargs)
         prefix = [("pre", i) for i in range(prefill)]
-        assert bulk.offer_many(prefix) == [loop.offer(item) for item in prefix]
+        assert bulk.offer_many(prefix) == loop.offer_each(prefix)
         items = [("item", i) for i in range(n_items)]
-        bulk_decisions = bulk.offer_many(items)
-        loop_decisions = [loop.offer(item) for item in items]
-        assert bulk_decisions == loop_decisions
+        assert bulk.offer_many(items) == loop.offer_each(items)
         assert len(bulk) == len(loop.items)
         assert bulk.peak_depth == loop.peak_depth
         assert drained(bulk) == loop.items
@@ -135,15 +142,25 @@ class TestOfferMany:
         loop = SequentialOffers(max_depth=7, shed_watermark=5)
         for burst, pops in [(4, 1), (3, 3), (6, 0), (2, 5)]:
             items = [(burst, pops, i) for i in range(burst)]
-            assert bulk.offer_many(items) == [loop.offer(i) for i in items]
+            assert bulk.offer_many(items) == loop.offer_each(items)
             for _ in range(pops):
-                assert bulk.pop() == loop.items.pop(0)
+                [part] = bulk.pop(1)
+                assert list(part) == [loop.items.pop(0)]
         assert bulk.peak_depth == loop.peak_depth
         assert drained(bulk) == loop.items
 
+    def test_pop_spans_and_splits_bursts(self):
+        queue = AdmissionQueue()
+        queue.offer_many(range(3))
+        queue.offer_many(range(10, 14))
+        assert queue.pop(5) == [range(3), range(10, 12)]
+        assert len(queue) == 2
+        assert queue.pop(5) == [range(12, 14)]
+        assert queue.pop(5) == [] and len(queue) == 0
+
     def test_empty_burst(self):
         queue = AdmissionQueue(max_depth=2)
-        assert queue.offer_many([]) == []
+        assert queue.offer_many([]) == (0, None)
 
 
 class TestSubmitMany:
