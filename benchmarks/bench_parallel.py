@@ -6,17 +6,18 @@ Standalone (not pytest-benchmark): run as
     PYTHONPATH=src python benchmarks/bench_parallel.py [--workers 4]
         [--smoke] [--output BENCH_parallel.json]
 
-Measures the three parallelised hot paths on synthetic workloads sized
+Measures the two parallelised hot paths on synthetic workloads sized
 like the paper's per-community image multisets:
 
 * ``radius_neighbors`` (the batched join, which it runs above 2,000
   hashes) on a clustered 50k-hash multiset — the DBSCAN Step-2/3
   bottleneck and the headline number: the batched join against the
   per-query reference path;
-* ``associate_hashes`` (Step 6) sharded over unique hashes;
-* per-cluster Hawkes fits via :func:`fit_cluster_shard`: one stacked fit
-  of every cluster serially, one per contiguous shard of clusters in
-  parallel.
+* ``associate_hashes`` (Step 6) sharded over unique hashes.
+
+The per-cluster Hawkes fits have no fan-out: one stacked EM fits every
+cluster of a study, and on 2 CPUs it beat a cluster-shard fan-out on
+both pool backends.
 
 Every record verifies the parallel output element-for-element against
 serial before reporting a speedup — a fast wrong answer scores zero.
@@ -42,18 +43,11 @@ from statistics import median
 
 import numpy as np
 
-from repro.analysis.influence import fit_cluster_shard
 from repro.annotation.association import associate_hashes
 from repro.hashing.index import MultiIndexHash
 from repro.hashing.pairwise import radius_neighbors
-from repro.hawkes.model import EventSequence
 from repro.utils.bitops import hamming_distance_matrix
-from repro.utils.parallel import (
-    Executor,
-    ParallelConfig,
-    effective_workers,
-    shard_bounds,
-)
+from repro.utils.parallel import Executor, ParallelConfig, effective_workers
 
 
 def clustered_hashes(n_bases: int, members: int, seed: int = 7) -> np.ndarray:
@@ -168,47 +162,6 @@ def bench_association(n_hashes: int, n_medoids: int, parallel: ParallelConfig) -
     }
 
 
-def bench_hawkes_fits(n_clusters: int, parallel: ParallelConfig) -> dict:
-    rng = np.random.default_rng(19)
-    k = 5
-    sequences = []
-    for _ in range(n_clusters):
-        n_events = int(rng.integers(40, 120))
-        times = np.sort(rng.uniform(0.0, 60.0, size=n_events))
-        procs = rng.integers(0, k, size=n_events)
-        sequences.append(EventSequence.from_unsorted(times, procs, 60.0))
-    serial, serial_s = _timed(lambda: fit_cluster_shard(sequences, k))
-    shards = [
-        (sequences[start:stop], k)
-        for start, stop in shard_bounds(len(sequences), parallel)
-    ]
-    par, parallel_s = _timed(
-        lambda: [
-            outcome
-            for shard in Executor(parallel)
-            .supervised_starmap(fit_cluster_shard, shards)
-            .results
-            for outcome in shard
-        ]
-    )
-    identical = len(serial) == len(par) and all(
-        s[0] == p[0]
-        and (
-            s[0] != "ok"
-            or np.array_equal(s[1].expected_events, p[1].expected_events)
-        )
-        for s, p in zip(serial, par)
-    )
-    return {
-        "name": "hawkes_fits",
-        "n_items": n_clusters,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else float("inf"),
-        "identical": identical,
-    }
-
-
 def bench_supervision_overhead(
     parallel: ParallelConfig, repeats: int = 5
 ) -> dict:
@@ -218,32 +171,46 @@ def bench_supervision_overhead(
     shard misbehaves — supervision is bookkeeping, not a slow path.
 
     Measured on the serial execution path regardless of ``--backend``:
-    the ladder's clean-path cost (chaos consultation, ShardReport
+    the ladder's clean-path cost (chaos consultation, error-trail
     bookkeeping, ordered collection) is identical per shard on every
     backend.  The asserted number is the *directly attributed* ladder
-    time — supervised wall-clock minus the in-shard compute the
-    ShardReports record — as a fraction of the run, median over rounds.
-    A paired plain-vs-supervised wall-clock ratio is reported alongside
-    for information only: on a loaded CI box, scheduler stalls swing
-    either side's wall-clock by multiples (not percent), so no honest
-    wall-clock ratio can hold a 5% threshold, while the attributed
-    ladder time is self-normalising (a stall lands inside some shard's
-    duration and cancels out of the subtraction).
+    time — supervised wall-clock minus the in-shard compute, which the
+    timed kernel records itself — as a fraction of the run, median over
+    rounds.  A paired plain-vs-supervised wall-clock ratio is reported
+    alongside for information only: on a loaded CI box, scheduler
+    stalls swing either side's wall-clock by multiples (not percent),
+    so no honest wall-clock ratio can hold a 5% threshold, while the
+    attributed ladder time is self-normalising (a stall lands inside
+    some shard's compute and cancels out of the subtraction).
     """
     rng = np.random.default_rng(23)
     a = rng.integers(0, 2**64, size=1600, dtype=np.uint64)
     b = rng.integers(0, 2**64, size=1600, dtype=np.uint64)
     items = [(a, b) for _ in range(8)]
     executor = Executor(replace(parallel, workers=1))
+    in_shard: list[float] = []
+
+    def timed_kernel(left, right):
+        started = time.perf_counter()
+        try:
+            return hamming_distance_matrix(left, right)
+        finally:
+            in_shard.append(time.perf_counter() - started)
 
     def plain_loop():
         return [hamming_distance_matrix(*item) for item in items]
 
+    def supervised():
+        in_shard.clear()
+        results = executor.supervised_starmap(timed_kernel, items)
+        # Clean path: every shard ran exactly once, nothing was retried.
+        return results, len(in_shard) == len(items), sum(in_shard)
+
     plain = plain_loop()  # warm-up
-    sup = executor.supervised_starmap(hamming_distance_matrix, items)
+    sup, clean, _ = supervised()
     for _ in range(2):  # two more pairs: converge the allocator
         plain_loop()
-        executor.supervised_starmap(hamming_distance_matrix, items)
+        supervised()
     rounds = []
     for round_index in range(repeats):
         # Alternate order within the pair: whichever side runs second
@@ -251,21 +218,15 @@ def bench_supervision_overhead(
         # informational ratio in its favour.
         if round_index % 2 == 0:
             _, round_plain_s = _timed(plain_loop)
-            round_sup, round_supervised_s = _timed(
-                lambda: executor.supervised_starmap(
-                    hamming_distance_matrix, items
-                )
+            (_, round_clean, in_shard_s), round_supervised_s = _timed(
+                supervised
             )
         else:
-            round_sup, round_supervised_s = _timed(
-                lambda: executor.supervised_starmap(
-                    hamming_distance_matrix, items
-                )
+            (_, round_clean, in_shard_s), round_supervised_s = _timed(
+                supervised
             )
             _, round_plain_s = _timed(plain_loop)
-        in_shard_s = sum(
-            shard.duration_s for shard in round_sup.report.shards
-        )
+        clean = clean and round_clean
         ladder_pct = (
             100.0 * (round_supervised_s - in_shard_s) / round_supervised_s
             if round_supervised_s
@@ -279,12 +240,8 @@ def bench_supervision_overhead(
     overhead_pct, plain_s, supervised_s, wall_ratio = (
         rounds[len(rounds) // 2]
     )
-    identical = sup.complete and all(
-        np.array_equal(s, p) for s, p in zip(sup.results, plain)
-    )
-    clean = all(
-        shard.outcome == "ok" and shard.attempts == 1
-        for shard in sup.report.shards
+    identical = len(sup) == len(plain) and all(
+        np.array_equal(s, p) for s, p in zip(sup, plain)
     )
     return {
         "name": "supervision_overhead",
@@ -320,9 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         # 2,500 hashes: past radius_neighbors' dense limit, so the
         # smoke run exercises the join too.
-        sizes = dict(neighbors=2_500, assoc=5_000, medoids=50, hawkes=4)
+        sizes = dict(neighbors=2_500, assoc=5_000, medoids=50)
     else:
-        sizes = dict(neighbors=50_000, assoc=200_000, medoids=1_000, hawkes=20)
+        sizes = dict(neighbors=50_000, assoc=200_000, medoids=1_000)
 
     records = []
     capped = effective_workers(args.workers)
@@ -332,7 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     for record in (
         bench_radius_neighbors(sizes["neighbors"], parallel),
         bench_association(sizes["assoc"], sizes["medoids"], parallel),
-        bench_hawkes_fits(sizes["hawkes"], parallel),
     ):
         records.append(record)
         extra = (

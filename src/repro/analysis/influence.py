@@ -34,13 +34,6 @@ from repro.hawkes.attribution import (
 )
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.model import EventSequence, rows_by_group
-from repro.utils.parallel import (
-    ExecutionReport,
-    Executor,
-    ParallelConfig,
-    resolve_parallel,
-    shard_bounds,
-)
 
 __all__ = [
     "InfluenceStudy",
@@ -83,16 +76,12 @@ class InfluenceStudy:
     aggregates are sums over the member clusters.  ``failures`` maps
     clusters whose Hawkes fit raised to the error message — they are
     excluded from every aggregate instead of sinking the study.
-    ``execution`` carries the supervised executor's per-shard report
-    when the fits ran under a parallel config (``None`` on the plain
-    serial path).
     """
 
     total: InfluenceMatrices
     per_cluster: dict[ClusterKey, InfluenceMatrices]
     groups: dict[str, InfluenceMatrices]
     failures: dict[ClusterKey, str] = field(default_factory=dict)
-    execution: ExecutionReport | None = None
 
     def group(self, name: str) -> InfluenceMatrices:
         return self.groups[name]
@@ -107,9 +96,8 @@ def fit_cluster_shard(
     n_processes: int,
     fit_config: FitConfig | None = None,
 ) -> list[tuple[str, InfluenceMatrices | str]]:
-    """Fit a shard of clusters in one stacked Hawkes EM and attribute
-    their root causes: the work item of :func:`influence_study`, at
-    module level so process workers can run it on pickled sequences.
+    """Fit a stack of clusters in one Hawkes EM and attribute their
+    root causes: the work of :func:`influence_study`.
 
     One pathological cluster (degenerate timestamps, singular EM update)
     must not sink the study, so failure is part of the return value:
@@ -145,41 +133,18 @@ def influence_study(
     *,
     fit_config: FitConfig | None = None,
     min_events: int = 5,
-    parallel: ParallelConfig | None = None,
 ) -> InfluenceStudy:
     """Fit per-cluster Hawkes models and aggregate root-cause influence.
 
-    Serially, every cluster is fitted in one stacked EM.  ``parallel``
-    fans contiguous shards of clusters out across workers, one stacked
-    fit each; a cluster's results do not depend on its stack, and the
-    aggregation below always runs in the parent in the deterministic
-    cluster order, so totals and group sums are bit-identical for any
-    worker count.
+    Every cluster is fitted in one stacked EM; a cluster's results do
+    not depend on the rest of the stack, and the aggregation runs in the
+    deterministic cluster order.
     """
     sequences = cluster_event_sequences(result, horizon, min_events=min_events)
     k = len(COMMUNITIES)
-    parallel = resolve_parallel(parallel)
     keys = list(sequences)
     stack = list(sequences.values())
-    execution: ExecutionReport | None = None
-    if not stack:
-        outcomes = []
-    elif parallel.is_serial:
-        outcomes = fit_cluster_shard(stack, k, fit_config)
-    else:
-        # Fit failures come back in band; a shard that fails the whole
-        # rescue ladder quarantines every cluster in it.
-        bounds = shard_bounds(len(stack), parallel)
-        sup = Executor(parallel).supervised_starmap(
-            fit_cluster_shard,
-            [(stack[start:stop], k, fit_config) for start, stop in bounds],
-        )
-        execution = sup.report
-        outcomes = []
-        for (start, stop), shard in zip(bounds, sup.results):
-            outcomes += shard or [
-                ("error", "quarantined: shard failed the supervision ladder")
-            ] * (stop - start)
+    outcomes = fit_cluster_shard(stack, k, fit_config) if stack else []
     per_cluster: dict[ClusterKey, InfluenceMatrices] = {}
     total = InfluenceMatrices.zeros(k)
     groups = {
@@ -201,7 +166,6 @@ def influence_study(
         per_cluster=per_cluster,
         groups=groups,
         failures=failures,
-        execution=execution,
     )
 
 

@@ -25,7 +25,6 @@ from repro.utils.parallel import (
     array_splitter,
     resolve_parallel,
     shard_bounds,
-    strict_supervision,
 )
 
 __all__ = ["AssociationResult", "associate_hashes"]
@@ -138,17 +137,16 @@ def associate_hashes(
             unique, id_array, medoid_array, theta
         )
     else:
-        sup = Executor(parallel).supervised_starmap(
+        parts = Executor(parallel).supervised_starmap(
             _associate_unique_shard,
             [
                 (unique[start:stop], id_array, medoid_array, theta)
                 for start, stop in shard_bounds(unique.size, parallel)
             ],
-            policy=strict_supervision(parallel),
             split=array_splitter(0),
             merge=_merge_association_parts,
         )
-        unique_cluster, unique_distance = _merge_association_parts(sup.results)
+        unique_cluster, unique_distance = _merge_association_parts(parts)
 
     cluster_ids[:] = unique_cluster[inverse]
     distances[:] = unique_distance[inverse]

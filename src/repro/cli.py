@@ -74,11 +74,10 @@ never stored, so a re-run after the fault clears recomputes them::
     python -m repro --cache-dir cache report      # 3 stages cached
 
 Parallel fan-outs run *supervised*: a failing/hung/killed shard walks
-the rescue ladder (fresh-pool retry → bisection → serial fallback)
-before being quarantined.  ``--shard-deadline SECONDS`` arms hang
-detection, ``--shard-retries N`` sets the retry rung's budget, and
-``--on-poison-shard {fail,quarantine}`` picks fail-fast versus explicit
-gaps for shards that exhaust the ladder::
+the rescue ladder (fresh-pool retry → bisection → serial fallback), and
+a shard that fails every rung fails its stage.  ``--shard-deadline
+SECONDS`` arms hang detection and ``--shard-retries N`` sets the retry
+rung's budget::
 
     python -m repro --workers 4 --shard-deadline 30 report
     python -m repro --workers 2 --inject-fault parallel:worker@1@kill report
@@ -202,14 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fresh-pool retries per failing shard before bisection/"
         "serial fallback (default 1)",
-    )
-    parser.add_argument(
-        "--on-poison-shard",
-        choices=("fail", "quarantine"),
-        default=None,
-        help="what to do with a shard that fails the whole rescue "
-        "ladder: fail fast, or quarantine it as an explicit gap "
-        "(default quarantine)",
     )
     parser.add_argument(
         "--inject-fault",
@@ -381,12 +372,8 @@ def _fault_injector(args):
 
 
 def _supervision_policy(args) -> SupervisionPolicy | None:
-    """Supervision overrides from the CLI; ``None`` = call-site defaults."""
-    if (
-        args.shard_deadline is None
-        and args.shard_retries is None
-        and args.on_poison_shard is None
-    ):
+    """Supervision overrides from the CLI; ``None`` = the default policy."""
+    if args.shard_deadline is None and args.shard_retries is None:
         return None
     policy = SupervisionPolicy(shard_deadline_s=args.shard_deadline)
     if args.shard_retries is not None:
@@ -398,8 +385,6 @@ def _supervision_policy(args) -> SupervisionPolicy | None:
                 retryable=(Exception,),
             ),
         )
-    if args.on_poison_shard is not None:
-        policy = replace(policy, on_poison=args.on_poison_shard)
     return policy
 
 
@@ -595,11 +580,9 @@ def _print_top(world, result) -> None:
     )
 
 
-def _print_influence(world, result, parallel=None) -> None:
+def _print_influence(world, result) -> None:
     print("Fitting Hawkes models per cluster...\n")
-    study = influence_study(
-        result, world.config.horizon_days, min_events=10, parallel=parallel
-    )
+    study = influence_study(result, world.config.horizon_days, min_events=10)
     truth = ground_truth_influence(world)
 
     def matrix_rows(matrix):
@@ -790,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("clusters", "report"):
         _print_clusters(result)
     if args.command in ("influence", "report"):
-        _print_influence(world, result, parallel=parallel)
+        _print_influence(world, result)
     if args.command == "serve-replay":
         exit_code = _serve_replay(world, result, args, faults)
     if _partial_failure(result):

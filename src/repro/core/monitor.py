@@ -190,33 +190,25 @@ class MemeMonitor:
     def classify_hash(self, value: np.uint64 | int) -> MonitorVerdict:
         """Classify a pre-computed pHash.
 
+        The value is checked by the same rules as one element of
+        :meth:`classify_batch`.
+
         Raises
         ------
         TypeError
-            If ``value`` is not an integer-like scalar.  Text and bytes
-            are rejected rather than parsed, as in
-            :meth:`classify_batch`.
+            If ``value`` is not an integer: floats, bools, text and
+            bytes are rejected rather than coerced or parsed.
         ValueError
             If ``value`` lies outside the unsigned 64-bit range — a
             pHash is exactly 64 bits, so anything else is caller error
             (e.g. a sign-flipped or double-packed hash), not an unmatched
             image.
         """
-        if isinstance(value, (str, bytes, bytearray)):
-            raise TypeError(
-                f"pHash must be an integer-like scalar, got {type(value).__name__}"
-            )
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise TypeError(
-                f"pHash must be an integer-like scalar, got {type(value).__name__}"
-            )
-        if not 0 <= value < 2**64:
-            raise ValueError(
-                f"pHash {value} outside the unsigned 64-bit range [0, 2**64)"
-            )
-        return self._verdicts(np.array([value], dtype=np.uint64))[0]
+        # One object cell, so a sequence-like value (bytes, bytearray)
+        # stays one element instead of becoming an array axis.
+        cell = np.empty(1, dtype=object)
+        cell[0] = value
+        return self._verdicts(_validated_hash_array(cell))[0]
 
     def classify_image(self, image: np.ndarray) -> MonitorVerdict:
         """Hash a raster and classify it.

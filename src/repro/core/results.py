@@ -11,7 +11,6 @@ from repro.annotation.matcher import ClusterAnnotation
 from repro.clustering.dbscan import NOISE, DBSCANResult
 from repro.communities.models import PostTable
 from repro.core.cache import CacheStats
-from repro.utils.parallel import ExecutionReport
 
 __all__ = [
     "ClusterKey",
@@ -46,9 +45,6 @@ class StageReport:
         Message of the error that triggered degradation, if any.
     notes:
         Free-form diagnostics (retry info).
-    execution:
-        Supervised-executor report for the stage's parallel fan-out
-        (per-shard attempts/outcomes), when the stage ran one.
     cached:
         Whether the stage's output came entirely from the content cache
         (every lookup hit and no delta work ran): a warm re-run, or a
@@ -67,7 +63,6 @@ class StageReport:
     quarantined: list[str] = field(default_factory=list)
     error: str | None = None
     notes: list[str] = field(default_factory=list)
-    execution: ExecutionReport | None = None
     cached: bool = False
     cache_stats: CacheStats | None = None
 
@@ -90,8 +85,6 @@ class StageReport:
             parts.append("quarantined=" + ",".join(self.quarantined))
         if self.error:
             parts.append(f"error={self.error}")
-        if self.execution is not None:
-            parts.append(f"shards=[{self.execution.summary()}]")
         return "  ".join(parts)
 
 

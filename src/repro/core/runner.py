@@ -53,11 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro.communities.models import FRINGE_COMMUNITIES
-from repro.annotation.association import (
-    UNASSIGNED,
-    AssociationResult,
-    associate_hashes,
-)
+from repro.annotation.association import AssociationResult, associate_hashes
 from repro.annotation.matcher import annotate_clusters
 from repro.clustering.dbscan import dbscan
 from repro.communities.models import PostTable
@@ -78,12 +74,7 @@ from repro.core.results import (
     PipelineResult,
     StageReport,
 )
-from repro.utils.parallel import (
-    Executor,
-    ParallelConfig,
-    array_splitter,
-    resolve_parallel,
-)
+from repro.utils.parallel import ParallelConfig, resolve_parallel
 from repro.utils.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -131,27 +122,6 @@ def build_occurrence_table(
     )
 
 
-def _associate_community_shard(
-    hashes: np.ndarray, medoid_by_global: dict[int, int], theta: int
-) -> AssociationResult:
-    """Associate one community's post hashes; module-level so process
-    workers can receive the pickled shard.  The inner lookup stays
-    serial — the fan-out already happened at the community level."""
-    return associate_hashes(
-        hashes, medoid_by_global, theta=theta, parallel=ParallelConfig()
-    )
-
-
-def _merge_association_results(
-    parts: list[AssociationResult],
-) -> AssociationResult:
-    """Reassemble a bisected community shard's association outputs."""
-    return AssociationResult(
-        cluster_ids=np.concatenate([part.cluster_ids for part in parts]),
-        distances=np.concatenate([part.distances for part in parts]),
-    )
-
-
 class StageFailure(RuntimeError):
     """A stage failed permanently with no fallback left."""
 
@@ -180,7 +150,7 @@ class RunnerOptions:
         to 0 — this is what threads the world seed into Step 4.
     parallel:
         Executor config for the hot paths (clustering neighbourhoods,
-        per-community association).  ``None`` falls back to the
+        Step 6 association).  ``None`` falls back to the
         ``REPRO_WORKERS``/``REPRO_PARALLEL_BACKEND`` environment, then
         to serial.  Results are bit-identical for any worker count, so
         cache entries written under different worker counts are
@@ -232,8 +202,8 @@ class PipelineRunner:
         self.parallel = resolve_parallel(self.options.parallel)
         if self.options.faults is not None and self.parallel.chaos is None:
             # Thread the fault plan into every supervised fan-out the
-            # config reaches (clustering neighbourhoods, association
-            # shards) so parallel:shard / parallel:worker faults fire.
+            # config reaches (clustering neighbourhoods, association)
+            # so parallel:shard / parallel:worker faults fire.
             self.parallel = replace(
                 self.parallel, chaos=self.options.faults.parallel_directive
             )
@@ -579,73 +549,18 @@ class PipelineRunner:
         return payload
 
     def _associate_all(
-        self,
-        all_hashes: np.ndarray,
-        medoid_by_global: dict[int, int],
-        report: StageReport | None = None,
-        first_post: int = 0,
-    ):
-        """Step 6's association, sharded per community when parallel.
-
-        ``all_hashes`` are the hashes of the posts
-        ``posts[first_post:]``, in order (a cache delta passes only
-        the appended suffix).
-
-        Each post's match depends only on its own hash, so splitting the
-        post set by community and stitching the per-community results
-        back into post order is bit-identical to one global call — the
-        communities are the natural shards (the paper associates each
-        platform's crawl independently too).
-
-        The fan-out runs supervised: a community shard that exhausts the
-        rescue ladder quarantines (its posts stay ``UNASSIGNED``, the
-        community lands in ``report.quarantined``) rather than sinking
-        the stage — unless the supervision policy says
-        ``on_poison="fail"``, in which case :class:`PoisonShardError`
-        propagates into the stage's own failure handling.
-        """
-        if self.parallel.is_serial:
-            return associate_hashes(
-                all_hashes, medoid_by_global, theta=self.config.theta
-            )
-        posts = self.posts[first_post : first_post + all_hashes.size]
-        groups = {
-            community: rows
-            for community, rows in posts.group_by_community().items()
-            if rows.size
-        }
-        ordered = list(groups.values())
-        sup = Executor(self.parallel).supervised_starmap(
-            _associate_community_shard,
-            [
-                (all_hashes[idx], medoid_by_global, self.config.theta)
-                for idx in ordered
-            ],
-            split=array_splitter(0),
-            merge=_merge_association_results,
+        self, hashes: np.ndarray, medoid_by_global: dict[int, int]
+    ) -> AssociationResult:
+        """Step 6 over ``hashes`` under the runner's parallel config."""
+        return associate_hashes(
+            hashes,
+            medoid_by_global,
+            theta=self.config.theta,
+            parallel=self.parallel,
         )
-        if report is not None:
-            report.execution = sup.report
-        cluster_ids = np.full(all_hashes.size, UNASSIGNED, dtype=np.int64)
-        distances = np.full(all_hashes.size, -1, dtype=np.int64)
-        for shard_index, (community, idx) in enumerate(
-            zip(groups, ordered)
-        ):
-            part = sup.results[shard_index]
-            if part is None:
-                if report is not None:
-                    report.quarantined.append(f"associate:{community}")
-                    report.status = "degraded"
-                continue
-            cluster_ids[idx] = part.cluster_ids
-            distances[idx] = part.distances
-        return AssociationResult(cluster_ids=cluster_ids, distances=distances)
 
     def _associate_cached(
-        self,
-        all_hashes: np.ndarray,
-        medoid_by_global: dict[int, int],
-        report: StageReport | None,
+        self, all_hashes: np.ndarray, medoid_by_global: dict[int, int]
     ) -> AssociationResult:
         """Step 6's association, memoized with a prefix-delta slot.
 
@@ -655,11 +570,10 @@ class PipelineRunner:
         whose post stream merely *grew* (yesterday's posts form a
         prefix of today's, the append-only crawl pattern) associates
         only the suffix and concatenates — bit-identical to the cold
-        call.  Incomplete outcomes (quarantined association shards) are
-        never stored.
+        call.
         """
         if self.cache is None:
-            return self._associate_all(all_hashes, medoid_by_global, report)
+            return self._associate_all(all_hashes, medoid_by_global)
         slot = self.cache.key(
             "associate-slot", self.config.theta, medoid_by_global
         )
@@ -681,7 +595,7 @@ class PipelineRunner:
             ):
                 stats.hits += 1
                 suffix = self._associate_all(
-                    all_hashes[n_prev:], medoid_by_global, report, n_prev
+                    all_hashes[n_prev:], medoid_by_global
                 )
                 association = AssociationResult(
                     cluster_ids=np.concatenate(
@@ -695,22 +609,16 @@ class PipelineRunner:
                 stats.note_delta(
                     "associate:added", int(all_hashes.size) - n_prev
                 )
-                self._store_association(slot, input_fp, association, report)
+                self._store_association(slot, input_fp, association)
                 return association
         stats.misses += 1
-        association = self._associate_all(all_hashes, medoid_by_global, report)
-        self._store_association(slot, input_fp, association, report)
+        association = self._associate_all(all_hashes, medoid_by_global)
+        self._store_association(slot, input_fp, association)
         return association
 
     def _store_association(
-        self,
-        slot: str,
-        input_fp: str,
-        association: AssociationResult,
-        report: StageReport | None,
+        self, slot: str, input_fp: str, association: AssociationResult
     ) -> None:
-        if report is not None and report.quarantined:
-            return
         self.cache.put(
             slot,
             {
@@ -734,7 +642,7 @@ class PipelineRunner:
                 for index, key in enumerate(cluster_keys)
             }
             association = self._associate_cached(
-                self.posts.phash, medoid_by_global, report
+                self.posts.phash, medoid_by_global
             )
             return build_occurrence_table(
                 self.posts, annotations, cluster_keys, association

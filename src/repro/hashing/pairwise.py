@@ -29,7 +29,6 @@ from repro.utils.parallel import (
     range_splitter,
     resolve_parallel,
     shard_bounds,
-    strict_supervision,
 )
 
 __all__ = [
@@ -197,17 +196,16 @@ def radius_neighbors(
         return NeighborGraph.from_lengths(
             *_neighbors_shard(hashes, 0, int(hashes.size), radius, dense)
         )
-    sup = Executor(parallel).supervised_starmap(
+    parts = Executor(parallel).supervised_starmap(
         _neighbors_shard,
         [
             (hashes, start, stop, radius, dense)
             for start, stop in shard_bounds(hashes.size, parallel)
         ],
-        policy=strict_supervision(parallel),
         split=range_splitter(1, 2),
         merge=_merge_neighbor_parts,
     )
-    return NeighborGraph.from_lengths(*_merge_neighbor_parts(sup.results))
+    return NeighborGraph.from_lengths(*_merge_neighbor_parts(parts))
 
 
 def delta_pairs(

@@ -2,9 +2,9 @@
 
 The paper ran its all-pairs comparisons and per-cluster Hawkes fits on a
 two-GPU TensorFlow rig; the laptop-scale reproduction instead shards its
-embarrassingly-parallel hot paths — radius neighbourhoods,
-nearest-medoid association, per-cluster fits — over a small executor
-abstraction with three interchangeable backends:
+embarrassingly-parallel hot paths — radius neighbourhoods and
+nearest-medoid association — over a small executor abstraction with
+three interchangeable backends:
 
 * ``serial`` — a plain loop in the calling thread.  The default, and
   the reference semantics every other backend must reproduce.
@@ -45,22 +45,19 @@ every shard under a supervision ladder:
    ``BrokenExecutor`` is just another retryable failure);
 3. **bisection re-sharding** — a shard that keeps failing is split via
    the caller's ``split`` function and each half walks the ladder
-   independently, so one poison item cannot sink its whole shard and an
-   allocation-bound failure gets a smaller working set;
+   independently, so an allocation-bound failure gets a smaller working
+   set and the error trail narrows down a poison item;
 4. **serial fallback** — the shard runs in the calling process,
    sidestepping pool pathologies (pickling, worker death) entirely;
-5. **quarantine** — a shard that fails even serially is *poison*:
-   depending on ``on_poison`` the run either fails fast
-   (:class:`PoisonShardError`, naming the shard) or records the shard
-   as a gap (``None`` in the result list) and carries on.
+5. **fail** — a shard that fails even serially is *poison*: the call
+   raises :class:`PoisonShardError`, naming the shard and carrying its
+   error trail.  Both callers (neighbour lists, association columns)
+   build arrays with no way to represent a missing shard, so the
+   failure goes to the caller's own error handling (the staged runner
+   fails the stage).
 
-Every shard's history (attempts, backend, duration, outcome, error
-trail) lands in a :class:`ShardReport`; the whole fan-out aggregates
-into an :class:`ExecutionReport` that callers can inspect and the
-staged runner threads into its ``StageReport``s.  Salvaged results stay
-submission-ordered and bit-identical to serial for every surviving
-shard; quarantined shards surface as explicit gaps, never silent
-truncation.
+A fan-out that returns is complete: its results are submission-ordered
+and bit-identical to serial, whichever rungs the shards took.
 
 Chaos hooks: the executor consults an optional ``chaos(site)`` callable
 (``"parallel:shard"`` then ``"parallel:worker"``) before every shard
@@ -78,7 +75,7 @@ import time
 import warnings
 from concurrent import futures as _futures
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.utils.retry import RetryPolicy, retry_call
@@ -89,12 +86,9 @@ __all__ = [
     "ENV_WORKERS",
     "ChaosDirective",
     "DEFAULT_CHAOS_SITES",
-    "ExecutionReport",
     "Executor",
     "ParallelConfig",
     "PoisonShardError",
-    "ShardReport",
-    "SupervisedResult",
     "SupervisionPolicy",
     "array_splitter",
     "available_cpus",
@@ -102,7 +96,6 @@ __all__ = [
     "range_splitter",
     "resolve_parallel",
     "shard_bounds",
-    "strict_supervision",
     "warn_if_oversubscribed",
 ]
 
@@ -188,9 +181,9 @@ class ParallelConfig:
         backend that sidesteps the GIL for pure-Python kernels).
     supervision:
         Optional :class:`SupervisionPolicy` the hot paths apply to
-        their supervised fan-outs.  ``None`` means each call site's
-        default policy.  Carried here so it travels wherever the
-        parallel config already flows (runner → dbscan →
+        their supervised fan-outs.  ``None`` means the default
+        policy.  Carried here so it travels wherever the parallel
+        config already flows (runner → dbscan →
         ``radius_neighbors``) without new plumbing.
     chaos:
         Optional chaos hook ``(site: str) -> ChaosDirective | None``
@@ -288,7 +281,7 @@ def shard_bounds(
 
 
 # ----------------------------------------------------------------------
-# Supervision: policies, reports, chaos plumbing
+# Supervision: policy, chaos plumbing
 # ----------------------------------------------------------------------
 
 
@@ -313,14 +306,15 @@ class ChaosDirective:
 
 
 class PoisonShardError(RuntimeError):
-    """A shard failed the entire supervision ladder under ``on_poison="fail"``.
+    """A shard failed the entire supervision ladder.
 
-    Carries the shard's submission index and the :class:`ExecutionReport`
-    so far; the final underlying error is chained as ``__cause__``.
+    Carries the shard's submission index and its error trail (every
+    failure on the way, oldest first); the final underlying error is
+    chained as ``__cause__``.
     """
 
     def __init__(
-        self, shard_index: int, cause: BaseException, report: "ExecutionReport"
+        self, shard_index: int, cause: BaseException, errors: list[str]
     ) -> None:
         super().__init__(
             f"shard {shard_index} failed permanently after the supervision "
@@ -328,7 +322,12 @@ class PoisonShardError(RuntimeError):
             f"{type(cause).__name__}: {cause}"
         )
         self.shard_index = shard_index
-        self.report = report
+        self.errors = errors
+
+
+# Recursion bound on bisection (2 -> a shard shrinks at most 4x),
+# capping the worst-case attempt count on deterministic poison.
+MAX_BISECT_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -349,18 +348,6 @@ class SupervisionPolicy:
         shard failure — hang timeout, worker death, a raising kernel —
         deserves the ladder; ``KeyboardInterrupt``/``SystemExit`` are
         never retried regardless.
-    bisect:
-        Whether a still-failing shard is split via the caller's
-        ``split`` function and each half retried independently.
-    max_bisect_depth:
-        Recursion bound on bisection (2 → a shard shrinks at most 4×),
-        capping the worst-case attempt count on deterministic poison.
-    serial_fallback:
-        Whether the last rung runs the shard in the calling process.
-    on_poison:
-        ``"fail"`` raises :class:`PoisonShardError` at the first shard
-        that exhausts the ladder; ``"quarantine"`` records a gap
-        (``None`` result) and keeps going.
     """
 
     shard_deadline_s: float | None = None
@@ -369,117 +356,10 @@ class SupervisionPolicy:
             max_retries=1, base_delay=0.01, retryable=(Exception,)
         )
     )
-    bisect: bool = True
-    max_bisect_depth: int = 2
-    serial_fallback: bool = True
-    on_poison: str = "quarantine"
 
     def __post_init__(self) -> None:
         if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
             raise ValueError("shard_deadline_s must be positive")
-        if self.max_bisect_depth < 0:
-            raise ValueError("max_bisect_depth must be >= 0")
-        if self.on_poison not in ("fail", "quarantine"):
-            raise ValueError(
-                f"on_poison must be 'fail' or 'quarantine', got {self.on_poison!r}"
-            )
-
-
-@dataclass
-class ShardReport:
-    """Supervision history of one submitted shard.
-
-    ``outcome`` is the final classification: ``"ok"`` (first attempt),
-    ``"retried"`` (fresh-pool retry rung), ``"bisected"`` (recovered
-    by re-sharding), ``"serial"`` (serial fallback),
-    ``"quarantined"`` (poison; its result slot is a gap).  ``errors``
-    is the chronological trail of everything that went wrong on the
-    way.
-    """
-
-    index: int
-    backend: str = "serial"
-    attempts: int = 0
-    outcome: str = "pending"
-    duration_s: float = 0.0
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def recovered(self) -> bool:
-        """Failed at least once but produced its result anyway."""
-        return self.outcome in ("retried", "bisected", "serial")
-
-
-@dataclass
-class ExecutionReport:
-    """Aggregate of one supervised fan-out, one :class:`ShardReport` each."""
-
-    backend: str
-    workers: int
-    shards: list[ShardReport] = field(default_factory=list)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def retried(self) -> list[int]:
-        """Indices of shards that failed at least once but recovered."""
-        return [s.index for s in self.shards if s.recovered]
-
-    @property
-    def quarantined(self) -> list[int]:
-        """Indices of poison shards whose result slot is a gap."""
-        return [s.index for s in self.shards if s.outcome == "quarantined"]
-
-    @property
-    def complete(self) -> bool:
-        return not self.quarantined
-
-    def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for shard in self.shards:
-            counts[shard.outcome] = counts.get(shard.outcome, 0) + 1
-        return counts
-
-    def summary(self) -> str:
-        """One-line digest, e.g. ``process x4: 9 shards (ok=8 retried=1)``."""
-        counts = " ".join(
-            f"{outcome}={n}" for outcome, n in sorted(self.outcome_counts().items())
-        )
-        return f"{self.backend} x{self.workers}: {self.n_shards} shards ({counts})"
-
-
-@dataclass
-class SupervisedResult:
-    """What a supervised fan-out produced: results (with gaps) + report.
-
-    ``results[i]`` is shard *i*'s value, or ``None`` when the shard was
-    quarantined (``report.quarantined`` lists exactly those indices —
-    gaps are always explicit, never silently dropped).
-    """
-
-    results: list
-    report: ExecutionReport
-
-    @property
-    def complete(self) -> bool:
-        return self.report.complete
-
-
-def strict_supervision(parallel: ParallelConfig) -> SupervisionPolicy:
-    """The effective policy for gap-intolerant kernel call sites.
-
-    Array kernels (Hamming matrix rows, neighbour lists, association
-    columns) have no way to represent a quarantined shard — a hole in
-    the output array is structurally meaningless — so they run the full
-    rescue ladder but force ``on_poison="fail"``: true poison raises
-    :class:`PoisonShardError` for the *caller's* quarantine machinery
-    (e.g. the staged runner's per-community quarantine) to absorb at a
-    granularity where a gap means something.
-    """
-    policy = parallel.supervision or SupervisionPolicy()
-    return replace(policy, on_poison="fail")
 
 
 def range_splitter(start_pos: int, stop_pos: int):
@@ -582,7 +462,7 @@ class Executor:
     results in submission order, so output ordering is deterministic no
     matter which worker finishes first.  Failing shards walk the
     supervision ladder (deadline → retry → bisect → serial fallback →
-    quarantine; see the module docstring).
+    fail; see the module docstring).
     """
 
     def __init__(self, parallel: ParallelConfig | None = None) -> None:
@@ -598,7 +478,7 @@ class Executor:
         merge: Callable[[list], R] | None = None,
         chaos: Callable[[str], ChaosDirective | None] | None = None,
         sleep: Callable[[float], None] | None = None,
-    ) -> SupervisedResult:
+    ) -> list[R]:
         """``[fn(*args) for args in items]`` under the supervision ladder.
 
         Parameters
@@ -618,10 +498,9 @@ class Executor:
             Injected into :func:`repro.utils.retry.retry_call` so tests
             can skip real backoff sleeps.
 
-        Returns a :class:`SupervisedResult` whose ``results`` align
-        1:1 with the submitted calls; quarantined shards hold ``None``.
-        Raises :class:`PoisonShardError` instead when the policy says
-        ``on_poison="fail"``.
+        Returns the results in submission order.  Raises
+        :class:`PoisonShardError` at the first shard (by index) that
+        fails every rung.
         """
         if (split is None) != (merge is None):
             raise ValueError("split and merge must be provided together")
@@ -630,65 +509,49 @@ class Executor:
             policy = self.parallel.supervision or SupervisionPolicy()
         if chaos is None:
             chaos = self.parallel.chaos
-        backend = self.parallel.resolved_backend()
         workers = min(self.parallel.workers, max(1, len(calls)))
-        report = ExecutionReport(backend=backend, workers=workers)
-        if not calls:
-            return SupervisedResult(results=[], report=report)
-        report.shards = [
-            ShardReport(index=i, backend=backend) for i in range(len(calls))
-        ]
-
         results: list = [None] * len(calls)
-        failed: dict[int, BaseException] = {}
-        if backend == "serial" or workers <= 1:
-            self._first_wave_serial(fn, calls, report, chaos, results, failed)
+        errors: list[list[str]] = [[] for _ in calls]
+        if self.parallel.resolved_backend() == "serial" or workers <= 1:
+            failed = self._first_wave_serial(fn, calls, chaos, results, errors)
         else:
-            self._first_wave_pooled(
-                fn, calls, report, policy, chaos, results, failed, workers
+            failed = self._first_wave_pooled(
+                fn, calls, policy, chaos, results, errors, workers
             )
-
         for index in sorted(failed):
-            shard = report.shards[index]
             try:
                 results[index] = self._rescue(
-                    fn, calls[index], shard, policy, split, merge, chaos,
-                    depth=0, sleep=sleep,
+                    fn, calls[index], index, errors[index], policy, split,
+                    merge, chaos, depth=0, sleep=sleep,
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as error:
-                shard.outcome = "quarantined"
-                if policy.on_poison == "fail":
-                    raise PoisonShardError(index, error, report) from error
-                results[index] = None
-        return SupervisedResult(results=results, report=report)
+                raise PoisonShardError(index, error, errors[index]) from error
+        return results
 
-    def _first_wave_serial(
-        self, fn, calls, report, chaos, results, failed
-    ) -> None:
-        """Serial first wave: plain in-process calls, chaos honoured."""
+    def _first_wave_serial(self, fn, calls, chaos, results, errors) -> set[int]:
+        """Serial first wave: plain in-process calls, chaos honoured.
+        Returns the indices of the shards that failed."""
+        failed = set()
         for index, args in enumerate(calls):
-            shard = report.shards[index]
-            started = time.perf_counter()
             try:
                 results[index] = self._attempt_once(
-                    fn, args, shard, None, chaos, use_pool=False
+                    fn, args, index, None, chaos, use_pool=False
                 )
-                shard.outcome = "ok"
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as error:
-                shard.errors.append(_error_text(error))
-                failed[index] = error
-            finally:
-                shard.duration_s += time.perf_counter() - started
+                errors[index].append(_error_text(error))
+                failed.add(index)
+        return failed
 
     def _first_wave_pooled(
-        self, fn, calls, report, policy, chaos, results, failed, workers
-    ) -> None:
+        self, fn, calls, policy, chaos, results, errors, workers
+    ) -> set[int]:
         """Pooled first wave: submit everything, collect in submission
-        order with per-shard deadlines, survive worker death.
+        order with per-shard deadlines, survive worker death.  Returns
+        the indices of the shards that failed.
 
         The shared pool is shut down without waiting when a shard hung
         or the pool broke (a ``with`` block would join the hung worker
@@ -698,20 +561,17 @@ class Executor:
         backend = self.parallel.resolved_backend()
         pool = _new_pool(backend, workers)
         dirty = False  # hung or broken: don't join workers on shutdown
+        failed = set()
+
+        def fail(index: int, error: BaseException) -> None:
+            errors[index].append(_error_text(error))
+            failed.add(index)
+
         try:
             futures: list[_futures.Future | None] = [None] * len(calls)
             for index, args in enumerate(calls):
-                shard = report.shards[index]
-                shard.attempts += 1
                 try:
                     directive = _consult_chaos(chaos)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as error:
-                    shard.errors.append(_error_text(error))
-                    failed[index] = error
-                    continue
-                try:
                     futures[index] = self._submit(
                         pool, fn, args, directive, backend
                     )
@@ -723,21 +583,16 @@ class Executor:
                     # too.  Fail each shard individually — the rescue
                     # ladder re-runs them on fresh pools.
                     dirty = True
-                    shard.errors.append(_error_text(error))
-                    failed[index] = error
+                    fail(index, error)
                 except Exception as error:
-                    shard.errors.append(_error_text(error))
-                    failed[index] = error
+                    fail(index, error)
             for index, future in enumerate(futures):
                 if future is None:
                     continue
-                shard = report.shards[index]
-                started = time.perf_counter()
                 try:
                     results[index] = future.result(
                         timeout=policy.shard_deadline_s
                     )
-                    shard.outcome = "ok"
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except _futures.TimeoutError as error:
@@ -748,19 +603,15 @@ class Executor:
                         f"{policy.shard_deadline_s}s"
                     )
                     hang.__cause__ = error
-                    shard.errors.append(_error_text(hang))
-                    failed[index] = hang
+                    fail(index, hang)
                 except _futures.BrokenExecutor as error:
                     dirty = True
-                    shard.errors.append(_error_text(error))
-                    failed[index] = error
+                    fail(index, error)
                 except Exception as error:
-                    shard.errors.append(_error_text(error))
-                    failed[index] = error
-                finally:
-                    shard.duration_s += time.perf_counter() - started
+                    fail(index, error)
         finally:
             pool.shutdown(wait=not dirty, cancel_futures=True)
+        return failed
 
     @staticmethod
     def _submit(pool, fn, args, directive, backend) -> _futures.Future:
@@ -773,86 +624,71 @@ class Executor:
         )
 
     def _rescue(
-        self, fn, args, shard, policy, split, merge, chaos, depth, sleep
+        self, fn, args, index, errors, policy, split, merge, chaos, depth, sleep
     ):
         """Walk a failed shard down the rescue ladder; return its value.
 
-        Raises the final underlying error when every rung fails.
-        ``shard.outcome`` is only classified at ``depth == 0`` — the
-        recursive bisection halves contribute attempts and errors to
-        the same report but not an outcome of their own.
+        Raises the final underlying error when every rung fails.  The
+        recursive bisection halves add their failures to the same
+        ``errors`` trail.
         """
-        started = time.perf_counter()
-        try:
-            # Rung 2: fresh single-worker pool under the retry policy.
-            def attempt():
-                try:
-                    return self._attempt_once(
-                        fn, args, shard, policy, chaos, use_pool=True
-                    )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:
-                    shard.errors.append(_error_text(error))
-                    raise
 
+        # Rung 2: fresh single-worker pool under the retry policy.
+        def attempt():
             try:
-                value = retry_call(
-                    attempt, policy.retry, sleep=sleep or time.sleep
-                ).value
-                if depth == 0:
-                    shard.outcome = "retried"
-                return value
+                return self._attempt_once(
+                    fn, args, index, policy, chaos, use_pool=True
+                )
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except BaseException as error:
+                errors.append(_error_text(error))
+                raise
+
+        try:
+            return retry_call(
+                attempt, policy.retry, sleep=sleep or time.sleep
+            ).value
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as error:
+            last_error: BaseException = error
+
+        # Rung 3: bisection re-sharding, each half down the ladder.
+        parts = (
+            split(args)
+            if split is not None and depth < MAX_BISECT_DEPTH
+            else None
+        )
+        if parts:
+            try:
+                return merge(
+                    [
+                        self._rescue(
+                            fn, part, index, errors, policy, split, merge,
+                            chaos, depth + 1, sleep,
+                        )
+                        for part in parts
+                    ]
+                )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as error:
-                last_error: BaseException = error
+                last_error = error
 
-            # Rung 3: bisection re-sharding, each half down the ladder.
-            if (
-                policy.bisect
-                and split is not None
-                and depth < policy.max_bisect_depth
-            ):
-                parts = split(args)
-                if parts:
-                    try:
-                        values = [
-                            self._rescue(
-                                fn, part, shard, policy, split, merge,
-                                chaos, depth + 1, sleep,
-                            )
-                            for part in parts
-                        ]
-                        value = merge(values)
-                        if depth == 0:
-                            shard.outcome = "bisected"
-                        return value
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as error:
-                        last_error = error
+        # Rung 4: serial fallback in the calling process.
+        try:
+            return self._attempt_once(
+                fn, args, index, policy, chaos, use_pool=False
+            )
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as error:
+            errors.append(_error_text(error))
+            last_error = error
+        raise last_error
 
-            # Rung 4: serial fallback in the calling process.
-            if policy.serial_fallback:
-                try:
-                    value = self._attempt_once(
-                        fn, args, shard, policy, chaos, use_pool=False
-                    )
-                    if depth == 0:
-                        shard.outcome = "serial"
-                    return value
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as error:
-                    shard.errors.append(_error_text(error))
-                    last_error = error
-
-            raise last_error
-        finally:
-            shard.duration_s += time.perf_counter() - started
-
-    def _attempt_once(self, fn, args, shard, policy, chaos, *, use_pool):
+    def _attempt_once(self, fn, args, index, policy, chaos, *, use_pool):
         """One shard attempt: in-process, or on a fresh one-worker pool.
 
         Chaos is consulted every attempt so bounded faults
@@ -861,7 +697,6 @@ class Executor:
         raised error and honour ``hang`` as a sleep (no preemption is
         possible without a pool).
         """
-        shard.attempts += 1
         directive = _consult_chaos(chaos)
         backend = self.parallel.resolved_backend()
         deadline = policy.shard_deadline_s if policy is not None else None
@@ -881,11 +716,10 @@ class Executor:
                 dirty = True
                 future.cancel()
                 raise TimeoutError(
-                    f"shard {shard.index} exceeded deadline {deadline}s"
+                    f"shard {index} exceeded deadline {deadline}s"
                 ) from error
             except _futures.BrokenExecutor:
                 dirty = True
                 raise
         finally:
             pool.shutdown(wait=not dirty, cancel_futures=True)
-

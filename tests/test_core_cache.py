@@ -579,9 +579,7 @@ class TestRunnerDeltaCache:
         self._check_associate_prefix_path(tmp_path, parallel=None)
 
     def test_associate_prefix_path_under_workers(self, tmp_path):
-        """The per-community fan-out of the suffix groups the suffix's
-        own posts (it once grouped every post of the world and indexed
-        past the end of the suffix)."""
+        """The suffix association fans out under workers too."""
         self._check_associate_prefix_path(
             tmp_path, parallel=ParallelConfig(workers=2, backend="thread")
         )

@@ -208,11 +208,21 @@ class TestInputHardening:
             monitor.classify_hash(np.uint64(2**64 - 1)), MonitorVerdict
         )
 
-    def test_non_integer_hash_rejected(self, monitor):
+    def test_non_integer_hash_rejected(self, monitor, pipeline_result):
         with pytest.raises(TypeError):
             monitor.classify_hash("deadbeef")
         with pytest.raises(TypeError):
             monitor.classify_hash(None)
+        # Floats and bools are rejected, never truncated or widened, as
+        # classify_batch rejects them.
+        medoid = pipeline_result.annotations[
+            pipeline_result.cluster_keys[0]
+        ].medoid_hash
+        for value in (5.5, True, float(medoid)):
+            with pytest.raises(TypeError):
+                monitor.classify_hash(value)
+            with pytest.raises(TypeError):
+                monitor.classify_batch([value])
         # Numeric text is rejected, never parsed.
         for text in ("5", b"5", bytearray(b"5")):
             with pytest.raises(TypeError):

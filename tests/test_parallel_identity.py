@@ -1,16 +1,15 @@
 """Property tests: parallel runs are bit-identical to serial runs.
 
-The ISSUE-2 contract for the parallel layer is *bit-identity*, not
-"statistically the same": labels, associations and Hawkes influence
-matrices produced under ``--workers 4`` must equal the serial output
-exactly, for both the thread and process backends.
+The contract for the parallel layer is *bit-identity*, not
+"statistically the same": labels, annotations and associations
+produced under ``--workers 4`` must equal the serial output exactly,
+for both the thread and process backends.
 
-ISSUE-4 extends the contract to *supervised* execution: with chaos
-injected — a process worker killed mid-fan-out, shards raising — the
-run must still complete, the :class:`ExecutionReport` must record what
-was retried/quarantined, and every surviving shard's output must remain
-bit-identical to the serial path (quarantined shards surface as
-explicit gaps, never silently truncated results).
+The contract holds under *supervised* execution too: with chaos
+injected (a process worker killed mid-fan-out) the run must still
+complete bit-identical to the serial path, and a shard that fails the
+whole rescue ladder must fail its stage exactly as the same fault does
+serially, never degrade the result only when workers > 1.
 """
 
 from __future__ import annotations
@@ -18,15 +17,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import influence_study
 from repro.core import (
     Fault,
     FaultInjector,
     PipelineConfig,
     RunnerOptions,
+    StageFailure,
     run_pipeline,
 )
-from repro.utils.parallel import ParallelConfig
+from repro.utils.parallel import ParallelConfig, PoisonShardError
 
 BACKENDS = ("thread", "process")
 
@@ -72,41 +71,9 @@ class TestPipelineIdentity:
         assert np.array_equal(par.is_politics, serial.is_politics)
 
 
-class TestInfluenceIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hawkes_matrices_identical(
-        self, world, pipeline_result, backend
-    ):
-        serial = influence_study(
-            pipeline_result, world.config.horizon_days, min_events=10
-        )
-        par = influence_study(
-            pipeline_result,
-            world.config.horizon_days,
-            min_events=10,
-            parallel=ParallelConfig(workers=4, backend=backend),
-        )
-        assert np.array_equal(
-            par.total.expected_events, serial.total.expected_events
-        )
-        assert np.array_equal(
-            par.total.event_counts, serial.total.event_counts
-        )
-        assert set(par.per_cluster) == set(serial.per_cluster)
-        for key, matrices in serial.per_cluster.items():
-            assert np.array_equal(
-                par.per_cluster[key].expected_events, matrices.expected_events
-            )
-        for name, group in serial.groups.items():
-            assert np.array_equal(
-                par.groups[name].expected_events, group.expected_events
-            )
-        assert par.failures == serial.failures
-
-
 class TestChaosRecoveryIdentity:
-    """Kill a process worker mid-fan-out: the run completes and every
-    salvaged output is bit-identical to the serial path."""
+    """Kill a process worker mid-fan-out: the run completes bit-identical
+    to the serial path.  Poison a shard: its stage fails, as serially."""
 
     def test_worker_kill_pipeline_identical_to_serial(
         self, world, pipeline_result
@@ -135,111 +102,49 @@ class TestChaosRecoveryIdentity:
             pipeline_result.occurrences.cluster_indices,
         )
 
-    def test_worker_kill_influence_reports_retried_shards(
-        self, world, pipeline_result
-    ):
-        serial = influence_study(
-            pipeline_result, world.config.horizon_days, min_events=10
-        )
-        faults = FaultInjector(
-            [Fault("parallel:worker", action="kill", times=1)]
-        )
-        par = influence_study(
-            pipeline_result,
-            world.config.horizon_days,
-            min_events=10,
-            parallel=ParallelConfig(
-                workers=2,
-                backend="process",
-                chaos=faults.parallel_directive,
-            ),
-        )
-        # The ExecutionReport records the worker death and the rescues.
-        assert par.execution is not None
-        assert par.execution.retried, "killed worker's shards must be rescued"
-        assert par.execution.complete
-        assert any(
-            "BrokenProcessPool" in error
-            for shard in par.execution.shards
-            for error in shard.errors
-        )
-        # ... and the salvaged study is bit-identical to the serial one.
-        assert np.array_equal(
-            par.total.expected_events, serial.total.expected_events
-        )
-        assert set(par.per_cluster) == set(serial.per_cluster)
-        for key, matrices in serial.per_cluster.items():
-            assert np.array_equal(
-                par.per_cluster[key].expected_events, matrices.expected_events
-            )
-        assert par.failures == serial.failures
+    def test_poison_associate_shard_fails_the_stage(self, world, monkeypatch):
+        # Permanently poison the association shard holding one hash.
+        # Under workers=2 it walks the whole rescue ladder and then
+        # fails the associate stage, as a serial associate:all fault
+        # does.  Thread backend so the monkeypatched kernel is visible
+        # to the workers.
+        import repro.annotation.association as association_mod
 
-    def test_poison_associate_shard_is_explicit_gap(
-        self, world, pipeline_result, monkeypatch
-    ):
-        # Permanently poison ONE community's association shard (and any
-        # bisected prefix of it): that community quarantines as an
-        # explicit gap — its posts stay unassociated, the stage report
-        # names it — while every other community's associations stay
-        # bit-identical to serial.  Thread backend so the monkeypatched
-        # kernel is visible to the workers.
-        import repro.core.runner as runner_mod
+        poison = np.uint64(world.posts.phash[0])
+        real_shard = association_mod._associate_unique_shard
 
-        target_community = world.posts[0].community
-        target_hashes = np.array(
-            [
-                post.phash
-                for post in world.posts
-                if post.community == target_community
-            ],
-            dtype=np.uint64,
-        )
-        real_shard = runner_mod._associate_community_shard
-
-        def poisoned_shard(hashes, medoid_by_global, theta):
-            if np.array_equal(hashes, target_hashes[: hashes.size]):
-                raise ValueError(f"poisoned shard for {target_community}")
-            return real_shard(hashes, medoid_by_global, theta)
+        def poisoned_shard(unique, id_array, medoid_array, theta):
+            if np.any(unique == poison):
+                raise ValueError("poisoned association shard")
+            return real_shard(unique, id_array, medoid_array, theta)
 
         monkeypatch.setattr(
-            runner_mod, "_associate_community_shard", poisoned_shard
+            association_mod, "_associate_unique_shard", poisoned_shard
         )
-        result = run_pipeline(
-            world,
-            PipelineConfig(),
-            options=RunnerOptions(
-                parallel=ParallelConfig(workers=2, backend="thread"),
-                sleep=lambda s: None,
-            ),
-        )
-        report = next(
-            r for r in result.stage_reports if r.name == "associate"
-        )
-        assert f"associate:{target_community}" in report.quarantined
-        assert report.status == "degraded"
-        assert result.degraded
-        assert report.execution is not None
-        assert report.execution.quarantined  # the gap is on the record
-        quarantined_shard = report.execution.shards[
-            report.execution.quarantined[0]
-        ]
+        with pytest.raises(StageFailure) as parallel_failure:
+            run_pipeline(
+                world,
+                PipelineConfig(),
+                options=RunnerOptions(
+                    parallel=ParallelConfig(workers=2, backend="thread"),
+                    sleep=lambda s: None,
+                ),
+            )
+        assert parallel_failure.value.stage == "associate"
+        assert isinstance(parallel_failure.value.cause, PoisonShardError)
         assert any(
-            "poisoned shard" in error for error in quarantined_shard.errors
+            "poisoned association shard" in error
+            for error in parallel_failure.value.cause.errors
         )
-        # Surviving communities: bit-identical to the serial association.
-        serial = pipeline_result.occurrences
-        keep = [
-            row
-            for row, post in enumerate(serial.posts)
-            if post.community != target_community
-        ]
-        assert result.occurrences.posts == serial.posts.take(keep)
-        assert np.array_equal(
-            result.occurrences.cluster_indices,
-            serial.cluster_indices[keep],
-        )
-        # The gap is explicit: no post of the target community sneaks in.
-        assert all(
-            post.community != target_community
-            for post in result.occurrences.posts
-        )
+
+        with pytest.raises(StageFailure) as serial_failure:
+            run_pipeline(
+                world,
+                PipelineConfig(),
+                options=RunnerOptions(
+                    parallel=ParallelConfig(),
+                    faults=FaultInjector([Fault("associate:all", RuntimeError)]),
+                    sleep=lambda s: None,
+                ),
+            )
+        assert serial_failure.value.stage == "associate"

@@ -21,7 +21,6 @@ from repro.utils.parallel import (
     range_splitter,
     resolve_parallel,
     shard_bounds,
-    strict_supervision,
     warn_if_oversubscribed,
 )
 from repro.utils.retry import RetryPolicy
@@ -168,7 +167,7 @@ def _args(values):
 
 def _fan_out(fn, items, config, **kwargs):
     """Results of one supervised fan-out, the executor's one entry point."""
-    return Executor(config).supervised_starmap(fn, items, **kwargs).results
+    return Executor(config).supervised_starmap(fn, items, **kwargs)
 
 
 class TestExecutor:
@@ -192,12 +191,11 @@ class TestExecutor:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_worker_exception_propagates(self, backend):
-        # Under a fail-fast policy a raising kernel surfaces, chained
-        # under the error that names its shard.
+        # A raising kernel surfaces, chained under the error that names
+        # its shard.
         config = ParallelConfig(workers=2, backend=backend)
         policy = SupervisionPolicy(
             retry=RetryPolicy(max_retries=0, retryable=(Exception,)),
-            on_poison="fail",
         )
         with pytest.raises(PoisonShardError) as excinfo:
             _fan_out(_boom, _args(range(4)), config, policy=policy)
@@ -273,29 +271,15 @@ class TestSupervisionPolicy:
     def test_defaults(self):
         policy = SupervisionPolicy()
         assert policy.shard_deadline_s is None
-        assert policy.bisect and policy.serial_fallback
-        assert policy.on_poison == "quarantine"
         assert policy.retry.retryable == (Exception,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SupervisionPolicy(shard_deadline_s=0)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(max_bisect_depth=-1)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(on_poison="retry")
 
     def test_chaos_directive_validation(self):
         with pytest.raises(ValueError):
             ChaosDirective("explode")
-
-    def test_strict_supervision_forces_fail(self):
-        parallel = ParallelConfig(
-            workers=2, supervision=SupervisionPolicy(shard_deadline_s=9.0)
-        )
-        strict = strict_supervision(parallel)
-        assert strict.on_poison == "fail"
-        assert strict.shard_deadline_s == 9.0  # other knobs preserved
 
 
 class TestSplitters:
@@ -317,17 +301,12 @@ class TestSupervisedCleanPath:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_matches_plain_map(self, backend):
         executor = Executor(ParallelConfig(workers=2, backend=backend))
-        sup = executor.supervised_starmap(_square, _args(range(10)))
-        assert sup.results == [x * x for x in range(10)]
-        assert sup.complete
-        assert sup.report.backend == executor.parallel.resolved_backend()
-        assert all(s.outcome == "ok" for s in sup.report.shards)
-        assert all(s.attempts == 1 for s in sup.report.shards)
+        results = executor.supervised_starmap(_square, _args(range(10)))
+        assert results == [x * x for x in range(10)]
 
     def test_empty_input(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(_square, [])
-        assert sup.results == [] and sup.report.n_shards == 0
+        assert executor.supervised_starmap(_square, []) == []
 
     def test_split_without_merge_rejected(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
@@ -338,95 +317,80 @@ class TestSupervisedCleanPath:
 
     def test_policy_from_parallel_config(self):
         # SupervisionPolicy carried on the config is honoured without an
-        # explicit policy= argument.
+        # explicit policy= argument: with no retries, a shard that always
+        # fails is attempted three times (first wave, the retry rung's
+        # one attempt, serial fallback) instead of the default four.
         config = ParallelConfig(
             workers=2,
             backend="thread",
-            supervision=SupervisionPolicy(on_poison="fail", bisect=False,
-                                          serial_fallback=False),
+            supervision=SupervisionPolicy(
+                retry=RetryPolicy(max_retries=0, retryable=(Exception,))
+            ),
         )
+        chaos = _RaiseTimes(100)
         with pytest.raises(PoisonShardError):
             Executor(config).supervised_starmap(
-                _poison_on_three, _args(range(5)), sleep=_no_sleep
+                _square, _args([0]), chaos=chaos, sleep=_no_sleep
             )
+        assert 100 - chaos.n == 3
 
 
 class TestSupervisedLadder:
     def test_transient_failure_recovers_via_retry(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(
-            _square, _args(range(4)), chaos=_RaiseTimes(2), sleep=_no_sleep
+        chaos = _RaiseTimes(2)
+        results = executor.supervised_starmap(
+            _square, _args(range(4)), chaos=chaos, sleep=_no_sleep
         )
-        assert sup.results == [0, 1, 4, 9]
-        assert sup.complete
-        assert len(sup.report.retried) == 2
-        retried = sup.report.shards[sup.report.retried[0]]
-        assert retried.outcome == "retried"
-        assert retried.attempts >= 2
-        assert any("injected" in e for e in retried.errors)
-
-    def test_poison_shard_quarantines_with_gap(self):
-        executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(
-            _poison_on_three, _args(range(5)), sleep=_no_sleep
-        )
-        assert sup.results == [0, 1, 4, None, 16]
-        assert not sup.complete
-        assert sup.report.quarantined == [3]
-        shard = sup.report.shards[3]
-        assert shard.outcome == "quarantined"
-        # first wave + retry rung (1+1 retries) + serial fallback
-        assert shard.attempts >= 3
-        assert any("poison item 3" in error for error in shard.errors)
+        assert results == [0, 1, 4, 9]
+        assert chaos.n == 0  # both injected failures were absorbed
 
     def test_poison_shard_fails_fast_when_asked(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         with pytest.raises(PoisonShardError) as excinfo:
             executor.supervised_starmap(
-                _poison_on_three,
-                _args(range(5)),
-                policy=SupervisionPolicy(on_poison="fail"),
-                sleep=_no_sleep,
+                _poison_on_three, _args(range(5)), sleep=_no_sleep
             )
         assert excinfo.value.shard_index == 3
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert "shard 3" in str(excinfo.value)
         assert "ValueError" in str(excinfo.value)
+        # first wave + retry rung (1+1 retries) + serial fallback
+        errors = excinfo.value.errors
+        assert len(errors) >= 3
+        assert all("poison item 3" in error for error in errors)
 
     def test_bisection_isolates_poison_item(self):
         # A shard of 4 items with one poison item: bisection recurses
-        # until only the single poison item quarantines; the healthy
-        # items of the same shard are NOT lost with it when the caller
-        # cannot accept gaps smaller than a shard — here the whole shard
-        # quarantines, but the error trail shows the narrowed poison.
+        # until the single poison item is alone.  The caller cannot
+        # accept a gap, so the shard fails, but the error trail shows
+        # the narrowed poison.
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         policy = SupervisionPolicy(
             retry=RetryPolicy(max_retries=0, base_delay=0.0,
                               retryable=(Exception,)),
-            max_bisect_depth=3,
         )
-        sup = executor.supervised_starmap(
-            _range_values_poisoned,
-            [(0, 4), (4, 8)],
-            policy=policy,
-            split=range_splitter(0, 1),
-            merge=lambda parts: [v for part in parts for v in part],
-            sleep=_no_sleep,
-        )
-        assert sup.results[0] == [0, 1, 2, 3]
-        assert sup.results[1] is None  # covers poison item 5
-        assert sup.report.quarantined == [1]
-        assert any("pure poison" in e for e in sup.report.shards[1].errors)
+        with pytest.raises(PoisonShardError) as excinfo:
+            executor.supervised_starmap(
+                _range_values_poisoned,
+                [(0, 4), (4, 8)],
+                policy=policy,
+                split=range_splitter(0, 1),
+                merge=lambda parts: [v for part in parts for v in part],
+                sleep=_no_sleep,
+            )
+        assert excinfo.value.shard_index == 1  # covers poison item 5
+        assert any("pure poison" in e for e in excinfo.value.errors)
 
     def test_bisection_recovers_size_dependent_failure(self):
-        # Fails only while the shard is wide: bisection alone heals it.
+        # Fails only while the shard is wide, serially too: bisection
+        # alone heals it.
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         policy = SupervisionPolicy(
             retry=RetryPolicy(max_retries=0, base_delay=0.0,
                               retryable=(Exception,)),
-            serial_fallback=False,
         )
-        sup = executor.supervised_starmap(
+        results = executor.supervised_starmap(
             _wide_shard_fails,
             [(0, 4), (4, 6)],
             policy=policy,
@@ -434,94 +398,68 @@ class TestSupervisedLadder:
             merge=lambda parts: [v for part in parts for v in part],
             sleep=_no_sleep,
         )
-        assert sup.results == [[0, 1, 2, 3], [4, 5]]
-        assert sup.report.shards[0].outcome == "bisected"
+        assert results == [[0, 1, 2, 3], [4, 5]]
 
     def test_serial_fallback_rescues_pool_pathology(self):
-        # Chaos keeps killing pool workers; serial fallback (which
-        # degrades kill to a raised error... so use bounded kills) —
-        # bounded to the pooled rungs, the in-process rung computes.
+        # Chaos kills the pool worker on the first wave and on the
+        # retry rung; the in-process rung computes.
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         policy = SupervisionPolicy(
             retry=RetryPolicy(max_retries=0, base_delay=0.0,
                               retryable=(Exception,)),
-            bisect=False,
         )
-        sup = executor.supervised_starmap(
+        results = executor.supervised_starmap(
             _square,
             _args(range(2)),
             policy=policy,
             chaos=_DirectiveTimes(2, "kill"),
             sleep=_no_sleep,
         )
-        assert sup.results == [0, 1]
-        assert sup.complete
+        assert results == [0, 1]
 
     def test_hang_detection_thread_backend(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(
+        chaos = _DirectiveTimes(1, "hang", delay_s=2.0)
+        started = time.perf_counter()
+        results = executor.supervised_starmap(
             _square,
             _args(range(3)),
             policy=SupervisionPolicy(shard_deadline_s=0.1),
-            chaos=_DirectiveTimes(1, "hang", delay_s=2.0),
+            chaos=chaos,
             sleep=_no_sleep,
         )
-        assert sup.results == [0, 1, 4]
-        assert sup.complete
-        hung = [s for s in sup.report.shards if s.recovered]
-        assert hung, "one shard should have been rescued after hanging"
-        assert any("deadline" in e for s in hung for e in s.errors)
+        assert results == [0, 1, 4]
+        assert chaos.n == 0
+        # The hung shard was abandoned at its deadline and rescued, not
+        # waited for.
+        assert time.perf_counter() - started < 1.5
 
     def test_serial_backend_walks_ladder_in_process(self):
         executor = Executor(ParallelConfig(workers=1))
-        sup = executor.supervised_starmap(
-            _poison_on_three, _args(range(5)), sleep=_no_sleep
-        )
-        assert sup.results == [0, 1, 4, None, 16]
-        assert sup.report.quarantined == [3]
-        assert sup.report.backend == "serial"
+        with pytest.raises(PoisonShardError) as excinfo:
+            executor.supervised_starmap(
+                _poison_on_three, _args(range(5)), sleep=_no_sleep
+            )
+        assert excinfo.value.shard_index == 3
+        # first wave + retry rung (1+1 retries) + serial fallback
+        assert len(excinfo.value.errors) == 4
 
     def test_raising_chaos_hook_during_submission_is_shard_failure(self):
         # The hook raising in the parent at submission time must count
         # against that shard only, not abort the fan-out.
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        sup = executor.supervised_starmap(
+        results = executor.supervised_starmap(
             _square, _args(range(6)), chaos=_RaiseTimes(1), sleep=_no_sleep
         )
-        assert sup.results == [x * x for x in range(6)]
-        assert len(sup.report.retried) == 1
+        assert results == [x * x for x in range(6)]
 
 
 class TestSupervisedProcessBackend:
-    def test_worker_raise_salvages_prior_shards(self):
-        # Satellite: process worker raising mid-fan-out. The ShardReport
-        # names the shard index and the original exception, and every
-        # other shard's result is salvaged.
-        executor = Executor(ParallelConfig(workers=2, backend="process"))
-        policy = SupervisionPolicy(
-            retry=RetryPolicy(max_retries=0, base_delay=0.0,
-                              retryable=(Exception,)),
-            bisect=False,
-            serial_fallback=False,
-        )
-        sup = executor.supervised_starmap(
-            _poison_on_three, _args(range(5)), policy=policy, sleep=_no_sleep
-        )
-        assert sup.results == [0, 1, 4, None, 16]
-        assert sup.report.quarantined == [3]
-        shard = sup.report.shards[3]
-        assert shard.index == 3
-        assert any("poison item 3" in error for error in shard.errors)
-        assert any("ValueError" in error for error in shard.errors)
-
     def test_worker_raise_names_shard_in_fail_fast_error(self):
         executor = Executor(ParallelConfig(workers=2, backend="process"))
         policy = SupervisionPolicy(
             retry=RetryPolicy(max_retries=0, base_delay=0.0,
                               retryable=(Exception,)),
-            bisect=False,
-            serial_fallback=False,
-            on_poison="fail",
         )
         with pytest.raises(PoisonShardError) as excinfo:
             executor.supervised_starmap(
@@ -532,38 +470,35 @@ class TestSupervisedProcessBackend:
             )
         assert excinfo.value.shard_index == 3
         assert "poison item 3" in str(excinfo.value)
-        # Prior shards' work is still visible on the report carried by
-        # the error.
-        assert excinfo.value.report.shards[0].outcome == "ok"
+        # The trail keeps the worker's original exception.
+        assert any(
+            "ValueError: poison item 3" in error
+            for error in excinfo.value.errors
+        )
 
     def test_worker_death_recovers(self):
         # A killed process worker breaks the whole pool; every in-flight
         # shard must be rescued on fresh pools with nothing lost.
         executor = Executor(ParallelConfig(workers=2, backend="process"))
-        sup = executor.supervised_starmap(
-            _square, _args(range(6)), chaos=_DirectiveTimes(1, "kill"),
-            sleep=_no_sleep,
+        chaos = _DirectiveTimes(1, "kill")
+        results = executor.supervised_starmap(
+            _square, _args(range(6)), chaos=chaos, sleep=_no_sleep
         )
-        assert sup.results == [x * x for x in range(6)]
-        assert sup.complete
-        assert sup.report.retried  # at least the killed shard recovered
-        assert any(
-            "BrokenProcessPool" in error or "broken" in error.lower()
-            for shard in sup.report.shards
-            for error in shard.errors
-        )
+        assert results == [x * x for x in range(6)]
+        assert chaos.n == 0
 
     def test_hang_detection_process_backend(self):
         executor = Executor(ParallelConfig(workers=2, backend="process"))
-        sup = executor.supervised_starmap(
+        started = time.perf_counter()
+        results = executor.supervised_starmap(
             _square,
             _args(range(3)),
             policy=SupervisionPolicy(shard_deadline_s=0.15),
             chaos=_DirectiveTimes(1, "hang", delay_s=5.0),
             sleep=_no_sleep,
         )
-        assert sup.results == [0, 1, 4]
-        assert sup.complete
+        assert results == [0, 1, 4]
+        assert time.perf_counter() - started < 4.0
 
 
 def _wide_shard_fails(start, stop):
