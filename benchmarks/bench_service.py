@@ -35,9 +35,10 @@ default ``coalesce_window=1``, so each request is a window of one:
   64-request windows: conservation must hold when faults land
   mid-drain.
 
-Every scenario records the median wall time of five passes, each on a
-fresh service (and, for the baseline, a fresh monitor), with its outputs
-checked on every pass.
+Every scenario records the median wall time of five passes and the
+five walls themselves.  The passes are interleaved (pass k of every
+scenario before pass k + 1 of any), each on a fresh service (and, for
+the baseline, a fresh monitor), with its outputs checked on every pass.
 
 Exits non-zero if the coalesced overhead gate fails, so CI can run
 ``--smoke`` as a perf regression tripwire.
@@ -151,23 +152,11 @@ def replay_coalesced(service: MemeMatchService, stream, burst: int = 64,
 
 
 # Back-to-back single passes of one scenario differ by up to 15% on the
-# bench host, so every scenario is timed over PASSES fresh passes and
-# records the median.
+# bench host, and the host drifts over minutes, so every scenario is
+# timed over PASSES fresh passes, interleaved: pass k of every scenario
+# runs before pass k + 1 of any.  Each record keeps its median and its
+# per-pass walls.
 PASSES = 5
-
-
-def _median_pass(run_pass, passes: int = PASSES) -> tuple[float, dict]:
-    """Median wall time of ``passes`` calls of ``run_pass``.
-
-    ``run_pass()`` builds fresh state, times only the replay and checks
-    its own outputs, returning ``(wall_s, extras)``; the extras of the
-    last pass are returned with the median.
-    """
-    walls = []
-    for _ in range(passes):
-        wall_s, extras = run_pass()
-        walls.append(wall_s)
-    return median(walls), extras
 
 
 def _chaos_faults() -> FaultInjector:
@@ -183,24 +172,12 @@ def _chaos_faults() -> FaultInjector:
 def bench_scenarios(result, world, n_requests: int) -> list[dict]:
     stream = build_stream(result, world, n_requests)
     baseline = MemeMonitor(result).classify_batch(stream)
-    records = []
 
     def bare_pass():
         monitor = MemeMonitor(result)
         start = time.perf_counter()
         monitor.classify_batch(stream)
         return time.perf_counter() - start, {}
-
-    bare_s, _ = _median_pass(bare_pass)
-    records.append(
-        {
-            "scenario": "bare-monitor",
-            "requests": n_requests,
-            "wall_s": bare_s,
-            "req_per_s": n_requests / bare_s,
-            "overhead_pct_vs_bare": 0.0,
-        }
-    )
 
     def clean_pass(name, config, replay_fn, check_verdicts):
         def run_pass():
@@ -244,74 +221,76 @@ def bench_scenarios(result, world, n_requests: int) -> list[dict]:
 
         return run_pass
 
-    def record(name, requests, wall_s, **fields):
+    # Chaos: the fault schedule plus poison every 97th request.
+    chaos_stream: list = [int(h) for h in stream]
+    for index in range(0, len(chaos_stream), 97):
+        chaos_stream[index] = -1
+
+    # (name, requests, pass, fields recorded, extras recorded?)
+    scenarios = [
+        ("bare-monitor", n_requests, bare_pass, {}, False),
+        (
+            "service-identity", n_requests,
+            clean_pass("service-identity", identity_config(), replay, True),
+            {"identical_to_bare": True, "coalesce_window": 1}, False,
+        ),
+        (
+            "service-resilient", n_requests,
+            clean_pass("service-resilient", resilient_config(), replay, False),
+            {"coalesce_window": 1}, True,
+        ),
+        (
+            "service-chaos", len(chaos_stream),
+            chaos_pass("service-chaos", resilient_config(), replay, chaos_stream),
+            {"coalesce_window": 1}, True,
+        ),
+        (
+            "service-coalesced", n_requests,
+            clean_pass(
+                "service-coalesced",
+                identity_config(coalesce_window=64),
+                replay_coalesced,
+                True,
+            ),
+            {"identical_to_bare": True, "coalesce_window": 64}, False,
+        ),
+        # The chaos schedule again, through the coalesced path: faults
+        # now land mid-drain (a whole batch attempt fails at once) and
+        # every request must still terminate exactly once.
+        (
+            "service-chaos-coalesced", len(chaos_stream),
+            chaos_pass(
+                "service-chaos-coalesced",
+                replace(resilient_config(), coalesce_window=64),
+                replay_coalesced,
+                chaos_stream,
+            ),
+            {"coalesce_window": 64}, True,
+        ),
+    ]
+    walls = {name: [] for name, *_ in scenarios}
+    extras = {}
+    for _ in range(PASSES):
+        for name, _, run_pass, _, _ in scenarios:
+            wall_s, extras[name] = run_pass()
+            walls[name].append(wall_s)
+
+    bare_s = median(walls["bare-monitor"])
+    records = []
+    for name, requests, _, fields, keep_extras in scenarios:
+        wall_s = median(walls[name])
         records.append(
             {
                 "scenario": name,
                 "requests": requests,
                 "wall_s": wall_s,
+                "pass_walls_s": walls[name],
                 "req_per_s": requests / wall_s,
                 "overhead_pct_vs_bare": 100.0 * (wall_s - bare_s) / bare_s,
+                **(extras[name] if keep_extras else {}),
                 **fields,
             }
         )
-
-    identity_s, _ = _median_pass(
-        clean_pass("service-identity", identity_config(), replay, True)
-    )
-    record(
-        "service-identity", n_requests, identity_s,
-        identical_to_bare=True, coalesce_window=1,
-    )
-
-    resilient_s, extras = _median_pass(
-        clean_pass("service-resilient", resilient_config(), replay, False)
-    )
-    record(
-        "service-resilient", n_requests, resilient_s,
-        stats=extras["stats"], coalesce_window=1,
-    )
-
-    # Chaos: the fault schedule plus poison every 97th request.
-    chaos_stream: list = [int(h) for h in stream]
-    for index in range(0, len(chaos_stream), 97):
-        chaos_stream[index] = -1
-    chaos_s, extras = _median_pass(
-        chaos_pass("service-chaos", resilient_config(), replay, chaos_stream)
-    )
-    record(
-        "service-chaos", len(chaos_stream), chaos_s,
-        **extras, coalesce_window=1,
-    )
-
-    coalesced_s, _ = _median_pass(
-        clean_pass(
-            "service-coalesced",
-            identity_config(coalesce_window=64),
-            replay_coalesced,
-            True,
-        )
-    )
-    record(
-        "service-coalesced", n_requests, coalesced_s,
-        identical_to_bare=True, coalesce_window=64,
-    )
-
-    # The chaos schedule again, through the coalesced path: faults now
-    # land mid-drain (a whole batch attempt fails at once) and every
-    # request must still terminate exactly once.
-    chaos_coalesced_s, extras = _median_pass(
-        chaos_pass(
-            "service-chaos-coalesced",
-            replace(resilient_config(), coalesce_window=64),
-            replay_coalesced,
-            chaos_stream,
-        )
-    )
-    record(
-        "service-chaos-coalesced", len(chaos_stream), chaos_coalesced_s,
-        **extras, coalesce_window=64,
-    )
     return records
 
 

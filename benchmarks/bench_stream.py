@@ -20,7 +20,7 @@ drift-triggered compaction:
 * **recovery** — the WAL directory is reopened as a crashed session
   (checkpoint load + WAL-suffix replay); must come back in < 2s.
 * **compaction pause** — one forced full compaction (re-cluster +
-  annotate + associate + Hawkes refit + checkpoint), the worst-case
+  annotate + associate + checkpoint), the worst-case
   stall an operator schedules around.
 
 The recovered, compacted state is asserted bit-identical to a cold

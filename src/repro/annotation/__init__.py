@@ -15,9 +15,6 @@ from repro.annotation.association import AssociationResult, associate_hashes
 from repro.annotation.catalog import (
     DEFAULT_CATALOG,
     CatalogEntry,
-    entries_by_category,
-    politics_entries,
-    racist_entries,
 )
 from repro.annotation.kym import GalleryImage, KYMEntry, KYMSite, SyntheticKYMConfig
 from repro.annotation.matcher import ClusterAnnotation, annotate_clusters
@@ -29,9 +26,6 @@ from repro.annotation.screenshots import (
 __all__ = [
     "CatalogEntry",
     "DEFAULT_CATALOG",
-    "entries_by_category",
-    "racist_entries",
-    "politics_entries",
     "KYMEntry",
     "KYMSite",
     "GalleryImage",

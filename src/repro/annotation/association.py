@@ -52,22 +52,10 @@ class AssociationResult:
         Per input hash: the matched cluster id, or ``-1``.
     distances:
         Per input hash: Hamming distance to the matched medoid, or ``-1``.
-    n_assigned:
-        Number of inputs that matched some cluster.
     """
 
     cluster_ids: np.ndarray
     distances: np.ndarray
-
-    @property
-    def n_assigned(self) -> int:
-        return int(np.sum(self.cluster_ids != UNASSIGNED))
-
-    @property
-    def assigned_fraction(self) -> float:
-        if self.cluster_ids.size == 0:
-            return 0.0
-        return self.n_assigned / self.cluster_ids.size
 
 
 def _associate_unique_shard(

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "CatalogEntry",
     "DEFAULT_CATALOG",
-    "entries_by_category",
-    "racist_entries",
-    "politics_entries",
 ]
 
 CATEGORIES = ("memes", "subcultures", "cultures", "people", "events", "sites")
@@ -252,27 +249,3 @@ DEFAULT_CATALOG: tuple[CatalogEntry, ...] = (
     _entry("laughing-tom-cruise", "misc"),
     _entry("counter-signal-memes", "misc", tags=("politics",)),
 )
-
-
-def entries_by_category(
-    catalog: tuple[CatalogEntry, ...] = DEFAULT_CATALOG,
-) -> dict[str, list[CatalogEntry]]:
-    """Group catalog entries by KYM category."""
-    grouped: dict[str, list[CatalogEntry]] = {c: [] for c in CATEGORIES}
-    for entry in catalog:
-        grouped[entry.category].append(entry)
-    return grouped
-
-
-def racist_entries(
-    catalog: tuple[CatalogEntry, ...] = DEFAULT_CATALOG,
-) -> list[CatalogEntry]:
-    """Entries carrying a racism tag (the paper's racist meme group)."""
-    return [e for e in catalog if e.is_racist]
-
-
-def politics_entries(
-    catalog: tuple[CatalogEntry, ...] = DEFAULT_CATALOG,
-) -> list[CatalogEntry]:
-    """Entries carrying a politics tag (the paper's politics meme group)."""
-    return [e for e in catalog if e.is_politics]

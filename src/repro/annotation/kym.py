@@ -92,13 +92,6 @@ class KYMEntry:
 
         return bool(self.tags & POLITICS_TAGS)
 
-    def gallery_hashes(self, *, exclude_screenshots: bool = False) -> np.ndarray:
-        """The gallery's pHashes (optionally with ground-truth screenshots removed)."""
-        images = self.gallery
-        if exclude_screenshots:
-            images = [g for g in images if not g.is_screenshot]
-        return np.array([g.phash for g in images], dtype=np.uint64)
-
 
 @dataclass(frozen=True)
 class SyntheticKYMConfig:
@@ -213,10 +206,6 @@ class KYMSite:
         for entry in self.entries:
             counts[entry.origin] = counts.get(entry.origin, 0) + 1
         return counts
-
-    def total_images(self) -> int:
-        """Total gallery images across entries (Table 1 KYM row)."""
-        return int(sum(len(e.gallery) for e in self.entries))
 
     @classmethod
     def synthesize(

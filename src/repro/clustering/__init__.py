@@ -28,7 +28,7 @@ from repro.clustering.hierarchy import (
     agglomerate,
     cut_dendrogram,
 )
-from repro.clustering.medoid import cluster_members, medoid_index, medoids_by_cluster
+from repro.clustering.medoid import cluster_members, medoids_by_cluster
 
 __all__ = [
     "NOISE",
@@ -36,7 +36,6 @@ __all__ = [
     "dbscan",
     "dbscan_from_neighbors",
     "dbscan_images",
-    "medoid_index",
     "medoids_by_cluster",
     "cluster_members",
     "agglomerate",

@@ -40,20 +40,6 @@ class Dendrogram:
     merges: tuple[MergeStep, ...]
     labels: tuple[str, ...]
 
-    def to_linkage_matrix(self) -> np.ndarray:
-        """Return the scipy-style ``(n-1, 4)`` linkage matrix."""
-        return np.array(
-            [[m.left, m.right, m.height, m.size] for m in self.merges],
-            dtype=np.float64,
-        )
-
-    def leaves_under(self, node: int) -> list[int]:
-        """All leaf indices under ``node`` (a leaf id or merge id)."""
-        if node < self.n_leaves:
-            return [node]
-        step = self.merges[node - self.n_leaves]
-        return self.leaves_under(step.left) + self.leaves_under(step.right)
-
     def to_newick(self) -> str:
         """Render as a Newick tree string with merge heights as lengths."""
 

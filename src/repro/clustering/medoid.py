@@ -9,33 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.dbscan import NOISE
-from repro.utils.bitops import hamming_distance_matrix, popcount
+from repro.utils.bitops import popcount
 
-__all__ = ["medoid_index", "medoids_by_cluster", "cluster_members"]
-
-
-def medoid_index(hashes: np.ndarray, counts: np.ndarray | None = None) -> int:
-    """Index of the medoid of a set of pHashes.
-
-    Minimises the mean *squared* Hamming distance to all members (matching
-    the paper's definition); ties break to the lowest index, which makes
-    the choice deterministic.  ``counts`` weights each hash by its image
-    multiplicity, making the result the medoid of the image multiset.
-    """
-    hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-    if hashes.size == 0:
-        raise ValueError("cannot take the medoid of an empty cluster")
-    if hashes.size == 1:
-        return 0
-    distances = hamming_distance_matrix(hashes).astype(np.float64)
-    if counts is None:
-        cost = (distances**2).mean(axis=1)
-    else:
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape != (hashes.size,):
-            raise ValueError("counts must align with hashes")
-        cost = (distances**2) @ counts / counts.sum()
-    return int(np.argmin(cost))
+__all__ = ["medoids_by_cluster", "cluster_members"]
 
 
 def _grouped(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,8 +54,8 @@ def medoids_by_cluster(
 
     Every member's integer cost ``sum_j d(i, j)**2 * count_j`` over its
     cluster, in row blocks of about ``2**18`` pairs, then one
-    ``lexsort`` on (cluster, cost, index): :func:`medoid_index` divides
-    the same integers by the same total, so it picks the same medoid.
+    ``lexsort`` on (cluster, cost, index), so ties go to the smallest
+    index (the dense per-cluster oracle is ``tests/clustering_reference.py``).
     """
     hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
     if hashes.shape != np.asarray(labels).shape:

@@ -131,9 +131,3 @@ class VariantPool:
             value=self.hash_of(group, variant),
             group=group,
         )
-
-    def rendered_unique_hashes(self) -> np.ndarray:
-        """Unique pHashes of every slot rendered so far."""
-        return np.unique(
-            np.array(list(self._hash_cache.values()), dtype=np.uint64)
-        )

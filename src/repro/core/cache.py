@@ -39,7 +39,6 @@ import hashlib
 import pickle
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -346,16 +345,6 @@ class ContentCache:
                 self.stats.bytes_written += path.stat().st_size
             except OSError:
                 pass
-
-    def get_or_compute(
-        self, key: str, compute: Callable[[], object], *, disk: bool = True
-    ):
-        hit, value = self.get(key)
-        if hit:
-            return value
-        value = compute()
-        self.put(key, value, disk=disk)
-        return value
 
     def _remember(self, key: str, value) -> None:
         if key in self._memory:

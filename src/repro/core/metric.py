@@ -17,8 +17,8 @@ that expression does not reproduce the values the text derives from it
 (τ=1, d=1 → 0.4; τ=64, d=1 → 0.98; near-linear decay at τ=64).  The
 function that *does* reproduce every quoted value is ``r = exp(-d / tau)``
 — evidently the intended exponential decay — so that is the default here.
-The printed variant is kept as :func:`perceptual_similarity_literal` for
-comparison; EXPERIMENTS.md records the discrepancy.
+The printed variant is the test oracle
+``tests/metric_reference.py``; EXPERIMENTS.md records the discrepancy.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.utils.bitops import hamming_distance
 __all__ = [
     "MAX_HAMMING",
     "perceptual_similarity",
-    "perceptual_similarity_literal",
     "jaccard",
     "ClusterFeatures",
     "cluster_distance",
@@ -60,21 +59,6 @@ def perceptual_similarity(
     if np.any(d < 0) or np.any(d > MAX_HAMMING):
         raise ValueError(f"Hamming scores must lie in [0, {MAX_HAMMING}]")
     out = np.exp(-d / tau)
-    return float(out) if out.ndim == 0 else out
-
-
-def perceptual_similarity_literal(
-    d: np.ndarray | float, tau: float = 25.0
-) -> np.ndarray | float:
-    """Eq. 2 exactly as printed: ``1 - d / (tau * e^(max/tau))``.
-
-    Kept for comparison; see the module docstring for why the exponential
-    form is used instead.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    d = np.asarray(d, dtype=np.float64)
-    out = 1.0 - d / (tau * np.exp(MAX_HAMMING / tau))
     return float(out) if out.ndim == 0 else out
 
 
@@ -117,10 +101,6 @@ class ClusterFeatures:
             annotated=True,
             label=annotation.representative,
         )
-
-    @classmethod
-    def unannotated(cls, medoid_hash: np.uint64 | int) -> "ClusterFeatures":
-        return cls(medoid_hash=np.uint64(medoid_hash), annotated=False)
 
 
 def cluster_distance(

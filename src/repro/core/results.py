@@ -208,9 +208,6 @@ class PipelineResult:
             {key: i for i, key in enumerate(self.cluster_keys)},
         )
 
-    def annotation_of(self, key: ClusterKey) -> ClusterAnnotation:
-        return self.annotations[key]
-
     def annotated_clusters_of(self, community: str) -> list[ClusterKey]:
         """Annotated cluster keys originating from one fringe community."""
         return [key for key in self.cluster_keys if key.community == community]

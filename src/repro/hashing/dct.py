@@ -1,8 +1,7 @@
 """2-D Discrete Cosine Transform (type II) for perceptual hashing.
 
-The fast path delegates to :func:`scipy.fft.dctn`; a pure-numpy matrix
-implementation is kept as an executable specification and a fallback, and
-the test suite asserts the two agree.
+Delegates to :func:`scipy.fft.dctn`; the test suite checks it against a
+pure-numpy matrix form (``tests/dct_reference.py``).
 """
 
 from __future__ import annotations
@@ -10,36 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dctn
 
-__all__ = ["dct2", "dct2_reference", "dct_matrix"]
-
-
-def dct_matrix(n: int, *, ortho: bool = True) -> np.ndarray:
-    """Return the ``n`` x ``n`` DCT-II transform matrix ``C``.
-
-    ``C @ x`` computes the 1-D DCT-II of a length-``n`` signal ``x``.  With
-    ``ortho=True`` the matrix is orthonormal (``C @ C.T == I``).
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    k = np.arange(n)[:, None]
-    i = np.arange(n)[None, :]
-    matrix = np.cos(np.pi * k * (2 * i + 1) / (2 * n))
-    if ortho:
-        matrix = matrix * np.sqrt(2.0 / n)
-        matrix[0, :] *= 1.0 / np.sqrt(2.0)
-    else:
-        matrix *= 2.0
-    return matrix
-
-
-def dct2_reference(image: np.ndarray) -> np.ndarray:
-    """Pure-numpy 2-D DCT-II (orthonormal), the executable specification."""
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("dct2 expects a 2-D array")
-    c_rows = dct_matrix(arr.shape[0])
-    c_cols = dct_matrix(arr.shape[1])
-    return c_rows @ arr @ c_cols.T
+__all__ = ["dct2"]
 
 
 def dct2(image: np.ndarray) -> np.ndarray:

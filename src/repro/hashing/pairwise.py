@@ -1,11 +1,10 @@
-"""Dense pairwise Hamming distances and radius neighbourhoods (Step 2).
+"""Radius neighbourhoods (Step 2) and the nearest-medoid match (Step 6).
 
 The paper performed all-pairs comparisons of millions of pHashes on a
 TensorFlow multi-GPU rig.  This module provides the same contract at
-laptop scale: chunked numpy broadcasting for dense matrices, and radius
-neighbourhoods (the only thing DBSCAN actually needs) from the batched
-join :func:`repro.hashing.index.radius_join`.  The cold self-join
-(:func:`radius_neighbors`, sharded across workers when a
+laptop scale: radius neighbourhoods (the only thing DBSCAN actually
+needs) from the batched join :func:`repro.hashing.index.radius_join`.
+The cold self-join (:func:`radius_neighbors`, sharded across workers when a
 :class:`repro.utils.parallel.ParallelConfig` asks for it, with output
 identical to the serial computation), the incremental merge
 (:func:`merge_radius_neighbors`) and stream ingest all run that one
@@ -17,12 +16,10 @@ batch association and the serving monitor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
-from repro.utils.bitops import hamming_distance_matrix, popcount
+from repro.utils.bitops import popcount
 from repro.utils.parallel import (
     Executor,
     ParallelConfig,
@@ -32,52 +29,13 @@ from repro.utils.parallel import (
 )
 
 __all__ = [
-    "PairwiseResult",
     "delta_pairs",
     "merge_radius_neighbors",
     "nearest_medoid",
-    "pairwise_distances",
     "radius_neighbors",
     "ranked_graph",
     "unique_hashes",
 ]
-
-
-@dataclass(frozen=True)
-class PairwiseResult:
-    """A dense pairwise-distance computation result.
-
-    Attributes
-    ----------
-    distances:
-        ``(n, m)`` int64 Hamming distance matrix.
-    n_comparisons:
-        Number of *distinct* hash pairs compared: ``n * (n - 1) // 2``
-        for a self-comparison (the matrix is symmetric with a zero
-        diagonal, matching the paper's Table-1-style "pairs compared"
-        statistic), ``n * m`` for a cross-comparison.
-    """
-
-    distances: np.ndarray
-    n_comparisons: int
-
-
-def pairwise_distances(
-    a: np.ndarray,
-    b: np.ndarray | None = None,
-    *,
-    chunk_size: int = 4096,
-) -> PairwiseResult:
-    """Dense all-pairs Hamming distances between hash sets ``a`` and ``b``."""
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    self_comparison = b is None
-    b_arr = a if self_comparison else np.ascontiguousarray(b, dtype=np.uint64)
-    matrix = hamming_distance_matrix(a, b_arr, chunk_size=chunk_size)
-    n = int(a.size)
-    n_comparisons = (
-        n * (n - 1) // 2 if self_comparison else n * int(b_arr.size)
-    )
-    return PairwiseResult(distances=matrix, n_comparisons=n_comparisons)
 
 
 # Elements per broadcast popcount matrix (queries x medoids); larger

@@ -22,7 +22,7 @@ from repro.hashing.dct import dct2
 from repro.images.raster import resize, to_grayscale_array
 from repro.utils.bitops import pack_bits
 
-__all__ = ["PHASH_BITS", "phash", "phash_batch", "phash_to_hex", "phash_bits"]
+__all__ = ["PHASH_BITS", "phash", "phash_to_hex", "phash_bits"]
 
 PHASH_BITS = 64
 _HASH_SIZE = 8
@@ -50,32 +50,6 @@ def phash(image: np.ndarray) -> np.uint64:
     '8000000000000000'
     """
     return pack_bits(phash_bits(image))
-
-
-def phash_batch(
-    images: list[np.ndarray] | tuple[np.ndarray, ...],
-    *,
-    cache=None,
-) -> np.ndarray:
-    """pHash a sequence of images into a ``uint64`` array.
-
-    With a :class:`repro.core.cache.ContentCache`, each raster is keyed
-    by its content (dtype + shape + bytes) and only never-seen images
-    are hashed — a batch extended by N new images re-hashes exactly
-    those N.  The output is identical with or without the cache (a
-    DCT + threshold is deterministic; the cache stores its result).
-    """
-    if cache is None:
-        return np.array([phash(image) for image in images], dtype=np.uint64)
-    out = np.empty(len(images), dtype=np.uint64)
-    for position, image in enumerate(images):
-        key = cache.key("phash", np.asarray(image))
-        hit, value = cache.get(key)
-        if not hit:
-            value = int(phash(image))
-            cache.put(key, value)
-        out[position] = value
-    return out
 
 
 def phash_to_hex(value: np.uint64 | int) -> str:

@@ -126,8 +126,6 @@ def fit_hawkes_em(
     group_models = np.zeros(len(sequences), np.int64) if pooled else np.arange(n_models)
     kernel = config.kernel if initial_model is None else initial_model.kernel
     if config.learn_beta:
-        if not isinstance(kernel, ExponentialKernel):
-            raise ValueError("learn_beta needs an exponential kernel")
         kernel = ExponentialKernel(np.full(n_models, float(kernel.beta)))
 
     def build(groups: np.ndarray) -> SequenceTerms:

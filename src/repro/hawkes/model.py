@@ -57,23 +57,12 @@ class EventSequence:
         """Events per process."""
         return np.bincount(self.processes, minlength=n_processes).astype(np.int64)
 
-    @classmethod
-    def from_unsorted(
-        cls, times: np.ndarray, processes: np.ndarray, horizon: float
-    ) -> "EventSequence":
-        """Build a sequence from unsorted event data."""
-        times = np.asarray(times, dtype=np.float64)
-        processes = np.asarray(processes, dtype=np.int64)
-        order = np.argsort(times, kind="stable")
-        return cls(times=times[order], processes=processes[order], horizon=horizon)
-
 
 def rows_by_group(groups: np.ndarray, times: np.ndarray) -> dict[int, np.ndarray]:
     """Row positions per group id, each in time order (ties in row order).
 
     One stable sort over (group, time); groups are keyed in order of
-    their first row.  ``times[rows]`` is then what
-    :meth:`EventSequence.from_unsorted` would sort each group's times to.
+    their first row, so ``times[rows]`` is each group's times sorted.
     """
     groups = np.asarray(groups, dtype=np.int64)
     order = np.lexsort((times, groups))
@@ -119,19 +108,6 @@ class HawkesModel:
         simulator refuses super-critical models.
         """
         return float(np.max(np.abs(np.linalg.eigvals(self.weights))))
-
-    def intensity(self, sequence: EventSequence, t: float) -> np.ndarray:
-        """Conditional intensity vector at time ``t`` given past events."""
-        past = sequence.times < t
-        contributions = np.zeros(self.n_processes)
-        if np.any(past):
-            dts = t - sequence.times[past]
-            density = np.asarray(self.kernel.density(dts))
-            sources = sequence.processes[past]
-            # lambda_j(t) = mu_j + sum_n W[k_n, j] * phi(t - t_n)
-            for j in range(self.n_processes):
-                contributions[j] = np.sum(self.weights[sources, j] * density)
-        return self.background + contributions
 
     def log_likelihood(self, sequence: EventSequence) -> float:
         """Exact log-likelihood of ``sequence`` under this model."""

@@ -37,14 +37,13 @@ class SequenceTerms:
     """The ``mu``- and ``W``-free parts of a stack of sequences' E-steps
     and likelihoods, each built on first use.
 
-    ``kernel`` (anything with ``density``, ``integral`` and
-    ``support_window``) is shared by every model; an
-    :class:`ExponentialKernel` whose ``beta`` is an array holds one decay
-    rate per model.  ``window`` is the E-step's largest parent-to-child
-    delay, one value or one per model (default
-    ``kernel.support_window()``); the log-likelihood is exact and
-    ignores it.  ``models`` is each group's model index (default: one
-    model per group; pooled sequences share one).  Stacked parameters
+    ``kernel`` is an :class:`ExponentialKernel` shared by every model;
+    one whose ``beta`` is an array holds one decay rate per model.
+    ``window`` is the E-step's largest parent-to-child delay, one value
+    or one per model (default ``kernel.support_window()``); the
+    log-likelihood is exact and ignores it.  ``models`` is each group's
+    model index (default: one model per group; pooled sequences share
+    one).  Stacked parameters
     are ``background`` ``(M, K)`` and ``weights`` ``(M, K, K)``.
     """
 
@@ -164,20 +163,6 @@ class SequenceTerms:
         """``X[i, n]``, shape ``(K, n)``: summed kernel density at event
         ``n`` of every strictly earlier event of its sequence on process
         ``i``, over the whole past."""
-        if isinstance(self.kernel, ExponentialKernel):
-            return self._exponential_excitation()
-        # Generic kernels have no recursion: sum the density over every
-        # strictly earlier event of the group.
-        n = len(self)
-        child, parent = _ranges(self.offsets[self.group], self._first_tie)
-        kernel = self._kernel_of(self.event_model[child])
-        density = np.asarray(kernel.density(self.times[child] - self.times[parent]))
-        cells = self.processes[parent] * n + child
-        return np.bincount(cells, density, minlength=self.n_processes * n).reshape(
-            -1, n
-        )
-
-    def _exponential_excitation(self) -> np.ndarray:
         # The excitation decays multiplicatively between distinct
         # timestamps, and events sharing a timestamp join it only once
         # time moves on: state = (state + pending) * decay, pending = 0 on

@@ -23,12 +23,11 @@ from repro.nn.metrics import (
     accuracy,
     auc,
     confusion_matrix,
-    f1_score,
     precision_recall_f1,
     roc_curve,
 )
 from repro.nn.model import Sequential, TrainHistory
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 __all__ = [
     "Layer",
@@ -39,13 +38,11 @@ __all__ = [
     "Flatten",
     "Dropout",
     "SoftmaxCrossEntropy",
-    "SGD",
     "Adam",
     "Sequential",
     "TrainHistory",
     "accuracy",
     "precision_recall_f1",
-    "f1_score",
     "confusion_matrix",
     "roc_curve",
     "auc",

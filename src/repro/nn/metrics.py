@@ -13,7 +13,6 @@ __all__ = [
     "confusion_matrix",
     "accuracy",
     "precision_recall_f1",
-    "f1_score",
     "roc_curve",
     "auc",
 ]
@@ -54,11 +53,6 @@ def precision_recall_f1(
         return float(precision), float(recall), 0.0
     f1 = 2 * precision * recall / (precision + recall)
     return float(precision), float(recall), float(f1)
-
-
-def f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """F1 of the positive class."""
-    return precision_recall_f1(y_true, y_pred)[2]
 
 
 def roc_curve(

@@ -4,27 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
-
-
-class SGD:
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for index, (param, grad) in enumerate(zip(params, grads)):
-            velocity = self._velocity.setdefault(index, np.zeros_like(param))
-            velocity *= self.momentum
-            velocity -= self.learning_rate * grad
-            param += velocity
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -16,7 +16,7 @@
 """
 
 from repro.service.admission import AdmissionQueue
-from repro.service.breaker import BreakerConfig, BreakerOpenError, CircuitBreaker
+from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.reload import (
     INDEX_FINGERPRINT,
     IndexValidationError,
@@ -41,7 +41,6 @@ from repro.service.service import (
 __all__ = [
     "AdmissionQueue",
     "BreakerConfig",
-    "BreakerOpenError",
     "CircuitBreaker",
     "INDEX_FINGERPRINT",
     "IndexValidationError",

@@ -19,15 +19,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["BreakerConfig", "BreakerOpenError", "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["BreakerConfig", "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class BreakerOpenError(RuntimeError):
-    """Fast-fail: the breaker is open, no work was attempted."""
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from repro.core.faults import FaultInjector
-from repro.core.monitor import MemeMonitor, MonitorVerdict
+from repro.core.monitor import MemeMonitor, MonitorVerdict, _validated_hash_array
 from repro.core.results import PipelineResult
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import BreakerConfig, CircuitBreaker
@@ -228,29 +228,6 @@ class ServiceStats:
         return asdict(self)
 
 
-def _validate_payload(payload) -> int:
-    """Scalar poison check, mirroring ``MemeMonitor.classify_hash``.
-
-    Text and bytes are rejected before ``int()`` would parse them:
-    ``"010"`` or ``b"7"`` is a malformed log line, not a pHash.
-    """
-    if isinstance(payload, (bool, str, bytes, bytearray)):
-        raise TypeError(
-            f"pHash must be an integer, got {type(payload).__name__}"
-        )
-    if isinstance(payload, float) and not float(payload).is_integer():
-        raise TypeError(f"pHash must be integral, got float {payload!r}")
-    try:
-        value = int(payload)
-    except (TypeError, ValueError):
-        raise TypeError(
-            f"pHash must be integer-like, got {type(payload).__name__}"
-        )
-    if not 0 <= value < 2**64:
-        raise ValueError(f"pHash {value} outside the unsigned 64-bit range")
-    return value
-
-
 def _check_deadline(deadline_s: float | None) -> None:
     """Reject NaN and negative budgets: a NaN deadline would never expire."""
     if deadline_s is not None and not deadline_s >= 0:
@@ -266,7 +243,9 @@ def _hash_column(payloads) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
     converts in one call: numpy would parse ``"010"``, turn ``True`` into
     1, carry ``[2**63, 1]`` through float64 and, before numpy 2, wrap
     ``-1`` to ``2**64 - 1``.  Any other burst, or one with an int too
-    large, is checked item by item with :func:`_validate_payload`.
+    large, is checked item by item by the monitor's batch rule on a
+    one-cell object array, as ``MemeMonitor.classify_hash`` does: only
+    integers in ``[0, 2**64)`` pass (no floats, bools, text or bytes).
     """
     unsigned = isinstance(payloads, np.ndarray) and payloads.dtype.kind == "u"
     if unsigned and payloads.ndim == 1:
@@ -279,9 +258,14 @@ def _hash_column(payloads) -> tuple[np.ndarray, dict[int, tuple[str, str]]]:
         except OverflowError:
             pass
     values, poison = [], {}
+    cell = np.empty(1, dtype=object)
     for position, payload in enumerate(payloads):
+        if type(payload) is int and 0 <= payload < 2**64:
+            values.append(payload)  # what the rule accepts, without numpy
+            continue
+        cell[0] = payload
         try:
-            values.append(_validate_payload(payload))
+            values.append(_validated_hash_array(cell)[0])
         except (TypeError, ValueError) as error:
             values.append(0)  # never classified
             poison[position] = (f"invalid-input: {error}", repr(payload))

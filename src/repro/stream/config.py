@@ -36,9 +36,6 @@ class StreamConfig:
         Events per WAL record — the append/fsync granularity.
     segment_max_bytes:
         WAL segment rotation size.
-    hawkes_min_events:
-        Minimum matched events a cluster needs to contribute a sequence
-        to the compaction-time Hawkes refit.
     fsync:
         Fsync every WAL append (durability; tests may disable).
     group_commit:
@@ -56,7 +53,6 @@ class StreamConfig:
     shed_watermark: int | None = None
     batch_size: int = 256
     segment_max_bytes: int = 1 << 20
-    hawkes_min_events: int = 10
     fsync: bool = True
     group_commit: bool = False
 
@@ -71,5 +67,3 @@ class StreamConfig:
             raise ValueError("shed_watermark must be in [1, max_buffer]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.hawkes_min_events < 2:
-            raise ValueError("hawkes_min_events must be >= 2")

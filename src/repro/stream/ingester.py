@@ -23,9 +23,9 @@ A *compaction* (triggered when the unique-hash growth ratio — a bound
 on medoid drift — exceeds ``compact_threshold``, or forced) promotes
 fresh state: full re-cluster from the incrementally maintained
 neighbourhoods, re-annotation, full re-association against the new
-medoids, a Hawkes refit over the compacted prefix, then a durable
-checkpoint (``stream.ckpt``, the ``RPC1`` container from
-:func:`repro.utils.io.save_checkpoint`) followed by WAL truncation.
+medoids, then a durable checkpoint (``stream.ckpt``, the ``RPC1``
+container from :func:`repro.utils.io.save_checkpoint`) followed by WAL
+truncation.
 
 Recovery is therefore: load the last checkpoint (if any), replay the
 WAL suffix past it, and continue from the durable event count — the
@@ -65,7 +65,7 @@ from repro.annotation.association import (
     associate_hashes,
 )
 from repro.annotation.matcher import annotate_clusters
-from repro.communities.models import COMMUNITIES, FRINGE_COMMUNITIES, PostTable
+from repro.communities.models import FRINGE_COMMUNITIES, PostTable
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import clustering_from_neighbors, replay_gallery_flags
 from repro.core.results import (
@@ -76,8 +76,6 @@ from repro.core.results import (
 from repro.core.runner import build_occurrence_table
 from repro.hashing.index import NeighborGraph
 from repro.hashing.pairwise import delta_pairs, ranked_graph
-from repro.hawkes.fit import FitConfig, fit_hawkes_em
-from repro.hawkes.model import EventSequence, rows_by_group
 from repro.service.admission import AdmissionQueue
 from repro.stream.config import StreamConfig
 from repro.stream.wal import WALError, WriteAheadLog
@@ -113,7 +111,6 @@ class StreamReport:
     replayed_events: int = 0
     compactions: int = 0
     checkpoint_saves: int = 0
-    hawkes_refits: int = 0
     drift: float = 0.0
     last_compaction_s: float = 0.0
 
@@ -131,7 +128,6 @@ class StreamReport:
             f"replayed={self.replayed_events}",
             f"compactions={self.compactions}",
             f"checkpoints={self.checkpoint_saves}",
-            f"hawkes_refits={self.hawkes_refits}",
             f"drift={self.drift:.3f}",
         ]
         if self.last_compaction_s:
@@ -356,13 +352,6 @@ class StreamIngester:
         self._annotations: dict[ClusterKey, object] = {}
         self._cluster_keys: list[ClusterKey] = []
         self._medoid_by_global: dict[int, int] = {}
-        self._hawkes = None
-        # Lazy Hawkes: automatic compactions only mark the fit stale
-        # (the model is not part of the streamed-equals-batch invariant
-        # and nothing reads it between compactions); the deterministic
-        # fit over posts[:compact_base_events] is materialised by
-        # forced compactions and hawkes_model reads.
-        self._hawkes_fitted = True
         self._applied_seq = -1
         self._compact_base_events = 0
         self._compact_base_unique = 0
@@ -470,8 +459,6 @@ class StreamIngester:
         self._annotations = payload["annotations"]
         self._cluster_keys = payload["cluster_keys"]
         self._medoid_by_global = payload["medoid_by_global"]
-        self._hawkes = payload["hawkes"]
-        self._hawkes_fitted = bool(payload["hawkes_fitted"])
         self._applied_seq = int(payload["applied_seq"])
         self._compact_base_events = int(payload["compact_base_events"])
         self._compact_base_unique = int(payload["compact_base_unique"])
@@ -631,11 +618,7 @@ class StreamIngester:
         checkpoint followed by WAL segment truncation — in that order,
         so a crash anywhere leaves either the old checkpoint + full WAL
         or the new checkpoint (+ possibly untruncated segments, which
-        replay as no-ops past ``applied_seq``).  The Hawkes refit is
-        eager on forced compactions and deferred to the first
-        :attr:`hawkes_model` read otherwise (the fit is
-        deterministic over the compacted prefix, so laziness cannot
-        change the model).
+        replay as no-ops past ``applied_seq``).
 
         Returns ``True`` when a compaction ran.
         """
@@ -683,16 +666,6 @@ class StreamIngester:
             sum(hashes.size for hashes in self._nbr_hashes.values())
         )
         self._new_unique = 0
-        if force:
-            self._refit_hawkes()
-            self._hawkes_fitted = True
-        else:
-            # Deferred: the fit over posts[:compact_base_events] is
-            # deterministic, so materialising it on first read (or at a
-            # forced compaction) yields the exact model an eager refit
-            # would have — without stalling the ingest path for it.
-            self._hawkes = None
-            self._hawkes_fitted = False
         self._save_checkpoint()
         removed = self.wal.truncate_through(self._applied_seq)
         self.report.wal_segments_truncated += removed
@@ -798,43 +771,6 @@ class StreamIngester:
             out[cluster_id] = annotation
         return out
 
-    def _refit_hawkes(self) -> None:
-        """Hawkes refit over the compacted prefix.
-
-        Pools one :class:`EventSequence` per annotated cluster and fits
-        one model via :func:`repro.hawkes.fit.fit_hawkes_em` — the online
-        influence model promoted alongside the new medoids.  Reads only
-        ``posts[:compact_base_events]`` and the association prefix over
-        it, both frozen since the compaction that scheduled this fit,
-        so a deferred fit sees exactly what an eager one did.
-        """
-        if not self._cluster_keys:
-            self._hawkes = None
-            return
-        n = self._compact_base_events
-        posts = self.posts[:n]
-        cluster_ids = self._columns["assoc_ids"][:n]
-        matched = cluster_ids >= 0
-        world_config = getattr(self.world, "config", None)
-        horizon = max(
-            float(posts.timestamp.max()),
-            float(getattr(world_config, "horizon_days", 0.0)),
-        )
-        times, processes = posts.timestamp[matched], posts.community[matched]
-        groups = rows_by_group(cluster_ids[matched], times)
-        sequences = [
-            EventSequence(times[rows], processes[rows], horizon)
-            for _, rows in sorted(groups.items())
-            if rows.size >= self.stream.hawkes_min_events
-        ]
-        if not sequences:
-            self._hawkes = None
-            return
-        self._hawkes = fit_hawkes_em(
-            sequences, n_processes=len(COMMUNITIES), config=FitConfig()
-        )
-        self.report.hawkes_refits += 1
-
     def _save_checkpoint(self) -> None:
         # Columnar encodings keep the pickle flat: posts as their
         # PostTable columns, neighbourhoods as their append-order pair
@@ -858,8 +794,6 @@ class StreamIngester:
             "medoid_by_global": self._medoid_by_global,
             "assoc_ids": self._columns["assoc_ids"],
             "assoc_dists": self._columns["assoc_dists"],
-            "hawkes": self._hawkes,
-            "hawkes_fitted": self._hawkes_fitted,
             "applied_seq": self._applied_seq,
             "compact_base_events": self._compact_base_events,
             "compact_base_unique": self._compact_base_unique,
@@ -875,20 +809,6 @@ class StreamIngester:
     # ------------------------------------------------------------------
     # Results and lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def hawkes_model(self):
-        """The last compaction's Hawkes fit (``None`` before the first).
-
-        Automatic compactions defer the fit; the first read materialises
-        it over the compacted prefix — the exact model an eager refit
-        would have produced (the input prefix is frozen and the EM fit
-        is deterministic).
-        """
-        if not self._hawkes_fitted:
-            self._refit_hawkes()
-            self._hawkes_fitted = True
-        return self._hawkes
 
     def result(self) -> PipelineResult:
         """The current online state as a :class:`PipelineResult`.

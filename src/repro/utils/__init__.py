@@ -7,19 +7,15 @@ These helpers are deliberately dependency-light; every other subpackage of
 from repro.utils.bitops import (
     flip_random_bits,
     hamming_distance,
-    hamming_distance_matrix,
     hamming_to_many,
     pack_bits,
     popcount,
-    unpack_bits,
 )
 from repro.utils.io import (
     CheckpointError,
     StaleCheckpointError,
     load_checkpoint,
-    load_posts,
     save_checkpoint,
-    save_posts,
 )
 from repro.utils.parallel import (
     Executor,
@@ -36,16 +32,12 @@ __all__ = [
     "RngStream",
     "derive_rng",
     "pack_bits",
-    "unpack_bits",
     "popcount",
     "hamming_distance",
     "hamming_to_many",
-    "hamming_distance_matrix",
     "format_table",
     "print_table",
     "flip_random_bits",
-    "save_posts",
-    "load_posts",
     "CheckpointError",
     "StaleCheckpointError",
     "save_checkpoint",

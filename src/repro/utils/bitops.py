@@ -12,11 +12,9 @@ import numpy as np
 
 __all__ = [
     "pack_bits",
-    "unpack_bits",
     "popcount",
     "hamming_distance",
     "hamming_to_many",
-    "hamming_distance_matrix",
     "flip_random_bits",
 ]
 
@@ -43,15 +41,6 @@ def pack_bits(bits: np.ndarray) -> np.uint64:
     for bit in bits:
         value = (value << 1) | (1 if bit else 0)
     return np.uint64(value)
-
-
-def unpack_bits(value: np.uint64 | int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: a ``uint64`` to a length-64 0/1 array."""
-    value = int(value)
-    return np.array(
-        [(value >> shift) & 1 for shift in range(HASH_BITS - 1, -1, -1)],
-        dtype=np.uint8,
-    )
 
 
 def popcount(values: np.ndarray | np.uint64 | int) -> np.ndarray | int:
@@ -116,42 +105,3 @@ def flip_random_bits(
         for position in rng.choice(HASH_BITS, size=n_bits, replace=False):
             result ^= 1 << int(position)
     return np.uint64(result)
-
-
-def hamming_distance_matrix(
-    a: np.ndarray,
-    b: np.ndarray | None = None,
-    *,
-    chunk_size: int = 4096,
-) -> np.ndarray:
-    """All-pairs Hamming distances between two sets of 64-bit hashes.
-
-    This is the reproduction of the paper's Step 2 (the TensorFlow
-    multi-GPU pairwise engine), reduced to chunked numpy broadcasting.
-    Memory stays bounded at ``chunk_size * len(b) * 8`` bytes per chunk.
-
-    Parameters
-    ----------
-    a, b:
-        1-D ``uint64`` arrays.  When ``b`` is omitted the matrix is
-        ``a`` vs itself.
-    chunk_size:
-        Rows of ``a`` processed per broadcast step.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(len(a), len(b))`` matrix of ``int64`` distances.
-    """
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = a if b is None else np.ascontiguousarray(b, dtype=np.uint64)
-    out = np.empty((a.size, b.size), dtype=np.int64)
-    for start in range(0, a.size, chunk_size):
-        stop = min(start + chunk_size, a.size)
-        xored = a[start:stop, None] ^ b[None, :]
-        if _HAS_NATIVE_POPCOUNT:
-            out[start:stop] = np.bitwise_count(xored)
-        else:
-            bytes_view = xored.view(np.uint8).reshape(stop - start, b.size, 8)
-            out[start:stop] = _POPCOUNT8[bytes_view].sum(axis=2, dtype=np.int64)
-    return out

@@ -1,12 +1,7 @@
-"""Persistence: post streams, occurrence tables, and checkpoints.
+"""Persistence: checkpoints and the directory lock.
 
-The paper released its (hashed) datasets alongside the pipeline; this
-module provides the equivalent for the synthetic world — a compact NPZ
-serialisation of post tables (hashes, never raw images, mirroring the
-paper's privacy posture of keeping only URL + pHash).
-
-It also holds the ``RPC1`` checkpoint container: an integrity-checked
-pickle, written atomically.  The content cache
+The ``RPC1`` checkpoint container is an integrity-checked pickle,
+written atomically.  The content cache
 (:mod:`repro.core.cache`) stores every entry in one, and so do the
 stream ingester's ``stream.ckpt`` and the serving index.  Layout::
 
@@ -33,13 +28,7 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.communities.models import PostTable
-
 __all__ = [
-    "save_posts",
-    "load_posts",
     "CheckpointError",
     "CheckpointLock",
     "CheckpointLockError",
@@ -91,10 +80,6 @@ class CheckpointLock:
         self.path = Path(directory) / ".lock"
         self.stale_after_s = stale_after_s
         self._held = False
-
-    @property
-    def held(self) -> bool:
-        return self._held
 
     def _owner_pid(self) -> int | None:
         try:
@@ -253,20 +238,3 @@ def load_checkpoint(path: str | Path, *, fingerprint: str | None = None) -> obje
         return pickle.loads(payload_bytes)
     except Exception as error:  # digest passed but unpicklable payload
         raise CheckpointError(f"{path}: undecodable checkpoint payload: {error}")
-
-def save_posts(posts: PostTable, path: str | Path) -> None:
-    """Serialise a post table to a compressed NPZ file.
-
-    One array per :meth:`PostTable.to_columns` column.  Only metadata is
-    stored (community, timestamp, pHash, image id, score, subreddit,
-    ground-truth template/root); images were already discarded at
-    hashing time, as in the paper's Step 1.  The text columns are object
-    arrays, which NPZ pickles: load only files you wrote.
-    """
-    np.savez_compressed(Path(path), **posts.to_columns())
-
-
-def load_posts(path: str | Path) -> PostTable:
-    """Inverse of :func:`save_posts`."""
-    with np.load(Path(path), allow_pickle=True) as data:
-        return PostTable.from_columns(dict(data))

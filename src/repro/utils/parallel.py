@@ -91,7 +91,6 @@ __all__ = [
     "PoisonShardError",
     "SupervisionPolicy",
     "array_splitter",
-    "available_cpus",
     "effective_workers",
     "range_splitter",
     "resolve_parallel",
@@ -108,7 +107,12 @@ ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
 
 
 def _visible_cpus() -> int | None:
-    """Affinity-aware CPU count, or ``None`` when unknowable."""
+    """CPUs this *process* may run on, or ``None`` when unknowable.
+
+    ``os.cpu_count()`` ignores cgroup and affinity limits (a container
+    pinned to 2 of 64 cores says 64), so the scheduler affinity mask
+    comes first; platforms without it fall back to the core count.
+    """
     getaffinity = getattr(os, "sched_getaffinity", None)
     if getaffinity is not None:
         try:
@@ -120,26 +124,13 @@ def _visible_cpus() -> int | None:
     return os.cpu_count()
 
 
-def available_cpus() -> int:
-    """CPUs this *process* may actually run on.
-
-    ``os.cpu_count()`` reports the machine's cores and ignores cgroup
-    and affinity limits — in a container pinned to 2 of 64 cores it
-    says 64, so worker clamping would cap at 64 and the
-    oversubscription warning would never fire.  The scheduler affinity
-    mask is the truth on Linux; platforms without it fall back to the
-    core count, and a host where neither is knowable counts as 1.
-    """
-    return _visible_cpus() or 1
-
-
 def effective_workers(workers: int) -> int:
     """Workers that can actually run concurrently on this host.
 
     CPU-bound kernels (everything in this codebase) gain nothing from
     more workers than cores; process workers *lose* (extra pickling and
     context switching for zero extra parallelism).  "Cores" means the
-    affinity-aware :func:`available_cpus`, not the raw machine count;
+    affinity-aware visible CPU count, not the raw machine count;
     when neither source knows, the requested count stands.
     """
     workers = int(workers)
@@ -147,7 +138,7 @@ def effective_workers(workers: int) -> int:
 
 
 def warn_if_oversubscribed(workers: int, *, source: str) -> int:
-    """Warn when a requested worker count exceeds :func:`available_cpus`.
+    """Warn when a requested worker count exceeds the visible CPUs.
 
     BENCH_parallel.json once recorded ``workers=4`` on a
     ``cpu_count=1`` host with sub-1x "speedups" and no signal of why;

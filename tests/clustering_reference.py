@@ -10,6 +10,14 @@ Two independent references, both plain Python:
   adjacency matrix, with no neighbour lists at all.  Seeds are visited
   in index order and a border point keeps the first cluster that
   reaches it, which fixes the same cluster numbering and tie-break.
+
+And the dense forms the blocked kernels replaced:
+
+* :func:`hamming_distance_matrix` — all-pairs distances by chunked
+  broadcasting.
+* :func:`medoid_index` — one cluster's medoid from its dense distance
+  matrix, the per-cluster oracle of
+  :func:`repro.clustering.medoid.medoids_by_cluster`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+from repro.utils.bitops import popcount
 
 NOISE = -1
 
@@ -96,3 +106,39 @@ def dense_dbscan(adjacent, min_samples, counts=None):
                         frontier.append(j)
         cluster_id += 1
     return np.array(labels, dtype=np.int64), np.array(core, dtype=bool)
+
+
+def hamming_distance_matrix(a, b=None, *, chunk_size=4096):
+    """``(len(a), len(b))`` int64 Hamming distances, ``a`` vs itself when
+    ``b`` is omitted, broadcast ``chunk_size`` rows at a time."""
+    a = np.ascontiguousarray(a, dtype=np.uint64)
+    b = a if b is None else np.ascontiguousarray(b, dtype=np.uint64)
+    out = np.empty((a.size, b.size), dtype=np.int64)
+    for start in range(0, a.size, chunk_size):
+        out[start : start + chunk_size] = popcount(
+            a[start : start + chunk_size, None] ^ b[None, :]
+        )
+    return out
+
+
+def medoid_index(hashes, counts=None):
+    """Index of the medoid of a set of pHashes.
+
+    Minimises the mean *squared* Hamming distance to all members (the
+    paper's definition); ties break to the lowest index.  ``counts``
+    weights each hash by its image multiplicity.
+    """
+    hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
+    if hashes.size == 0:
+        raise ValueError("cannot take the medoid of an empty cluster")
+    if hashes.size == 1:
+        return 0
+    distances = hamming_distance_matrix(hashes).astype(np.float64)
+    if counts is None:
+        cost = (distances**2).mean(axis=1)
+    else:
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape != (hashes.size,):
+            raise ValueError("counts must align with hashes")
+        cost = (distances**2) @ counts / counts.sum()
+    return int(np.argmin(cost))

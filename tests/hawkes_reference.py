@@ -4,6 +4,8 @@ These are the per-event E-step, M-step accumulation, log-likelihood and
 Gibbs parent-draw and root loops that the vectorised
 :mod:`repro.hawkes.terms` replaced.  They are slow and obviously
 correct, and serve as the oracle of ``tests/test_hawkes_differential.py``.
+:func:`intensity` evaluates the conditional intensity event by event,
+the independent side of the log-likelihood and compensator checks.
 Ogata's thinning simulator is the same kind of oracle for
 :func:`repro.hawkes.simulate.simulate_branching`.
 """
@@ -16,6 +18,20 @@ from repro.hawkes.fit import FitConfig, FitResult
 from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 from repro.hawkes.terms import SequenceTerms
+
+
+def intensity(model: HawkesModel, sequence: EventSequence, t: float) -> np.ndarray:
+    """Conditional intensity vector at time ``t`` given past events."""
+    past = sequence.times < t
+    contributions = np.zeros(model.n_processes)
+    if np.any(past):
+        dts = t - sequence.times[past]
+        density = np.asarray(model.kernel.density(dts))
+        sources = sequence.processes[past]
+        # lambda_j(t) = mu_j + sum_n W[k_n, j] * phi(t - t_n)
+        for j in range(model.n_processes):
+            contributions[j] = np.sum(model.weights[sources, j] * density)
+    return model.background + contributions
 
 
 def parent_responsibilities(

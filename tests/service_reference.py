@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.monitor import MemeMonitor, MonitorVerdict
+from repro.core.monitor import MemeMonitor, MonitorVerdict, _validated_hash_array
 from repro.service import (
     DEAD_LETTERED,
     OK,
@@ -29,8 +29,15 @@ from repro.service import (
     ServiceConfig,
     ServiceStats,
 )
-from repro.service.service import _validate_payload
 from repro.utils.retry import DeadlineExceeded, retry_call
+
+
+def _validate_payload(payload) -> int:
+    """One payload through the monitor's batch rule, in one object cell
+    so that bytes stay one element (as ``classify_hash`` does)."""
+    cell = np.empty(1, dtype=object)
+    cell[0] = payload
+    return int(_validated_hash_array(cell)[0])
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ class TestAssociateHashes:
         result = associate_hashes(hashes, medoids, theta=8)
         assert list(result.cluster_ids) == [3, 3, 7, UNASSIGNED]
         assert list(result.distances) == [0, 1, 0, -1]
-        assert result.n_assigned == 3
-        assert result.assigned_fraction == pytest.approx(0.75)
 
     def test_nearest_medoid_wins(self):
         medoids = {0: 0b0, 1: 0b1111}
@@ -32,7 +30,6 @@ class TestAssociateHashes:
         empty = np.empty(0, dtype=np.uint64)
         result = associate_hashes(empty, {0: 5})
         assert result.cluster_ids.size == 0
-        assert result.assigned_fraction == 0.0
         result = associate_hashes(np.array([5], dtype=np.uint64), {})
         assert list(result.cluster_ids) == [UNASSIGNED]
 

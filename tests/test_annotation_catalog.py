@@ -6,9 +6,6 @@ from repro.annotation.catalog import (
     CATEGORIES,
     DEFAULT_CATALOG,
     CatalogEntry,
-    entries_by_category,
-    politics_entries,
-    racist_entries,
 )
 
 
@@ -55,17 +52,17 @@ class TestDefaultCatalog:
         assert trump.is_politics
 
     def test_every_category_represented(self):
-        grouped = entries_by_category()
+        present = {entry.category for entry in DEFAULT_CATALOG}
         for category in CATEGORIES:
-            assert grouped[category], f"no entries for {category}"
+            assert category in present, f"no entries for {category}"
 
     def test_memes_dominate(self):
-        grouped = entries_by_category()
-        assert len(grouped["memes"]) > len(grouped["people"])
+        categories = [entry.category for entry in DEFAULT_CATALOG]
+        assert categories.count("memes") > categories.count("people")
 
     def test_group_helpers(self):
-        racist = racist_entries()
-        politics = politics_entries()
+        racist = [e for e in DEFAULT_CATALOG if e.is_racist]
+        politics = [e for e in DEFAULT_CATALOG if e.is_politics]
         assert racist and politics
         assert all(e.is_racist for e in racist)
         assert all(e.is_politics for e in politics)

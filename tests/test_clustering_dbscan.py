@@ -166,7 +166,7 @@ class TestInvariants:
     def test_core_points_never_noise_and_density_holds(self, values, eps, min_samples):
         hashes = np.array(values, dtype=np.uint64)
         result = dbscan(hashes, eps=eps, min_samples=min_samples)
-        from repro.utils.bitops import hamming_distance_matrix
+        from tests.clustering_reference import hamming_distance_matrix
 
         distances = hamming_distance_matrix(hashes)
         for i in range(len(values)):
@@ -182,7 +182,7 @@ class TestInvariants:
     def test_noise_points_far_from_all_cores(self, values):
         hashes = np.array(values, dtype=np.uint64)
         result = dbscan(hashes, eps=2, min_samples=3)
-        from repro.utils.bitops import hamming_distance_matrix
+        from tests.clustering_reference import hamming_distance_matrix
 
         distances = hamming_distance_matrix(hashes)
         for i in np.flatnonzero(result.labels == NOISE):

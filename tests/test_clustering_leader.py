@@ -1,9 +1,9 @@
-"""Tests for leader clustering."""
+"""Tests for leader clustering, the baseline of `bench_ablation_clustering`."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.leader import leader_cluster
+from benchmarks.bench_ablation_clustering import leader_cluster
 
 
 class TestLeaderCluster:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.clustering.dbscan import NOISE
 from repro.clustering import medoid
-from repro.clustering.medoid import cluster_members, medoid_index, medoids_by_cluster
-from repro.utils.bitops import hamming_distance_matrix
+from repro.clustering.medoid import cluster_members, medoids_by_cluster
+from tests.clustering_reference import hamming_distance_matrix, medoid_index
 
 
 class TestMedoidIndex:

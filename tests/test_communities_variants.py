@@ -65,10 +65,3 @@ class TestVariantPool:
             if draw.image_id in seen:
                 assert int(seen[draw.image_id]) == int(draw.phash)
             seen[draw.image_id] = draw.phash
-
-    def test_rendered_unique_hashes(self, template):
-        pool = VariantPool(template, derive_rng(7, "p"))
-        assert pool.rendered_unique_hashes().size == 0 or True
-        pool.hash_of(0, 0)
-        pool.hash_of(0, 1)
-        assert pool.rendered_unique_hashes().size >= 1

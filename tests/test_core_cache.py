@@ -208,14 +208,6 @@ class TestContentCache:
         assert hit and value == {"x": 1}
         assert cache.stats.hits == 1
 
-    def test_get_or_compute_computes_once(self):
-        cache = ContentCache()
-        calls = []
-        key = cache.key("unit", 2)
-        assert cache.get_or_compute(key, lambda: calls.append(1) or 7) == 7
-        assert cache.get_or_compute(key, lambda: calls.append(1) or 7) == 7
-        assert len(calls) == 1
-
     def test_uncounted_get_leaves_hit_miss_to_caller(self):
         cache = ContentCache()
         key = cache.key("slot", 1)

@@ -12,8 +12,8 @@ from repro.core.metric import (
     jaccard,
     pairwise_cluster_distances,
     perceptual_similarity,
-    perceptual_similarity_literal,
 )
+from tests.metric_reference import perceptual_similarity_literal
 
 
 class TestPerceptualSimilarity:

@@ -125,4 +125,4 @@ class TestPipelineResult:
         assert result.n_annotated() == 3
         assert result.n_annotated("pol") == 2
         assert result.annotated_clusters_of("gab") == [ClusterKey("gab", 1)]
-        assert result.annotation_of(keys[0]).representative == "pepe"
+        assert result.annotations[keys[0]].representative == "pepe"

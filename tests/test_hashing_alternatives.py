@@ -1,9 +1,9 @@
-"""Tests for aHash and dHash."""
+"""Tests for aHash, dHash and wHash, the baselines of `bench_ablation_hash`."""
 
 import numpy as np
 import pytest
 
-from repro.hashing.alternatives import HASHERS, ahash, dhash
+from benchmarks.bench_ablation_hash import HASHERS, ahash, dhash
 from repro.images.raster import blank
 from repro.images.templates import TemplateLibrary
 from repro.images.transforms import add_noise, adjust_brightness
@@ -81,7 +81,7 @@ class TestRegistry:
 
 class TestHaarDWT:
     def test_validation(self):
-        from repro.hashing.alternatives import haar_dwt2
+        from benchmarks.bench_ablation_hash import haar_dwt2
 
         with pytest.raises(ValueError):
             haar_dwt2(np.zeros(8))
@@ -91,7 +91,7 @@ class TestHaarDWT:
             haar_dwt2(np.zeros((8, 8)), levels=0)
 
     def test_constant_image_energy(self):
-        from repro.hashing.alternatives import haar_dwt2
+        from benchmarks.bench_ablation_hash import haar_dwt2
 
         # Orthonormal Haar: (c + c)/sqrt(2) = c*sqrt(2) per axis, so the
         # LL value of a constant c gains a factor 2 per level.
@@ -100,7 +100,7 @@ class TestHaarDWT:
         assert band[0, 0] == pytest.approx(0.5 * 2**3)
 
     def test_energy_preserved_by_orthonormality(self):
-        from repro.hashing.alternatives import haar_dwt2
+        from benchmarks.bench_ablation_hash import haar_dwt2
 
         rng = np.random.default_rng(0)
         image = rng.random((4, 4))
@@ -118,14 +118,14 @@ class TestHaarDWT:
 
 class TestWHash:
     def test_deterministic_uint64(self, templates):
-        from repro.hashing.alternatives import whash
+        from benchmarks.bench_ablation_hash import whash
 
         image = templates.templates[0].render(64)
         assert int(whash(image)) == int(whash(image))
         assert whash(image).dtype == np.uint64
 
     def test_noise_robust(self, templates):
-        from repro.hashing.alternatives import whash
+        from benchmarks.bench_ablation_hash import whash
 
         rng = derive_rng(64, "n")
         image = templates.templates[0].render(64)
@@ -133,7 +133,7 @@ class TestWHash:
         assert hamming_distance(whash(image), whash(noisy)) <= 10
 
     def test_distinguishes_templates(self, templates):
-        from repro.hashing.alternatives import whash
+        from benchmarks.bench_ablation_hash import whash
 
         hashes = [whash(t.render(64)) for t in templates]
         distances = [

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hashing.dct import dct2, dct2_reference, dct_matrix
+from repro.hashing.dct import dct2
+from tests.dct_reference import dct2_reference, dct_matrix
 
 
 class TestDctMatrix:

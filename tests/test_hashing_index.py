@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.index import BKTree, MultiIndexHash, _bytes_within
+from benchmarks.bench_ablation_index import BKTree
+from repro.hashing.index import MultiIndexHash, _bytes_within
 from repro.utils.bitops import hamming_to_many
 
 hash_lists = st.lists(
@@ -107,7 +108,7 @@ class TestBKTreeIterative:
     def test_five_thousand_deep_chain(self, monkeypatch):
         import sys
 
-        import repro.hashing.index as mod
+        import benchmarks.bench_ablation_index as mod
 
         # Discrete metric: every pair of distinct values is at distance
         # 1, so sequential insertion builds one 5000-node chain.

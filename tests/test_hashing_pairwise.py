@@ -12,7 +12,6 @@ from repro.hashing.pairwise import (
     delta_pairs,
     merge_radius_neighbors,
     nearest_medoid,
-    pairwise_distances,
     radius_neighbors,
     unique_hashes,
 )
@@ -52,29 +51,6 @@ def clustered_hashes(n_bases: int, members: int, seed: int = 0) -> np.ndarray:
             0, 64, size=out.size, dtype=np.uint64
         )[mask].astype(np.uint64)
     return out
-
-
-class TestPairwiseDistances:
-    def test_self_comparison(self):
-        hashes = np.array([1, 2, 3], dtype=np.uint64)
-        result = pairwise_distances(hashes)
-        assert result.distances.shape == (3, 3)
-        # Regression: the symmetric self-comparison counts distinct
-        # pairs (n choose 2), not the full n*n matrix — the paper's
-        # Table-1-style "pairs compared" statistic.
-        assert result.n_comparisons == 3
-        assert np.all(np.diag(result.distances) == 0)
-
-    def test_self_comparison_pair_count_degenerate_sizes(self):
-        assert pairwise_distances(np.array([], dtype=np.uint64)).n_comparisons == 0
-        assert pairwise_distances(np.array([7], dtype=np.uint64)).n_comparisons == 0
-
-    def test_cross_comparison(self):
-        a = np.array([0], dtype=np.uint64)
-        b = np.array([0b111, 0], dtype=np.uint64)
-        result = pairwise_distances(a, b)
-        assert list(result.distances[0]) == [3, 0]
-        assert result.n_comparisons == 2
 
 
 class TestRadiusNeighbors:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hashing.phash import phash, phash_batch, phash_bits, phash_to_hex
+from repro.hashing.phash import phash, phash_bits, phash_to_hex
 from repro.images.raster import blank, resize
 from repro.images.templates import TemplateLibrary
 from repro.images.transforms import add_noise, adjust_brightness, crop_and_resize
@@ -36,12 +36,6 @@ class TestBasics:
     def test_invalid_hash_size(self):
         with pytest.raises(ValueError):
             phash_bits(blank(32), hash_size=1)
-
-    def test_batch(self, templates):
-        images = [t.render(64) for t in templates]
-        hashes = phash_batch(images)
-        assert hashes.dtype == np.uint64
-        assert list(hashes) == [phash(i) for i in images]
 
     def test_hex_format(self):
         assert phash_to_hex(0) == "0" * 16
@@ -91,38 +85,3 @@ class TestSensitivity:
         inverted = 1.0 - image
         # Inverting intensity flips the DCT signs -> far-away hash.
         assert hamming_distance(phash(image), phash(inverted)) > 20
-
-
-class TestCachedBatch:
-    def test_cached_batch_matches_uncached(self, templates):
-        from repro.core.cache import ContentCache
-
-        images = [t.render(64) for t in templates]
-        cache = ContentCache()
-        cold = phash_batch(images, cache=cache)
-        warm = phash_batch(images, cache=cache)
-        assert np.array_equal(cold, phash_batch(images))
-        assert np.array_equal(cold, warm)
-        assert warm.dtype == np.uint64
-        assert cache.stats.hits == len(images)
-
-    def test_only_new_images_are_hashed(self, templates, monkeypatch):
-        import importlib
-
-        from repro.core.cache import ContentCache
-
-        # ``import repro.hashing.phash`` would bind the *function* the
-        # package re-exports under the same name; fetch the module itself.
-        mod = importlib.import_module("repro.hashing.phash")
-        images = [t.render(64) for t in templates]
-        calls = []
-        real_phash = mod.phash
-        monkeypatch.setattr(
-            mod, "phash", lambda img, **kw: calls.append(1) or real_phash(img, **kw)
-        )
-        cache = ContentCache()
-        phash_batch(images[:6], cache=cache)
-        assert len(calls) == 6
-        grown = phash_batch(images, cache=cache)  # 6 old + the rest new
-        assert len(calls) == len(images), "old rasters must not be re-hashed"
-        assert np.array_equal(grown, np.array([real_phash(i) for i in images]))

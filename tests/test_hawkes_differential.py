@@ -19,7 +19,7 @@ from repro.analysis.influence import fit_cluster_shard
 from repro.hawkes.attribution import attribute_root_causes
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
 from repro.hawkes.gibbs import _draw_parents
-from repro.hawkes.kernels import ExponentialKernel, PowerLawKernel
+from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import EventSequence, HawkesModel
 from repro.hawkes.simulate import simulate_branching
 from repro.hawkes.terms import SequenceTerms
@@ -93,10 +93,6 @@ CASES = {
     "learn-beta": lambda: (
         _simulated(TRUTH, 80.0, seed=9), 2, FitConfig(learn_beta=True), None
     ),
-    "power-law": lambda: (
-        _simulated(TRUTH, 60.0, seed=11), 2,
-        FitConfig(kernel=PowerLawKernel(1.5, 0.5)), None,
-    ),
 }
 
 
@@ -161,7 +157,6 @@ STACK_CONFIGS = {
         ),
     ),
     "learn-beta": (FitConfig(learn_beta=True), None),
-    "power-law": (FitConfig(kernel=PowerLawKernel(1.5, 0.5)), None),
 }
 
 

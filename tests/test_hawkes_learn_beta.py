@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.hawkes.fit import FitConfig, fit_hawkes_em
-from repro.hawkes.kernels import ExponentialKernel, PowerLawKernel
+from repro.hawkes.kernels import ExponentialKernel
 from repro.hawkes.model import HawkesModel
 from repro.hawkes.simulate import simulate_branching
 from repro.utils.bitops import flip_random_bits, hamming_distance
@@ -52,16 +52,6 @@ class TestLearnBeta:
             FitConfig(beta_bounds=(2.0, 1.0))
         with pytest.raises(ValueError):
             FitConfig(beta_bounds=(0.0, 1.0))
-
-    def test_needs_an_exponential_kernel(self):
-        sequence = simulate_branching(
-            HawkesModel(np.array([0.5]), np.array([[0.3]])),
-            50.0,
-            np.random.default_rng(7),
-        ).sequence
-        config = FitConfig(kernel=PowerLawKernel(1.5, 0.5), learn_beta=True)
-        with pytest.raises(ValueError, match="exponential"):
-            fit_hawkes_em([sequence], 1, config)
 
 
 class TestFlipRandomBits:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 class TestSoftmax:
@@ -69,22 +69,6 @@ def quadratic_minimise(optimizer, steps: int) -> float:
         grad = 2 * (x - 3.0)
         optimizer.step([x], [grad])
     return float(np.abs(x - 3.0).max())
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        assert quadratic_minimise(SGD(learning_rate=0.05, momentum=0.5), 200) < 1e-4
-
-    def test_momentum_accelerates(self):
-        plain = quadratic_minimise(SGD(learning_rate=0.01, momentum=0.0), 50)
-        momentum = quadratic_minimise(SGD(learning_rate=0.01, momentum=0.9), 50)
-        assert momentum < plain
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SGD(momentum=1.0)
 
 
 class TestAdam:

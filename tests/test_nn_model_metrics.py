@@ -11,7 +11,6 @@ from repro.nn import (
     accuracy,
     auc,
     confusion_matrix,
-    f1_score,
     precision_recall_f1,
     roc_curve,
 )
@@ -78,7 +77,6 @@ class TestConfusionAndPRF:
         assert precision == pytest.approx(2 / 3)
         assert recall == pytest.approx(2 / 3)
         assert f1 == pytest.approx(2 / 3)
-        assert f1_score(y_true, y_pred) == pytest.approx(2 / 3)
 
     def test_degenerate_no_positives(self):
         precision, recall, f1 = precision_recall_f1(

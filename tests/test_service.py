@@ -238,6 +238,22 @@ class TestServeBasics:
         ]
         assert responses[2].verdict.entry == "pepe"
 
+    def test_integral_floats_dead_letter(self):
+        # A float is never a pHash, as in MemeMonitor.classify_hash: 5.0
+        # is not served as 5, and a float above 2**53 was already
+        # rounded before it arrived.
+        payloads = [5.0, float(2**53 + 1)]
+        single = make_service(config=identity_config())
+        windowed = make_service(config=identity_config(coalesce_window=4))
+        windowed.submit_many([MEDOID_A, *payloads])
+        for responses in (single.serve(payloads), windowed.drain()[1:]):
+            assert [r.status for r in responses] == ["dead-lettered"] * 2
+            assert all(r.reason.startswith("invalid-input") for r in responses)
+        for service in (single, windowed):
+            assert [d.payload for d in service.dead_letters] == [
+                repr(p) for p in payloads
+            ]
+
     def test_negative_int_in_an_int_burst_dead_letters(self, monkeypatch):
         # Before numpy 2, np.array([-1], dtype=np.uint64) wrapped to
         # 2**64 - 1 instead of raising; emulate that, so the burst's
@@ -256,7 +272,8 @@ class TestServeBasics:
         responses = service.drain()
         assert [r.status for r in responses] == ["ok", "dead-lettered", "ok"]
         assert responses[1].reason == (
-            "invalid-input: pHash -1 outside the unsigned 64-bit range"
+            "invalid-input: pHash at index 0 (-1) outside the unsigned "
+            "64-bit range [0, 2**64)"
         )
         [letter] = service.dead_letters
         assert letter.payload == "-1"

@@ -207,13 +207,13 @@ class TestCoalescedIdentity:
 
     def test_poison_fallback_reasons_identical(self):
         # Poison anywhere in a window is dead-lettered with the reason
-        # a window of one gives it, including inputs only the scalar
-        # check accepts (integral floats) and numeric text.
+        # a window of one gives it, including integral floats and
+        # numeric text.
         payloads = [
             MEDOID_A,
             "not-a-hash",
             -1,
-            float(5.0),  # scalar path accepts: integral float
+            float(5.0),  # integral float: dead-lettered like any float
             2**64,  # out of range
             MEDOID_B,
             3.25,  # non-integral float

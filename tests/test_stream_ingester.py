@@ -480,13 +480,3 @@ class TestStreamReport:
         assert "\n" not in summary
         for token in ("ingested=100", "wal[", "compactions=", "drift="):
             assert token in summary
-
-    def test_hawkes_refit_runs_at_compaction(self, tmp_path, stream_world):
-        with StreamIngester(
-            stream_world,
-            stream=_config(tmp_path, hawkes_min_events=2),
-        ) as ingester:
-            _run_to_end(ingester, stream_world.event_source())
-            ingester.compact(force=True)
-            assert ingester.report.hawkes_refits >= 1
-            assert ingester.hawkes_model is not None

@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from repro.utils.bitops import (
     HASH_BITS,
     hamming_distance,
-    hamming_distance_matrix,
     hamming_to_many,
     pack_bits,
     popcount,
-    unpack_bits,
 )
+from tests.clustering_reference import hamming_distance_matrix
+
+
+def unpack_bits(value) -> np.ndarray:
+    """The 64 bits of ``value``, MSB first: the inverse of ``pack_bits``."""
+    return np.unpackbits(np.array([value], dtype=">u8").view(np.uint8))
+
 
 hash_values = st.integers(min_value=0, max_value=2**64 - 1)
 

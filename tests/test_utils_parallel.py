@@ -112,7 +112,7 @@ class TestEnvResolution:
 
         # Pin the visible CPUs above the requested workers: this test is
         # about malformed-value warnings, not the oversubscription
-        # warning.  available_cpus() prefers the affinity mask, so both
+        # warning.  the CPU count prefers the affinity mask, so both
         # sources are pinned.
         monkeypatch.setattr(mod.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(
@@ -508,7 +508,7 @@ def _wide_shard_fails(start, stop):
 
 
 def _pin_cpus(monkeypatch, n: int | None) -> None:
-    """Pin both CPU sources available_cpus() consults."""
+    """Pin both CPU sources the worker budget consults."""
     import repro.utils.parallel as mod
 
     monkeypatch.setattr(mod.os, "cpu_count", lambda: n)
@@ -544,7 +544,6 @@ class TestWorkerBudget:
         monkeypatch.setattr(
             mod.os, "sched_getaffinity", lambda pid: {3, 17}, raising=False
         )
-        assert mod.available_cpus() == 2
         assert effective_workers(8) == 2
         with pytest.warns(RuntimeWarning, match="2 CPU"):
             assert warn_if_oversubscribed(8, source="--workers") == 2
@@ -557,7 +556,7 @@ class TestWorkerBudget:
 
         monkeypatch.setattr(mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(mod.os, "sched_getaffinity", boom, raising=False)
-        assert mod.available_cpus() == 4
+        assert effective_workers(8) == 4
 
     def test_oversubscription_warns_and_caps(self, monkeypatch):
         _pin_cpus(monkeypatch, 2)
