@@ -7,23 +7,26 @@ queries against every medoid (``nearest_medoid``), and reports the
 equivalent figure.
 """
 
+import time
+
 from repro.annotation.association import associate_hashes
+from repro.core.runner import medoid_map
 from repro.utils.tables import format_table
 
 
 def test_perf_association_throughput(
     benchmark, bench_world, bench_pipeline, write_output
 ):
-    medoids = {
-        index: int(annotation.medoid_hash)
-        for index, key in enumerate(bench_pipeline.cluster_keys)
-        for annotation in [bench_pipeline.annotations[key]]
-    }
+    medoids = medoid_map(bench_pipeline.annotations, bench_pipeline.cluster_keys)
     hashes = bench_world.posts.phash
 
-    result = benchmark(lambda: associate_hashes(hashes, medoids, theta=8))
-    stats = benchmark.stats.stats
-    throughput = hashes.size / stats.mean
+    benchmark(lambda: associate_hashes(hashes, medoids, theta=8))
+    # Timed here too, so the bound holds with --benchmark-disable, which
+    # leaves ``benchmark.stats`` unset.
+    started = time.perf_counter()
+    associate_hashes(hashes, medoids, theta=8)
+    elapsed = time.perf_counter() - started
+    throughput = hashes.size / elapsed
     # The scan must beat the paper's brute-force GPU number by orders
     # of magnitude at this scale.
     assert throughput > 1000
@@ -43,7 +46,7 @@ def test_perf_association_throughput(
     print(
         format_table(
             [
-                ["mean wall time (s)", f"{stats.mean:.3f}"],
+                ["wall time of one call (s)", f"{elapsed:.3f}"],
                 ["throughput (images/s)", f"{throughput:,.0f}"],
             ],
             title="Host timings (not recorded)",

@@ -37,6 +37,7 @@ __all__ = [
     "clustering_from_neighbors",
     "filter_kym_screenshots",
     "replay_gallery_flags",
+    "screenshot_payload",
 ]
 
 
@@ -148,6 +149,22 @@ def replay_gallery_flags(site: KYMSite, flags: list[list[bool]]) -> None:
             image = entry.gallery[index]
             if bool(image.is_screenshot) != decided:
                 entry.gallery[index] = replace(image, is_screenshot=decided)
+
+
+def screenshot_payload(site: KYMSite, mode: str, exclude: bool, report) -> dict:
+    """Step 4's outcome as the runner's cache and the stream checkpoint
+    keep it: ``exclude`` and ``report`` from
+    :func:`filter_kym_screenshots` under ``mode``, plus in classifier
+    mode the decided flags that :func:`replay_gallery_flags` re-applies
+    (the classifier re-flags gallery images in place).
+    """
+    payload = {"exclude": exclude, "report": report, "mode": mode}
+    if mode == "classifier":
+        payload["gallery_flags"] = [
+            [bool(image.is_screenshot) for image in entry.gallery]
+            for entry in site
+        ]
+    return payload
 
 
 def run_pipeline(

@@ -83,9 +83,21 @@ __all__ = [
     "StageFailure",
     "STAGES",
     "build_occurrence_table",
+    "medoid_map",
 ]
 
 STAGES = ("cluster", "screenshot-filter", "annotate", "associate")
+
+
+def medoid_map(
+    annotations: dict[ClusterKey, object], cluster_keys: list[ClusterKey]
+) -> dict[int, int]:
+    """Step 6's medoid set: each annotated cluster's global index (its
+    position in ``cluster_keys``) mapped to its medoid hash."""
+    return {
+        index: int(annotations[key].medoid_hash)
+        for index, key in enumerate(cluster_keys)
+    }
 
 
 def build_occurrence_table(
@@ -309,12 +321,11 @@ class PipelineRunner:
 
         * **full hit** — identical unique hashes and counts: return the
           stored clustering;
-        * **counts changed** — identical unique hashes: reuse the
-          stored neighbourhoods outright;
-        * **delta** — the previous unique hashes are a subset of
-          today's: index only the added hashes and merge
-          (:func:`repro.hashing.pairwise.merge_radius_neighbors`, bit-
-          identical to a cold recompute);
+        * **counts changed** or **delta** — the previous unique hashes
+          equal today's or are a subset of them:
+          :func:`repro.hashing.pairwise.merge_radius_neighbors` reuses
+          the stored neighbourhoods outright or joins in only the added
+          hashes (bit-identical to a cold recompute);
         * **miss** — compute cold and store.
 
         Outside a full hit, DBSCAN labels and medoids are re-derived
@@ -348,37 +359,24 @@ class PipelineRunner:
             return stored["clustering"]
         neighbors = None
         if hit:
+            # Neighbourhoods depend only on the unique hashes: the same
+            # set (a counts-only change) reuses them outright, and a
+            # superset merges in only the added hashes.
             prev_unique = stored["clustering"].unique_hashes
-            if np.array_equal(prev_unique, unique):
-                # Neighbourhoods depend only on the unique hashes, so a
-                # counts-only change still reuses them fully.
-                neighbors = stored["neighbors"]
-                stats.hits += 1
-                stats.note_delta(f"cluster:{community}:reused", int(unique.size))
-            elif (
-                0 < prev_unique.size < unique.size
-                and np.all(np.isin(prev_unique, unique))
-            ):
-                added = np.setdiff1d(unique, prev_unique)
-                _, neighbors = merge_radius_neighbors(
-                    prev_unique,
-                    stored["neighbors"],
-                    added,
-                    config.clustering_eps,
-                )
-                stats.hits += 1
-                stats.note_delta(f"cluster:{community}:added", int(added.size))
-                stats.note_delta(
-                    f"cluster:{community}:reused", int(prev_unique.size)
-                )
-            else:
-                stats.misses += 1  # shrunk or disjoint input: recompute
-        else:
-            stats.misses += 1
+            neighbors = merge_radius_neighbors(
+                prev_unique, stored["neighbors"], unique, config.clustering_eps
+            )
         if neighbors is None:
+            stats.misses += 1  # cold, shrunk or disjoint input: recompute
             neighbors = radius_neighbors(
                 unique, config.clustering_eps, parallel=self.parallel
             )
+        else:
+            stats.hits += 1
+            added = int(unique.size - prev_unique.size)
+            if added:
+                stats.note_delta(f"cluster:{community}:added", added)
+            stats.note_delta(f"cluster:{community}:reused", int(prev_unique.size))
         clustering = clustering_from_neighbors(
             community, unique, counts, neighbors, config
         )
@@ -424,6 +422,7 @@ class PipelineRunner:
         from repro.core.pipeline import (
             filter_kym_screenshots,
             replay_gallery_flags,
+            screenshot_payload,
         )
 
         cache_key = None
@@ -467,18 +466,9 @@ class PipelineRunner:
                 continue
             if rung > 0:
                 report.status = "degraded"
-            payload = {
-                "exclude": exclude,
-                "report": eval_report,
-                "mode": mode,
-            }
-            if mode == "classifier":
-                # The classifier re-flags gallery images in place; record
-                # the decided flags so a cache hit can replay them.
-                payload["gallery_flags"] = [
-                    [bool(image.is_screenshot) for image in entry.gallery]
-                    for entry in self.world.kym_site
-                ]
+            payload = screenshot_payload(
+                self.world.kym_site, mode, exclude, eval_report
+            )
             if cache_key is not None and rung == 0:
                 self.cache.put(cache_key, dict(payload))
             return payload
@@ -637,12 +627,8 @@ class PipelineRunner:
         """Step 6 over every community's posts (strict: no fallback)."""
 
         def compute() -> OccurrenceTable:
-            medoid_by_global = {
-                index: int(annotations[key].medoid_hash)
-                for index, key in enumerate(cluster_keys)
-            }
             association = self._associate_cached(
-                self.posts.phash, medoid_by_global
+                self.posts.phash, medoid_map(annotations, cluster_keys)
             )
             return build_occurrence_table(
                 self.posts, annotations, cluster_keys, association

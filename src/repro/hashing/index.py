@@ -9,10 +9,10 @@ one chunk, so candidates are found by probing near-exact chunk matches
 and verified exactly.
 
 * :func:`radius_join` — the one kernel behind every radius
-  neighbourhood: Step 2's self-join, its incremental merge, stream
-  ingest and Step 5's medoid annotation.  It runs MIH whole-array over
-  a batch of queries and picks ``m`` by exact cost, or falls back to a
-  blocked dense scan where no ``m`` wins.
+  neighbourhood: Step 2's self-join, its incremental merge (the cache's
+  delta path and stream compaction) and Step 5's medoid annotation.  It
+  runs MIH whole-array over a batch of queries and picks ``m`` by exact
+  cost, or falls back to a blocked dense scan where no ``m`` wins.
 * :class:`NeighborGraph` — the CSR form every radius neighbourhood
   takes, from the join through DBSCAN to the stream checkpoint.
 * :class:`MultiIndexHash` — the same pigeonhole idea as a persistent

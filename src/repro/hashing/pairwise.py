@@ -6,9 +6,10 @@ laptop scale: radius neighbourhoods (the only thing DBSCAN actually
 needs) from the batched join :func:`repro.hashing.index.radius_join`.
 The cold self-join (:func:`radius_neighbors`, sharded across workers when a
 :class:`repro.utils.parallel.ParallelConfig` asks for it, with output
-identical to the serial computation), the incremental merge
-(:func:`merge_radius_neighbors`) and stream ingest all run that one
-kernel, and all hand on a :class:`repro.hashing.index.NeighborGraph`.
+identical to the serial computation) and the incremental merge
+(:func:`merge_radius_neighbors`), which the cache's delta path and the
+stream's compaction share, run that one kernel, and both hand on a
+:class:`repro.hashing.index.NeighborGraph`.
 
 :func:`nearest_medoid` is Step 6's θ-match: the one kernel behind
 batch association and the serving monitor.
@@ -29,11 +30,9 @@ from repro.utils.parallel import (
 )
 
 __all__ = [
-    "delta_pairs",
     "merge_radius_neighbors",
     "nearest_medoid",
     "radius_neighbors",
-    "ranked_graph",
     "unique_hashes",
 ]
 
@@ -166,83 +165,53 @@ def radius_neighbors(
     return NeighborGraph.from_lengths(*_merge_neighbor_parts(parts))
 
 
-def delta_pairs(
-    prev_hashes: np.ndarray, new_hashes: np.ndarray, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(row, col)`` pairs that appending ``new_hashes`` adds.
+def merge_radius_neighbors(
+    prev_unique: np.ndarray,
+    prev_graph: NeighborGraph | list[np.ndarray],
+    unique: np.ndarray,
+    radius: int,
+) -> NeighborGraph | None:
+    """Grow the radius graph over ``prev_unique`` into the graph over ``unique``.
 
-    Positions index ``concat(prev_hashes, new_hashes)``: one join of the
-    new hashes against it, plus the transpose of its pairs that reach an
-    old hash.  With the pairs over ``prev_hashes`` they are exactly the
-    pairs of a cold self-join over the concatenation.
+    Both hash sets are strictly increasing (``np.unique`` output), and
+    ``prev_graph`` is the graph over ``prev_unique``.  Equal sets return
+    ``prev_graph`` itself.  When ``prev_unique`` is a strict subset, the
+    result is bit-identical to a cold ``radius_neighbors(unique,
+    radius)``: the old pairs re-keyed into ``unique``'s positions, the
+    join of the added hashes against ``unique`` and its transpose onto
+    the old hashes, sorted once.  Any other ``prev_unique`` returns
+    ``None``, and the caller computes the graph cold.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    prev = np.ascontiguousarray(prev_hashes, dtype=np.uint64).reshape(-1)
-    new = np.ascontiguousarray(new_hashes, dtype=np.uint64).reshape(-1)
-    n_prev = int(prev.size)
-    row, col = _join_pairs(new, np.concatenate([prev, new]), int(radius))
-    row = row + n_prev
-    old = col < n_prev
-    return np.concatenate([row, col[old]]), np.concatenate([col, row[old]])
-
-
-def ranked_graph(
-    hashes: np.ndarray, row: np.ndarray, col: np.ndarray
-) -> tuple[np.ndarray, NeighborGraph]:
-    """``(order, graph)``: ``order`` sorts ``hashes``, and ``graph`` holds
-    the ``(row, col)`` pairs over ``hashes`` re-keyed into that order.
-
-    Fed the pairs of a radius self-join over unique hashes, the graph is
-    exactly ``radius_neighbors(hashes[order], radius)``.
-    """
-    order = np.argsort(hashes, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size, dtype=np.int64)
-    return order, NeighborGraph.from_pairs(rank[row], rank[col], int(order.size))
-
-
-def merge_radius_neighbors(
-    prev_unique: np.ndarray,
-    prev_neighbors: NeighborGraph | list[np.ndarray],
-    added_unique: np.ndarray,
-    radius: int,
-) -> tuple[np.ndarray, NeighborGraph]:
-    """Neighbour rows over the *sorted union* of two unique hash sets.
-
-    The clustering path works over ``np.unique`` output, where new
-    hashes interleave with old ones instead of appending — so the old
-    neighbour indices must be remapped through the merged order.  Both
-    inputs must be strictly increasing and disjoint (``np.unique``
-    output with the overlap removed).  Returns ``(combined, graph)``
-    where ``combined`` equals ``np.unique(concat(prev, added))`` and
-    ``graph`` is bit-identical to a cold
-    ``radius_neighbors(combined, radius)``: the old pairs, the join of
-    the added hashes and its transpose, ranked into the merged order
-    and sorted once.
-    """
     prev = np.ascontiguousarray(prev_unique, dtype=np.uint64).reshape(-1)
-    added = np.ascontiguousarray(added_unique, dtype=np.uint64).reshape(-1)
-    prev_graph = NeighborGraph.from_rows(prev_neighbors)
+    unique = np.ascontiguousarray(unique, dtype=np.uint64).reshape(-1)
+    prev_graph = NeighborGraph.from_rows(prev_graph)
     if len(prev_graph) != prev.size:
         raise ValueError(
-            f"prev_neighbors has {len(prev_graph)} rows for "
-            f"{prev.size} hashes"
+            f"prev_graph has {len(prev_graph)} rows for {prev.size} hashes"
         )
-    if prev.size > 1 and not np.all(prev[1:] > prev[:-1]):
-        raise ValueError("prev_unique must be strictly increasing")
-    if added.size > 1 and not np.all(added[1:] > added[:-1]):
-        raise ValueError("added_unique must be strictly increasing")
-    if added.size and prev.size and np.any(np.isin(added, prev)):
-        raise ValueError("added_unique overlaps prev_unique")
-    appended = np.concatenate([prev, added])
-    row, col = delta_pairs(prev, added, radius)
-    order, graph = ranked_graph(
-        appended,
-        np.concatenate([prev_graph.owners(), row]),
-        np.concatenate([prev_graph.indices, col]),
+    for name, values in (("prev_unique", prev), ("unique", unique)):
+        if values.size > 1 and not np.all(values[1:] > values[:-1]):
+            raise ValueError(f"{name} must be strictly increasing")
+    if prev.size > unique.size:
+        return None
+    position = np.searchsorted(unique, prev)
+    if not np.array_equal(unique[np.minimum(position, unique.size - 1)], prev):
+        return None
+    if prev.size == unique.size:
+        return prev_graph
+    added = np.ones(unique.size, dtype=bool)
+    added[position] = False
+    added_at = np.flatnonzero(added)
+    row, col = _join_pairs(unique[added_at], unique, int(radius))
+    row = added_at[row]
+    old = ~added[col]
+    return NeighborGraph.from_pairs(
+        np.concatenate([position[prev_graph.owners()], row, col[old]]),
+        np.concatenate([position[prev_graph.indices], col, row[old]]),
+        int(unique.size),
     )
-    return appended[order], graph
 
 
 def unique_hashes(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

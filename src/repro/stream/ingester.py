@@ -3,26 +3,24 @@
 :class:`StreamIngester` consumes an unbounded post stream (a
 :class:`repro.stream.EventSource` cursor) and maintains the pipeline's
 index/cluster/association state online, on top of the incremental
-primitives the batch runner already trusts (per-community neighbourhood
-pairs in append order, extended by :func:`repro.hashing.pairwise.delta_pairs`
-— one batched join of each batch's new hashes plus its transpose — and
-ranked and sorted into the
-:func:`~repro.hashing.pairwise.radius_neighbors` graph once per
-compaction; suffix-only association; deterministic DBSCAN
+primitives the batch runner already trusts (each compaction grows the
+last compaction's radius graph with
+:func:`repro.hashing.pairwise.merge_radius_neighbors`, the cache's
+subset merge; suffix-only association; deterministic DBSCAN
 re-derivation).
 
 The durability protocol, in order, for every event batch:
 
 1. the batch is appended to the write-ahead log and **fsynced**
    (:class:`repro.stream.wal.WriteAheadLog`);
-2. only then is it applied to in-memory state (unique-hash sets,
-   merged neighbourhoods, suffix association against the frozen
-   medoids).
+2. only then is it applied to in-memory state (the appended post
+   columns, the per-community sets of hashes seen, suffix association
+   against the frozen medoids).
 
 A *compaction* (triggered when the unique-hash growth ratio — a bound
 on medoid drift — exceeds ``compact_threshold``, or forced) promotes
-fresh state: full re-cluster from the incrementally maintained
-neighbourhoods, re-annotation, full re-association against the new
+fresh state: full re-cluster over a radius graph grown from the last
+compaction's, re-annotation, full re-association against the new
 medoids, then a durable checkpoint (``stream.ckpt``, the ``RPC1``
 container from :func:`repro.utils.io.save_checkpoint`) followed by WAL
 truncation.
@@ -67,15 +65,20 @@ from repro.annotation.association import (
 from repro.annotation.matcher import annotate_clusters
 from repro.communities.models import FRINGE_COMMUNITIES, PostTable
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import clustering_from_neighbors, replay_gallery_flags
+from repro.core.pipeline import (
+    clustering_from_neighbors,
+    filter_kym_screenshots,
+    replay_gallery_flags,
+    screenshot_payload,
+)
 from repro.core.results import (
     ClusterKey,
     CommunityClustering,
     PipelineResult,
 )
-from repro.core.runner import build_occurrence_table
+from repro.core.runner import build_occurrence_table, medoid_map
 from repro.hashing.index import NeighborGraph
-from repro.hashing.pairwise import delta_pairs, ranked_graph
+from repro.hashing.pairwise import merge_radius_neighbors, radius_neighbors
 from repro.service.admission import AdmissionQueue
 from repro.stream.config import StreamConfig
 from repro.stream.wal import WALError, WriteAheadLog
@@ -328,24 +331,11 @@ class StreamIngester:
                 "assoc_dists": np.empty(0, dtype=np.int64),
             }
         )
-        # Per-community neighbourhood state in *append* (first-seen)
-        # order: the hashes, their counts, and the (row, col) pairs as
-        # chunks, one per batch's delta_pairs() call; the sorted
-        # radius_neighbors graph the clustering needs is re-derived by
-        # one rank-and-sort in _sorted_view().
-        self._nbr_hashes: dict[str, np.ndarray] = {
-            c: np.empty(0, dtype=np.uint64) for c in FRINGE_COMMUNITIES
-        }
-        self._nbr_counts: dict[str, np.ndarray] = {
-            c: np.empty(0, dtype=np.int64) for c in FRINGE_COMMUNITIES
-        }
-        self._nbr_pairs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
-            c: [(np.empty(0, np.int64), np.empty(0, np.int64))]
-            for c in FRINGE_COMMUNITIES
-        }
-        self._nbr_pos: dict[str, dict[int, int]] = {
-            c: {} for c in FRINGE_COMMUNITIES
-        }
+        # Per fringe community: the hashes seen so far (they drive the
+        # drift count), and the radius graph over the unique hashes of
+        # the last compaction, which the next one grows.
+        self._seen: dict[str, set[int]] = {c: set() for c in FRINGE_COMMUNITIES}
+        self._graphs: dict[str, NeighborGraph] = {}
         self._annotation_memo: dict[int, object] = {}
         self._screenshot: dict | None = None
         self._clusterings: dict[str, CommunityClustering] | None = None
@@ -382,7 +372,7 @@ class StreamIngester:
         """
         world_config = getattr(self.world, "config", None)
         return (
-            "stream-v4|"
+            "stream-v5|"
             f"seed={getattr(world_config, 'seed', None)}"
             f",events_unit={getattr(world_config, 'events_unit', None)}"
             f",noise_scale={getattr(world_config, 'noise_scale', None)}"
@@ -443,26 +433,20 @@ class StreamIngester:
                 "assoc_dists": payload["assoc_dists"],
             }
         )
-        for community in FRINGE_COMMUNITIES:
-            state = payload["neighbor_state"][community]
-            hashes = np.ascontiguousarray(state["hashes"], dtype=np.uint64)
-            self._nbr_hashes[community] = hashes
-            self._nbr_counts[community] = np.ascontiguousarray(
-                state["counts"], dtype=np.int64
-            )
-            self._nbr_pairs[community] = [(state["row"], state["col"])]
-            self._nbr_pos[community] = dict(
-                zip(hashes.tolist(), range(hashes.size))
-            )
         self._screenshot = payload["screenshot"]
         self._clusterings = payload["clusterings"]
+        self._graphs = payload["graphs"]
         self._annotations = payload["annotations"]
         self._cluster_keys = payload["cluster_keys"]
-        self._medoid_by_global = payload["medoid_by_global"]
+        self._medoid_by_global = medoid_map(self._annotations, self._cluster_keys)
         self._applied_seq = int(payload["applied_seq"])
-        self._compact_base_events = int(payload["compact_base_events"])
-        self._compact_base_unique = int(payload["compact_base_unique"])
-        self._new_unique = int(payload["new_unique"])
+        # A checkpoint is written only by a compaction, which has just
+        # clustered every applied post.
+        self._seen = {
+            community: set(clustering.unique_hashes.tolist())
+            for community, clustering in self._clusterings.items()
+        }
+        self._rebase_drift()
         self._annotation_memo = {
             int(annotation.medoid_hash): annotation
             for annotation in self._annotations.values()
@@ -487,6 +471,12 @@ class StreamIngester:
     def posts(self) -> PostTable:
         """The applied posts (column views; later appends leave them be)."""
         return PostTable.from_columns(self._columns.view())
+
+    def _rebase_drift(self) -> None:
+        """Measure drift from the applied posts a compaction just covered."""
+        self._compact_base_events = self.n_events
+        self._compact_base_unique = sum(map(len, self._seen.values()))
+        self._new_unique = 0
 
     def drift(self) -> float:
         """Unique-hash growth since the last compaction (medoid-drift bound).
@@ -560,35 +550,18 @@ class StreamIngester:
     def _apply_batch(self, batch: PostTable, seq: int) -> None:
         """Apply one durable batch to the online state.
 
-        Per fringe community: append the pairs the batch's new unique
-        hashes add, from :func:`repro.hashing.pairwise.delta_pairs` (so
-        the pair set stays bit-identical to a cold recompute), then bump
-        multiplicities.  Nothing already stored is touched.
-        All posts get suffix association against the frozen medoid set
-        from the last compaction.
+        Appends the posts to the columns and counts, per fringe
+        community, the hashes not seen before (the drift numerator).
+        No neighbourhood is joined here: the next compaction grows its
+        graph from the posts.  All posts get suffix association against
+        the frozen medoid set from the last compaction.
         """
-        eps = self.config.clustering_eps
         rows = batch.group_by_community()
         for community in FRINGE_COMMUNITIES:
-            hashes = batch.phash[rows[community]]
-            if hashes.size == 0:
-                continue
-            unique, multiplicities = np.unique(hashes, return_counts=True)
-            positions = self._nbr_pos[community]
-            values = unique.tolist()
-            added = [value for value in values if value not in positions]
-            if added:
-                prev = self._nbr_hashes[community]
-                new = np.array(added, dtype=np.uint64)
-                self._nbr_pairs[community].append(delta_pairs(prev, new, eps))
-                positions.update(zip(added, range(prev.size, prev.size + new.size)))
-                self._nbr_hashes[community] = np.concatenate([prev, new])
-                self._nbr_counts[community] = np.concatenate(
-                    [self._nbr_counts[community], np.zeros(new.size, np.int64)]
-                )
-                self._new_unique += new.size
-            bump = np.array([positions[value] for value in values], dtype=np.int64)
-            self._nbr_counts[community][bump] += multiplicities
+            seen = self._seen[community]
+            before = len(seen)
+            seen.update(batch.phash[rows[community]].tolist())
+            self._new_unique += len(seen) - before
         if self._medoid_by_global:
             suffix = associate_hashes(
                 batch.phash, self._medoid_by_global, theta=self.config.theta
@@ -611,7 +584,8 @@ class StreamIngester:
     def compact(self, force: bool = False) -> bool:
         """Promote fresh state and truncate the durable history.
 
-        Full re-cluster from the maintained neighbourhoods, fresh
+        Full re-cluster over each community's radius graph, grown from
+        the last compaction's (:meth:`_cluster_community`), fresh
         annotation (memoised per medoid hash — the lookup is a pure
         function of the hash given a fixed site/θ/exclude set), full
         re-association against the promoted medoids, then a durable
@@ -629,12 +603,22 @@ class StreamIngester:
         self._fire("stream:compact")
         started = time.perf_counter()
         if self._screenshot is None:
-            self._screenshot = self._run_screenshot_filter()
+            self._screenshot = screenshot_payload(
+                self.world.kym_site,
+                self.config.screenshot_filter,
+                *filter_kym_screenshots(
+                    self.world.kym_site,
+                    self.config,
+                    seed=self._seed(),
+                    library=getattr(self.world, "library", None),
+                ),
+            )
         exclude = self._screenshot["exclude"]
-        clusterings = {
-            community: self._cluster_community(community)
-            for community in FRINGE_COMMUNITIES
-        }
+        clusterings, graphs = {}, {}
+        for community in FRINGE_COMMUNITIES:
+            clusterings[community], graphs[community] = self._cluster_community(
+                community
+            )
         annotations: dict[ClusterKey, object] = {}
         cluster_keys: list[ClusterKey] = []
         for community in FRINGE_COMMUNITIES:
@@ -645,10 +629,7 @@ class StreamIngester:
                 key = ClusterKey(community, cluster_id)
                 annotations[key] = annotation
                 cluster_keys.append(key)
-        medoid_by_global = {
-            index: int(annotations[key].medoid_hash)
-            for index, key in enumerate(cluster_keys)
-        }
+        medoid_by_global = medoid_map(annotations, cluster_keys)
         association = associate_hashes(
             self._columns["phash"],
             medoid_by_global,
@@ -656,16 +637,13 @@ class StreamIngester:
             parallel=self.parallel,
         )
         self._clusterings = clusterings
+        self._graphs = graphs
         self._annotations = annotations
         self._cluster_keys = cluster_keys
         self._medoid_by_global = medoid_by_global
         self._columns["assoc_ids"] = association.cluster_ids
         self._columns["assoc_dists"] = association.distances
-        self._compact_base_events = self.n_events
-        self._compact_base_unique = int(
-            sum(hashes.size for hashes in self._nbr_hashes.values())
-        )
-        self._new_unique = 0
+        self._rebase_drift()
         self._save_checkpoint()
         removed = self.wal.truncate_through(self._applied_seq)
         self.report.wal_segments_truncated += removed
@@ -676,61 +654,37 @@ class StreamIngester:
         self.report.last_compaction_s = time.perf_counter() - started
         return True
 
-    def _run_screenshot_filter(self) -> dict:
-        from repro.core.pipeline import filter_kym_screenshots
-
-        exclude, eval_report = filter_kym_screenshots(
-            self.world.kym_site,
-            self.config,
-            seed=self._seed(),
-            library=getattr(self.world, "library", None),
-        )
-        payload = {
-            "exclude": exclude,
-            "report": eval_report,
-            "mode": self.config.screenshot_filter,
-        }
-        if self.config.screenshot_filter == "classifier":
-            payload["gallery_flags"] = [
-                [bool(image.is_screenshot) for image in entry.gallery]
-                for entry in self.world.kym_site
-            ]
-        return payload
-
-    def _pairs(self, community: str) -> tuple[np.ndarray, np.ndarray]:
-        """The community's append-order pairs, joined into one chunk."""
-        chunks = self._nbr_pairs[community]
-        if len(chunks) > 1:
-            chunks[:] = [tuple(np.concatenate(part) for part in zip(*chunks))]
-        return chunks[0]
-
-    def _sorted_view(
+    def _cluster_community(
         self, community: str
-    ) -> tuple[np.ndarray, np.ndarray, NeighborGraph]:
-        """The append-order neighbourhood state in sorted-unique form.
+    ) -> tuple[CommunityClustering, NeighborGraph]:
+        """Steps 2-3 over the community's applied posts, and their graph.
 
-        One rank-and-sort — re-key every append-order pair through the
-        rank permutation of the hashes and sort the keys once — yields
-        exactly the graph ``radius_neighbors(np.unique(hashes), eps)``
-        returns: rows sorted ascending, duplicate-free, self included.
-        The pair set is append-order-invariant, so this is bit-identical
-        however the stream was batched.
+        The radius graph grows from the last compaction's through
+        :func:`repro.hashing.pairwise.merge_radius_neighbors` (cold
+        :func:`~repro.hashing.pairwise.radius_neighbors` before the
+        first), bit-identical to a cold join over the same unique set,
+        and labels and medoids are re-derived from it exactly as the
+        batch runner's cached path does.
         """
-        hashes = self._nbr_hashes[community]
-        order, graph = ranked_graph(hashes, *self._pairs(community))
-        return hashes[order], self._nbr_counts[community][order], graph
-
-    def _cluster_community(self, community: str) -> CommunityClustering:
-        """Steps 2-3 from the maintained neighbourhoods (bit-identical).
-
-        Labels and medoids are re-derived deterministically, exactly as
-        the batch runner's cached path does — the sorted view of the
-        maintained neighbourhoods is pinned bit-identical to a cold
-        ``radius_neighbors`` over the same unique set.
-        """
-        return clustering_from_neighbors(
-            community, *self._sorted_view(community), self.config
+        posts = self.posts
+        unique, counts = np.unique(
+            posts.phash[posts.in_community(community)], return_counts=True
         )
+        eps = self.config.clustering_eps
+        graph = None
+        if self._clusterings is not None:
+            graph = merge_radius_neighbors(
+                self._clusterings[community].unique_hashes,
+                self._graphs[community],
+                unique,
+                eps,
+            )
+        if graph is None:
+            graph = radius_neighbors(unique, eps)
+        clustering = clustering_from_neighbors(
+            community, unique, counts, graph, self.config
+        )
+        return clustering, graph
 
     def _annotate_community(
         self, medoids: dict[int, np.uint64], exclude
@@ -773,31 +727,18 @@ class StreamIngester:
 
     def _save_checkpoint(self) -> None:
         # Columnar encodings keep the pickle flat: posts as their
-        # PostTable columns, neighbourhoods as their append-order pair
-        # arrays.
-        neighbor_state = {}
-        for community in FRINGE_COMMUNITIES:
-            row, col = self._pairs(community)
-            neighbor_state[community] = {
-                "hashes": self._nbr_hashes[community],
-                "counts": self._nbr_counts[community],
-                "row": row,
-                "col": col,
-            }
+        # PostTable columns, each community's graph as its CSR arrays
+        # over the unique hashes its clustering holds.
         payload = {
             "posts": self.posts.to_columns(),
-            "neighbor_state": neighbor_state,
+            "graphs": self._graphs,
             "screenshot": self._screenshot,
             "clusterings": self._clusterings,
             "annotations": self._annotations,
             "cluster_keys": self._cluster_keys,
-            "medoid_by_global": self._medoid_by_global,
             "assoc_ids": self._columns["assoc_ids"],
             "assoc_dists": self._columns["assoc_dists"],
             "applied_seq": self._applied_seq,
-            "compact_base_events": self._compact_base_events,
-            "compact_base_unique": self._compact_base_unique,
-            "new_unique": self._new_unique,
         }
         save_checkpoint(
             self.wal_dir / _CHECKPOINT_NAME,
@@ -822,7 +763,7 @@ class StreamIngester:
             clusterings = dict(self._clusterings)
         else:
             clusterings = {
-                community: self._cluster_community(community)
+                community: self._cluster_community(community)[0]
                 for community in FRINGE_COMMUNITIES
             }
         association = AssociationResult(

@@ -9,7 +9,6 @@ from repro.communities.models import PostTable
 from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
 from repro.hashing.pairwise import (
     _DENSE_LIMIT,
-    delta_pairs,
     merge_radius_neighbors,
     nearest_medoid,
     radius_neighbors,
@@ -168,99 +167,103 @@ class TestUniqueHashes:
 
 
 class TestIncrementalNeighbors:
-    """The delta path behind incremental clustering must be bit-identical
-    to a cold recompute: :func:`delta_pairs` (the append-order patch the
-    stream ingester keeps) and :func:`merge_radius_neighbors` (the
-    sorted-union merge behind the runner's cache)."""
+    """:func:`merge_radius_neighbors`, the one incremental path behind the
+    runner's cache and stream compaction, must be bit-identical to a
+    cold recompute over the grown set."""
 
     def _cold(self, hashes, radius):
         return radius_neighbors(hashes, radius)
 
-    def _patched(self, prev, new, radius):
-        """Graph over ``concat(prev, new)``: prev's pairs plus the delta."""
-        before = self._cold(prev, radius)
-        row, col = delta_pairs(prev, new, radius)
-        return NeighborGraph.from_pairs(
-            np.concatenate([before.owners(), row]),
-            np.concatenate([before.indices, col]),
-            prev.size + new.size,
+    def _merged(self, prev, hashes, radius):
+        """Graph over ``np.unique(hashes)`` grown from ``np.unique(prev)``."""
+        prev_unique = np.unique(prev)
+        return merge_radius_neighbors(
+            prev_unique, self._cold(prev_unique, radius), np.unique(hashes), radius
         )
 
     def test_patch_matches_cold_concat(self):
         hashes = clustered_hashes(40, 6, seed=3)
-        prev, new = hashes[:180], hashes[180:]
         for radius in (0, 2, 8):
-            patched = self._patched(prev, new, radius)
-            cold = self._cold(hashes, radius)
-            assert np.array_equal(patched.indptr, cold.indptr)
-            assert np.array_equal(patched.indices, cold.indices)
+            merged = self._merged(hashes[:180], hashes, radius)
+            cold = self._cold(np.unique(hashes), radius)
+            assert np.array_equal(merged.indptr, cold.indptr)
+            assert np.array_equal(merged.indices, cold.indices)
 
     def test_patch_with_no_new_hashes(self):
+        # Posts that only repeat known hashes change the counts, not the
+        # unique set: the stored graph comes back as it is.
         hashes = clustered_hashes(10, 4, seed=4)
-        row, col = delta_pairs(hashes, np.empty(0, dtype=np.uint64), 4)
-        assert row.size == col.size == 0
+        unique = np.unique(hashes)
+        stored = self._cold(unique, 4)
+        repeated = np.unique(np.concatenate([hashes, hashes[:5]]))
+        assert merge_radius_neighbors(unique, stored, repeated, 4) is stored
 
     def test_patch_empty_delta_on_empty_prev(self):
         empty = np.empty(0, dtype=np.uint64)
-        row, col = delta_pairs(empty, empty, 4)
-        assert row.size == col.size == 0
-        combined, merged = merge_radius_neighbors(empty, [], empty, 4)
-        assert combined.size == 0 and len(merged) == 0
+        merged = merge_radius_neighbors(empty, [], empty, 4)
+        assert len(merged) == 0
+        hashes = np.unique(clustered_hashes(5, 3, seed=9))
+        grown = merge_radius_neighbors(empty, [], hashes, 4)
+        cold = self._cold(hashes, 4)
+        assert np.array_equal(grown.indptr, cold.indptr)
+        assert np.array_equal(grown.indices, cold.indices)
 
     def test_patch_empty_delta_canonicalizes_dtype(self):
         hashes = clustered_hashes(6, 3, seed=8)
         unique = np.unique(hashes)
         rows = [row.astype(np.int32) for row in self._cold(unique, 2)]
-        _, merged = merge_radius_neighbors(
-            unique, rows, np.empty(0, dtype=np.uint64), 2
-        )
+        merged = merge_radius_neighbors(unique, rows, unique, 2)
         assert merged.indices.dtype == merged.indptr.dtype == np.int64
         cold = self._cold(unique, 2)
         assert np.array_equal(merged.indptr, cold.indptr)
         assert np.array_equal(merged.indices, cold.indices)
 
     def test_patch_with_duplicate_new_hashes(self):
-        # The delta repeats prior hashes and has internal duplicates —
-        # the shape a streaming batch produces.  Bit-identity to the
-        # cold concat must survive it.
+        # The grown multiset repeats prior hashes and has internal
+        # duplicates — the shape a stream's posts take.  Bit-identity to
+        # the cold graph over its unique set must survive it.
         hashes = clustered_hashes(12, 5, seed=7)
         prev = hashes[:30]
-        new = np.concatenate([hashes[30:45], hashes[30:40], prev[:5]])
-        combined = np.concatenate([prev, new])
+        grown = np.concatenate([prev, hashes[30:45], hashes[30:40], prev[:5]])
         for radius in (0, 4):
-            patched = self._patched(prev, new, radius)
-            cold = self._cold(combined, radius)
-            assert np.array_equal(patched.indptr, cold.indptr)
-            assert np.array_equal(patched.indices, cold.indices)
+            merged = self._merged(prev, grown, radius)
+            cold = self._cold(np.unique(grown), radius)
+            assert np.array_equal(merged.indptr, cold.indptr)
+            assert np.array_equal(merged.indices, cold.indices)
 
     def test_patch_validates_row_count(self):
         hashes = np.unique(clustered_hashes(4, 2, seed=5))
         with pytest.raises(ValueError, match="rows"):
-            merge_radius_neighbors(hashes, [], hashes[:0], 2)
+            merge_radius_neighbors(hashes, [], hashes, 2)
 
     def test_merge_matches_cold_union(self):
         hashes = clustered_hashes(30, 5, seed=6)
         all_unique = np.unique(hashes)
-        prev = np.unique(hashes[:100])
-        added = np.setdiff1d(all_unique, prev)
         for radius in (2, 8):
-            combined, merged = merge_radius_neighbors(
-                prev, self._cold(prev, radius), added, radius
-            )
-            assert np.array_equal(combined, all_unique)
+            merged = self._merged(hashes[:100], hashes, radius)
             cold = self._cold(all_unique, radius)
             assert np.array_equal(merged.indptr, cold.indptr)
             assert np.array_equal(merged.indices, cold.indices)
 
-    def test_merge_validates_ordering_and_overlap(self):
+    def test_merge_non_subset_returns_none(self):
+        unique = np.unique(clustered_hashes(8, 4, seed=11))
+        stored = self._cold(unique, 8)
+        # shrunk, disjoint, and grown but missing one previous hash
+        assert merge_radius_neighbors(unique, stored, unique[1:], 8) is None
+        assert merge_radius_neighbors(unique, stored, unique + 1, 8) is None
+        extra = np.array([0, 2**64 - 1], dtype=np.uint64)
+        grown = np.union1d(np.delete(unique, 3), extra)
+        assert merge_radius_neighbors(unique, stored, grown, 8) is None
+
+    def test_merge_validates_ordering(self):
         prev = np.array([5, 3], dtype=np.uint64)  # not increasing
-        with pytest.raises(ValueError, match="increasing"):
+        with pytest.raises(ValueError, match="prev_unique must be strictly"):
             merge_radius_neighbors(prev, [np.array([0]), np.array([1])], prev, 2)
         prev = np.array([3, 5], dtype=np.uint64)
         rows = radius_neighbors(prev, 2)
-        with pytest.raises(ValueError, match="overlaps"):
+        with pytest.raises(ValueError, match="^unique must be strictly"):
             merge_radius_neighbors(
-                prev, rows, np.array([5], dtype=np.uint64), 2
+                prev, rows, np.array([3, 5, 5], dtype=np.uint64), 2
             )
 
 

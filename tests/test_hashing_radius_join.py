@@ -25,11 +25,7 @@ from repro.hashing.index import (
     _join_pairs,
     radius_join,
 )
-from repro.hashing.pairwise import (
-    delta_pairs,
-    merge_radius_neighbors,
-    radius_neighbors,
-)
+from repro.hashing.pairwise import merge_radius_neighbors, radius_neighbors
 from tests.clustering_reference import adjacency
 
 RADII = [*range(13), 63, 64]
@@ -207,36 +203,30 @@ def test_radius_neighbors_methods_match_reference(radius):
 @pytest.mark.parametrize("radius", RADII)
 def test_patch_and_merge_match_cold(radius, mode):
     hashes = cases(radius)["mixed"]
-    prev, new = hashes[:70], hashes[70:]
-    cold = reference_rows(hashes, hashes, radius)
-    before = NeighborGraph.from_rows(reference_rows(prev, prev, radius))
-    row, col = delta_pairs(prev, new, radius)
-    patched = NeighborGraph.from_pairs(
-        np.concatenate([before.owners(), row]),
-        np.concatenate([before.indices, col]),
-        hashes.size,
-    )
-    assert_rows_equal(patched, cold, "patch")
-
     unique = np.unique(hashes)
-    prev_unique = np.unique(hashes[::3])
-    added = np.setdiff1d(unique, prev_unique)
-    combined, merged = merge_radius_neighbors(
-        prev_unique,
-        reference_rows(prev_unique, prev_unique, radius),
-        added,
-        radius,
-    )
-    assert np.array_equal(combined, unique)
-    assert_rows_equal(merged, reference_rows(unique, unique, radius), "merge")
+    expected = reference_rows(unique, unique, radius)
+    # A prefix of the posts and every third post: the grown set
+    # interleaves new hashes with old ones either way.
+    for label, prev in (("prefix", hashes[:70]), ("strided", hashes[::3])):
+        prev_unique = np.unique(prev)
+        merged = merge_radius_neighbors(
+            prev_unique,
+            reference_rows(prev_unique, prev_unique, radius),
+            unique,
+            radius,
+        )
+        assert_rows_equal(merged, expected, label)
 
 
 def test_untouched_rows_are_not_rebuilt():
-    # delta_pairs emits only pairs with a new hash in them: the pairs
-    # among old hashes are never recomputed.
-    prev = np.array([0, ALL_ONES], dtype=np.uint64)
-    row, col = delta_pairs(prev, np.array([3], dtype=np.uint64), 2)
-    assert sorted(zip(row.tolist(), col.tolist())) == [(0, 2), (2, 0), (2, 2)]
+    # The merge joins only the added hashes: the pairs among old hashes
+    # come from the stored graph and are never recomputed, so a stored
+    # graph forged without the old pair (0, 1) keeps it out.
+    prev = np.array([0, 1], dtype=np.uint64)
+    forged = [np.array([0]), np.array([1])]
+    unique = np.array([0, 1, 3, ALL_ONES], dtype=np.uint64)
+    merged = merge_radius_neighbors(prev, forged, unique, 2)
+    assert [row.tolist() for row in merged] == [[0, 2], [1, 2], [0, 1, 2], [3]]
 
 
 def test_radius_past_64_joins_every_pair():
@@ -251,6 +241,6 @@ def test_negative_radius_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         radius_join(hashes, hashes, -1)
     with pytest.raises(ValueError, match="non-negative"):
-        delta_pairs(hashes, hashes, -1)
+        merge_radius_neighbors(hashes, [np.array([0])], hashes, -1)
     with pytest.raises(ValueError, match="non-negative"):
-        merge_radius_neighbors(hashes, [np.array([0])], hashes[:0], -1)
+        merge_radius_neighbors(hashes[:0], [], hashes, -1)

@@ -18,6 +18,7 @@ from repro.communities import SyntheticWorld, WorldConfig
 from repro.core import run_pipeline
 from repro.core.config import PipelineConfig
 from repro.core.faults import STREAM_SITES, Fault, FaultInjector
+from repro.hashing.pairwise import radius_neighbors
 from repro.stream import (
     EventSource,
     PrefixWorld,
@@ -287,33 +288,66 @@ class TestRecovery:
     def test_previous_layout_checkpoint_rejected(
         self, tmp_path, stream_world, monkeypatch
     ):
-        # Before neighbourhoods were stored as pair arrays, a checkpoint
-        # held each community's rows as one flat array plus row lengths,
-        # under the "stream-v2" fingerprint.  Such a file must fail the
+        # Before compaction grew each graph from the last one, a
+        # checkpoint held each community's hashes and counts in
+        # first-seen order with its (row, col) pairs in that order,
+        # under the "stream-v4" fingerprint.  Such a file must fail the
         # fingerprint check before any of it is read as state.
         config = _config(tmp_path)
         with StreamIngester(stream_world, stream=config) as ingester:
             _run_to_end(ingester, stream_world.event_source(), limit=100)
             ingester.compact(force=True)
             fingerprint = ingester._fingerprint()
+            posts = ingester.posts
         path = tmp_path / "stream.ckpt"
         payload = load_checkpoint(path, fingerprint=fingerprint)
-        for state in payload["neighbor_state"].values():
-            n = state["hashes"].size
-            order = np.argsort(state["row"], kind="stable")
-            state["flat"] = state.pop("col")[order]
-            state["lengths"] = np.bincount(state.pop("row"), minlength=n)
-        assert fingerprint.startswith("stream-v4|")
+        neighbor_state = {}
+        for community, graph in payload.pop("graphs").items():
+            clustering = payload["clusterings"][community]
+            hashes = posts.phash[posts.in_community(community)]
+            _, first = np.unique(hashes, return_index=True)
+            order = np.argsort(first, kind="stable")
+            rank = np.empty(order.size, dtype=np.int64)
+            rank[order] = np.arange(order.size)
+            neighbor_state[community] = {
+                "hashes": clustering.unique_hashes[order],
+                "counts": clustering.counts[order],
+                "row": rank[graph.owners()],
+                "col": rank[graph.indices],
+            }
+        payload["neighbor_state"] = neighbor_state
+        assert fingerprint.startswith("stream-v5|")
         save_checkpoint(
-            path, payload, fingerprint="stream-v2|" + fingerprint[len("stream-v4|"):]
+            path, payload, fingerprint="stream-v4|" + fingerprint[len("stream-v5|"):]
         )
 
         def misread(self, payload):
             raise AssertionError("a previous-layout checkpoint was read")
 
         monkeypatch.setattr(StreamIngester, "_restore", misread)
-        with pytest.raises(StaleCheckpointError, match="stream-v2"):
+        with pytest.raises(StaleCheckpointError, match="stream-v4"):
             StreamIngester(stream_world, stream=config)
+
+    def test_checkpoint_graph_is_cold_radius_graph(self, tmp_path, stream_world):
+        # The checkpoint keeps, per community, the graph the compaction
+        # grew; it must be the cold radius graph over the clustered
+        # unique hashes, row for row, for the next compaction to grow.
+        config = _config(tmp_path, compact_threshold=0.2)
+        eps = PipelineConfig().clustering_eps
+        with StreamIngester(stream_world, stream=config) as ingester:
+            _run_to_end(ingester, stream_world.event_source(), limit=400)
+            ingester.compact(force=True)
+            assert ingester.report.compactions >= 2
+            fingerprint = ingester._fingerprint()
+        payload = load_checkpoint(tmp_path / "stream.ckpt", fingerprint=fingerprint)
+        assert sorted(payload["graphs"]) == sorted(payload["clusterings"])
+        for community, graph in payload["graphs"].items():
+            cold = radius_neighbors(
+                payload["clusterings"][community].unique_hashes, eps
+            )
+            assert len(graph) == len(cold), community
+            for row, expected in zip(graph, cold):
+                assert np.array_equal(row, expected), community
 
     def test_pre_columnar_wal_record_fails_loudly(self, tmp_path, stream_world):
         # Before post tables, a WAL record pickled a list of Post rows.
