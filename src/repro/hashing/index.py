@@ -1,4 +1,4 @@
-"""Hamming-space indexes and the batched radius join (Step 2).
+"""Hamming-space indexes and the radius join (Step 2).
 
 The paper ran all-pairs comparisons on GPUs; at laptop scale the same
 radius queries ("all hashes within Hamming distance r of q") rest on
@@ -8,15 +8,15 @@ into ``m`` disjoint chunks; by pigeonhole, any code within distance
 one chunk, so candidates are found by probing near-exact chunk matches
 and verified exactly.
 
-* :func:`radius_join` — the one kernel behind every radius
-  neighbourhood: Step 2's self-join, its incremental merge (the cache's
-  delta path and stream compaction) and Step 5's medoid annotation.  It
-  runs MIH whole-array over a batch of queries and picks ``m`` by exact
-  cost, or falls back to a blocked dense scan where no ``m`` wins.
+* :class:`RadiusIndex` — the one kernel behind every radius
+  neighbourhood, an appendable bucket index whose ``add`` returns each
+  unordered pair within the radius once.  Step 2's cold self-join is
+  one ``add`` on an empty index, the cache's delta path and stream
+  compaction ``add`` the new hashes to the index over the old ones, and
+  Step 5's medoid annotation (:func:`radius_join`) is a ``query``.
 * :class:`NeighborGraph` — the CSR form every radius neighbourhood
   takes, from the join through DBSCAN to the stream checkpoint.
-* :class:`MultiIndexHash` — the same pigeonhole idea as a persistent
-  per-query index with 8-bit chunks and incremental :meth:`add`.
+* :class:`MultiIndexHash` — per-query lookups over the same index.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.utils.bitops import hamming_to_many, popcount
 
-__all__ = ["MultiIndexHash", "NeighborGraph", "radius_join"]
+__all__ = ["MultiIndexHash", "NeighborGraph", "RadiusIndex", "radius_join"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,16 +48,25 @@ class NeighborGraph:
 
     @classmethod
     def from_pairs(
-        cls, row: np.ndarray, col: np.ndarray, n: int, *, presorted: bool = False
+        cls, row: np.ndarray, col: np.ndarray, n: int, *, width: int | None = None
     ) -> "NeighborGraph":
-        """The graph over ``n`` points of the ``(row, col)`` pairs, which
-        one sort puts in row-major order unless they are ``presorted``."""
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        if not presorted:
-            key = np.sort(row * n + col)
-            row, col = key // n, key % n
-        return cls.from_lengths(np.bincount(row, minlength=n), col)
+        """The graph over ``n`` rows of the ``(row, col)`` pairs, whose
+        columns are below ``width`` (``n`` unless given)."""
+        width = max(n if width is None else width, 1)
+        key = np.asarray(row, dtype=np.int64) * width + np.asarray(col, dtype=np.int64)
+        return cls._from_keys(np.sort(key), n, width)
+
+    @classmethod
+    def from_join(cls, a: np.ndarray, b: np.ndarray, n: int) -> "NeighborGraph":
+        """The graph over ``n`` points of the pairs ``(a, b)`` that
+        :meth:`RadiusIndex.add` returns on an empty index."""
+        empty = np.empty(0, dtype=np.int64)
+        return cls.from_rows([]).grown(empty, n, a, b, np.arange(n))
+
+    @classmethod
+    def _from_keys(cls, key: np.ndarray, n: int, width: int) -> "NeighborGraph":
+        """The graph of the sorted keys ``row * width + col``."""
+        return cls.from_lengths(np.bincount(key // width, minlength=n), key % width)
 
     @classmethod
     def from_lengths(cls, lengths, indices: np.ndarray) -> "NeighborGraph":
@@ -74,6 +83,24 @@ class NeighborGraph:
         return cls.from_lengths(
             [r.size for r in rows], np.concatenate([np.empty(0, np.int64), *rows])
         )
+
+    def grown(
+        self, position: np.ndarray, n: int, a: np.ndarray, b: np.ndarray, added
+    ) -> "NeighborGraph":
+        """This graph moved into ``n`` points, plus the unordered pairs
+        ``(a, b)`` both ways and the diagonal of the ``added`` points.
+
+        Row and column ``i`` become ``position[i]``, which must increase
+        strictly, so the moved entries stay in order and one stable sort
+        merges them with the new entries' sorted keys in linear time.  No
+        new pair may repeat a moved one.
+        """
+        position = np.asarray(position, dtype=np.int64)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        key = np.concatenate([a * n + b, b * n + a, np.asarray(added) * (n + 1)])
+        moved = position[self.owners()] * n + position[self.indices]
+        key = np.sort(np.concatenate([moved, np.sort(key)]), kind="stable")
+        return self._from_keys(key, n, max(n, 1))
 
     def owners(self) -> np.ndarray:
         """The row of every entry of :attr:`indices`."""
@@ -93,122 +120,36 @@ class NeighborGraph:
         return (self.indices[a:b] for a, b in zip(edges[:-1], edges[1:]))
 
 
-def _bytes_within(value: int, max_distance: int) -> list[int]:
-    """All byte values within Hamming distance ``max_distance`` of ``value``."""
-    out = {value}
-    frontier = {value}
-    for _ in range(max_distance):
-        nxt = set()
-        for v in frontier:
-            for bit in range(8):
-                nxt.add(v ^ (1 << bit))
-        frontier = nxt - out
-        out |= nxt
-    return sorted(out)
-
-
 class MultiIndexHash:
-    """Multi-index hashing over 64-bit codes with 8-bit chunks.
-
-    Parameters
-    ----------
-    hashes:
-        1-D ``uint64`` array; payloads are positions in this array.
-    """
-
-    N_CHUNKS = 8
+    """Per-query radius search over ``hashes`` at any radius: each radius
+    gets a :class:`RadiusIndex`, planned once for the whole corpus as its
+    queries, which :meth:`add` drops."""
 
     def __init__(self, hashes: np.ndarray) -> None:
         self.hashes = np.ascontiguousarray(hashes, dtype=np.uint64).reshape(-1)
-        # chunk_values[c][i] = byte c of hash i (little-endian byte order;
-        # the order is irrelevant as long as it is consistent).
-        self._chunk_values = self.hashes.view(np.uint8).reshape(-1, self.N_CHUNKS)
-        # Buckets are built with one stable argsort per chunk instead of
-        # an n*8 Python loop; within a byte value the stable sort keeps
-        # indices ascending, identical to the incremental appends in add().
-        self._buckets: list[dict[int, list[int]]] = []
-        for c in range(self.N_CHUNKS):
-            bucket: dict[int, list[int]] = {}
-            if self.hashes.size:
-                values = self._chunk_values[:, c]
-                order = np.argsort(values, kind="stable").astype(np.int64)
-                sorted_values = values[order]
-                boundaries = np.flatnonzero(np.diff(sorted_values)) + 1
-                starts = np.concatenate(([0], boundaries))
-                stops = np.concatenate((boundaries, [sorted_values.size]))
-                for start, stop in zip(starts, stops):
-                    bucket[int(sorted_values[start])] = order[start:stop].tolist()
-            self._buckets.append(bucket)
+        self._indexes: dict[int, RadiusIndex] = {}
 
     def __len__(self) -> int:
         return int(self.hashes.size)
 
     def add(self, new_hashes: np.ndarray) -> None:
-        """Incrementally index more hashes (positions continue the array).
-
-        Appending then querying is identical to rebuilding the index
-        over the concatenated array — this is what lets a run with N
-        new images extend yesterday's neighbourhoods instead of
-        re-indexing the whole collection.
-        """
+        """Index more hashes (positions continue the array)."""
         new = np.ascontiguousarray(new_hashes, dtype=np.uint64).reshape(-1)
-        if new.size == 0:
-            return
-        offset = int(self.hashes.size)
         self.hashes = np.concatenate([self.hashes, new])
-        self._chunk_values = self.hashes.view(np.uint8).reshape(-1, self.N_CHUNKS)
-        new_chunks = new.view(np.uint8).reshape(-1, self.N_CHUNKS)
-        for i in range(new.size):
-            for c in range(self.N_CHUNKS):
-                key = int(new_chunks[i, c])
-                self._buckets[c].setdefault(key, []).append(offset + i)
+        self._indexes.clear()
 
     def query(self, value: int, radius: int) -> list[tuple[int, int]]:
-        """Return ``(index, distance)`` pairs within ``radius`` of ``value``.
-
-        Exact: candidates from the chunk probes are verified with a full
-        Hamming computation.
-        """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        if self.hashes.size == 0:
-            return []
-        per_chunk = radius // self.N_CHUNKS
-        query_bytes = np.frombuffer(
-            np.uint64(value).tobytes(), dtype=np.uint8
-        )
-        candidates: set[int] = set()
-        for c in range(self.N_CHUNKS):
-            bucket = self._buckets[c]
-            for probe in _bytes_within(int(query_bytes[c]), per_chunk):
-                hits = bucket.get(probe)
-                if hits:
-                    candidates.update(hits)
-        if not candidates:
-            return []
-        idx = np.fromiter(candidates, dtype=np.int64)
-        distances = hamming_to_many(np.uint64(value), self.hashes[idx])
-        keep = distances <= radius
-        return list(zip(idx[keep].tolist(), distances[keep].tolist()))
+        """``(index, distance)`` pairs within ``radius`` of ``value``."""
+        found = self.query_indices(value, radius)
+        distances = hamming_to_many(np.uint64(value), self.hashes[found])
+        return list(zip(found.tolist(), distances.tolist()))
 
     def query_indices(self, value: int, radius: int) -> np.ndarray:
-        """Like :meth:`query` but returns a sorted, duplicate-free index array.
-
-        The candidate probes emit indices in arbitrary set order;
-        ``np.unique`` pins the documented contract (sorted ascending, no
-        duplicates) so downstream consumers see a canonical neighbour
-        order.
-        """
-        pairs = self.query(value, radius)
-        if not pairs:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
-        )
-
-    def radius_neighbors(self, radius: int) -> NeighborGraph:
-        """Neighbour rows (sorted, self included) for every indexed hash."""
-        return radius_join(self.hashes, self.hashes, radius)
+        """The sorted positions within ``radius`` of ``value``."""
+        if radius not in self._indexes:
+            self._indexes[radius] = RadiusIndex(radius, self.hashes)
+            self._indexes[radius]._prepare(self.hashes)
+        return np.sort(self._indexes[radius].query([value])[1])
 
 
 # Probe entries plus candidate pairs materialised per query block: the
@@ -257,19 +198,16 @@ def _chunk_keys(hashes: np.ndarray, shift: int, width: int) -> np.ndarray:
     return ((hashes >> np.uint64(shift)) & mask).astype(np.int64)
 
 
-def _probe_plan(
-    queries: np.ndarray, corpus: np.ndarray, radius: int, self_join: bool
-):
+def _probe_plan(queries: np.ndarray, corpus: np.ndarray, radius: int):
     """The cheapest MIH plan, or ``None`` when the dense scan costs less.
 
-    Each per-chunk radius fixes the smallest chunk count ``m`` with
-    ``radius // m`` equal to it; more chunks at the same per-chunk
-    radius only add probes and narrower, fuller buckets.  Each option's
-    probe count is exact from the layout alone; its candidate count is
-    exact from one ``bincount`` per chunk, the corpus bucket sizes
-    summed over each occurring query key's flip ball.  Options are
-    costed cheapest floor first, and the search stops once a floor
-    exceeds the best cost.
+    A plan is ``(per_chunk, layout, keys, sizes)``, with the corpus keys
+    and bucket sizes per chunk.
+    Each per-chunk radius fixes the smallest chunk count with it.  An
+    option's probe count is exact from the layout; its candidate count
+    is exact from one ``bincount`` per chunk, the bucket sizes summed
+    over each query key's flip ball.  Options are costed cheapest floor
+    first, until a floor exceeds the best cost.
     """
     n_queries = int(queries.size)
     options = []
@@ -291,117 +229,211 @@ def _probe_plan(
     for floor, per_chunk, layout in sorted(options):
         if floor >= best_cost:
             break
-        corpus_keys, query_keys, sizes = [], [], []
-        work = np.zeros(n_queries, dtype=np.int64)
+        keys, sizes, work = [], [], 0
         for shift, width in layout:
-            ck = _chunk_keys(corpus, shift, width)
-            qk = ck if self_join else _chunk_keys(queries, shift, width)
-            size = np.bincount(ck, minlength=1 << width)
-            present = np.flatnonzero(
-                size if self_join else np.bincount(qk, minlength=1 << width)
+            key = _chunk_keys(corpus, shift, width)
+            size = np.bincount(key, minlength=1 << width)
+            asked = np.bincount(
+                _chunk_keys(queries, shift, width), minlength=1 << width
             )
+            present = np.flatnonzero(asked)
             ball = _flip_ball(width, per_chunk)
-            reach = np.zeros(present.size, dtype=np.int64)
             step = max(1, _PAIR_BUDGET // max(int(present.size), 1))
             for lo in range(0, ball.size, step):
-                flips = ball[None, lo : lo + step]
-                reach += size[present[:, None] ^ flips].sum(axis=1)
-            per_key = np.zeros(1 << width, dtype=np.int64)
-            per_key[present] = reach
-            work += per_key[qk]
-            corpus_keys.append(ck)
-            query_keys.append(qk)
+                reach = size[present[:, None] ^ ball[None, lo : lo + step]]
+                work += int(asked[present] @ reach.sum(axis=1))
+            keys.append(key)
             sizes.append(size)
-        cost = floor + _NS_CANDIDATE * int(work.sum())
+        cost = floor + _NS_CANDIDATE * work
         if cost < best_cost:
             best_cost = cost
-            best = (per_chunk, layout, corpus_keys, query_keys, sizes, work)
+            best = (per_chunk, layout, keys, sizes)
     return best
 
 
 def _dense_pairs(
-    queries: np.ndarray, corpus: np.ndarray, radius: int
+    queries: np.ndarray, corpus: np.ndarray, radius: int, first: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All ``(query, position)`` pairs within ``radius``, by dense scan."""
+    """All ``(query, position)`` pairs within ``radius``, by dense scan.
+
+    With ``first``, query ``i`` is ``corpus[first + i]`` and pairs only
+    with the positions before its own.
+    """
     step = max(1, _PAIR_BUDGET // max(int(corpus.size), 1))
     rows = [np.empty(0, dtype=np.int64)]
     cols = [np.empty(0, dtype=np.int64)]
     for lo in range(0, int(queries.size), step):
-        distances = popcount(queries[lo : lo + step, None] ^ corpus[None, :])
-        row, col = np.nonzero(distances <= radius)
+        block = queries[lo : lo + step, None]
+        end = corpus.size if first is None else first + lo + block.size
+        row, col = np.nonzero(popcount(block ^ corpus[:end]) <= radius)
+        if first is not None:
+            keep = col < first + lo + row
+            row, col = row[keep], col[keep]
         rows.append(row + lo)
         cols.append(col)
     return np.concatenate(rows), np.concatenate(cols)
 
 
-def _probe_pairs(
-    queries: np.ndarray, corpus: np.ndarray, radius: int, plan
-) -> tuple[np.ndarray, np.ndarray]:
-    """All ``(query, position)`` pairs within ``radius``, by MIH probes."""
-    per_chunk, layout, corpus_keys, query_keys, sizes, work = plan
-    n_queries, n_corpus = int(queries.size), int(corpus.size)
-    # The chunks' counting-sort bucket tables, concatenated: chunk c's
-    # bucket k is order[start[slot] : start[slot] + size[slot]] at
-    # slot = base[c] + k, and order holds corpus positions, ascending
-    # within a bucket.
-    flips = [_flip_ball(width, per_chunk) for _, width in layout]
-    probe_chunk = np.repeat(np.arange(len(layout)), [f.size for f in flips])
-    probe_flip = np.concatenate(flips)
-    base = np.cumsum([0] + [1 << width for _, width in layout[:-1]])
-    probe_base = base[probe_chunk]
-    n_probes = int(probe_flip.size)
-    order = np.concatenate(
-        [np.argsort(ck.astype(np.uint16), kind="stable") for ck in corpus_keys]
-    )
-    size = np.concatenate(sizes)
-    start = np.concatenate(
-        [c * n_corpus + np.cumsum(sz) - sz for c, sz in enumerate(sizes)]
-    )
-    keys = np.stack(query_keys, axis=1)
-    # Query blocks whose probes plus candidates fit the pair budget.
-    ends = np.cumsum(work + n_probes)
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    lo = 0
-    while lo < n_queries:
-        spent = int(ends[lo - 1]) if lo else 0
-        cut = np.searchsorted(ends, spent + _PAIR_BUDGET, "right")
-        hi = max(lo + 1, int(cut))
-        slot = (keys[lo:hi, probe_chunk] ^ probe_flip) + probe_base
-        slot = slot.reshape(-1)
-        counts = size[slot]
+class RadiusIndex:
+    """An appendable multi-index-hashing index at one Hamming radius.
+
+    Per chunk, a counting-sort table lists each key's bucket of
+    insertion positions in ascending order (one flat ``order`` array,
+    and each bucket's ``start`` and ``size``).  :func:`_probe_plan`
+    plans the tables for the hashes about to probe (all of an add's)
+    when the index first answers and again once it has doubled; in
+    between, :meth:`add` splices new positions in at the ends of their
+    buckets.  Where the dense scan is cheaper the index scans.
+    ``hashes`` are indexed without joining them to each other.
+    """
+
+    def __init__(self, radius: int, hashes=()) -> None:
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        self.radius = min(int(radius), 64)  # every pair is within 64 bits
+        self.hashes = np.ascontiguousarray(hashes, dtype=np.uint64).reshape(-1)
+        self._planned = 0  # entries at the last plan
+        self._plan = None  # (per_chunk, layout, base), or None to scan
+        self._tabled = 0  # entries in the tables
+
+    def __len__(self) -> int:
+        return int(self.hashes.size)
+
+    def add(self, new, *, span: tuple[int, int] | None = None):
+        """Index ``new``; return ``(a, b)``, the positions of every pair
+        within the radius that it makes with itself or the earlier
+        hashes, each in one orientation, a hash never with itself.
+
+        An added hash probes every bucket for the earlier hashes, but for
+        the other added ones only buckets of a higher key and, in its
+        own, the positions before it; a pair is kept on the first chunk
+        where it is near.  With ``span=(lo, hi)`` only ``new[lo:hi]``
+        probe: the spans of a partition find every pair once, as the plan
+        is made for the whole of ``new`` and so is the same in every span.
+        """
+        n_old = len(self)
+        new = np.ascontiguousarray(new, dtype=np.uint64).reshape(-1)
+        self.hashes = np.concatenate([self.hashes, new])
+        lo, hi = span or (0, new.size)
+        self._prepare(new)
+        row, col = self._find(new[lo:hi], n_old + lo, n_old)
+        return row + (n_old + lo), col
+
+    def query(self, queries):
+        """Every ``(row, position)`` within the radius of ``queries[row]``,
+        each once, inserting nothing."""
+        queries = np.ascontiguousarray(queries, dtype=np.uint64).reshape(-1)
+        self._prepare(queries)
+        return self._find(queries, None, len(self))
+
+    def _prepare(self, queries) -> None:
+        """Plan for the probing ``queries`` while the index scans or once
+        it has doubled since its last plan, else splice new positions in."""
+        n, hashes = len(self), self.hashes
+        if n and (self._plan is None or n >= 2 * self._planned):
+            self._planned = n
+            plan = _probe_plan(queries, hashes, self.radius)
+            self._plan = None
+            if plan is not None:
+                per_chunk, layout, keys, sizes = plan
+                base = np.cumsum([0] + [1 << width for _, width in layout[:-1]])
+                self._plan = (per_chunk, layout, base)
+                self._order = np.concatenate(
+                    [np.argsort(key.astype(np.uint16), kind="stable") for key in keys]
+                )
+                self._size = np.concatenate(sizes)
+                self._tabled = n
+        elif self._plan is not None and self._tabled < n:
+            # Splice in slot order, so ties at one index keep bucket order.
+            slot = self._slots(hashes[self._tabled :]).T.reshape(-1)
+            position = np.tile(np.arange(self._tabled, n), len(self._plan[1]))
+            by_slot = np.argsort(slot, kind="stable")
+            end = np.cumsum(self._size)
+            self._order = np.insert(self._order, end[slot[by_slot]], position[by_slot])
+            self._size += np.bincount(slot, minlength=self._size.size)
+            self._tabled = n
+        else:
+            return  # the tables are as the last call left them
+        if self._plan is not None:
+            self._start = np.cumsum(self._size) - self._size
+
+    def _slots(self, hashes: np.ndarray) -> np.ndarray:
+        """Each hash's bucket per chunk, as indices into the flat tables."""
+        _, layout, base = self._plan
+        keys = [_chunk_keys(hashes, shift, width) for shift, width in layout]
+        return np.stack(keys, axis=1) + base
+
+    def _find(
+        self, queries: np.ndarray, first: int | None, n_old: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(query, position)`` pairs of :meth:`add` or :meth:`query`;
+        with ``first``, query ``i`` is the hash at ``first + i`` and the
+        positions from ``n_old`` on were just added."""
+        corpus, radius = self.hashes, self.radius
+        if self._plan is None:
+            return _dense_pairs(queries, corpus, radius, first)
+        per_chunk, layout, base = self._plan
+        size, start = self._size, self._start
+        below = size  # per bucket, the entries probed from a higher key
+        slots = self._slots(queries)
+        if first is not None:
+            added = self._slots(corpus[n_old:]).reshape(-1)
+            below = size - np.bincount(added, minlength=size.size)
+            where = np.empty(self._order.size, dtype=np.int64)
+            offset = np.arange(len(layout)) * len(self)
+            where[self._order + np.repeat(offset, len(self))] = np.arange(where.size)
+            before = where[np.arange(first, first + queries.size)[:, None] + offset]
+            before -= start[slots]
+        rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        masks = [(np.uint64(s), np.uint64((1 << w) - 1)) for s, w in layout]
+        keys = slots - base
+        for c, (_, width) in enumerate(layout):
+            table = slice(base[c], base[c] + (1 << width))
+            c_size, c_start, c_below = size[table], start[table], below[table]
+            flips = _flip_ball(width, per_chunk)
+            step = max(1, _PAIR_BUDGET // flips.size)
+            for lo in range(0, int(queries.size), step):
+                key = keys[lo : lo + step, c, None]
+                bucket = key ^ flips
+                count = c_size[bucket]
+                if first is not None:
+                    # Lower keys hold only the hashes from before the add,
+                    # the own bucket only the entries before the hash.
+                    count *= bucket > key
+                    if n_old:
+                        count += (bucket < key) * c_below[bucket]
+                    count[:, 0] = before[lo : lo + step, c]
+                for owner, position in _expand(c_start[bucket], count, self._order):
+                    owner += lo
+                    xor = queries[owner] ^ corpus[position]
+                    close = np.flatnonzero(popcount(xor) <= radius)
+                    xor = xor[close]
+                    # Keep a pair on the first chunk where it is near.
+                    keep = np.ones(close.size, dtype=bool)
+                    for shift, mask in masks[:c]:
+                        keep &= popcount((xor >> shift) & mask) > per_chunk
+                    rows.append(owner[close[keep]])
+                    cols.append(position[close[keep]])
+        return np.concatenate(rows), np.concatenate(cols)
+
+
+def _expand(begin: np.ndarray, count: np.ndarray, order: np.ndarray):
+    """Yield ``(row, position)`` for the ranges of ``order`` in each row
+    of ``begin`` and ``count``, in blocks of about the pair budget."""
+    ends = np.cumsum(count.sum(axis=1))
+    top = 0
+    while top < ends.size:
+        spent = int(ends[top - 1]) if top else 0
+        cut = max(top + 1, int(np.searchsorted(ends, spent + _PAIR_BUDGET, "right")))
+        counts = count[top:cut].reshape(-1)
         hit = np.flatnonzero(counts)
         counts = counts[hit]
         stops = np.cumsum(counts)
+        skew = begin[top:cut].reshape(-1)[hit] - stops + counts
         total = int(stops[-1]) if stops.size else 0
-        owner = np.repeat(hit // n_probes, counts)
-        skew = np.repeat(start[slot[hit]] - stops + counts, counts)
-        position = order[np.arange(total) + skew]
-        close = popcount(queries[owner + lo] ^ corpus[position]) <= radius
-        # A pair near on several chunks was found once per chunk: sort
-        # the block's pairs into row order and drop the repeats.
-        pair = np.sort(owner[close] * n_corpus + position[close])
-        if pair.size:
-            pair = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
-        rows.append(pair // n_corpus + lo)
-        cols.append(pair % n_corpus)
-        lo = hi
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _join_pairs(
-    queries: np.ndarray,
-    corpus: np.ndarray,
-    radius: int,
-    self_join: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted ``(query, position)`` pairs of :func:`radius_join`."""
-    radius = min(radius, 64)  # every pair is within 64 bits
-    plan = None
-    if queries.size and corpus.size:
-        plan = _probe_plan(queries, corpus, radius, self_join)
-    if plan is None:
-        return _dense_pairs(queries, corpus, radius)
-    return _probe_pairs(queries, corpus, radius, plan)
+        position = order[np.arange(total) + np.repeat(skew, counts)]
+        yield np.repeat(hit // count.shape[1] + top, counts), position
+        top = cut
 
 
 def radius_join(
@@ -411,28 +443,10 @@ def radius_join(
 
     Row ``i`` of the returned :class:`NeighborGraph` is the sorted,
     duplicate-free ``int64`` array of every ``j`` with
-    ``hamming(queries[i], corpus[j]) <= radius``; passing one array as
-    both arguments is the self-join, where every row holds its own
-    index.
-
-    Whole-array MIH: per chunk, a counting-sort bucket table over the
-    corpus keys (``bincount`` plus ``cumsum``); every query's chunk key
-    XOR each flip mask of the ``radius // m`` ball picks a bucket; the
-    bucket ranges expand into candidate pairs, verified by one
-    ``popcount``, and a pair found through several chunks is kept once.
-    ``m`` is chosen from the exact probe and candidate counts of each
-    option (see :func:`_probe_plan`), and where the dense scan costs
-    less it runs instead.  Both paths work in query blocks of about
-    ``2**18`` pairs.
+    ``hamming(queries[i], corpus[j]) <= radius``: one
+    :meth:`RadiusIndex.query`, sorted into rows.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    self_join = corpus is queries
+    index = RadiusIndex(radius, corpus)
     queries = np.ascontiguousarray(queries, dtype=np.uint64).reshape(-1)
-    corpus = (
-        queries
-        if self_join
-        else np.ascontiguousarray(corpus, dtype=np.uint64).reshape(-1)
-    )
-    row, col = _join_pairs(queries, corpus, int(radius), self_join)
-    return NeighborGraph.from_pairs(row, col, int(queries.size), presorted=True)
+    row, col = index.query(queries)
+    return NeighborGraph.from_pairs(row, col, queries.size, width=len(index))

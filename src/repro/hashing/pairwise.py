@@ -3,12 +3,13 @@
 The paper performed all-pairs comparisons of millions of pHashes on a
 TensorFlow multi-GPU rig.  This module provides the same contract at
 laptop scale: radius neighbourhoods (the only thing DBSCAN actually
-needs) from the batched join :func:`repro.hashing.index.radius_join`.
-The cold self-join (:func:`radius_neighbors`, sharded across workers when a
-:class:`repro.utils.parallel.ParallelConfig` asks for it, with output
-identical to the serial computation) and the incremental merge
-(:func:`merge_radius_neighbors`), which the cache's delta path and the
-stream's compaction share, run that one kernel, and both hand on a
+needs) from one :class:`repro.hashing.index.RadiusIndex`, whose ``add``
+finds each pair once.  The cold self-join (:func:`radius_neighbors`,
+one ``add`` on an empty index, sharded by query range when a
+:class:`repro.utils.parallel.ParallelConfig` asks for it) and the
+incremental merge (:func:`merge_radius_neighbors`, an ``add`` of the
+new hashes to the index over the old, shared by the cache's delta path
+and the stream's compaction) both hand on a
 :class:`repro.hashing.index.NeighborGraph`.
 
 :func:`nearest_medoid` is Step 6's θ-match: the one kernel behind
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
+from repro.hashing.index import NeighborGraph, RadiusIndex
 from repro.utils.bitops import popcount
 from repro.utils.parallel import (
     Executor,
@@ -76,39 +77,18 @@ def nearest_medoid(
     return position, distance
 
 
-# Collections up to this many hashes take the blocked dense scan;
-# larger ones take the join, which picks its own plan per range.
-_DENSE_LIMIT = 2000
-
-
 def _neighbors_shard(
-    hashes: np.ndarray, start: int, stop: int, radius: int, dense: bool
+    hashes: np.ndarray, start: int, stop: int, radius: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour rows of the query range ``start:stop`` against all hashes.
-
-    Module-level so process workers can receive pickled shards.
-    Returns the rows flat, as ``(row lengths, concatenated rows)``: two
-    arrays pickle back from a worker far cheaper than one array per row.
-    ``dense`` forces the blocked dense scan; otherwise the join picks
-    its plan for the range.
-    """
-    whole = start == 0 and stop == hashes.size
-    queries = hashes if whole else hashes[start:stop]
-    if dense:
-        row, col = _dense_pairs(queries, hashes, radius)
-    else:
-        row, col = _join_pairs(queries, hashes, radius, self_join=whole)
-    return np.bincount(row, minlength=queries.size), col
+    """The pairs that ``hashes[start:stop]`` find in a cold self-join:
+    the ranges of a partition find each once.  Module-level so process
+    workers can receive pickled shards."""
+    return RadiusIndex(radius).add(hashes, span=(start, stop))
 
 
-def _merge_neighbor_parts(
-    parts: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reassemble flat query-range outputs in range order."""
-    return (
-        np.concatenate([lengths for lengths, _ in parts]),
-        np.concatenate([col for _, col in parts]),
-    )
+def _merge_neighbor_parts(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of consecutive query ranges, together."""
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def radius_neighbors(
@@ -127,13 +107,13 @@ def radius_neighbors(
         Maximum Hamming distance (inclusive).
     parallel:
         Optional :class:`repro.utils.parallel.ParallelConfig`.  Queries
-        are sharded over contiguous ranges and reassembled in range
-        order, identical to the serial path for any worker count and
+        are sharded over contiguous ranges, each finding its share of
+        the pairs, identical to the serial path for any worker count and
         backend.
 
-    Up to 2,000 hashes every pair is scanned; above that the self-join
-    :func:`repro.hashing.index.radius_join` runs.  Both give the same
-    rows.
+    One :meth:`repro.hashing.index.RadiusIndex.add` of every hash on an
+    empty index finds each pair once; the pairs, mirrored, and the
+    diagonal are sorted once into the graph.
 
     Returns
     -------
@@ -144,25 +124,23 @@ def radius_neighbors(
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-    if hashes.size == 0:
-        return NeighborGraph.from_rows([])
-    dense = hashes.size <= _DENSE_LIMIT
+    hashes = np.ascontiguousarray(hashes, dtype=np.uint64).reshape(-1)
+    n = int(hashes.size)
     parallel = resolve_parallel(parallel)
-    if parallel.is_serial or hashes.size < parallel.workers * 2:
-        return NeighborGraph.from_lengths(
-            *_neighbors_shard(hashes, 0, int(hashes.size), radius, dense)
+    if parallel.is_serial or n < parallel.workers * 2:
+        a, b = _neighbors_shard(hashes, 0, n, radius)
+    else:
+        parts = Executor(parallel).supervised_starmap(
+            _neighbors_shard,
+            [
+                (hashes, start, stop, radius)
+                for start, stop in shard_bounds(n, parallel)
+            ],
+            split=range_splitter(1, 2),
+            merge=_merge_neighbor_parts,
         )
-    parts = Executor(parallel).supervised_starmap(
-        _neighbors_shard,
-        [
-            (hashes, start, stop, radius, dense)
-            for start, stop in shard_bounds(hashes.size, parallel)
-        ],
-        split=range_splitter(1, 2),
-        merge=_merge_neighbor_parts,
-    )
-    return NeighborGraph.from_lengths(*_merge_neighbor_parts(parts))
+        a, b = _merge_neighbor_parts(parts)
+    return NeighborGraph.from_join(a, b, n)
 
 
 def merge_radius_neighbors(
@@ -176,11 +154,12 @@ def merge_radius_neighbors(
     Both hash sets are strictly increasing (``np.unique`` output), and
     ``prev_graph`` is the graph over ``prev_unique``.  Equal sets return
     ``prev_graph`` itself.  When ``prev_unique`` is a strict subset, the
-    result is bit-identical to a cold ``radius_neighbors(unique,
-    radius)``: the old pairs re-keyed into ``unique``'s positions, the
-    join of the added hashes against ``unique`` and its transpose onto
-    the old hashes, sorted once.  Any other ``prev_unique`` returns
-    ``None``, and the caller computes the graph cold.
+    hashes new to ``unique`` go into a
+    :class:`~repro.hashing.index.RadiusIndex` built over ``prev_unique``,
+    and the pairs its ``add`` returns are inserted into the
+    old rows moved to their positions in ``unique``: bit-identical to a
+    cold ``radius_neighbors(unique, radius)``.  Any other ``prev_unique``
+    returns ``None``, and the caller computes the graph cold.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -204,14 +183,10 @@ def merge_radius_neighbors(
     added = np.ones(unique.size, dtype=bool)
     added[position] = False
     added_at = np.flatnonzero(added)
-    row, col = _join_pairs(unique[added_at], unique, int(radius))
-    row = added_at[row]
-    old = ~added[col]
-    return NeighborGraph.from_pairs(
-        np.concatenate([position[prev_graph.owners()], row, col[old]]),
-        np.concatenate([position[prev_graph.indices], col, row[old]]),
-        int(unique.size),
-    )
+    # The index holds the old hashes, then the added ones.
+    where = np.concatenate([position, added_at])
+    a, b = RadiusIndex(radius, prev).add(unique[added_at])
+    return prev_graph.grown(position, int(unique.size), where[a], where[b], added_at)
 
 
 def unique_hashes(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

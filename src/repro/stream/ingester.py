@@ -4,7 +4,8 @@
 :class:`repro.stream.EventSource` cursor) and maintains the pipeline's
 index/cluster/association state online, on top of the incremental
 primitives the batch runner already trusts (each compaction grows the
-last compaction's radius graph with
+last compaction's radius graph with the pairs of the hashes new since
+it through
 :func:`repro.hashing.pairwise.merge_radius_neighbors`, the cache's
 subset merge; suffix-only association; deterministic DBSCAN
 re-derivation).
@@ -78,7 +79,7 @@ from repro.core.results import (
 )
 from repro.core.runner import build_occurrence_table, medoid_map
 from repro.hashing.index import NeighborGraph
-from repro.hashing.pairwise import merge_radius_neighbors, radius_neighbors
+from repro.hashing.pairwise import merge_radius_neighbors
 from repro.service.admission import AdmissionQueue
 from repro.stream.config import StreamConfig
 from repro.stream.wal import WALError, WriteAheadLog
@@ -659,28 +660,27 @@ class StreamIngester:
     ) -> tuple[CommunityClustering, NeighborGraph]:
         """Steps 2-3 over the community's applied posts, and their graph.
 
-        The radius graph grows from the last compaction's through
-        :func:`repro.hashing.pairwise.merge_radius_neighbors` (cold
-        :func:`~repro.hashing.pairwise.radius_neighbors` before the
-        first), bit-identical to a cold join over the same unique set,
-        and labels and medoids are re-derived from it exactly as the
+        The posts applied since the last compaction merge their unique
+        hashes and counts into its, and
+        :func:`repro.hashing.pairwise.merge_radius_neighbors` grows its
+        graph with the pairs of the new hashes, bit-identical to a cold
+        join; labels and medoids are re-derived from it exactly as the
         batch runner's cached path does.
         """
-        posts = self.posts
-        unique, counts = np.unique(
-            posts.phash[posts.in_community(community)], return_counts=True
-        )
         eps = self.config.clustering_eps
-        graph = None
-        if self._clusterings is not None:
-            graph = merge_radius_neighbors(
-                self._clusterings[community].unique_hashes,
-                self._graphs[community],
-                unique,
-                eps,
-            )
-        if graph is None:
-            graph = radius_neighbors(unique, eps)
+        old = (self._clusterings or {}).get(community)
+        old_unique = np.empty(0, np.uint64) if old is None else old.unique_hashes
+        posts = self.posts[self._compact_base_events :]
+        unique, inverse = np.unique(
+            np.concatenate([old_unique, posts.phash[posts.in_community(community)]]),
+            return_inverse=True,
+        )
+        counts = np.bincount(inverse[old_unique.size :], minlength=unique.size)
+        if old is not None:
+            counts[inverse[: old_unique.size]] += old.counts
+        graph = merge_radius_neighbors(
+            old_unique, self._graphs.get(community, []), unique, eps
+        )
         clustering = clustering_from_neighbors(
             community, unique, counts, graph, self.config
         )

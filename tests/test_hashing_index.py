@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.bench_ablation_index import BKTree
-from repro.hashing.index import MultiIndexHash, _bytes_within
+from repro.hashing.index import MultiIndexHash
 from repro.utils.bitops import hamming_to_many
 
 hash_lists = st.lists(
@@ -17,17 +17,6 @@ hash_lists = st.lists(
 def brute_force(hashes: np.ndarray, query: int, radius: int) -> set[int]:
     distances = hamming_to_many(np.uint64(query), hashes)
     return set(np.flatnonzero(distances <= radius).tolist())
-
-
-class TestBytesWithin:
-    def test_radius_zero(self):
-        assert _bytes_within(0x5A, 0) == [0x5A]
-
-    def test_radius_one_size(self):
-        assert len(_bytes_within(0, 1)) == 9  # itself + 8 single-bit flips
-
-    def test_radius_two_size(self):
-        assert len(_bytes_within(0, 2)) == 1 + 8 + 28
 
 
 class TestBKTree:
@@ -83,13 +72,6 @@ class TestMultiIndexHash:
         hashes = np.array([10, 8, 10, 11], dtype=np.uint64)
         index = MultiIndexHash(hashes)
         assert list(index.query_indices(10, 2)) == [0, 1, 2, 3]
-
-    def test_radius_neighbors_includes_self(self):
-        rng = np.random.default_rng(0)
-        hashes = rng.integers(0, 2**64, size=30, dtype=np.uint64)
-        neighbors = MultiIndexHash(hashes).radius_neighbors(8)
-        for i, row in enumerate(neighbors):
-            assert i in set(row.tolist())
 
     def test_large_radius_pigeonhole_still_exact(self):
         # radius 23 -> per-chunk distance 2: exercises deeper probing.

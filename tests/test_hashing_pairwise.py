@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.communities.models import PostTable
-from repro.hashing.index import NeighborGraph, _dense_pairs, _join_pairs
+from repro.hashing.index import NeighborGraph, RadiusIndex, _dense_pairs
 from repro.hashing.pairwise import (
-    _DENSE_LIMIT,
     merge_radius_neighbors,
     nearest_medoid,
     radius_neighbors,
@@ -32,10 +31,8 @@ def dense_graph(hashes, radius):
 
 
 def join_graph(hashes, radius):
-    """The graph of a forced self-join, at any collection size."""
-    return NeighborGraph.from_pairs(
-        *_join_pairs(hashes, hashes, radius, self_join=True), hashes.size
-    )
+    """The graph of a forced index self-join, at any collection size."""
+    return NeighborGraph.from_join(*RadiusIndex(radius).add(hashes), hashes.size)
 
 
 def clustered_hashes(n_bases: int, members: int, seed: int = 0) -> np.ndarray:
@@ -126,7 +123,8 @@ class TestRadiusNeighbors:
     @pytest.mark.parametrize("method", ["brute", "mih"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_matches_serial(self, method, backend):
-        n_bases = {"brute": 40, "mih": _DENSE_LIMIT // 5 + 20}[method]
+        # 200 clustered hashes plan the dense scan, 2,100 plan MIH.
+        n_bases = {"brute": 40, "mih": 420}[method]
         hashes = clustered_hashes(n_bases, 5, seed=3)
         serial = radius_neighbors(hashes, 8)
         parallel = radius_neighbors(
@@ -137,10 +135,12 @@ class TestRadiusNeighbors:
             assert np.array_equal(row_s, row_p)
 
     def test_auto_switches_to_mih(self):
-        # Past the dense limit radius_neighbors runs the join; its rows
-        # must equal a forced dense scan's.
-        hashes = clustered_hashes(_DENSE_LIMIT // 5 + 100, 5, seed=2)
-        assert hashes.size > _DENSE_LIMIT
+        # A collection this large plans MIH; its rows must equal a
+        # forced dense scan's.
+        hashes = clustered_hashes(500, 5, seed=2)
+        index = RadiusIndex(8)
+        index.add(hashes)
+        assert index._plan is not None
         auto = radius_neighbors(hashes, 8)
         dense = dense_graph(hashes, 8)
         assert np.array_equal(auto.indptr, dense.indptr)

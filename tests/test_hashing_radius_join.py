@@ -20,9 +20,9 @@ import pytest
 from repro.hashing import index
 from repro.hashing.index import (
     NeighborGraph,
+    RadiusIndex,
     _chunk_layout,
     _dense_pairs,
-    _join_pairs,
     radius_join,
 )
 from repro.hashing.pairwise import merge_radius_neighbors, radius_neighbors
@@ -144,6 +144,26 @@ def mode(request, monkeypatch):
     return request.param
 
 
+def index_graph(radius, hashes):
+    """The graph of one ``add`` of ``hashes`` to an empty index."""
+    return NeighborGraph.from_join(*RadiusIndex(radius).add(hashes), hashes.size)
+
+
+def spans_graph(radius, hashes, cuts):
+    """The graph of the ranges between ``cuts``, each a cold ``add``
+    with its own span, as the sharded cold join runs them; no pair may
+    be found twice."""
+    parts = [
+        RadiusIndex(radius).add(hashes, span=(lo, hi))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    a = np.concatenate([part[0] for part in parts])
+    b = np.concatenate([part[1] for part in parts])
+    n = hashes.size
+    assert np.unique(np.minimum(a, b) * n + np.maximum(a, b)).size == a.size
+    return NeighborGraph.from_join(a, b, n)
+
+
 def assert_rows_equal(got, expected, label):
     assert len(got) == len(expected), label
     for i, (row, ref) in enumerate(zip(got, expected)):
@@ -161,6 +181,119 @@ def test_self_join_matches_reference(radius, mode):
         assert_rows_equal(
             radius_neighbors(hashes, radius), expected, f"{name} neighbors"
         )
+        assert_rows_equal(
+            index_graph(radius, hashes), expected, f"{name} index"
+        )
+
+
+def shared_key_hashes(radius, size=80, seed=2):
+    """Hashes equal on their low 16 bits, so every chunk layout puts all
+    of them in one bucket of its first chunk, with partners within the
+    radius above it."""
+    rng = np.random.default_rng(seed + radius)
+    low = int(rng.integers(0, 1 << 16))
+    bases = rng.integers(0, 2**48, size=size // 4, dtype=np.uint64)
+    out = []
+    for base in bases.tolist():
+        for _ in range(4):
+            count = int(rng.integers(0, min(radius + 2, 48)))
+            flips = rng.choice(48, size=count, replace=False)
+            value = base ^ sum(1 << int(bit) for bit in flips)
+            out.append((value << 16) | low)
+    return np.array(out, dtype=np.uint64)
+
+
+def many_chunk_hashes(radius, seed=3):
+    """Partners whose flipped bits sit in one window of at most the
+    radius, so the pair is exact on most chunks at once, and on the
+    chunks the window straddles may or may not be near."""
+    rng = np.random.default_rng(seed + radius)
+    out = []
+    for _ in range(12):
+        base = int(rng.integers(0, 2**64, dtype=np.uint64))
+        out.extend([base, base])
+        for width in {0, 1, radius // 2, radius, radius + 1}:
+            width = min(width, 64)
+            low = int(rng.integers(0, 64 - width + 1))
+            out.append(base ^ (((1 << width) - 1) << low))
+    return np.array(out, dtype=np.uint64)
+
+
+def top_bit_hashes(seed=4):
+    """For every chunk of every layout, a base with the chunk's top bit
+    clear and partners whose chunk key differs in that bit alone, or in
+    it and the bit below: the flip's top bit is clear in the base's key
+    and set in the partners'."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for top in sorted({cut - 1 for cut in chunk_cuts()} | {63}):
+        base = int(rng.integers(0, 2**64, dtype=np.uint64)) & ~(1 << top)
+        out.extend([base, base | (1 << top), base | (3 << (top - 1))])
+    return np.array(out, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("radius", range(13))
+@pytest.mark.parametrize("name", ["shared-key", "many-chunks", "top-bit"])
+def test_index_rules_match_reference(radius, name, mode):
+    hashes = {
+        "shared-key": shared_key_hashes,
+        "many-chunks": many_chunk_hashes,
+        "top-bit": lambda radius: top_bit_hashes(),
+    }[name](radius)
+    expected = reference_rows(hashes, hashes, radius)
+    assert_rows_equal(index_graph(radius, hashes), expected, name)
+    cuts = [0, hashes.size // 3, hashes.size // 2, hashes.size]
+    assert_rows_equal(spans_graph(radius, hashes, cuts), expected, f"{name} spans")
+
+
+def low_bit_clusters(n_bases=400, members=5, seed=5):
+    """Clusters whose members differ from their base in the low four
+    bits only, so a pair is near on the first chunk of every layout
+    under two different keys."""
+    rng = np.random.default_rng(seed)
+    bases = rng.integers(0, 2**64, size=n_bases, dtype=np.uint64)
+    out = np.repeat(bases, members)
+    return out ^ rng.integers(0, 16, size=out.size, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("radius", [8, 12])
+def test_uneven_spans_find_every_pair_once(radius):
+    # Under the automatic plan a one-hash span costs less scanned than
+    # probed and its neighbour the other way round: every span must run
+    # the plan of the whole add, or the key rule of one and the position
+    # rule of the other lose or repeat the pairs between them.
+    hashes = low_bit_clusters()
+    n = hashes.size
+    index = RadiusIndex(radius)
+    index.add(hashes)
+    assert index._plan is not None and index._plan[0] >= 1
+    expected = reference_rows(hashes, hashes, radius)
+    for cuts in ([0, 1, n], [0, n - 1, n], [0, n // 2, n // 2 + 1, n]):
+        assert_rows_equal(spans_graph(radius, hashes, cuts), expected, f"{cuts}")
+
+
+@pytest.mark.parametrize("radius", [0, 2, 8, 12, 64])
+@pytest.mark.parametrize("batches", [1, 2, 7])
+def test_index_grown_in_batches_is_cold_graph(radius, batches, mode):
+    rng = np.random.default_rng(radius * 10 + batches)
+    hashes = rng.permutation(
+        np.concatenate([cases(radius)["mixed"], many_chunk_hashes(radius)])
+    )
+    cuts = np.sort(rng.choice(np.arange(1, hashes.size), batches - 1, replace=False))
+    # One index takes every batch: it plans, splices and re-plans.
+    index = RadiusIndex(radius)
+    parts = [index.add(batch) for batch in np.split(hashes, cuts)]
+    a, b = (np.concatenate(side) for side in zip(*parts))
+    expected = reference_rows(hashes, hashes, radius)
+    assert_rows_equal(NeighborGraph.from_join(a, b, hashes.size), expected, "index")
+    # The merge grows the graph over the unique hashes batch by batch.
+    unique = np.unique(hashes)
+    prev, graph = unique[:0], NeighborGraph.from_rows([])
+    for batch in np.split(hashes, cuts):
+        grown = np.union1d(prev, batch)
+        graph = merge_radius_neighbors(prev, graph, grown, radius)
+        prev = grown
+    assert_rows_equal(graph, reference_rows(unique, unique, radius), "merged")
 
 
 @pytest.mark.parametrize("radius", RADII)
@@ -191,9 +324,7 @@ def test_radius_neighbors_methods_match_reference(radius):
         "dense": NeighborGraph.from_pairs(
             *_dense_pairs(hashes, hashes, radius), hashes.size
         ),
-        "join": NeighborGraph.from_pairs(
-            *_join_pairs(hashes, hashes, radius, self_join=True), hashes.size
-        ),
+        "join": index_graph(radius, hashes),
         "radius_neighbors": radius_neighbors(hashes, radius),
     }
     for label, graph in graphs.items():
