@@ -1,33 +1,30 @@
 #!/usr/bin/env python
-"""Benchmark the parallel hot-path layer against the serial baseline.
+"""Benchmark the batched radius join and the association fan-out.
 
 Standalone (not pytest-benchmark): run as
 
     PYTHONPATH=src python benchmarks/bench_parallel.py [--workers 4]
         [--smoke] [--output BENCH_parallel.json]
 
-Measures the two parallelised hot paths on synthetic workloads sized
-like the paper's per-community image multisets:
+Measures two hot paths on synthetic workloads sized like the paper's
+per-community image multisets:
 
-* ``radius_neighbors`` (the batched join, which it runs above 2,000
-  hashes) on a clustered 50k-hash multiset — the DBSCAN Step-2/3
-  bottleneck and the headline number: the batched join against the
-  per-query reference path;
-* ``associate_hashes`` (Step 6) sharded over unique hashes.
+* ``radius_neighbors`` on a clustered 50k-hash multiset — the DBSCAN
+  Step-2/3 bottleneck and the headline number: the serial join (one
+  :class:`repro.hashing.index.RadiusIndex` add, each pair found once)
+  against the per-query reference path;
+* ``associate_hashes`` (Step 6), the one supervised fan-out, sharded
+  over unique hashes, against its serial run.
 
-The per-cluster Hawkes fits have no fan-out: one stacked EM fits every
-cluster of a study, and on 2 CPUs it beat a cluster-shard fan-out on
-both pool backends.
+The join has no fan-out: serial, it beat a query-range process fan-out
+on 2 CPUs.  The per-cluster Hawkes fits have none either: one stacked
+EM fits every cluster of a study, and on 2 CPUs it beat a cluster-shard
+fan-out on both pool backends.
 
-Every record verifies the parallel output element-for-element against
-serial before reporting a speedup — a fast wrong answer scores zero.
-
-Note on mechanism: the headline win is algorithmic, not core-count.
-The batched join (:func:`repro.hashing.index.radius_join`) replaced the
-per-query reference path for serial callers too (reported as
-``speedup``); ``parallel_vs_serial`` is what the process fan-out adds
-on top (fresh pool per fan-out, shards pickled to the workers), so on
-few-core hosts it is what the cores give and no more.
+Every record verifies its output element-for-element against a
+reference before reporting a speedup — a fast wrong answer scores zero.
+The join's ``speedup`` is algorithmic, not core-count: batching against
+one lookup per hash.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import platform
 import sys
 import time
 from dataclasses import replace
-from statistics import median
 
 import numpy as np
 
@@ -74,32 +70,7 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def _paired_medians(serial_fn, parallel_fn, rounds: int = 3):
-    """Alternate serial/parallel runs; each side's last result and median.
-
-    Alternating which side runs first makes slow host drift hit both
-    sides equally, and the median keeps one scheduler stall from
-    deciding the ratio.
-    """
-    times = {"serial": [], "parallel": []}
-    results = {}
-    for round_index in range(rounds):
-        order = ("serial", "parallel") if round_index % 2 == 0 else (
-            "parallel", "serial"
-        )
-        for side in order:
-            fn = serial_fn if side == "serial" else parallel_fn
-            results[side], elapsed = _timed(fn)
-            times[side].append(elapsed)
-    return (
-        results["serial"],
-        median(times["serial"]),
-        results["parallel"],
-        median(times["parallel"]),
-    )
-
-
-def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
+def bench_radius_neighbors(n_hashes: int) -> dict:
     hashes = clustered_hashes(n_hashes // 10, 10)
     # Per-query reference: one MultiIndexHash lookup per hash.  This was
     # radius_neighbors' serial implementation before batched kernels
@@ -111,14 +82,9 @@ def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
         return [index.query_indices(int(value), 8) for value in hashes]
 
     reference, reference_s = _timed(per_query)
-    serial, serial_s, par, parallel_s = _paired_medians(
-        lambda: radius_neighbors(hashes, 8),
-        lambda: radius_neighbors(hashes, 8, parallel=parallel),
-    )
-    identical = (
-        len(serial) == len(par) == len(reference)
-        and all(np.array_equal(a, b) for a, b in zip(serial, par))
-        and all(np.array_equal(a, b) for a, b in zip(serial, reference))
+    serial, serial_s = _timed(lambda: radius_neighbors(hashes, 8))
+    identical = len(serial) == len(reference) and all(
+        np.array_equal(a, b) for a, b in zip(serial, reference)
     )
     return {
         "name": "radius_neighbors_mih",
@@ -126,11 +92,8 @@ def bench_radius_neighbors(n_hashes: int, parallel: ParallelConfig) -> dict:
         "radius": 8,
         "per_query_s": reference_s,
         "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        # Batched serial kernel vs the per-query reference.
+        # Batched serial join vs the per-query reference.
         "speedup": reference_s / serial_s if serial_s else float("inf"),
-        # The process fan-out against serial.
-        "parallel_vs_serial": serial_s / parallel_s if parallel_s else float("inf"),
         "identical": identical,
     }
 
@@ -290,25 +253,26 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workers={args.workers} (effective={capped}) "
           f"backend={args.backend} cpus={os.cpu_count()} "
           f"smoke={args.smoke}", flush=True)
-    for record in (
-        bench_radius_neighbors(sizes["neighbors"], parallel),
-        bench_association(sizes["assoc"], sizes["medoids"], parallel),
-    ):
-        records.append(record)
-        extra = (
-            f"  [per-query={record['per_query_s']:.3f}s, "
-            f"parallel/serial={record['parallel_vs_serial']:.2f}x]"
-            if "per_query_s" in record
-            else ""
-        )
-        print(
-            f"  {record['name']:32s} n={record['n_items']:>7,}  "
-            f"serial={record['serial_s']:8.3f}s  "
-            f"parallel={record['parallel_s']:8.3f}s  "
-            f"speedup={record['speedup']:5.2f}x  "
-            f"identical={record['identical']}{extra}",
-            flush=True,
-        )
+    join = bench_radius_neighbors(sizes["neighbors"])
+    records.append(join)
+    print(
+        f"  {join['name']:32s} n={join['n_items']:>7,}  "
+        f"per-query={join['per_query_s']:8.3f}s  "
+        f"serial={join['serial_s']:8.3f}s  "
+        f"speedup={join['speedup']:5.2f}x  "
+        f"identical={join['identical']}",
+        flush=True,
+    )
+    association = bench_association(sizes["assoc"], sizes["medoids"], parallel)
+    records.append(association)
+    print(
+        f"  {association['name']:32s} n={association['n_items']:>7,}  "
+        f"serial={association['serial_s']:8.3f}s  "
+        f"parallel={association['parallel_s']:8.3f}s  "
+        f"speedup={association['speedup']:5.2f}x  "
+        f"identical={association['identical']}",
+        flush=True,
+    )
 
     overhead = bench_supervision_overhead(parallel)
     records.append(overhead)
@@ -345,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {output}")
 
     if not all(record["identical"] for record in records):
-        print("FAIL: parallel output differs from serial", file=sys.stderr)
+        print("FAIL: output differs from its reference", file=sys.stderr)
         return 1
     if not overhead["clean_path"]:
         print(
@@ -360,18 +324,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    headline = records[0]
-    if not args.smoke and headline["speedup"] < 2.0:
+    if not args.smoke and join["speedup"] < 2.0:
         print(
             f"FAIL: headline batched-vs-per-query speedup "
-            f"{headline['speedup']:.2f}x < 2x",
-            file=sys.stderr,
-        )
-        return 1
-    if not args.smoke and headline["parallel_vs_serial"] < 1.5:
-        print(
-            f"FAIL: process fan-out at "
-            f"{headline['parallel_vs_serial']:.2f}x < 1.5x vs serial",
+            f"{join['speedup']:.2f}x < 2x",
             file=sys.stderr,
         )
         return 1

@@ -22,7 +22,6 @@ from repro.annotation.matcher import DEFAULT_THETA
 from repro.utils.parallel import (
     Executor,
     ParallelConfig,
-    array_splitter,
     resolve_parallel,
     shard_bounds,
 )
@@ -131,7 +130,6 @@ def associate_hashes(
                 (unique[start:stop], id_array, medoid_array, theta)
                 for start, stop in shard_bounds(unique.size, parallel)
             ],
-            split=array_splitter(0),
             merge=_merge_association_parts,
         )
         unique_cluster, unique_distance = _merge_association_parts(parts)

@@ -46,8 +46,8 @@ All commands share ``--seed``, ``--events-unit`` and ``--noise-scale``
 controlling the synthetic world's scale, plus ``--max-retries``
 (transient-failure retries per stage item).
 
-``--workers N`` fans the hot paths (clustering neighbourhoods,
-association, per-cluster Hawkes fits) out over N workers;
+``--workers N`` fans Step 6 association (the one supervised fan-out)
+out over N workers;
 ``--parallel-backend`` picks ``thread`` or ``process`` (default
 ``auto`` = process for N > 1; process shards travel as pickled numpy
 arrays).  Output is bit-identical for any worker count and backend::
@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers for the hot paths (default: REPRO_WORKERS "
-        "env var, else 1 = serial; output is identical for any value)",
+        help="parallel workers for Step 6 association (default: "
+        "REPRO_WORKERS env var, else 1 = serial; output is identical for "
+        "any value)",
     )
     parser.add_argument(
         "--parallel-backend",

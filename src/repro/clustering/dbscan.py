@@ -19,7 +19,6 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.hashing.index import NeighborGraph
 from repro.hashing.pairwise import radius_neighbors
-from repro.utils.parallel import ParallelConfig
 
 __all__ = ["NOISE", "DBSCANResult", "dbscan", "dbscan_from_neighbors"]
 
@@ -146,7 +145,6 @@ def dbscan(
     eps: int = 8,
     min_samples: int = 5,
     counts: np.ndarray | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> DBSCANResult:
     """DBSCAN over 64-bit pHashes with the Hamming metric.
 
@@ -161,15 +159,11 @@ def dbscan(
     counts:
         Optional image multiplicity per hash (see
         :func:`dbscan_from_neighbors`).
-    parallel:
-        Optional executor config for the neighbourhood computation (the
-        clustering hot path).  Neighbour lists are deterministic for any
-        worker count, so labels and cluster ids never depend on it.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
     hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
-    neighbors = radius_neighbors(hashes, eps, parallel=parallel)
+    neighbors = radius_neighbors(hashes, eps)
     return dbscan_from_neighbors(neighbors, min_samples=min_samples, counts=counts)
 
 
@@ -178,7 +172,6 @@ def dbscan_images(
     *,
     eps: int = 8,
     min_samples: int = 5,
-    parallel: ParallelConfig | None = None,
 ) -> tuple[DBSCANResult, np.ndarray, np.ndarray]:
     """Cluster an image multiset the way the paper does (Step 3).
 
@@ -200,11 +193,5 @@ def dbscan_images(
     # multi-dimensional arrays; flatten explicitly so image_labels stays
     # 1-D on both numpy 1.26 and 2.x.
     inverse = inverse.reshape(-1)
-    result = dbscan(
-        unique,
-        eps=eps,
-        min_samples=min_samples,
-        counts=counts,
-        parallel=parallel,
-    )
+    result = dbscan(unique, eps=eps, min_samples=min_samples, counts=counts)
     return result, unique, result.labels[inverse]

@@ -45,20 +45,11 @@ def cluster_community(
     community: str,
     posts: PostTable,
     config: PipelineConfig,
-    *,
-    parallel=None,
 ) -> CommunityClustering:
-    """Steps 2-3 for one fringe community's image multiset.
-
-    ``parallel`` (a :class:`repro.utils.parallel.ParallelConfig`) shards
-    the radius-neighbourhood computation; labels are identical for any
-    worker count.
-    """
+    """Steps 2-3 for one fringe community's image multiset."""
     image_hashes = posts.phash[posts.in_community(community)]
     unique, counts = np.unique(image_hashes, return_counts=True)
-    neighbors = radius_neighbors(
-        unique, config.clustering_eps, parallel=parallel
-    )
+    neighbors = radius_neighbors(unique, config.clustering_eps)
     return clustering_from_neighbors(community, unique, counts, neighbors, config)
 
 

@@ -161,8 +161,8 @@ class RunnerOptions:
         ``None`` takes the world's own ``config.seed``, falling back
         to 0 — this is what threads the world seed into Step 4.
     parallel:
-        Executor config for the hot paths (clustering neighbourhoods,
-        Step 6 association).  ``None`` falls back to the
+        Executor config for Step 6 association, the one supervised
+        fan-out.  ``None`` falls back to the
         ``REPRO_WORKERS``/``REPRO_PARALLEL_BACKEND`` environment, then
         to serial.  Results are bit-identical for any worker count, so
         cache entries written under different worker counts are
@@ -213,9 +213,8 @@ class PipelineRunner:
         self.options = options or RunnerOptions()
         self.parallel = resolve_parallel(self.options.parallel)
         if self.options.faults is not None and self.parallel.chaos is None:
-            # Thread the fault plan into every supervised fan-out the
-            # config reaches (clustering neighbourhoods, association)
-            # so parallel:shard / parallel:worker faults fire.
+            # Thread the fault plan into the supervised association
+            # fan-out so parallel:shard / parallel:worker faults fire.
             self.parallel = replace(
                 self.parallel, chaos=self.options.faults.parallel_directive
             )
@@ -336,9 +335,7 @@ class PipelineRunner:
         from repro.core.pipeline import cluster_community, clustering_from_neighbors
 
         if self.cache is None:
-            return cluster_community(
-                community, self.posts, self.config, parallel=self.parallel
-            )
+            return cluster_community(community, self.posts, self.config)
         image_hashes = self.posts.phash[self.posts.in_community(community)]
         if image_hashes.size == 0:
             return self._empty_clustering(community)
@@ -368,9 +365,7 @@ class PipelineRunner:
             )
         if neighbors is None:
             stats.misses += 1  # cold, shrunk or disjoint input: recompute
-            neighbors = radius_neighbors(
-                unique, config.clustering_eps, parallel=self.parallel
-            )
+            neighbors = radius_neighbors(unique, config.clustering_eps)
         else:
             stats.hits += 1
             added = int(unique.size - prev_unique.size)

@@ -280,7 +280,7 @@ class RadiusIndex:
     Per chunk, a counting-sort table lists each key's bucket of
     insertion positions in ascending order (one flat ``order`` array,
     and each bucket's ``start`` and ``size``).  :func:`_probe_plan`
-    plans the tables for the hashes about to probe (all of an add's)
+    plans the tables for the hashes about to probe (an add's new ones)
     when the index first answers and again once it has doubled; in
     between, :meth:`add` splices new positions in at the ends of their
     buckets.  Where the dense scan is cheaper the index scans.
@@ -299,7 +299,7 @@ class RadiusIndex:
     def __len__(self) -> int:
         return int(self.hashes.size)
 
-    def add(self, new, *, span: tuple[int, int] | None = None):
+    def add(self, new):
         """Index ``new``; return ``(a, b)``, the positions of every pair
         within the radius that it makes with itself or the earlier
         hashes, each in one orientation, a hash never with itself.
@@ -307,24 +307,21 @@ class RadiusIndex:
         An added hash probes every bucket for the earlier hashes, but for
         the other added ones only buckets of a higher key and, in its
         own, the positions before it; a pair is kept on the first chunk
-        where it is near.  With ``span=(lo, hi)`` only ``new[lo:hi]``
-        probe: the spans of a partition find every pair once, as the plan
-        is made for the whole of ``new`` and so is the same in every span.
+        where it is near.
         """
         n_old = len(self)
         new = np.ascontiguousarray(new, dtype=np.uint64).reshape(-1)
         self.hashes = np.concatenate([self.hashes, new])
-        lo, hi = span or (0, new.size)
         self._prepare(new)
-        row, col = self._find(new[lo:hi], n_old + lo, n_old)
-        return row + (n_old + lo), col
+        row, col = self._find(new, n_old)
+        return row + n_old, col
 
     def query(self, queries):
         """Every ``(row, position)`` within the radius of ``queries[row]``,
         each once, inserting nothing."""
         queries = np.ascontiguousarray(queries, dtype=np.uint64).reshape(-1)
         self._prepare(queries)
-        return self._find(queries, None, len(self))
+        return self._find(queries, None)
 
     def _prepare(self, queries) -> None:
         """Plan for the probing ``queries`` while the index scans or once
@@ -364,11 +361,11 @@ class RadiusIndex:
         return np.stack(keys, axis=1) + base
 
     def _find(
-        self, queries: np.ndarray, first: int | None, n_old: int
+        self, queries: np.ndarray, first: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ``(query, position)`` pairs of :meth:`add` or :meth:`query`;
-        with ``first``, query ``i`` is the hash at ``first + i`` and the
-        positions from ``n_old`` on were just added."""
+        with ``first``, the queries are the hashes just added from
+        position ``first`` on."""
         corpus, radius = self.hashes, self.radius
         if self._plan is None:
             return _dense_pairs(queries, corpus, radius, first)
@@ -377,12 +374,11 @@ class RadiusIndex:
         below = size  # per bucket, the entries probed from a higher key
         slots = self._slots(queries)
         if first is not None:
-            added = self._slots(corpus[n_old:]).reshape(-1)
-            below = size - np.bincount(added, minlength=size.size)
+            below = size - np.bincount(slots.reshape(-1), minlength=size.size)
             where = np.empty(self._order.size, dtype=np.int64)
             offset = np.arange(len(layout)) * len(self)
             where[self._order + np.repeat(offset, len(self))] = np.arange(where.size)
-            before = where[np.arange(first, first + queries.size)[:, None] + offset]
+            before = where[np.arange(first, len(self))[:, None] + offset]
             before -= start[slots]
         rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         masks = [(np.uint64(s), np.uint64((1 << w) - 1)) for s, w in layout]
@@ -400,7 +396,7 @@ class RadiusIndex:
                     # Lower keys hold only the hashes from before the add,
                     # the own bucket only the entries before the hash.
                     count *= bucket > key
-                    if n_old:
+                    if first:
                         count += (bucket < key) * c_below[bucket]
                     count[:, 0] = before[lo : lo + step, c]
                 for owner, position in _expand(c_start[bucket], count, self._order):

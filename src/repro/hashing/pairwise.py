@@ -5,12 +5,10 @@ TensorFlow multi-GPU rig.  This module provides the same contract at
 laptop scale: radius neighbourhoods (the only thing DBSCAN actually
 needs) from one :class:`repro.hashing.index.RadiusIndex`, whose ``add``
 finds each pair once.  The cold self-join (:func:`radius_neighbors`,
-one ``add`` on an empty index, sharded by query range when a
-:class:`repro.utils.parallel.ParallelConfig` asks for it) and the
-incremental merge (:func:`merge_radius_neighbors`, an ``add`` of the
-new hashes to the index over the old, shared by the cache's delta path
-and the stream's compaction) both hand on a
-:class:`repro.hashing.index.NeighborGraph`.
+one ``add`` on an empty index) and the incremental merge
+(:func:`merge_radius_neighbors`, an ``add`` of the new hashes to the
+index over the old, shared by the cache's delta path and the stream's
+compaction) both hand on a :class:`repro.hashing.index.NeighborGraph`.
 
 :func:`nearest_medoid` is Step 6's θ-match: the one kernel behind
 batch association and the serving monitor.
@@ -22,13 +20,6 @@ import numpy as np
 
 from repro.hashing.index import NeighborGraph, RadiusIndex
 from repro.utils.bitops import popcount
-from repro.utils.parallel import (
-    Executor,
-    ParallelConfig,
-    range_splitter,
-    resolve_parallel,
-    shard_bounds,
-)
 
 __all__ = [
     "merge_radius_neighbors",
@@ -77,26 +68,7 @@ def nearest_medoid(
     return position, distance
 
 
-def _neighbors_shard(
-    hashes: np.ndarray, start: int, stop: int, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs that ``hashes[start:stop]`` find in a cold self-join:
-    the ranges of a partition find each once.  Module-level so process
-    workers can receive pickled shards."""
-    return RadiusIndex(radius).add(hashes, span=(start, stop))
-
-
-def _merge_neighbor_parts(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of consecutive query ranges, together."""
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
-def radius_neighbors(
-    hashes: np.ndarray,
-    radius: int,
-    *,
-    parallel: ParallelConfig | None = None,
-) -> NeighborGraph:
+def radius_neighbors(hashes: np.ndarray, radius: int) -> NeighborGraph:
     """Neighbour rows within ``radius`` for every hash (self included).
 
     Parameters
@@ -105,11 +77,6 @@ def radius_neighbors(
         1-D ``uint64`` array.
     radius:
         Maximum Hamming distance (inclusive).
-    parallel:
-        Optional :class:`repro.utils.parallel.ParallelConfig`.  Queries
-        are sharded over contiguous ranges, each finding its share of
-        the pairs, identical to the serial path for any worker count and
-        backend.
 
     One :meth:`repro.hashing.index.RadiusIndex.add` of every hash on an
     empty index finds each pair once; the pairs, mirrored, and the
@@ -125,22 +92,8 @@ def radius_neighbors(
     if radius < 0:
         raise ValueError("radius must be non-negative")
     hashes = np.ascontiguousarray(hashes, dtype=np.uint64).reshape(-1)
-    n = int(hashes.size)
-    parallel = resolve_parallel(parallel)
-    if parallel.is_serial or n < parallel.workers * 2:
-        a, b = _neighbors_shard(hashes, 0, n, radius)
-    else:
-        parts = Executor(parallel).supervised_starmap(
-            _neighbors_shard,
-            [
-                (hashes, start, stop, radius)
-                for start, stop in shard_bounds(n, parallel)
-            ],
-            split=range_splitter(1, 2),
-            merge=_merge_neighbor_parts,
-        )
-        a, b = _merge_neighbor_parts(parts)
-    return NeighborGraph.from_join(a, b, n)
+    a, b = RadiusIndex(radius).add(hashes)
+    return NeighborGraph.from_join(a, b, int(hashes.size))
 
 
 def merge_radius_neighbors(

@@ -1,10 +1,12 @@
 """Parallel execution layer for the pipeline's hot paths.
 
 The paper ran its all-pairs comparisons and per-cluster Hawkes fits on a
-two-GPU TensorFlow rig; the laptop-scale reproduction instead shards its
-embarrassingly-parallel hot paths — radius neighbourhoods and
-nearest-medoid association — over a small executor abstraction with
-three interchangeable backends:
+two-GPU TensorFlow rig; the laptop-scale reproduction runs the
+all-pairs join serially (one :class:`repro.hashing.index.RadiusIndex`
+finds each pair once, faster than a fan-out of it on few cores) and
+fans out one embarrassingly-parallel hot path, Step 6's nearest-medoid
+association, over a small executor abstraction with three
+interchangeable backends:
 
 * ``serial`` — a plain loop in the calling thread.  The default, and
   the reference semantics every other backend must reproduce.
@@ -12,9 +14,9 @@ three interchangeable backends:
   Effective for numpy-heavy work that releases the GIL; zero
   serialisation cost.
 * ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Work items are pickled to the workers, so hot paths hand over compact
-  numpy shards (a ``uint64`` hash array plus a query range) rather than
-  live index objects; worker functions must be module-level.
+  Work items are pickled to the workers, so the fan-out hands over
+  compact numpy shards (a slice of the unique ``uint64`` hashes plus the
+  medoid table); worker functions must be module-level.
 
 **Determinism guarantee.** Results are returned in *submission* order
 regardless of completion order (futures are collected in order, never
@@ -43,18 +45,18 @@ every shard under a supervision ladder:
 2. **retry** — the failed shard is re-submitted to a *fresh* pool under
    a :class:`repro.utils.retry.RetryPolicy` (worker-death via
    ``BrokenExecutor`` is just another retryable failure);
-3. **bisection re-sharding** — a shard that keeps failing is split via
-   the caller's ``split`` function and each half walks the ladder
-   independently, so an allocation-bound failure gets a smaller working
-   set and the error trail narrows down a poison item;
+3. **bisection re-sharding** — when the caller gives ``merge``, a shard
+   that keeps failing has its first argument (an array or list) halved
+   and each half walks the ladder independently, so an allocation-bound
+   failure gets a smaller working set and the error trail narrows down
+   a poison item;
 4. **serial fallback** — the shard runs in the calling process,
    sidestepping pool pathologies (pickling, worker death) entirely;
 5. **fail** — a shard that fails even serially is *poison*: the call
    raises :class:`PoisonShardError`, naming the shard and carrying its
-   error trail.  Both callers (neighbour lists, association columns)
-   build arrays with no way to represent a missing shard, so the
-   failure goes to the caller's own error handling (the staged runner
-   fails the stage).
+   error trail.  The caller (association columns) builds arrays with no
+   way to represent a missing shard, so the failure goes to its own
+   error handling (the staged runner fails the stage).
 
 A fan-out that returns is complete: its results are submission-ordered
 and bit-identical to serial, whichever rungs the shards took.
@@ -90,9 +92,7 @@ __all__ = [
     "ParallelConfig",
     "PoisonShardError",
     "SupervisionPolicy",
-    "array_splitter",
     "effective_workers",
-    "range_splitter",
     "resolve_parallel",
     "shard_bounds",
     "warn_if_oversubscribed",
@@ -171,11 +171,10 @@ class ParallelConfig:
         (serial when ``workers == 1``, otherwise process — the only
         backend that sidesteps the GIL for pure-Python kernels).
     supervision:
-        Optional :class:`SupervisionPolicy` the hot paths apply to
-        their supervised fan-outs.  ``None`` means the default
-        policy.  Carried here so it travels wherever the parallel
-        config already flows (runner → dbscan →
-        ``radius_neighbors``) without new plumbing.
+        Optional :class:`SupervisionPolicy` the supervised fan-out
+        applies.  ``None`` means the default policy.  Carried here so it
+        travels wherever the parallel config already flows (runner →
+        ``associate_hashes``) without new plumbing.
     chaos:
         Optional chaos hook ``(site: str) -> ChaosDirective | None``
         consulted before every supervised shard attempt; see
@@ -353,48 +352,14 @@ class SupervisionPolicy:
             raise ValueError("shard_deadline_s must be positive")
 
 
-def range_splitter(start_pos: int, stop_pos: int):
-    """Bisect a ``(.., start, .., stop, ..)`` range call at its midpoint.
-
-    For shard kernels of the form ``fn(data, start, stop, ...)`` whose
-    output for ``start:stop`` equals the concatenation of the outputs
-    for ``start:mid`` and ``mid:stop``.  Returns ``None`` for
-    single-item (unsplittable) ranges.
-    """
-
-    def split(args: tuple) -> list[tuple] | None:
-        start, stop = args[start_pos], args[stop_pos]
-        if stop - start <= 1:
-            return None
-        mid = (start + stop) // 2
-        left, right = list(args), list(args)
-        left[stop_pos] = mid
-        right[start_pos] = mid
-        return [tuple(left), tuple(right)]
-
-    return split
-
-
-def array_splitter(pos: int = 0):
-    """Bisect the sliceable argument at ``pos`` (numpy array or list).
-
-    For shard kernels that map an input array to an output whose halves
-    concatenate to the whole.  Returns ``None`` when the argument has
-    one element or fewer.
-    """
-
-    def split(args: tuple) -> list[tuple] | None:
-        arr = args[pos]
-        n = len(arr)
-        if n <= 1:
-            return None
-        mid = n // 2
-        left, right = list(args), list(args)
-        left[pos] = arr[:mid]
-        right[pos] = arr[mid:]
-        return [tuple(left), tuple(right)]
-
-    return split
+def _halves(args: tuple) -> list[tuple] | None:
+    """The call ``args`` with its first argument (an array or list)
+    halved, or ``None`` when it has one element or fewer."""
+    first = args[0]
+    if len(first) <= 1:
+        return None
+    mid = len(first) // 2
+    return [(first[:mid], *args[1:]), (first[mid:], *args[1:])]
 
 
 def _chaos_call(fn: Callable[..., R], args: tuple, action: str, delay_s: float) -> R:
@@ -465,7 +430,6 @@ class Executor:
         items: Iterable[Sequence],
         *,
         policy: SupervisionPolicy | None = None,
-        split: Callable[[tuple], list[tuple] | None] | None = None,
         merge: Callable[[list], R] | None = None,
         chaos: Callable[[str], ChaosDirective | None] | None = None,
         sleep: Callable[[float], None] | None = None,
@@ -477,12 +441,11 @@ class Executor:
         policy:
             Overrides ``parallel.supervision`` (which overrides the
             default :class:`SupervisionPolicy`).
-        split / merge:
-            Shard bisection pair: ``split(args)`` returns sub-call arg
-            tuples (or ``None`` when unsplittable) and ``merge(values)``
-            reassembles their outputs into the value the original call
-            would have produced.  Both or neither must be given;
-            without them the bisection rung is skipped.
+        merge:
+            Turns the bisection rung on: a failing shard's first
+            argument is halved, and ``merge(values)`` reassembles the
+            halves' outputs into the value the whole call would have
+            produced.  Without it the rung is skipped.
         chaos:
             Overrides ``parallel.chaos`` (test/drill hook).
         sleep:
@@ -493,8 +456,6 @@ class Executor:
         :class:`PoisonShardError` at the first shard (by index) that
         fails every rung.
         """
-        if (split is None) != (merge is None):
-            raise ValueError("split and merge must be provided together")
         calls = [tuple(args) for args in items]
         if policy is None:
             policy = self.parallel.supervision or SupervisionPolicy()
@@ -512,8 +473,8 @@ class Executor:
         for index in sorted(failed):
             try:
                 results[index] = self._rescue(
-                    fn, calls[index], index, errors[index], policy, split,
-                    merge, chaos, depth=0, sleep=sleep,
+                    fn, calls[index], index, errors[index], policy, merge,
+                    chaos, depth=0, sleep=sleep,
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -615,7 +576,7 @@ class Executor:
         )
 
     def _rescue(
-        self, fn, args, index, errors, policy, split, merge, chaos, depth, sleep
+        self, fn, args, index, errors, policy, merge, chaos, depth, sleep
     ):
         """Walk a failed shard down the rescue ladder; return its value.
 
@@ -647,8 +608,8 @@ class Executor:
 
         # Rung 3: bisection re-sharding, each half down the ladder.
         parts = (
-            split(args)
-            if split is not None and depth < MAX_BISECT_DEPTH
+            _halves(args)
+            if merge is not None and depth < MAX_BISECT_DEPTH
             else None
         )
         if parts:
@@ -656,8 +617,8 @@ class Executor:
                 return merge(
                     [
                         self._rescue(
-                            fn, part, index, errors, policy, split, merge,
-                            chaos, depth + 1, sleep,
+                            fn, part, index, errors, policy, merge, chaos,
+                            depth + 1, sleep,
                         )
                         for part in parts
                     ]

@@ -14,7 +14,6 @@ from repro.hashing.pairwise import (
     unique_hashes,
 )
 from repro.utils.bitops import hamming_distance
-from repro.utils.parallel import ParallelConfig
 from tests.clustering_reference import adjacency
 
 
@@ -118,21 +117,6 @@ class TestRadiusNeighbors:
                 assert np.array_equal(row, ref)
                 assert np.array_equal(row, np.unique(row))  # sorted, no dups
                 assert i in row  # self included
-
-    # "brute" sizes the input for the dense scan, "mih" for the join.
-    @pytest.mark.parametrize("method", ["brute", "mih"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial(self, method, backend):
-        # 200 clustered hashes plan the dense scan, 2,100 plan MIH.
-        n_bases = {"brute": 40, "mih": 420}[method]
-        hashes = clustered_hashes(n_bases, 5, seed=3)
-        serial = radius_neighbors(hashes, 8)
-        parallel = radius_neighbors(
-            hashes, 8, parallel=ParallelConfig(workers=4, backend=backend)
-        )
-        assert len(serial) == len(parallel)
-        for row_s, row_p in zip(serial, parallel):
-            assert np.array_equal(row_s, row_p)
 
     def test_auto_switches_to_mih(self):
         # A collection this large plans MIH; its rows must equal a

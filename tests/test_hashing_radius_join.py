@@ -149,21 +149,6 @@ def index_graph(radius, hashes):
     return NeighborGraph.from_join(*RadiusIndex(radius).add(hashes), hashes.size)
 
 
-def spans_graph(radius, hashes, cuts):
-    """The graph of the ranges between ``cuts``, each a cold ``add``
-    with its own span, as the sharded cold join runs them; no pair may
-    be found twice."""
-    parts = [
-        RadiusIndex(radius).add(hashes, span=(lo, hi))
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
-    a = np.concatenate([part[0] for part in parts])
-    b = np.concatenate([part[1] for part in parts])
-    n = hashes.size
-    assert np.unique(np.minimum(a, b) * n + np.maximum(a, b)).size == a.size
-    return NeighborGraph.from_join(a, b, n)
-
-
 def assert_rows_equal(got, expected, label):
     assert len(got) == len(expected), label
     for i, (row, ref) in enumerate(zip(got, expected)):
@@ -242,34 +227,6 @@ def test_index_rules_match_reference(radius, name, mode):
     }[name](radius)
     expected = reference_rows(hashes, hashes, radius)
     assert_rows_equal(index_graph(radius, hashes), expected, name)
-    cuts = [0, hashes.size // 3, hashes.size // 2, hashes.size]
-    assert_rows_equal(spans_graph(radius, hashes, cuts), expected, f"{name} spans")
-
-
-def low_bit_clusters(n_bases=400, members=5, seed=5):
-    """Clusters whose members differ from their base in the low four
-    bits only, so a pair is near on the first chunk of every layout
-    under two different keys."""
-    rng = np.random.default_rng(seed)
-    bases = rng.integers(0, 2**64, size=n_bases, dtype=np.uint64)
-    out = np.repeat(bases, members)
-    return out ^ rng.integers(0, 16, size=out.size, dtype=np.uint64)
-
-
-@pytest.mark.parametrize("radius", [8, 12])
-def test_uneven_spans_find_every_pair_once(radius):
-    # Under the automatic plan a one-hash span costs less scanned than
-    # probed and its neighbour the other way round: every span must run
-    # the plan of the whole add, or the key rule of one and the position
-    # rule of the other lose or repeat the pairs between them.
-    hashes = low_bit_clusters()
-    n = hashes.size
-    index = RadiusIndex(radius)
-    index.add(hashes)
-    assert index._plan is not None and index._plan[0] >= 1
-    expected = reference_rows(hashes, hashes, radius)
-    for cuts in ([0, 1, n], [0, n - 1, n], [0, n // 2, n // 2 + 1, n]):
-        assert_rows_equal(spans_graph(radius, hashes, cuts), expected, f"{cuts}")
 
 
 @pytest.mark.parametrize("radius", [0, 2, 8, 12, 64])

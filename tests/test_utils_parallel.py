@@ -1,6 +1,7 @@
 """Tests for the parallel execution layer (executor, shards, env config,
 supervised execution ladder)."""
 
+import threading
 import time
 import warnings
 
@@ -16,9 +17,7 @@ from repro.utils.parallel import (
     ParallelConfig,
     PoisonShardError,
     SupervisionPolicy,
-    array_splitter,
     effective_workers,
-    range_splitter,
     resolve_parallel,
     shard_bounds,
     warn_if_oversubscribed,
@@ -225,18 +224,19 @@ def _poison_on_three(x):
     return x * x
 
 
-def _range_values(start, stop):
-    return list(range(start, stop))
-
-
-def _range_values_poisoned(start, stop):
-    # Deterministic poison at item 5: any shard covering it fails until
+def _values_poisoned(values):
+    # Deterministic poison at item 5: any shard holding it fails until
     # bisection isolates 5 into its own single-item shard.
-    if start <= 5 < stop and stop - start > 1:
-        raise ValueError(f"shard [{start}, {stop}) covers the poison item")
-    if start == 5:
+    if 5 in values and len(values) > 1:
+        raise ValueError(f"shard {values.tolist()} covers the poison item")
+    if 5 in values:
         raise ValueError("item 5 is pure poison")
-    return list(range(start, stop))
+    return values.tolist()
+
+
+def _concat(parts):
+    """Reassemble the list outputs of a bisected shard."""
+    return [value for part in parts for value in part]
 
 
 class _RaiseTimes:
@@ -282,21 +282,6 @@ class TestSupervisionPolicy:
             ChaosDirective("explode")
 
 
-class TestSplitters:
-    def test_range_splitter_halves(self):
-        split = range_splitter(0, 1)
-        assert split((0, 10)) == [(0, 5), (5, 10)]
-        assert split((4, 5)) is None  # single item: unsplittable
-
-    def test_array_splitter_halves(self):
-        split = array_splitter(0)
-        parts = split((np.arange(5), "extra"))
-        assert np.array_equal(parts[0][0], np.arange(2))
-        assert np.array_equal(parts[1][0], np.arange(2, 5))
-        assert parts[0][1] == parts[1][1] == "extra"
-        assert split((np.arange(1), "extra")) is None
-
-
 class TestSupervisedCleanPath:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_matches_plain_map(self, backend):
@@ -307,13 +292,6 @@ class TestSupervisedCleanPath:
     def test_empty_input(self):
         executor = Executor(ParallelConfig(workers=2, backend="thread"))
         assert executor.supervised_starmap(_square, []) == []
-
-    def test_split_without_merge_rejected(self):
-        executor = Executor(ParallelConfig(workers=2, backend="thread"))
-        with pytest.raises(ValueError, match="together"):
-            executor.supervised_starmap(
-                _square, _args(range(4)), split=range_splitter(0, 1)
-            )
 
     def test_policy_from_parallel_config(self):
         # SupervisionPolicy carried on the config is honoured without an
@@ -372,11 +350,10 @@ class TestSupervisedLadder:
         )
         with pytest.raises(PoisonShardError) as excinfo:
             executor.supervised_starmap(
-                _range_values_poisoned,
-                [(0, 4), (4, 8)],
+                _values_poisoned,
+                [(np.arange(0, 4),), (np.arange(4, 8),)],
                 policy=policy,
-                split=range_splitter(0, 1),
-                merge=lambda parts: [v for part in parts for v in part],
+                merge=_concat,
                 sleep=_no_sleep,
             )
         assert excinfo.value.shard_index == 1  # covers poison item 5
@@ -392,13 +369,42 @@ class TestSupervisedLadder:
         )
         results = executor.supervised_starmap(
             _wide_shard_fails,
-            [(0, 4), (4, 6)],
+            [(np.arange(0, 4),), (np.arange(4, 6),)],
             policy=policy,
-            split=range_splitter(0, 1),
-            merge=lambda parts: [v for part in parts for v in part],
+            merge=_concat,
             sleep=_no_sleep,
         )
         assert results == [[0, 1, 2, 3], [4, 5]]
+
+    def test_single_item_shard_skips_bisection(self):
+        # A first argument of one item cannot be halved: a shard that
+        # fails on the pool goes from the retry rung straight to the
+        # serial fallback, which heals it.
+        executor = Executor(ParallelConfig(workers=2, backend="thread"))
+        policy = SupervisionPolicy(
+            retry=RetryPolicy(max_retries=0, base_delay=0.0,
+                              retryable=(Exception,)),
+        )
+        caller = threading.get_ident()
+        seen = []
+
+        def fails_on_the_pool(values):
+            seen.append(values.tolist())
+            if threading.get_ident() != caller:
+                raise RuntimeError("pool attempt failed")
+            return values.tolist()
+
+        results = executor.supervised_starmap(
+            fails_on_the_pool,
+            [(np.arange(0, 1),), (np.arange(1, 2),)],
+            policy=policy,
+            merge=_concat,
+            sleep=_no_sleep,
+        )
+        assert results == [[0], [1]]
+        # First wave, the retry rung's one attempt, serial fallback:
+        # every attempt saw the whole one-item shard.
+        assert sorted(seen) == [[0]] * 3 + [[1]] * 3
 
     def test_serial_fallback_rescues_pool_pathology(self):
         # Chaos kills the pool worker on the first wave and on the
@@ -501,10 +507,10 @@ class TestSupervisedProcessBackend:
         assert time.perf_counter() - started < 4.0
 
 
-def _wide_shard_fails(start, stop):
-    if stop - start > 2:
-        raise MemoryError(f"shard [{start}, {stop}) too wide")
-    return list(range(start, stop))
+def _wide_shard_fails(values):
+    if len(values) > 2:
+        raise MemoryError(f"shard {values.tolist()} too wide")
+    return values.tolist()
 
 
 def _pin_cpus(monkeypatch, n: int | None) -> None:
