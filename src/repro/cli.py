@@ -44,15 +44,8 @@ Commands
 
 All commands share ``--seed``, ``--events-unit`` and ``--noise-scale``
 controlling the synthetic world's scale, plus ``--max-retries``
-(transient-failure retries per stage item).
-
-``--workers N`` fans Step 6 association (the one supervised fan-out)
-out over N workers;
-``--parallel-backend`` picks ``thread`` or ``process`` (default
-``auto`` = process for N > 1; process shards travel as pickled numpy
-arrays).  Output is bit-identical for any worker count and backend::
-
-    python -m repro --workers 2 --parallel-backend process report
+(transient-failure retries per stage item).  Every step runs serially
+in one process.
 
 ``--cache-dir DIR`` turns on content-addressed memoization
 (:mod:`repro.core.cache`): a re-run with unchanged inputs reports
@@ -73,15 +66,6 @@ never stored, so a re-run after the fault clears recomputes them::
     python -m repro --cache-dir cache --inject-fault associate@1@runtime report
     python -m repro --cache-dir cache report      # 3 stages cached
 
-Parallel fan-outs run *supervised*: a failing/hung/killed shard walks
-the rescue ladder (fresh-pool retry → bisection → serial fallback), and
-a shard that fails every rung fails its stage.  ``--shard-deadline
-SECONDS`` arms hang detection and ``--shard-retries N`` sets the retry
-rung's budget::
-
-    python -m repro --workers 4 --shard-deadline 30 report
-    python -m repro --workers 2 --inject-fault parallel:worker@1@kill report
-
 Exit status: 0 on a clean run; **3** when the pipeline finished only
 partially — quarantined communities or failed stages — so operators can
 alert on degraded results; 4 when ``serve-replay`` loses a request
@@ -89,7 +73,7 @@ alert on degraded results; 4 when ``serve-replay`` loses a request
 SITE[@TIMES][@KIND]`` arms the deterministic fault injector for chaos
 drills; a SITE outside the namespaces the code fires (``cluster``,
 ``annotate``, ``associate``, ``screenshot-filter``, ``serve``,
-``parallel``, ``stream``) is a usage error (exit 2), e.g.::
+``stream``) is a usage error (exit 2), e.g.::
 
     python -m repro --inject-fault cluster:pol@9@runtime overview
     python -m repro --inject-fault serve:classify@20 serve-replay
@@ -100,7 +84,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -129,13 +112,6 @@ from repro.stream import (
     state_equals,
 )
 from repro.utils.io import CheckpointLockError
-from repro.utils.parallel import (
-    BACKENDS,
-    ParallelConfig,
-    SupervisionPolicy,
-    warn_if_oversubscribed,
-)
-from repro.utils.retry import RetryPolicy
 from repro.utils.tables import print_table
 
 __all__ = ["main", "build_parser"]
@@ -174,45 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         "finished stage; output is bit-identical either way)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel workers for Step 6 association (default: "
-        "REPRO_WORKERS env var, else 1 = serial; output is identical for "
-        "any value)",
-    )
-    parser.add_argument(
-        "--parallel-backend",
-        choices=BACKENDS,
-        default=None,
-        help="executor backend for --workers (auto = process when "
-        "workers > 1)",
-    )
-    parser.add_argument(
-        "--shard-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard deadline for supervised parallel fan-outs; a "
-        "shard past it is declared hung and rescued (default: none)",
-    )
-    parser.add_argument(
-        "--shard-retries",
-        type=int,
-        default=None,
-        help="fresh-pool retries per failing shard before bisection/"
-        "serial fallback (default 1)",
-    )
-    parser.add_argument(
         "--inject-fault",
         action="append",
         default=[],
         metavar="SITE[@TIMES][@KIND]",
         help="arm a deterministic fault for chaos drills; KIND is "
         "transient (default, retryable), runtime (permanent), or — at "
-        "the parallel:shard/parallel:worker sites — hang (worker stalls "
-        "past the shard deadline) or kill (worker process dies "
-        "mid-task); repeatable",
+        "the stream:* sites — hang (the ingester stalls) or kill (the "
+        "process dies mid-ingest); repeatable",
     )
     serving = parser.add_argument_group(
         "serve-replay options (resilient serving layer)"
@@ -372,46 +317,7 @@ def _fault_injector(args):
     return FaultInjector([_parse_fault(spec) for spec in args.inject_fault])
 
 
-def _supervision_policy(args) -> SupervisionPolicy | None:
-    """Supervision overrides from the CLI; ``None`` = the default policy."""
-    if args.shard_deadline is None and args.shard_retries is None:
-        return None
-    policy = SupervisionPolicy(shard_deadline_s=args.shard_deadline)
-    if args.shard_retries is not None:
-        policy = replace(
-            policy,
-            retry=RetryPolicy(
-                max_retries=args.shard_retries,
-                base_delay=0.01,
-                retryable=(Exception,),
-            ),
-        )
-    return policy
-
-
-def _parallel_config(args) -> ParallelConfig | None:
-    """Explicit flags win; ``None`` defers to the environment/serial.
-
-    Supervision flags alone (e.g. ``--shard-deadline`` with workers
-    from ``REPRO_WORKERS``) still need a config object to ride on, so
-    they graft onto the environment-resolved one.
-    """
-    supervision = _supervision_policy(args)
-    if args.workers is None and args.parallel_backend is None:
-        if supervision is None:
-            return None
-        return replace(ParallelConfig.from_env(), supervision=supervision)
-    workers = args.workers if args.workers is not None else 1
-    if workers > 1:
-        warn_if_oversubscribed(workers, source="--workers")
-    return ParallelConfig(
-        workers=workers,
-        backend=args.parallel_backend or "auto",
-        supervision=supervision,
-    )
-
-
-def _world_and_pipeline(args, faults=None, parallel=None):
+def _world_and_pipeline(args, faults=None):
     config = WorldConfig(
         seed=args.seed,
         events_unit=args.events_unit,
@@ -423,7 +329,6 @@ def _world_and_pipeline(args, faults=None, parallel=None):
     print(f"  {len(world.posts):,} posts. Running the pipeline...\n")
     options = RunnerOptions(
         max_retries=args.max_retries,
-        parallel=parallel,
         faults=faults,
         cache_dir=args.cache_dir,
     )
@@ -455,7 +360,7 @@ def _cache_command(args, parser) -> int:
     return 0
 
 
-def _stream_command(args, parser, faults, parallel) -> int:
+def _stream_command(args, parser, faults) -> int:
     """Durable streaming ingestion over the world's event stream.
 
     Pulls events from the world's :class:`repro.stream.EventSource` at
@@ -486,9 +391,7 @@ def _stream_command(args, parser, faults, parallel) -> int:
         batch_size=args.stream_batch,
         group_commit=args.group_commit,
     )
-    with StreamIngester(
-        world, stream=stream, faults=faults, parallel=parallel
-    ) as ingester:
+    with StreamIngester(world, stream=stream, faults=faults) as ingester:
         if ingester.report.recoveries:
             print(f"  recovered {ingester.n_events:,} events "
                   f"(replayed {ingester.report.replayed_events:,} from "
@@ -732,12 +635,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.shard_deadline is not None and args.shard_deadline <= 0:
-        parser.error("--shard-deadline must be positive")
-    if args.shard_retries is not None and args.shard_retries < 0:
-        parser.error("--shard-retries must be >= 0")
     threshold = args.compact_threshold
     if not (threshold > 0 and math.isfinite(threshold)):
         parser.error("--compact-threshold must be a positive finite number")
@@ -758,14 +655,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         parser.error(str(error))
     np.set_printoptions(precision=2, suppress=True)
-    parallel = _parallel_config(args)
     if args.command == "stream":
         try:
-            return _stream_command(args, parser, faults, parallel)
+            return _stream_command(args, parser, faults)
         except CheckpointLockError as error:
             print(f"ERROR: {error}", file=sys.stderr)
             return 3
-    world, result = _world_and_pipeline(args, faults=faults, parallel=parallel)
+    world, result = _world_and_pipeline(args, faults=faults)
     exit_code = 0
     if args.command in ("overview", "report"):
         _print_overview(world, result)

@@ -34,17 +34,6 @@ paths:
   checkpoint path attached, so a ``corrupt`` fault simulates a bad
   checkpoint landing on disk mid-reload.
 
-The supervised parallel executor (:mod:`repro.utils.parallel`) consults
-:meth:`FaultInjector.parallel_directive` before every shard attempt:
-
-* ``"parallel:shard"`` / ``"parallel:worker"`` — per shard-attempt
-  sites.  ``action="raise"`` faults raise right there in the parent
-  (a failing shard kernel); ``action="hang"`` and ``action="kill"``
-  return a :class:`repro.utils.parallel.ChaosDirective` the executor
-  ships into the worker — a sleep past the shard deadline, or
-  ``os._exit`` mid-task (observed as ``BrokenProcessPool``, exactly
-  like an OOM-killed worker).
-
 The streaming ingester (:mod:`repro.stream`) consults
 :meth:`FaultInjector.stream_directive` at its own sites:
 
@@ -55,10 +44,12 @@ The streaming ingester (:mod:`repro.stream`) consults
 * ``"stream:compact"`` — at the start of a compaction.
 
 ``raise`` faults raise per firing as usual, but ``hang``/``kill``
-directives trigger on the fault's *final* armed firing (``times=N``
-= the Nth visit): an in-process kill can only happen once, so the
-budget counts down to the kill instead of repeating it — which is how
-``stream:ingest@2@kill`` scripts "die while appending batch 2".
+faults come back as a :class:`ChaosDirective` the ingester (or the
+WAL) carries out, and trigger on the fault's *final* armed firing
+(``times=N`` = the Nth visit): an in-process kill can only happen
+once, so the budget counts down to the kill instead of repeating it —
+which is how ``stream:ingest@2@kill`` scripts "die while appending
+batch 2".
 
 Faults are exceptions by default; raise :class:`repro.utils.retry.
 TransientError` (the default) to exercise the retry path, or any other
@@ -73,6 +64,7 @@ from pathlib import Path
 from repro.utils.retry import TransientError
 
 __all__ = [
+    "ChaosDirective",
     "Fault",
     "FaultInjector",
     "SITE_NAMESPACES",
@@ -80,7 +72,6 @@ __all__ = [
     "corrupt_file",
 ]
 
-PARALLEL_SITES = ("parallel:shard", "parallel:worker")
 # Kept in sync with the sites repro.stream.StreamIngester fires (a
 # literal here, not an import: faults must stay import-light and free
 # of cycles with the stream package).
@@ -93,9 +84,25 @@ SITE_NAMESPACES = (
     "associate",
     "screenshot-filter",
     "serve",
-    "parallel",
     "stream",
 )
+
+
+@dataclass(frozen=True)
+class ChaosDirective:
+    """Process-level chaos a stream site asks its caller to carry out.
+
+    ``action="hang"`` stalls for ``delay_s`` seconds; ``action="kill"``
+    ends the process with ``os._exit(17)``, as an OOM kill or power cut
+    would (the WAL first writes half of the frame it was appending).
+    """
+
+    action: str
+    delay_s: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.action not in ("hang", "kill"):
+            raise ValueError(f"unknown chaos action {self.action!r}")
 
 
 def corrupt_file(path: str | Path, *, mode: str = "flip") -> None:
@@ -141,13 +148,12 @@ class Fault:
     action:
         ``"raise"`` throws ``error``; ``"corrupt"`` damages the file
         path the site passes along (``serve:reload`` only);
-        ``"hang"`` / ``"kill"`` script worker-side chaos at the
-        ``parallel:*`` sites (see :meth:`FaultInjector.parallel_directive`).
+        ``"hang"`` / ``"kill"`` script process-level chaos at the
+        ``stream:*`` sites (see :meth:`FaultInjector.stream_directive`).
     corrupt_mode:
         Passed to :func:`corrupt_file` for ``action="corrupt"``.
     delay_s:
-        Worker sleep for ``action="hang"`` (set it past the shard
-        deadline to trigger hang detection).
+        Stall for ``action="hang"``, in seconds.
     """
 
     site: str
@@ -208,8 +214,8 @@ class FaultInjector:
                 continue
             if fault.action in ("hang", "kill"):
                 raise ValueError(
-                    f"{fault.action!r} fault at {site!r} is a parallel-chaos "
-                    "directive; it fires via parallel_directive(), not fire()"
+                    f"{fault.action!r} fault at {site!r} is a chaos "
+                    "directive; it fires via stream_directive(), not fire()"
                 )
             fault.fired += 1
             self.log.append(site)
@@ -222,54 +228,18 @@ class FaultInjector:
                 return
             raise fault.make_error()
 
-    def parallel_directive(self, site: str):
-        """Chaos hook for supervised parallel execution.
-
-        The executor calls this before every shard attempt with
-        ``"parallel:shard"`` then ``"parallel:worker"``.  A ``raise``
-        fault raises here in the parent; ``hang``/``kill`` faults
-        return a :class:`repro.utils.parallel.ChaosDirective` for the
-        executor to ship into the worker.  Unarmed sites return
-        ``None``.  The bound firing count (``times``) decrements per
-        shard attempt, so e.g. ``times=2`` poisons exactly two attempts
-        and then the fan-out heals.
-        """
-        from repro.utils.parallel import ChaosDirective
-
-        if site not in PARALLEL_SITES:
-            raise ValueError(
-                f"unknown parallel chaos site {site!r}; "
-                f"expected one of {PARALLEL_SITES}"
-            )
-        for fault in self.faults:
-            if fault.site != site or not fault.armed:
-                continue
-            fault.fired += 1
-            self.log.append(site)
-            if fault.action in ("hang", "kill"):
-                return ChaosDirective(fault.action, delay_s=fault.delay_s)
-            if fault.action == "raise":
-                raise fault.make_error()
-            raise ValueError(
-                f"{fault.action!r} fault cannot fire at parallel site {site!r}"
-            )
-        return None
-
     def stream_directive(self, site: str):
         """Chaos hook for the streaming ingester (:mod:`repro.stream`).
 
-        Same shape as :meth:`parallel_directive` — ``raise`` faults
-        raise here, ``hang``/``kill`` faults come back as a
-        :class:`repro.utils.parallel.ChaosDirective` — with one
-        difference: hang/kill directives trigger on the fault's *final*
-        armed firing.  The ingester is a single process, so a kill can
-        only happen once; ``times=N`` therefore means "trigger on the
-        Nth visit to this site", letting drills target e.g. the second
-        WAL batch instead of always dying on the first.  Visits before
-        the trigger still consume the budget but return ``None``.
+        ``raise`` faults raise here; ``hang``/``kill`` faults come back
+        as a :class:`ChaosDirective` on the fault's *final* armed
+        firing.  The ingester is a single process, so a kill can only
+        happen once; ``times=N`` therefore means "trigger on the Nth
+        visit to this site", letting drills target e.g. the second WAL
+        batch instead of always dying on the first.  Visits before the
+        trigger still consume the budget but return ``None``.  Unarmed
+        sites return ``None``.
         """
-        from repro.utils.parallel import ChaosDirective
-
         if site not in STREAM_SITES:
             raise ValueError(
                 f"unknown stream chaos site {site!r}; "

@@ -170,7 +170,8 @@ def run_pipeline(
     wrapper over :class:`repro.core.runner.PipelineRunner`; pass
     ``options`` (a :class:`repro.core.runner.RunnerOptions`) to turn on
     the content cache (which is also the restart path after a crash),
-    retries, parallel fan-out, or fault injection.
+    retries, or fault injection.  Every step runs serially in the
+    calling process.
 
     Parameters
     ----------

@@ -32,10 +32,10 @@ and wraps each boundary with the fault-tolerance machinery:
   association prefix instead of recomputing the world.  All cached and
   delta outputs are bit-identical to a cold run (pinned in tests);
   per-stage hit/miss/delta statistics land on the stage report.
-  Entries are keyed by input *content*, so they survive across runs
-  and worker counts.  The cache is also the restart path: a run that
-  crashed is simply re-run warm on the same ``cache_dir``, and every
-  stage that finished before the crash is a hit.  Degraded outcomes
+  Entries are keyed by input *content*, so they survive across runs.
+  The cache is also the restart path: a run that crashed is simply
+  re-run warm on the same ``cache_dir``, and every stage that finished
+  before the crash is a hit.  Degraded outcomes
   (quarantined items, a lower screenshot rung) are never stored, so a
   re-run after the fault clears recomputes them.
 
@@ -74,7 +74,6 @@ from repro.core.results import (
     PipelineResult,
     StageReport,
 )
-from repro.utils.parallel import ParallelConfig, resolve_parallel
 from repro.utils.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -160,13 +159,6 @@ class RunnerOptions:
         Seed for seed-dependent stages (the screenshot classifier).
         ``None`` takes the world's own ``config.seed``, falling back
         to 0 — this is what threads the world seed into Step 4.
-    parallel:
-        Executor config for Step 6 association, the one supervised
-        fan-out.  ``None`` falls back to the
-        ``REPRO_WORKERS``/``REPRO_PARALLEL_BACKEND`` environment, then
-        to serial.  Results are bit-identical for any worker count, so
-        cache entries written under different worker counts are
-        interchangeable (no cache key includes this).
     cache_dir:
         Directory of the content-addressed cache
         (:class:`repro.core.cache.ContentCache`); ``None`` disables
@@ -179,7 +171,6 @@ class RunnerOptions:
     faults: FaultInjector | None = None
     sleep: Callable[[float], None] | None = None
     seed: int | None = None
-    parallel: ParallelConfig | None = None
     cache_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -211,13 +202,6 @@ class PipelineRunner:
             self.posts = PostTable.from_rows(self.posts)
         self.config = config or PipelineConfig()
         self.options = options or RunnerOptions()
-        self.parallel = resolve_parallel(self.options.parallel)
-        if self.options.faults is not None and self.parallel.chaos is None:
-            # Thread the fault plan into the supervised association
-            # fan-out so parallel:shard / parallel:worker faults fire.
-            self.parallel = replace(
-                self.parallel, chaos=self.options.faults.parallel_directive
-            )
         self.cache = None
         if self.options.cache_dir is not None:
             self.cache = ContentCache(self.options.cache_dir)
@@ -536,12 +520,9 @@ class PipelineRunner:
     def _associate_all(
         self, hashes: np.ndarray, medoid_by_global: dict[int, int]
     ) -> AssociationResult:
-        """Step 6 over ``hashes`` under the runner's parallel config."""
+        """Step 6 over ``hashes`` at the configured theta."""
         return associate_hashes(
-            hashes,
-            medoid_by_global,
-            theta=self.config.theta,
-            parallel=self.parallel,
+            hashes, medoid_by_global, theta=self.config.theta
         )
 
     def _associate_cached(
@@ -619,7 +600,12 @@ class PipelineRunner:
         annotations: dict[ClusterKey, object],
         cluster_keys: list[ClusterKey],
     ) -> dict:
-        """Step 6 over every community's posts (strict: no fallback)."""
+        """Step 6 over every community's posts (strict: no fallback).
+
+        One serial :func:`~repro.annotation.association.associate_hashes`
+        call, retried as the ``associate:all`` item; a failure that
+        outlasts the retries fails the stage with :class:`StageFailure`.
+        """
 
         def compute() -> OccurrenceTable:
             association = self._associate_cached(

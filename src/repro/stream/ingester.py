@@ -291,10 +291,6 @@ class StreamIngester:
     faults:
         Optional :class:`repro.core.faults.FaultInjector`; consulted at
         ``stream:ingest`` / ``stream:wal`` / ``stream:compact``.
-    parallel:
-        Optional :class:`repro.utils.parallel.ParallelConfig` for the
-        compaction-time full re-association (bit-identical for any
-        worker count).
 
     Construction acquires the WAL directory's
     :class:`repro.utils.io.CheckpointLock` and performs recovery:
@@ -310,13 +306,11 @@ class StreamIngester:
         stream: StreamConfig,
         config: PipelineConfig | None = None,
         faults=None,
-        parallel=None,
     ) -> None:
         self.world = world
         self.config = config or PipelineConfig()
         self.stream = stream
         self.faults = faults
-        self.parallel = parallel
         self.report = StreamReport()
         self.wal_dir = Path(stream.wal_dir)
         self.buffer = _EventBuffer(
@@ -632,10 +626,7 @@ class StreamIngester:
                 cluster_keys.append(key)
         medoid_by_global = medoid_map(annotations, cluster_keys)
         association = associate_hashes(
-            self._columns["phash"],
-            medoid_by_global,
-            theta=self.config.theta,
-            parallel=self.parallel,
+            self._columns["phash"], medoid_by_global, theta=self.config.theta
         )
         self._clusterings = clusterings
         self._graphs = graphs

@@ -17,12 +17,6 @@ from repro.utils.io import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.utils.parallel import (
-    Executor,
-    ParallelConfig,
-    resolve_parallel,
-    shard_bounds,
-)
 from repro.utils.retry import RetryOutcome, RetryPolicy, TransientError, retry_call
 from repro.utils.rng import RngStream, derive_rng
 from repro.utils.svgplot import LineChart, Series
@@ -42,10 +36,6 @@ __all__ = [
     "StaleCheckpointError",
     "save_checkpoint",
     "load_checkpoint",
-    "Executor",
-    "ParallelConfig",
-    "resolve_parallel",
-    "shard_bounds",
     "RetryPolicy",
     "RetryOutcome",
     "TransientError",

@@ -162,10 +162,9 @@ def retry_call(
         except policy.retryable as error:
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
                 # Never retry an interpreter-exit request, no matter how
-                # broad the policy's retryable tuple is (supervised
-                # parallel execution retries bare (Exception,), and a
-                # custom tuple could even name BaseException): swallowing
-                # Ctrl-C to re-run the failing call would make shutdown
+                # broad the policy's retryable tuple is (a custom tuple
+                # could even name BaseException): swallowing Ctrl-C to
+                # re-run the failing call would make shutdown
                 # unresponsive.
                 raise
             outcome.errors.append(f"{type(error).__name__}: {error}")

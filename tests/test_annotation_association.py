@@ -58,26 +58,3 @@ class TestAssociateHashes:
         result = associate_hashes(hashes, medoids, theta=0)
         assert result.cluster_ids.shape == (4,)
         assert list(result.cluster_ids) == [0, UNASSIGNED, 0, 0]
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial(self, backend):
-        from repro.utils.parallel import ParallelConfig
-
-        rng = np.random.default_rng(8)
-        medoid_values = rng.integers(0, 2**64, size=20, dtype=np.uint64)
-        medoids = {int(i): int(v) for i, v in enumerate(medoid_values)}
-        hashes = np.concatenate(
-            [
-                medoid_values ^ np.uint64(1),  # near misses
-                rng.integers(0, 2**64, size=200, dtype=np.uint64),
-            ]
-        )
-        serial = associate_hashes(hashes, medoids, theta=8)
-        parallel = associate_hashes(
-            hashes,
-            medoids,
-            theta=8,
-            parallel=ParallelConfig(workers=4, backend=backend),
-        )
-        assert np.array_equal(serial.cluster_ids, parallel.cluster_ids)
-        assert np.array_equal(serial.distances, parallel.distances)

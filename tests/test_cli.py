@@ -86,8 +86,9 @@ class TestFaultSpecs:
         for spec in [
             "", "@2", "site@2@bogus", "a@b@c@d", "bogus:site@1@kill",
             # No site the CLI reaches passes a file to corrupt, and the
-            # checkpoint namespace is gone.
+            # checkpoint and parallel namespaces are gone.
             "serve:reload@1@corrupt", "checkpoint:cluster@1",
+            "parallel:shard@1",
         ]:
             with pytest.raises(ValueError):
                 _parse_fault(spec)
@@ -251,15 +252,3 @@ class TestStreamFlags:
                   "stream"])
         assert excinfo.value.code == 2
         assert "--compact-threshold" in capsys.readouterr().err
-
-
-class TestWorkerOversubscription:
-    def test_workers_flag_warns_when_over_cpu_count(self, monkeypatch):
-        import repro.utils.parallel as par
-        from repro.cli import _parallel_config
-
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 1)
-        args = build_parser().parse_args(["--workers", "8", "overview"])
-        with pytest.warns(RuntimeWarning, match="--workers"):
-            config = _parallel_config(args)
-        assert config.workers == 8  # requested count kept; dispatch caps it

@@ -24,7 +24,6 @@ from repro.annotation.kym import GalleryImage, KYMEntry
 from repro.core.cache import CODE_VERSION, CacheStats, kym_fingerprint
 from repro.core.runner import STAGES
 from repro.utils.io import save_checkpoint
-from repro.utils.parallel import ParallelConfig
 
 
 def _fresh_world():
@@ -568,22 +567,9 @@ class TestRunnerDeltaCache:
         """Appending copies of *non-fringe* posts leaves every fringe
         clustering (and hence every medoid) untouched, so the associate
         slot does suffix-only work against the cached prefix."""
-        self._check_associate_prefix_path(tmp_path, parallel=None)
-
-    def test_associate_prefix_path_under_workers(self, tmp_path):
-        """The suffix association fans out under workers too."""
-        self._check_associate_prefix_path(
-            tmp_path, parallel=ParallelConfig(workers=2, backend="thread")
-        )
-
-    def _check_associate_prefix_path(self, tmp_path, parallel):
         config = PipelineConfig()
         base = _fresh_world()
-        run_pipeline(
-            base,
-            config,
-            options=RunnerOptions(cache_dir=tmp_path, parallel=parallel),
-        )
+        run_pipeline(base, config, options=RunnerOptions(cache_dir=tmp_path))
 
         mainstream = [
             post
@@ -594,9 +580,7 @@ class TestRunnerDeltaCache:
         grown = _GrownWorld(_fresh_world(), extra)
         cold = run_pipeline(_GrownWorld(_fresh_world(), extra), config)
         delta = run_pipeline(
-            grown,
-            config,
-            options=RunnerOptions(cache_dir=tmp_path, parallel=parallel),
+            grown, config, options=RunnerOptions(cache_dir=tmp_path)
         )
         _assert_identical(cold, delta)
         associate = delta.stage_report("associate")

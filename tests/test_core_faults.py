@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.faults import Fault, FaultInjector, corrupt_file
+from repro.core.faults import ChaosDirective, Fault, FaultInjector, corrupt_file
 from repro.utils.retry import TransientError
 
 
@@ -83,51 +83,18 @@ class TestFaultInjectorServingSites:
         assert target.read_bytes() != b"RPC1" + b"\x00" * 60
 
 
-class TestParallelChaosSites:
-    def test_raise_fault_raises_in_parent(self):
-        injector = FaultInjector(
-            [Fault("parallel:shard", TransientError, times=2)]
-        )
-        for _ in range(2):
-            with pytest.raises(TransientError):
-                injector.parallel_directive("parallel:shard")
-        assert injector.parallel_directive("parallel:shard") is None  # disarmed
-        assert injector.fired_sites() == ["parallel:shard", "parallel:shard"]
-
-    def test_hang_fault_returns_directive(self):
-        injector = FaultInjector(
-            [Fault("parallel:worker", action="hang", delay_s=1.5)]
-        )
-        directive = injector.parallel_directive("parallel:worker")
-        assert directive is not None
-        assert directive.action == "hang"
-        assert directive.delay_s == 1.5
-        assert injector.parallel_directive("parallel:worker") is None
-
-    def test_kill_fault_returns_directive(self):
-        injector = FaultInjector([Fault("parallel:worker", action="kill")])
-        directive = injector.parallel_directive("parallel:worker")
-        assert directive is not None and directive.action == "kill"
-
-    def test_unarmed_site_returns_none(self):
-        assert FaultInjector().parallel_directive("parallel:shard") is None
-
-    def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown parallel chaos site"):
-            FaultInjector().parallel_directive("parallel:gpu")
-
+class TestChaosDirectives:
     def test_hang_kill_rejected_by_fire(self):
-        injector = FaultInjector([Fault("parallel:shard", action="hang")])
-        with pytest.raises(ValueError, match="parallel_directive"):
-            injector.fire("parallel:shard")
-
-    def test_corrupt_rejected_at_parallel_sites(self):
-        injector = FaultInjector([Fault("parallel:shard", action="corrupt")])
-        with pytest.raises(ValueError, match="cannot fire at parallel site"):
-            injector.parallel_directive("parallel:shard")
+        injector = FaultInjector([Fault("stream:ingest", action="hang")])
+        with pytest.raises(ValueError, match="stream_directive"):
+            injector.fire("stream:ingest")
 
     def test_action_validation(self):
         with pytest.raises(ValueError, match="unknown fault action"):
-            Fault("parallel:shard", action="explode")
+            Fault("stream:ingest", action="explode")
         with pytest.raises(ValueError, match="delay_s"):
-            Fault("parallel:shard", action="hang", delay_s=-1.0)
+            Fault("stream:ingest", action="hang", delay_s=-1.0)
+
+    def test_chaos_directive_validation(self):
+        with pytest.raises(ValueError, match="unknown chaos action"):
+            ChaosDirective("explode")

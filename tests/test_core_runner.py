@@ -1,5 +1,6 @@
 """Tests for the staged fault-tolerant runner."""
 
+import numpy as np
 import pytest
 
 from repro.communities import FRINGE_COMMUNITIES, SyntheticWorld, WorldConfig
@@ -230,22 +231,26 @@ class TestFaultHarness:
             injector.fire("ckpt")
 
 
-class TestSupervisedExecutionReport:
-    def test_parallel_shard_faults_recovered_by_supervision(self, small_world):
-        # parallel:shard raise-faults burn out across retries: the run
-        # completes cleanly.
-        from repro.utils.parallel import ParallelConfig
+class TestAssociateStage:
+    """Step 6 has one recovery path: the stage retry of ``associate:all``."""
 
-        faults = FaultInjector(
-            [Fault("parallel:shard", RuntimeError, times=2)]
+    def test_persistent_failure_fails_the_stage(self, small_world):
+        injector = FaultInjector([Fault("associate:all", RuntimeError)])
+        with pytest.raises(StageFailure) as failure:
+            run_pipeline(small_world, options=options(faults=injector))
+        assert failure.value.stage == "associate"
+
+    def test_transient_failure_healed_by_stage_retry(self, small_world):
+        injector = FaultInjector(
+            [Fault("associate:all", TransientError, times=1)]
         )
-        result = run_pipeline(
-            small_world,
-            PipelineConfig(),
-            options=options(
-                parallel=ParallelConfig(workers=2, backend="thread"),
-                faults=faults,
-            ),
+        result = run_pipeline(small_world, options=options(faults=injector))
+        assert result.stage_report("associate").attempts == 2
+        clean = run_pipeline(small_world, options=options())
+        assert result.cluster_keys == clean.cluster_keys
+        assert result.occurrences.posts == clean.occurrences.posts
+        assert np.array_equal(
+            result.occurrences.cluster_indices,
+            clean.occurrences.cluster_indices,
         )
-        assert not result.degraded
-        assert "parallel:shard" in faults.fired_sites()
+        assert result.occurrences.entry_names == clean.occurrences.entry_names
