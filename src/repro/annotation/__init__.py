@@ -17,7 +17,7 @@ from repro.annotation.catalog import (
     CatalogEntry,
 )
 from repro.annotation.kym import GalleryImage, KYMEntry, KYMSite, SyntheticKYMConfig
-from repro.annotation.matcher import ClusterAnnotation, annotate_clusters
+from repro.annotation.matcher import ClusterAnnotation, KYMGallery, annotate_clusters
 from repro.annotation.screenshots import (
     ScreenshotClassifier,
     build_screenshot_dataset,
@@ -33,6 +33,7 @@ __all__ = [
     "ScreenshotClassifier",
     "build_screenshot_dataset",
     "ClusterAnnotation",
+    "KYMGallery",
     "annotate_clusters",
     "AssociationResult",
     "associate_hashes",

@@ -17,7 +17,13 @@ from repro.annotation.kym import KYMSite
 from repro.hashing.index import radius_join
 from repro.utils.bitops import popcount
 
-__all__ = ["EntryMatch", "ClusterAnnotation", "annotate_clusters", "DEFAULT_THETA"]
+__all__ = [
+    "EntryMatch",
+    "ClusterAnnotation",
+    "KYMGallery",
+    "annotate_clusters",
+    "DEFAULT_THETA",
+]
 
 DEFAULT_THETA = 8
 
@@ -73,57 +79,72 @@ class ClusterAnnotation:
         return len(self.matches)
 
 
+class KYMGallery:
+    """Step 5's match target: every KYM gallery, flattened once.
+
+    The galleries of ``site`` after Step 4's screenshot filter
+    (``exclude_screenshots``) become one ``uint64`` hash array with an
+    entry back-pointer per hash, plus each entry's filtered gallery
+    size.  Build it once the screenshot decision is made (the classifier
+    mode re-flags gallery images in place) and annotate every
+    community's medoids against it.
+    """
+
+    def __init__(
+        self,
+        site: KYMSite,
+        *,
+        theta: int = DEFAULT_THETA,
+        exclude_screenshots: bool = True,
+    ) -> None:
+        if theta < 0:
+            raise ValueError("theta must be non-negative")
+        self.site = site
+        self.theta = int(theta)
+        self.entries = list(site)
+        hashes: list[int] = []
+        entry_of: list[int] = []
+        sizes: list[int] = []
+        for entry_index, entry in enumerate(self.entries):
+            gallery = entry.gallery
+            if exclude_screenshots:
+                gallery = [g for g in gallery if not g.is_screenshot]
+            sizes.append(len(gallery))
+            hashes.extend(int(image.phash) for image in gallery)
+            entry_of.extend([entry_index] * len(gallery))
+        self.hashes = np.array(hashes, dtype=np.uint64)
+        self.entry_of = np.array(entry_of, dtype=np.int64)
+        self.sizes = sizes
+
+
 def annotate_clusters(
-    medoid_hashes: dict[int, np.uint64 | int],
-    site: KYMSite,
-    *,
-    theta: int = DEFAULT_THETA,
-    exclude_screenshots: bool = True,
+    medoid_hashes: dict[int, np.uint64 | int], gallery: KYMGallery
 ) -> dict[int, ClusterAnnotation]:
-    """Annotate clusters against a KYM site.
+    """Annotate clusters against a KYM gallery.
 
     Parameters
     ----------
     medoid_hashes:
         ``{cluster_id: medoid pHash}`` from Step 3 + medoid computation.
-    site:
-        The annotation source.
-    theta:
-        Matching threshold (paper: 8).
-    exclude_screenshots:
-        Drop gallery images flagged as screenshots before matching — the
-        output of Step 4 (either the classifier's or ground truth).
+    gallery:
+        The screenshot-filtered galleries and the matching threshold θ
+        (paper: 8), built once per screenshot decision.
 
     Returns
     -------
     dict
         Only clusters with at least one matching entry are present.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    # Flatten galleries into one hash array with entry back-pointers.
-    hashes: list[int] = []
-    entry_of: list[int] = []
-    gallery_sizes: list[int] = []
-    for entry_index, entry in enumerate(site):
-        gallery = entry.gallery
-        if exclude_screenshots:
-            gallery = [g for g in gallery if not g.is_screenshot]
-        gallery_sizes.append(len(gallery))
-        for image in gallery:
-            hashes.append(int(image.phash))
-            entry_of.append(entry_index)
-    if not hashes:
+    if not gallery.hashes.size or not medoid_hashes:
         return {}
-    hash_array = np.array(hashes, dtype=np.uint64)
-    entry_array = np.array(entry_of, dtype=np.int64)
+    hash_array, entry_array = gallery.hashes, gallery.entry_of
     medoids = np.array(
         [int(medoid) for medoid in medoid_hashes.values()], dtype=np.uint64
     )
-    rows = radius_join(medoids, hash_array, theta)
+    rows = radius_join(medoids, hash_array, gallery.theta)
 
+    site, entries = gallery.site, gallery.entries
     annotations: dict[int, ClusterAnnotation] = {}
-    entries = list(site)
     for (cluster_id, medoid), row in zip(medoid_hashes.items(), rows):
         if row.size == 0:
             continue
@@ -141,7 +162,7 @@ def annotate_clusters(
                     EntryMatch(
                         entry_name=entries[entry_index].name,
                         n_matches=n,
-                        gallery_size=gallery_sizes[entry_index],
+                        gallery_size=gallery.sizes[entry_index],
                         mean_distance=total / n,
                     )
                     for entry_index, (n, total) in stats.items()

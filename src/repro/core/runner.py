@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.communities.models import FRINGE_COMMUNITIES
 from repro.annotation.association import AssociationResult, associate_hashes
-from repro.annotation.matcher import annotate_clusters
+from repro.annotation.matcher import KYMGallery, annotate_clusters
 from repro.clustering.dbscan import dbscan
 from repro.communities.models import PostTable
 from repro.core.cache import (
@@ -461,6 +461,9 @@ class PipelineRunner:
     ) -> dict:
         """Step 5 per community, quarantining permanently-failing ones.
 
+        The screenshot-filtered gallery is flattened once for the stage
+        and every community's medoids are matched against it.
+
         With a cache, the whole stage is memoized on (theta, exclusion
         flag, every community's medoids, gallery content *after* the
         screenshot filter ran) — the exact inputs of
@@ -488,6 +491,11 @@ class PipelineRunner:
             hit, payload = self.cache.get(cache_key)
             if hit:
                 return dict(payload)
+        gallery = KYMGallery(
+            self.world.kym_site,
+            theta=self.config.theta,
+            exclude_screenshots=exclude_screenshots,
+        )
         annotations: dict[ClusterKey, object] = {}
         cluster_keys: list[ClusterKey] = []
         for community, clustering in clusterings.items():
@@ -497,10 +505,7 @@ class PipelineRunner:
                     report,
                     site,
                     lambda clustering=clustering: annotate_clusters(
-                        clustering.medoids,
-                        self.world.kym_site,
-                        theta=self.config.theta,
-                        exclude_screenshots=exclude_screenshots,
+                        clustering.medoids, gallery
                     ),
                 )
             except Exception as error:

@@ -30,13 +30,18 @@ __all__ = [
 
 
 # Elements per broadcast popcount matrix (queries x medoids); larger
-# inputs are matched in row blocks so peak memory stays bounded.
-_MEDOID_PAIR_BUDGET = 1 << 22
+# inputs are matched in row blocks, so each block's temporaries (a few
+# MB) stay in cache.
+_MEDOID_PAIR_BUDGET = 1 << 18
 
 
 def nearest_medoid(
-    queries: np.ndarray, medoids: np.ndarray, theta: int
-) -> tuple[np.ndarray, np.ndarray]:
+    queries: np.ndarray,
+    medoids: np.ndarray,
+    theta: int,
+    *,
+    return_ties: bool = False,
+):
     """Nearest medoid within Hamming distance ``theta`` of every query.
 
     Each block of queries is one broadcast popcount against all
@@ -46,25 +51,31 @@ def nearest_medoid(
 
     Returns
     -------
-    (position, distance):
+    (position, distance) or (position, distance, tied):
         ``int64`` arrays aligned with ``queries``: the winning medoid's
         position in ``medoids`` and its distance, or ``-1`` in both
-        where no medoid lies within ``theta``.
+        where no medoid lies within ``theta``.  With ``return_ties``, a
+        ``bool`` array too: whether a second medoid lies at the winning
+        distance (never set where nothing matched).
     """
     queries = np.asarray(queries, dtype=np.uint64).reshape(-1)
     medoids = np.asarray(medoids, dtype=np.uint64).reshape(-1)
     position = np.full(queries.size, -1, dtype=np.int64)
     distance = np.full(queries.size, -1, dtype=np.int64)
-    if queries.size == 0 or medoids.size == 0:
-        return position, distance
-    step = max(1, _MEDOID_PAIR_BUDGET // int(medoids.size))
-    for lo in range(0, queries.size, step):
+    tied = np.zeros(queries.size, dtype=bool)
+    step = max(1, _MEDOID_PAIR_BUDGET // max(int(medoids.size), 1))
+    for lo in range(0, queries.size if medoids.size else 0, step):
         counts = popcount(queries[lo : lo + step, None] ^ medoids)
         best = counts.argmin(axis=1)
-        nearest = counts.min(axis=1)
+        nearest = counts[np.arange(best.size), best]
         matched = nearest <= theta
         position[lo : lo + step][matched] = best[matched]
         distance[lo : lo + step][matched] = nearest[matched]
+        if return_ties:
+            at_best = counts[matched] == nearest[matched, None]
+            tied[lo : lo + step][matched] = at_best.sum(axis=1) > 1
+    if return_ties:
+        return position, distance, tied
     return position, distance
 
 

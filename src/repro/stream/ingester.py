@@ -7,28 +7,35 @@ primitives the batch runner already trusts (each compaction grows the
 last compaction's radius graph with the pairs of the hashes new since
 it through
 :func:`repro.hashing.pairwise.merge_radius_neighbors`, the cache's
-subset merge; suffix-only association; deterministic DBSCAN
-re-derivation).
+subset merge; association of the new posts and of those the medoid
+change can move; deterministic DBSCAN re-derivation).
 
 The durability protocol, in order, for every event batch:
 
 1. the batch is appended to the write-ahead log and **fsynced**
    (:class:`repro.stream.wal.WriteAheadLog`);
 2. only then is it applied to in-memory state (the appended post
-   columns, the per-community sets of hashes seen, suffix association
-   against the frozen medoids).
+   columns and the per-community sets of hashes seen).  The batches of
+   one :meth:`StreamIngester.ingest` are associated against the frozen
+   medoids in one call at its end, unless a compaction follows and
+   associates them anyway.
 
 A *compaction* (triggered when the unique-hash growth ratio — a bound
 on medoid drift — exceeds ``compact_threshold``, or forced) promotes
 fresh state: full re-cluster over a radius graph grown from the last
-compaction's, re-annotation, full re-association against the new
-medoids, then a durable checkpoint (``stream.ckpt``, the ``RPC1``
-container from :func:`repro.utils.io.save_checkpoint`) followed by WAL
-truncation.
+compaction's, annotation of the medoids not seen before, and
+re-association (:func:`repro.annotation.association.reassociate`),
+then a durable checkpoint (``stream.ckpt``, the ``RPC1`` container from
+:func:`repro.utils.io.save_checkpoint`).
 
-Recovery is therefore: load the last checkpoint (if any), replay the
-WAL suffix past it, and continue from the durable event count — the
-:class:`EventSource` cursor.  Because every applied step is
+Each post is written once, to the WAL, which is never truncated: it is
+the post log.  The checkpoint holds only derived state (graphs,
+clusterings, annotations, the per-post association) plus the applied
+count and the last applied WAL sequence number.  Recovery is therefore:
+rebuild the post columns from the WAL records up to that sequence
+number, take their association from the last checkpoint (if any),
+replay the WAL suffix past it, and continue from the durable event
+count — the :class:`EventSource` cursor.  Because every applied step is
 deterministic and bit-identical to its cold counterpart, the recovered
 state at any compaction point equals a cold batch
 :func:`repro.core.run_pipeline` over the same event prefix
@@ -62,8 +69,9 @@ from repro.annotation.association import (
     UNASSIGNED,
     AssociationResult,
     associate_hashes,
+    reassociate,
 )
-from repro.annotation.matcher import annotate_clusters
+from repro.annotation.matcher import KYMGallery, annotate_clusters
 from repro.communities.models import FRINGE_COMMUNITIES, PostTable
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
@@ -109,7 +117,6 @@ class StreamReport:
     wal_records: int = 0
     wal_bytes: int = 0
     wal_segments: int = 0
-    wal_segments_truncated: int = 0
     torn_truncated: int = 0
     recoveries: int = 0
     replayed_events: int = 0
@@ -126,7 +133,6 @@ class StreamReport:
             f"batches={self.batches}",
             f"wal[records={self.wal_records} bytes={self.wal_bytes} "
             f"segments={self.wal_segments} "
-            f"truncated={self.wal_segments_truncated} "
             f"torn={self.torn_truncated}]",
             f"recoveries={self.recoveries}",
             f"replayed={self.replayed_events}",
@@ -260,9 +266,57 @@ class _ColumnBuffer:
         self.size = end
 
 
-def _batch_of(record) -> PostTable:
-    """The posts of one WAL record, or a :class:`WALError` for a record
-    written in the format before post tables."""
+def _with_association(
+    posts: PostTable, association: AssociationResult | None = None
+) -> dict[str, np.ndarray]:
+    """The columns of ``posts`` plus their association; unassociated
+    (no cluster, distance -1, untied) without one."""
+    if association is None:
+        n = len(posts)
+        association = AssociationResult(
+            cluster_ids=np.full(n, UNASSIGNED, dtype=np.int64),
+            distances=np.full(n, -1, dtype=np.int64),
+            tied=np.zeros(n, dtype=bool),
+        )
+    return {
+        **posts.to_columns(),
+        "assoc_ids": association.cluster_ids,
+        "assoc_dists": association.distances,
+        "assoc_tied": association.tied,
+    }
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """An integer array in the narrowest signed dtype holding its values."""
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+            return values.astype(dtype)
+    return values
+
+
+def _wide(values: np.ndarray) -> np.ndarray:
+    """A checkpointed integer array back in the ``int64`` the state uses."""
+    return values.astype(np.int64)
+
+
+def _resized_graph(graph: NeighborGraph, resize) -> NeighborGraph:
+    return NeighborGraph(indptr=resize(graph.indptr), indices=resize(graph.indices))
+
+
+def _resized_clustering(
+    clustering: CommunityClustering, resize
+) -> CommunityClustering:
+    return replace(
+        clustering,
+        counts=resize(clustering.counts),
+        result=replace(clustering.result, labels=resize(clustering.result.labels)),
+    )
+
+
+def _columns_of(record) -> dict[str, np.ndarray]:
+    """The post columns of one WAL record, or a :class:`WALError` for a
+    record written in the format before post tables."""
     columns = record.get("posts") if isinstance(record, dict) else None
     if not isinstance(columns, dict):
         raise WALError(
@@ -270,7 +324,19 @@ def _batch_of(record) -> PostTable:
             "written before post tables. Replay reads PostTable column "
             "records only; re-ingest into an empty WAL directory."
         )
-    return PostTable.from_columns(columns)
+    return columns
+
+
+def _concat_columns(records: list[dict[str, np.ndarray]]) -> PostTable:
+    """The posts of many WAL records as one table, each column joined once."""
+    if not records:
+        return PostTable.empty()
+    return PostTable.from_columns(
+        {
+            name: np.concatenate([columns[name] for columns in records])
+            for name in records[0]
+        }
+    )
 
 
 class StreamIngester:
@@ -294,8 +360,8 @@ class StreamIngester:
 
     Construction acquires the WAL directory's
     :class:`repro.utils.io.CheckpointLock` and performs recovery:
-    torn-tail truncation inside the WAL scan, checkpoint load, WAL
-    suffix replay.  Always :meth:`close` (or use as a context manager)
+    torn-tail truncation inside the WAL scan, checkpoint load, the
+    posts it covers rebuilt from the WAL, WAL suffix replay.  Always :meth:`close` (or use as a context manager)
     to release the lock.
     """
 
@@ -318,20 +384,17 @@ class StreamIngester:
         )
         # --- online state ---
         # The applied posts' columns plus their association (cluster
-        # index and distance per post), grown per batch.
-        self._columns = _ColumnBuffer(
-            {
-                **PostTable.empty().to_columns(),
-                "assoc_ids": np.empty(0, dtype=np.int64),
-                "assoc_dists": np.empty(0, dtype=np.int64),
-            }
-        )
+        # index, distance and tie bit per post), grown per batch; the
+        # first ``_associated`` rows hold their association.
+        self._columns = _ColumnBuffer(_with_association(PostTable.empty()))
+        self._associated = 0
         # Per fringe community: the hashes seen so far (they drive the
         # drift count), and the radius graph over the unique hashes of
         # the last compaction, which the next one grows.
         self._seen: dict[str, set[int]] = {c: set() for c in FRINGE_COMMUNITIES}
         self._graphs: dict[str, NeighborGraph] = {}
         self._annotation_memo: dict[int, object] = {}
+        self._gallery: KYMGallery | None = None
         self._screenshot: dict | None = None
         self._clusterings: dict[str, CommunityClustering] | None = None
         self._annotations: dict[ClusterKey, object] = {}
@@ -367,7 +430,7 @@ class StreamIngester:
         """
         world_config = getattr(self.world, "config", None)
         return (
-            "stream-v5|"
+            "stream-v6|"
             f"seed={getattr(world_config, 'seed', None)}"
             f",events_unit={getattr(world_config, 'events_unit', None)}"
             f",noise_scale={getattr(world_config, 'noise_scale', None)}"
@@ -405,32 +468,58 @@ class StreamIngester:
         self.report.torn_truncated = self.wal.torn_truncated
         checkpoint_path = self.wal_dir / _CHECKPOINT_NAME
         had_state = checkpoint_path.exists() or self.wal.next_seq > 0
+        payload = None
         if checkpoint_path.exists():
-            self._restore(
-                load_checkpoint(checkpoint_path, fingerprint=self._fingerprint())
+            payload = load_checkpoint(
+                checkpoint_path, fingerprint=self._fingerprint()
             )
-        replayed = 0
-        for seq, record in self.wal.replay(after_seq=self._applied_seq):
-            batch = _batch_of(record)
+        checkpointed = -1 if payload is None else int(payload["applied_seq"])
+        logged, suffix = [], []
+        for seq, record in self.wal.replay():
+            columns = _columns_of(record)
+            if seq <= checkpointed:
+                logged.append(columns)
+            else:
+                suffix.append((seq, PostTable.from_columns(columns)))
+        if payload is not None:
+            self._restore(payload, _concat_columns(logged))
+        for seq, batch in suffix:
             self._apply_batch(batch, seq)
-            replayed += len(batch)
-        self.report.replayed_events = replayed
+        self._associate_pending()
+        self.report.replayed_events = sum(len(batch) for _, batch in suffix)
         self.report.wal_segments = self.wal.n_segments
         self.report.wal_bytes = self.wal.total_bytes
         if had_state:
             self.report.recoveries = 1
 
-    def _restore(self, payload: dict) -> None:
+    def _restore(self, payload: dict, posts: PostTable) -> None:
+        if len(posts) != payload["n_events"]:
+            raise WALError(
+                f"{self.wal_dir}: the WAL holds {len(posts)} posts up to "
+                f"record {payload['applied_seq']}, the checkpoint "
+                f"{payload['n_events']}; the post log is incomplete"
+            )
+        n = len(posts)
         self._columns = _ColumnBuffer(
-            {
-                **PostTable.from_columns(payload["posts"]).to_columns(),
-                "assoc_ids": payload["assoc_ids"],
-                "assoc_dists": payload["assoc_dists"],
-            }
+            _with_association(
+                posts,
+                AssociationResult(
+                    cluster_ids=_wide(payload["assoc_ids"]),
+                    distances=_wide(payload["assoc_dists"]),
+                    tied=np.unpackbits(payload["assoc_tied"], count=n).view(bool),
+                ),
+            )
         )
+        self._associated = n
         self._screenshot = payload["screenshot"]
-        self._clusterings = payload["clusterings"]
-        self._graphs = payload["graphs"]
+        self._clusterings = {
+            community: _resized_clustering(clustering, _wide)
+            for community, clustering in payload["clusterings"].items()
+        }
+        self._graphs = {
+            community: _resized_graph(graph, _wide)
+            for community, graph in payload["graphs"].items()
+        }
         self._annotations = payload["annotations"]
         self._cluster_keys = payload["cluster_keys"]
         self._medoid_by_global = medoid_map(self._annotations, self._cluster_keys)
@@ -500,6 +589,7 @@ class StreamIngester:
         self.report.events_shed += shed
         try:
             self._drain()
+            self.compact()
         except BaseException:
             # Admitted-but-unapplied events must not linger: the caller
             # recovers by re-reading the cursor, and anything left here
@@ -507,7 +597,11 @@ class StreamIngester:
             # were never WAL-appended, so the cursor still covers them.
             self.buffer.clear()
             raise
-        self.compact()
+        finally:
+            # What was applied gets its association even when a later
+            # chunk or the compaction failed; a compaction that ran has
+            # associated everything already.
+            self._associate_pending()
         return {"admitted": admitted, "shed": shed}
 
     def _drain(self) -> None:
@@ -548,8 +642,9 @@ class StreamIngester:
         Appends the posts to the columns and counts, per fringe
         community, the hashes not seen before (the drift numerator).
         No neighbourhood is joined here: the next compaction grows its
-        graph from the posts.  All posts get suffix association against
-        the frozen medoid set from the last compaction.
+        graph from the posts.  The posts wait for
+        :meth:`_associate_pending` or a compaction for their
+        association.
         """
         rows = batch.group_by_community()
         for community in FRINGE_COMMUNITIES:
@@ -557,37 +652,46 @@ class StreamIngester:
             before = len(seen)
             seen.update(batch.phash[rows[community]].tolist())
             self._new_unique += len(seen) - before
-        if self._medoid_by_global:
-            suffix = associate_hashes(
-                batch.phash, self._medoid_by_global, theta=self.config.theta
-            )
-            ids, dists = suffix.cluster_ids, suffix.distances
-        else:
-            ids = np.full(len(batch), UNASSIGNED, dtype=np.int64)
-            dists = np.full(len(batch), -1, dtype=np.int64)
-        self._columns.append(
-            {**batch.to_columns(), "assoc_ids": ids, "assoc_dists": dists}
-        )
+        self._columns.append(_with_association(batch))
         self._applied_seq = seq
         self.report.events_ingested += len(batch)
         self.report.batches += 1
+
+    def _associate_pending(self) -> None:
+        """Associate the applied posts that have none, in one call,
+        against the frozen medoid set from the last compaction."""
+        start, end = self._associated, self.n_events
+        if start == end:
+            return
+        if self._medoid_by_global:
+            suffix = associate_hashes(
+                self._columns["phash"][start:],
+                self._medoid_by_global,
+                theta=self.config.theta,
+            )
+            self._columns["assoc_ids"][start:] = suffix.cluster_ids
+            self._columns["assoc_dists"][start:] = suffix.distances
+        self._associated = end
 
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
 
     def compact(self, force: bool = False) -> bool:
-        """Promote fresh state and truncate the durable history.
+        """Promote fresh state and checkpoint it.
 
         Full re-cluster over each community's radius graph, grown from
         the last compaction's (:meth:`_cluster_community`), fresh
         annotation (memoised per medoid hash — the lookup is a pure
-        function of the hash given a fixed site/θ/exclude set), full
-        re-association against the promoted medoids, then a durable
-        checkpoint followed by WAL segment truncation — in that order,
-        so a crash anywhere leaves either the old checkpoint + full WAL
-        or the new checkpoint (+ possibly untruncated segments, which
-        replay as no-ops past ``applied_seq``).
+        function of the hash given a fixed site/θ/exclude set),
+        re-association against the promoted medoids
+        (:func:`~repro.annotation.association.reassociate`: the posts
+        since the last compaction, those whose winner's hash left the
+        medoid set and those tied at their distance are compared with
+        every medoid, the rest with the added medoids only), then a
+        durable checkpoint of the derived state.  The WAL keeps every
+        post, so a crash anywhere leaves the old checkpoint or the new
+        one, each beside the whole post log.
 
         Returns ``True`` when a compaction ran.
         """
@@ -625,8 +729,17 @@ class StreamIngester:
                 annotations[key] = annotation
                 cluster_keys.append(key)
         medoid_by_global = medoid_map(annotations, cluster_keys)
-        association = associate_hashes(
-            self._columns["phash"], medoid_by_global, theta=self.config.theta
+        base = self._compact_base_events
+        association = reassociate(
+            self._columns["phash"],
+            AssociationResult(
+                cluster_ids=self._columns["assoc_ids"][:base],
+                distances=self._columns["assoc_dists"][:base],
+                tied=self._columns["assoc_tied"][:base],
+            ),
+            self._medoid_by_global,
+            medoid_by_global,
+            theta=self.config.theta,
         )
         self._clusterings = clusterings
         self._graphs = graphs
@@ -635,12 +748,10 @@ class StreamIngester:
         self._medoid_by_global = medoid_by_global
         self._columns["assoc_ids"] = association.cluster_ids
         self._columns["assoc_dists"] = association.distances
+        self._columns["assoc_tied"] = association.tied
+        self._associated = self.n_events
         self._rebase_drift()
         self._save_checkpoint()
-        removed = self.wal.truncate_through(self._applied_seq)
-        self.report.wal_segments_truncated += removed
-        self.report.wal_segments = self.wal.n_segments
-        self.report.wal_bytes = self.wal.total_bytes
         self.report.compactions += 1
         self.report.drift = 0.0
         self.report.last_compaction_s = time.perf_counter() - started
@@ -685,8 +796,9 @@ class StreamIngester:
         A :class:`~repro.annotation.matcher.ClusterAnnotation` is a pure
         function of the medoid hash for a fixed (KYM site, θ, exclude
         set) — all fixed for a stream session (gallery flags are
-        replayed before any annotation on recovery) — so only
-        never-seen medoid hashes pay the gallery lookup; cached entries
+        replayed before any annotation on recovery), so the gallery is
+        flattened once per session and only never-seen medoid hashes
+        pay the lookup; cached entries
         are re-keyed to the new cluster id.  Medoids with no matching
         entry are memoised as ``None`` (annotate_clusters drops them)
         so they are not re-queried every compaction either.
@@ -697,12 +809,13 @@ class StreamIngester:
             if int(medoid) not in self._annotation_memo
         }
         if missing:
-            fresh = annotate_clusters(
-                missing,
-                self.world.kym_site,
-                theta=self.config.theta,
-                exclude_screenshots=exclude,
-            )
+            if self._gallery is None:
+                self._gallery = KYMGallery(
+                    self.world.kym_site,
+                    theta=self.config.theta,
+                    exclude_screenshots=exclude,
+                )
+            fresh = annotate_clusters(missing, self._gallery)
             for cluster_id, medoid in missing.items():
                 annotation = fresh.get(cluster_id)
                 self._annotation_memo[int(medoid)] = annotation
@@ -717,18 +830,27 @@ class StreamIngester:
         return out
 
     def _save_checkpoint(self) -> None:
-        # Columnar encodings keep the pickle flat: posts as their
-        # PostTable columns, each community's graph as its CSR arrays
-        # over the unique hashes its clustering holds.
+        # Derived state only: the posts are in the WAL up to
+        # ``applied_seq``.  Each community's graph is its CSR arrays
+        # over the unique hashes its clustering holds.  Integer arrays
+        # go down in the narrowest dtype that holds them and tie bits
+        # packed, so the file grows by far less than the posts do.
         payload = {
-            "posts": self.posts.to_columns(),
-            "graphs": self._graphs,
+            "graphs": {
+                community: _resized_graph(graph, _narrow)
+                for community, graph in self._graphs.items()
+            },
             "screenshot": self._screenshot,
-            "clusterings": self._clusterings,
+            "clusterings": {
+                community: _resized_clustering(clustering, _narrow)
+                for community, clustering in self._clusterings.items()
+            },
             "annotations": self._annotations,
             "cluster_keys": self._cluster_keys,
-            "assoc_ids": self._columns["assoc_ids"],
-            "assoc_dists": self._columns["assoc_dists"],
+            "assoc_ids": _narrow(self._columns["assoc_ids"]),
+            "assoc_dists": _narrow(self._columns["assoc_dists"]),
+            "assoc_tied": np.packbits(self._columns["assoc_tied"]),
+            "n_events": self.n_events,
             "applied_seq": self._applied_seq,
         }
         save_checkpoint(

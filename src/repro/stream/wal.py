@@ -16,9 +16,10 @@ checkpoint, and a flags byte carrying the group-commit bit::
             | flags (1B) | len (4B BE) | payload
 
 Records live in numbered segment files (``wal-00000000.seg``, rotated
-at ``segment_max_bytes``) so compaction can drop the durable history
-covered by a checkpoint with whole-file unlinks
-(:meth:`WriteAheadLog.truncate_through`) instead of rewriting a log.
+at ``segment_max_bytes``).  Nothing is ever dropped from the log: it is
+the ingester's post log, each post written once, and recovery rebuilds
+the applied posts from it (the ingester's checkpoint holds only derived
+state).
 
 Group commit: :meth:`WriteAheadLog.append_many` frames a whole batch of
 records, writes them in one buffered write, and fsyncs **once** — the
@@ -75,22 +76,28 @@ class _Segment:
         self.size = 0
 
 
+def _digest(seq_bytes: bytes, flags: int, payload) -> bytes:
+    check = hashlib.sha256(seq_bytes)
+    check.update(bytes([flags]))
+    check.update(payload)
+    return check.digest()
+
+
 def _frame(seq: int, payload: bytes, *, commit: bool) -> bytes:
     seq_bytes = seq.to_bytes(8, "big")
-    flags = bytes([_FLAG_COMMIT if commit else 0])
-    digest = hashlib.sha256(seq_bytes + flags + payload).digest()
+    flags = _FLAG_COMMIT if commit else 0
     return (
         _WAL_MAGIC
-        + digest
+        + _digest(seq_bytes, flags, payload)
         + seq_bytes
-        + flags
+        + bytes([flags])
         + len(payload).to_bytes(4, "big")
         + payload
     )
 
 
 def _parse_segment(
-    blob: bytes, path: Path, *, final: bool
+    blob: bytes, path: Path, *, final: bool, verify: bool = True
 ) -> tuple[list[tuple[int, int, int]], int, int]:
     """Parse one segment's frames.
 
@@ -102,7 +109,8 @@ def _parse_segment(
     frames of a group whose commit frame never landed — either way the
     whole uncommitted suffix is dropped as one event, because a group
     is durable only as a unit.  Raises :class:`WALCorruptError` for
-    damage that cannot be a torn tail.
+    damage that cannot be a torn tail.  ``verify=False`` skips the
+    digests, for frames a scan has verified already.
     """
     records: list[tuple[int, int, int]] = []
     # Frames of the group being accumulated; promoted to ``records``
@@ -134,11 +142,8 @@ def _parse_segment(
             raise WALCorruptError(
                 f"{path}: truncated record payload mid-log at offset {offset}"
             )
-        payload = blob[offset + _HEADER_LEN : end]
-        if (
-            hashlib.sha256(seq_bytes + bytes([flags]) + payload).digest()
-            != digest
-        ):
+        payload = memoryview(blob)[offset + _HEADER_LEN : end]
+        if verify and _digest(seq_bytes, flags, payload) != digest:
             if final and end == size:
                 # Digest failure on the very last record: a torn write
                 # that happened to cover the full frame length.
@@ -374,17 +379,24 @@ class WriteAheadLog:
             self._active = None
 
     # ------------------------------------------------------------------
-    # Replay and truncation
+    # Replay
     # ------------------------------------------------------------------
 
     def replay(self, after_seq: int = -1) -> Iterator[tuple[int, object]]:
-        """Yield ``(seq, record)`` for every record with ``seq > after_seq``."""
+        """Yield ``(seq, record)`` for every record with ``seq > after_seq``.
+
+        Digests are not checked again: the open-time scan verified every
+        frame on disk, and this log appended every frame since.
+        """
         for position, segment in enumerate(self._segments):
             if segment.last_seq is None or segment.last_seq <= after_seq:
                 continue
-            blob = segment.path.read_bytes()
+            blob = memoryview(segment.path.read_bytes())
             records, _, torn = _parse_segment(
-                blob, segment.path, final=position == len(self._segments) - 1
+                blob,
+                segment.path,
+                final=position == len(self._segments) - 1,
+                verify=False,
             )
             if torn:  # pragma: no cover - scan already truncated tails
                 raise WALError(f"{segment.path}: torn record during replay")
@@ -392,28 +404,6 @@ class WriteAheadLog:
                 if seq <= after_seq:
                     continue
                 yield seq, pickle.loads(blob[start : start + length])
-
-    def truncate_through(self, seq: int) -> int:
-        """Unlink segments whose records are all ``<= seq``.
-
-        Called after a checkpoint covering ``seq`` is durable: the
-        checkpoint now owns that history, so whole segments behind it
-        are dropped.  The active (last) segment is never removed — the
-        next append continues it.  Returns the number of segments
-        removed.
-        """
-        removed = 0
-        keep: list[_Segment] = []
-        for position, segment in enumerate(self._segments):
-            last = len(self._segments) - 1
-            covered = segment.last_seq is not None and segment.last_seq <= seq
-            if covered and position < last:
-                segment.path.unlink()
-                removed += 1
-            else:
-                keep.append(segment)
-        self._segments = keep
-        return removed
 
     def close(self) -> None:
         self._close_handle()

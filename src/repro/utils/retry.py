@@ -46,6 +46,11 @@ class TransientError(RuntimeError):
     """A failure expected to succeed on retry (timeouts, flaky I/O)."""
 
 
+# The exception types a retry may heal; anything else propagates on the
+# first failure, interrupts (KeyboardInterrupt, SystemExit) included.
+_RETRYABLE = (TransientError, OSError)
+
+
 class DeadlineExceeded(RuntimeError):
     """The retry loop ran out of deadline budget before succeeding.
 
@@ -69,9 +74,6 @@ class RetryPolicy:
         Multiplier applied to the delay after each failed retry.
     max_delay:
         Upper bound on any single sleep.
-    retryable:
-        Exception types considered transient.  Anything else propagates
-        to the caller on the first failure.
     jitter:
         ``"none"`` (default) keeps the classic deterministic exponential
         schedule; ``"full"`` draws each delay uniformly from
@@ -84,7 +86,6 @@ class RetryPolicy:
     base_delay: float = 0.05
     backoff: float = 2.0
     max_delay: float = 5.0
-    retryable: tuple[type[BaseException], ...] = (TransientError, OSError)
     jitter: str = "none"
 
     def __post_init__(self) -> None:
@@ -135,7 +136,8 @@ def retry_call(
 ) -> RetryOutcome:
     """Call ``fn`` under ``policy``, returning value + attempt bookkeeping.
 
-    Transient exceptions (per ``policy.retryable``) are retried up to
+    Transient exceptions (:class:`TransientError` and :class:`OSError`)
+    are retried up to
     ``policy.max_retries`` times with exponential backoff; the last one
     re-raises if every attempt fails.  Non-transient exceptions propagate
     immediately.  ``sleep`` is injectable so tests never actually wait.
@@ -159,14 +161,7 @@ def retry_call(
         try:
             outcome.value = fn()
             return outcome
-        except policy.retryable as error:
-            if isinstance(error, (KeyboardInterrupt, SystemExit)):
-                # Never retry an interpreter-exit request, no matter how
-                # broad the policy's retryable tuple is (a custom tuple
-                # could even name BaseException): swallowing Ctrl-C to
-                # re-run the failing call would make shutdown
-                # unresponsive.
-                raise
+        except _RETRYABLE as error:
             outcome.errors.append(f"{type(error).__name__}: {error}")
             if retry_index == policy.max_retries:
                 raise

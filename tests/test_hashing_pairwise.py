@@ -382,3 +382,38 @@ class TestNearestMedoid:
             assert verdict.matched == (p >= 0)
             assert verdict.cluster == (keys[p] if p >= 0 else None)
             assert verdict.distance == d
+
+    def test_blocks_match_the_unblocked_kernel(self, monkeypatch):
+        import repro.hashing.pairwise as pairwise
+
+        # With two rows per block, queries tied between medoids 1 and 2
+        # straddle the block edges 1|2, 5|6 and 9|10; query 7 lies
+        # exactly θ from medoid 3, and 11 queries leave a one-row block.
+        medoids = np.array([0xFF00, 0b0011, 0b1100, 0xFFFF_0000], dtype=np.uint64)
+        queries = np.array(
+            [0b0001, 0b0000, 0b1111, 0b0100, 0xFF01, 0b1111_0000, 0b0110,
+             0xFFFF_0000 ^ 0xFF, 0xFFFF_FFFF, 0b1001, 0],
+            dtype=np.uint64,
+        )
+        expect = brute_nearest_medoid(queries, medoids, 8)
+        monkeypatch.setattr(pairwise, "_MEDOID_PAIR_BUDGET", 1 << 40)
+        unblocked = nearest_medoid(queries, medoids, 8, return_ties=True)
+        monkeypatch.setattr(pairwise, "_MEDOID_PAIR_BUDGET", 2 * medoids.size)
+        blocked = nearest_medoid(queries, medoids, 8, return_ties=True)
+        assert unblocked[0].tolist() == expect[0]
+        assert unblocked[1].tolist() == expect[1]
+        assert np.flatnonzero(unblocked[2]).tolist() == [1, 2, 5, 6, 9, 10]
+        assert unblocked[1][7] == 8
+        for got, want in zip(blocked, unblocked):
+            assert got.tolist() == want.tolist()
+
+    def test_ties_flag_a_second_medoid_at_the_winning_distance(self):
+        medoids = np.array([0b01, 0b10, 0b01, 0xFFFF], dtype=np.uint64)
+        queries = np.array([0b11, 0b01, 0b10, 0xFFFF, 0xFFFF_0000_0000], dtype=np.uint64)
+        position, distance, tied = nearest_medoid(
+            queries, medoids, 8, return_ties=True
+        )
+        assert position.tolist() == [0, 0, 1, 3, -1]
+        assert distance.tolist() == [1, 0, 0, 0, -1]
+        # 0b11 is 1 from three medoids; 0b01 equals two of them.
+        assert tied.tolist() == [True, True, False, False, False]

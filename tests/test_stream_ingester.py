@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.annotation.association import associate_hashes
 from repro.communities import SyntheticWorld, WorldConfig
 from repro.core import run_pipeline
 from repro.core.config import PipelineConfig
@@ -268,6 +269,113 @@ class TestRecovery:
         prefix_batch = run_pipeline(PrefixWorld(stream_world, 350))
         assert state_equals(result, prefix_batch)
 
+    def test_mid_stream_recovery_equals_uninterrupted_state(
+        self, tmp_path, stream_world
+    ):
+        # No forced compaction: the last automatic compaction's
+        # checkpoint, the posts rebuilt from the WAL and the suffix
+        # replayed past it give back the uninterrupted state, the
+        # suffix's association against the frozen medoids included.
+        source = stream_world.event_source()
+        config = _config(tmp_path, compact_threshold=0.2)
+        ingester = StreamIngester(stream_world, stream=config)
+        _run_to_end(ingester, source, limit=730, chunk=70)
+        expected = ingester.result()
+        assert ingester.report.compactions >= 2
+        _crash(ingester)
+        with StreamIngester(stream_world, stream=config) as recovered:
+            assert recovered.report.replayed_events > 0
+            assert state_equals(recovered.result(), expected)
+
+    def test_recovery_restores_association_and_tie_bits(self, tmp_path):
+        # The checkpoint narrows the association columns and packs the
+        # tie bits; recovery must give back exactly what the compaction
+        # computed, tie bits included, for the next re-association to
+        # send every tied post to the full comparison.  Seed 1 is a
+        # small world whose stream ends with tied posts.
+        world = SyntheticWorld.generate(
+            WorldConfig(seed=1, events_unit=12.0, noise_scale=0.5)
+        )
+        config = _config(tmp_path, compact_threshold=0.2)
+        ingester = StreamIngester(world, stream=config)
+        _run_to_end(ingester, world.event_source())
+        ingester.compact(force=True)
+        expected = {
+            name: ingester._columns[name].copy()
+            for name in ("assoc_ids", "assoc_dists", "assoc_tied")
+        }
+        assert expected["assoc_tied"].any()
+        _crash(ingester)
+        with StreamIngester(world, stream=config) as recovered:
+            for name, column in expected.items():
+                assert recovered._columns[name].dtype == column.dtype, name
+                assert np.array_equal(recovered._columns[name], column), name
+
+    def test_checkpoint_without_its_posts_fails_loudly(
+        self, tmp_path, stream_world
+    ):
+        # The checkpoint holds no posts: a WAL that lost the records it
+        # covers cannot be recovered from, and must say so.
+        with StreamIngester(stream_world, stream=_config(tmp_path)) as ingester:
+            _run_to_end(ingester, stream_world.event_source(), limit=200)
+            ingester.compact(force=True)
+        for segment in tmp_path.glob("wal-*.seg"):
+            segment.unlink()
+        with pytest.raises(WALError, match="post log is incomplete"):
+            StreamIngester(stream_world, stream=_config(tmp_path))
+        assert not (tmp_path / ".lock").exists()
+
+    @pytest.mark.parametrize("failing", ["wal", "compact"])
+    def test_failed_ingest_leaves_applied_posts_associated(
+        self, tmp_path, stream_world, monkeypatch, failing
+    ):
+        # An ingest that raises after applying some of its chunks (a
+        # later WAL append failed, or the compaction did) still
+        # associates what it applied, against the frozen medoids, and
+        # the stream goes on to the cold state.
+        source = stream_world.event_source()
+        config = _config(tmp_path, compact_threshold=0.05)
+        with StreamIngester(stream_world, stream=config) as ingester:
+            _run_to_end(ingester, source, limit=600)
+            ingester.compact(force=True)
+            frozen = dict(ingester._medoid_by_global)
+            if failing == "wal":
+                append, calls = ingester.wal.append_many, []
+
+                def append_many(records):
+                    calls.append(records)
+                    if len(calls) == 2:
+                        raise OSError("disk full")
+                    return append(records)
+
+                monkeypatch.setattr(ingester.wal, "append_many", append_many)
+            else:
+
+                def cluster_community(community):
+                    raise OSError("compaction failed")
+
+                monkeypatch.setattr(
+                    ingester, "_cluster_community", cluster_community
+                )
+            with pytest.raises(OSError):
+                ingester.ingest(source.read(600, 150))
+            assert ingester.n_events == (650 if failing == "wal" else 750)
+            expected = associate_hashes(
+                ingester.posts.phash[600:], frozen, theta=PipelineConfig().theta
+            )
+            assert (expected.cluster_ids >= 0).any()
+            assert np.array_equal(
+                ingester._columns["assoc_ids"][600:], expected.cluster_ids
+            )
+            assert np.array_equal(
+                ingester._columns["assoc_dists"][600:], expected.distances
+            )
+            monkeypatch.undo()
+            _run_to_end(ingester, source, limit=900)
+            ingester.compact(force=True)
+            result = ingester.result()
+        assert state_equals(result, run_pipeline(PrefixWorld(stream_world, 900)))
+
     def test_stale_checkpoint_rejected_on_config_change(
         self, tmp_path, stream_world
     ):
@@ -288,10 +396,10 @@ class TestRecovery:
     def test_previous_layout_checkpoint_rejected(
         self, tmp_path, stream_world, monkeypatch
     ):
-        # Before compaction grew each graph from the last one, a
-        # checkpoint held each community's hashes and counts in
-        # first-seen order with its (row, col) pairs in that order,
-        # under the "stream-v4" fingerprint.  Such a file must fail the
+        # Before the WAL became the post log, a checkpoint held every
+        # applied post's columns beside the derived state, and no tie
+        # bits, under the "stream-v5" fingerprint, and compaction
+        # truncated the WAL behind it.  Such a file must fail the
         # fingerprint check before any of it is read as state.
         config = _config(tmp_path)
         with StreamIngester(stream_world, stream=config) as ingester:
@@ -301,31 +409,18 @@ class TestRecovery:
             posts = ingester.posts
         path = tmp_path / "stream.ckpt"
         payload = load_checkpoint(path, fingerprint=fingerprint)
-        neighbor_state = {}
-        for community, graph in payload.pop("graphs").items():
-            clustering = payload["clusterings"][community]
-            hashes = posts.phash[posts.in_community(community)]
-            _, first = np.unique(hashes, return_index=True)
-            order = np.argsort(first, kind="stable")
-            rank = np.empty(order.size, dtype=np.int64)
-            rank[order] = np.arange(order.size)
-            neighbor_state[community] = {
-                "hashes": clustering.unique_hashes[order],
-                "counts": clustering.counts[order],
-                "row": rank[graph.owners()],
-                "col": rank[graph.indices],
-            }
-        payload["neighbor_state"] = neighbor_state
-        assert fingerprint.startswith("stream-v5|")
+        del payload["assoc_tied"], payload["n_events"]
+        payload["posts"] = posts.to_columns()
+        assert fingerprint.startswith("stream-v6|")
         save_checkpoint(
-            path, payload, fingerprint="stream-v4|" + fingerprint[len("stream-v5|"):]
+            path, payload, fingerprint="stream-v5|" + fingerprint[len("stream-v6|"):]
         )
 
-        def misread(self, payload):
+        def misread(self, payload, posts):
             raise AssertionError("a previous-layout checkpoint was read")
 
         monkeypatch.setattr(StreamIngester, "_restore", misread)
-        with pytest.raises(StaleCheckpointError, match="stream-v4"):
+        with pytest.raises(StaleCheckpointError, match="stream-v5"):
             StreamIngester(stream_world, stream=config)
 
     def test_checkpoint_graph_is_cold_radius_graph(self, tmp_path, stream_world):
@@ -379,6 +474,51 @@ class TestRecovery:
         message = str(excinfo.value)
         assert f"directory {config.wal_dir} is locked" in message
         assert "--checkpoint-dir" not in message
+
+
+class TestPostLog:
+    """The WAL is the post log: each post is written once, and only there."""
+
+    def test_checkpoint_holds_no_posts_and_wal_each_post_once(
+        self, tmp_path, stream_world
+    ):
+        source = stream_world.event_source()
+        config = _config(tmp_path, compact_threshold=0.2)
+        checkpoint = tmp_path / "stream.ckpt"
+        # (checkpoint bytes, WAL bytes) after every compaction.
+        sizes = []
+        with StreamIngester(stream_world, stream=config) as ingester:
+            while ingester.n_events < source.n_events:
+                compactions = ingester.report.compactions
+                ingester.ingest(source.read(ingester.n_events, 50))
+                if ingester.report.compactions > compactions:
+                    sizes.append(
+                        (checkpoint.stat().st_size, ingester.wal.total_bytes)
+                    )
+            posts = ingester.posts
+            fingerprint = ingester._fingerprint()
+        assert len(sizes) >= 5
+        # A checkpoint grows with the derived state only: by far less
+        # than the posts logged since the one before it.
+        for (ckpt_a, wal_a), (ckpt_b, wal_b) in zip(sizes, sizes[1:]):
+            assert ckpt_b - ckpt_a < (wal_b - wal_a) / 2
+        assert sizes[-1][0] - sizes[0][0] < (sizes[-1][1] - sizes[0][1]) / 4
+        payload = load_checkpoint(checkpoint, fingerprint=fingerprint)
+        assert not {"posts", *posts.to_columns()} & set(payload)
+        # The WAL's records are the applied posts, in order, each once.
+        with WriteAheadLog(tmp_path, fsync=False) as wal:
+            logged = [record["posts"] for _, record in wal.replay()]
+        for name, column in posts.to_columns().items():
+            replayed = np.concatenate([columns[name] for columns in logged])
+            assert np.array_equal(replayed, column), name
+        wal_bytes = b"".join(
+            path.read_bytes() for path in sorted(tmp_path.glob("wal-*.seg"))
+        )
+        checkpoint_bytes = checkpoint.read_bytes()
+        for columns in logged:
+            phash = columns["phash"].tobytes()
+            assert wal_bytes.count(phash) == 1
+            assert phash not in checkpoint_bytes
 
 
 class TestColumnBuffers:

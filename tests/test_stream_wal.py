@@ -96,29 +96,11 @@ class TestRotation:
             _fill(wal, _records(1, start=2))
             assert wal.n_segments == 1
 
-    def test_truncate_through_removes_covered_segments(self, tmp_path):
-        with WriteAheadLog(tmp_path, segment_max_bytes=256, fsync=False) as wal:
-            _fill(wal, _records(10))
-            segments_before = wal.n_segments
-            assert segments_before > 2
-            removed = wal.truncate_through(wal.next_seq - 1)
-            # Everything but the active segment is reclaimable.
-            assert removed == segments_before - 1
-            assert wal.n_segments == 1
-            assert list(wal.replay()) != []  # the last segment survives
-
-    def test_truncate_through_keeps_uncovered_segments(self, tmp_path):
-        with WriteAheadLog(tmp_path, segment_max_bytes=256, fsync=False) as wal:
-            _fill(wal, _records(10))
-            removed = wal.truncate_through(0)
-            assert removed == 0
-            assert [seq for seq, _ in wal.replay()] == list(range(10))
-
-    def test_replay_survives_truncation(self, tmp_path):
+    def test_replay_after_seq_spans_segments(self, tmp_path):
         records = _records(10)
         with WriteAheadLog(tmp_path, segment_max_bytes=256, fsync=False) as wal:
             _fill(wal, records)
-            wal.truncate_through(4)
+            assert wal.n_segments > 2
             replayed = list(wal.replay(after_seq=4))
         assert [record for _, record in replayed] == records[5:]
 
